@@ -135,131 +135,155 @@ let switch_protocol (rt : t) ~addr ~size ~protocol =
       | Some init -> for node = 0 to n - 1 do init rt ~node ~page done)
     pages
 
-(* --- access detection --- *)
+(* --- access detection ---
+
+   One path for every access.  A hit costs one current-thread lookup (the
+   caller's [Marcel.self]) and one page-table lookup, and allocates
+   nothing.  Only a miss runs [fault]; [access] then looks the node and
+   the entry up again, because a fault may move the thread
+   ([migrate_thread]). *)
+
+let fault (rt : t) ~node ~page ~mode proto =
+  let h = rt.Runtime.instr_h in
+  let started = Engine.now (Runtime.engine rt) in
+  (match proto.Protocol.detection with
+  | Protocol.Page_fault ->
+      Stats.bump
+        (match mode with
+        | Access.Read -> h.Instrument.h_read_faults
+        | Access.Write -> h.Instrument.h_write_faults);
+      Metrics.incr rt.Runtime.metrics ~node ~protocol:proto.Protocol.name
+        (match mode with
+        | Access.Read -> Instrument.m_read_faults
+        | Access.Write -> Instrument.m_write_faults);
+      Marcel.compute (Runtime.marcel rt) rt.Runtime.costs.page_fault_us;
+      Stats.record h.Instrument.h_stage_fault
+        (Time.of_us rt.Runtime.costs.page_fault_us)
+  | Protocol.Inline_check -> Stats.bump h.Instrument.h_check_misses);
+  (* Each fault is the root of a causal span: the request, transfer and
+     install events it triggers — locally and on remote nodes — carry the
+     same id. *)
+  let span = Monitor.new_span rt in
+  if Monitor.enabled rt then
+    Monitor.emit rt ~span
+      (Trace.Fault
+         { node; page; protocol = proto.Protocol.name; mode = Access.mode_to_string mode });
+  Monitor.with_thread_span rt span (fun () ->
+      match mode with
+      | Access.Read -> proto.Protocol.read_fault rt ~node ~page
+      | Access.Write -> proto.Protocol.write_fault rt ~node ~page);
+  let latency = Time.(Engine.now (Runtime.engine rt) - started) in
+  Stats.record h.Instrument.h_stage_total latency;
+  Metrics.observe rt.Runtime.metrics ~node ~protocol:proto.Protocol.name
+    Instrument.m_fault_latency latency
+
+(* Returns the protocol of [addr]'s page once [th]'s node holds rights for
+   [mode] on it; [faults] counts the faults taken so far.  The hot path
+   reads the runtime's tables directly: every call saved is a few
+   nanoseconds of a hit. *)
+let rec access (rt : t) th ~addr ~mode faults =
+  if faults > rt.Runtime.fault_loop_limit then
+    raise (Fault_storm { addr; mode; attempts = faults });
+  let node = Marcel.node th in
+  let page = Page.page_of_addr rt.Runtime.geo addr in
+  let e = Page_table.find rt.Runtime.tables.(node) page in
+  let proto = Protocol.find rt.Runtime.registry e.Page_table.protocol in
+  (match proto.Protocol.detection with
+  | Protocol.Inline_check ->
+      Stats.bump rt.Runtime.instr_h.Instrument.h_inline_checks;
+      Marcel.charge_tick th
+  | Protocol.Page_fault -> ());
+  if Access.allows e.Page_table.rights mode then begin
+    Protocol_lib.unpin rt e;
+    proto
+  end
+  else begin
+    fault rt ~node ~page ~mode proto;
+    access rt th ~addr ~mode (faults + 1)
+  end
 
 let ensure_access (rt : t) ~addr ~mode =
-  let marcel = Runtime.marcel rt in
-  let h = rt.Runtime.instr_h in
-  let rec attempt n =
-    if n > rt.Runtime.fault_loop_limit then
-      raise (Fault_storm { addr; mode; attempts = n });
-    let node = Runtime.self_node rt in
-    let page = Page.page_of_addr rt.Runtime.geo addr in
-    let e = Runtime.entry rt ~node ~page in
-    let proto = Runtime.proto rt e.Page_table.protocol in
-    (match proto.Protocol.detection with
-    | Protocol.Inline_check ->
-        Stats.bump h.Instrument.h_inline_checks;
-        Marcel.charge marcel rt.Runtime.costs.inline_check_us
-    | Protocol.Page_fault -> ());
-    if Access.allows e.Page_table.rights mode then Protocol_lib.unpin rt e
-    else begin
-      let started = Engine.now (Runtime.engine rt) in
-      (match proto.Protocol.detection with
-      | Protocol.Page_fault ->
-          Stats.bump
-            (match mode with
-            | Access.Read -> h.Instrument.h_read_faults
-            | Access.Write -> h.Instrument.h_write_faults);
-          Metrics.incr rt.Runtime.metrics ~node ~protocol:proto.Protocol.name
-            (match mode with
-            | Access.Read -> Instrument.m_read_faults
-            | Access.Write -> Instrument.m_write_faults);
-          Marcel.compute marcel rt.Runtime.costs.page_fault_us;
-          Stats.record h.Instrument.h_stage_fault
-            (Time.of_us rt.Runtime.costs.page_fault_us)
-      | Protocol.Inline_check -> Stats.bump h.Instrument.h_check_misses);
-      (* Each fault is the root of a causal span: the request, transfer and
-         install events it triggers — locally and on remote nodes — carry
-         the same id. *)
-      let span = Monitor.new_span rt in
-      if Monitor.enabled rt then
-        Monitor.emit rt ~span
-          (Trace.Fault
-             {
-               node;
-               page;
-               protocol = proto.Protocol.name;
-               mode = Access.mode_to_string mode;
-             });
-      Monitor.with_thread_span rt span (fun () ->
-          match mode with
-          | Access.Read -> proto.Protocol.read_fault rt ~node ~page
-          | Access.Write -> proto.Protocol.write_fault rt ~node ~page);
-      let latency = Time.(Engine.now (Runtime.engine rt) - started) in
-      Stats.record h.Instrument.h_stage_total latency;
-      Metrics.observe rt.Runtime.metrics ~node ~protocol:proto.Protocol.name
-        Instrument.m_fault_latency latency;
-      attempt (n + 1)
-    end
-  in
-  attempt 0
+  ignore (access rt (Marcel.self (Runtime.marcel rt)) ~addr ~mode 0 : t Protocol.t)
 
-let post_read (rt : t) ~node ~addr =
-  let page = Page.page_of_addr rt.Runtime.geo addr in
-  let e = Runtime.entry rt ~node ~page in
-  match (Runtime.proto rt e.Page_table.protocol).Protocol.on_local_read with
+(* The start of an access's real-time window: only the history reads it. *)
+let history_start (rt : t) =
+  match rt.Runtime.history with
+  | None -> Time.zero
+  | Some _ -> Engine.now (Runtime.engine rt)
+
+(* Logs a word access in the conformance history.  The record is built
+   only when history is on, so an unobserved access allocates nothing. *)
+let record_access (rt : t) th ~start ~write ~addr ~value =
+  match rt.Runtime.history with
   | None -> ()
-  | Some hook -> hook rt ~node ~page
+  | Some h ->
+      History.record h ~tid:(Marcel.tid th) ~node:(Marcel.node th) ~start
+        ~finish:(Engine.now (Runtime.engine rt))
+        (if write then History.Write { addr; value } else History.Read { addr; value })
 
-let read_int rt addr =
-  let start = Engine.now (Runtime.engine rt) in
-  ensure_access rt ~addr ~mode:Access.Read;
-  let node = Runtime.self_node rt in
-  let value = Frame_store.read_int (Runtime.store rt node) ~addr in
-  Runtime.record_history rt ~start (History.Read { addr; value });
-  post_read rt ~node ~addr;
-  value
-
-let post_write (rt : t) ~node ~addr ~value =
-  let page = Page.page_of_addr rt.Runtime.geo addr in
-  let e = Runtime.entry rt ~node ~page in
-  (match (Runtime.proto rt e.Page_table.protocol).Protocol.on_local_write with
+let read_hook (rt : t) th proto ~addr =
+  match proto.Protocol.on_local_read with
   | None -> ()
   | Some hook ->
-      hook rt ~node ~page ~offset:(Page.offset_of_addr rt.Runtime.geo addr) ~value);
+      hook rt ~node:(Marcel.node th) ~page:(Page.page_of_addr rt.Runtime.geo addr)
+
+let write_hook (rt : t) th proto ~addr ~value =
+  (match proto.Protocol.on_local_write with
+  | None -> ()
+  | Some hook ->
+      let geo = rt.Runtime.geo in
+      hook rt ~node:(Marcel.node th) ~page:(Page.page_of_addr geo addr)
+        ~offset:(Page.offset_of_addr geo addr) ~value);
   (* A blocking hook (the quorum protocols' put round) means the write only
      takes effect now; widen its recorded real-time window to match. *)
   match rt.Runtime.history with
   | None -> ()
-  | Some h ->
-      History.extend_finish h
-        ~tid:(Marcel.tid (Marcel.self (Runtime.marcel rt)))
-        (Engine.now (Runtime.engine rt))
+  | Some h -> History.extend_finish h ~tid:(Marcel.tid th) (Engine.now (Runtime.engine rt))
+
+let read_int rt addr =
+  let start = history_start rt in
+  let th = Marcel.self (Runtime.marcel rt) in
+  let proto = access rt th ~addr ~mode:Access.Read 0 in
+  let value = Frame_store.read_int rt.Runtime.stores.(Marcel.node th) ~addr in
+  record_access rt th ~start ~write:false ~addr ~value;
+  read_hook rt th proto ~addr;
+  value
 
 let write_int rt addr value =
-  let start = Engine.now (Runtime.engine rt) in
-  ensure_access rt ~addr ~mode:Access.Write;
-  let node = Runtime.self_node rt in
-  Frame_store.write_int (Runtime.store rt node) ~addr value;
-  (* Record before [post_write]: propagation (update pushes, diff flushes)
-     may block, and a remote read of the propagated value must find this
-     write already in the history. *)
-  Runtime.record_history rt ~start (History.Write { addr; value });
-  post_write rt ~node ~addr ~value
+  let start = history_start rt in
+  let th = Marcel.self (Runtime.marcel rt) in
+  let proto = access rt th ~addr ~mode:Access.Write 0 in
+  Frame_store.write_int rt.Runtime.stores.(Marcel.node th) ~addr value;
+  (* Record before the hook: propagation (update pushes, diff flushes) may
+     block, and a remote read of the propagated value must find this write
+     already in the history. *)
+  record_access rt th ~start ~write:true ~addr ~value;
+  write_hook rt th proto ~addr ~value
 
+(* History works at word granularity: a byte access reports its containing
+   word. *)
 let read_byte rt addr =
-  let start = Engine.now (Runtime.engine rt) in
-  ensure_access rt ~addr ~mode:Access.Read;
-  let node = Runtime.self_node rt in
-  let b = Frame_store.read_byte (Runtime.store rt node) ~addr in
-  (* History works at word granularity; report the containing word. *)
+  let start = history_start rt in
+  let th = Marcel.self (Runtime.marcel rt) in
+  let proto = access rt th ~addr ~mode:Access.Read 0 in
+  let store = rt.Runtime.stores.(Marcel.node th) in
+  let b = Frame_store.read_byte store ~addr in
   let word_addr = addr land lnot 7 in
-  let value = Frame_store.read_int (Runtime.store rt node) ~addr:word_addr in
-  Runtime.record_history rt ~start (History.Read { addr = word_addr; value });
-  post_read rt ~node ~addr:word_addr;
+  let value = Frame_store.read_int store ~addr:word_addr in
+  record_access rt th ~start ~write:false ~addr:word_addr ~value;
+  read_hook rt th proto ~addr:word_addr;
   b
 
 let write_byte rt addr value =
-  let start = Engine.now (Runtime.engine rt) in
-  ensure_access rt ~addr ~mode:Access.Write;
-  let node = Runtime.self_node rt in
-  Frame_store.write_byte (Runtime.store rt node) ~addr value;
-  (* Record at word granularity: report the containing word's new value. *)
+  let start = history_start rt in
+  let th = Marcel.self (Runtime.marcel rt) in
+  let proto = access rt th ~addr ~mode:Access.Write 0 in
+  let store = rt.Runtime.stores.(Marcel.node th) in
+  Frame_store.write_byte store ~addr value;
   let word_addr = addr land lnot 7 in
-  let value = Frame_store.read_int (Runtime.store rt node) ~addr:word_addr in
-  Runtime.record_history rt ~start (History.Write { addr = word_addr; value });
-  post_write rt ~node ~addr:word_addr ~value
+  let value = Frame_store.read_int store ~addr:word_addr in
+  record_access rt th ~start ~write:true ~addr:word_addr ~value;
+  write_hook rt th proto ~addr:word_addr ~value
 
 let unsafe_peek (rt : t) ~node addr =
   Frame_store.read_int (Runtime.store rt node) ~addr
@@ -297,8 +321,10 @@ let spawn (rt : t) ?stack_bytes ?attached_bytes ?migratable ~node f =
 let join rt th = Marcel.join (Runtime.marcel rt) th
 let self_node = Runtime.self_node
 let charge rt us =
-  Marcel.charge (Runtime.marcel rt) us;
-  Pm2.migrate_if_requested rt.Runtime.pm2
+  let marcel = Runtime.marcel rt in
+  let th = Marcel.self marcel in
+  Marcel.charge_thread marcel th us;
+  Pm2.honour_move rt.Runtime.pm2 th
 
 let compute rt us =
   Marcel.compute (Runtime.marcel rt) us;

@@ -277,7 +277,7 @@ let send_request rt ~to_ ~page ~mode ~requester =
 
 let send_page rt ~to_ ~page ~grant ~ownership ~copyset ~req_mode =
   let node = Runtime.self_node rt in
-  let data = Bytes.copy (Frame_store.frame (Runtime.store rt node) page) in
+  let data = Frame_store.copy_out (Runtime.store rt node) page in
   let span = Monitor.current_span rt in
   let msg =
     {

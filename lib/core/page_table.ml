@@ -21,7 +21,7 @@ type entry = {
 
 type t = {
   table_node : int;
-  entries : (int, entry) Hashtbl.t;
+  entries : entry Int_table.t;
   node_exts : (int, ext) Hashtbl.t;
   mutable table_metrics : Metrics.t option;
 }
@@ -31,7 +31,7 @@ exception Not_mapped of int
 let create ~node =
   {
     table_node = node;
-    entries = Hashtbl.create 256;
+    entries = Int_table.create 256;
     node_exts = Hashtbl.create 8;
     table_metrics = None;
   }
@@ -40,7 +40,7 @@ let node t = t.table_node
 let set_metrics t m = t.table_metrics <- Some m
 
 let declare t ~page ~home ~owner ~protocol ~rights =
-  if Hashtbl.mem t.entries page then
+  if Int_table.mem t.entries page then
     invalid_arg (Printf.sprintf "Page_table.declare: page %d already mapped" page);
   (match t.table_metrics with
   | Some m -> Metrics.incr m ~node:t.table_node "page.mapped"
@@ -61,19 +61,19 @@ let declare t ~page ~home ~owner ~protocol ~rights =
       ext = No_ext;
     }
   in
-  Hashtbl.add t.entries page entry;
+  Int_table.add t.entries page entry;
   entry
 
 let find t page =
-  match Hashtbl.find_opt t.entries page with
-  | Some e -> e
-  | None -> raise (Not_mapped page)
+  match Int_table.find t.entries page with
+  | e -> e
+  | exception Not_found -> raise (Not_mapped page)
 
-let find_opt t page = Hashtbl.find_opt t.entries page
-let mem t page = Hashtbl.mem t.entries page
+let find_opt t page = Int_table.find_opt t.entries page
+let mem t page = Int_table.mem t.entries page
 
 let entries t =
-  Hashtbl.fold (fun _ e acc -> e :: acc) t.entries []
+  Int_table.fold (fun _ e acc -> e :: acc) t.entries []
   |> List.sort (fun a b -> compare a.page b.page)
 
 let copyset_add e n =

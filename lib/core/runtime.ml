@@ -97,6 +97,8 @@ let create ?(costs = default_costs) pm2 =
   let geo = Page.geometry ~size:(Isoalloc.page_size (Pm2.iso pm2)) in
   let metrics = Metrics.create () in
   let instr = Stats.create () in
+  (* Inline access checks are charged as Marcel ticks (see [Dsm]). *)
+  Marcel.set_tick_us (Pm2.marcel pm2) costs.inline_check_us;
   {
     pm2;
     geo;

@@ -59,9 +59,11 @@ let new_array t ?home ~len () = new_obj t ?home ~fields:len ()
 let addr o = o.obj_addr
 let field_count o = o.obj_fields
 
-let home t o =
-  let page = List.hd (Dsm.region_pages t.dsm ~addr:o.obj_addr ~size:8) in
+let home_of_addr t addr =
+  let page = Page.page_of_addr t.dsm.Runtime.geo addr in
   (Runtime.entry t.dsm ~node:0 ~page).Page_table.home
+
+let home t o = home_of_addr t o.obj_addr
 
 let check_field o i =
   if i < 0 || i >= o.obj_fields then
@@ -89,6 +91,4 @@ let main_memory_update t =
 let peek_main_memory t o i =
   check_field o i;
   let addr = o.obj_addr + (i * Page.word_bytes) in
-  let page = List.hd (Dsm.region_pages t.dsm ~addr ~size:8) in
-  let home = (Runtime.entry t.dsm ~node:0 ~page).Page_table.home in
-  Dsm.unsafe_peek t.dsm ~node:home addr
+  Dsm.unsafe_peek t.dsm ~node:(home_of_addr t addr) addr

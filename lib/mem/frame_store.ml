@@ -1,33 +1,52 @@
+open Dsmpm2_sim
+
 type t = {
   geo : Page.geometry;
-  frames : (int, bytes) Hashtbl.t;
+  frames : bytes Int_table.t;
   (* One-entry cache over [frames]: the word-access fast path hits the same
      page repeatedly (array sweeps, spin loops), so the common case skips
-     the Hashtbl probe entirely.  [last_page = -1] means empty. *)
+     the table probe entirely.  [last_page = -1] means empty. *)
   mutable last_page : int;
   mutable last_frame : bytes;
+  (* Frames that left the store (dropped, or replaced by an install), kept
+     to be overwritten by [copy_out].  A 4 KiB buffer is allocated straight
+     on the major heap, so a page transfer that reuses one costs the GC
+     nothing.  Bounded, so a node that only receives keeps at most
+     [max_spares] dead frames alive. *)
+  spares : bytes array;
+  mutable nspares : int;
 }
+
+let max_spares = 2
 
 let create ~geometry =
   {
     geo = geometry;
-    frames = Hashtbl.create 64;
+    frames = Int_table.create 64;
     last_page = -1;
     last_frame = Bytes.empty;
+    spares = Array.make max_spares Bytes.empty;
+    nspares = 0;
   }
 
+let retire t b =
+  if t.nspares < max_spares then begin
+    t.spares.(t.nspares) <- b;
+    t.nspares <- t.nspares + 1
+  end
+
 let geometry t = t.geo
-let has_frame t page = Hashtbl.mem t.frames page
+let has_frame t page = Int_table.mem t.frames page
 
 let frame t page =
   if t.last_page = page then t.last_frame
   else begin
     let b =
-      match Hashtbl.find_opt t.frames page with
-      | Some b -> b
-      | None ->
+      match Int_table.find t.frames page with
+      | b -> b
+      | exception Not_found ->
           let b = Bytes.make (Page.size t.geo) '\000' in
-          Hashtbl.add t.frames page b;
+          Int_table.add t.frames page b;
           b
     in
     t.last_page <- page;
@@ -36,14 +55,17 @@ let frame t page =
   end
 
 let peek t page =
-  if t.last_page = page then Some t.last_frame else Hashtbl.find_opt t.frames page
+  if t.last_page = page then Some t.last_frame else Int_table.find_opt t.frames page
 
 (* Installing takes over as the cached entry: the next access is almost
    always to the page that just arrived. *)
 let install_owned t page data =
   if Bytes.length data <> Page.size t.geo then
     invalid_arg "Frame_store.install_owned: wrong page length";
-  Hashtbl.replace t.frames page data;
+  (match Int_table.find t.frames page with
+  | old -> if old != data then retire t old
+  | exception Not_found -> ());
+  Int_table.replace t.frames page data;
   t.last_page <- page;
   t.last_frame <- data
 
@@ -53,13 +75,27 @@ let install t page data =
   install_owned t page (Bytes.copy data)
 
 let drop t page =
-  Hashtbl.remove t.frames page;
+  (match Int_table.find t.frames page with
+  | old -> retire t old
+  | exception Not_found -> ());
+  Int_table.remove t.frames page;
   if t.last_page = page then begin
     t.last_page <- -1;
     t.last_frame <- Bytes.empty
   end
 
-let frame_count t = Hashtbl.length t.frames
+let copy_out t page =
+  let src = frame t page in
+  if t.nspares = 0 then Bytes.copy src
+  else begin
+    t.nspares <- t.nspares - 1;
+    let b = t.spares.(t.nspares) in
+    t.spares.(t.nspares) <- Bytes.empty;
+    Bytes.blit src 0 b 0 (Bytes.length src);
+    b
+  end
+
+let frame_count t = Int_table.length t.frames
 
 let check_word_aligned addr =
   if addr land 7 <> 0 then

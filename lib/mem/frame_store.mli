@@ -30,6 +30,14 @@ val install_owned : t -> int -> bytes -> unit
     payload is exclusively owned by the receiver on delivery, so a transfer
     costs one copy (at send) instead of two. *)
 
+val copy_out : t -> int -> bytes
+(** A copy of the page's frame (created if absent) for a page transfer.
+    The copy is written into a frame the store dropped or replaced earlier
+    when one is kept, so steady page traffic does not allocate; the store
+    never touches the returned buffer again.  A frame returned by {!frame}
+    or {!peek} must therefore not be used after its page is dropped or
+    re-installed. *)
+
 val drop : t -> int -> unit
 val frame_count : t -> int
 

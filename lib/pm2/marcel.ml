@@ -9,6 +9,8 @@ type thread = {
   mutable attached_bytes : int;
   mutable alive : bool;
   mutable pending_us : float;
+  mutable ticks : int;
+      (* [charge_tick]s not yet added into [pending_us]; see [settle] *)
   mutable joiners : (unit -> unit) list;
   migratable : bool;
   mutable requested_node : int option;
@@ -19,8 +21,28 @@ type t = {
   eng : Engine.t;
   cpus : Cpu.t array;
   mutable next_tid : int;
-  by_fiber : (int, thread) Hashtbl.t;
+  by_fiber : thread Int_table.t;
+  (* One-entry cache over [by_fiber]: the thread of fiber [self_fid].
+     Fiber ids are never reused and [by_fiber] entries never removed, so a
+     cached pair cannot go stale.  [self_fid = -1] means empty. *)
+  mutable self_fid : int;
+  mutable self_th : thread;
+  mutable tick_us : float;
 }
+
+let no_thread =
+  {
+    tid = -1;
+    node = 0;
+    stack_bytes = 0;
+    attached_bytes = 0;
+    alive = false;
+    pending_us = 0.;
+    ticks = 0;
+    joiners = [];
+    migratable = false;
+    requested_node = None;
+  }
 
 let create eng ~nodes =
   if nodes <= 0 then invalid_arg "Marcel.create: nodes must be positive";
@@ -28,28 +50,43 @@ let create eng ~nodes =
     eng;
     cpus = Array.init nodes (fun i -> Cpu.create ~name:(Printf.sprintf "node%d" i) ());
     next_tid = 0;
-    by_fiber = Hashtbl.create 64;
+    by_fiber = Int_table.create 64;
+    self_fid = -1;
+    self_th = no_thread;
+    tick_us = 0.;
   }
 
 let engine t = t.eng
 let node_count t = Array.length t.cpus
 let cpu t i = t.cpus.(i)
 
+(* The thread of fiber [fid]; raises [Not_found] for fibers that are not
+   Marcel threads. *)
+let thread_of_fiber t fid =
+  if fid = t.self_fid then t.self_th
+  else begin
+    let th = Int_table.find t.by_fiber fid in
+    t.self_fid <- fid;
+    t.self_th <- th;
+    th
+  end
+
+let self t =
+  let outside () = failwith "Marcel.self: not running inside a Marcel thread" in
+  match Engine.current_fiber t.eng with
+  | Some fid -> ( try thread_of_fiber t fid with Not_found -> outside ())
+  | None -> outside ()
+
 let self_opt t =
   match Engine.current_fiber t.eng with
   | None -> None
-  | Some fid -> Hashtbl.find_opt t.by_fiber fid
-
-let self t =
-  match self_opt t with
-  | Some th -> th
-  | None -> failwith "Marcel.self: not running inside a Marcel thread"
+  | Some fid -> Int_table.find_opt t.by_fiber fid
 
 let node_of_fiber t fid =
-  Option.map (fun th -> th.node) (Hashtbl.find_opt t.by_fiber fid)
+  Option.map (fun th -> th.node) (Int_table.find_opt t.by_fiber fid)
 
 let tid_of_fiber t fid =
-  Option.map (fun th -> th.tid) (Hashtbl.find_opt t.by_fiber fid)
+  Option.map (fun th -> th.tid) (Int_table.find_opt t.by_fiber fid)
 
 let tid th = th.tid
 let node th = th.node
@@ -59,7 +96,7 @@ let pending_move th = th.requested_node
 let clear_move th = th.requested_node <- None
 
 let live_threads t ~node =
-  Hashtbl.fold
+  Int_table.fold
     (fun _ th acc -> if th.alive && th.node = node then th :: acc else acc)
     t.by_fiber []
   |> List.sort (fun a b -> compare a.tid b.tid)
@@ -68,6 +105,29 @@ let attached_bytes th = th.attached_bytes
 let set_attached_bytes th n = th.attached_bytes <- n
 let footprint_bytes th = th.stack_bytes + descriptor_bytes + th.attached_bytes
 let is_alive th = th.alive
+
+(* Adds [th]'s counted ticks into [pending_us], one addition per tick.
+   Every other change to [pending_us] settles first, so the additions
+   happen in the order of the calls that made them and the sum is
+   bit-identical to charging each tick as it happened. *)
+let settle t th =
+  if th.ticks > 0 then begin
+    let us = ref th.pending_us in
+    for _ = 1 to th.ticks do
+      us := !us +. t.tick_us
+    done;
+    th.ticks <- 0;
+    th.pending_us <- !us
+  end
+
+(* Pays all of [th]'s pending work as one [Cpu.compute]. *)
+let pay_pending t th =
+  settle t th;
+  if th.pending_us > 0. then begin
+    let us = th.pending_us in
+    th.pending_us <- 0.;
+    Cpu.compute t.eng t.cpus.(th.node) (Time.of_us us)
+  end
 
 let spawn t ?(stack_bytes = 1024) ?(attached_bytes = 0) ?(migratable = false) ~node f =
   if node < 0 || node >= Array.length t.cpus then
@@ -80,6 +140,7 @@ let spawn t ?(stack_bytes = 1024) ?(attached_bytes = 0) ?(migratable = false) ~n
       attached_bytes;
       alive = true;
       pending_us = 0.;
+      ticks = 0;
       joiners = [];
       migratable;
       requested_node = None;
@@ -92,18 +153,14 @@ let spawn t ?(stack_bytes = 1024) ?(attached_bytes = 0) ?(migratable = false) ~n
           ~finally:(fun () ->
             (* Pay any outstanding lazily-charged CPU work before dying so
                accounting is complete, then wake the joiners. *)
-            (if th.pending_us > 0. then begin
-               let us = th.pending_us in
-               th.pending_us <- 0.;
-               Cpu.compute t.eng t.cpus.(th.node) (Time.of_us us)
-             end);
+            pay_pending t th;
             th.alive <- false;
             let joiners = th.joiners in
             th.joiners <- [];
             List.iter (fun resume -> resume ()) joiners)
           f)
   in
-  Hashtbl.replace t.by_fiber fid th;
+  Int_table.replace t.by_fiber fid th;
   th
 
 let join t th =
@@ -115,28 +172,30 @@ let yield t = Engine.suspend t.eng (fun resume -> resume ())
 let compute t us =
   if us < 0. then invalid_arg "Marcel.compute: negative duration";
   let th = self t in
+  settle t th;
   let total = us +. th.pending_us in
   th.pending_us <- 0.;
   if total > 0. then Cpu.compute t.eng t.cpus.(th.node) (Time.of_us total)
 
-let charge t us =
+let charge_thread t th us =
   if us < 0. then invalid_arg "Marcel.charge: negative duration";
-  let th = self t in
+  settle t th;
   th.pending_us <- th.pending_us +. us
 
+let charge t us = charge_thread t (self t) us
+let charge_tick th = th.ticks <- th.ticks + 1
+
+let set_tick_us t us =
+  if us < 0. then invalid_arg "Marcel.set_tick_us: negative duration";
+  t.tick_us <- us
+
 let flush_charges t =
-  match self_opt t with
-  | None -> ()
-  | Some th ->
-      if th.pending_us > 0. then begin
-        let us = th.pending_us in
-        th.pending_us <- 0.;
-        Cpu.compute t.eng t.cpus.(th.node) (Time.of_us us)
-      end
+  match self_opt t with None -> () | Some th -> pay_pending t th
 
 let set_node t th node =
   if node < 0 || node >= Array.length t.cpus then
     invalid_arg "Marcel.set_node: node out of range";
+  settle t th;
   if th.pending_us > 0. then
     invalid_arg "Marcel.set_node: thread has unflushed CPU charges";
   th.node <- node

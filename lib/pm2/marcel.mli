@@ -39,7 +39,9 @@ val spawn :
     workers are migratable, protocol handler threads are not. *)
 
 val self : t -> thread
-(** The calling thread.  Raises [Failure] outside of a Marcel thread. *)
+(** The calling thread.  Raises [Failure] outside of a Marcel thread.
+    Allocation-free: a one-entry cache keyed by the current fiber answers
+    repeated calls from the same thread without a table probe. *)
 
 val self_opt : t -> thread option
 
@@ -93,6 +95,19 @@ val compute : t -> float -> unit
 val charge : t -> float -> unit
 (** Accumulates [us] microseconds of pending CPU work on the calling thread
     without touching the event queue. *)
+
+val charge_thread : t -> thread -> float -> unit
+(** [charge] for a thread the caller has already looked up with {!self}. *)
+
+val charge_tick : thread -> unit
+(** Charges one tick ({!set_tick_us}) to the thread, allocating nothing:
+    ticks are counted and added into the pending work, in call order, the
+    next time it is charged, computed or flushed.  The DSM prices inline
+    access checks this way. *)
+
+val set_tick_us : t -> float -> unit
+(** The price of one {!charge_tick} (default 0).  Set it before threads
+    run: ticks not yet added are priced at the value current when they are. *)
 
 val flush_charges : t -> unit
 (** Pays all pending [charge]d work as a single [compute].  Called

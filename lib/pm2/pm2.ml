@@ -72,13 +72,14 @@ let migrate t ~dst =
             resume ()))
   end
 
-let migrate_if_requested t =
-  let th = Marcel.self t.marcel in
+let honour_move t th =
   match Marcel.pending_move th with
   | Some dst ->
       Marcel.clear_move th;
       if dst <> Marcel.node th then migrate t ~dst
   | None -> ()
+
+let migrate_if_requested t = honour_move t (Marcel.self t.marcel)
 
 let run ?limit t = Engine.run ?limit t.eng
 let now_us t = Time.to_us (Engine.now t.eng)

@@ -57,6 +57,10 @@ val migrate_if_requested : t -> unit
     automatically by {!Marcel.compute} boundaries via the balancer's
     instrumentation wrapper and freely insertable in application loops. *)
 
+val honour_move : t -> Marcel.thread -> unit
+(** [migrate_if_requested] for the calling thread, already looked up with
+    {!Marcel.self}. *)
+
 val migrations : t -> int
 
 val run : ?limit:Time.t -> t -> unit

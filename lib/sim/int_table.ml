@@ -1,0 +1,9 @@
+include Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+
+  (* The key itself: pages and fiber ids are small dense integers, which a
+     power-of-two bucket array spreads as well as any mixing would. *)
+  let hash (x : int) = x land max_int
+end)

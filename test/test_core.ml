@@ -50,6 +50,23 @@ let test_page_table_entries_sorted () =
   Alcotest.(check (list int)) "sorted" [ 1; 3; 5 ]
     (List.map (fun e -> e.Page_table.page) (Page_table.entries t))
 
+let test_page_table_int_keys () =
+  (* Enough pages to grow the int-keyed table several times; keys far
+     apart and negative must still miss cleanly. *)
+  let t = Page_table.create ~node:0 in
+  for p = 0 to 999 do
+    ignore (Page_table.declare t ~page:(p * 17) ~home:0 ~owner:0 ~protocol:0 ~rights:Access.No_access)
+  done;
+  for p = 0 to 999 do
+    Alcotest.(check int) "found" (p * 17) (Page_table.find t (p * 17)).Page_table.page
+  done;
+  List.iter
+    (fun page ->
+      Alcotest.check_raises "unmapped" (Page_table.Not_mapped page) (fun () ->
+          ignore (Page_table.find t page)))
+    [ 1; 1000 * 17; -17; 1 lsl 40 ];
+  Alcotest.(check int) "all entries listed" 1000 (List.length (Page_table.entries t))
+
 (* --- allocation --- *)
 
 let test_malloc_round_robin_homes () =
@@ -148,6 +165,96 @@ let test_byte_accessors () =
   run_one dsm ~node:0 (fun () ->
       Dsm.write_byte dsm (x + 3) 200;
       Alcotest.(check int) "byte round trip" 200 (Dsm.read_byte dsm (x + 3)))
+
+(* Minor words allocated per call by [n] calls of [f i] (after a warm-up),
+   measured inside a Marcel thread of [dsm]. *)
+let words_per_call dsm ~node ~n f =
+  let words = ref infinity in
+  run_one dsm ~node (fun () ->
+      for i = 1 to 16 do f i done;
+      let before = Gc.minor_words () in
+      for i = 1 to n do f i done;
+      words := (Gc.minor_words () -. before) /. float_of_int n);
+  !words
+
+let test_hit_path_allocates_nothing () =
+  let n = 10_000 in
+  let dsm, ids = make ~nodes:2 () in
+  let x = Dsm.malloc dsm ~protocol:ids.Builtin.hbrc_mw ~home:(Dsm.On_node 0) 4096 in
+  let word i = x + ((i land 511) * 8) in
+  let reads = words_per_call dsm ~node:0 ~n (fun i -> ignore (Dsm.read_int dsm (word i))) in
+  let writes = words_per_call dsm ~node:0 ~n (fun i -> Dsm.write_int dsm (word i) i) in
+  let charges = words_per_call dsm ~node:0 ~n (fun _ -> Dsm.charge dsm 0.001) in
+  Alcotest.(check bool) (Printf.sprintf "hbrc_mw read hit: %.2f words" reads) true (reads < 1.);
+  Alcotest.(check bool) (Printf.sprintf "hbrc_mw write hit: %.2f words" writes) true (writes < 1.);
+  (* Only the boxed pending-work float. *)
+  Alcotest.(check bool) (Printf.sprintf "charge: %.2f words" charges) true (charges <= 3.)
+
+let test_inline_check_hit_allocates_nothing () =
+  let n = 10_000 in
+  let dsm, ids = make ~nodes:2 () in
+  let x = Dsm.malloc dsm ~protocol:ids.Builtin.java_ic ~home:(Dsm.On_node 0) 4096 in
+  let checks () = Stats.count (Dsm.stats dsm) Instrument.inline_checks in
+  let reads =
+    words_per_call dsm ~node:0 ~n (fun i -> ignore (Dsm.read_int dsm (x + ((i land 511) * 8))))
+  in
+  Alcotest.(check bool) (Printf.sprintf "java_ic read hit: %.2f words" reads) true (reads < 1.);
+  Alcotest.(check int) "one inline check per access" (16 + n) (checks ());
+  (* The deferred check ticks are paid in full: every check is charged. *)
+  Alcotest.(check (float 1e-6)) "checks charged"
+    (float_of_int (16 + n) *. Runtime.default_costs.Runtime.inline_check_us)
+    (Dsm.now_us dsm)
+
+(* --- single access path: equivalences --- *)
+
+let test_migrating_read_records_new_node () =
+  (* A faulting read under migrate_thread moves the thread to the owner;
+     the value and the history must come from the post-migration node. *)
+  let dsm, ids = make () in
+  let hist = Dsm.enable_history dsm in
+  let x = Dsm.malloc dsm ~protocol:ids.Builtin.migrate_thread ~home:(Dsm.On_node 3) 8 in
+  run_one dsm ~node:3 (fun () -> Dsm.write_int dsm x 42);
+  let got = ref 0 in
+  run_one dsm ~node:0 (fun () -> got := Dsm.read_int dsm x);
+  Alcotest.(check int) "owner's value" 42 !got;
+  match
+    List.filter_map
+      (fun op ->
+        match op.History.kind with
+        | History.Read { addr; value } when addr = x -> Some (op.History.node, value)
+        | _ -> None)
+      (History.ops hist)
+  with
+  | [ (node, value) ] ->
+      Alcotest.(check int) "recorded at the owner" 3 node;
+      Alcotest.(check int) "recorded value" 42 value
+  | reads -> Alcotest.failf "expected one read, got %d" (List.length reads)
+
+let test_history_is_observation_only () =
+  let names =
+    let dsm, _ = make () in
+    ignore (Builtin.register_extras dsm);
+    List.map (fun (_, p) -> p.Protocol.name) (Protocol.all dsm.Runtime.registry)
+  in
+  List.iter
+    (fun protocol ->
+      let run observe =
+        Dsmpm2_apps.Jacobi.run
+          {
+            Dsmpm2_apps.Jacobi.default with
+            size = 16;
+            iterations = 2;
+            nodes = 2;
+            protocol;
+            observe;
+          }
+      in
+      let off = run None in
+      let on = run (Some (fun dsm -> ignore (Dsm.enable_history dsm))) in
+      Alcotest.(check (float 0.)) (protocol ^ " time_ms") off.time_ms on.time_ms;
+      Alcotest.(check int) (protocol ^ " messages") off.messages on.messages;
+      Alcotest.(check int) (protocol ^ " checksum") off.checksum on.checksum)
+    names
 
 (* --- locks --- *)
 
@@ -405,6 +512,7 @@ let () =
           Alcotest.test_case "declare/find" `Quick test_page_table_declare_find;
           Alcotest.test_case "copyset" `Quick test_page_table_copyset;
           Alcotest.test_case "entries sorted" `Quick test_page_table_entries_sorted;
+          Alcotest.test_case "int keys" `Quick test_page_table_int_keys;
         ] );
       ( "malloc",
         [
@@ -423,6 +531,13 @@ let () =
             test_remote_read_costs_paper_total;
           Alcotest.test_case "fault counters" `Quick test_fault_counters;
           Alcotest.test_case "byte accessors" `Quick test_byte_accessors;
+          Alcotest.test_case "hit path allocates nothing" `Quick test_hit_path_allocates_nothing;
+          Alcotest.test_case "inline-check hit allocates nothing" `Quick
+            test_inline_check_hit_allocates_nothing;
+          Alcotest.test_case "migrating read records new node" `Quick
+            test_migrating_read_records_new_node;
+          Alcotest.test_case "history is observation-only" `Quick
+            test_history_is_observation_only;
         ] );
       ( "locks",
         [

@@ -168,6 +168,24 @@ let test_records_visible_through_api () =
       Alcotest.(check int) "cleared after update" 0
         (List.length (Java_common.recorded_words dsm ~node:1 ~page)))
 
+let test_get_hit_allocates_nothing () =
+  (* Hyperion.get on a local object under java_ic: the inline check is
+     counted and charged on every call, and the call allocates nothing. *)
+  let n = 10_000 in
+  let dsm, hyp = make ~nodes:2 ~protocol:`Ic () in
+  let arr = H.new_array hyp ~home:0 ~len:512 () in
+  let checks () = Dsmpm2_sim.Stats.count (Dsm.stats dsm) Instrument.inline_checks in
+  let words = ref infinity and per_get = ref 0 in
+  run_one dsm ~node:0 (fun () ->
+      for i = 0 to 15 do ignore (H.get hyp arr i) done;
+      let checks0 = checks () in
+      let before = Gc.minor_words () in
+      for i = 1 to n do ignore (Sys.opaque_identity (H.get hyp arr (i land 511))) done;
+      words := (Gc.minor_words () -. before) /. float_of_int n;
+      per_get := (checks () - checks0) / n);
+  Alcotest.(check bool) (Printf.sprintf "get hit: %.2f words" !words) true (!words < 1.);
+  Alcotest.(check int) "one inline check per get" 1 !per_get
+
 let () =
   Alcotest.run "hyperion"
     [
@@ -180,6 +198,7 @@ let () =
           Alcotest.test_case "oversized rejected" `Quick test_object_too_large_rejected;
           Alcotest.test_case "default home" `Quick test_default_home_is_allocating_node;
           Alcotest.test_case "arena rolls pages" `Quick test_arena_rolls_to_new_page;
+          Alcotest.test_case "get hit allocates nothing" `Quick test_get_hit_allocates_nothing;
         ] );
       ( "jmm",
         [

@@ -87,6 +87,23 @@ let test_frame_store_install_owned_adopts () =
     (Invalid_argument "Frame_store.install_owned: wrong page length") (fun () ->
       Frame_store.install_owned fs 1 (Bytes.create 100))
 
+let test_frame_store_copy_out_reuses_retired () =
+  let fs = Frame_store.create ~geometry:geo in
+  Frame_store.write_int fs ~addr:4096 7;
+  let old = Frame_store.frame fs 1 in
+  Frame_store.drop fs 1;
+  Frame_store.write_int fs ~addr:(2 * 4096) 9;
+  let copy = Frame_store.copy_out fs 2 in
+  Alcotest.(check bool) "dropped frame reused" true (copy == old);
+  Alcotest.(check int64) "copy holds the page" 9L (Bytes.get_int64_le copy 0);
+  Bytes.set_int64_le copy 0 1L;
+  Alcotest.(check int) "frame independent of the copy" 9
+    (Frame_store.read_int fs ~addr:(2 * 4096));
+  (* Re-installing a frame's own buffer must not retire it. *)
+  let live = Frame_store.frame fs 2 in
+  Frame_store.install_owned fs 2 live;
+  Alcotest.(check bool) "live frame not reused" false (Frame_store.copy_out fs 2 == live)
+
 let test_frame_store_cache_tracks_drop_and_install () =
   let fs = Frame_store.create ~geometry:geo in
   Frame_store.write_int fs ~addr:(7 * 4096) 11;
@@ -304,6 +321,8 @@ let () =
           Alcotest.test_case "install size checked" `Quick test_frame_store_install_wrong_size;
           Alcotest.test_case "install_owned adopts" `Quick
             test_frame_store_install_owned_adopts;
+          Alcotest.test_case "copy_out reuses retired frames" `Quick
+            test_frame_store_copy_out_reuses_retired;
           Alcotest.test_case "hot-page cache coherent" `Quick
             test_frame_store_cache_tracks_drop_and_install;
         ] );

@@ -38,6 +38,32 @@ let test_self_outside_thread_fails () =
     (Failure "Marcel.self: not running inside a Marcel thread") (fun () ->
       ignore (Marcel.self (Pm2.marcel pm2)))
 
+let test_self_across_fibers () =
+  (* Marcel.self caches the current thread: interleaved fibers and a
+     re-homed thread must still each see themselves. *)
+  let pm2 = Pm2.create ~nodes:2 ~driver:Driver.bip_myrinet () in
+  let marcel = Pm2.marcel pm2 in
+  let threads = Array.make 3 None in
+  let mismatches = ref 0 and rehomed = ref (-1) in
+  let body i () =
+    for round = 1 to 4 do
+      (match threads.(i) with
+      | Some th when Marcel.self marcel == th -> ()
+      | _ -> incr mismatches);
+      if i = 2 && round = 2 then begin
+        Marcel.set_node marcel (Marcel.self marcel) 1;
+        rehomed := Marcel.node (Marcel.self marcel)
+      end;
+      Marcel.yield marcel
+    done
+  in
+  for i = 0 to 2 do
+    threads.(i) <- Some (Pm2.spawn pm2 ~node:0 (body i))
+  done;
+  Pm2.run pm2;
+  Alcotest.(check int) "each fiber sees its own thread" 0 !mismatches;
+  Alcotest.(check int) "self follows set_node" 1 !rehomed
+
 let test_charge_then_compute_accounts () =
   let final = ref 0. in
   let pm2 =
@@ -507,6 +533,7 @@ let () =
         [
           Alcotest.test_case "spawn/self/join" `Quick test_spawn_self_join;
           Alcotest.test_case "self outside thread" `Quick test_self_outside_thread_fails;
+          Alcotest.test_case "self across fibers" `Quick test_self_across_fibers;
           Alcotest.test_case "charge accounting" `Quick test_charge_then_compute_accounts;
           Alcotest.test_case "charges paid at exit" `Quick
             test_pending_charges_paid_at_exit;
