@@ -14,7 +14,7 @@ let create ?costs ?tie_seed ?jitter ?page_size ~nodes ~driver () =
 
 let pm2 (rt : t) = rt.Runtime.pm2
 let nodes = Runtime.nodes
-let stats (rt : t) = rt.Runtime.instr
+let stats (rt : t) = rt.Runtime.stats
 let engine = Runtime.engine
 
 (* --- protocols --- *)
@@ -143,23 +143,27 @@ let switch_protocol (rt : t) ~addr ~size ~protocol =
    the entry up again, because a fault may move the thread
    ([migrate_thread]). *)
 
-let fault (rt : t) ~node ~page ~mode proto =
-  let h = rt.Runtime.instr_h in
+let fault (rt : t) ~node ~page ~mode ~protocol proto =
+  let cells = Instrument.proto rt.Runtime.cells ~node ~protocol in
   let started = Engine.now (Runtime.engine rt) in
-  (match proto.Protocol.detection with
-  | Protocol.Page_fault ->
-      Stats.bump
-        (match mode with
-        | Access.Read -> h.Instrument.h_read_faults
-        | Access.Write -> h.Instrument.h_write_faults);
-      Metrics.incr rt.Runtime.metrics ~node ~protocol:proto.Protocol.name
-        (match mode with
-        | Access.Read -> Instrument.m_read_faults
-        | Access.Write -> Instrument.m_write_faults);
-      Marcel.compute (Runtime.marcel rt) rt.Runtime.costs.page_fault_us;
-      Stats.record h.Instrument.h_stage_fault
-        (Time.of_us rt.Runtime.costs.page_fault_us)
-  | Protocol.Inline_check -> Stats.bump h.Instrument.h_check_misses);
+  (* One cell per fault: counted when it starts, its latency recorded when
+     it ends. *)
+  let cell =
+    match proto.Protocol.detection with
+    | Protocol.Page_fault ->
+        let cell =
+          match mode with
+          | Access.Read -> cells.Instrument.read
+          | Access.Write -> cells.Instrument.write
+        in
+        Stats.bump cell;
+        Marcel.compute (Runtime.marcel rt) rt.Runtime.costs.page_fault_us;
+        Stats.record cells.Instrument.detect (Time.of_us rt.Runtime.costs.page_fault_us);
+        cell
+    | Protocol.Inline_check ->
+        Stats.bump cells.Instrument.miss;
+        cells.Instrument.miss
+  in
   (* Each fault is the root of a causal span: the request, transfer and
      install events it triggers — locally and on remote nodes — carry the
      same id. *)
@@ -172,10 +176,7 @@ let fault (rt : t) ~node ~page ~mode proto =
       match mode with
       | Access.Read -> proto.Protocol.read_fault rt ~node ~page
       | Access.Write -> proto.Protocol.write_fault rt ~node ~page);
-  let latency = Time.(Engine.now (Runtime.engine rt) - started) in
-  Stats.record h.Instrument.h_stage_total latency;
-  Metrics.observe rt.Runtime.metrics ~node ~protocol:proto.Protocol.name
-    Instrument.m_fault_latency latency
+  Stats.record cell Time.(Engine.now (Runtime.engine rt) - started)
 
 (* Returns the protocol of [addr]'s page once [th]'s node holds rights for
    [mode] on it; [faults] counts the faults taken so far.  The hot path
@@ -190,7 +191,7 @@ let rec access (rt : t) th ~addr ~mode faults =
   let proto = Protocol.find rt.Runtime.registry e.Page_table.protocol in
   (match proto.Protocol.detection with
   | Protocol.Inline_check ->
-      Stats.bump rt.Runtime.instr_h.Instrument.h_inline_checks;
+      Stats.bump rt.Runtime.cells.Instrument.checks;
       Marcel.charge_tick th
   | Protocol.Page_fault -> ());
   if Access.allows e.Page_table.rights mode then begin
@@ -198,7 +199,7 @@ let rec access (rt : t) th ~addr ~mode faults =
     proto
   end
   else begin
-    fault rt ~node ~page ~mode proto;
+    fault rt ~node ~page ~mode ~protocol:e.Page_table.protocol proto;
     access rt th ~addr ~mode (faults + 1)
   end
 

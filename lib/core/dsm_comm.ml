@@ -66,7 +66,9 @@ let on_request rt ~src:_ payload =
           (* Record the request-propagation stage when this node is (likely)
              the final server; forwarded requests are re-stamped per hop. *)
           if e.Page_table.prob_owner = node || e.Page_table.home = node then
-            Stats.record rt.Runtime.instr_h.Instrument.h_stage_request
+            Stats.record
+              (Instrument.proto rt.Runtime.cells ~node ~protocol:e.Page_table.protocol)
+                .Instrument.request
               Time.(Engine.now (Runtime.engine rt) - sent_at);
           let proto = Runtime.proto rt e.Page_table.protocol in
           (match mode with
@@ -92,10 +94,10 @@ let on_send_page rt ~src:_ payload =
                    sender = msg.Protocol.sender;
                    grant = Access.to_string msg.Protocol.grant;
                  });
-          let transfer = Time.(Engine.now (Runtime.engine rt) - msg.Protocol.sent_at) in
-          Stats.record rt.Runtime.instr_h.Instrument.h_stage_transfer transfer;
-          Metrics.observe rt.Runtime.metrics ~node ~protocol
-            Instrument.m_page_transfer transfer;
+          Stats.record
+            (Instrument.proto rt.Runtime.cells ~node ~protocol:e.Page_table.protocol)
+              .Instrument.transfer
+            Time.(Engine.now (Runtime.engine rt) - msg.Protocol.sent_at);
           let proto = Runtime.proto rt e.Page_table.protocol in
           proto.Protocol.receive_page_server rt ~node ~msg;
           (Ack, Driver.Request))
@@ -292,9 +294,11 @@ let send_page rt ~to_ ~page ~grant ~ownership ~copyset ~req_mode =
       span;
     }
   in
-  Stats.bump rt.Runtime.instr_h.Instrument.h_pages_sent;
-  let protocol = proto_name rt (Runtime.entry rt ~node ~page) in
-  Metrics.incr rt.Runtime.metrics ~node ~protocol Instrument.m_pages_sent;
+  let e = Runtime.entry rt ~node ~page in
+  Stats.bump
+    (Instrument.proto rt.Runtime.cells ~node ~protocol:e.Page_table.protocol)
+      .Instrument.send;
+  let protocol = proto_name rt e in
   if Monitor.enabled rt then
     Monitor.emit rt ~span
       (Trace.Page_send
@@ -313,11 +317,9 @@ let send_page rt ~to_ ~page ~grant ~ownership ~copyset ~req_mode =
 
 let call_invalidate rt ?span ~to_ ~page () =
   let node = Runtime.self_node rt in
-  let h = rt.Runtime.instr_h in
   let span = match span with Some s -> s | None -> Monitor.current_span rt in
-  Stats.bump h.Instrument.h_invalidations;
-  Stats.bump h.Instrument.h_invalidate_rpcs;
-  Stats.bump h.Instrument.hm_invalidations.(node);
+  Stats.add rt.Runtime.cells.Instrument.nodes.(node).Instrument.invalidate ~events:1
+    ~volume:1;
   let srv = (Runtime.services rt).Runtime.srv_invalidate in
   ignore
     (Rpc.call (Runtime.rpc rt) ~dst:to_ ~service:srv ~cost:Driver.Request
@@ -329,12 +331,9 @@ let call_invalidate_batch rt ?span ~to_ ~pages () =
   | [ page ] -> call_invalidate rt ?span ~to_ ~page ()
   | pages ->
       let node = Runtime.self_node rt in
-      let h = rt.Runtime.instr_h in
       let span = match span with Some s -> s | None -> Monitor.current_span rt in
-      let n = List.length pages in
-      Stats.bump_by h.Instrument.h_invalidations n;
-      Stats.bump h.Instrument.h_invalidate_rpcs;
-      Stats.bump_by h.Instrument.hm_invalidations.(node) n;
+      Stats.add rt.Runtime.cells.Instrument.nodes.(node).Instrument.invalidate ~events:1
+        ~volume:(List.length pages);
       let srv = (Runtime.services rt).Runtime.srv_invalidate in
       ignore
         (Rpc.call (Runtime.rpc rt) ~dst:to_ ~service:srv ~cost:Driver.Request
@@ -342,11 +341,9 @@ let call_invalidate_batch rt ?span ~to_ ~pages () =
 
 let call_diffs rt ~to_ ~diffs ~release =
   let node = Runtime.self_node rt in
-  let h = rt.Runtime.instr_h in
   let bytes = List.fold_left (fun acc d -> acc + Diff.wire_bytes d) 0 diffs in
-  Stats.bump_by h.Instrument.h_diffs_sent (List.length diffs);
-  Stats.bump_by h.Instrument.h_diff_bytes bytes;
-  Stats.bump_by h.Instrument.hm_diffs.(node) (List.length diffs);
+  Stats.add rt.Runtime.cells.Instrument.nodes.(node).Instrument.diff
+    ~events:(List.length diffs) ~volume:bytes;
   let srv = (Runtime.services rt).Runtime.srv_diffs in
   ignore
     (Rpc.call (Runtime.rpc rt) ~dst:to_ ~service:srv ~cost:(Driver.Bulk bytes)

@@ -54,8 +54,7 @@ let lock_acquire rt id =
   proto.Protocol.lock_acquire rt ~node ~lock:id;
   Runtime.record_history rt ~start:started (History.Acquire { lock = id });
   let waited = Time.(Engine.now (Runtime.engine rt) - started) in
-  Stats.add_span rt.Runtime.instr Instrument.lock_wait waited;
-  Metrics.observe rt.Runtime.metrics ~node Instrument.m_lock_wait waited
+  Stats.record rt.Runtime.cells.Instrument.nodes.(node).Instrument.lock waited
 
 let lock_release rt id =
   let ls = Runtime.lock_state rt id in
@@ -123,8 +122,7 @@ let barrier_wait rt id =
        (Dsm_comm.Barrier_wait { barrier = id; node }));
   Runtime.notify_wake rt ~node ~tid ~target:hook;
   let waited = Time.(Engine.now (Runtime.engine rt) - started) in
-  Stats.add_span rt.Runtime.instr Instrument.barrier_wait waited;
-  Metrics.observe rt.Runtime.metrics ~node Instrument.m_barrier_wait waited;
+  Stats.record rt.Runtime.cells.Instrument.nodes.(node).Instrument.barrier waited;
   proto.Protocol.lock_acquire rt ~node ~lock:hook;
   Runtime.record_history rt ~start:started
     (History.Barrier { barrier = id; parties = bs.Runtime.barrier_parties })

@@ -10,6 +10,7 @@ let stage_total = "stage.total"
 let read_faults = "fault.read"
 let write_faults = "fault.write"
 let pages_sent = "page.sent"
+let pages_mapped = "page.mapped"
 let invalidations = "invalidate.sent"
 let invalidate_rpcs = "invalidate.rpc"
 let diffs_sent = "diff.sent"
@@ -19,78 +20,82 @@ let inline_checks = "check.count"
 let lock_wait = "sync.lock.wait"
 let barrier_wait = "sync.barrier.wait"
 
-(* Labeled metric names (per-node / per-protocol series in the runtime's
-   Metrics registry). *)
-let m_fault_latency = "dsm.fault.latency"
-let m_read_faults = "dsm.fault.read"
-let m_write_faults = "dsm.fault.write"
-let m_pages_sent = "dsm.page.sent"
-let m_page_transfer = "dsm.page.transfer"
-let m_invalidations = "dsm.invalidate"
-let m_diffs = "dsm.diff"
-let m_lock_wait = "dsm.lock.wait"
-let m_barrier_wait = "dsm.barrier.wait"
-
-(* Pre-resolved handles for the per-message/per-fault hot paths: interned
-   once at runtime creation, so a send or fault bumps cells instead of
-   hashing metric names.  The per-node arrays are the (node)-labeled
-   Metrics series for the two counters the senders touch on every call. *)
-type handles = {
-  h_read_faults : Stats.counter;
-  h_write_faults : Stats.counter;
-  h_inline_checks : Stats.counter;
-  h_check_misses : Stats.counter;
-  h_pages_sent : Stats.counter;
-  h_invalidations : Stats.counter;
-  h_invalidate_rpcs : Stats.counter;
-  h_diffs_sent : Stats.counter;
-  h_diff_bytes : Stats.counter;
-  h_stage_fault : Stats.histogram;
-  h_stage_request : Stats.histogram;
-  h_stage_transfer : Stats.histogram;
-  h_stage_total : Stats.histogram;
-  hm_invalidations : Stats.counter array; (* per node: m_invalidations *)
-  hm_diffs : Stats.counter array; (* per node: m_diffs *)
+type proto_cells = {
+  read : Stats.cell;
+  write : Stats.cell;
+  miss : Stats.cell;
+  detect : Stats.cell;
+  request : Stats.cell;
+  send : Stats.cell;
+  transfer : Stats.cell;
 }
 
-let intern stats metrics ~nodes =
-  let node_group node = Metrics.group metrics (Metrics.labels ~node ()) in
+type node_cells = {
+  invalidate : Stats.cell;
+  diff : Stats.cell;
+  lock : Stats.cell;
+  barrier : Stats.cell;
+  mapped : Stats.cell;
+}
+
+type t = {
+  stats : Stats.t;
+  protocol_name : int -> string;
+  nodes : node_cells array;
+  mutable protos : proto_cells array array; (* by protocol id, then node *)
+  checks : Stats.cell;
+  server : Stats.cell;
+  client : Stats.cell;
+  migrate : Stats.cell;
+}
+
+let create stats ~nodes ~protocol_name =
+  let cell = Stats.cell stats in
   {
-    h_read_faults = Stats.counter stats read_faults;
-    h_write_faults = Stats.counter stats write_faults;
-    h_inline_checks = Stats.counter stats inline_checks;
-    h_check_misses = Stats.counter stats check_misses;
-    h_pages_sent = Stats.counter stats pages_sent;
-    h_invalidations = Stats.counter stats invalidations;
-    h_invalidate_rpcs = Stats.counter stats invalidate_rpcs;
-    h_diffs_sent = Stats.counter stats diffs_sent;
-    h_diff_bytes = Stats.counter stats diff_bytes;
-    h_stage_fault = Stats.histogram stats stage_fault;
-    h_stage_request = Stats.histogram stats stage_request;
-    h_stage_transfer = Stats.histogram stats stage_transfer;
-    h_stage_total = Stats.histogram stats stage_total;
-    hm_invalidations =
-      Array.init nodes (fun n -> Stats.counter (node_group n) m_invalidations);
-    hm_diffs = Array.init nodes (fun n -> Stats.counter (node_group n) m_diffs);
+    stats;
+    protocol_name;
+    nodes =
+      Array.init nodes (fun node ->
+          {
+            invalidate = cell ~node ~count:invalidate_rpcs ~volume:invalidations ();
+            diff = cell ~node ~count:diffs_sent ~volume:diff_bytes ();
+            lock = cell ~node ~span:lock_wait ();
+            barrier = cell ~node ~span:barrier_wait ();
+            mapped = cell ~node ~count:pages_mapped ();
+          });
+    protos = [||];
+    checks = cell ~count:inline_checks ();
+    server = cell ~span:stage_overhead_server ();
+    client = cell ~span:stage_overhead_client ();
+    migrate = cell ~span:stage_migration ();
   }
 
-let row ppf stats name key =
-  Format.fprintf ppf "%-20s %8.1f@." name (Time.to_us (Stats.span_mean stats key))
+(* A protocol's cells are created for every node the first time any node
+   touches them: protocols register after the runtime is built. *)
+let add_protocol t protocol =
+  if protocol >= Array.length t.protos then begin
+    let grown = Array.make (protocol + 1) [||] in
+    Array.blit t.protos 0 grown 0 (Array.length t.protos);
+    t.protos <- grown
+  end;
+  let name = t.protocol_name protocol in
+  t.protos.(protocol) <-
+    Array.init (Array.length t.nodes) (fun node ->
+        let cell = Stats.cell t.stats ~node ~protocol:name in
+        {
+          read = cell ~count:read_faults ~span:stage_total ();
+          write = cell ~count:write_faults ~span:stage_total ();
+          miss = cell ~count:check_misses ~span:stage_total ();
+          detect = cell ~span:stage_fault ();
+          request = cell ~span:stage_request ();
+          send = cell ~count:pages_sent ();
+          transfer = cell ~span:stage_transfer ();
+        })
 
-let pp_page_breakdown ppf stats =
-  row ppf stats "Page fault" stage_fault;
-  row ppf stats "Request page" stage_request;
-  row ppf stats "Page transfer" stage_transfer;
-  Format.fprintf ppf "%-20s %8.1f@." "Protocol overhead"
-    (Time.to_us (Stats.span_mean stats stage_overhead_server)
-    +. Time.to_us (Stats.span_mean stats stage_overhead_client));
-  row ppf stats "Total" stage_total
-
-let pp_migration_breakdown ppf stats =
-  row ppf stats "Page fault" stage_fault;
-  row ppf stats "Thread migration" stage_migration;
-  row ppf stats "Protocol overhead" stage_overhead_client;
-  row ppf stats "Total" stage_total
+let proto t ~node ~protocol =
+  if protocol >= Array.length t.protos || Array.length t.protos.(protocol) = 0 then
+    add_protocol t protocol;
+  t.protos.(protocol).(node)
 
 let stages =
   [
@@ -102,18 +107,3 @@ let stages =
     stage_migration;
     stage_total;
   ]
-
-let pp_stage_percentiles ppf stats =
-  Format.fprintf ppf "%-28s %8s %10s %10s %10s %10s@." "stage" "samples" "p50"
-    "p90" "p99" "max";
-  List.iter
-    (fun key ->
-      let s = Stats.span_summary stats key in
-      if s.Stats.sm_samples > 0 then
-        Format.fprintf ppf "%-28s %8d %10.1f %10.1f %10.1f %10.1f@." key
-          s.Stats.sm_samples
-          (Time.to_us s.Stats.sm_p50)
-          (Time.to_us s.Stats.sm_p90)
-          (Time.to_us s.Stats.sm_p99)
-          (Time.to_us s.Stats.sm_max))
-    stages

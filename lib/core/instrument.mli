@@ -1,10 +1,16 @@
-(** Well-known instrumentation keys and report formatting.
+(** The runtime's instrumentation: series names and the cells behind them.
 
-    The DSM layers time each stage of a remote access with the names below;
-    the Table 3 / Table 4 benches print breakdowns straight from these
-    counters.  All stages are {!Dsmpm2_sim.Stats} duration spans. *)
+    The DSM layers time each stage of a remote access and count every
+    protocol event in the runtime's {!Dsmpm2_sim.Stats} registry; the
+    Table 3 / Table 4 benches read their breakdowns straight from the
+    series named below.  Each event site owns one cell per label
+    set — (node, protocol) for faults, page traffic and stages, node for
+    invalidations, diffs and sync waits — so an event is one update of one
+    cell, with no name hashing on the hot path. *)
 
 open Dsmpm2_sim
+
+(** {1 Series names} *)
 
 val stage_fault : string
 (** Page-fault detection (signal catch + decode in the paper): 11 us. *)
@@ -25,21 +31,30 @@ val stage_migration : string
 (** Thread-migration time (Table 4). *)
 
 val stage_total : string
-(** Whole fault, detection to resumed access. *)
+(** Whole fault, detection to resumed access: the duration series of the
+    fault cells ({!read_faults}, {!write_faults}, {!check_misses}). *)
 
 val read_faults : string
 val write_faults : string
 val pages_sent : string
 
+val pages_mapped : string
+(** Pages declared in a node's page table. *)
+
 val invalidations : string
-(** Pages invalidated (one per (page, target) pair, batched or not). *)
+(** Pages invalidated (one per (page, target) pair, batched or not): the
+    volume of the invalidation cells. *)
 
 val invalidate_rpcs : string
 (** Invalidation RPCs put on the wire: with batching, one per target node
-    per release/flush — the message-economy counter. *)
+    per release/flush — the message-economy counter, and the event count
+    of the invalidation cells. *)
 
 val diffs_sent : string
+
 val diff_bytes : string
+(** Wire bytes of the diffs: the volume of the diff cells. *)
+
 val check_misses : string
 val inline_checks : string
 
@@ -49,64 +64,46 @@ val lock_wait : string
 val barrier_wait : string
 (** Client-observed barrier latency (arrival to release). *)
 
-(** {2 Labeled metric names}
+val stages : string list
+(** All stage series names, in pipeline order. *)
 
-    Series recorded in the runtime's {!Dsmpm2_sim.Metrics} registry with
-    node and protocol labels. *)
+(** {1 Cells} *)
 
-val m_fault_latency : string
-(** Whole-fault latency histogram, per (node, protocol). *)
+type proto_cells = {
+  read : Stats.cell;  (** read faults, with their whole-fault latency *)
+  write : Stats.cell;  (** write faults, with their whole-fault latency *)
+  miss : Stats.cell;  (** inline-check misses, with their latency *)
+  detect : Stats.cell;  (** {!stage_fault} *)
+  request : Stats.cell;  (** {!stage_request} *)
+  send : Stats.cell;  (** {!pages_sent} *)
+  transfer : Stats.cell;  (** {!stage_transfer} *)
+}
+(** The cells of one (node, protocol) label set. *)
 
-val m_read_faults : string
-val m_write_faults : string
-val m_pages_sent : string
-val m_page_transfer : string
-(** Transfer-stage latency histogram, per (node, protocol). *)
+type node_cells = {
+  invalidate : Stats.cell;  (** one event per RPC, one volume unit per page *)
+  diff : Stats.cell;  (** one event per diff, volume in wire bytes *)
+  lock : Stats.cell;  (** {!lock_wait} *)
+  barrier : Stats.cell;  (** {!barrier_wait} *)
+  mapped : Stats.cell;  (** {!pages_mapped} *)
+}
+(** The cells of one node label. *)
 
-val m_invalidations : string
-val m_diffs : string
-val m_lock_wait : string
-val m_barrier_wait : string
-
-(** {2 Interned hot-path handles}
-
-    Pre-resolved {!Dsmpm2_sim.Stats} cells for the counters and spans the
-    per-message and per-fault paths touch.  Interned once per runtime (at
-    {!Runtime.create} time), so bumping them is an array/cell write with no
-    string hashing.  Handles stay valid across [Stats.reset] /
-    [Metrics.reset]. *)
-
-type handles = {
-  h_read_faults : Stats.counter;
-  h_write_faults : Stats.counter;
-  h_inline_checks : Stats.counter;
-  h_check_misses : Stats.counter;
-  h_pages_sent : Stats.counter;
-  h_invalidations : Stats.counter;
-  h_invalidate_rpcs : Stats.counter;
-  h_diffs_sent : Stats.counter;
-  h_diff_bytes : Stats.counter;
-  h_stage_fault : Stats.histogram;
-  h_stage_request : Stats.histogram;
-  h_stage_transfer : Stats.histogram;
-  h_stage_total : Stats.histogram;
-  hm_invalidations : Stats.counter array;  (** per node: {!m_invalidations} *)
-  hm_diffs : Stats.counter array;  (** per node: {!m_diffs} *)
+type t = {
+  stats : Stats.t;
+  protocol_name : int -> string;
+  nodes : node_cells array;
+  mutable protos : proto_cells array array;
+  checks : Stats.cell;  (** {!inline_checks} *)
+  server : Stats.cell;  (** {!stage_overhead_server} *)
+  client : Stats.cell;  (** {!stage_overhead_client} *)
+  migrate : Stats.cell;  (** {!stage_migration} *)
 }
 
-val intern : Stats.t -> Metrics.t -> nodes:int -> handles
-(** Resolve every handle against the given registries.  The per-node arrays
-    are indexed by node id in [0, nodes). *)
+val create : Stats.t -> nodes:int -> protocol_name:(int -> string) -> t
+(** Creates the node-labelled and unlabelled cells in [stats];
+    [protocol_name] names a protocol id for the protocol label. *)
 
-val stages : string list
-(** All stage span names, in pipeline order. *)
-
-val pp_page_breakdown : Format.formatter -> Stats.t -> unit
-(** Mean per-stage costs in the row layout of the paper's Table 3. *)
-
-val pp_migration_breakdown : Format.formatter -> Stats.t -> unit
-(** Mean per-stage costs in the row layout of the paper's Table 4. *)
-
-val pp_stage_percentiles : Format.formatter -> Stats.t -> unit
-(** The latency distribution (p50/p90/p99/max) of every stage with
-    samples — the tail-latency view the mean-only tables hide. *)
+val proto : t -> node:int -> protocol:int -> proto_cells
+(** The cells of [node] under protocol id [protocol], created (for every
+    node) on the protocol's first use. *)

@@ -5,7 +5,6 @@ open Dsmpm2_pm2
 let trace rt = Pm2.trace rt.Runtime.pm2
 let enable rt on = Trace.enable (trace rt) on
 let enabled rt = Trace.enabled (trace rt)
-let metrics rt = rt.Runtime.metrics
 let events rt = Trace.events (trace rt)
 
 let record rt ~category fmt =
@@ -87,7 +86,7 @@ let report ppf rt =
           (Time.to_us s.Stats.sm_p90)
           (Time.to_us s.Stats.sm_p99)
           (Time.to_us s.Stats.sm_max))
-    (Stats.span_summaries rt.Runtime.instr)
+    (Stats.span_summaries rt.Runtime.stats)
 
 (* --- JSON snapshot --- *)
 
@@ -122,8 +121,7 @@ let to_json ?experiment ?meta rt =
            ("sim_time_us", Json.Float (Pm2.now_us rt.Runtime.pm2));
            ("nodes", Json.Int (Runtime.nodes rt));
            ("migrations", Json.Int (Pm2.migrations rt.Runtime.pm2));
-           ("stats", Stats.to_json rt.Runtime.instr);
-           ("metrics", Metrics.to_json rt.Runtime.metrics);
+           ("stats", Stats.to_json rt.Runtime.stats);
            ( "network",
              Json.Obj
                [
@@ -137,7 +135,6 @@ let to_json ?experiment ?meta rt =
                         (fun (kind, n) -> (kind, Json.Int n))
                         (Network.dropped_by_kind net)) );
                  ("stats", Stats.to_json (Network.stats net));
-                 ("metrics", Metrics.to_json (Network.metrics net));
                ] );
            ("trace_events", Json.Int (Trace.length tr));
            ( "trace",
@@ -155,24 +152,14 @@ let to_json ?experiment ?meta rt =
          ];
        ])
 
-(* --- Prometheus text exposition ---
-
-   One scrape surface for the whole runtime: the per-node/per-protocol DSM
-   registry, the network's per-source registry, and a synthesized run-wide
-   registry for the scalar counters that live outside any Metrics group —
-   loopback traffic, fault-plan drops (total and per message kind) and the
-   flight recorder's eviction count. *)
+(* --- Prometheus text exposition --- *)
 
 let to_prometheus ppf rt =
   let net = Pm2.network rt.Runtime.pm2 in
-  let tr = trace rt in
-  Metrics.to_prometheus ppf (metrics rt);
-  Metrics.to_prometheus ppf (Network.metrics net);
-  let extra = Metrics.create () in
-  Metrics.add extra "net.loopback" (Network.loopback_sent net);
-  Metrics.add extra "net.dropped" (Network.messages_dropped net);
+  Stats.to_prometheus ppf rt.Runtime.stats;
+  Stats.to_prometheus ppf (Network.stats net);
+  Stats.prometheus_counter ppf "net.dropped" (Network.messages_dropped net);
   List.iter
-    (fun (kind, n) -> Metrics.add extra (kind ^ ".dropped") n)
+    (fun (kind, n) -> Stats.prometheus_counter ppf (kind ^ ".dropped") n)
     (Network.dropped_by_kind net);
-  Metrics.add extra "trace.evicted" (Trace.evicted tr);
-  Metrics.to_prometheus ppf extra
+  Stats.prometheus_counter ppf "trace.evicted" (Trace.evicted (trace rt))

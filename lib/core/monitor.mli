@@ -22,9 +22,6 @@ val events : Runtime.t -> (Trace.entry * Trace.event) list
 (** The typed events, chronological — what the post-mortem analyzer
     ([Dsmpm2_experiments.Analyze]) consumes on a live runtime. *)
 
-val metrics : Runtime.t -> Metrics.t
-(** The labeled (node, protocol) metrics registry. *)
-
 val record :
   Runtime.t -> category:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
 (** Free-form trace line; free when disabled. *)
@@ -72,15 +69,15 @@ val run_meta : ?protocol:string -> ?case:string -> Runtime.t -> Run_meta.t
 val to_json : ?experiment:string -> ?meta:Run_meta.t -> Runtime.t -> Json.t
 (** Stable machine-readable snapshot: run metadata (under ["meta"]; defaults
     to {!run_meta} with [case] = [experiment]), simulated time, migrations,
-    the instrumentation counters and span summaries (with percentiles), the
-    labeled metrics registry, and the network-layer series — including
+    the runtime's registry ({!Dsmpm2_sim.Stats.to_json}: counters and span
+    summaries with percentiles, overall and per label set), and the
+    network layer — its registry too, plus
     loopback traffic, fault-plan drops (total and per message kind) and the
     flight recorder's ["trace"] accounting (stored/recorded/evicted/
     capacity). *)
 
 val to_prometheus : Format.formatter -> Runtime.t -> unit
-(** Prometheus text exposition of the whole runtime: the DSM metrics
-    registry ({!metrics}), the network's per-source registry, and a
-    synthesized run-wide registry carrying [dsm_net_loopback_total],
-    [dsm_net_dropped_total], per-kind [dsm_msg_<kind>_dropped_total] and
-    [dsm_trace_evicted_total]. *)
+(** Prometheus text exposition of the whole runtime: the runtime's and
+    the network's registries, then the run-wide totals that are not
+    registry cells — [dsm_net_dropped_total], per-kind
+    [dsm_msg_<kind>_dropped_total] and [dsm_trace_evicted_total]. *)

@@ -23,7 +23,7 @@ type t = {
   table_node : int;
   entries : entry Int_table.t;
   node_exts : (int, ext) Hashtbl.t;
-  mutable table_metrics : Metrics.t option;
+  mutable mapped : Stats.cell option;
 }
 
 exception Not_mapped of int
@@ -33,18 +33,16 @@ let create ~node =
     table_node = node;
     entries = Int_table.create 256;
     node_exts = Hashtbl.create 8;
-    table_metrics = None;
+    mapped = None;
   }
 
 let node t = t.table_node
-let set_metrics t m = t.table_metrics <- Some m
+let count_mapped t cell = t.mapped <- Some cell
 
 let declare t ~page ~home ~owner ~protocol ~rights =
   if Int_table.mem t.entries page then
     invalid_arg (Printf.sprintf "Page_table.declare: page %d already mapped" page);
-  (match t.table_metrics with
-  | Some m -> Metrics.incr m ~node:t.table_node "page.mapped"
-  | None -> ());
+  Option.iter Stats.bump t.mapped;
   let entry =
     {
       page;

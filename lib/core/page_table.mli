@@ -51,9 +51,8 @@ exception Not_mapped of int
 val create : node:int -> t
 val node : t -> int
 
-val set_metrics : t -> Metrics.t -> unit
-(** Attaches the runtime's metrics registry; [declare] then counts mapped
-    pages per node ("page.mapped"). *)
+val count_mapped : t -> Stats.cell -> unit
+(** [declare] then bumps the cell for every page it maps. *)
 
 val declare :
   t ->

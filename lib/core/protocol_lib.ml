@@ -2,18 +2,18 @@ open Dsmpm2_sim
 open Dsmpm2_pm2
 open Dsmpm2_mem
 
-let charge_span rt key us =
+let charge_span rt cell us =
   Marcel.compute (Runtime.marcel rt) us;
-  Stats.add_span rt.Runtime.instr key (Time.of_us us)
+  Stats.record cell (Time.of_us us)
 
 let server_overhead rt =
-  charge_span rt Instrument.stage_overhead_server rt.Runtime.costs.protocol_server_us
+  charge_span rt rt.Runtime.cells.Instrument.server rt.Runtime.costs.protocol_server_us
 
 let client_overhead rt =
-  charge_span rt Instrument.stage_overhead_client rt.Runtime.costs.protocol_client_us
+  charge_span rt rt.Runtime.cells.Instrument.client rt.Runtime.costs.protocol_client_us
 
 let migration_overhead rt =
-  charge_span rt Instrument.stage_overhead_client rt.Runtime.costs.migration_protocol_us
+  charge_span rt rt.Runtime.cells.Instrument.client rt.Runtime.costs.migration_protocol_us
 
 let with_entry rt (e : Page_table.entry) f =
   let marcel = Runtime.marcel rt in

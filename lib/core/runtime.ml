@@ -65,9 +65,8 @@ type t = {
   registry : t Protocol.registry;
   mutable default_protocol : int;
   costs : costs;
-  instr : Stats.t;
-  metrics : Metrics.t;
-  instr_h : Instrument.handles;
+  stats : Stats.t;
+  cells : Instrument.t;
   mutable services : services option;
   locks : (int, lock_state) Hashtbl.t;
   mutable next_lock : int;
@@ -95,8 +94,12 @@ and watch_hooks = {
 let create ?(costs = default_costs) pm2 =
   let n = Pm2.nodes pm2 in
   let geo = Page.geometry ~size:(Isoalloc.page_size (Pm2.iso pm2)) in
-  let metrics = Metrics.create () in
-  let instr = Stats.create () in
+  let stats = Stats.create () in
+  let registry = Protocol.create_registry () in
+  let cells =
+    Instrument.create stats ~nodes:n ~protocol_name:(fun id ->
+        (Protocol.find registry id).Protocol.name)
+  in
   (* Inline access checks are charged as Marcel ticks (see [Dsm]). *)
   Marcel.set_tick_us (Pm2.marcel pm2) costs.inline_check_us;
   {
@@ -105,15 +108,14 @@ let create ?(costs = default_costs) pm2 =
     tables =
       Array.init n (fun node ->
           let table = Page_table.create ~node in
-          Page_table.set_metrics table metrics;
+          Page_table.count_mapped table cells.Instrument.nodes.(node).Instrument.mapped;
           table);
     stores = Array.init n (fun _ -> Frame_store.create ~geometry:geo);
-    registry = Protocol.create_registry ();
+    registry;
     default_protocol = 0;
     costs;
-    instr;
-    metrics;
-    instr_h = Instrument.intern instr metrics ~nodes:n;
+    stats;
+    cells;
     services = None;
     locks = Hashtbl.create 16;
     next_lock = 0;

@@ -75,11 +75,10 @@ type t = {
   registry : t Protocol.registry;
   mutable default_protocol : int;
   costs : costs;
-  instr : Stats.t;
-  metrics : Metrics.t;
-      (** labeled (per-node, per-protocol) counters and latency histograms *)
-  instr_h : Instrument.handles;
-      (** pre-resolved hot-path counters/spans, interned at {!create} *)
+  stats : Stats.t;
+      (** the metrics registry: (node, protocol)-labelled counters and
+          duration series *)
+  cells : Instrument.t;  (** the registry's hot-path cells *)
   mutable services : services option;  (** set once by {!Dsm_comm.init} *)
   locks : (int, lock_state) Hashtbl.t;
   mutable next_lock : int;

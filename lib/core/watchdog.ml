@@ -457,35 +457,24 @@ let snapshot w now ~installs =
   let dt_s = Time.to_us Time.(now - w.prev_at) /. 1e6 in
   let node_faults = Array.make nodes 0 in
   let proto_faults : (string, int) Hashtbl.t = Hashtbl.create 8 in
+  (* One pass over the registry per fault series: this runs every tick. *)
   List.iter
-    (fun ((l : Metrics.labels), s) ->
-      let f =
-        Stats.count s Instrument.m_read_faults
-        + Stats.count s Instrument.m_write_faults
-      in
-      if f > 0 then begin
-        (match l.Metrics.lbl_node with
-        | Some nd when nd >= 0 && nd < nodes ->
-            node_faults.(nd) <- node_faults.(nd) + f
-        | _ -> ());
-        match l.Metrics.lbl_protocol with
-        | Some p ->
-            Hashtbl.replace proto_faults p
-              (f + Option.value ~default:0 (Hashtbl.find_opt proto_faults p))
-        | None -> ()
-      end)
-    (Metrics.all rt.Runtime.metrics);
-  let net = Pm2.network rt.Runtime.pm2 in
-  let node_msgs = Array.make nodes 0 in
-  let node_bytes = Array.make nodes 0 in
-  List.iter
-    (fun ((l : Metrics.labels), s) ->
-      match l.Metrics.lbl_node with
-      | Some nd when nd >= 0 && nd < nodes ->
-          node_msgs.(nd) <- node_msgs.(nd) + Stats.count s "net.sent";
-          node_bytes.(nd) <- node_bytes.(nd) + Stats.count s "net.bytes"
-      | _ -> ())
-    (Metrics.all (Network.metrics net));
+    (fun name ->
+      Stats.fold_count rt.Runtime.stats name
+        (fun l f () ->
+          (match l.Stats.lbl_node with
+          | Some nd when nd >= 0 && nd < nodes ->
+              node_faults.(nd) <- node_faults.(nd) + f
+          | _ -> ());
+          match l.Stats.lbl_protocol with
+          | Some p ->
+              Hashtbl.replace proto_faults p
+                (f + Option.value ~default:0 (Hashtbl.find_opt proto_faults p))
+          | None -> ())
+        ())
+    [ Instrument.read_faults; Instrument.write_faults ];
+  let traffic = Network.traffic_by_node (Pm2.network rt.Runtime.pm2) in
+  let node_msgs = Array.map fst traffic and node_bytes = Array.map snd traffic in
   let rate prev cur =
     if dt_s <= 0. then 0. else float_of_int (cur - prev) /. dt_s
   in

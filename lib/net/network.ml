@@ -1,14 +1,5 @@
 open Dsmpm2_sim
 
-(* Interned per-kind instrumentation: one counter and one latency series per
-   message kind, resolved once at [create] so the per-message cost is an
-   array index and a cell bump, not a string hash. *)
-type kind_handles = {
-  k_count : Stats.counter;
-  k_delay : Stats.histogram;
-  k_dropped : Stats.counter; (* "<kind>.dropped": per-kind fault losses *)
-}
-
 type t = {
   eng : Engine.t;
   net_driver : Driver.t;
@@ -24,22 +15,17 @@ type t = {
   mutable span_source : unit -> int;
       (* the active span of whoever is sending, resolved at drop time; wired
          by the PM2 layer which knows the fiber -> thread -> span chain *)
-  mutable sent : int;
-  mutable bytes : int;
-  mutable loopback : int;
-  mutable dropped : int;
   net_stats : Stats.t;
-  net_metrics : Metrics.t;
-  kinds : kind_handles array; (* indexed by [kind_index] *)
-  h_delay : Stats.histogram; (* "net.delay" on [net_stats] *)
-  c_loopback : Stats.counter; (* "net.loopback" on [net_stats] *)
-  c_dropped : Stats.counter; (* "net.dropped" on [net_stats] *)
-  node_sent : Stats.counter array; (* per source node: "net.sent" *)
-  node_bytes : Stats.counter array; (* per source node: "net.bytes" *)
-  node_delay : Stats.histogram array; (* per source node: "net.delay" *)
+  msgs : Stats.cell array;
+      (* index src*kinds+kind: one cell per message put on the wire — its
+         count, its wire bytes and, once delivery is scheduled, its delay.
+         Only delivered messages record a delay, so a cell's dropped
+         messages are its events less its samples. *)
+  loopback : Stats.cell array; (* per node: "net.loopback" *)
 }
 
 let kind_names = [| "msg.null_rpc"; "msg.request"; "msg.bulk"; "msg.migration" |]
+let kinds = Array.length kind_names
 
 let kind_index = function
   | Driver.Null_rpc -> 0
@@ -50,8 +36,6 @@ let kind_index = function
 let create ?jitter eng ~driver ~nodes =
   if nodes <= 0 then invalid_arg "Network.create: nodes must be positive";
   let net_stats = Stats.create () in
-  let net_metrics = Metrics.create () in
-  let node_group node = Metrics.group net_metrics (Metrics.labels ~node ()) in
   {
     eng;
     net_driver = driver;
@@ -65,38 +49,25 @@ let create ?jitter eng ~driver ~nodes =
     plan = Fault_plan.none;
     net_trace = None;
     span_source = (fun () -> Trace.no_span);
-    sent = 0;
-    bytes = 0;
-    loopback = 0;
-    dropped = 0;
     net_stats;
-    net_metrics;
-    kinds =
-      Array.map
-        (fun name ->
-          {
-            k_count = Stats.counter net_stats name;
-            k_delay = Stats.histogram net_stats (name ^ ".delay");
-            k_dropped = Stats.counter net_stats (name ^ ".dropped");
-          })
-        kind_names;
-    h_delay = Stats.histogram net_stats "net.delay";
-    c_loopback = Stats.counter net_stats "net.loopback";
-    c_dropped = Stats.counter net_stats "net.dropped";
-    node_sent = Array.init nodes (fun n -> Stats.counter (node_group n) "net.sent");
-    node_bytes = Array.init nodes (fun n -> Stats.counter (node_group n) "net.bytes");
-    node_delay =
-      Array.init nodes (fun n -> Stats.histogram (node_group n) "net.delay");
+    msgs =
+      Array.init (nodes * kinds) (fun i ->
+          Stats.cell net_stats ~node:(i / kinds) ~count:kind_names.(i mod kinds)
+            ~volume:"net.bytes" ~span:"net.delay" ());
+    loopback =
+      Array.init nodes (fun node -> Stats.cell net_stats ~node ~count:"net.loopback" ());
   }
+
+let sum f cells = Array.fold_left (fun acc c -> acc + f c) 0 cells
+let dropped c = Stats.events c - Stats.samples c
 
 let driver t = t.net_driver
 let nodes t = t.nnodes
-let messages_sent t = t.sent
-let bytes_sent t = t.bytes
-let loopback_sent t = t.loopback
-let messages_dropped t = t.dropped
+let messages_sent t = sum Stats.events t.msgs
+let bytes_sent t = sum Stats.volume t.msgs
+let loopback_sent t = sum Stats.events t.loopback
+let messages_dropped t = sum dropped t.msgs
 let stats t = t.net_stats
-let metrics t = t.net_metrics
 let set_fault_plan t plan = t.plan <- plan
 let fault_plan t = t.plan
 
@@ -106,9 +77,15 @@ let set_trace t trace ~span =
 
 let dropped_by_kind t =
   Array.to_list
-    (Array.map
-       (fun name -> (name, Stats.count t.net_stats (name ^ ".dropped")))
+    (Array.mapi
+       (fun k name ->
+         (name, sum dropped (Array.init t.nnodes (fun n -> t.msgs.((n * kinds) + k)))))
        kind_names)
+
+let traffic_by_node t =
+  Array.init t.nnodes (fun n ->
+      let cells = Array.sub t.msgs (n * kinds) kinds in
+      (sum Stats.events cells, sum Stats.volume cells))
 
 (* Seeded fault-injection jitter: every message pays a bounded random extra
    latency, and a small fraction take a much larger "spike" (a retransmission,
@@ -141,8 +118,7 @@ let send t ~src ~dst ~cost k =
        network traffic) and goes through the same monotonic-arrival clamp as
        a real link, so two same-time self-sends can never be reordered by an
        adversarial tie seed. *)
-    t.loopback <- t.loopback + 1;
-    Stats.bump t.c_loopback;
+    Stats.bump t.loopback.(src);
     let arrival =
       Time.max (Engine.now t.eng) Time.(t.loop_last.(src) + Time.of_ns 1)
     in
@@ -150,27 +126,20 @@ let send t ~src ~dst ~cost k =
     Engine.at t.eng arrival k
   end
   else begin
-    let wire = Driver.wire_bytes cost in
-    let kh = t.kinds.(kind_index cost) in
-    t.sent <- t.sent + 1;
-    t.bytes <- t.bytes + wire;
-    Stats.bump kh.k_count;
-    Stats.bump t.node_sent.(src);
-    Stats.bump_by t.node_bytes.(src) wire;
+    let kind = kind_index cost in
+    let cell = t.msgs.((src * kinds) + kind) in
+    Stats.add cell ~events:1 ~volume:(Driver.wire_bytes cost);
     (* Every drop is first-class in the trace: the event carries the link,
        the message kind and the sending operation's span, so the blame
        engine can walk from a stale read back to the exact loss.  [ev] is
        built lazily — the no-trace path allocates nothing. *)
     let drop ev =
-      t.dropped <- t.dropped + 1;
-      Stats.bump t.c_dropped;
-      Stats.bump kh.k_dropped;
       match t.net_trace with
       | Some tr when Trace.enabled tr ->
           Trace.emit tr t.eng ~span:(t.span_source ()) (ev ())
       | _ -> ()
     in
-    let kind_name = kind_names.(kind_index cost) in
+    let kind_name = kind_names.(kind) in
     (* A crashed sender's traffic dies on the host; this is checked before
        the loss draw so blackholed messages never consume loss stream
        entropy a later run-with-different-windows would miss. *)
@@ -209,11 +178,8 @@ let send t ~src ~dst ~cost k =
       else begin
         t.last_delivery.(link) <- arrival;
         (* The wire-plus-queueing latency this message actually experiences:
-           the tail of these histograms is where link contention shows up. *)
-        let latency = Time.(arrival - Engine.now t.eng) in
-        Stats.record t.h_delay latency;
-        Stats.record kh.k_delay latency;
-        Stats.record t.node_delay.(src) latency;
+           the tail of this series is where link contention shows up. *)
+        Stats.record cell Time.(arrival - Engine.now t.eng);
         Engine.at t.eng arrival k
       end
     end

@@ -71,7 +71,10 @@ val loopback_sent : t -> int
 
 val messages_dropped : t -> int
 (** Messages dropped by the installed fault plan (loss draws plus crash
-    blackholes); also the "net.dropped" counter in {!stats}. *)
+    blackholes). *)
+
+val traffic_by_node : t -> (int * int) array
+(** Per source node: cross-node messages sent and their wire bytes. *)
 
 val set_trace : t -> Trace.t -> span:(unit -> int) -> unit
 (** Wires fault forensics: once installed (and while the trace is enabled),
@@ -85,8 +88,7 @@ val set_trace : t -> Trace.t -> span:(unit -> int) -> unit
 
 val dropped_by_kind : t -> (string * int) list
 (** Messages dropped by the fault plan per message kind, as
-    [("msg.request", n); ...] in {!stats} kind order — the per-kind
-    counters behind the "<kind>.dropped" series. *)
+    [("msg.request", n); ...]. *)
 
 val set_fault_plan : t -> Fault_plan.t -> unit
 (** Installs a fault schedule.  The default is {!Fault_plan.none};
@@ -96,11 +98,10 @@ val set_fault_plan : t -> Fault_plan.t -> unit
 val fault_plan : t -> Fault_plan.t
 
 val stats : t -> Stats.t
-(** Per-kind message counters ("msg.request", "msg.bulk", ...) plus
-    delivery-latency spans: "net.delay" overall and "<kind>.delay" per
-    message kind, including FIFO queueing behind earlier link traffic. *)
-
-val metrics : t -> Metrics.t
-(** Per-source-node labeled series: "net.sent", "net.bytes" (wire bytes)
-    counters and the "net.delay" latency histogram.  All series are
-    interned once at {!create}; the per-message cost is a cell bump. *)
+(** The network's registry, one cell per (source node, message kind): a
+    message put on the wire counts under its kind ("msg.request",
+    "msg.bulk", ...), adds its wire bytes to "net.bytes" and, once
+    delivered, its latency (FIFO queueing behind earlier link traffic
+    included) to "net.delay".  Self-sends count under "net.loopback".
+    The cells are created at {!create}; a message costs one cell
+    update. *)

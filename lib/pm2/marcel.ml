@@ -23,8 +23,9 @@ type t = {
   mutable next_tid : int;
   by_fiber : thread Int_table.t;
   (* One-entry cache over [by_fiber]: the thread of fiber [self_fid].
-     Fiber ids are never reused and [by_fiber] entries never removed, so a
-     cached pair cannot go stale.  [self_fid = -1] means empty. *)
+     Fiber ids are never reused, and a dead thread leaves the cache when it
+     leaves [by_fiber], so a cached pair cannot go stale.  [self_fid = -1]
+     means empty. *)
   mutable self_fid : int;
   mutable self_th : thread;
   mutable tick_us : float;
@@ -129,6 +130,15 @@ let pay_pending t th =
     Cpu.compute t.eng t.cpus.(th.node) (Time.of_us us)
   end
 
+(* A dead thread leaves the fiber map: every RPC served runs in a fresh
+   thread, so keeping them would grow the map for the whole run. *)
+let forget t fid =
+  Int_table.remove t.by_fiber fid;
+  if t.self_fid = fid then begin
+    t.self_fid <- -1;
+    t.self_th <- no_thread
+  end
+
 let spawn t ?(stack_bytes = 1024) ?(attached_bytes = 0) ?(migratable = false) ~node f =
   if node < 0 || node >= Array.length t.cpus then
     invalid_arg "Marcel.spawn: node out of range";
@@ -147,20 +157,22 @@ let spawn t ?(stack_bytes = 1024) ?(attached_bytes = 0) ?(migratable = false) ~n
     }
   in
   t.next_tid <- t.next_tid + 1;
-  let fid =
+  let fid = ref (-1) in
+  fid :=
     Engine.spawn t.eng (fun () ->
         Fun.protect
           ~finally:(fun () ->
             (* Pay any outstanding lazily-charged CPU work before dying so
-               accounting is complete, then wake the joiners. *)
+               accounting is complete (paying may suspend, so the thread
+               stays mapped until then), then wake the joiners. *)
             pay_pending t th;
             th.alive <- false;
+            forget t !fid;
             let joiners = th.joiners in
             th.joiners <- [];
             List.iter (fun resume -> resume ()) joiners)
-          f)
-  in
-  Int_table.replace t.by_fiber fid th;
+          f);
+  Int_table.replace t.by_fiber !fid th;
   th
 
 let join t th =

@@ -34,16 +34,15 @@ type t = {
   mutable calls : int;
   mutable retry : retry_policy option;
   mutable retry_rng : Rng.t;
-  mutable retransmissions : int;
   mutable rpc_trace : Trace.t option;
       (* fault forensics: retransmissions become typed trace events *)
   mutable duplicates : int;
   mutable next_rid : int;
   seen : (int, seen) Hashtbl.t;
   seen_order : int Queue.t; (* FIFO eviction of settled request ids *)
-  h_retry_delay : Stats.histogram;
-      (* "rpc.retry.delay" on the network stats: time already waited when
-         each retransmission goes out *)
+  retries : Stats.cell;
+      (* "rpc.retry.delay" on the network stats: one sample per
+         retransmission, the time the call had already waited *)
 }
 
 let seen_cap = 4096
@@ -56,19 +55,18 @@ let create marcel net =
     calls = 0;
     retry = None;
     retry_rng = Rng.create ~seed:0;
-    retransmissions = 0;
     rpc_trace = None;
     duplicates = 0;
     next_rid = 0;
     seen = Hashtbl.create 64;
     seen_order = Queue.create ();
-    h_retry_delay = Stats.histogram (Network.stats net) "rpc.retry.delay";
+    retries = Stats.cell (Network.stats net) ~span:"rpc.retry.delay" ();
   }
 
 let marcel t = t.marcel
 let network t = t.net
 let calls_made t = t.calls
-let retransmissions t = t.retransmissions
+let retransmissions t = Stats.samples t.retries
 let duplicates_served t = t.duplicates
 let retry t = t.retry
 let set_trace t trace = t.rpc_trace <- Some trace
@@ -205,12 +203,10 @@ let call t ~dst ~service ~cost payload =
                       resume ()
                     end
                     else begin
-                      t.retransmissions <- t.retransmissions + 1;
                       (* How long this call has already waited when the
                          retransmission goes out: the latency penalty the
                          fault is costing us, fed to bench/analyze. *)
-                      Stats.record t.h_retry_delay
-                        Time.(Engine.now eng - started);
+                      Stats.record t.retries Time.(Engine.now eng - started);
                       (match t.rpc_trace with
                       | Some tr when Trace.enabled tr ->
                           Trace.emit tr eng ~span

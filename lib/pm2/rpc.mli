@@ -71,9 +71,9 @@ val set_trace : t -> Dsmpm2_sim.Trace.t -> unit
     fires outside fiber context). *)
 
 val retransmissions : t -> int
-(** Retransmissions sent so far — the watchdog's retry-storm feed.  The
-    per-call waiting times are recorded in the "rpc.retry.delay" histogram
-    on {!Network.stats}. *)
+(** Retransmissions sent so far — the watchdog's retry-storm feed: the
+    samples of the "rpc.retry.delay" series on {!Network.stats}, which
+    records how long each call had waited when it retransmitted. *)
 
 val duplicates_served : t -> int
 (** Duplicate requests answered from the server-side request-id cache. *)

@@ -90,9 +90,13 @@ let write_server rt ~node ~page ~requester =
   if requester <> node then serve_at_home rt ~node ~page ~requester ~mode:Access.Write
 
 (* Flush this node's modifications of [page] to the home (if dirty) and
-   forget the local copy.  Entry mutex must be held. *)
+   forget the local copy.  Entry mutex must be held.  The copy drops to
+   read-only before the diff round trip: a local write made while the RPC
+   blocks would land after the diff was computed and vanish with the copy,
+   so it must fault (and wait on the entry mutex) instead. *)
 let flush_and_drop rt ~node (e : Page_table.entry) =
   let page = e.Page_table.page in
+  if e.Page_table.rights = Access.Read_write then e.Page_table.rights <- Access.Read_only;
   (match Protocol_lib.diff_against_twin rt ~node e with
   | Some diff -> Dsm_comm.call_diffs rt ~to_:e.Page_table.home ~diffs:[ diff ] ~release:false
   | None -> ());

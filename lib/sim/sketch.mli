@@ -12,10 +12,11 @@
 
     Memory is bounded by the dynamic range of the data: roughly
     [ln (max/min) / ln gamma] buckets (about 115 per decade at the default
-    [alpha = 0.01]), independent of the number of samples.  This replaces
-    the ad-hoc fixed-bucket percentile math for fault/RPC latency rollups
-    wherever tails beyond p99 matter ([Telemetry], [dsm top],
-    [dsm bench]'s [fault_p999]). *)
+    [alpha = 0.01]), independent of the number of samples.  Once the
+    buckets a stream needs exist, inserting a sample allocates nothing.
+    This is the only latency representation in the stack: every duration
+    series of the {!Stats} registry, [Telemetry]'s fault latencies, and the
+    percentiles of [dsm top] and [dsm bench] all read a sketch. *)
 
 type t
 
@@ -23,16 +24,17 @@ val create : ?alpha:float -> unit -> t
 (** A fresh sketch with relative-accuracy target [alpha] (default [0.01],
     i.e. 1%).  Raises [Invalid_argument] unless [0 < alpha < 1]. *)
 
-val alpha : t -> float
-
 val add : t -> float -> unit
 (** Inserts one sample.  Negative values are clamped to zero; values below
     [1e-9] are counted exactly in a dedicated zero bucket. *)
 
+val add_int : t -> int -> unit
+(** [add_int t v] is [add t (float_of_int v)] without boxing the float:
+    the allocation-free entry point for integer streams (nanosecond
+    durations). *)
+
 val count : t -> int
 val sum : t -> float
-val mean : t -> float
-(** 0 when empty. *)
 
 val min_value : t -> float
 val max_value : t -> float
@@ -61,8 +63,13 @@ val buckets : t -> int
 (** Number of occupied log buckets — the memory bound, for tests and
     accounting. *)
 
+val fold_buckets : t -> (float -> int -> 'a -> 'a) -> 'a -> 'a
+(** [fold_buckets t f init] folds [f upper count] over the occupied
+    buckets in ascending order: [upper] is the bucket's upper edge
+    [gamma^i] (every sample in it is [<= upper]), and the zero bucket comes
+    first with edge [0].  Cumulating [count] gives Prometheus [le]
+    buckets. *)
+
 val to_json : t -> Json.t
 (** Stable snapshot: count, sum, min/max and the standard percentile
     ladder (p50/p90/p99/p999), all as numbers. *)
-
-val pp : Format.formatter -> t -> unit

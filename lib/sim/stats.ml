@@ -1,131 +1,107 @@
-(* Fixed latency-histogram buckets: a 1-2-5 progression from 500 ns to 1 s.
-   Samples above the last bound land in an overflow bucket whose effective
-   upper edge is the observed maximum. *)
-let bucket_bounds =
-  [|
-    500; 1_000; 2_000; 5_000; 10_000; 20_000; 50_000; 100_000; 200_000;
-    500_000; 1_000_000; 2_000_000; 5_000_000; 10_000_000; 20_000_000;
-    50_000_000; 100_000_000; 200_000_000; 500_000_000; 1_000_000_000;
-  |]
+type labels = { lbl_node : int option; lbl_protocol : string option }
 
-let nbuckets = Array.length bucket_bounds + 1
+let labels ?node ?protocol () = { lbl_node = node; lbl_protocol = protocol }
 
-type span = {
-  mutable sp_total : Time.t;
-  mutable sp_samples : int;
-  mutable sp_max : Time.t;
-  sp_buckets : int array;
+let compare_labels a b =
+  let c = Option.compare Int.compare a.lbl_node b.lbl_node in
+  if c <> 0 then c else Option.compare String.compare a.lbl_protocol b.lbl_protocol
+
+(* A cell is one event site under one label set.  Its event count, volume
+   and duration series each answer to a series name ([""] when the cell
+   does not feed that field), so one update per event feeds every view:
+   a delivered message bumps one cell that is at once "msg.<kind>" (count),
+   "net.bytes" (volume) and "net.delay" (span). *)
+type cell = {
+  c_labels : labels;
+  count_name : string;
+  volume_name : string;
+  span_name : string;
+  mutable events : int;
+  mutable volume : int;
+  mutable total : Time.t;
+  mutable max : Time.t;
+  sketch : Sketch.t;
 }
 
-type t = {
-  counts : (string, int ref) Hashtbl.t;
-  durations : (string, span) Hashtbl.t;
-}
+type t = { mutable cells : cell list (* newest first *) }
 
-type counter = int ref
-type histogram = span
+let create () = { cells = [] }
 
-let create () = { counts = Hashtbl.create 16; durations = Hashtbl.create 16 }
-
-let counter t name =
-  match Hashtbl.find_opt t.counts name with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.add t.counts name r;
-      r
-
-let bump (c : counter) = Stdlib.incr c
-let bump_by (c : counter) n = c := !c + n
-let counter_value (c : counter) = !c
-
-let incr t name = Stdlib.incr (counter t name)
-let add t name n = counter t name := !(counter t name) + n
-let count t name = match Hashtbl.find_opt t.counts name with Some r -> !r | None -> 0
-
-let span t name =
-  match Hashtbl.find_opt t.durations name with
-  | Some s -> s
-  | None ->
-      let s =
-        {
-          sp_total = Time.zero;
-          sp_samples = 0;
-          sp_max = Time.zero;
-          sp_buckets = Array.make nbuckets 0;
-        }
-      in
-      Hashtbl.add t.durations name s;
-      s
-
-let bucket_index dt =
-  let rec go i =
-    if i >= Array.length bucket_bounds then i
-    else if dt <= bucket_bounds.(i) then i
-    else go (i + 1)
+let cell t ?node ?protocol ?(count = "") ?(volume = "") ?(span = "") () =
+  let c =
+    {
+      c_labels = labels ?node ?protocol ();
+      count_name = count;
+      volume_name = volume;
+      span_name = span;
+      events = 0;
+      volume = 0;
+      total = Time.zero;
+      max = Time.zero;
+      sketch = Sketch.create ();
+    }
   in
-  go 0
+  t.cells <- c :: t.cells;
+  c
 
-let histogram t name = span t name
+let bump c = c.events <- c.events + 1
 
-let record (s : histogram) dt =
-  s.sp_total <- Time.(s.sp_total + dt);
-  s.sp_samples <- s.sp_samples + 1;
-  if dt > s.sp_max then s.sp_max <- dt;
-  let i = bucket_index dt in
-  s.sp_buckets.(i) <- s.sp_buckets.(i) + 1
+let add c ~events ~volume =
+  c.events <- c.events + events;
+  c.volume <- c.volume + volume
 
-let add_span t name dt = record (span t name) dt
+let record c dt =
+  c.total <- c.total + dt;
+  if dt > c.max then c.max <- dt;
+  Sketch.add_int c.sketch dt
 
-let span_total t name =
-  match Hashtbl.find_opt t.durations name with
-  | Some s -> s.sp_total
-  | None -> Time.zero
+let events c = c.events
+let volume c = c.volume
+let samples c = Sketch.count c.sketch
 
-let span_samples t name =
-  match Hashtbl.find_opt t.durations name with Some s -> s.sp_samples | None -> 0
+(* --- views: rollups over the cells a name and label set select --- *)
 
-let span_max t name =
-  match Hashtbl.find_opt t.durations name with Some s -> s.sp_max | None -> Time.zero
+let selected labels c =
+  match labels with None -> true | Some l -> compare_labels l c.c_labels = 0
 
-let span_mean t name =
-  match Hashtbl.find_opt t.durations name with
-  | None -> Time.zero
-  | Some s -> if s.sp_samples = 0 then Time.zero else s.sp_total / s.sp_samples
+(* What [c] contributes to the counter [name]. *)
+let counted name c =
+  (if String.equal c.count_name name then c.events else 0)
+  + if String.equal c.volume_name name then c.volume else 0
 
-let percentile_of_span s p =
-  if s.sp_samples = 0 then Time.zero
-  else begin
-    let p = Float.max 0. (Float.min 100. p) in
-    let rank =
-      Stdlib.max 1 (int_of_float (Float.ceil (p /. 100. *. float_of_int s.sp_samples)))
-    in
-    let rec walk i seen =
-      if i >= nbuckets then s.sp_max
-      else
-        let seen = seen + s.sp_buckets.(i) in
-        if seen >= rank then
-          if i < Array.length bucket_bounds then Stdlib.min bucket_bounds.(i) s.sp_max
-          else s.sp_max
-        else walk (i + 1) seen
-    in
-    walk 0 0
-  end
+let count ?labels t name =
+  List.fold_left
+    (fun acc c -> if selected labels c then acc + counted name c else acc)
+    0 t.cells
 
-let span_percentile t name p =
-  match Hashtbl.find_opt t.durations name with
-  | None -> Time.zero
-  | Some s -> percentile_of_span s p
+let fold_count t name f init =
+  List.fold_left
+    (fun acc c ->
+      let v = counted name c in
+      if v <> 0 then f c.c_labels v acc else acc)
+    init t.cells
 
-let span_histogram t name =
-  match Hashtbl.find_opt t.durations name with
-  | None -> [||]
-  | Some s ->
-      Array.init nbuckets (fun i ->
-          let bound =
-            if i < Array.length bucket_bounds then bucket_bounds.(i) else s.sp_max
-          in
-          (bound, s.sp_buckets.(i)))
+let span_cells ?labels t name =
+  List.filter (fun c -> String.equal c.span_name name && selected labels c) t.cells
+
+let total_of cells = List.fold_left (fun acc c -> Time.(acc + c.total)) Time.zero cells
+let max_of cells = List.fold_left (fun acc c -> Time.max acc c.max) Time.zero cells
+let samples_of cells = List.fold_left (fun acc c -> acc + samples c) 0 cells
+
+let sketch_of cells =
+  let sk = Sketch.create () in
+  List.iter (fun c -> Sketch.merge_into sk c.sketch) cells;
+  sk
+
+let span_mean ?labels t name =
+  let cells = span_cells ?labels t name in
+  let n = samples_of cells in
+  if n = 0 then Time.zero else total_of cells / n
+
+let percentile_of sk p = int_of_float (Float.round (Sketch.percentile sk p))
+
+let span_percentile ?labels t name p =
+  percentile_of (sketch_of (span_cells ?labels t name)) p
 
 type span_summary = {
   sm_name : string;
@@ -138,84 +114,39 @@ type span_summary = {
   sm_max : Time.t;
 }
 
-let summary_of_span name s =
+let span_summary ?labels t name =
+  let cells = span_cells ?labels t name in
+  let sk = sketch_of cells in
+  let n = Sketch.count sk and total = total_of cells in
   {
     sm_name = name;
-    sm_samples = s.sp_samples;
-    sm_total = s.sp_total;
-    sm_mean = (if s.sp_samples = 0 then Time.zero else s.sp_total / s.sp_samples);
-    sm_p50 = percentile_of_span s 50.;
-    sm_p90 = percentile_of_span s 90.;
-    sm_p99 = percentile_of_span s 99.;
-    sm_max = s.sp_max;
+    sm_samples = n;
+    sm_total = total;
+    sm_mean = (if n = 0 then Time.zero else total / n);
+    sm_p50 = percentile_of sk 50.;
+    sm_p90 = percentile_of sk 90.;
+    sm_p99 = percentile_of sk 99.;
+    sm_max = max_of cells;
   }
 
-let span_summary t name =
-  match Hashtbl.find_opt t.durations name with
-  | Some s -> summary_of_span name s
-  | None ->
-      {
-        sm_name = name;
-        sm_samples = 0;
-        sm_total = Time.zero;
-        sm_mean = Time.zero;
-        sm_p50 = Time.zero;
-        sm_p90 = Time.zero;
-        sm_p99 = Time.zero;
-        sm_max = Time.zero;
-      }
+let names ?labels t fields =
+  List.concat_map
+    (fun c -> if selected labels c then List.filter (( <> ) "") (fields c) else [])
+    t.cells
+  |> List.sort_uniq String.compare
 
-let span_summaries t =
-  Hashtbl.fold (fun name s acc -> summary_of_span name s :: acc) t.durations []
-  |> List.sort (fun a b -> String.compare a.sm_name b.sm_name)
+let counter_names ?labels t = names ?labels t (fun c -> [ c.count_name; c.volume_name ])
+let span_names ?labels t = names ?labels t (fun c -> [ c.span_name ])
 
-let counters t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counts []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+let counters ?labels t =
+  List.map (fun name -> (name, count ?labels t name)) (counter_names ?labels t)
 
-let spans t =
-  Hashtbl.fold (fun k s acc -> (k, s.sp_total, s.sp_samples) :: acc) t.durations []
-  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
+let span_summaries ?labels t = List.map (span_summary ?labels t) (span_names ?labels t)
 
-let reset t =
-  (* Zero in place rather than dropping the tables: interned handles
-     ({!counter}, {!histogram}) must stay live across a reset, so the next
-     bump lands in the series being snapshotted, not in a detached cell. *)
-  Hashtbl.iter (fun _ r -> r := 0) t.counts;
-  Hashtbl.iter
-    (fun _ s ->
-      s.sp_total <- Time.zero;
-      s.sp_samples <- 0;
-      s.sp_max <- Time.zero;
-      Array.fill s.sp_buckets 0 (Array.length s.sp_buckets) 0)
-    t.durations
+let label_sets t =
+  List.sort_uniq compare_labels (List.map (fun c -> c.c_labels) t.cells)
 
-(* Bucket-wise merge is exact because every [t] shares the same fixed
-   [bucket_bounds]: no re-bucketing, no alignment error.  The result is a
-   fresh snapshot — neither input is modified, and interned handles of the
-   inputs keep feeding the inputs. *)
-let merge a b =
-  let t = create () in
-  let add_counts src =
-    Hashtbl.iter (fun name r -> add t name !r) src.counts
-  in
-  add_counts a;
-  add_counts b;
-  let add_spans src =
-    Hashtbl.iter
-      (fun name (s : span) ->
-        let d = span t name in
-        d.sp_total <- Time.(d.sp_total + s.sp_total);
-        d.sp_samples <- d.sp_samples + s.sp_samples;
-        if s.sp_max > d.sp_max then d.sp_max <- s.sp_max;
-        for i = 0 to nbuckets - 1 do
-          d.sp_buckets.(i) <- d.sp_buckets.(i) + s.sp_buckets.(i)
-        done)
-      src.durations
-  in
-  add_spans a;
-  add_spans b;
-  t
+(* --- exports --- *)
 
 let summary_to_json s =
   Json.Obj
@@ -230,19 +161,115 @@ let summary_to_json s =
       ("max_us", Json.Float (Time.to_us s.sm_max));
     ]
 
+let labels_to_json l =
+  Json.Obj
+    (List.concat
+       [
+         (match l.lbl_node with Some n -> [ ("node", Json.Int n) ] | None -> []);
+         (match l.lbl_protocol with
+         | Some p -> [ ("protocol", Json.String p) ]
+         | None -> []);
+       ])
+
+let view_to_json ?labels t =
+  [
+    ( "counters",
+      Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters ?labels t)) );
+    ("spans", Json.List (List.map summary_to_json (span_summaries ?labels t)));
+  ]
+
 let to_json t =
   Json.Obj
-    [
-      ( "counters",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters t)) );
-      ("spans", Json.List (List.map summary_to_json (span_summaries t)));
-    ]
+    (view_to_json t
+    @ [
+        ( "labelled",
+          Json.List
+            (List.map
+               (fun l ->
+                 Json.Obj (("labels", labels_to_json l) :: view_to_json ~labels:l t))
+               (label_sets t)) );
+      ])
 
-let pp ppf t =
-  List.iter (fun (k, v) -> Format.fprintf ppf "%-32s %d@." k v) (counters t);
+(* --- Prometheus text exposition ---
+
+   Counters become [dsm_<name>_total] (counter type); duration series
+   become histograms in microseconds whose cumulative [_bucket{le=...}]
+   lines sit at the upper edges of the occupied sketch buckets, closed by
+   [le="+Inf"], [_sum] and [_count].  Every series shares the sketch's
+   fixed edges, so scrapes aggregate across nodes with histogram_quantile.
+   The node and protocol labels map straight onto Prometheus labels. *)
+
+let prom_name name =
+  let b = Bytes.of_string name in
+  Bytes.iteri
+    (fun i c ->
+      match c with
+      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> ()
+      | _ -> Bytes.set b i '_')
+    b;
+  let s = Bytes.to_string b in
+  if String.length s >= 4 && String.sub s 0 4 = "dsm_" then s else "dsm_" ^ s
+
+let prom_labels ?le l =
+  let parts =
+    List.concat
+      [
+        (match l.lbl_node with
+        | Some n -> [ Printf.sprintf "node=\"%d\"" n ]
+        | None -> []);
+        (match l.lbl_protocol with
+        | Some p -> [ Printf.sprintf "protocol=\"%s\"" p ]
+        | None -> []);
+        (match le with
+        | Some b -> [ Printf.sprintf "le=\"%s\"" b ]
+        | None -> []);
+      ]
+  in
+  match parts with [] -> "" | _ -> "{" ^ String.concat "," parts ^ "}"
+
+let prom_counter_header ppf name =
+  let metric = prom_name name ^ "_total" in
+  Format.fprintf ppf "# HELP %s Events counted under %S.@." metric name;
+  Format.fprintf ppf "# TYPE %s counter@." metric;
+  metric
+
+let prometheus_counter ppf name v =
+  Format.fprintf ppf "%s %d@." (prom_counter_header ppf name) v
+
+let to_prometheus ppf t =
+  let sets = label_sets t in
   List.iter
-    (fun s ->
-      Format.fprintf ppf "%-32s %a (%d samples, p50 %a p99 %a max %a)@." s.sm_name
-        Time.pp s.sm_total s.sm_samples Time.pp s.sm_p50 Time.pp s.sm_p99 Time.pp
-        s.sm_max)
-    (span_summaries t)
+    (fun name ->
+      let metric = prom_counter_header ppf name in
+      List.iter
+        (fun l ->
+          if List.mem name (counter_names ~labels:l t) then
+            Format.fprintf ppf "%s%s %d@." metric (prom_labels l) (count ~labels:l t name))
+        sets)
+    (counter_names t);
+  List.iter
+    (fun name ->
+      let metric = prom_name name ^ "_us" in
+      Format.fprintf ppf "# HELP %s Duration of %S in microseconds.@." metric name;
+      Format.fprintf ppf "# TYPE %s histogram@." metric;
+      List.iter
+        (fun l ->
+          let cells = span_cells ~labels:l t name in
+          let sk = sketch_of cells in
+          if Sketch.count sk > 0 then begin
+            let bucket le n =
+              Format.fprintf ppf "%s_bucket%s %d@." metric (prom_labels ~le l) n
+            in
+            ignore
+              (Sketch.fold_buckets sk
+                 (fun upper c cum ->
+                   bucket (Printf.sprintf "%g" (upper /. 1e3)) (cum + c);
+                   cum + c)
+                 0);
+            bucket "+Inf" (Sketch.count sk);
+            Format.fprintf ppf "%s_sum%s %g@." metric (prom_labels l)
+              (Time.to_us (total_of cells));
+            Format.fprintf ppf "%s_count%s %d@." metric (prom_labels l) (Sketch.count sk)
+          end)
+        sets)
+    (span_names t)

@@ -1,70 +1,84 @@
-(** Named counters and duration accumulators with latency histograms.
+(** The metrics registry: labelled counters and duration series.
 
-    Used by the DSM instrumentation layer to reproduce the per-step cost
-    breakdowns of the paper's Tables 3 and 4, and by benches for message and
-    fault counts.  Every duration span also feeds a fixed-bucket histogram
-    so tail latencies (p50/p90/p99/max) are available, not just means. *)
+    Every instrumented event updates exactly one {!cell}, created ahead
+    of time by its event site.  A cell
+    carries the event site's node and protocol labels and three fields —
+    an event count, a volume (bytes, pages) and a duration series — each of
+    which answers to a series name.  A delivered message, for instance,
+    bumps one cell whose count is ["msg.request"], whose volume is
+    ["net.bytes"] and whose duration series is ["net.delay"].
+
+    A duration series keeps an exact integer sample count, sum and
+    maximum plus {!Sketch} log buckets at the fixed [alpha = 0.01], so
+    every percentile the stack reports (the Table 3/4 stage latencies,
+    [dsm bench]'s fault tails, Prometheus [le] buckets) is within 1% of the
+    exact sample at that rank.  Recording into a cell allocates nothing
+    once its sketch covers the value's bucket.
+
+    The views ({!count}, {!span_mean}, ...) roll the cells up by series
+    name: over every label set by default, or over one label set with
+    [~labels].  Sums are exact integers, so a rollup equals the sum of its
+    labelled series. *)
+
+type labels = { lbl_node : int option; lbl_protocol : string option }
+
+val labels : ?node:int -> ?protocol:string -> unit -> labels
 
 type t
 
 val create : unit -> t
 
-val incr : t -> string -> unit
-val add : t -> string -> int -> unit
-val count : t -> string -> int
-(** 0 when the counter was never touched. *)
+(** {1 Cells} *)
 
-val add_span : t -> string -> Time.t -> unit
-(** Accumulates a duration under [name], bumps its sample count, and files
-    the sample into the histogram bucket containing it. *)
+type cell
 
-(** {1 Interned handles}
+val cell :
+  t ->
+  ?node:int ->
+  ?protocol:string ->
+  ?count:string ->
+  ?volume:string ->
+  ?span:string ->
+  unit ->
+  cell
+(** A fresh cell with these labels whose event count, volume and
+    duration series answer to [count], [volume] and [span]; an omitted
+    name means the cell does not feed that field's views.  Event sites
+    create their cells once, ahead of the events, and keep the handle;
+    cells that share names and labels simply add up in the views. *)
 
-    Hot paths (one bump per simulated message) intern the name once and
-    then update through the handle — an increment on a shared cell instead
-    of a string hash per event.  Handles stay valid across {!reset}: a
-    reset zeroes the series in place. *)
+val bump : cell -> unit
+(** One event. *)
 
-type counter
-(** A pre-resolved counter cell; shared with the string-keyed API ([incr]
-    and [bump] on the same name update the same cell). *)
+val add : cell -> events:int -> volume:int -> unit
+(** [events] events carrying [volume] in total. *)
 
-val counter : t -> string -> counter
-(** Interns (creating if needed) the counter named [name]. *)
+val record : cell -> Time.t -> unit
+(** One sample of the cell's duration series. *)
 
-val bump : counter -> unit
-val bump_by : counter -> int -> unit
-val counter_value : counter -> int
+val events : cell -> int
+val volume : cell -> int
+val samples : cell -> int
 
-type histogram
-(** A pre-resolved duration series (total/samples/max plus buckets). *)
+(** {1 Views} *)
 
-val histogram : t -> string -> histogram
-(** Interns (creating if needed) the duration series named [name]. *)
+val count : ?labels:labels -> t -> string -> int
+(** The total of the counter [name]: the event counts of the cells whose
+    count answers to [name] plus the volumes of those whose volume does.
+    0 when no cell feeds it. *)
 
-val record : histogram -> Time.t -> unit
-(** Equivalent to {!add_span} on the interned name, without the lookup. *)
+val fold_count : t -> string -> (labels -> int -> 'a -> 'a) -> 'a -> 'a
+(** Folds over every cell's non-zero contribution to the counter [name],
+    with the cell's labels: the per-node and per-protocol breakdown in
+    one pass. *)
 
-val span_total : t -> string -> Time.t
-val span_mean : t -> string -> Time.t
-(** 0 when no samples were recorded (never a division by zero). *)
+val span_mean : ?labels:labels -> t -> string -> Time.t
+(** Integer mean of the series; 0 when it has no samples. *)
 
-val span_samples : t -> string -> int
-val span_max : t -> string -> Time.t
-
-val span_percentile : t -> string -> float -> Time.t
-(** [span_percentile t name p] estimates the [p]-th percentile ([0..100],
-    clamped) from the histogram: the upper edge of the bucket holding the
-    rank-⌈p/100·n⌉ sample, capped at the observed maximum.  0 when no
-    samples were recorded. *)
-
-val bucket_bounds : Time.t array
-(** The shared bucket upper edges, a 1-2-5 progression from 500 ns to 1 s;
-    one overflow bucket follows the last edge. *)
-
-val span_histogram : t -> string -> (Time.t * int) array
-(** [(upper_edge, count)] per bucket (the overflow bucket reports the
-    observed maximum as its edge); [[||]] when the span does not exist. *)
+val span_percentile : ?labels:labels -> t -> string -> float -> Time.t
+(** [span_percentile t name p], [p] in [0..100]: the sketch estimate of
+    the sample at rank [floor (p/100 * (n - 1))], rounded to the
+    nanosecond.  0 when the series has no samples. *)
 
 type span_summary = {
   sm_name : string;
@@ -77,35 +91,38 @@ type span_summary = {
   sm_max : Time.t;
 }
 
-val span_summary : t -> string -> span_summary
-(** All-zero summary when the span does not exist. *)
+val span_summary : ?labels:labels -> t -> string -> span_summary
+(** All-zero summary when the series has no samples. *)
 
-val span_summaries : t -> span_summary list
-(** Sorted by name. *)
+val span_summaries : ?labels:labels -> t -> span_summary list
+(** Every duration series, sorted by name. *)
 
-val counters : t -> (string * int) list
-(** Sorted by name. *)
+val counters : ?labels:labels -> t -> (string * int) list
+(** Every counter with its total, sorted by name. *)
 
-val spans : t -> (string * Time.t * int) list
-(** [(name, total, samples)], sorted by name. *)
+val label_sets : t -> labels list
+(** The distinct label sets of the cells, ordered by node then protocol. *)
 
-val reset : t -> unit
-(** Clears every counter, duration and histogram bucket in place.  Interned
-    {!counter}/{!histogram} handles survive a reset and keep feeding the
-    (now zeroed) series. *)
-
-val merge : t -> t -> t
-(** A fresh [t] holding both inputs' series: counters are summed, span
-    totals and sample counts are summed, maxima take the larger input, and
-    the fixed-bucket histograms are added bucket-wise (exact — every [t]
-    shares {!bucket_bounds}, so there is no re-bucketing).  Neither input
-    is modified; merging with a fresh [create ()] is the identity.  This is
-    how per-node registries roll up into the cluster view of [dsm top]. *)
+(** {1 Exports} *)
 
 val summary_to_json : span_summary -> Json.t
+
 val to_json : t -> Json.t
 (** [{"counters": {...}, "spans": [{name, samples, total_us, mean_us,
-    p50_us, p90_us, p99_us, max_us}, ...]}] — the stable snapshot format
-    consumed by [BENCH_*.json] and [Monitor.to_json]. *)
+    p50_us, p90_us, p99_us, max_us}, ...], "labelled": [{"labels": {...},
+    "counters": {...}, "spans": [...]}, ...]}]: the rollup over every label
+    set, then one view per label set. *)
 
-val pp : Format.formatter -> t -> unit
+val to_prometheus : Format.formatter -> t -> unit
+(** Prometheus text exposition.  Each counter [name] becomes
+    [dsm_<sanitized name>_total] with [# HELP] / [# TYPE counter] headers
+    and one sample per label set; each duration series becomes a
+    histogram [dsm_<sanitized name>_us] in microseconds whose cumulative
+    [_bucket{le="..."}] samples sit at the upper edges of the occupied
+    sketch buckets (the zero bucket as [le="0"]), closed by [le="+Inf"],
+    [_sum] and [_count].  Families are sorted by name, samples by label
+    set. *)
+
+val prometheus_counter : Format.formatter -> string -> int -> unit
+(** One unlabelled counter family in the same format, for run-wide
+    totals that are not registry cells. *)

@@ -1,22 +1,16 @@
 #!/usr/bin/env python3
-"""Perf-regression gate over the committed benchmark snapshots.
+"""Perf-regression gate over the committed Bechamel snapshot.
 
-Two modes:
+Compares the host-side ns/run estimates of two ``BENCH_bechamel.json``
+files.  They are noisy, so the gate is loose (default 25%).  (The seeded
+macro suite, ``BENCH_macro.json``, is gated by ``dsm diff``.)
 
-* default: Bechamel microbenchmarks (``BENCH_bechamel.json``) — host-side
-  ns/run estimates, noisy, gated loosely (default 25%).
-* ``--macro``: the seeded macro-bench suite (``BENCH_macro.json``, written
-  by ``dsm bench --out``) — *simulated* per-case wall clock, deterministic
-  per tie seed, so the gate can be tight (CI uses 2%).  The per-case value
-  is the mean ``time_us`` over the snapshot's seeds.
+The gate fails when a case slowed down by more than the threshold;
+improvements past the threshold are reported too (refresh the baseline to
+bank them).  Cases present on only one side are reported but never fail,
+so the suite can grow without lockstep edits.
 
-Either way the gate fails when a case slowed down by more than the
-threshold; improvements past the threshold are reported too (refresh the
-baseline to bank them).  Cases present on only one side are reported but
-never fail, so the suite can grow — and ``--quick`` subsets can gate
-against the full committed baseline — without lockstep edits.
-
-Usage: bench_gate.py [--macro] BASELINE FRESH [--threshold PCT]
+Usage: bench_gate.py BASELINE FRESH [--threshold PCT]
 
 The threshold can also be set through the ``BENCH_GATE_PCT`` environment
 variable (an explicit ``--threshold`` still wins), so CI can loosen or
@@ -28,8 +22,6 @@ import json
 import os
 import sys
 
-MACRO_SCHEMA = "dsm-bench-macro/1"
-
 
 def load_estimates(path):
     with open(path) as f:
@@ -37,38 +29,13 @@ def load_estimates(path):
     estimates = snapshot.get("estimates")
     if not isinstance(estimates, dict) or not estimates:
         sys.exit(f"bench_gate: {path}: no estimates object")
-    return snapshot.get("unit", "?"), estimates, {}
-
-
-def load_macro(path):
-    with open(path) as f:
-        snapshot = json.load(f)
-    schema = snapshot.get("schema")
-    if schema != MACRO_SCHEMA:
-        sys.exit(f"bench_gate: {path}: schema {schema!r}, expected {MACRO_SCHEMA!r}")
-    cases = {}
-    tails = {}
-    for case in snapshot.get("cases", []):
-        samples = case.get("samples", [])
-        if samples:
-            cases[case["id"]] = sum(s["time_us"] for s in samples) / len(samples)
-            # fault_p999_us comes from the telemetry sketch; absent in
-            # snapshots written before it joined the schema (reads as 0).
-            tails[case["id"]] = (
-                sum(s.get("fault_p999_us", 0.0) for s in samples) / len(samples)
-            )
-    if not cases:
-        sys.exit(f"bench_gate: {path}: no cases with samples")
-    return "simulated us", cases, tails
+    return snapshot.get("unit", "?"), estimates
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("baseline")
     ap.add_argument("fresh")
-    ap.add_argument("--macro", action="store_true",
-                    help="compare dsm-bench-macro snapshots (mean simulated "
-                         "time_us per case) instead of Bechamel estimates")
     env_pct = os.environ.get("BENCH_GATE_PCT")
     try:
         default_pct = float(env_pct) if env_pct else 25.0
@@ -79,9 +46,8 @@ def main():
                          "(default: $BENCH_GATE_PCT or 25)")
     args = ap.parse_args()
 
-    load = load_macro if args.macro else load_estimates
-    unit, base, base_tails = load(args.baseline)
-    _, fresh, fresh_tails = load(args.fresh)
+    unit, base = load_estimates(args.baseline)
+    _, fresh = load_estimates(args.fresh)
 
     failures = []
     improvements = []
@@ -101,24 +67,6 @@ def main():
         print(f"{name:48s} {base[name]:12.1f} {fresh[name]:12.1f} {delta:+7.1f}%{flag}")
     for name in sorted(set(fresh) - set(base)):
         print(f"{name:48s} {'new':>12s} {fresh[name]:12.1f}")
-
-    # Advisory only: the extreme fault-latency tail (sketch-backed p99.9) is
-    # informative but quantized by the sketch's relative-error bound, so a
-    # tail move never fails the gate — it is printed for the human reading
-    # the CI log.
-    tail_moves = [
-        (name, base_tails[name], fresh_tails[name])
-        for name in sorted(set(base_tails) & set(fresh_tails))
-        if base_tails[name] > 0.0
-        and abs(fresh_tails[name] - base_tails[name]) / base_tails[name] * 100.0
-        > args.threshold
-    ]
-    if tail_moves:
-        print(f"\nbench_gate: advisory — fault_p999_us moved more than "
-              f"{args.threshold:.0f}% (never fails the gate):")
-        for name, b, f in tail_moves:
-            print(f"  {name}: {b:.1f} -> {f:.1f} "
-                  f"({(f - b) / b * 100.0:+.1f}%)")
 
     if improvements:
         print(f"\nbench_gate: {len(improvements)} case(s) improved more than "

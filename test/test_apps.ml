@@ -119,6 +119,18 @@ let test_jacobi_matches_sequential () =
       Alcotest.(check int) (protocol ^ " checksum") reference r.Jacobi.checksum)
     [ "li_hudak"; "erc_sw"; "hbrc_mw"; "migrate_thread" ]
 
+(* Eight nodes put two or more non-home writers on one hbrc_mw page: a
+   write made while an invalidation's diff round trip was blocked used to
+   be dropped with the copy. *)
+let test_jacobi_hbrc_eight_nodes () =
+  let size = 32 and iterations = 4 in
+  let r =
+    Jacobi.run { Jacobi.default with Jacobi.size; iterations; protocol = "hbrc_mw"; nodes = 8 }
+  in
+  Alcotest.(check int) "checksum"
+    (Jacobi.checksum_sequential ~size ~iterations)
+    r.Jacobi.checksum
+
 let test_jacobi_hbrc_ships_diffs () =
   let r = Jacobi.run { Jacobi.default with Jacobi.protocol = "hbrc_mw" } in
   Alcotest.(check bool) "diffs were shipped" true (r.Jacobi.diff_bytes > 0);
@@ -187,6 +199,7 @@ let () =
         [
           Alcotest.test_case "matches sequential" `Slow test_jacobi_matches_sequential;
           Alcotest.test_case "hbrc ships diffs" `Slow test_jacobi_hbrc_ships_diffs;
+          Alcotest.test_case "hbrc_mw on eight nodes" `Quick test_jacobi_hbrc_eight_nodes;
           Alcotest.test_case "single node" `Quick test_jacobi_single_node_degenerate;
         ] );
       ( "matmul",

@@ -284,25 +284,60 @@ let test_metrics_snapshot () =
   (match Json.member "experiment" json with
   | Some (Json.String s) -> Alcotest.(check string) "experiment label" "cold_fault" s
   | _ -> Alcotest.fail "missing experiment label");
-  (* The labeled registry recorded the read fault on node 0 under li_hudak. *)
-  let m = Monitor.metrics dsm in
+  (* The registry recorded the read fault on node 0 under li_hudak. *)
+  let st = Dsm.stats dsm in
+  let at node = Stats.labels ~node ~protocol:"li_hudak" () in
   Alcotest.(check int) "read fault counted" 1
-    (Metrics.count m ~node:0 ~protocol:"li_hudak" Instrument.m_read_faults);
+    (Stats.count ~labels:(at 0) st Instrument.read_faults);
   Alcotest.(check int) "page send counted" 1
-    (Metrics.count m ~node:1 ~protocol:"li_hudak" Instrument.m_pages_sent);
+    (Stats.count ~labels:(at 1) st Instrument.pages_sent);
   Alcotest.(check bool) "fault latency observed" true
-    (Metrics.percentile m ~node:0 ~protocol:"li_hudak" Instrument.m_fault_latency 99.
-    > 0);
+    (Stats.span_percentile ~labels:(at 0) st Instrument.stage_total 99. > 0);
   (* And the snapshot round-trips through the JSON printer/parser. *)
   match Json.of_string (Json.to_string json) with
   | Error msg -> Alcotest.failf "snapshot is not valid JSON: %s" msg
   | Ok _ -> ()
 
+(* Every unlabelled total is the sum of its labelled series, in the
+   runtime's registry and the network's alike. *)
+let test_rollups_sum_label_sets () =
+  let captured = ref None in
+  ignore
+    (Dsmpm2_apps.Jacobi.run
+       {
+         Dsmpm2_apps.Jacobi.default with
+         size = 32;
+         iterations = 2;
+         protocol = "hbrc_mw";
+         observe = Some (fun dsm -> captured := Some dsm);
+       });
+  let dsm = Option.get !captured in
+  let st = Dsm.stats dsm in
+  Alcotest.(check bool) "faults recorded" true (Stats.count st Instrument.read_faults > 0);
+  List.iter
+    (fun st ->
+      let sets = Stats.label_sets st in
+      let over f = List.fold_left (fun acc labels -> acc + f labels) 0 sets in
+      List.iter
+        (fun (name, total) ->
+          Alcotest.(check int) name total
+            (over (fun labels -> Stats.count ~labels st name)))
+        (Stats.counters st);
+      List.iter
+        (fun s ->
+          let name = s.Stats.sm_name in
+          Alcotest.(check int) (name ^ " samples") s.Stats.sm_samples
+            (over (fun labels -> (Stats.span_summary ~labels st name).Stats.sm_samples));
+          Alcotest.(check int) (name ^ " total") s.Stats.sm_total
+            (over (fun labels -> (Stats.span_summary ~labels st name).Stats.sm_total)))
+        (Stats.span_summaries st))
+    [ st; Network.stats (Dsmpm2_pm2.Pm2.network (Dsm.pm2 dsm)) ]
+
 let test_prometheus_export () =
   let dsm = cold_fault_dsm () in
   let buf = Buffer.create 1024 in
   let fmt = Format.formatter_of_buffer buf in
-  Metrics.to_prometheus fmt (Monitor.metrics dsm);
+  Stats.to_prometheus fmt (Dsm.stats dsm);
   Format.pp_print_flush fmt ();
   let text = Buffer.contents buf in
   let lines = String.split_on_char '\n' text in
@@ -314,19 +349,24 @@ let test_prometheus_export () =
     (has {|dsm_fault_read_total{node="0",protocol="li_hudak"} 1|});
   Alcotest.(check bool) "page-send sample" true
     (has {|dsm_page_sent_total{node="1",protocol="li_hudak"} 1|});
-  (* Durations: true histograms in microseconds with cumulative buckets
-     and _sum/_count — histogram_quantile-aggregatable across nodes. *)
+  (* Durations: histograms in microseconds whose cumulative buckets sit at
+     the sketch's bucket edges, plus _sum/_count — histogram_quantile
+     aggregates them across nodes.  The one cold fault takes 198 us (Table
+     3), so its bucket is the first log-bucket edge at or above 198 us. *)
   Alcotest.(check bool) "histogram TYPE line" true
-    (has "# TYPE dsm_fault_latency_us histogram");
-  Alcotest.(check bool) "cumulative bucket sample" true
-    (List.exists
-       (fun l ->
-         contains l "dsm_fault_latency_us_bucket{" && contains l {|le="|})
-       lines);
+    (has "# TYPE dsm_stage_total_us histogram");
+  let gamma = 1.01 /. 0.99 in
+  let edge = gamma ** Float.ceil (log 198_000. /. log gamma) /. 1e3 in
+  Alcotest.(check bool) "sketch-edge bucket sample" true
+    (has
+       (Printf.sprintf {|dsm_stage_total_us_bucket{node="0",protocol="li_hudak",le="%g"} 1|}
+          edge));
   Alcotest.(check bool) "+Inf bucket closes the histogram" true
-    (has {|dsm_fault_latency_us_bucket{node="0",protocol="li_hudak",le="+Inf"} 1|});
+    (has {|dsm_stage_total_us_bucket{node="0",protocol="li_hudak",le="+Inf"} 1|});
+  Alcotest.(check bool) "sum sample" true
+    (has {|dsm_stage_total_us_sum{node="0",protocol="li_hudak"} 198|});
   Alcotest.(check bool) "count sample" true
-    (has {|dsm_fault_latency_us_count{node="0",protocol="li_hudak"} 1|});
+    (has {|dsm_stage_total_us_count{node="0",protocol="li_hudak"} 1|});
   (* Names already starting with dsm_ are not double-prefixed. *)
   Alcotest.(check bool) "no doubled dsm_ prefix" false (contains text "dsm_dsm_")
 
@@ -547,6 +587,8 @@ let () =
         [
           Alcotest.test_case "chrome trace valid" `Quick test_chrome_export_valid;
           Alcotest.test_case "metrics snapshot" `Quick test_metrics_snapshot;
+          Alcotest.test_case "rollups sum the label sets" `Quick
+            test_rollups_sum_label_sets;
           Alcotest.test_case "prometheus text format" `Quick test_prometheus_export;
           Alcotest.test_case "monitor prometheus export" `Quick
             test_monitor_prometheus_export;

@@ -388,41 +388,41 @@ let test_trace_hash_distinguishes () =
 
 let test_stats_counters_and_spans () =
   let s = Stats.create () in
-  Stats.incr s "a";
-  Stats.incr s "a";
-  Stats.add s "b" 5;
+  let a = Stats.cell s ~count:"a" () in
+  Stats.bump a;
+  Stats.bump a;
+  Stats.add (Stats.cell s ~node:1 ~count:"msgs" ~volume:"b" ()) ~events:2 ~volume:5;
   Alcotest.(check int) "count a" 2 (Stats.count s "a");
-  Alcotest.(check int) "count b" 5 (Stats.count s "b");
+  Alcotest.(check int) "volume b" 5 (Stats.count s "b");
+  Alcotest.(check int) "events under their own name" 2 (Stats.count s "msgs");
   Alcotest.(check int) "absent is 0" 0 (Stats.count s "zzz");
-  Stats.add_span s "t" (Time.of_us 10.);
-  Stats.add_span s "t" (Time.of_us 20.);
-  Alcotest.(check int) "span total" (Time.of_us 30.) (Stats.span_total s "t");
-  Alcotest.(check int) "span mean" (Time.of_us 15.) (Stats.span_mean s "t");
-  Stats.reset s;
-  Alcotest.(check int) "reset" 0 (Stats.count s "a")
+  let t = Stats.cell s ~span:"t" () in
+  Stats.record t (Time.of_us 10.);
+  Stats.record t (Time.of_us 20.);
+  Alcotest.(check int) "span total" (Time.of_us 30.)
+    (Stats.span_summary s "t").Stats.sm_total;
+  Alcotest.(check int) "span mean" (Time.of_us 15.) (Stats.span_mean s "t")
 
 let test_stats_interned_handles () =
   let s = Stats.create () in
-  (* A handle and the string API address the same cell. *)
-  let c = Stats.counter s "a" in
+  (* A handle keeps feeding its cell. *)
+  let c = Stats.cell s ~node:0 ~protocol:"p" ~count:"faults" ~span:"latency" () in
   Stats.bump c;
-  Stats.incr s "a";
-  Stats.bump_by c 3;
-  Alcotest.(check int) "handle and string share the cell" 5 (Stats.count s "a");
-  Alcotest.(check int) "counter_value agrees" 5 (Stats.counter_value c);
-  let h = Stats.histogram s "t" in
-  Stats.record h (Time.of_us 10.);
-  Stats.add_span s "t" (Time.of_us 20.);
-  Alcotest.(check int) "span total via both routes" (Time.of_us 30.)
-    (Stats.span_total s "t");
-  Alcotest.(check int) "two samples" 2 (Stats.span_samples s "t");
-  (* Reset zeroes in place: handles interned before the reset stay live. *)
-  Stats.reset s;
-  Alcotest.(check int) "counter zeroed" 0 (Stats.counter_value c);
   Stats.bump c;
-  Stats.record h (Time.of_us 7.);
-  Alcotest.(check int) "stale handle still counts" 1 (Stats.count s "a");
-  Alcotest.(check int) "stale histogram still records" 1 (Stats.span_samples s "t")
+  Alcotest.(check int) "one cell" 2 (Stats.events c);
+  (* Another label set feeds the same names; the views roll both up. *)
+  let d = Stats.cell s ~node:1 ~protocol:"p" ~count:"faults" ~span:"latency" () in
+  Stats.bump d;
+  Stats.record c (Time.of_us 10.);
+  Stats.record d (Time.of_us 20.);
+  Alcotest.(check int) "rollup count" 3 (Stats.count s "faults");
+  Alcotest.(check int) "labelled count" 1
+    (Stats.count ~labels:(Stats.labels ~node:1 ~protocol:"p" ()) s "faults");
+  let rollup = Stats.span_summary s "latency" in
+  Alcotest.(check int) "rollup samples" 2 rollup.Stats.sm_samples;
+  Alcotest.(check int) "rollup max" (Time.of_us 20.) rollup.Stats.sm_max;
+  Alcotest.(check int) "labelled samples" 1 (Stats.samples d);
+  Alcotest.(check int) "two label sets" 2 (List.length (Stats.label_sets s))
 
 let test_stats_zero_sample_edges () =
   let s = Stats.create () in
@@ -430,39 +430,68 @@ let test_stats_zero_sample_edges () =
      divide by zero. *)
   Alcotest.(check int) "absent mean is 0" Time.zero (Stats.span_mean s "absent");
   Alcotest.(check int) "absent p99 is 0" Time.zero (Stats.span_percentile s "absent" 99.);
-  Alcotest.(check int) "absent samples" 0 (Stats.span_samples s "absent");
   let summary = Stats.span_summary s "absent" in
+  Alcotest.(check int) "absent samples" 0 summary.Stats.sm_samples;
   Alcotest.(check int) "absent summary mean" Time.zero summary.Stats.sm_mean;
   Alcotest.(check int) "absent summary max" Time.zero summary.Stats.sm_max
 
-let test_stats_reset_clears_histograms () =
+(* Once a cell's sketch covers the recorded range, counting and recording
+   are plain stores: no allocation per event. *)
+let test_stats_record_allocates_nothing () =
   let s = Stats.create () in
-  Stats.add_span s "t" (Time.of_us 10.);
-  Stats.add_span s "t" (Time.of_us 500.);
-  Alcotest.(check bool) "histogram populated" true
-    (Array.exists (fun (_, count) -> count > 0) (Stats.span_histogram s "t"));
-  Alcotest.(check bool) "p50 positive" true (Stats.span_percentile s "t" 50. > 0);
-  Stats.reset s;
-  Alcotest.(check int) "samples cleared" 0 (Stats.span_samples s "t");
-  Alcotest.(check int) "mean cleared" Time.zero (Stats.span_mean s "t");
-  Alcotest.(check int) "p99 cleared" Time.zero (Stats.span_percentile s "t" 99.);
-  Alcotest.(check bool) "buckets cleared" true
-    (Array.for_all (fun (_, count) -> count = 0) (Stats.span_histogram s "t"))
+  let c = Stats.cell s ~node:0 ~count:"n" ~volume:"v" ~span:"t" () in
+  for i = 0 to 1023 do Stats.record c (i * 1000) done;
+  let words f =
+    let before = Gc.minor_words () in
+    for i = 1 to 10_000 do f i done;
+    Gc.minor_words () -. before
+  in
+  let bumps = words (fun _ -> Stats.bump c) in
+  let adds = words (fun i -> Stats.add c ~events:1 ~volume:i) in
+  let records = words (fun i -> Stats.record c ((i land 1023) * 1000)) in
+  (* [Gc.minor_words] itself boxes its result. *)
+  Alcotest.(check bool) (Printf.sprintf "bump: %.0f words" bumps) true (bumps < 8.);
+  Alcotest.(check bool) (Printf.sprintf "add: %.0f words" adds) true (adds < 8.);
+  Alcotest.(check bool) (Printf.sprintf "record: %.0f words" records) true (records < 8.)
 
 let test_stats_percentiles () =
   let s = Stats.create () in
-  (* 100 samples, 1..100 us: p50 lands in the bucket holding 50 us, p99 in
-     the one holding 99 us, and every percentile is capped at the max. *)
+  let c = Stats.cell s ~span:"t" () in
+  (* 100 samples, 1..100 us: every percentile is within the sketch's 1% of
+     the nearest-rank sample, and capped at the max. *)
   for i = 1 to 100 do
-    Stats.add_span s "t" (Time.of_us (float_of_int i))
+    Stats.record c (Time.of_us (float_of_int i))
   done;
   let p50 = Stats.span_percentile s "t" 50. in
   let p99 = Stats.span_percentile s "t" 99. in
-  Alcotest.(check bool) "p50 within bucket" true
-    (p50 >= Time.of_us 50. && p50 <= Time.of_us 100.);
-  Alcotest.(check bool) "p99 <= max" true (p99 <= Stats.span_max s "t");
-  Alcotest.(check int) "p100 is max" (Stats.span_max s "t")
-    (Stats.span_percentile s "t" 100.)
+  Alcotest.(check bool) "p50 within 1% of 50 us" true
+    (abs (p50 - Time.of_us 50.) <= Time.of_us 0.5);
+  let max = (Stats.span_summary s "t").Stats.sm_max in
+  Alcotest.(check bool) "p99 <= max" true (p99 <= max);
+  Alcotest.(check bool) "p100 within 1% of max" true
+    (abs (Stats.span_percentile s "t" 100. - max) <= Time.of_us 1.)
+
+(* The registry's percentiles against the exact nearest-rank sample (rank
+   floor (q * (n - 1)) of the sorted samples), spread over several label
+   sets so the rollup merge is exercised too. *)
+let prop_stats_percentiles_within_alpha =
+  QCheck.Test.make ~name:"registry p50/p90/p99 within alpha of nearest rank"
+    ~count:300
+    QCheck.(list_of_size Gen.(1 -- 400) (pair (int_bound 3) (int_range 1 100_000_000)))
+    (fun samples ->
+      let s = Stats.create () in
+      List.iter
+        (fun (node, v) -> Stats.record (Stats.cell s ~node ~span:"t" ()) v)
+        samples;
+      let sorted = Array.of_list (List.sort compare (List.map snd samples)) in
+      let n = Array.length sorted in
+      List.for_all
+        (fun p ->
+          let exact = sorted.(int_of_float (Float.floor (p /. 100. *. float_of_int (n - 1)))) in
+          let est = Stats.span_percentile s "t" p in
+          (* 1% of the sample, plus half a nanosecond of rounding. *)
+          float_of_int (abs (est - exact)) <= (0.01 *. float_of_int exact) +. 0.5)
+        [ 50.; 90.; 99. ])
 
 (* --- Gzip --- *)
 
@@ -610,9 +639,10 @@ let () =
             test_stats_interned_handles;
           Alcotest.test_case "stats zero-sample edges" `Quick
             test_stats_zero_sample_edges;
-          Alcotest.test_case "stats reset clears histograms" `Quick
-            test_stats_reset_clears_histograms;
+          Alcotest.test_case "stats record allocates nothing" `Quick
+            test_stats_record_allocates_nothing;
           Alcotest.test_case "stats percentiles" `Quick test_stats_percentiles;
+          QCheck_alcotest.to_alcotest prop_stats_percentiles_within_alpha;
         ] );
       ( "gzip",
         [

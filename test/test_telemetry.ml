@@ -1,5 +1,5 @@
 (* The online telemetry engine and its foundations: the quantile sketch's
-   relative-error and merge guarantees (QCheck), Stats.merge rollups,
+   relative-error and merge guarantees (QCheck), registry rollups,
    online/post-mortem classifier agreement across every protocol and
    conformance workload, schedule transparency of telemetry + sampling,
    the exactness of deterministic head-based span sampling against an
@@ -85,49 +85,52 @@ let test_sketch_rejects_mismatched_alpha () =
   | _ -> Alcotest.fail "merging sketches with different alphas must raise"
   | exception Invalid_argument _ -> ()
 
-(* --- Stats.merge: empty-merge identity and exact bucket alignment --- *)
+(* --- Stats rollups: a label set alone is its own rollup, and a rollup
+   over label sets is exactly the sketch of the concatenated samples --- *)
 
-let test_stats_merge_identity () =
+let test_stats_rollup_identity () =
   let s = Stats.create () in
-  Stats.add s "msgs" 7;
-  Stats.incr s "faults";
-  Stats.add_span s "latency" (Time.of_us 3.);
-  Stats.add_span s "latency" (Time.of_us 900.);
-  let check label m =
-    Alcotest.(check string) label
-      (Json.to_string (Stats.to_json s))
-      (Json.to_string (Stats.to_json m))
+  let c = Stats.cell s ~node:0 ~count:"faults" ~volume:"msgs" ~span:"latency" () in
+  Stats.add c ~events:1 ~volume:7;
+  Stats.record c (Time.of_us 3.);
+  Stats.record c (Time.of_us 900.);
+  let labels = Stats.labels ~node:0 () in
+  let check label f =
+    Alcotest.(check string) label (f None) (f (Some labels))
   in
-  check "merge with fresh right identity" (Stats.merge s (Stats.create ()));
-  check "merge with fresh left identity" (Stats.merge (Stats.create ()) s)
+  check "counters" (fun labels ->
+      String.concat ","
+        (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) (Stats.counters ?labels s)));
+  check "span summary" (fun labels ->
+      Json.to_string (Stats.summary_to_json (Stats.span_summary ?labels s "latency")))
 
-let test_stats_merge_buckets_align () =
-  let s1 = Stats.create () and s2 = Stats.create () in
-  List.iter (fun us -> Stats.add_span s1 "x" (Time.of_us us)) [ 1.; 10. ];
-  List.iter (fun us -> Stats.add_span s2 "x" (Time.of_us us)) [ 10.; 5000. ];
-  Stats.add s1 "c" 2;
-  Stats.add s2 "c" 5;
-  let m = Stats.merge s1 s2 in
-  Alcotest.(check int) "counters summed" 7 (Stats.count m "c");
-  Alcotest.(check int) "samples summed" 4 (Stats.span_samples m "x");
-  Alcotest.(check (float 1e-9)) "total summed"
-    Time.(to_us (Stats.span_total s1 "x" + Stats.span_total s2 "x"))
-    (Time.to_us (Stats.span_total m "x"));
-  Alcotest.(check (float 1e-9)) "max is the larger input"
-    (Time.to_us (Time.max (Stats.span_max s1 "x") (Stats.span_max s2 "x")))
-    (Time.to_us (Stats.span_max m "x"));
-  (* Every t shares the fixed bucket bounds, so the merged histogram is
-     the exact element-wise sum — no re-bucketing, no approximation. *)
-  let h1 = Stats.span_histogram s1 "x"
-  and h2 = Stats.span_histogram s2 "x"
-  and hm = Stats.span_histogram m "x" in
-  Array.iteri
-    (fun i (_, c) ->
+let test_stats_rollup_is_concatenation () =
+  let s = Stats.create () in
+  let a = Stats.cell s ~node:0 ~count:"c" ~span:"x" ()
+  and b = Stats.cell s ~node:1 ~count:"c" ~span:"x" () in
+  let xs = [ 1.; 10. ] and ys = [ 10.; 5000. ] in
+  List.iter (fun us -> Stats.record a (Time.of_us us)) xs;
+  List.iter (fun us -> Stats.record b (Time.of_us us)) ys;
+  Stats.add a ~events:2 ~volume:0;
+  Stats.add b ~events:5 ~volume:0;
+  Alcotest.(check int) "counters summed" 7 (Stats.count s "c");
+  let summary ?labels () = Stats.span_summary ?labels s "x" in
+  let at node = (summary ~labels:(Stats.labels ~node ()) ()).Stats.sm_total in
+  Alcotest.(check int) "samples summed" 4 (summary ()).Stats.sm_samples;
+  Alcotest.(check int) "total summed" Time.(at 0 + at 1) (summary ()).Stats.sm_total;
+  Alcotest.(check int) "max is the larger input" (Time.of_us 5000.)
+    (summary ()).Stats.sm_max;
+  (* Every cell shares the sketch's fixed log buckets, so the rollup's
+     percentiles are those of one sketch fed both streams. *)
+  let direct = Sketch.create () in
+  List.iter (fun us -> Sketch.add_int direct (Time.of_us us)) (xs @ ys);
+  List.iter
+    (fun p ->
       Alcotest.(check int)
-        (Printf.sprintf "bucket %d is the sum" i)
-        (snd h1.(i) + snd h2.(i))
-        c)
-    hm
+        (Printf.sprintf "p%g of the concatenation" p)
+        (int_of_float (Float.round (Sketch.percentile direct p)))
+        (Stats.span_percentile s "x" p))
+    [ 0.; 50.; 90.; 99.; 100. ]
 
 (* --- online classifier = post-mortem classifier, everywhere --- *)
 
@@ -407,12 +410,12 @@ let () =
           Alcotest.test_case "mismatched alpha rejected" `Quick
             test_sketch_rejects_mismatched_alpha;
         ] );
-      ( "stats merge",
+      ( "stats rollup",
         [
-          Alcotest.test_case "empty merge identity" `Quick
-            test_stats_merge_identity;
-          Alcotest.test_case "bucket alignment" `Quick
-            test_stats_merge_buckets_align;
+          Alcotest.test_case "one label set is its own rollup" `Quick
+            test_stats_rollup_identity;
+          Alcotest.test_case "rollup = concatenated stream" `Quick
+            test_stats_rollup_is_concatenation;
         ] );
       ( "agreement",
         [
