@@ -5,6 +5,10 @@
      dune exec bin/dsm_cli.exe -- tsp --protocol migrate_thread --nodes 8
      dune exec bin/dsm_cli.exe -- jacobi --protocol hbrc_mw --size 64
      dune exec bin/dsm_cli.exe -- coloring --protocol java_ic --nodes 2
+     dune exec bin/dsm_cli.exe -- watch --workload lu --nodes 8
+
+   Every application run goes through the one table in
+   [Dsmpm2_apps.Catalog]; `watch` is the live dashboard over any of them.
 
    Every subcommand accepts the observability flags:
 
@@ -24,6 +28,7 @@ open Cmdliner
 open Dsmpm2_sim
 open Dsmpm2_core
 open Dsmpm2_experiments
+module Catalog = Dsmpm2_apps.Catalog
 
 let ppf = Format.std_formatter
 
@@ -55,9 +60,75 @@ let protocol_arg default =
     value & opt string default
     & info [ "protocol" ] ~docv:"PROTO" ~doc:"Consistency protocol name.")
 
-let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
+(* For commands that pick the application by name. *)
+let workload_protocol_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "protocol" ] ~docv:"PROTO"
+        ~doc:"Consistency protocol (default: the workload's own default).")
+
+let find_workload cmd name =
+  match Catalog.find name with
+  | Some entry -> entry
+  | None ->
+      Format.fprintf ppf "%s: unknown workload %S (known: %s)@." cmd name
+        Catalog.names;
+      exit 2
+
+let seed_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "seed" ] ~docv:"SEED"
+        ~doc:"Input seed (default: the application's own).")
+
+(* An integer application parameter as a flag of the same name, defaulting
+   to the application's own value. *)
+let param_arg (entry : Catalog.app) key ~doc =
+  let flag =
+    Arg.(value & opt int (List.assoc key entry.params) & info [ key ] ~docv:"N" ~doc)
+  in
+  Term.(const (fun v -> (key, v)) $ flag)
 
 (* --- observability flags, shared by every subcommand --- *)
+
+let trace_cap_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "trace-cap" ] ~docv:"N"
+        ~doc:
+          "Flight-recorder mode: keep only the newest $(docv) trace events \
+           in a bounded ring (evictions are counted, the schedule is \
+           unchanged).")
+
+let sample_pct_arg =
+  Arg.(
+    value
+    & opt (some float) None
+    & info [ "sample-pct" ] ~docv:"PCT"
+        ~doc:
+          "Deterministic head-based trace sampling: store roughly $(docv)% \
+           of fault spans (whole spans are kept or dropped together; \
+           alerts and injected-fault events are always kept; the schedule \
+           and the online telemetry are unchanged).")
+
+let sample_seed_arg =
+  Arg.(
+    value & opt int 0
+    & info [ "sample-seed" ] ~docv:"SEED"
+        ~doc:
+          "Seed for $(b,--sample-pct) keep decisions (same seed, same \
+           spans kept).")
+
+(* Bounds and samples the trace ring; call before attaching consumers. *)
+let configure_trace dsm ~trace_cap ~sample_pct ~sample_seed =
+  let tr = Monitor.trace dsm in
+  Option.iter (Trace.set_capacity tr) trace_cap;
+  Option.iter
+    (fun pct -> Trace.set_sampling tr ~seed:sample_seed ~keep_pct:pct)
+    sample_pct
 
 type obs = {
   trace_out : string option;
@@ -87,16 +158,6 @@ let obs_term =
       & info [ "trace-jsonl" ] ~docv:"FILE"
           ~doc:"Write the event trace as JSON Lines (one event per line) to $(docv).")
   in
-  let trace_cap =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "trace-cap" ] ~docv:"N"
-          ~doc:
-            "Flight-recorder mode: keep only the newest $(docv) trace events \
-             in a bounded ring (evictions are counted, the schedule is \
-             unchanged).")
-  in
   let trace_dump =
     Arg.(
       value
@@ -105,25 +166,6 @@ let obs_term =
           ~doc:
             "Auto-dump the trace ring as JSONL to $(docv) the first time a \
              critical alert is recorded (a .gz suffix gzip-compresses).")
-  in
-  let sample_pct =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "sample-pct" ] ~docv:"PCT"
-          ~doc:
-            "Deterministic head-based trace sampling: store roughly $(docv)% \
-             of fault spans (whole spans are kept or dropped together; \
-             alerts and injected-fault events are always kept; the schedule \
-             and the online telemetry are unchanged).")
-  in
-  let sample_seed =
-    Arg.(
-      value & opt int 0
-      & info [ "sample-seed" ] ~docv:"SEED"
-          ~doc:
-            "Seed for $(b,--sample-pct) keep decisions (same seed, same \
-             spans kept).")
   in
   let metrics_out =
     Arg.(
@@ -168,8 +210,8 @@ let obs_term =
           report;
           health;
         })
-    $ trace_out $ trace_jsonl $ trace_cap $ trace_dump $ sample_pct
-    $ sample_seed $ metrics_out $ metrics_prom $ report $ health)
+    $ trace_out $ trace_jsonl $ trace_cap_arg $ trace_dump $ sample_pct_arg
+    $ sample_seed_arg $ metrics_out $ metrics_prom $ report $ health)
 
 let obs_wants_monitor o =
   o.trace_out <> None || o.trace_jsonl <> None || o.trace_cap <> None
@@ -187,43 +229,73 @@ let to_formatter file f =
 (* Export hook for the application subcommands: enables the monitor before
    the run via the app's [observe] hook and dumps everything afterwards. *)
 let app_observe obs =
-  let captured = ref None in
   let watchdog = ref None in
   let observe dsm =
-    captured := Some dsm;
     if obs_wants_monitor obs then Monitor.enable dsm true;
-    let tr = Monitor.trace dsm in
-    Option.iter (Trace.set_capacity tr) obs.trace_cap;
-    Option.iter (Trace.set_autodump tr) obs.trace_dump;
-    Option.iter
-      (fun pct -> Trace.set_sampling tr ~seed:obs.sample_seed ~keep_pct:pct)
-      obs.sample_pct;
+    configure_trace dsm ~trace_cap:obs.trace_cap ~sample_pct:obs.sample_pct
+      ~sample_seed:obs.sample_seed;
+    Option.iter (Trace.set_autodump (Monitor.trace dsm)) obs.trace_dump;
     if obs.health then watchdog := Some (Watchdog.attach dsm)
   in
-  let export ~name ?protocol () =
-    match !captured with
-    | None -> ()
-    | Some dsm ->
-        let tr = Monitor.trace dsm in
-        Option.iter (fun file -> to_formatter file (fun fmt -> Trace.to_chrome fmt tr))
-          obs.trace_out;
-        Option.iter (fun file -> Trace.save_jsonl file tr) obs.trace_jsonl;
-        Option.iter
-          (fun file ->
-            let meta = Monitor.run_meta ?protocol ~case:name dsm in
-            Json.to_file file (Monitor.to_json ~experiment:name ~meta dsm))
-          obs.metrics_out;
-        Option.iter
-          (fun file -> to_formatter file (fun fmt -> Monitor.to_prometheus fmt dsm))
-          obs.metrics_prom;
-        if obs.report then Monitor.report ppf dsm;
-        Option.iter (fun w -> Format.fprintf ppf "%a@." Watchdog.pp_summary w) !watchdog;
-        if Trace.autodump_fired tr then
-          Format.fprintf ppf
-            "flight recorder: critical alert — dumped trace ring to %s@."
-            (Option.value ~default:"?" (Trace.autodump_path tr))
+  let export ~name ~protocol dsm =
+    let tr = Monitor.trace dsm in
+    Option.iter (fun file -> to_formatter file (fun fmt -> Trace.to_chrome fmt tr))
+      obs.trace_out;
+    Option.iter (fun file -> Trace.save_jsonl file tr) obs.trace_jsonl;
+    Option.iter
+      (fun file ->
+        let meta = Monitor.run_meta ~protocol ~case:name dsm in
+        Json.to_file file (Monitor.to_json ~experiment:name ~meta dsm))
+      obs.metrics_out;
+    Option.iter
+      (fun file -> to_formatter file (fun fmt -> Monitor.to_prometheus fmt dsm))
+      obs.metrics_prom;
+    if obs.report then Monitor.report ppf dsm;
+    Option.iter (fun w -> Format.fprintf ppf "%a@." Watchdog.pp_summary w) !watchdog;
+    if Trace.autodump_fired tr then
+      Format.fprintf ppf
+        "flight recorder: critical alert — dumped trace ring to %s@."
+        (Option.value ~default:"?" (Trace.autodump_path tr))
   in
   (observe, export)
+
+(* One subcommand per application: run it through the catalog, print its
+   result line, export what the observability flags ask for.  [args] gives
+   the input seed and the application parameters. *)
+let app_cmd name ~doc args =
+  let entry = Option.get (Catalog.find name) in
+  let run protocol nodes driver (seed, params) obs =
+    let observe, export = app_observe obs in
+    let dsm, line = entry.run ~protocol ~nodes ~driver ?seed ~observe params in
+    Format.fprintf ppf "%s@." line;
+    export ~name ~protocol dsm
+  in
+  let args = args entry in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      const run $ protocol_arg entry.protocol $ nodes_arg $ driver_arg $ args
+      $ obs_term)
+
+let app_cmds =
+  [
+    app_cmd "tsp" ~doc:"Run the TSP branch-and-bound application." (fun entry ->
+        let balance =
+          Arg.(value & flag & info [ "balance" ] ~doc:"Run the PM2 load balancer.")
+        in
+        Term.(
+          const (fun seed cities balance ->
+              (seed, [ cities; ("balance", Bool.to_int balance) ]))
+          $ seed_arg
+          $ param_arg entry "cities" ~doc:"Number of cities."
+          $ balance));
+    app_cmd "jacobi" ~doc:"Run the Jacobi relaxation kernel." (fun entry ->
+        Term.(
+          const (fun size iterations -> (None, [ size; iterations ]))
+          $ param_arg entry "size" ~doc:"Grid side."
+          $ param_arg entry "iterations" ~doc:"Sweeps."));
+    app_cmd "coloring" ~doc:"Run the Hyperion-style map-colouring application."
+      (fun _ -> Term.const (None, []));
+  ]
 
 (* The table/figure experiments run many simulations internally, so there is
    no single trace to export; --metrics-out and --report operate on the
@@ -235,158 +307,46 @@ let experiment_obs obs ~name json =
   then
     Format.fprintf ppf
       "%s: --trace-out/--trace-jsonl/--trace-cap/--trace-dump/--metrics-prom/\
-       --health only apply to application subcommands (tsp, jacobi, coloring); \
-       ignoring@."
-      name;
+       --health only apply to application subcommands (%s); ignoring@."
+      name
+      (String.concat ", " (List.map Cmd.name app_cmds));
   Option.iter (fun file -> Json.to_file file json) obs.metrics_out;
   if obs.report then Format.fprintf ppf "%a@." Json.pp json
 
-let experiment name doc f =
-  let run obs = experiment_obs obs ~name (f ()) in
+(* A table/figure experiment: run it, print its table, hand its JSON to the
+   observability flags. *)
+let experiment name doc run print to_json =
+  let run obs =
+    let t = run () in
+    print ppf t;
+    experiment_obs obs ~name (to_json t)
+  in
   Cmd.v (Cmd.info name ~doc) Term.(const run $ obs_term)
-
-let tsp_cmd =
-  let run protocol nodes driver seed cities balance obs =
-    let observe, export = app_observe obs in
-    let r =
-      Dsmpm2_apps.Tsp.run
-        {
-          Dsmpm2_apps.Tsp.default with
-          protocol;
-          nodes;
-          driver;
-          seed;
-          cities;
-          balance;
-          observe = Some observe;
-        }
-    in
-    Format.fprintf ppf
-      "tsp: protocol=%s nodes=%d cities=%d time=%.1fms best=%d expansions=%d \
-       migrations=%d balancer_moves=%d faults=%d messages=%d workers=[%s]@."
-      protocol nodes cities r.Dsmpm2_apps.Tsp.time_ms r.Dsmpm2_apps.Tsp.best
-      r.Dsmpm2_apps.Tsp.expansions r.Dsmpm2_apps.Tsp.migrations
-      r.Dsmpm2_apps.Tsp.balancer_moves
-      (r.Dsmpm2_apps.Tsp.read_faults + r.Dsmpm2_apps.Tsp.write_faults)
-      r.Dsmpm2_apps.Tsp.messages
-      (String.concat ";" (List.map string_of_int r.Dsmpm2_apps.Tsp.final_node_of_thread));
-    export ~name:"tsp" ~protocol ()
-  in
-  let cities =
-    Arg.(value & opt int 14 & info [ "cities" ] ~docv:"N" ~doc:"Number of cities.")
-  in
-  let balance =
-    Arg.(value & flag & info [ "balance" ] ~doc:"Run the PM2 load balancer.")
-  in
-  Cmd.v
-    (Cmd.info "tsp" ~doc:"Run the TSP branch-and-bound application.")
-    Term.(
-      const run $ protocol_arg "li_hudak" $ nodes_arg $ driver_arg $ seed_arg $ cities
-      $ balance $ obs_term)
-
-let jacobi_cmd =
-  let run protocol nodes driver size iterations obs =
-    let observe, export = app_observe obs in
-    let r =
-      Dsmpm2_apps.Jacobi.run
-        {
-          Dsmpm2_apps.Jacobi.default with
-          protocol;
-          nodes;
-          driver;
-          size;
-          iterations;
-          observe = Some observe;
-        }
-    in
-    let reference = Dsmpm2_apps.Jacobi.checksum_sequential ~size ~iterations in
-    Format.fprintf ppf
-      "jacobi: protocol=%s nodes=%d size=%d iters=%d time=%.1fms checksum=%s \
-       faults=%d pages=%d diff_bytes=%d@."
-      protocol nodes size iterations r.Dsmpm2_apps.Jacobi.time_ms
-      (if r.Dsmpm2_apps.Jacobi.checksum = reference then "OK" else "WRONG")
-      (r.Dsmpm2_apps.Jacobi.read_faults + r.Dsmpm2_apps.Jacobi.write_faults)
-      r.Dsmpm2_apps.Jacobi.pages_transferred r.Dsmpm2_apps.Jacobi.diff_bytes;
-    export ~name:"jacobi" ~protocol ()
-  in
-  let size = Arg.(value & opt int 48 & info [ "size" ] ~docv:"N" ~doc:"Grid side.") in
-  let iters =
-    Arg.(value & opt int 8 & info [ "iterations" ] ~docv:"N" ~doc:"Sweeps.")
-  in
-  Cmd.v
-    (Cmd.info "jacobi" ~doc:"Run the Jacobi relaxation kernel.")
-    Term.(
-      const run $ protocol_arg "hbrc_mw" $ nodes_arg $ driver_arg $ size $ iters
-      $ obs_term)
-
-let coloring_cmd =
-  let run protocol nodes driver obs =
-    let observe, export = app_observe obs in
-    let r =
-      Dsmpm2_apps.Map_coloring.run
-        {
-          Dsmpm2_apps.Map_coloring.default with
-          protocol;
-          nodes;
-          driver;
-          observe = Some observe;
-        }
-    in
-    Format.fprintf ppf
-      "coloring: protocol=%s nodes=%d time=%.1fms cost=%d gets=%d checks=%d faults=%d@."
-      protocol nodes r.Dsmpm2_apps.Map_coloring.time_ms
-      r.Dsmpm2_apps.Map_coloring.best_cost r.Dsmpm2_apps.Map_coloring.gets
-      r.Dsmpm2_apps.Map_coloring.inline_checks
-      (r.Dsmpm2_apps.Map_coloring.read_faults + r.Dsmpm2_apps.Map_coloring.write_faults);
-    export ~name:"coloring" ~protocol ()
-  in
-  Cmd.v
-    (Cmd.info "coloring" ~doc:"Run the Hyperion-style map-colouring application.")
-    Term.(const run $ protocol_arg "java_pf" $ nodes_arg $ driver_arg $ obs_term)
 
 let experiments =
   [
-    experiment "micro" "PM2 micro-benchmarks (paper section 2.1)." (fun () ->
-        let t = Micro.run () in
-        Micro.print ppf t;
-        Micro.to_json t);
-    experiment "table2" "Protocol inventory (paper Table 2)." (fun () ->
-        let t = Table2_inventory.run () in
-        Table2_inventory.print ppf t;
-        Table2_inventory.to_json t);
-    experiment "table3" "Read-fault breakdown, page transfer (paper Table 3)." (fun () ->
-        let t = Fault_cost.run Fault_cost.Page_transfer in
-        Fault_cost.print ppf t;
-        Fault_cost.to_json t);
+    experiment "micro" "PM2 micro-benchmarks (paper section 2.1)." Micro.run
+      Micro.print Micro.to_json;
+    experiment "table2" "Protocol inventory (paper Table 2)." Table2_inventory.run
+      Table2_inventory.print Table2_inventory.to_json;
+    experiment "table3" "Read-fault breakdown, page transfer (paper Table 3)."
+      (fun () -> Fault_cost.run Fault_cost.Page_transfer)
+      Fault_cost.print Fault_cost.to_json;
     experiment "table4" "Read-fault breakdown, thread migration (paper Table 4)."
-      (fun () ->
-        let t = Fault_cost.run Fault_cost.Thread_migration in
-        Fault_cost.print ppf t;
-        Fault_cost.to_json t);
-    experiment "fig4" "TSP protocol comparison (paper Figure 4)." (fun () ->
-        let t = Fig4_tsp.run () in
-        Fig4_tsp.print ppf t;
-        Fig4_tsp.to_json t);
-    experiment "fig5" "Java consistency comparison (paper Figure 5)." (fun () ->
-        let t = Fig5_coloring.run () in
-        Fig5_coloring.print ppf t;
-        Fig5_coloring.to_json t);
-    experiment "splash" "SPLASH-style kernel study (paper section 5)." (fun () ->
-        let t = Splash.run () in
-        Splash.print ppf t;
-        Splash.to_json t);
-    experiment "ablation" "Stack-size and sync-frequency ablations." (fun () ->
-        let t = Ablation.run () in
-        Ablation.print ppf t;
-        Ablation.to_json t);
-    experiment "litmus" "Memory-model litmus tests across all protocols." (fun () ->
-        let t = Litmus.run () in
-        Litmus.print ppf t;
-        Litmus.to_json t);
-    experiment "patterns" "Sharing-pattern study across all protocols." (fun () ->
-        let t = Sharing_patterns.run () in
-        Sharing_patterns.print ppf t;
-        Sharing_patterns.to_json t);
+      (fun () -> Fault_cost.run Fault_cost.Thread_migration)
+      Fault_cost.print Fault_cost.to_json;
+    experiment "fig4" "TSP protocol comparison (paper Figure 4)."
+      (fun () -> Fig4_tsp.run ()) Fig4_tsp.print Fig4_tsp.to_json;
+    experiment "fig5" "Java consistency comparison (paper Figure 5)."
+      (fun () -> Fig5_coloring.run ()) Fig5_coloring.print Fig5_coloring.to_json;
+    experiment "splash" "SPLASH-style kernel study (paper section 5)." Splash.run
+      Splash.print Splash.to_json;
+    experiment "ablation" "Stack-size and sync-frequency ablations." Ablation.run
+      Ablation.print Ablation.to_json;
+    experiment "litmus" "Memory-model litmus tests across all protocols." Litmus.run
+      Litmus.print Litmus.to_json;
+    experiment "patterns" "Sharing-pattern study across all protocols."
+      Sharing_patterns.run Sharing_patterns.print Sharing_patterns.to_json;
   ]
 
 (* --- dsm analyze: the post-mortem trace analyzer --- *)
@@ -395,54 +355,15 @@ let analyze_cmd =
   let run workload trace_jsonl protocol nodes driver seed top out folded_file =
     let live_trace w =
       (* Run the application with monitoring on and analyze its live trace. *)
-      let captured = ref None in
-      let observe dsm =
-        captured := Some dsm;
-        Monitor.enable dsm true
+      let entry = find_workload "analyze" w in
+      let dsm, _ =
+        entry.run
+          ~protocol:(Option.value protocol ~default:entry.protocol)
+          ~nodes ~driver ?seed
+          ~observe:(fun dsm -> Monitor.enable dsm true)
+          []
       in
-      let proto default = Option.value ~default protocol in
-      (match w with
-      | "tsp" ->
-          ignore
-            (Dsmpm2_apps.Tsp.run
-               {
-                 Dsmpm2_apps.Tsp.default with
-                 protocol = proto "li_hudak";
-                 nodes;
-                 driver;
-                 seed;
-                 observe = Some observe;
-               })
-      | "jacobi" ->
-          ignore
-            (Dsmpm2_apps.Jacobi.run
-               {
-                 Dsmpm2_apps.Jacobi.default with
-                 protocol = proto "hbrc_mw";
-                 nodes;
-                 driver;
-                 observe = Some observe;
-               })
-      | "coloring" ->
-          ignore
-            (Dsmpm2_apps.Map_coloring.run
-               {
-                 Dsmpm2_apps.Map_coloring.default with
-                 protocol = proto "java_pf";
-                 nodes;
-                 driver;
-                 observe = Some observe;
-               })
-      | w ->
-          Format.fprintf ppf
-            "analyze: unknown workload %S (known: tsp, jacobi, coloring)@." w;
-          exit 2);
-      match !captured with
-      | Some dsm ->
-          (Monitor.trace dsm, Some (Monitor.run_meta ?protocol ~case:w dsm))
-      | None ->
-          Format.fprintf ppf "analyze: %s did not expose its runtime@." w;
-          exit 2
+      (Monitor.trace dsm, Some (Monitor.run_meta ?protocol ~case:w dsm))
     in
     let trace, meta =
       match (trace_jsonl, workload) with
@@ -456,7 +377,7 @@ let analyze_cmd =
       | None, Some w -> live_trace w
       | None, None ->
           Format.fprintf ppf
-            "analyze: give a workload (tsp, jacobi, coloring) or --trace-jsonl FILE@.";
+            "analyze: give a workload (%s) or --trace-jsonl FILE@." Catalog.names;
           exit 2
     in
     let a = Analyze.analyze ~top trace in
@@ -471,7 +392,7 @@ let analyze_cmd =
       value
       & pos 0 (some string) None
       & info [] ~docv:"WORKLOAD"
-          ~doc:"Application to run and analyze live: tsp, jacobi or coloring.")
+          ~doc:("Application to run and analyze live: " ^ Catalog.names ^ "."))
   in
   let trace_jsonl =
     Arg.(
@@ -479,13 +400,6 @@ let analyze_cmd =
       & opt (some string) None
       & info [ "trace-jsonl" ] ~docv:"FILE"
           ~doc:"Analyze a previously exported JSONL trace instead of running.")
-  in
-  let protocol =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "protocol" ] ~docv:"PROTO"
-          ~doc:"Consistency protocol (default: the workload's own default).")
   in
   let top =
     Arg.(
@@ -511,7 +425,7 @@ let analyze_cmd =
          "Post-mortem trace analysis: fault critical paths, per-page sharing \
           patterns, lock/barrier contention, protocol advice.")
     Term.(
-      const run $ workload $ trace_jsonl $ protocol $ nodes_arg $ driver_arg
+      const run $ workload $ trace_jsonl $ workload_protocol_arg $ nodes_arg $ driver_arg
       $ seed_arg $ top $ out $ folded_file)
 
 let check_cmd =
@@ -762,14 +676,26 @@ let check_cmd =
       const run $ seeds $ protocols $ workload $ replay $ verbose $ faults
       $ loss $ crashes $ explain $ expect_vulnerable $ obs_term)
 
-(* --- dsm watch: live health dashboard over a running application --- *)
+(* --- dsm watch: the live dashboard over a running application ---
+
+   Each frame shows health (per-node rates, interval faults, alerts) and
+   then the memory: the online telemetry engine's cluster fault-latency
+   sketch percentiles, per-protocol and per-node fault counts, and the
+   hottest pages with their streaming sharing classification and protocol
+   advice.  Telemetry reads the trace observer stream, so the frames stay
+   exact under --trace-cap rings and --sample-pct sampling. *)
 
 let watch_cmd =
-  let run workload protocol nodes driver seed interval_us stall_us out quiet =
+  let run workload protocol nodes driver seed size iterations interval_us
+      stall_us trace_cap sample_pct sample_seed out quiet =
+    let entry = find_workload "watch" workload in
     let tty = Unix.isatty Unix.stdout in
+    let clear () = if tty then Format.fprintf ppf "\027[H\027[2J" in
+    let pp_top = Telemetry.pp_top ~top:10 in
     let wd = ref None in
     let observe dsm =
       Monitor.enable dsm true;
+      configure_trace dsm ~trace_cap ~sample_pct ~sample_seed;
       let config =
         Watchdog.
           {
@@ -784,72 +710,53 @@ let watch_cmd =
         Watchdog.set_on_sample w (fun s ->
             (* On a terminal each frame repaints in place; piped output gets
                one frame per sample. *)
-            if tty then Format.fprintf ppf "\027[H\027[2J";
-            Format.fprintf ppf "%a@." Watchdog.pp_sample (w, s))
+            clear ();
+            Format.fprintf ppf "%a@.%a@." Watchdog.pp_sample (w, s) pp_top
+              (Watchdog.telemetry w))
     in
-    let proto default = Option.value ~default protocol in
-    let run_app () =
-      match workload with
-      | "tsp" ->
-          ignore
-            (Dsmpm2_apps.Tsp.run
-               {
-                 Dsmpm2_apps.Tsp.default with
-                 protocol = proto "li_hudak";
-                 nodes;
-                 driver;
-                 seed;
-                 observe = Some observe;
-               })
-      | "jacobi" ->
-          ignore
-            (Dsmpm2_apps.Jacobi.run
-               {
-                 Dsmpm2_apps.Jacobi.default with
-                 protocol = proto "hbrc_mw";
-                 nodes;
-                 driver;
-                 observe = Some observe;
-               })
-      | "coloring" ->
-          ignore
-            (Dsmpm2_apps.Map_coloring.run
-               {
-                 Dsmpm2_apps.Map_coloring.default with
-                 protocol = proto "java_pf";
-                 nodes;
-                 driver;
-                 observe = Some observe;
-               })
-      | w ->
-          Format.fprintf ppf "watch: unknown workload %S (known: tsp, jacobi, coloring)@." w;
-          exit 2
+    (* --size and --iterations reach only the applications declaring them. *)
+    let params =
+      List.filter_map
+        (fun (key, v) ->
+          match v with
+          | Some v when List.mem_assoc key entry.params -> Some (key, v)
+          | _ -> None)
+        [ ("size", size); ("iterations", iterations) ]
     in
-    (try run_app ()
+    (try
+       ignore
+         (entry.run
+            ~protocol:(Option.value protocol ~default:entry.protocol)
+            ~nodes ~driver ?seed ~observe params)
      with Engine.Stalled live ->
        Format.fprintf ppf "watch: run deadlocked with %d live fiber(s)@." live);
-    match !wd with
-    | None ->
-        Format.fprintf ppf "watch: %s did not expose its runtime@." workload;
-        exit 2
-    | Some w ->
-        Format.fprintf ppf "%a@." Watchdog.pp_summary w;
-        Option.iter (fun file -> Json.to_file file (Watchdog.health_json w)) out;
-        let _, _, critical = Watchdog.alert_counts w in
-        if critical > 0 then exit 1
+    let w = Option.get !wd in
+    if not quiet then clear ();
+    Format.fprintf ppf "%a@." pp_top (Watchdog.telemetry w);
+    Format.fprintf ppf "%a@." Watchdog.pp_summary w;
+    Option.iter (fun file -> Json.to_file file (Watchdog.health_json w)) out;
+    let _, _, critical = Watchdog.alert_counts w in
+    if critical > 0 then exit 1
   in
   let workload =
     Arg.(
       value & opt string "jacobi"
       & info [ "workload" ] ~docv:"NAME"
-          ~doc:"Application to watch: tsp, jacobi or coloring.")
+          ~doc:("Application to watch: " ^ Catalog.names ^ "."))
   in
-  let protocol =
+  let size =
     Arg.(
       value
-      & opt (some string) None
-      & info [ "protocol" ] ~docv:"PROTO"
-          ~doc:"Consistency protocol (default: the workload's own default).")
+      & opt (some int) None
+      & info [ "size" ] ~docv:"N"
+          ~doc:"Problem size, for workloads that take one (default: the workload's own).")
+  in
+  let iterations =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "iterations" ] ~docv:"N"
+          ~doc:"Sweeps, for workloads that take them (default: the workload's own).")
   in
   let interval =
     Arg.(
@@ -870,197 +777,29 @@ let watch_cmd =
       value
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write the stable JSON health report to $(docv).")
+          ~doc:
+            "Write the stable JSON health report, with the telemetry \
+             snapshot under its $(b,telemetry) key, to $(docv).")
   in
   let quiet =
     Arg.(
       value & flag
-      & info [ "quiet" ] ~doc:"Skip the live dashboard; print only the final summary.")
+      & info [ "quiet" ]
+          ~doc:"Skip the live frames; print only the final hot-page frame and summary.")
   in
   Cmd.v
     (Cmd.info "watch"
        ~doc:
-         "Run an application under the live watchdog: periodic invariant \
-          audits, deadlock/stall detection, thrash detection and a \
-          refreshing rate dashboard.  Exits non-zero on critical alerts.")
+         "Run an application under the live watchdog and telemetry engine: \
+          periodic invariant audits, deadlock/stall and thrash detection, \
+          per-node rates, fault-latency sketch percentiles and the hottest \
+          pages with streaming sharing classifications and protocol advice.  \
+          Exact even under $(b,--trace-cap) and $(b,--sample-pct).  Exits \
+          non-zero on critical alerts.")
     Term.(
-      const run $ workload $ protocol $ nodes_arg $ driver_arg $ seed_arg $ interval
-      $ stall_us $ out $ quiet)
-
-(* --- dsm top: live hot-page telemetry over a running application ---
-
-   Where `dsm watch` shows health (rates, audits, alerts), `dsm top` shows
-   the memory: hierarchical rollups of the online telemetry engine —
-   cluster-wide fault-latency sketch percentiles, per-protocol and per-node
-   fault counts, and the hottest pages with their streaming sharing
-   classification and protocol advice.  Because telemetry reads the trace
-   observer stream, the dashboard stays exact under --trace-cap rings and
-   --sample-pct sampling. *)
-
-let top_cmd =
-  let run workload protocol nodes driver seed size iterations interval_us
-      sample_pct sample_seed trace_cap top out quiet =
-    let tty = Unix.isatty Unix.stdout in
-    let wd = ref None in
-    let observe dsm =
-      Monitor.enable dsm true;
-      let tr = Monitor.trace dsm in
-      Option.iter (Trace.set_capacity tr) trace_cap;
-      Option.iter
-        (fun pct -> Trace.set_sampling tr ~seed:sample_seed ~keep_pct:pct)
-        sample_pct;
-      let config =
-        Watchdog.{ default_config with interval = Time.of_us interval_us }
-      in
-      let w = Watchdog.attach ~config dsm in
-      wd := Some w;
-      if not quiet then
-        Watchdog.set_on_sample w (fun _ ->
-            (* Frames ride the watchdog's schedule-neutral sampling tick. *)
-            if tty then Format.fprintf ppf "\027[H\027[2J";
-            Format.fprintf ppf "%a@." (Telemetry.pp_top ~top)
-              (Watchdog.telemetry w))
-    in
-    let proto default = Option.value ~default protocol in
-    let run_app () =
-      match workload with
-      | "tsp" ->
-          ignore
-            (Dsmpm2_apps.Tsp.run
-               {
-                 Dsmpm2_apps.Tsp.default with
-                 protocol = proto "li_hudak";
-                 nodes;
-                 driver;
-                 seed;
-                 observe = Some observe;
-               })
-      | "jacobi" ->
-          ignore
-            (Dsmpm2_apps.Jacobi.run
-               {
-                 Dsmpm2_apps.Jacobi.default with
-                 protocol = proto "hbrc_mw";
-                 nodes;
-                 driver;
-                 size;
-                 iterations;
-                 tie_seed = Some seed;
-                 observe = Some observe;
-               })
-      | "coloring" ->
-          ignore
-            (Dsmpm2_apps.Map_coloring.run
-               {
-                 Dsmpm2_apps.Map_coloring.default with
-                 protocol = proto "java_pf";
-                 nodes;
-                 driver;
-                 observe = Some observe;
-               })
-      | w ->
-          Format.fprintf ppf "top: unknown workload %S (known: tsp, jacobi, coloring)@." w;
-          exit 2
-    in
-    (try run_app ()
-     with Engine.Stalled live ->
-       Format.fprintf ppf "top: run deadlocked with %d live fiber(s)@." live);
-    match !wd with
-    | None ->
-        Format.fprintf ppf "top: %s did not expose its runtime@." workload;
-        exit 2
-    | Some w ->
-        let tele = Watchdog.telemetry w in
-        if tty && not quiet then Format.fprintf ppf "\027[H\027[2J";
-        Format.fprintf ppf "%a@." (Telemetry.pp_top ~top) tele;
-        Format.fprintf ppf "%a@." Watchdog.pp_summary w;
-        Option.iter (fun file -> Json.to_file file (Telemetry.to_json tele)) out;
-        let _, _, critical = Watchdog.alert_counts w in
-        if critical > 0 then exit 1
-  in
-  let workload =
-    Arg.(
-      value & opt string "jacobi"
-      & info [ "workload" ] ~docv:"NAME"
-          ~doc:"Application to profile: tsp, jacobi or coloring.")
-  in
-  let protocol =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "protocol" ] ~docv:"PROTO"
-          ~doc:"Consistency protocol (default: the workload's own default).")
-  in
-  let size =
-    Arg.(
-      value & opt int 32
-      & info [ "size" ] ~docv:"N" ~doc:"Jacobi grid side (jacobi only).")
-  in
-  let iterations =
-    Arg.(
-      value & opt int 4
-      & info [ "iterations" ] ~docv:"N" ~doc:"Jacobi sweeps (jacobi only).")
-  in
-  let interval =
-    Arg.(
-      value
-      & opt float (Time.to_us Watchdog.default_config.Watchdog.interval)
-      & info [ "interval" ] ~docv:"US"
-          ~doc:"Refresh period in simulated microseconds.")
-  in
-  let sample_pct =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "sample-pct" ] ~docv:"PCT"
-          ~doc:
-            "Store only ~$(docv)% of fault spans in the trace (deterministic \
-             head-based sampling; the telemetry dashboard still sees every \
-             event).")
-  in
-  let sample_seed =
-    Arg.(
-      value & opt int 0
-      & info [ "sample-seed" ] ~docv:"SEED"
-          ~doc:"Seed for $(b,--sample-pct) keep decisions.")
-  in
-  let trace_cap =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "trace-cap" ] ~docv:"N"
-          ~doc:"Keep only the newest $(docv) trace events (flight recorder).")
-  in
-  let top =
-    Arg.(
-      value & opt int 10
-      & info [ "top" ] ~docv:"K" ~doc:"Hottest pages shown per frame.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Write the stable JSON telemetry snapshot to $(docv).")
-  in
-  let quiet =
-    Arg.(
-      value & flag
-      & info [ "quiet" ] ~doc:"Skip the live frames; print only the final one.")
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:
-         "Run an application under the online telemetry engine and show live \
-          hierarchical rollups: cluster fault-latency sketch percentiles, \
-          per-protocol and per-node fault counts, and the hottest pages with \
-          streaming sharing classifications and protocol advice.  Exact even \
-          under $(b,--trace-cap) and $(b,--sample-pct).  Exits non-zero on \
-          critical alerts.")
-    Term.(
-      const run $ workload $ protocol $ nodes_arg $ driver_arg $ seed_arg
-      $ size $ iterations $ interval $ sample_pct $ sample_seed $ trace_cap
-      $ top $ out $ quiet)
+      const run $ workload $ workload_protocol_arg $ nodes_arg $ driver_arg $ seed_arg $ size
+      $ iterations $ interval $ stall_us $ trace_cap_arg $ sample_pct_arg
+      $ sample_seed_arg $ out $ quiet)
 
 (* --- dsm bench: the seeded macro-benchmark observatory --- *)
 
@@ -1284,6 +1023,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          (experiments
-          @ [ tsp_cmd; jacobi_cmd; coloring_cmd; analyze_cmd; check_cmd;
-              explain_cmd; watch_cmd; top_cmd; bench_cmd; diff_cmd ])))
+          (experiments @ app_cmds
+          @ [ analyze_cmd; check_cmd; explain_cmd; watch_cmd; bench_cmd; diff_cmd ])))

@@ -1,7 +1,6 @@
 open Dsmpm2_sim
 open Dsmpm2_net
 open Dsmpm2_core
-open Dsmpm2_protocols
 
 type config = {
   size : int;
@@ -75,16 +74,9 @@ let row_range ~size ~nodes node =
 
 let run config =
   let size = config.size in
-  let dsm =
-    Dsm.create ?tie_seed:config.tie_seed ~nodes:config.nodes ~driver:config.driver ()
-  in
-  ignore (Builtin.register_all dsm);
-  ignore (Builtin.register_extras dsm);
-  (match config.observe with Some f -> f dsm | None -> ());
-  let proto =
-    match Dsm.protocol_by_name dsm config.protocol with
-    | Some p -> p
-    | None -> invalid_arg ("Jacobi.run: unknown protocol " ^ config.protocol)
+  let dsm, proto =
+    Workloads.start ~app:"Jacobi" ?tie_seed:config.tie_seed ~nodes:config.nodes
+      ~driver:config.driver ~observe:config.observe config.protocol
   in
   let bytes = size * size * 8 in
   let grid = [| Dsm.malloc dsm ~protocol:proto ~home:Dsm.Block bytes;

@@ -1,7 +1,6 @@
 open Dsmpm2_sim
 open Dsmpm2_net
 open Dsmpm2_core
-open Dsmpm2_protocols
 
 type config = {
   size : int;
@@ -61,16 +60,9 @@ let checksum_sequential ~size ~seed =
 
 let run config =
   let size = config.size in
-  let dsm =
-    Dsm.create ?tie_seed:config.tie_seed ~nodes:config.nodes ~driver:config.driver ()
-  in
-  ignore (Builtin.register_all dsm);
-  ignore (Builtin.register_extras dsm);
-  (match config.observe with Some f -> f dsm | None -> ());
-  let proto =
-    match Dsm.protocol_by_name dsm config.protocol with
-    | Some p -> p
-    | None -> invalid_arg ("Lu.run: unknown protocol " ^ config.protocol)
+  let dsm, proto =
+    Workloads.start ~app:"Lu" ?tie_seed:config.tie_seed ~nodes:config.nodes
+      ~driver:config.driver ~observe:config.observe config.protocol
   in
   let a = Dsm.malloc dsm ~protocol:proto ~home:Dsm.Block (size * size * 8) in
   let addr i j = a + (((i * size) + j) * 8) in

@@ -1,7 +1,6 @@
 open Dsmpm2_sim
 open Dsmpm2_net
 open Dsmpm2_core
-open Dsmpm2_protocols
 
 type config = {
   nodes : int;
@@ -80,20 +79,9 @@ let solve_sequential ?(color_costs = default.color_costs) () =
   !best
 
 let run config =
-  let dsm =
-    Dsm.create ?tie_seed:config.tie_seed ~nodes:config.nodes ~driver:config.driver ()
-  in
-  let ids = Builtin.register_all dsm in
-  ignore (Builtin.register_extras dsm);
-  (match config.observe with Some f -> f dsm | None -> ());
-  let proto =
-    match config.protocol with
-    | "java_ic" -> ids.Builtin.java_ic
-    | "java_pf" -> ids.Builtin.java_pf
-    | other -> (
-        match Dsm.protocol_by_name dsm other with
-        | Some p -> p
-        | None -> invalid_arg ("Map_coloring.run: unknown protocol " ^ other))
+  let dsm, proto =
+    Workloads.start ~app:"Map_coloring" ?tie_seed:config.tie_seed ~nodes:config.nodes
+      ~driver:config.driver ~observe:config.observe config.protocol
   in
   let hyp = Dsmpm2_hyperion.Hyperion.create dsm ~protocol:proto in
   let module H = Dsmpm2_hyperion.Hyperion in

@@ -1,7 +1,6 @@
 open Dsmpm2_sim
 open Dsmpm2_net
 open Dsmpm2_core
-open Dsmpm2_protocols
 
 type config = {
   elements_per_node : int;
@@ -40,16 +39,9 @@ type result = {
 
 let run config =
   let n = config.nodes * config.elements_per_node in
-  let dsm =
-    Dsm.create ?tie_seed:config.tie_seed ~nodes:config.nodes ~driver:config.driver ()
-  in
-  ignore (Builtin.register_all dsm);
-  ignore (Builtin.register_extras dsm);
-  (match config.observe with Some f -> f dsm | None -> ());
-  let proto =
-    match Dsm.protocol_by_name dsm config.protocol with
-    | Some p -> p
-    | None -> invalid_arg ("Sort.run: unknown protocol " ^ config.protocol)
+  let dsm, proto =
+    Workloads.start ~app:"Sort" ?tie_seed:config.tie_seed ~nodes:config.nodes
+      ~driver:config.driver ~observe:config.observe config.protocol
   in
   (* One page-aligned block per node, so block exchanges are page
      exchanges. *)

@@ -1,7 +1,6 @@
 open Dsmpm2_sim
 open Dsmpm2_net
 open Dsmpm2_core
-open Dsmpm2_protocols
 
 type config = {
   cities : int;
@@ -107,17 +106,9 @@ let solve_sequential d =
   !best
 
 let run config =
-  let dsm =
-    Dsm.create ?tie_seed:config.tie_seed ~nodes:config.nodes ~driver:config.driver ()
-  in
-  let ids = Builtin.register_all dsm in
-  ignore ids;
-  ignore (Builtin.register_extras dsm);
-  (match config.observe with Some f -> f dsm | None -> ());
-  let proto =
-    match Dsm.protocol_by_name dsm config.protocol with
-    | Some p -> p
-    | None -> invalid_arg ("Tsp.run: unknown protocol " ^ config.protocol)
+  let dsm, proto =
+    Workloads.start ~app:"Tsp" ?tie_seed:config.tie_seed ~nodes:config.nodes
+      ~driver:config.driver ~observe:config.observe config.protocol
   in
   let d = distances ~cities:config.cities ~seed:config.seed in
   let n = config.cities in

@@ -1,4 +1,4 @@
-(** Shared cost constants of the application workloads.
+(** Shared cost constants and start-up of the application workloads.
 
     All simulated CPU costs of the example applications live here so the
     communication/computation ratios are set (and documented) in one place.
@@ -22,3 +22,16 @@ val matmul_inner_us : float
 val charge_batched : Dsmpm2_core.Dsm.t -> float -> int -> unit
 (** [charge_batched dsm unit_us n] accrues [n] work units lazily (see
     {!Dsmpm2_pm2.Marcel.charge}). *)
+
+val start :
+  app:string ->
+  ?tie_seed:int ->
+  nodes:int ->
+  driver:Dsmpm2_net.Driver.t ->
+  observe:(Dsmpm2_core.Dsm.t -> unit) option ->
+  string ->
+  Dsmpm2_core.Dsm.t * int
+(** [start ~app ~nodes ~driver ~observe protocol] creates the runtime,
+    registers every built-in protocol (core and extras), hands the runtime
+    to [observe] before any thread exists, and resolves [protocol] by name.
+    An unknown name raises [Invalid_argument] naming [app]. *)

@@ -10,7 +10,7 @@
     the sampler drops it and before the flight recorder evicts it.  A run
     with an aggressive sampling rate and a tiny ring therefore still gets
     exact per-page classifications and full-population latency sketches —
-    the basis of [dsm top].
+    the basis of [dsm watch]'s hot-page frames.
 
     The observer callback does pure bookkeeping: no engine events, no
     shared RNG draws, no allocation visible to the schedule.  Attaching
@@ -182,13 +182,13 @@ val end_interval : t -> interval
     [open_horizon].  Called by the watchdog once per tick. *)
 
 val to_json : ?meta:Run_meta.t -> t -> Json.t
-(** Stable snapshot ([dsm top --out]): meta, totals, per-protocol sketch
+(** Stable snapshot (the [telemetry] key of [dsm watch --out]): meta, totals, per-protocol sketch
     percentiles, the page heatmap with classifications, classification
     churn, trace accounting (recorded/stored/evicted/capacity/sampled_out)
     and issued advice. *)
 
 val pp_top : ?top:int -> Format.formatter -> t -> unit
-(** The [dsm top] frame: cluster rollup (fault count and sketch
+(** The hot-page half of a [dsm watch] frame: cluster rollup (fault count and sketch
     percentiles), per-protocol lines, per-node fault counts, the [top]
     (default 10) hottest pages with patterns and recommendations, and
     trace-pressure accounting. *)

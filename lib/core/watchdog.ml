@@ -706,6 +706,7 @@ let health_json w =
           ] );
       ("alerts", Json.List (List.rev_map alert_to_json w.alerts_rev));
       ("timeseries", Json.List (List.map sample_to_json (samples w)));
+      ("telemetry", Telemetry.to_json w.tele);
     ]
 
 let pp_sample ppf (w, s) =

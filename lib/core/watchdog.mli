@@ -133,7 +133,8 @@ val health_json : t -> Json.t
 (** The stable health report: run metadata ({!Monitor.run_meta}, under
     ["meta"]), simulated time, sample/audit counts,
     [healthy] (no critical alerts), per-severity alert counts, the full
-    alert list and the retained time series. *)
+    alert list, the retained time series and the snapshot of the drained
+    telemetry engine ({!Telemetry.to_json}, under ["telemetry"]). *)
 
 val pp_sample : Format.formatter -> t * sample -> unit
 (** One dashboard frame: header line, per-node rate table, interval fault

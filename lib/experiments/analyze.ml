@@ -143,7 +143,7 @@ let chain_of_span (span, evs) =
 (* --- per-page sharing patterns ---
 
    The classification logic itself lives in [Telemetry.Pages], the
-   streaming accumulator shared with the online engine behind [dsm top]:
+   streaming accumulator shared with the online engine behind [dsm watch]:
    one implementation backs both views, so the post-mortem heatmap and the
    live classification agree by construction. *)
 

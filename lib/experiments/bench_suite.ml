@@ -123,111 +123,31 @@ let cases () =
 
 (* --- running one case --- *)
 
-let param case name ~default =
-  match List.assoc_opt name case.c_params with Some v -> v | None -> default
-
 let driver_of case =
   match Driver.by_name case.c_driver with
   | Some d -> d
   | None -> invalid_arg (Printf.sprintf "Bench_suite: unknown driver %S" case.c_driver)
 
 (* Runs the case's app once under one tie seed, returning the finished
-   runtime captured through the app's [observe] hook. *)
+   runtime. *)
 let run_app case ~seed =
-  let driver = driver_of case in
-  let captured = ref None in
+  let app =
+    match Dsmpm2_apps.Catalog.find case.c_app with
+    | Some app -> app
+    | None -> invalid_arg (Printf.sprintf "Bench_suite: unknown app %S" case.c_app)
+  in
   (* Attach the online telemetry engine for the p99.9 sketch.  The ring is
      kept tiny on purpose: the sketch reads the observer stream, which sees
      every emission regardless of storage, and a small ring bounds the
      suite's memory without costing accuracy. *)
-  let observe =
-    Some
-      (fun dsm ->
-        Monitor.enable dsm true;
-        Trace.set_capacity (Monitor.trace dsm) 1024;
-        ignore (Telemetry.attach dsm);
-        captured := Some dsm)
+  let observe dsm =
+    Monitor.enable dsm true;
+    Trace.set_capacity (Monitor.trace dsm) 1024;
+    ignore (Telemetry.attach dsm)
   in
-  let tie_seed = Some seed in
-  let nodes = case.c_nodes in
-  let protocol = case.c_protocol in
-  (match case.c_app with
-  | "jacobi" ->
-      ignore
-        (Dsmpm2_apps.Jacobi.run
-           {
-             Dsmpm2_apps.Jacobi.default with
-             protocol;
-             nodes;
-             driver;
-             size = param case "size" ~default:32;
-             iterations = param case "iterations" ~default:4;
-             tie_seed;
-             observe;
-           })
-  | "tsp" ->
-      ignore
-        (Dsmpm2_apps.Tsp.run
-           {
-             Dsmpm2_apps.Tsp.default with
-             protocol;
-             nodes;
-             driver;
-             cities = param case "cities" ~default:12;
-             tie_seed;
-             observe;
-           })
-  | "coloring" ->
-      ignore
-        (Dsmpm2_apps.Map_coloring.run
-           {
-             Dsmpm2_apps.Map_coloring.default with
-             protocol;
-             nodes;
-             driver;
-             tie_seed;
-             observe;
-           })
-  | "lu" ->
-      ignore
-        (Dsmpm2_apps.Lu.run
-           {
-             Dsmpm2_apps.Lu.default with
-             protocol;
-             nodes;
-             driver;
-             size = param case "size" ~default:24;
-             tie_seed;
-             observe;
-           })
-  | "matmul" ->
-      ignore
-        (Dsmpm2_apps.Matmul.run
-           {
-             Dsmpm2_apps.Matmul.default with
-             protocol;
-             nodes;
-             driver;
-             size = param case "size" ~default:16;
-             tie_seed;
-             observe;
-           })
-  | "sort" ->
-      ignore
-        (Dsmpm2_apps.Sort.run
-           {
-             Dsmpm2_apps.Sort.default with
-             protocol;
-             nodes;
-             driver;
-             elements_per_node = param case "elements_per_node" ~default:48;
-             tie_seed;
-             observe;
-           })
-  | app -> invalid_arg (Printf.sprintf "Bench_suite: unknown app %S" app));
-  match !captured with
-  | Some dsm -> dsm
-  | None -> failwith (Printf.sprintf "Bench_suite: %s did not expose its runtime" case.c_app)
+  fst
+    (app.run ~protocol:case.c_protocol ~nodes:case.c_nodes ~driver:(driver_of case)
+       ~tie_seed:seed ~observe case.c_params)
 
 let measure case ~seed =
   let dsm = run_app case ~seed in

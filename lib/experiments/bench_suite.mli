@@ -26,11 +26,12 @@ val default_seeds : int list
 
 type case = {
   c_id : string;  (** ["app:protocol:driver-slug"], stable forever *)
-  c_app : string;  (** jacobi, tsp, coloring, lu, matmul or sort *)
+  c_app : string;  (** a {!Dsmpm2_apps.Catalog} application name *)
   c_protocol : string;
   c_driver : string;  (** the driver's full name, e.g. ["BIP/Myrinet"] *)
   c_nodes : int;
-  c_params : (string * int) list;  (** app-specific sizes, part of the schema *)
+  c_params : (string * int) list;
+      (** parameters the catalog entry declares; part of the schema *)
   c_quick : bool;  (** member of the CI smoke subset *)
 }
 

@@ -16,7 +16,7 @@
     buckets a stream needs exist, inserting a sample allocates nothing.
     This is the only latency representation in the stack: every duration
     series of the {!Stats} registry, [Telemetry]'s fault latencies, and the
-    percentiles of [dsm top] and [dsm bench] all read a sketch. *)
+    percentiles of [dsm watch] and [dsm bench] all read a sketch. *)
 
 type t
 

@@ -176,6 +176,88 @@ let test_coloring_ic_pays_checks () =
     true
     (pf.Map_coloring.time_ms < ic.Map_coloring.time_ms)
 
+(* --- the application catalog --- *)
+
+(* The integer after [key=] in a catalog result line. *)
+let field line key =
+  let prefix = key ^ "=" in
+  match
+    List.find_opt
+      (fun w -> String.starts_with ~prefix w)
+      (String.split_on_char ' ' line)
+  with
+  | Some w ->
+      let n = String.length prefix in
+      String.sub w n (String.length w - n)
+  | None -> Alcotest.failf "no %s in %S" prefix line
+
+let bench_params name =
+  match
+    List.find_opt
+      (fun c -> c.Dsmpm2_experiments.Bench_suite.c_app = name)
+      (Dsmpm2_experiments.Bench_suite.cases ())
+  with
+  | Some c -> c.Dsmpm2_experiments.Bench_suite.c_params
+  | None -> Alcotest.failf "no bench case runs %s" name
+
+let run_entry ?(params = []) (app : Catalog.app) =
+  app.run ~protocol:app.protocol ~nodes:4 ~driver:Dsmpm2_net.Driver.bip_myrinet
+    ~observe:ignore params
+
+(* Every entry, at its bench-suite parameters under its default protocol,
+   agrees with its application's sequential oracle. *)
+let test_catalog_entries_correct () =
+  List.iter
+    (fun (app : Catalog.app) ->
+      let params = bench_params app.name in
+      let _, line = run_entry ~params app in
+      let expect key want =
+        Alcotest.(check string) (app.name ^ " " ^ key) want (field line key)
+      in
+      match app.name with
+      | "tsp" ->
+          let cities = List.assoc "cities" params in
+          expect "best"
+            (string_of_int
+               (Tsp.solve_sequential
+                  (Tsp.distances ~cities ~seed:Tsp.default.Tsp.seed)))
+      | "coloring" ->
+          expect "cost" (string_of_int (Map_coloring.solve_sequential ()))
+      | "jacobi" | "lu" | "matmul" -> expect "checksum" "OK"
+      | "sort" -> expect "result" "OK"
+      | name -> Alcotest.failf "no oracle for %s" name)
+    Catalog.all
+
+let test_catalog_declares_bench_params () =
+  List.iter
+    (fun c ->
+      let open Dsmpm2_experiments.Bench_suite in
+      match Catalog.find c.c_app with
+      | None -> Alcotest.failf "%s: app %s is not catalogued" c.c_id c.c_app
+      | Some app ->
+          List.iter
+            (fun (k, _) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s declares %s" app.name k)
+                true
+                (List.mem_assoc k app.params))
+            c.c_params)
+    (Dsmpm2_experiments.Bench_suite.cases ())
+
+let test_catalog_rejects_undeclared_param () =
+  let jacobi = Option.get (Catalog.find "jacobi") in
+  match run_entry ~params:[ ("cities", 8) ] jacobi with
+  | _ -> Alcotest.fail "an undeclared parameter must be rejected"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        ("message names the app and its parameters: " ^ msg)
+        true
+        (String.starts_with ~prefix:"Catalog: jacobi has no parameter \"cities\" \
+                                     (parameters: size, iterations)" msg)
+
+let test_catalog_unknown_name () =
+  Alcotest.(check bool) "unknown app" true (Catalog.find "nosuch" = None)
+
 let () =
   Alcotest.run "apps"
     [
@@ -208,5 +290,15 @@ let () =
         [
           Alcotest.test_case "both protocols optimal" `Slow test_coloring_both_protocols_optimal;
           Alcotest.test_case "ic pays checks, pf pays faults" `Slow test_coloring_ic_pays_checks;
+        ] );
+      ( "catalog",
+        [
+          Alcotest.test_case "entries match their oracles" `Slow
+            test_catalog_entries_correct;
+          Alcotest.test_case "declares bench params" `Quick
+            test_catalog_declares_bench_params;
+          Alcotest.test_case "rejects undeclared param" `Quick
+            test_catalog_rejects_undeclared_param;
+          Alcotest.test_case "unknown name" `Quick test_catalog_unknown_name;
         ] );
     ]

@@ -330,7 +330,7 @@ let test_capped_trace_hot_pages () =
     (List.exists
        (fun p -> p.Telemetry.pr_pattern <> Telemetry.Private)
        profiles);
-  (* The dsm top snapshot is valid JSON and carries the trace pressure. *)
+  (* The telemetry snapshot is valid JSON and carries the trace pressure. *)
   let json = Telemetry.to_json tele in
   (match Json.of_string (Json.to_string json) with
   | Error msg -> Alcotest.failf "snapshot is not valid JSON: %s" msg

@@ -275,9 +275,23 @@ let test_health_json () =
   (match Json.member "healthy" json with
   | Some (Json.Bool true) -> ()
   | _ -> Alcotest.fail "green run must be healthy");
-  match Json.member "alerts" json with
+  (match Json.member "alerts" json with
   | Some (Json.List []) -> ()
-  | _ -> Alcotest.fail "green run must report an empty alert list"
+  | _ -> Alcotest.fail "green run must report an empty alert list");
+  List.iter
+    (fun key ->
+      Alcotest.(check bool) ("report has " ^ key) true (Json.member key json <> None))
+    [ "meta"; "sim_time_us"; "samples"; "pages_audited"; "healthy";
+      "alert_counts"; "alerts"; "timeseries"; "telemetry" ];
+  (* The watchdog's own telemetry engine rides along in the report. *)
+  match Json.member "telemetry" json with
+  | Some tele ->
+      List.iter
+        (fun key ->
+          Alcotest.(check bool) ("telemetry has " ^ key) true
+            (Json.member key tele <> None))
+        [ "trace"; "pages" ]
+  | None -> Alcotest.fail "health report must carry the telemetry snapshot"
 
 let test_double_attach_rejected () =
   let dsm = make () in
