@@ -27,7 +27,13 @@ let with_thread_span rt span f =
     let tid = self_tid rt in
     let previous = Trace.thread_span tr ~tid in
     Trace.set_thread_span tr ~tid span;
-    Fun.protect ~finally:(fun () -> Trace.set_thread_span tr ~tid previous) f
+    match f () with
+    | v ->
+        Trace.set_thread_span tr ~tid previous;
+        v
+    | exception e ->
+        Trace.set_thread_span tr ~tid previous;
+        raise e
   end
 
 let emit rt ?span event =
@@ -45,16 +51,14 @@ type summary_line = {
 
 let summary rt =
   let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      let cat = e.Trace.category in
+  Trace.iter (trace rt) (fun ~at ~span:_ ev ->
+      let cat = Trace.event_category ev in
       let first, last, n =
         match Hashtbl.find_opt tbl cat with
-        | Some (f, l, n) -> (min f e.Trace.at, max l e.Trace.at, n + 1)
-        | None -> (e.Trace.at, e.Trace.at, 1)
+        | Some (f, l, n) -> (min f at, max l at, n + 1)
+        | None -> (at, at, 1)
       in
-      Hashtbl.replace tbl cat (first, last, n))
-    (Trace.entries (trace rt));
+      Hashtbl.replace tbl cat (first, last, n));
   Hashtbl.fold
     (fun category (first, last, events) acc ->
       { category; events; first_us = Time.to_us first; last_us = Time.to_us last } :: acc)

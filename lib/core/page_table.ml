@@ -69,6 +69,7 @@ let find t page =
 
 let find_opt t page = Int_table.find_opt t.entries page
 let mem t page = Int_table.mem t.entries page
+let length t = Int_table.length t.entries
 
 let entries t =
   Int_table.fold (fun _ e acc -> e :: acc) t.entries []

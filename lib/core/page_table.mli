@@ -69,6 +69,11 @@ val find : t -> int -> entry
 
 val find_opt : t -> int -> entry option
 val mem : t -> int -> bool
+
+val length : t -> int
+(** Number of mapped pages; O(1).  Pages are never unmapped, so an
+    unchanged length means an unchanged set of entries. *)
+
 val entries : t -> entry list
 (** Sorted by page number. *)
 

@@ -56,14 +56,17 @@ module Pages = struct
      of occurrence lists, and the write sequence reduced to its last
      writer plus a running handoff count — a transition [n <> last] in the
      chronological write sequence is counted the moment it happens, which
-     is precisely what replaying the sequence afterwards would count. *)
+     is precisely what replaying the sequence afterwards would count.  The
+     size of the reader/writer union is kept as the sets grow, so
+     classifying a page reads counters and builds nothing. *)
   type acc = {
     mutable c_protocol : string;
     mutable c_read_faults : int;
     mutable c_write_faults : int;
-    c_readers : (int, unit) Hashtbl.t;
-    c_writers : (int, unit) Hashtbl.t;
-    c_differs : (int, unit) Hashtbl.t;
+    c_readers : unit Int_table.t;
+    c_writers : unit Int_table.t;
+    mutable c_accessors : int; (* |readers| + |writers \ readers| *)
+    c_differs : unit Int_table.t;
     mutable c_diffs : int; (* diffs received (one per Diff per page) *)
     mutable c_transfers : int;
     mutable c_send_bytes : int;
@@ -73,22 +76,23 @@ module Pages = struct
     mutable c_handoffs : int; (* writer changes in the chronological order *)
   }
 
-  type t = { tbl : (int, acc) Hashtbl.t }
+  type t = { tbl : acc Int_table.t }
 
-  let create () = { tbl = Hashtbl.create 64 }
+  let create () = { tbl = Int_table.create 64 }
 
   let acc t page =
-    match Hashtbl.find_opt t.tbl page with
-    | Some a -> a
-    | None ->
+    match Int_table.find t.tbl page with
+    | a -> a
+    | exception Not_found ->
         let a =
           {
             c_protocol = "?";
             c_read_faults = 0;
             c_write_faults = 0;
-            c_readers = Hashtbl.create 4;
-            c_writers = Hashtbl.create 4;
-            c_differs = Hashtbl.create 4;
+            c_readers = Int_table.create 4;
+            c_writers = Int_table.create 4;
+            c_accessors = 0;
+            c_differs = Int_table.create 4;
             c_diffs = 0;
             c_transfers = 0;
             c_send_bytes = 0;
@@ -98,11 +102,22 @@ module Pages = struct
             c_handoffs = 0;
           }
         in
-        Hashtbl.add t.tbl page a;
+        Int_table.add t.tbl page a;
         a
 
+  let note_read a node =
+    if not (Int_table.mem a.c_readers node) then begin
+      if not (Int_table.mem a.c_writers node) then
+        a.c_accessors <- a.c_accessors + 1;
+      Int_table.add a.c_readers node ()
+    end
+
   let note_write a node =
-    Hashtbl.replace a.c_writers node ();
+    if not (Int_table.mem a.c_writers node) then begin
+      if not (Int_table.mem a.c_readers node) then
+        a.c_accessors <- a.c_accessors + 1;
+      Int_table.add a.c_writers node ()
+    end;
     if a.c_last_writer >= 0 && node <> a.c_last_writer then
       a.c_handoffs <- a.c_handoffs + 1;
     a.c_last_writer <- node
@@ -118,7 +133,7 @@ module Pages = struct
         end
         else begin
           a.c_read_faults <- a.c_read_faults + 1;
-          Hashtbl.replace a.c_readers node ()
+          note_read a node
         end
     | Trace.Page_send { page; protocol; bytes; _ } ->
         let a = acc t page in
@@ -138,7 +153,7 @@ module Pages = struct
           (fun page ->
             let a = acc t page in
             a.c_protocol <- protocol;
-            Hashtbl.replace a.c_differs sender ();
+            Int_table.replace a.c_differs sender ();
             a.c_diffs <- a.c_diffs + 1;
             a.c_diff_bytes <- a.c_diff_bytes + (bytes / n);
             note_write a sender)
@@ -153,19 +168,22 @@ module Pages = struct
      - single writer with remote readers that repeatedly re-fetch:
        producer-consumer; single writer otherwise;
      - >= 2 writers: migratory when write access demonstrably hands off
-       between nodes at least twice, otherwise mixed. *)
+       between nodes at least twice, otherwise mixed.
+     Allocation-free: with exactly one writer, that writer is the last one,
+     and some reader is remote unless the only reader is the writer. *)
   let classify_acc a =
-    let accessors = Hashtbl.copy a.c_readers in
-    Hashtbl.iter (fun k () -> Hashtbl.replace accessors k ()) a.c_writers;
-    if Hashtbl.length accessors <= 1 then Private
-    else if Hashtbl.length a.c_differs >= 2 then False_sharing
+    if a.c_accessors <= 1 then Private
+    else if Int_table.length a.c_differs >= 2 then False_sharing
     else
-      match Hashtbl.length a.c_writers with
+      match Int_table.length a.c_writers with
       | 0 -> Read_mostly
       | 1 ->
-          let w = Hashtbl.fold (fun k () _ -> k) a.c_writers (-1) in
+          let w = a.c_last_writer in
           let remote_readers =
-            Hashtbl.fold (fun r () any -> any || r <> w) a.c_readers false
+            match Int_table.length a.c_readers with
+            | 0 -> false
+            | 1 -> not (Int_table.mem a.c_readers w)
+            | _ -> true
           in
           let produces = a.c_write_faults + a.c_diffs in
           if remote_readers && produces >= 2 && a.c_read_faults >= 2 then
@@ -174,7 +192,7 @@ module Pages = struct
       | _ -> if a.c_handoffs >= 2 then Migratory else Mixed
 
   let sorted_keys tbl =
-    Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort compare
+    Int_table.fold (fun k () acc -> k :: acc) tbl [] |> List.sort compare
 
   let profile_acc page a =
     {
@@ -191,18 +209,18 @@ module Pages = struct
       pr_invalidations = a.c_invalidations;
     }
 
-  let classify t page = Option.map classify_acc (Hashtbl.find_opt t.tbl page)
+  let classify t page = Option.map classify_acc (Int_table.find_opt t.tbl page)
   let profile t page =
-    Option.map (profile_acc page) (Hashtbl.find_opt t.tbl page)
+    Option.map (profile_acc page) (Int_table.find_opt t.tbl page)
 
   let profiles t =
-    Hashtbl.fold (fun page a acc -> profile_acc page a :: acc) t.tbl []
+    Int_table.fold (fun page a acc -> profile_acc page a :: acc) t.tbl []
     |> List.sort (fun a b ->
            compare
              (b.pr_read_faults + b.pr_write_faults, b.pr_bytes, a.pr_page)
              (a.pr_read_faults + a.pr_write_faults, a.pr_bytes, b.pr_page))
 
-  let pages t = Hashtbl.fold (fun p _ acc -> p :: acc) t.tbl [] |> List.sort compare
+  let pages t = Int_table.fold (fun p _ acc -> p :: acc) t.tbl [] |> List.sort compare
 end
 
 (* --- the attached engine --- *)
@@ -245,6 +263,16 @@ type interval = {
 
 type proto_stats = { mutable pf_faults : int; pf_sketch : Sketch.t }
 
+(* The last [thrash_window] installs of one page, as a fixed ring of
+   (at, node) pairs: [w_next] is the slot the next install overwrites,
+   which once the ring is full holds the oldest install. *)
+type window = {
+  w_at : Time.t array;
+  w_node : int array;
+  mutable w_next : int;
+  mutable w_len : int;
+}
+
 type t = {
   rt : Runtime.t;
   cfg : config;
@@ -252,16 +280,15 @@ type t = {
   mutable seen : int; (* events observed, pre-sampling *)
   nd_faults : int array;
   protos : (string, proto_stats) Hashtbl.t;
-  open_faults : (int, Time.t * string) Hashtbl.t; (* span -> (start, proto) *)
-  class_cache : (int, pattern) Hashtbl.t; (* last known pattern per page *)
+  open_faults : (Time.t * string) Int_table.t; (* span -> (start, proto) *)
+  class_cache : pattern Int_table.t; (* last known pattern per page *)
   mutable reclass_total : int;
-  windows : (int, (Time.t * int) list ref) Hashtbl.t;
-      (* page -> recent installs (at, node), newest first, <= thrash_window *)
-  thrash_last : (int, Time.t) Hashtbl.t; (* page -> last thrash report *)
+  windows : window Int_table.t; (* page -> its recent installs *)
+  thrash_last : Time.t Int_table.t; (* page -> last thrash report *)
   mutable pending_thrash : thrash_report list; (* newest first *)
-  advised : (int, string) Hashtbl.t; (* page -> recommendation issued *)
-  interval_touched : (int, unit) Hashtbl.t;
-  interval_installs : (int, int) Hashtbl.t;
+  advised : string Int_table.t; (* page -> recommendation issued *)
+  interval_touched : unit Int_table.t;
+  interval_installs : int Int_table.t;
   mutable interval_count : int;
 }
 
@@ -269,55 +296,58 @@ type t = {
    over stored trace events, now fed from the live stream — [thrash_window]
    installs of one page within [thrash_span] across >= 2 nodes, re-reported
    only after a quiet period longer than the span. *)
+let window t page =
+  match Int_table.find t.windows page with
+  | w -> w
+  | exception Not_found ->
+      let n = max 1 t.cfg.thrash_window in
+      let w =
+        { w_at = Array.make n Time.zero; w_node = Array.make n 0; w_next = 0; w_len = 0 }
+      in
+      Int_table.add t.windows page w;
+      w
+
+let rec mixed_nodes nodes i =
+  i < Array.length nodes && (nodes.(i) <> nodes.(0) || mixed_nodes nodes (i + 1))
+
 let note_install t ~page ~node at =
-  Hashtbl.replace t.interval_installs page
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.interval_installs page));
-  let win =
-    match Hashtbl.find_opt t.windows page with
-    | Some r -> r
-    | None ->
-        let r = ref [] in
-        Hashtbl.add t.windows page r;
-        r
-  in
-  let rec trim n = function
-    | [] -> []
-    | x :: rest -> if n <= 0 then [] else x :: trim (n - 1) rest
-  in
-  win := trim t.cfg.thrash_window ((at, node) :: !win);
-  let entries = !win in
-  if List.length entries >= t.cfg.thrash_window then begin
-    let newest = fst (List.hd entries) in
-    let oldest = fst (List.nth entries (List.length entries - 1)) in
-    let span = Time.(newest - oldest) in
-    let distinct = List.sort_uniq compare (List.map snd entries) in
-    let last =
-      Option.value ~default:Time.zero (Hashtbl.find_opt t.thrash_last page)
+  (match Int_table.find t.interval_installs page with
+  | c -> Int_table.replace t.interval_installs page (c + 1)
+  | exception Not_found -> Int_table.add t.interval_installs page 1);
+  let win = window t page in
+  let n = Array.length win.w_at in
+  win.w_at.(win.w_next) <- at;
+  win.w_node.(win.w_next) <- node;
+  win.w_next <- (win.w_next + 1) mod n;
+  if win.w_len < n then win.w_len <- win.w_len + 1;
+  if win.w_len >= t.cfg.thrash_window then begin
+    (* Full ring: [w_next] now indexes the oldest install. *)
+    let span = Time.(at - win.w_at.(win.w_next)) in
+    let quiet_enough =
+      match Int_table.find t.thrash_last page with
+      | last -> Time.(at - last) > t.cfg.thrash_span
+      | exception Not_found -> true
     in
-    let quiet = Time.(newest - last) in
-    if
-      span <= t.cfg.thrash_span
-      && List.length distinct >= 2
-      && ((not (Hashtbl.mem t.thrash_last page)) || quiet > t.cfg.thrash_span)
+    if span <= t.cfg.thrash_span && mixed_nodes win.w_node 1 && quiet_enough
     then begin
-      Hashtbl.replace t.thrash_last page newest;
+      Int_table.replace t.thrash_last page at;
       t.pending_thrash <-
         {
           th_page = page;
-          th_count = List.length entries;
-          th_nodes = distinct;
+          th_count = win.w_len;
+          th_nodes = List.sort_uniq compare (Array.to_list win.w_node);
           th_span = span;
         }
         :: t.pending_thrash
     end
   end
 
-let touch t page = Hashtbl.replace t.interval_touched page ()
+let touch t page = Int_table.replace t.interval_touched page ()
 
 let proto_stats t name =
-  match Hashtbl.find_opt t.protos name with
-  | Some ps -> ps
-  | None ->
+  match Hashtbl.find t.protos name with
+  | ps -> ps
+  | exception Not_found ->
       let ps = { pf_faults = 0; pf_sketch = Sketch.create () } in
       Hashtbl.add t.protos name ps;
       ps
@@ -325,7 +355,14 @@ let proto_stats t name =
 (* The observer callback: pure bookkeeping, O(1) amortized per event.  No
    engine interaction, no shared RNG — attaching telemetry cannot perturb a
    seeded schedule. *)
-let on_event t (entry : Trace.entry) ev =
+let close_fault t ~at ~span =
+  match Int_table.find t.open_faults span with
+  | start, proto ->
+      Int_table.remove t.open_faults span;
+      Sketch.add (proto_stats t proto).pf_sketch (Time.to_us Time.(at - start))
+  | exception Not_found -> ()
+
+let on_event t ~at ~span ev =
   t.seen <- t.seen + 1;
   Pages.feed t.pgs ev;
   match ev with
@@ -335,27 +372,13 @@ let on_event t (entry : Trace.entry) ev =
         t.nd_faults.(node) <- t.nd_faults.(node) + 1;
       let ps = proto_stats t protocol in
       ps.pf_faults <- ps.pf_faults + 1;
-      if
-        entry.Trace.span <> Trace.no_span
-        && not (Hashtbl.mem t.open_faults entry.Trace.span)
-      then
-        Hashtbl.add t.open_faults entry.Trace.span (entry.Trace.at, protocol)
+      if span <> Trace.no_span && not (Int_table.mem t.open_faults span) then
+        Int_table.add t.open_faults span (at, protocol)
   | Trace.Page_install { node; page; _ } ->
       touch t page;
-      note_install t ~page ~node entry.Trace.at;
-      (match Hashtbl.find_opt t.open_faults entry.Trace.span with
-      | Some (start, proto) ->
-          Hashtbl.remove t.open_faults entry.Trace.span;
-          Sketch.add (proto_stats t proto).pf_sketch
-            (Time.to_us Time.(entry.Trace.at - start))
-      | None -> ())
-  | Trace.Migration _ -> (
-      match Hashtbl.find_opt t.open_faults entry.Trace.span with
-      | Some (start, proto) ->
-          Hashtbl.remove t.open_faults entry.Trace.span;
-          Sketch.add (proto_stats t proto).pf_sketch
-            (Time.to_us Time.(entry.Trace.at - start))
-      | None -> ())
+      note_install t ~page ~node at;
+      close_fault t ~at ~span
+  | Trace.Migration _ -> close_fault t ~at ~span
   | Trace.Page_send { page; _ } | Trace.Invalidate { page; _ } ->
       touch t page
   | Trace.Diff { page_list; _ } -> List.iter (touch t) page_list
@@ -377,19 +400,19 @@ let attach ?(config = default_config) rt =
       seen = 0;
       nd_faults = Array.make (Runtime.nodes rt) 0;
       protos = Hashtbl.create 8;
-      open_faults = Hashtbl.create 64;
-      class_cache = Hashtbl.create 64;
+      open_faults = Int_table.create 64;
+      class_cache = Int_table.create 64;
       reclass_total = 0;
-      windows = Hashtbl.create 64;
-      thrash_last = Hashtbl.create 16;
+      windows = Int_table.create 64;
+      thrash_last = Int_table.create 16;
       pending_thrash = [];
-      advised = Hashtbl.create 16;
-      interval_touched = Hashtbl.create 64;
-      interval_installs = Hashtbl.create 64;
+      advised = Int_table.create 16;
+      interval_touched = Int_table.create 64;
+      interval_installs = Int_table.create 64;
       interval_count = 0;
     }
   in
-  Trace.set_observer (Monitor.trace rt) (fun entry ev -> on_event t entry ev);
+  Trace.set_observer (Monitor.trace rt) (on_event t);
   rt.Runtime.telemetry <- Some (Tele t);
   t
 
@@ -429,6 +452,11 @@ let fault_percentile t p = Sketch.percentile (fault_sketch t) p
 
 (* --- interval drain --- *)
 
+let advised_as t page r =
+  match Int_table.find t.advised page with
+  | prev -> String.equal prev r
+  | exception Not_found -> false
+
 let end_interval t =
   t.interval_count <- t.interval_count + 1;
   let now = Engine.now (Runtime.engine t.rt) in
@@ -436,39 +464,41 @@ let end_interval t =
      operations): without a horizon the open table would leak on faulted
      runs, and a stale open could mis-attribute a reused span id. *)
   let stale =
-    Hashtbl.fold
+    Int_table.fold
       (fun span (start, _) acc ->
         if Time.(now - start) > t.cfg.open_horizon then span :: acc else acc)
       t.open_faults []
   in
-  List.iter (Hashtbl.remove t.open_faults) stale;
+  List.iter (Int_table.remove t.open_faults) stale;
   (* Classification churn and fresh advice, over the pages touched this
      interval only. *)
   let reclass = ref 0 in
   let fresh_advice = ref [] in
-  Hashtbl.iter
+  Int_table.iter
     (fun page () ->
-      match Pages.profile t.pgs page with
-      | None -> ()
-      | Some pr ->
-          (match Hashtbl.find_opt t.class_cache page with
-          | Some old when old <> pr.pr_pattern ->
-              incr reclass;
-              Hashtbl.replace t.class_cache page pr.pr_pattern
-          | Some _ -> ()
-          | None -> Hashtbl.add t.class_cache page pr.pr_pattern);
-          if pr.pr_read_faults + pr.pr_write_faults >= t.cfg.advice_min_faults
+      match Int_table.find t.pgs.Pages.tbl page with
+      | exception Not_found -> ()
+      | a ->
+          let pattern = Pages.classify_acc a in
+          (match Int_table.find t.class_cache page with
+          | old ->
+              if old <> pattern then begin
+                incr reclass;
+                Int_table.replace t.class_cache page pattern
+              end
+          | exception Not_found -> Int_table.add t.class_cache page pattern);
+          if a.Pages.c_read_faults + a.Pages.c_write_faults >= t.cfg.advice_min_faults
           then
-            match recommended_protocol pr.pr_pattern with
+            match recommended_protocol pattern with
             | Some r
-              when r <> pr.pr_protocol
-                   && Hashtbl.find_opt t.advised page <> Some r ->
-                Hashtbl.replace t.advised page r;
+              when r <> a.Pages.c_protocol
+                   && not (advised_as t page r) ->
+                Int_table.replace t.advised page r;
                 fresh_advice :=
                   {
                     av_page = page;
-                    av_pattern = pr.pr_pattern;
-                    av_current = pr.pr_protocol;
+                    av_pattern = pattern;
+                    av_current = a.Pages.c_protocol;
                     av_recommended = r;
                   }
                   :: !fresh_advice
@@ -476,7 +506,7 @@ let end_interval t =
     t.interval_touched;
   t.reclass_total <- t.reclass_total + !reclass;
   let installs =
-    Hashtbl.fold (fun p c acc -> (p, c) :: acc) t.interval_installs []
+    Int_table.fold (fun p c acc -> (p, c) :: acc) t.interval_installs []
     |> List.sort (fun (pa, ca) (pb, cb) ->
            let c = compare cb ca in
            if c <> 0 then c else compare pa pb)
@@ -491,14 +521,14 @@ let end_interval t =
     }
   in
   t.pending_thrash <- [];
-  Hashtbl.reset t.interval_touched;
-  Hashtbl.reset t.interval_installs;
+  Int_table.reset t.interval_touched;
+  Int_table.reset t.interval_installs;
   iv
 
 (* --- snapshots --- *)
 
 let advice_list t =
-  Hashtbl.fold
+  Int_table.fold
     (fun page r acc ->
       match Pages.profile t.pgs page with
       | Some pr ->

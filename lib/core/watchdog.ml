@@ -79,7 +79,13 @@ type t = {
   prev_node_faults : int array;
   prev_node_msgs : int array;
   prev_node_bytes : int array;
-  prev_proto_faults : (string, int) Hashtbl.t;
+  node_faults : int array;  (* scratch: this tick's per-node fault totals *)
+  mutable proto_order : int array;
+      (* protocol ids with fault cells, sorted by name then id *)
+  mutable prev_proto_faults : int array;  (* by protocol id, cumulative *)
+  mutable audit_rows : Page_table.entry option array array;
+      (* per page of node 0's table, in page order: every node's entry *)
+  mutable audit_mapped : int;  (* total entries when [audit_rows] was built *)
   mutable samples_taken : int;
   mutable pages_audited : int;
   mutable armed : bool;
@@ -269,142 +275,163 @@ let drain_telemetry w =
     iv.Telemetry.iv_advice;
   iv
 
-(* --- page-table invariant audits --- *)
+(* --- page-table invariant audits ---
 
-let audit w =
+   A tick audits every page of node 0's table.  The audit reads a cached
+   row per page holding every node's entry, rebuilt only when some table
+   maps a new page (pages are never unmapped); with no violation to report
+   it allocates nothing, so its cost is one pass over pages x nodes. *)
+
+let audit_rows w =
   let rt = w.rt in
   let n = Runtime.nodes rt in
-  List.iter
-    (fun (e0 : Page_table.entry) ->
-      let page = e0.Page_table.page in
-      let entries =
-        Array.init n (fun node -> Page_table.find_opt (Runtime.table rt node) page)
-      in
-      let transient =
-        Array.exists
-          (function
-            | Some (e : Page_table.entry) ->
-                e.Page_table.faulting || e.Page_table.pinned
-            | None -> false)
-          entries
-      in
-      (* A page with a fault in flight anywhere is mid-transition: every
-         legal protocol transient (ownership transfer, invalidation sweep,
-         copyset update) happens under some node's faulting/pinned flag, so
-         skipping those pages makes the audit transient-free. *)
-      if not transient then begin
-        w.pages_audited <- w.pages_audited + 1;
-        Array.iteri
-          (fun node -> function
-            | None -> ()
-            | Some (e : Page_table.entry) ->
-                if e.Page_table.protocol <> e0.Page_table.protocol then
-                  once w (Printf.sprintf "inv.proto:%d:%d" page node) (fun () ->
-                      raise_alert w ~node ~severity:Critical
-                        ~kind:"invariant.protocol"
-                        (Printf.sprintf
-                           "page %d: node %d maps protocol %d but node 0 maps \
-                            %d"
-                           page node e.Page_table.protocol
-                           e0.Page_table.protocol));
-                if e.Page_table.home <> e0.Page_table.home then
-                  once w (Printf.sprintf "inv.home:%d:%d" page node) (fun () ->
-                      raise_alert w ~node ~severity:Critical ~kind:"invariant.home"
-                        (Printf.sprintf
-                           "page %d: node %d believes home is %d but node 0 \
-                            says %d"
-                           page node e.Page_table.home e0.Page_table.home)))
-          entries;
-        let proto = Runtime.proto rt e0.Page_table.protocol in
-        (* The MRSW invariants below assume ownership-based coherence.  A
-           per-access protocol (one that revokes rights after every read,
-           i.e. [on_local_read] is set — the quorum family) enforces its
-           model by majority intersection instead: there is no standing
-           owner, and a writer briefly holds a writable frame away from the
-           nominal owner while its propagation round is in flight.  Those
-           are legal states, so such protocols are exempt. *)
-        if
-          Protocol.strict_coherence proto.Protocol.model
-          && proto.Protocol.on_local_read = None
-        then begin
-          let owners = ref [] in
-          Array.iteri
-            (fun node -> function
-              | Some (e : Page_table.entry) when e.Page_table.prob_owner = node
-                ->
-                  owners := node :: !owners
-              | _ -> ())
-            entries;
-          match List.rev !owners with
-          | [ owner ] ->
-              let oe =
-                match entries.(owner) with Some e -> e | None -> assert false
-              in
-              Array.iteri
-                (fun node -> function
-                  | Some (e : Page_table.entry) when node <> owner ->
-                      if Access.allows e.Page_table.rights Access.Write then
-                        once w (Printf.sprintf "inv.owner.w:%d:%d" page node)
-                          (fun () ->
-                            raise_alert w ~node ~severity:Critical
-                              ~kind:"invariant.owner"
-                              (Printf.sprintf
-                                 "page %d: node %d holds a writable frame but \
-                                  the owner is node %d"
-                                 page node owner))
-                      else if
-                        oe.Page_table.rights = Access.Read_write
-                        && e.Page_table.rights <> Access.No_access
-                      then
-                        once w (Printf.sprintf "inv.owner.x:%d:%d" page node)
-                          (fun () ->
-                            raise_alert w ~node ~severity:Critical
-                              ~kind:"invariant.owner"
-                              (Printf.sprintf
-                                 "page %d: owner %d is in write mode but node \
-                                  %d still has %s rights"
-                                 page owner node
-                                 (Access.to_string e.Page_table.rights)))
-                  | _ -> ())
-                entries;
-              List.iter
-                (fun c ->
-                  if c <> owner && c >= 0 && c < n then
-                    match entries.(c) with
-                    | Some (e : Page_table.entry) ->
-                        if
-                          (not (Access.allows e.Page_table.rights Access.Read))
-                          || not (Frame_store.has_frame (Runtime.store rt c) page)
-                        then
-                          once w (Printf.sprintf "inv.copyset:%d:%d" page c)
-                            (fun () ->
-                              raise_alert w ~node:c ~severity:Critical
-                                ~kind:"invariant.copyset"
-                                (Printf.sprintf
-                                   "page %d: node %d is in the owner's copyset \
-                                    but holds %s rights%s"
-                                   page c
-                                   (Access.to_string e.Page_table.rights)
-                                   (if
-                                      Frame_store.has_frame (Runtime.store rt c)
-                                        page
-                                    then ""
-                                    else " and no frame")))
-                    | None -> ())
-                oe.Page_table.copyset
-          | [] ->
-              once w (Printf.sprintf "inv.owner0:%d" page) (fun () ->
-                  raise_alert w ~severity:Critical ~kind:"invariant.owner"
-                    (Printf.sprintf "page %d: no node believes it is the owner"
-                       page))
-          | many ->
-              once w (Printf.sprintf "inv.ownerN:%d" page) (fun () ->
-                  raise_alert w ~severity:Critical ~kind:"invariant.owner"
-                    (Printf.sprintf "page %d: multiple self-owners: [%s]" page
-                       (String.concat "," (List.map string_of_int many))))
+  let mapped = ref 0 in
+  for node = 0 to n - 1 do
+    mapped := !mapped + Page_table.length (Runtime.table rt node)
+  done;
+  if !mapped <> w.audit_mapped then begin
+    w.audit_rows <-
+      Array.of_list
+        (List.map
+           (fun (e0 : Page_table.entry) ->
+             Array.init n (fun node ->
+                 Page_table.find_opt (Runtime.table rt node) e0.Page_table.page))
+           (Page_table.entries (Runtime.table rt 0)));
+    w.audit_mapped <- !mapped
+  end;
+  w.audit_rows
+
+let entry_of row node =
+  match row.(node) with Some e -> e | None -> assert false
+
+(* A page with a fault in flight anywhere is mid-transition: every legal
+   protocol transient (ownership transfer, invalidation sweep, copyset
+   update) happens under some node's faulting/pinned flag, so skipping
+   those pages makes the audit transient-free. *)
+let rec transient row node =
+  node < Array.length row
+  && ((match row.(node) with
+      | Some (e : Page_table.entry) -> e.Page_table.faulting || e.Page_table.pinned
+      | None -> false)
+     || transient row (node + 1))
+
+let audit_agreement w ~page (e0 : Page_table.entry) row =
+  for node = 0 to Array.length row - 1 do
+    match row.(node) with
+    | None -> ()
+    | Some (e : Page_table.entry) ->
+        if e.Page_table.protocol <> e0.Page_table.protocol then
+          once w (Printf.sprintf "inv.proto:%d:%d" page node) (fun () ->
+              raise_alert w ~node ~severity:Critical ~kind:"invariant.protocol"
+                (Printf.sprintf
+                   "page %d: node %d maps protocol %d but node 0 maps %d" page
+                   node e.Page_table.protocol e0.Page_table.protocol));
+        if e.Page_table.home <> e0.Page_table.home then
+          once w (Printf.sprintf "inv.home:%d:%d" page node) (fun () ->
+              raise_alert w ~node ~severity:Critical ~kind:"invariant.home"
+                (Printf.sprintf
+                   "page %d: node %d believes home is %d but node 0 says %d"
+                   page node e.Page_table.home e0.Page_table.home))
+  done
+
+let self_owned row node =
+  match row.(node) with
+  | Some (e : Page_table.entry) -> e.Page_table.prob_owner = node
+  | None -> false
+
+let rec audit_copyset w ~page ~owner row = function
+  | [] -> ()
+  | c :: rest ->
+      (if c <> owner && c >= 0 && c < Array.length row then
+         match row.(c) with
+         | Some (e : Page_table.entry) ->
+             let has_frame = Frame_store.has_frame (Runtime.store w.rt c) page in
+             if (not (Access.allows e.Page_table.rights Access.Read)) || not has_frame
+             then
+               once w (Printf.sprintf "inv.copyset:%d:%d" page c) (fun () ->
+                   raise_alert w ~node:c ~severity:Critical
+                     ~kind:"invariant.copyset"
+                     (Printf.sprintf
+                        "page %d: node %d is in the owner's copyset but holds \
+                         %s rights%s"
+                        page c
+                        (Access.to_string e.Page_table.rights)
+                        (if has_frame then "" else " and no frame")))
+         | None -> ());
+      audit_copyset w ~page ~owner row rest
+
+let audit_owner w ~page ~owner row =
+  let n = Array.length row in
+  let oe = entry_of row owner in
+  for node = 0 to n - 1 do
+    match row.(node) with
+    | Some (e : Page_table.entry) when node <> owner ->
+        if Access.allows e.Page_table.rights Access.Write then
+          once w (Printf.sprintf "inv.owner.w:%d:%d" page node) (fun () ->
+              raise_alert w ~node ~severity:Critical ~kind:"invariant.owner"
+                (Printf.sprintf
+                   "page %d: node %d holds a writable frame but the owner is \
+                    node %d"
+                   page node owner))
+        else if
+          oe.Page_table.rights = Access.Read_write
+          && e.Page_table.rights <> Access.No_access
+        then
+          once w (Printf.sprintf "inv.owner.x:%d:%d" page node) (fun () ->
+              raise_alert w ~node ~severity:Critical ~kind:"invariant.owner"
+                (Printf.sprintf
+                   "page %d: owner %d is in write mode but node %d still has \
+                    %s rights"
+                   page owner node
+                   (Access.to_string e.Page_table.rights)))
+    | _ -> ()
+  done;
+  audit_copyset w ~page ~owner row oe.Page_table.copyset
+
+let audit_page w row =
+  let e0 = entry_of row 0 in
+  let page = e0.Page_table.page in
+  if not (transient row 0) then begin
+    w.pages_audited <- w.pages_audited + 1;
+    audit_agreement w ~page e0 row;
+    let proto = Runtime.proto w.rt e0.Page_table.protocol in
+    (* The MRSW invariants below assume ownership-based coherence.  A
+       per-access protocol (one that revokes rights after every read, i.e.
+       [on_local_read] is set — the quorum family) enforces its model by
+       majority intersection instead: there is no standing owner, and a
+       writer briefly holds a writable frame away from the nominal owner
+       while its propagation round is in flight.  Those are legal states,
+       so such protocols are exempt. *)
+    if
+      Protocol.strict_coherence proto.Protocol.model
+      && proto.Protocol.on_local_read = None
+    then begin
+      let owners = ref 0 and owner = ref (-1) in
+      for node = 0 to Array.length row - 1 do
+        if self_owned row node then begin
+          incr owners;
+          if !owner < 0 then owner := node
         end
-      end)
-    (Page_table.entries (Runtime.table rt 0))
+      done;
+      match !owners with
+      | 1 -> audit_owner w ~page ~owner:!owner row
+      | 0 ->
+          once w (Printf.sprintf "inv.owner0:%d" page) (fun () ->
+              raise_alert w ~severity:Critical ~kind:"invariant.owner"
+                (Printf.sprintf "page %d: no node believes it is the owner" page))
+      | _ ->
+          once w (Printf.sprintf "inv.ownerN:%d" page) (fun () ->
+              let many =
+                List.filter (self_owned row)
+                  (List.init (Array.length row) Fun.id)
+              in
+              raise_alert w ~severity:Critical ~kind:"invariant.owner"
+                (Printf.sprintf "page %d: multiple self-owners: [%s]" page
+                   (String.concat "," (List.map string_of_int many))))
+    end
+  end
+
+let audit w = Array.iter (audit_page w) (audit_rows w)
 
 (* --- fault-plan health (only active when a plan is installed) --- *)
 
@@ -451,56 +478,91 @@ let check_faults w now =
 
 (* --- interval rates --- *)
 
+(* The fault counters are read straight from the runtime's fault cells
+   ({!Instrument.proto_cells}), protocol by protocol, into arrays reused
+   across ticks: a quiet tick allocates only the sample itself. *)
+
+let refresh_proto_order w =
+  let cells = w.rt.Runtime.cells in
+  let protos = cells.Instrument.protos in
+  let used =
+    Array.fold_left (fun n row -> if Array.length row > 0 then n + 1 else n) 0 protos
+  in
+  if used <> Array.length w.proto_order then begin
+    let ids =
+      List.filter
+        (fun p -> Array.length protos.(p) > 0)
+        (List.init (Array.length protos) Fun.id)
+    in
+    let named = List.map (fun p -> (cells.Instrument.protocol_name p, p)) ids in
+    w.proto_order <- Array.of_list (List.map snd (List.sort compare named));
+    if Array.length w.prev_proto_faults < Array.length protos then begin
+      let grown = Array.make (Array.length protos) 0 in
+      Array.blit w.prev_proto_faults 0 grown 0 (Array.length w.prev_proto_faults);
+      w.prev_proto_faults <- grown
+    end
+  end
+
+(* Adds protocol [p]'s read and write faults into [node_faults], node by
+   node, and returns their sum. *)
+let add_faults (cells : Instrument.t) node_faults p =
+  let row = cells.Instrument.protos.(p) in
+  let total = ref 0 in
+  for nd = 0 to Array.length row - 1 do
+    let f =
+      Stats.events row.(nd).Instrument.read + Stats.events row.(nd).Instrument.write
+    in
+    node_faults.(nd) <- node_faults.(nd) + f;
+    total := !total + f
+  done;
+  !total
+
 let snapshot w now ~installs =
   let rt = w.rt in
+  let cells = rt.Runtime.cells in
   let nodes = Runtime.nodes rt in
   let dt_s = Time.to_us Time.(now - w.prev_at) /. 1e6 in
-  let node_faults = Array.make nodes 0 in
-  let proto_faults : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  (* One pass over the registry per fault series: this runs every tick. *)
-  List.iter
-    (fun name ->
-      Stats.fold_count rt.Runtime.stats name
-        (fun l f () ->
-          (match l.Stats.lbl_node with
-          | Some nd when nd >= 0 && nd < nodes ->
-              node_faults.(nd) <- node_faults.(nd) + f
-          | _ -> ());
-          match l.Stats.lbl_protocol with
-          | Some p ->
-              Hashtbl.replace proto_faults p
-                (f + Option.value ~default:0 (Hashtbl.find_opt proto_faults p))
-          | None -> ())
-        ())
-    [ Instrument.read_faults; Instrument.write_faults ];
-  let traffic = Network.traffic_by_node (Pm2.network rt.Runtime.pm2) in
-  let node_msgs = Array.map fst traffic and node_bytes = Array.map snd traffic in
+  refresh_proto_order w;
+  let node_faults = w.node_faults in
+  Array.fill node_faults 0 nodes 0;
+  (* Interval faults per protocol name, in name order; ids sharing a name
+     are adjacent in [proto_order] and count as one protocol. *)
+  let order = w.proto_order in
+  let proto_list = ref [] in
+  let i = ref (Array.length order - 1) in
+  while !i >= 0 do
+    let name = cells.Instrument.protocol_name order.(!i) in
+    let delta = ref 0 in
+    while !i >= 0 && String.equal (cells.Instrument.protocol_name order.(!i)) name do
+      let p = order.(!i) in
+      let cur = add_faults cells node_faults p in
+      delta := !delta + cur - w.prev_proto_faults.(p);
+      w.prev_proto_faults.(p) <- cur;
+      decr i
+    done;
+    if !delta > 0 then proto_list := (name, !delta) :: !proto_list
+  done;
+  let net = Pm2.network rt.Runtime.pm2 in
   let rate prev cur =
     if dt_s <= 0. then 0. else float_of_int (cur - prev) /. dt_s
   in
   let rates =
     Array.init nodes (fun nd ->
-        {
-          nr_node = nd;
-          nr_faults_s = rate w.prev_node_faults.(nd) node_faults.(nd);
-          nr_msgs_s = rate w.prev_node_msgs.(nd) node_msgs.(nd);
-          nr_bytes_s = rate w.prev_node_bytes.(nd) node_bytes.(nd);
-        })
-  in
-  let proto_list =
-    Hashtbl.fold
-      (fun p cur acc ->
-        let prev =
-          Option.value ~default:0 (Hashtbl.find_opt w.prev_proto_faults p)
+        let msgs = Network.messages_from net nd
+        and bytes = Network.bytes_from net nd in
+        let r =
+          {
+            nr_node = nd;
+            nr_faults_s = rate w.prev_node_faults.(nd) node_faults.(nd);
+            nr_msgs_s = rate w.prev_node_msgs.(nd) msgs;
+            nr_bytes_s = rate w.prev_node_bytes.(nd) bytes;
+          }
         in
-        if cur - prev > 0 then (p, cur - prev) :: acc else acc)
-      proto_faults []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+        w.prev_node_faults.(nd) <- node_faults.(nd);
+        w.prev_node_msgs.(nd) <- msgs;
+        w.prev_node_bytes.(nd) <- bytes;
+        r)
   in
-  Array.blit node_faults 0 w.prev_node_faults 0 nodes;
-  Array.blit node_msgs 0 w.prev_node_msgs 0 nodes;
-  Array.blit node_bytes 0 w.prev_node_bytes 0 nodes;
-  Hashtbl.iter (Hashtbl.replace w.prev_proto_faults) proto_faults;
   (* [installs] arrives sorted (most active first) from the telemetry
      interval. *)
   let hot = List.filteri (fun i _ -> i < 5) installs in
@@ -512,7 +574,7 @@ let snapshot w now ~installs =
       sp_events = Engine.events_executed eng;
       sp_live_fibers = Engine.live_fibers eng;
       sp_rates = rates;
-      sp_proto_faults = proto_list;
+      sp_proto_faults = !proto_list;
       sp_hot_pages = hot;
       sp_alerts = w.alert_count - w.prev_alerts;
     }
@@ -626,7 +688,11 @@ let attach ?(config = default_config) rt =
       prev_node_faults = Array.make nodes 0;
       prev_node_msgs = Array.make nodes 0;
       prev_node_bytes = Array.make nodes 0;
-      prev_proto_faults = Hashtbl.create 8;
+      node_faults = Array.make nodes 0;
+      proto_order = [||];
+      prev_proto_faults = [||];
+      audit_rows = [||];
+      audit_mapped = -1;
       samples_taken = 0;
       pages_audited = 0;
       armed = false;

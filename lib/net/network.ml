@@ -82,10 +82,15 @@ let dropped_by_kind t =
          (name, sum dropped (Array.init t.nnodes (fun n -> t.msgs.((n * kinds) + k)))))
        kind_names)
 
-let traffic_by_node t =
-  Array.init t.nnodes (fun n ->
-      let cells = Array.sub t.msgs (n * kinds) kinds in
-      (sum Stats.events cells, sum Stats.volume cells))
+let sum_node f t node =
+  let acc = ref 0 in
+  for k = 0 to kinds - 1 do
+    acc := !acc + f t.msgs.((node * kinds) + k)
+  done;
+  !acc
+
+let messages_from t node = sum_node Stats.events t node
+let bytes_from t node = sum_node Stats.volume t node
 
 (* Seeded fault-injection jitter: every message pays a bounded random extra
    latency, and a small fraction take a much larger "spike" (a retransmission,

@@ -73,8 +73,11 @@ val messages_dropped : t -> int
 (** Messages dropped by the installed fault plan (loss draws plus crash
     blackholes). *)
 
-val traffic_by_node : t -> (int * int) array
-(** Per source node: cross-node messages sent and their wire bytes. *)
+val messages_from : t -> int -> int
+(** Cross-node messages sent by one node. *)
+
+val bytes_from : t -> int -> int
+(** Wire bytes of the cross-node messages sent by one node. *)
 
 val set_trace : t -> Trace.t -> span:(unit -> int) -> unit
 (** Wires fault forensics: once installed (and while the trace is enabled),

@@ -126,42 +126,48 @@ let event_node = function
 
 type entry = { at : Time.t; span : int; category : string; message : string }
 
-(* Storage is a growable circular buffer so the flight recorder
-   ([set_capacity]) can overwrite the oldest entry in O(1) while the
-   unbounded default keeps amortized O(1) appends.  [total] counts every
-   event ever recorded (monotonic, survives eviction): it is the cursor
-   space of [recent ~since] and the base of the [evicted] accounting. *)
+(* Storage is a growable circular buffer of three parallel arrays — the
+   timestamp, the span id and the typed event of each stored emission — so
+   recording writes two ints and one pointer and builds nothing: the
+   [entry] view (category and rendered message) is made by the readers,
+   from the pure [event_category]/[event_message].  The flight recorder
+   ([set_capacity]) overwrites the oldest slot in O(1) while the unbounded
+   default keeps amortized O(1) appends.  [total] counts every event ever
+   recorded (monotonic, survives eviction): it is the cursor space of
+   [recent ~since] and the base of the [evicted] accounting. *)
 type t = {
   mutable on : bool;
-  mutable buf : (entry * event) array;
+  mutable ats : Time.t array;
+  mutable span_ids : int array;
+  mutable evs : event array;
   mutable start : int; (* index of the oldest stored entry *)
   mutable len : int; (* number of stored entries *)
   mutable total : int; (* events ever recorded, monotonic *)
   mutable cap : int option; (* flight-recorder bound; [None] = unbounded *)
   mutable next_span : int;
-  thread_spans : (int, int) Hashtbl.t; (* tid -> active span *)
+  thread_spans : int Int_table.t; (* tid -> active span *)
   mutable autodump : string option; (* dump target armed on critical alerts *)
   mutable autodump_fired : bool;
-  mutable observer : (entry -> event -> unit) option;
+  mutable observer : (at:Time.t -> span:int -> event -> unit) option;
       (* sees every emission, before sampling and before ring eviction *)
   mutable sampling : (int * float) option; (* (seed, keep percentage) *)
   mutable sampled_out : int; (* events dropped by the sampler, monotonic *)
 }
 
-let dummy_slot =
-  ( { at = Time.zero; span = no_span; category = ""; message = "" },
-    Message { category = ""; message = "" } )
+let dummy_event = Message { category = ""; message = "" }
 
 let create ?(enabled = false) () =
   {
     on = enabled;
-    buf = Array.make 16 dummy_slot;
+    ats = [||];
+    span_ids = [||];
+    evs = [||];
     start = 0;
     len = 0;
     total = 0;
     cap = None;
     next_span = 0;
-    thread_spans = Hashtbl.create 16;
+    thread_spans = Int_table.create 16;
     autodump = None;
     autodump_fired = false;
     observer = None;
@@ -178,19 +184,34 @@ let capacity t = t.cap
 let recorded t = t.total
 let evicted t = t.total - t.len
 
+(* Copies the stored entries [skip .. len-1] to the front of fresh arrays
+   of size [n]. *)
+let relayout t ~skip n =
+  let old_n = Array.length t.evs in
+  let ats = Array.make n Time.zero in
+  let span_ids = Array.make n no_span in
+  let evs = Array.make n dummy_event in
+  for i = 0 to t.len - skip - 1 do
+    let k = (t.start + skip + i) mod old_n in
+    ats.(i) <- t.ats.(k);
+    span_ids.(i) <- t.span_ids.(k);
+    evs.(i) <- t.evs.(k)
+  done;
+  t.ats <- ats;
+  t.span_ids <- span_ids;
+  t.evs <- evs;
+  t.start <- 0;
+  t.len <- t.len - skip
+
+(* The arrays start empty and grow by doubling up to the bound ([grow]),
+   so a ring holds exactly [n] slots once it is full, and neither an
+   unused trace nor a freshly armed large recorder costs anything until
+   events arrive. *)
 let set_capacity t n =
   if n <= 0 then invalid_arg "Trace.set_capacity: capacity must be positive";
-  let keep = min t.len n in
-  let old_n = Array.length t.buf in
-  let nb = Array.make n dummy_slot in
-  (* Keep the newest [keep] entries: a shrinking recorder forgets the
-     oldest history first, exactly as steady-state eviction would. *)
-  for i = 0 to keep - 1 do
-    nb.(i) <- t.buf.((t.start + (t.len - keep) + i) mod old_n)
-  done;
-  t.buf <- nb;
-  t.start <- 0;
-  t.len <- keep;
+  (* Keep the newest entries: a shrinking recorder forgets the oldest
+     history first, exactly as steady-state eviction would. *)
+  if Array.length t.evs > n then relayout t ~skip:(t.len - min t.len n) n;
   t.cap <- Some n
 
 let set_autodump t path =
@@ -251,38 +272,38 @@ let sample_keep t span ev = always_keep ev || span_kept t span
    inside [push] without reordering the whole file. *)
 let autodump_impl : (string -> t -> unit) ref = ref (fun _ _ -> ())
 
-let get t i = t.buf.((t.start + i) mod Array.length t.buf)
+(* The storage slot of the [i]-th stored entry, oldest first. *)
+let slot t i = (t.start + i) mod Array.length t.evs
 
 let grow t =
-  let n = Array.length t.buf in
+  let n = Array.length t.evs in
   let n' = max 16 (2 * n) in
   let n' = match t.cap with Some c -> min n' c | None -> n' in
-  if n' > n then begin
-    let nb = Array.make n' dummy_slot in
-    for i = 0 to t.len - 1 do
-      nb.(i) <- t.buf.((t.start + i) mod n)
-    done;
-    t.buf <- nb;
-    t.start <- 0
-  end
+  if n' > n then relayout t ~skip:0 n'
 
-let push t x =
-  (match t.cap with
-  | Some cap when t.len >= cap ->
-      (* Full ring: overwrite the oldest entry in place. *)
-      t.buf.(t.start) <- x;
-      t.start <- (t.start + 1) mod Array.length t.buf;
-      t.total <- t.total + 1
-  | _ ->
-      if t.len = Array.length t.buf then grow t;
-      t.buf.((t.start + t.len) mod Array.length t.buf) <- x;
-      t.len <- t.len + 1;
-      t.total <- t.total + 1);
+let push t at span ev =
+  let k =
+    match t.cap with
+    | Some cap when t.len >= cap ->
+        (* Full ring: overwrite the oldest entry in place. *)
+        let k = t.start in
+        t.start <- (k + 1) mod Array.length t.evs;
+        k
+    | _ ->
+        if t.len = Array.length t.evs then grow t;
+        let k = slot t t.len in
+        t.len <- t.len + 1;
+        k
+  in
+  t.ats.(k) <- at;
+  t.span_ids.(k) <- span;
+  t.evs.(k) <- ev;
+  t.total <- t.total + 1;
   (* Flight-recorder dump: the first critical alert freezes the evidence
      to disk while the ring still holds the events leading up to it. *)
   match t.autodump with
   | Some path when not t.autodump_fired -> (
-      match snd x with
+      match ev with
       | Alert { severity = "critical"; _ } ->
           t.autodump_fired <- true;
           !autodump_impl path t
@@ -307,62 +328,77 @@ let new_span t =
 
 let set_thread_span t ~tid span =
   if t.on then
-    if span = no_span then Hashtbl.remove t.thread_spans tid
-    else Hashtbl.replace t.thread_spans tid span
+    if span = no_span then Int_table.remove t.thread_spans tid
+    else Int_table.replace t.thread_spans tid span
 
-let clear_thread_span t ~tid = Hashtbl.remove t.thread_spans tid
+let clear_thread_span t ~tid = Int_table.remove t.thread_spans tid
 
 let thread_span t ~tid =
   if not t.on then no_span
-  else Option.value ~default:no_span (Hashtbl.find_opt t.thread_spans tid)
+  else
+    match Int_table.find t.thread_spans tid with
+    | span -> span
+    | exception Not_found -> no_span
 
 (* --- recording --- *)
 
 (* The single choke point of live recording: the observer sees the event
    unconditionally, then the sampler decides whether storage does. *)
-let submit t entry ev =
-  (match t.observer with Some f -> f entry ev | None -> ());
-  if sample_keep t entry.span ev then push t (entry, ev)
+let submit t at span ev =
+  (match t.observer with Some f -> f ~at ~span ev | None -> ());
+  if sample_keep t span ev then push t at span ev
   else t.sampled_out <- t.sampled_out + 1
 
 let emit t eng ?(span = no_span) ev =
-  if t.on then
-    submit t
-      {
-        at = Engine.now eng;
-        span;
-        category = event_category ev;
-        message = event_message ev;
-      }
-      ev
+  if t.on then submit t (Engine.now eng) span ev
 
 let record t eng ~category message =
-  if t.on then
-    submit t
-      { at = Engine.now eng; span = no_span; category; message }
-      (Message { category; message })
+  if t.on then submit t (Engine.now eng) no_span (Message { category; message })
 
 let recordf t eng ~category fmt =
   if t.on then
     Format.kasprintf
       (fun message ->
-        submit t
-          { at = Engine.now eng; span = no_span; category; message }
-          (Message { category; message }))
+        submit t (Engine.now eng) no_span (Message { category; message }))
       fmt
   else Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
 
-let events t =
-  let rec build i acc = if i < 0 then acc else build (i - 1) (get t i :: acc) in
-  build (t.len - 1) []
+(* --- inspection: entries are rendered here, on read --- *)
 
-let entries t = List.map fst (events t)
-let by_category t c = List.filter (fun e -> String.equal e.category c) (entries t)
-let by_span t s = List.filter (fun (e, _) -> e.span = s) (events t)
 let length t = t.len
 
-(* The events recorded after cursor [since], chronological: the watchdog's
-   incremental feed.  [since] counts ever-recorded events ({!recorded}), so
+let entry_of ~at ~span ev =
+  { at; span; category = event_category ev; message = event_message ev }
+
+let iter t f =
+  for i = 0 to t.len - 1 do
+    let k = slot t i in
+    f ~at:t.ats.(k) ~span:t.span_ids.(k) t.evs.(k)
+  done
+
+(* The stored entries [from .. len-1] that satisfy [keep], rendered and
+   paired with their events, chronological. *)
+let collect ?(from = 0) t keep =
+  let rec build i acc =
+    if i < from then acc
+    else
+      let k = slot t i in
+      let at = t.ats.(k) and span = t.span_ids.(k) and ev = t.evs.(k) in
+      build (i - 1)
+        (if keep span ev then (entry_of ~at ~span ev, ev) :: acc else acc)
+  in
+  build (t.len - 1) []
+
+let events t = collect t (fun _ _ -> true)
+let entries t = List.map fst (events t)
+
+let by_category t c =
+  List.map fst (collect t (fun _ ev -> String.equal (event_category ev) c))
+
+let by_span t s = collect t (fun span _ -> span = s)
+
+(* The events recorded after cursor [since], chronological: an incremental
+   reader's feed.  [since] counts ever-recorded events ({!recorded}), so
    the cursor stays correct when the flight recorder evicts entries — a
    caller that fell behind an eviction simply misses the overwritten events
    (they are gone) and resumes at the oldest survivor.  Cost and allocation
@@ -372,12 +408,7 @@ let recent t ~since =
   let first_stored = t.total - t.len in
   let from = if since < first_stored then first_stored else since in
   let fresh = t.total - from in
-  if fresh <= 0 then []
-  else begin
-    let stop = t.len - fresh in
-    let rec build i acc = if i < stop then acc else build (i - 1) (get t i :: acc) in
-    build (t.len - 1) []
-  end
+  if fresh <= 0 then [] else collect ~from:(t.len - fresh) t (fun _ _ -> true)
 
 (* Every span's events grouped together (chronological inside each group),
    ordered by each span's first event — the analyzer's raw material. *)
@@ -386,14 +417,12 @@ let spans t =
   let order = ref [] in
   List.iter
     (fun ((e, _) as x) ->
-      if e.span <> no_span then begin
-        match Hashtbl.find_opt tbl e.span with
-        | Some rev -> Hashtbl.replace tbl e.span (x :: rev)
-        | None ->
-            order := e.span :: !order;
-            Hashtbl.replace tbl e.span [ x ]
-      end)
-    (events t);
+      match Hashtbl.find_opt tbl e.span with
+      | Some rev -> Hashtbl.replace tbl e.span (x :: rev)
+      | None ->
+          order := e.span :: !order;
+          Hashtbl.replace tbl e.span [ x ])
+    (collect t (fun span _ -> span <> no_span));
   List.rev_map (fun s -> (s, List.rev (Hashtbl.find tbl s))) !order
 
 (* Rebuild a trace from typed events, e.g. re-loaded from a JSONL dump.
@@ -405,34 +434,31 @@ let of_events evs =
   List.iter
     (fun (at, span, ev) ->
       if span > !max_span then max_span := span;
-      push t
-        ({ at; span; category = event_category ev; message = event_message ev }, ev))
+      push t at span ev)
     evs;
   t.next_span <- !max_span + 1;
   t
 
 let hash t =
   let acc = ref 0 in
-  for i = 0 to t.len - 1 do
-    let e, _ = get t i in
-    acc := Hashtbl.hash (!acc, e.at, e.category, e.message)
-  done;
+  iter t (fun ~at ~span:_ ev ->
+      acc := Hashtbl.hash (!acc, at, event_category ev, event_message ev));
   !acc
 
 let pp ppf t =
-  List.iter
-    (fun e -> Format.fprintf ppf "[%a] %-12s %s@." Time.pp e.at e.category e.message)
-    (entries t)
+  iter t (fun ~at ~span:_ ev ->
+      Format.fprintf ppf "[%a] %-12s %s@." Time.pp at (event_category ev)
+        (event_message ev))
 
 let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) dummy_slot;
+  Array.fill t.evs 0 (Array.length t.evs) dummy_event;
   t.start <- 0;
   t.len <- 0;
   t.total <- 0;
   t.next_span <- 0;
   t.autodump_fired <- false;
   t.sampled_out <- 0;
-  Hashtbl.reset t.thread_spans
+  Int_table.reset t.thread_spans
 
 (* --- JSON export --- *)
 
@@ -678,11 +704,8 @@ let event_of_json j =
   Some (at, span, ev)
 
 let to_jsonl ppf t =
-  List.iter
-    (fun (e, ev) ->
-      Format.fprintf ppf "%s@."
-        (Json.to_string (event_to_json ~at:e.at ~span:e.span ev)))
-    (events t)
+  iter t (fun ~at ~span ev ->
+      Format.fprintf ppf "%s@." (Json.to_string (event_to_json ~at ~span ev)))
 
 (* Inverse of [to_jsonl] over a whole dump (the file's contents, one JSON
    object per line).  Blank lines are skipped; the first malformed line
@@ -706,29 +729,28 @@ let of_jsonl contents =
    event per trace entry, with the simulated node as the process lane and
    the span id as the thread lane so causally linked events line up. *)
 let chrome_json t =
-  let trace_events =
-    List.map
-      (fun (e, ev) ->
-        let node = event_node ev in
+  let trace_events = ref [] in
+  iter t (fun ~at ~span ev ->
+      let node = event_node ev in
+      trace_events :=
         Json.Obj
           [
             ("name", Json.String (event_category ev));
             ("ph", Json.String "i");
             ("s", Json.String "t");
-            ("ts", Json.Float (Time.to_us e.at));
+            ("ts", Json.Float (Time.to_us at));
             ("pid", Json.Int (if node < 0 then 0 else node));
-            ("tid", Json.Int (if e.span = no_span then 0 else e.span));
+            ("tid", Json.Int (if span = no_span then 0 else span));
             ( "args",
               Json.Obj
-                (("span", Json.Int e.span)
-                :: ("detail", Json.String e.message)
+                (("span", Json.Int span)
+                :: ("detail", Json.String (event_message ev))
                 :: event_fields ev) );
-          ])
-      (events t)
-  in
+          ]
+        :: !trace_events);
   Json.Obj
     [
-      ("traceEvents", Json.List trace_events);
+      ("traceEvents", Json.List (List.rev !trace_events));
       ("displayTimeUnit", Json.String "ms");
     ]
 

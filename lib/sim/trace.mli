@@ -101,6 +101,10 @@ val event_node : event -> int
     (free-form messages). *)
 
 type entry = { at : Time.t; span : int; category : string; message : string }
+(** The read-side view of one stored event.  Recording stores only the
+    timestamp, the span id and the typed event; [category] and [message]
+    are rendered by the inspection functions and exporters, from
+    {!event_category} and {!event_message}, when the trace is read. *)
 
 type t
 
@@ -158,9 +162,11 @@ val autodump_fired : t -> bool
     [Blackhole], [Crash], [Restart], [Rpc_retry]), free-form [Message]s and
     events outside any span are always kept. *)
 
-val set_observer : t -> (entry -> event -> unit) -> unit
-(** Attaches the observer.  Raises [Invalid_argument] when one is already
-    attached (there is exactly one slot; compose externally if needed). *)
+val set_observer : t -> (at:Time.t -> span:int -> event -> unit) -> unit
+(** Attaches the observer, called with each emission's timestamp, span id
+    and typed event; nothing is rendered for it.  Raises
+    [Invalid_argument] when one is already attached (there is exactly one
+    slot; compose externally if needed). *)
 
 val clear_observer : t -> unit
 
@@ -202,8 +208,9 @@ val thread_span : t -> tid:int -> int
 (** {2 Recording} *)
 
 val emit : t -> Engine.t -> ?span:int -> event -> unit
-(** No-op when the trace is disabled.  Call sites on hot paths should guard
-    with {!enabled} so the event itself is not even allocated. *)
+(** No-op when the trace is disabled.  Stores the event as given; no
+    message is formatted.  Call sites on hot paths should guard with
+    {!enabled} so the event itself is not even allocated. *)
 
 val record : t -> Engine.t -> category:string -> string -> unit
 (** No-op when the trace is disabled. *)
@@ -213,7 +220,13 @@ val recordf :
 (** Like [record] with a format string; the message is only built when the
     trace is enabled. *)
 
-(** {2 Inspection} *)
+(** {2 Inspection}
+
+    Every function below renders the {!entry} views it returns; {!iter}
+    and {!length} render nothing. *)
+
+val iter : t -> (at:Time.t -> span:int -> event -> unit) -> unit
+(** The stored events in chronological order, without rendering. *)
 
 val entries : t -> entry list
 (** In chronological order. *)
@@ -222,6 +235,7 @@ val events : t -> (entry * event) list
 (** In chronological order, with the typed event. *)
 
 val by_category : t -> string -> entry list
+(** Renders only the events of the given category. *)
 
 val by_span : t -> int -> (entry * event) list
 (** Every event of one logical operation, chronological. *)
@@ -236,7 +250,7 @@ val length : t -> int
 
 val recent : t -> since:int -> (entry * event) list
 (** [recent t ~since] returns the events recorded after cursor [since],
-    chronological — the watchdog's incremental feed.  The cursor counts
+    chronological — an incremental reader's feed.  The cursor counts
     ever-recorded events ({!recorded}), so it stays correct across ring
     eviction: events already overwritten are silently skipped.  Cost and
     allocation are proportional to the number of fresh events, not the

@@ -461,6 +461,23 @@ let test_recent_no_fresh_allocates_nothing () =
   Alcotest.(check bool) "caught-up polling is allocation-free" true
     (after -. before < 256.)
 
+let test_emit_into_full_ring_allocates_nothing () =
+  let eng = Engine.create () in
+  let tr = Trace.create ~enabled:true () in
+  Trace.set_capacity tr 64;
+  let ev = Trace.Fault { node = 1; page = 3; protocol = "li_hudak"; mode = "read" } in
+  for _ = 1 to 64 do
+    Trace.emit tr eng ev
+  done;
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    Trace.emit tr eng ev
+  done;
+  let after = Gc.minor_words () in
+  Alcotest.(check bool) "emit allocates < 1 word per call" true
+    (after -. before < float_of_int calls)
+
 let test_autodump_on_critical_alert () =
   let eng = Engine.create () in
   let tr = Trace.create ~enabled:true () in
@@ -563,6 +580,72 @@ let test_disabled_monitor_no_events () =
   Alcotest.(check int) "spans not minted" 0
     (List.length (Trace.by_span (Monitor.trace dsm) 0))
 
+(* --- byte identity of the rendered trace ---
+
+   The stored trace is rendered (category, message, JSON) when it is read.
+   These digests pin every byte a seeded, watched run renders, bounded and
+   sampled or not: they move only when what a run records or how an event
+   is rendered changes. *)
+
+let monitored_jacobi ~protocol ~bounded =
+  let trace = ref None in
+  let observe dsm =
+    Monitor.enable dsm true;
+    let tr = Monitor.trace dsm in
+    if bounded then begin
+      Trace.set_capacity tr 64;
+      Trace.set_sampling tr ~seed:11 ~keep_pct:10.
+    end;
+    ignore (Watchdog.attach dsm);
+    trace := Some tr
+  in
+  ignore
+    (Dsmpm2_apps.Jacobi.run
+       {
+         Dsmpm2_apps.Jacobi.default with
+         size = 32;
+         iterations = 4;
+         nodes = 4;
+         protocol;
+         tie_seed = Some 3;
+         observe = Some observe;
+       });
+  match !trace with Some tr -> tr | None -> Alcotest.fail "observe not called"
+
+let jsonl_digest tr =
+  let path = Filename.temp_file "dsm_pin" ".jsonl" in
+  Trace.save_jsonl path tr;
+  let ic = open_in_bin path in
+  let contents = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  Digest.to_hex (Digest.string contents)
+
+let test_rendering_pinned () =
+  List.iter
+    (fun (protocol, bounded, hash, digest) ->
+      let tr = monitored_jacobi ~protocol ~bounded in
+      let name = Printf.sprintf "%s%s" protocol (if bounded then " ring" else "") in
+      Alcotest.(check int) (name ^ " Trace.hash") hash (Trace.hash tr);
+      Alcotest.(check string) (name ^ " jsonl digest") digest (jsonl_digest tr))
+    [
+      ("write_update", false, 264221975, "2ddff2cb7560dd56e1eb596ce6f82aff");
+      ("write_update", true, 1025196022, "3fba6ff33c82f61632c815c401082a96");
+      ("hbrc_mw", false, 561333793, "55287454eae9abbf5f7f4248f704e079");
+      ("hbrc_mw", true, 793057506, "54821d54f98dc0fa893bc7a8598207aa");
+    ]
+
+let test_entries_render_events () =
+  let eng = Engine.create () in
+  let tr = Trace.create ~enabled:true () in
+  List.iter (fun ev -> Trace.emit tr eng ~span:5 ev) sample_events;
+  List.iter2
+    (fun (e : Trace.entry) ev ->
+      Alcotest.(check string) "category" (Trace.event_category ev) e.Trace.category;
+      Alcotest.(check string) "message" (Trace.event_message ev) e.Trace.message;
+      Alcotest.(check int) "span" 5 e.Trace.span)
+    (Trace.entries tr) sample_events
+
 let () =
   Alcotest.run "observability"
     [
@@ -582,7 +665,12 @@ let () =
             test_disabled_monitor_no_events;
         ] );
       ( "determinism",
-        [ Alcotest.test_case "same seed same trace" `Quick test_trace_deterministic ] );
+        [
+          Alcotest.test_case "same seed same trace" `Quick test_trace_deterministic;
+          Alcotest.test_case "rendering pinned" `Quick test_rendering_pinned;
+          Alcotest.test_case "entries render events" `Quick
+            test_entries_render_events;
+        ] );
       ( "exporters",
         [
           Alcotest.test_case "chrome trace valid" `Quick test_chrome_export_valid;
@@ -605,6 +693,8 @@ let () =
             test_recent_cursor_across_eviction;
           Alcotest.test_case "caught-up recent allocates nothing" `Quick
             test_recent_no_fresh_allocates_nothing;
+          Alcotest.test_case "emit into a full ring allocates nothing" `Quick
+            test_emit_into_full_ring_allocates_nothing;
           Alcotest.test_case "autodump on critical alert" `Quick
             test_autodump_on_critical_alert;
         ] );

@@ -294,6 +294,41 @@ let test_sampling_telemetry_agreement () =
       Alcotest.(check bool) "the ring really was under pressure" true
         (Trace.length (Monitor.trace dsm) <= 64)
 
+(* --- allocation: the observer path in steady state --- *)
+
+(* A resolved remote read: the fault opens span [span]'s latency
+   measurement and the install closes it.  Once the page, the node sets,
+   the protocol and the per-interval tables have seen it, a pair costs
+   only the open-fault entry, the boxed latency sample and the optional
+   span arguments. *)
+let test_steady_pair_allocates_little () =
+  let dsm = Dsm.create ~nodes:2 ~driver:Driver.bip_myrinet () in
+  Monitor.enable dsm true;
+  let tr = Monitor.trace dsm in
+  Trace.set_capacity tr 64;
+  ignore (Telemetry.attach dsm);
+  let eng = Runtime.engine dsm in
+  let fault = Trace.Fault { node = 1; page = 3; protocol = "li_hudak"; mode = "read" } in
+  let install =
+    Trace.Page_install { node = 1; page = 3; protocol = "li_hudak"; sender = 0; grant = "R" }
+  in
+  let pair span =
+    Trace.emit tr eng ~span fault;
+    Trace.emit tr eng ~span install
+  in
+  for span = 0 to 99 do
+    pair span
+  done;
+  let pairs = 10_000 in
+  let before = Gc.minor_words () in
+  for span = 100 to 100 + pairs - 1 do
+    pair span
+  done;
+  let per_pair = (Gc.minor_words () -. before) /. float_of_int pairs in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per fault/install pair <= 16" per_pair)
+    true (per_pair <= 16.)
+
 (* --- bounded trace, hot pages, snapshot --- *)
 
 let test_capped_trace_hot_pages () =
@@ -438,6 +473,11 @@ let () =
         [
           Alcotest.test_case "capped trace still classifies" `Quick
             test_capped_trace_hot_pages;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "steady fault/install pair" `Quick
+            test_steady_pair_allocates_little;
         ] );
       ( "alerts",
         [

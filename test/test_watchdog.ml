@@ -328,6 +328,43 @@ let test_disabled_paths_allocate_nothing () =
   Alcotest.(check bool) "no allocation on disabled paths" true
     (after -. before < 256.)
 
+(* A tick on a quiet runtime (64 mapped pages, one thread computing)
+   allocates the sample it records and a constant besides: nothing per
+   page audited.  The second of two runs is measured, so the one-off
+   caches are warm, and the same runs without a watchdog are subtracted,
+   so what remains is the ticks' own allocation. *)
+let quiet_run_words ~nodes ~watched =
+  let dsm = make ~nodes () in
+  Monitor.enable dsm true;
+  ignore
+    (Dsm.malloc dsm ~protocol:(proto dsm "li_hudak") ~home:Dsm.Round_robin
+       (64 * 4096));
+  let w = if watched then Some (Watchdog.attach dsm) else None in
+  let run () =
+    ignore (Dsm.spawn dsm ~node:0 (fun () -> Dsm.compute dsm 40_000.));
+    let before = Gc.minor_words () in
+    Dsm.run dsm;
+    Gc.minor_words () -. before
+  in
+  ignore (run ());
+  let taken () = match w with Some w -> Watchdog.samples_taken w | None -> 0 in
+  let ticks0 = taken () in
+  let words = run () in
+  (words, taken () - ticks0, w)
+
+let test_quiet_tick_allocates_the_sample () =
+  let nodes = 8 in
+  let plain, _, _ = quiet_run_words ~nodes ~watched:false in
+  let watched, ticks, w = quiet_run_words ~nodes ~watched:true in
+  Alcotest.(check bool) "enough ticks" true (ticks >= 100);
+  Alcotest.(check bool) "audited the pages" true
+    (Watchdog.pages_audited (Option.get w) >= 64 * ticks);
+  let per_tick = (watched -. plain) /. float_of_int ticks in
+  let bound = float_of_int ((16 * nodes) + 256) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words per quiet tick <= %.0f" per_tick bound)
+    true (per_tick <= bound)
+
 let () =
   Alcotest.run "watchdog"
     [
@@ -364,5 +401,7 @@ let () =
         [
           Alcotest.test_case "disabled paths are free" `Quick
             test_disabled_paths_allocate_nothing;
+          Alcotest.test_case "quiet tick allocates the sample" `Quick
+            test_quiet_tick_allocates_the_sample;
         ] );
     ]
