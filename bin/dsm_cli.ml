@@ -13,7 +13,7 @@
    Every subcommand accepts the observability flags:
 
      --trace-out FILE     Chrome trace_event JSON (chrome://tracing, Perfetto)
-     --trace-jsonl FILE   one typed event per line; FILE.gz gzip-compresses
+     --trace-jsonl FILE   one typed event per line
      --metrics-out FILE   stable JSON metrics snapshot
      --metrics-prom FILE  Prometheus text exposition of the metrics registry
      --report             post-mortem per-category / per-stage report
@@ -165,7 +165,7 @@ let obs_term =
       & info [ "trace-dump" ] ~docv:"FILE"
           ~doc:
             "Auto-dump the trace ring as JSONL to $(docv) the first time a \
-             critical alert is recorded (a .gz suffix gzip-compresses).")
+             critical alert is recorded.")
   in
   let metrics_out =
     Arg.(
@@ -823,9 +823,7 @@ let bench_cmd =
     Bench_suite.print ppf t;
     Option.iter
       (fun file ->
-        (* write_file gzip-compresses when the path ends in .gz *)
-        Gzip.write_file file
-          (Json.to_string_pretty (Bench_suite.to_json t) ^ "\n");
+        Json.to_file file (Bench_suite.to_json t);
         if not quiet then Format.fprintf ppf "bench: wrote %s@." file)
       out
   in
@@ -856,8 +854,7 @@ let bench_cmd =
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE"
           ~doc:
-            "Write the BENCH_macro.json snapshot to $(docv) (a .gz suffix \
-             gzip-compresses).")
+            "Write the BENCH_macro.json snapshot to $(docv).")
   in
   let quiet =
     Arg.(value & flag & info [ "quiet" ] ~doc:"Skip per-case progress lines.")
@@ -910,7 +907,7 @@ let diff_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"BASELINE"
           ~doc:"Baseline artifact: a BENCH_macro.json snapshot or a JSONL \
-                trace dump (gzip-transparent).")
+                trace dump.")
   in
   let fresh =
     Arg.(
@@ -988,8 +985,8 @@ let explain_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"TRACE"
           ~doc:
-            "A JSONL trace dump (gzip-transparent), e.g. a --trace-jsonl \
-             export or a flight-recorder auto-dump.")
+            "A JSONL trace dump, e.g. a --trace-jsonl export or a \
+             flight-recorder auto-dump.")
   in
   let json_out =
     Arg.(

@@ -229,16 +229,10 @@ type config = {
   thrash_window : int;
   thrash_span : Time.t;
   advice_min_faults : int;
-  open_horizon : Time.t;
 }
 
 let default_config =
-  {
-    thrash_window = 8;
-    thrash_span = Time.of_us 300.;
-    advice_min_faults = 4;
-    open_horizon = Time.of_us 50_000.;
-  }
+  { thrash_window = 8; thrash_span = Time.of_us 300.; advice_min_faults = 4 }
 
 type thrash_report = {
   th_page : int;
@@ -261,8 +255,6 @@ type interval = {
   iv_advice : advice list;
 }
 
-type proto_stats = { mutable pf_faults : int; pf_sketch : Sketch.t }
-
 (* The last [thrash_window] installs of one page, as a fixed ring of
    (at, node) pairs: [w_next] is the slot the next install overwrites,
    which once the ring is full holds the oldest install. *)
@@ -279,8 +271,6 @@ type t = {
   pgs : Pages.t;
   mutable seen : int; (* events observed, pre-sampling *)
   nd_faults : int array;
-  protos : (string, proto_stats) Hashtbl.t;
-  open_faults : (Time.t * string) Int_table.t; (* span -> (start, proto) *)
   class_cache : pattern Int_table.t; (* last known pattern per page *)
   mutable reclass_total : int;
   windows : window Int_table.t; (* page -> its recent installs *)
@@ -344,41 +334,20 @@ let note_install t ~page ~node at =
 
 let touch t page = Int_table.replace t.interval_touched page ()
 
-let proto_stats t name =
-  match Hashtbl.find t.protos name with
-  | ps -> ps
-  | exception Not_found ->
-      let ps = { pf_faults = 0; pf_sketch = Sketch.create () } in
-      Hashtbl.add t.protos name ps;
-      ps
-
 (* The observer callback: pure bookkeeping, O(1) amortized per event.  No
    engine interaction, no shared RNG — attaching telemetry cannot perturb a
    seeded schedule. *)
-let close_fault t ~at ~span =
-  match Int_table.find t.open_faults span with
-  | start, proto ->
-      Int_table.remove t.open_faults span;
-      Sketch.add (proto_stats t proto).pf_sketch (Time.to_us Time.(at - start))
-  | exception Not_found -> ()
-
-let on_event t ~at ~span ev =
+let on_event t ~at ~span:_ ev =
   t.seen <- t.seen + 1;
   Pages.feed t.pgs ev;
   match ev with
-  | Trace.Fault { node; page; protocol; _ } ->
+  | Trace.Fault { node; page; _ } ->
       touch t page;
       if node >= 0 && node < Array.length t.nd_faults then
-        t.nd_faults.(node) <- t.nd_faults.(node) + 1;
-      let ps = proto_stats t protocol in
-      ps.pf_faults <- ps.pf_faults + 1;
-      if span <> Trace.no_span && not (Int_table.mem t.open_faults span) then
-        Int_table.add t.open_faults span (at, protocol)
+        t.nd_faults.(node) <- t.nd_faults.(node) + 1
   | Trace.Page_install { node; page; _ } ->
       touch t page;
-      note_install t ~page ~node at;
-      close_fault t ~at ~span
-  | Trace.Migration _ -> close_fault t ~at ~span
+      note_install t ~page ~node at
   | Trace.Page_send { page; _ } | Trace.Invalidate { page; _ } ->
       touch t page
   | Trace.Diff { page_list; _ } -> List.iter (touch t) page_list
@@ -399,8 +368,6 @@ let attach ?(config = default_config) rt =
       pgs = Pages.create ();
       seen = 0;
       nd_faults = Array.make (Runtime.nodes rt) 0;
-      protos = Hashtbl.create 8;
-      open_faults = Int_table.create 64;
       class_cache = Int_table.create 64;
       reclass_total = 0;
       windows = Int_table.create 64;
@@ -436,19 +403,33 @@ let classification t =
       Option.map (fun p -> (page, p)) (Pages.classify t.pgs page))
     (Pages.pages t.pgs)
 
+(* Fault counts and latencies come from the runtime's registry: the
+   fault cells of [Instrument] count every read, write and inline-check
+   miss and time it from detection to resumed access ([stage_total]). *)
 let protocols t =
-  Hashtbl.fold (fun name ps acc -> (name, ps.pf_faults, ps.pf_sketch) :: acc)
-    t.protos []
-  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
+  let stats = t.rt.Runtime.stats in
+  let tally name acc =
+    Stats.fold_count stats name
+      (fun lbl n acc ->
+        let p = Option.value lbl.Stats.lbl_protocol ~default:"?" in
+        let prev = Option.value (List.assoc_opt p acc) ~default:0 in
+        (p, prev + n) :: List.remove_assoc p acc)
+      acc
+  in
+  List.fold_right tally
+    Instrument.[ read_faults; write_faults; check_misses ]
+    []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let fault_sketch t =
-  Hashtbl.fold
-    (fun _ ps acc ->
-      Sketch.merge_into acc ps.pf_sketch;
-      acc)
-    t.protos (Sketch.create ())
+let fault_percentiles = [ ("p50", 50.); ("p90", 90.); ("p99", 99.); ("p999", 99.9) ]
 
-let fault_percentile t p = Sketch.percentile (fault_sketch t) p
+let fault_latency t =
+  let stats = t.rt.Runtime.stats in
+  ( (Stats.span_summary stats Instrument.stage_total).Stats.sm_samples,
+    List.map
+      (fun (name, p) ->
+        (name, Time.to_us (Stats.span_percentile stats Instrument.stage_total p)))
+      fault_percentiles )
 
 (* --- interval drain --- *)
 
@@ -459,17 +440,6 @@ let advised_as t page r =
 
 let end_interval t =
   t.interval_count <- t.interval_count + 1;
-  let now = Engine.now (Runtime.engine t.rt) in
-  (* Abandon fault spans that never resolved (crashed or starved
-     operations): without a horizon the open table would leak on faulted
-     runs, and a stale open could mis-attribute a reused span id. *)
-  let stale =
-    Int_table.fold
-      (fun span (start, _) acc ->
-        if Time.(now - start) > t.cfg.open_horizon then span :: acc else acc)
-      t.open_faults []
-  in
-  List.iter (Int_table.remove t.open_faults) stale;
   (* Classification churn and fresh advice, over the pages touched this
      interval only. *)
   let reclass = ref 0 in
@@ -577,15 +547,15 @@ let to_json ?meta t =
       ( "protocols",
         Json.List
           (List.map
-             (fun (name, faults, sk) ->
+             (fun (name, faults) ->
                Json.Obj
-                 [
-                   ("protocol", Json.String name);
-                   ("faults", Json.Int faults);
-                   ("latency_us", Sketch.to_json sk);
-                 ])
+                 [ ("protocol", Json.String name); ("faults", Json.Int faults) ])
              (protocols t)) );
-      ("fault_latency_us", Sketch.to_json (fault_sketch t));
+      ( "fault_latency_us",
+        let count, pcts = fault_latency t in
+        Json.Obj
+          (("count", Json.Int count)
+          :: List.map (fun (name, us) -> (name, Json.Float us)) pcts) );
       ("pages", Json.List (List.map profile_to_json (Pages.profiles t.pgs)));
       ( "advice",
         Json.List
@@ -620,26 +590,14 @@ let pp_top ?(top = 10) ppf t =
     (Pm2.now_us rt.Runtime.pm2) t.seen
     (List.length (Pages.pages t.pgs))
     t.reclass_total;
-  let cluster = fault_sketch t in
-  if Sketch.count cluster > 0 then
-    Format.fprintf ppf
-      "cluster faults: %d done  p50 %8.1f  p90 %8.1f  p99 %8.1f  p999 %8.1f \
-       us@."
-      (Sketch.count cluster)
-      (Sketch.percentile cluster 50.)
-      (Sketch.percentile cluster 90.)
-      (Sketch.percentile cluster 99.)
-      (Sketch.percentile cluster 99.9);
+  let count, pcts = fault_latency t in
+  if count > 0 then begin
+    Format.fprintf ppf "cluster faults: %d done" count;
+    List.iter (fun (name, us) -> Format.fprintf ppf "  %s %8.1f" name us) pcts;
+    Format.fprintf ppf " us@."
+  end;
   List.iter
-    (fun (name, faults, sk) ->
-      if Sketch.count sk > 0 then
-        Format.fprintf ppf
-          "  %-16s faults=%-7d p50 %8.1f  p99 %8.1f  p999 %8.1f us@." name
-          faults
-          (Sketch.percentile sk 50.)
-          (Sketch.percentile sk 99.)
-          (Sketch.percentile sk 99.9)
-      else Format.fprintf ppf "  %-16s faults=%-7d@." name faults)
+    (fun (name, faults) -> Format.fprintf ppf "  %-16s faults=%d@." name faults)
     (protocols t);
   Format.fprintf ppf "node faults:";
   Array.iteri (fun nd f -> Format.fprintf ppf " %d:%d" nd f) t.nd_faults;

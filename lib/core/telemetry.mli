@@ -1,5 +1,5 @@
-(** Online telemetry engine: streaming sharing classifiers and latency
-    sketches over the live event stream.
+(** Online telemetry engine: streaming sharing classifiers over the live
+    event stream.
 
     The post-mortem analyzer ({!Dsmpm2_experiments.Analyze}) answers "what
     did this run do" after the fact by replaying the whole stored trace.
@@ -9,8 +9,14 @@
     ({!Dsmpm2_sim.Trace.set_observer}), which sees every emission before
     the sampler drops it and before the flight recorder evicts it.  A run
     with an aggressive sampling rate and a tiny ring therefore still gets
-    exact per-page classifications and full-population latency sketches —
-    the basis of [dsm watch]'s hot-page frames.
+    exact per-page classifications — the basis of [dsm watch]'s hot-page
+    frames.
+
+    Telemetry times nothing itself: its fault counts and fault-latency
+    percentiles read the runtime's {!Dsmpm2_sim.Stats} registry, whose
+    {!Instrument} fault cells time every fault from detection to resumed
+    access ({!Instrument.stage_total}) — the same series [dsm bench] and
+    [--metrics-out] report.
 
     The observer callback does pure bookkeeping: no engine events, no
     shared RNG draws, no allocation visible to the schedule.  Attaching
@@ -95,14 +101,11 @@ type config = {
   thrash_span : Time.t;  (** window duration qualifying as thrashing *)
   advice_min_faults : int;
       (** fault evidence required before advising a protocol change *)
-  open_horizon : Time.t;
-      (** fault spans still unresolved after this long are abandoned
-          (crashed or starved operations must not leak accounting) *)
 }
 
 val default_config : config
 (** Thrash parameters match [Watchdog.default_config] (8 installs within
-    300 us); [advice_min_faults = 4]; [open_horizon = 50 ms]. *)
+    300 us); [advice_min_faults = 4]. *)
 
 type thrash_report = {
   th_page : int;
@@ -156,18 +159,9 @@ val classification : t -> (int * pattern) list
 val node_faults : t -> int array
 (** Faults observed per node, indexed by node id. *)
 
-val protocols : t -> (string * int * Sketch.t) list
-(** Per-protocol [(name, faults, latency sketch)] sorted by name.  The
-    sketch holds completed fault latencies in microseconds (fault event to
-    the span's page install or migration). *)
-
-val fault_sketch : t -> Sketch.t
-(** A fresh merge of every protocol's latency sketch — the cluster-wide
-    fault-latency distribution. *)
-
-val fault_percentile : t -> float -> float
-(** [fault_percentile t p] in microseconds from {!fault_sketch}
-    ([p] in [0..100]); 0 when no fault completed yet. *)
+val protocols : t -> (string * int) list
+(** Per-protocol [(name, faults)] sorted by name, from the registry: the
+    read, write and inline-check-miss faults of the protocol's cells. *)
 
 val reclassifications : t -> int
 (** Total classification churn: pattern changes after a page's first
@@ -178,17 +172,20 @@ val intervals : t -> int
 
 val end_interval : t -> interval
 (** Drains and resets the per-interval state (installs, touched pages,
-    thrash findings, fresh advice); also expires fault spans older than
-    [open_horizon].  Called by the watchdog once per tick. *)
+    thrash findings, fresh advice).  Called by the watchdog once per
+    tick. *)
 
 val to_json : ?meta:Run_meta.t -> t -> Json.t
-(** Stable snapshot (the [telemetry] key of [dsm watch --out]): meta, totals, per-protocol sketch
-    percentiles, the page heatmap with classifications, classification
-    churn, trace accounting (recorded/stored/evicted/capacity/sampled_out)
-    and issued advice. *)
+(** Stable snapshot (the [telemetry] key of [dsm watch --out]): meta,
+    totals, per-protocol fault counts, the cluster fault latency
+    ([fault_latency_us]: count, p50, p90, p99, p999 of
+    {!Instrument.stage_total}), the page heatmap with classifications,
+    classification churn, trace accounting
+    (recorded/stored/evicted/capacity/sampled_out) and issued advice. *)
 
 val pp_top : ?top:int -> Format.formatter -> t -> unit
-(** The hot-page half of a [dsm watch] frame: cluster rollup (fault count and sketch
-    percentiles), per-protocol lines, per-node fault counts, the [top]
+(** The hot-page half of a [dsm watch] frame: cluster rollup (fault count
+    and {!Instrument.stage_total} percentiles), per-protocol fault counts,
+    per-node fault counts, the [top]
     (default 10) hottest pages with patterns and recommendations, and
     trace-pressure accounting. *)

@@ -6,59 +6,12 @@ open Dsmpm2_sim
    tools" — per-fault critical paths, per-page sharing-pattern profiles,
    lock/barrier contention, and a per-region protocol recommendation. *)
 
-(* --- exact percentiles (post-mortem data is small; no bucketing) --- *)
-
-type dist = {
-  d_samples : int;
-  d_total_us : float;
-  d_mean_us : float;
-  d_p50_us : float;
-  d_p90_us : float;
-  d_p99_us : float;
-  d_max_us : float;
-}
-
-let dist_empty =
-  {
-    d_samples = 0;
-    d_total_us = 0.;
-    d_mean_us = 0.;
-    d_p50_us = 0.;
-    d_p90_us = 0.;
-    d_p99_us = 0.;
-    d_max_us = 0.;
-  }
-
-let dist_of_list us =
-  match us with
-  | [] -> dist_empty
-  | us ->
-      let a = Array.of_list us in
-      Array.sort compare a;
-      let n = Array.length a in
-      let pct p = a.(min (n - 1) (max 0 (int_of_float (ceil (p /. 100. *. float_of_int n)) - 1))) in
-      let total = Array.fold_left ( +. ) 0. a in
-      {
-        d_samples = n;
-        d_total_us = total;
-        d_mean_us = total /. float_of_int n;
-        d_p50_us = pct 50.;
-        d_p90_us = pct 90.;
-        d_p99_us = pct 99.;
-        d_max_us = a.(n - 1);
-      }
-
-let dist_to_json d =
-  Json.Obj
-    [
-      ("samples", Json.Int d.d_samples);
-      ("total_us", Json.Float d.d_total_us);
-      ("mean_us", Json.Float d.d_mean_us);
-      ("p50_us", Json.Float d.d_p50_us);
-      ("p90_us", Json.Float d.d_p90_us);
-      ("p99_us", Json.Float d.d_p99_us);
-      ("max_us", Json.Float d.d_max_us);
-    ]
+(* Every latency distribution here is a [Sketch] of microsecond samples,
+   the same quantile type the registry keeps. *)
+let sketch_of us =
+  let sk = Sketch.create () in
+  List.iter (Sketch.add sk) us;
+  sk
 
 (* --- critical paths --- *)
 
@@ -226,8 +179,8 @@ type lock_profile = {
   lk_lock : int;
   lk_nodes : int;
   lk_acquisitions : int;
-  lk_wait : dist;
-  lk_hold : dist;
+  lk_wait : Sketch.t;
+  lk_hold : Sketch.t;
 }
 
 let lock_profiles events =
@@ -286,18 +239,19 @@ let lock_profiles events =
         lk_lock = lock;
         lk_nodes = !nodes;
         lk_acquisitions = !acquisitions;
-        lk_wait = dist_of_list !waits;
-        lk_hold = dist_of_list !holds;
+        lk_wait = sketch_of !waits;
+        lk_hold = sketch_of !holds;
       }
       :: acc)
     by_lock []
-  |> List.sort (fun a b -> compare (b.lk_wait.d_total_us, a.lk_lock) (a.lk_wait.d_total_us, b.lk_lock))
+  |> List.sort (fun a b ->
+         compare (Sketch.sum b.lk_wait, a.lk_lock) (Sketch.sum a.lk_wait, b.lk_lock))
 
 type barrier_profile = {
   br_barrier : int;
   br_parties : int;
   br_rounds : int;
-  br_imbalance : dist;  (* last-minus-first arrival per completed round *)
+  br_imbalance : Sketch.t;  (* last-minus-first arrival per completed round *)
 }
 
 let barrier_profiles events =
@@ -349,7 +303,7 @@ let barrier_profiles events =
         br_barrier = barrier;
         br_parties = parties;
         br_rounds = List.length complete;
-        br_imbalance = dist_of_list imbalances;
+        br_imbalance = sketch_of imbalances;
       }
       :: acc)
     arrivals []
@@ -422,9 +376,9 @@ type t = {
   an_spans : int;
   an_duration_us : float;
   an_chains : chain list;  (* all fault chains, chronological *)
-  an_stage_dists : (string * (string * dist) list) list;
+  an_stage_dists : (string * (string * Sketch.t) list) list;
       (* protocol -> stage -> distribution, stages in [stage_order] *)
-  an_totals : (string * dist) list;  (* protocol -> whole-fault distribution *)
+  an_totals : (string * Sketch.t) list;  (* protocol -> whole-fault distribution *)
   an_top : chain list;  (* top-K slowest, slowest first *)
   an_pages : page_profile list;  (* ranked by (faults, bytes) desc *)
   an_locks : lock_profile list;
@@ -451,7 +405,7 @@ let analyze ?(top = 5) trace =
               let samples =
                 List.filter_map (fun c -> List.assoc_opt stage c.ch_stages) of_proto
               in
-              if samples = [] then None else Some (stage, dist_of_list samples))
+              if samples = [] then None else Some (stage, sketch_of samples))
             stage_order
         in
         (proto, per_stage))
@@ -461,7 +415,7 @@ let analyze ?(top = 5) trace =
     List.map
       (fun proto ->
         ( proto,
-          dist_of_list
+          sketch_of
             (List.filter_map
                (fun c -> if c.ch_protocol = proto then Some c.ch_total_us else None)
                chains) ))
@@ -505,6 +459,7 @@ let advice t = t.an_advice
 let locks t = t.an_locks
 let barriers t = t.an_barriers
 let chains t = t.an_chains
+let stages t = t.an_stage_dists
 let alerts t = t.an_alerts
 let faults t = t.an_faults
 
@@ -543,17 +498,16 @@ let report
     Format.fprintf ppf "@.== Fault critical paths ==@.";
     Format.fprintf ppf "%-16s %-10s %7s %9s %9s %9s %9s@." "protocol" "stage"
       "faults" "p50(us)" "p90(us)" "p99(us)" "max(us)";
+    let row proto stage d =
+      Format.fprintf ppf "%-16s %-10s %7d %9.1f %9.1f %9.1f %9.1f@." proto stage
+        (Sketch.count d) (Sketch.percentile d 50.) (Sketch.percentile d 90.)
+        (Sketch.percentile d 99.) (Sketch.max_value d)
+    in
     List.iter
       (fun (proto, per_stage) ->
-        List.iter
-          (fun (stage, d) ->
-            Format.fprintf ppf "%-16s %-10s %7d %9.1f %9.1f %9.1f %9.1f@." proto
-              stage d.d_samples d.d_p50_us d.d_p90_us d.d_p99_us d.d_max_us)
-          per_stage;
+        List.iter (fun (stage, d) -> row proto stage d) per_stage;
         match List.assoc_opt proto t.an_totals with
-        | Some d when d.d_samples > 0 ->
-            Format.fprintf ppf "%-16s %-10s %7d %9.1f %9.1f %9.1f %9.1f@." proto
-              "total" d.d_samples d.d_p50_us d.d_p90_us d.d_p99_us d.d_max_us
+        | Some d when Sketch.count d > 0 -> row proto "total" d
         | _ -> ())
       t.an_stage_dists;
     if t.an_top <> [] then begin
@@ -596,9 +550,12 @@ let report
     List.iter
       (fun l ->
         Format.fprintf ppf "%-6d %6d %6d %9.1f %9.1f %9.1f %9.1f %9.1f@."
-          l.lk_lock l.lk_nodes l.lk_acquisitions l.lk_wait.d_p50_us
-          l.lk_wait.d_p99_us l.lk_wait.d_max_us l.lk_hold.d_p50_us
-          l.lk_hold.d_max_us)
+          l.lk_lock l.lk_nodes l.lk_acquisitions
+          (Sketch.percentile l.lk_wait 50.)
+          (Sketch.percentile l.lk_wait 99.)
+          (Sketch.max_value l.lk_wait)
+          (Sketch.percentile l.lk_hold 50.)
+          (Sketch.max_value l.lk_hold))
       t.an_locks
   end;
   if want `Barriers && t.an_barriers <> [] then begin
@@ -608,7 +565,8 @@ let report
     List.iter
       (fun b ->
         Format.fprintf ppf "%-8d %8d %7d %10.1f %10.1f@." b.br_barrier
-          b.br_parties b.br_rounds b.br_imbalance.d_mean_us b.br_imbalance.d_max_us)
+          b.br_parties b.br_rounds (Sketch.mean b.br_imbalance)
+          (Sketch.max_value b.br_imbalance))
       t.an_barriers
   end;
   if want `Advice then begin
@@ -663,10 +621,10 @@ let to_json ?meta t =
              (fun (proto, per_stage) ->
                ( proto,
                  Json.Obj
-                   (List.map (fun (s, d) -> (s, dist_to_json d)) per_stage
+                   (List.map (fun (s, d) -> (s, Sketch.to_json d)) per_stage
                    @
                    match List.assoc_opt proto t.an_totals with
-                   | Some d -> [ ("total", dist_to_json d) ]
+                   | Some d -> [ ("total", Sketch.to_json d) ]
                    | None -> []) ))
              t.an_stage_dists) );
       ("top_spans", Json.List (List.map chain_to_json t.an_top));
@@ -699,8 +657,8 @@ let to_json ?meta t =
                    ("lock", Json.Int l.lk_lock);
                    ("nodes", Json.Int l.lk_nodes);
                    ("acquisitions", Json.Int l.lk_acquisitions);
-                   ("wait", dist_to_json l.lk_wait);
-                   ("hold", dist_to_json l.lk_hold);
+                   ("wait", Sketch.to_json l.lk_wait);
+                   ("hold", Sketch.to_json l.lk_hold);
                  ])
              t.an_locks) );
       ( "barriers",
@@ -712,7 +670,7 @@ let to_json ?meta t =
                    ("barrier", Json.Int b.br_barrier);
                    ("parties", Json.Int b.br_parties);
                    ("rounds", Json.Int b.br_rounds);
-                   ("imbalance", dist_to_json b.br_imbalance);
+                   ("imbalance", Sketch.to_json b.br_imbalance);
                  ])
              t.an_barriers) );
       ( "advice",
@@ -762,28 +720,28 @@ let folded ppf t =
       let accounted = ref 0. in
       List.iter
         (fun (stage, d) ->
-          accounted := !accounted +. d.d_total_us;
+          accounted := !accounted +. Sketch.sum d;
           Format.fprintf ppf "dsmpm2;%s;fault;%s %d@." proto stage
-            (int_of_float (Float.round d.d_total_us)))
+            (int_of_float (Float.round (Sketch.sum d))))
         per_stage;
       match List.assoc_opt proto t.an_totals with
-      | Some d when d.d_total_us -. !accounted > 0.5 ->
+      | Some d when Sketch.sum d -. !accounted > 0.5 ->
           Format.fprintf ppf "dsmpm2;%s;fault;other %d@." proto
-            (int_of_float (Float.round (d.d_total_us -. !accounted)))
+            (int_of_float (Float.round (Sketch.sum d -. !accounted)))
       | _ -> ())
     t.an_stage_dists;
   List.iter
     (fun l ->
-      if l.lk_wait.d_total_us >= 0.5 then
+      if Sketch.sum l.lk_wait >= 0.5 then
         Format.fprintf ppf "dsmpm2;locks;lock_%d;wait %d@." l.lk_lock
-          (int_of_float (Float.round l.lk_wait.d_total_us));
-      if l.lk_hold.d_total_us >= 0.5 then
+          (int_of_float (Float.round (Sketch.sum l.lk_wait)));
+      if Sketch.sum l.lk_hold >= 0.5 then
         Format.fprintf ppf "dsmpm2;locks;lock_%d;hold %d@." l.lk_lock
-          (int_of_float (Float.round l.lk_hold.d_total_us)))
+          (int_of_float (Float.round (Sketch.sum l.lk_hold))))
     t.an_locks;
   List.iter
     (fun b ->
-      if b.br_imbalance.d_total_us >= 0.5 then
+      if Sketch.sum b.br_imbalance >= 0.5 then
         Format.fprintf ppf "dsmpm2;barriers;barrier_%d;imbalance %d@." b.br_barrier
-          (int_of_float (Float.round b.br_imbalance.d_total_us)))
+          (int_of_float (Float.round (Sketch.sum b.br_imbalance))))
     t.an_barriers

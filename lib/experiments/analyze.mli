@@ -8,7 +8,7 @@
     - {b fault critical paths}: each fault span's
       fault → request → send → install chain cut into stages
       (request propagation, remote serve, wire transfer, local install, or a
-      thread-migration leg), with exact p50/p90/p99 per protocol and the
+      thread-migration leg), with p50/p90/p99 per protocol and the
       top-K slowest spans including their full event chains;
     - {b per-page profiles}: sharing-pattern classification (private,
       read-mostly, single-writer, producer-consumer, migratory,
@@ -24,20 +24,8 @@
 
 open Dsmpm2_sim
 
-(** {2 Latency distributions} *)
-
-type dist = {
-  d_samples : int;
-  d_total_us : float;
-  d_mean_us : float;
-  d_p50_us : float;
-  d_p90_us : float;
-  d_p99_us : float;
-  d_max_us : float;
-}
-(** Exact percentiles over all samples (post-mortem data is small). *)
-
-val dist_of_list : float list -> dist
+(** Every latency distribution below is a {!Sketch.t} of microsecond
+    samples: its count, sum, exact max and 1%-accurate percentiles. *)
 
 (** {2 Fault critical paths} *)
 
@@ -109,15 +97,15 @@ type lock_profile = {
   lk_lock : int;
   lk_nodes : int;  (** distinct client nodes *)
   lk_acquisitions : int;
-  lk_wait : dist;  (** request → granted, per acquisition *)
-  lk_hold : dist;  (** granted → released *)
+  lk_wait : Sketch.t;  (** request → granted, per acquisition *)
+  lk_hold : Sketch.t;  (** granted → released *)
 }
 
 type barrier_profile = {
   br_barrier : int;
   br_parties : int;  (** distinct arriving nodes *)
   br_rounds : int;  (** completed rounds observed *)
-  br_imbalance : dist;  (** last minus first arrival, per round *)
+  br_imbalance : Sketch.t;  (** last minus first arrival, per round *)
 }
 
 (** {2 Injected faults} *)
@@ -154,6 +142,10 @@ val analyze : ?top:int -> Trace.t -> t
 
 val chains : t -> chain list
 (** All fault-rooted spans, chronological. *)
+
+val stages : t -> (string * (string * Sketch.t) list) list
+(** Per protocol (sorted), the duration of each stage present, in
+    {!stage_order}. *)
 
 val pages : t -> page_profile list
 (** The heatmap: ranked by total faults, then bytes moved, descending. *)

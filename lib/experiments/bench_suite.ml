@@ -43,8 +43,6 @@ type sample = {
   s_fault_p90_us : float;
   s_fault_p99_us : float;
   s_fault_p999_us : float;
-      (* extreme tail, from the online telemetry sketch (the Stats
-         histogram's resolution is too coarse at p99.9) *)
 }
 
 type case_result = {
@@ -136,18 +134,9 @@ let run_app case ~seed =
     | Some app -> app
     | None -> invalid_arg (Printf.sprintf "Bench_suite: unknown app %S" case.c_app)
   in
-  (* Attach the online telemetry engine for the p99.9 sketch.  The ring is
-     kept tiny on purpose: the sketch reads the observer stream, which sees
-     every emission regardless of storage, and a small ring bounds the
-     suite's memory without costing accuracy. *)
-  let observe dsm =
-    Monitor.enable dsm true;
-    Trace.set_capacity (Monitor.trace dsm) 1024;
-    ignore (Telemetry.attach dsm)
-  in
   fst
     (app.run ~protocol:case.c_protocol ~nodes:case.c_nodes ~driver:(driver_of case)
-       ~tie_seed:seed ~observe case.c_params)
+       ~tie_seed:seed ~observe:ignore case.c_params)
 
 let measure case ~seed =
   let dsm = run_app case ~seed in
@@ -166,10 +155,7 @@ let measure case ~seed =
     s_fault_p50_us = pct 50.;
     s_fault_p90_us = pct 90.;
     s_fault_p99_us = pct 99.;
-    s_fault_p999_us =
-      (match Telemetry.find dsm with
-      | Some tele -> Telemetry.fault_percentile tele 99.9
-      | None -> 0.);
+    s_fault_p999_us = pct 99.9;
   }
 
 let case_meta case =
@@ -311,7 +297,7 @@ let sample_of_json j =
   let* s_fault_p50_us = flt "fault_p50_us" in
   let* s_fault_p90_us = flt "fault_p90_us" in
   let* s_fault_p99_us = flt "fault_p99_us" in
-  (* p99.9 joined with the telemetry sketches; absent in older baselines. *)
+  (* p99.9 joined after the first baselines; absent means zero. *)
   let s_fault_p999_us = Option.value (flt "fault_p999_us") ~default:0. in
   Some
     {
@@ -403,9 +389,9 @@ let of_json j =
               parse [] 0 cs)))
 
 let load path =
-  match Dsmpm2_sim.Gzip.read_file path with
-  | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-  | Ok contents -> (
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error (Printf.sprintf "%s: %s" path msg)
+  | contents -> (
       match Json.of_string contents with
       | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
       | Ok j -> (

@@ -57,10 +57,11 @@ type sample = {
   s_fault_p90_us : float;
   s_fault_p99_us : float;
   s_fault_p999_us : float;
-      (** extreme fault-latency tail from the online telemetry sketch
-          ({!Dsmpm2_core.Telemetry.fault_percentile}) — the Stats
-          histogram's fixed buckets are too coarse at p99.9.  0 in
-          snapshots written before the sketch joined the schema. *)
+      (** The four fault percentiles all read the same series, the
+          registry's whole-fault latency
+          ({!Dsmpm2_core.Instrument.stage_total}), so p50 <= p90 <= p99 <=
+          p999.  p999 is 0 in snapshots written before it joined the
+          schema. *)
 }
 
 type case_result = {
@@ -113,8 +114,7 @@ val of_json : Json.t -> (t, string) result
 (** Inverse of {!to_json}; rejects unknown schema versions by name. *)
 
 val load : string -> (t, string) result
-(** Reads a snapshot from a file (gzip-transparent, like every observability
-    loader) and parses it. *)
+(** Reads a snapshot from a file and parses it. *)
 
 val print : Format.formatter -> t -> unit
 (** A per-case summary table (mean over seeds, with the time noise bound). *)

@@ -19,9 +19,9 @@ let noise_sigma = 3.0
 type source = Bench of B.t | Run of Run_meta.t * Analyze.t
 
 let load_source path =
-  match Gzip.read_file path with
-  | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-  | Ok contents -> (
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error (Printf.sprintf "%s: %s" path msg)
+  | contents -> (
       (* A macro-bench snapshot is one JSON document with a schema field; a
          trace dump is JSONL whose lines have no schema.  Sniff, don't
          trust extensions. *)
@@ -203,19 +203,16 @@ let diff_bench ~threshold_pct a b =
 
 (* --- trace mode --- *)
 
-(* Per (protocol, stage) duration samples, straight from the analyzer's
-   fault chains — its stage arithmetic, not a reimplementation. *)
-let stage_samples a =
+(* Per (protocol, stage) duration sketches, straight from the analyzer —
+   its stage arithmetic, not a reimplementation. *)
+let stage_sketches a =
   let tbl = Hashtbl.create 16 in
   List.iter
-    (fun ch ->
+    (fun (protocol, per_stage) ->
       List.iter
-        (fun (stage, us) ->
-          let key = (ch.Analyze.ch_protocol, stage) in
-          let prev = try Hashtbl.find tbl key with Not_found -> [] in
-          Hashtbl.replace tbl key (us :: prev))
-        ch.Analyze.ch_stages)
-    (Analyze.chains a);
+        (fun (stage, sk) -> Hashtbl.replace tbl (protocol, stage) sk)
+        per_stage)
+    (Analyze.stages a);
   tbl
 
 let stage_rank stage =
@@ -226,7 +223,7 @@ let stage_rank stage =
   idx 0 Analyze.stage_order
 
 let diff_stages ~threshold_pct base fresh =
-  let tb = stage_samples base and tf = stage_samples fresh in
+  let tb = stage_sketches base and tf = stage_sketches fresh in
   let keys = Hashtbl.create 16 in
   Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) tb;
   Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) tf;
@@ -236,15 +233,15 @@ let diff_stages ~threshold_pct base fresh =
          | 0 -> compare (stage_rank sa) (stage_rank sb)
          | c -> c)
   |> List.map (fun ((protocol, stage) as key) ->
-         let samples tbl = try Hashtbl.find tbl key with Not_found -> [] in
-         let sb = samples tb and sf = samples tf in
-         let stats = function
-           | [] -> (0., 0., 0)
-           | xs ->
-               let d = Analyze.dist_of_list xs in
-               (d.Analyze.d_mean_us, d.Analyze.d_p90_us, d.Analyze.d_samples)
+         let stats tbl =
+           match Hashtbl.find_opt tbl key with
+           | None -> (0., 0., 0)
+           | Some sk ->
+               ( Sketch.mean sk,
+                 Sketch.percentile sk 90.,
+                 Sketch.count sk )
          in
-         let bm, bp90, bn = stats sb and fm, fp90, fn = stats sf in
+         let bm, bp90, bn = stats tb and fm, fp90, fn = stats tf in
          let delta = fm -. bm in
          let pct = pct_of ~base:bm delta in
          {

@@ -41,7 +41,7 @@ type source =
           carried (a raw JSONL trace carries none). *)
 
 val load_source : string -> (source, string) result
-(** Reads an artifact from disk (gzip-transparent): a JSON document with
+(** Reads an artifact from disk: a JSON document with
     the {!Bench_suite.schema_version} schema loads as [Bench]; anything
     else must parse as a JSONL trace dump and loads as [Run]. *)
 

@@ -76,6 +76,7 @@ let add t v = insert t v
 let add_int t v = insert t (float_of_int v)
 let count t = t.n
 let sum t = t.range.(0)
+let mean t = if t.n = 0 then 0. else t.range.(0) /. float_of_int t.n
 let min_value t = if t.n = 0 then 0. else t.range.(1)
 let max_value t = if t.n = 0 then 0. else t.range.(2)
 

@@ -14,9 +14,10 @@
     [ln (max/min) / ln gamma] buckets (about 115 per decade at the default
     [alpha = 0.01]), independent of the number of samples.  Once the
     buckets a stream needs exist, inserting a sample allocates nothing.
-    This is the only latency representation in the stack: every duration
-    series of the {!Stats} registry, [Telemetry]'s fault latencies, and the
-    percentiles of [dsm watch] and [dsm bench] all read a sketch. *)
+    This is the only quantile type in the stack: every duration series of
+    the {!Stats} registry is a sketch (so the fault percentiles of
+    [dsm watch] and [dsm bench] are too), and so are the post-mortem
+    analyzer's stage, lock and barrier distributions. *)
 
 type t
 
@@ -35,6 +36,9 @@ val add_int : t -> int -> unit
 
 val count : t -> int
 val sum : t -> float
+
+val mean : t -> float
+(** [sum / count]; 0 when empty. *)
 
 val min_value : t -> float
 val max_value : t -> float

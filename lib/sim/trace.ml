@@ -756,25 +756,20 @@ let chrome_json t =
 
 let to_chrome ppf t = Format.fprintf ppf "%s@." (Json.to_string (chrome_json t))
 
-(* --- gzip-transparent file round trip ---
-
-   Large macro-run dumps are kept compressed in CI; a ".gz" path writes a
-   gzip container (Gzip.compress) and loading sniffs the magic bytes, so a
-   dump renamed across the boundary still loads. *)
+(* --- file round trip --- *)
 
 let save_jsonl path t =
-  let buf = Buffer.create 4096 in
-  let ppf = Format.formatter_of_buffer buf in
-  to_jsonl ppf t;
-  Format.pp_print_flush ppf ();
-  Gzip.write_file path (Buffer.contents buf)
+  Out_channel.with_open_bin path (fun oc ->
+      let ppf = Format.formatter_of_out_channel oc in
+      to_jsonl ppf t;
+      Format.pp_print_flush ppf ())
 
 let () = autodump_impl := save_jsonl
 
 let load_jsonl path =
-  match Gzip.read_file path with
-  | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-  | Ok contents -> (
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error (Printf.sprintf "%s: %s" path msg)
+  | contents -> (
       match of_jsonl contents with
       | Ok t -> Ok t
       | Error msg -> Error (Printf.sprintf "%s: %s" path msg))

@@ -139,7 +139,7 @@ val evicted : t -> int
 val set_autodump : t -> string -> unit
 (** Arms the flight-recorder dump: the first critical [Alert] recorded
     after this call writes the whole trace to the given path with
-    {!save_jsonl} (gzip for [.gz] paths) and disarms.  Re-arming resets the
+    {!save_jsonl} and disarms.  Re-arming resets the
     fired flag. *)
 
 val autodump_path : t -> string option
@@ -294,11 +294,8 @@ val chrome_json : t -> Json.t
 val to_chrome : Format.formatter -> t -> unit
 
 val save_jsonl : string -> t -> unit
-(** Writes the {!to_jsonl} dump to a file; a path ending in [.gz] is
-    gzip-compressed ({!Gzip.write_file}), so large macro-run artifacts stay
-    small in CI. *)
+(** Writes the {!to_jsonl} dump to a file. *)
 
 val load_jsonl : string -> (t, string) result
-(** Reads a JSONL dump back from a file, transparently decompressing gzip
-    contents (sniffed by magic bytes, not just the [.gz] extension), then
-    {!of_jsonl}.  Errors are prefixed with the path. *)
+(** Reads a JSONL dump back from a file with {!of_jsonl}.  Errors are
+    prefixed with the path. *)

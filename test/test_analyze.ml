@@ -183,9 +183,9 @@ let test_lock_contention () =
       Alcotest.(check int) "lock id" 0 l.Analyze.lk_lock;
       Alcotest.(check int) "nodes" 2 l.Analyze.lk_nodes;
       Alcotest.(check int) "acquisitions" 2 l.Analyze.lk_acquisitions;
-      Alcotest.(check (float 0.01)) "total wait" 23. l.Analyze.lk_wait.Analyze.d_total_us;
-      Alcotest.(check (float 0.01)) "max wait" 18. l.Analyze.lk_wait.Analyze.d_max_us;
-      Alcotest.(check (float 0.01)) "total hold" 15. l.Analyze.lk_hold.Analyze.d_total_us
+      Alcotest.(check (float 0.01)) "total wait" 23. (Sketch.sum l.Analyze.lk_wait);
+      Alcotest.(check (float 0.01)) "max wait" 18. (Sketch.max_value l.Analyze.lk_wait);
+      Alcotest.(check (float 0.01)) "total hold" 15. (Sketch.sum l.Analyze.lk_hold)
   | ls -> Alcotest.failf "expected one lock profile, got %d" (List.length ls)
 
 let test_barrier_imbalance () =
@@ -204,8 +204,8 @@ let test_barrier_imbalance () =
   | [ b ] ->
       Alcotest.(check int) "parties" 3 b.Analyze.br_parties;
       Alcotest.(check int) "complete rounds" 2 b.Analyze.br_rounds;
-      Alcotest.(check (float 0.01)) "max imbalance" 8. b.Analyze.br_imbalance.Analyze.d_max_us;
-      Alcotest.(check (float 0.01)) "mean imbalance" 5. b.Analyze.br_imbalance.Analyze.d_mean_us
+      Alcotest.(check (float 0.01)) "max imbalance" 8. (Sketch.max_value b.Analyze.br_imbalance);
+      Alcotest.(check (float 0.01)) "mean imbalance" 5. (Sketch.mean b.Analyze.br_imbalance)
   | bs -> Alcotest.failf "expected one barrier profile, got %d" (List.length bs)
 
 (* --- of_jsonl round-trip over every event variant --- *)
@@ -356,6 +356,46 @@ let test_folded_output_shape () =
             (int_of_string_opt count <> None))
     lines
 
+(* --- one stage model ---
+
+   The analyzer replays the trace; the runtime times the same stages into
+   its registry.  On a seeded jacobi run (hbrc_mw, 4 nodes) the request and
+   transfer stage means agree. *)
+
+let test_stage_means_match_registry () =
+  let captured = ref None in
+  let observe dsm =
+    Dsmpm2_core.Monitor.enable dsm true;
+    captured := Some dsm
+  in
+  ignore
+    (Dsmpm2_apps.Jacobi.run
+       { Dsmpm2_apps.Jacobi.default with observe = Some observe });
+  let dsm = Option.get !captured in
+  let stats = Dsmpm2_core.Dsm.stats dsm in
+  let stages =
+    match
+      List.assoc_opt "hbrc_mw"
+        (Analyze.stages (Analyze.analyze (Dsmpm2_core.Monitor.trace dsm)))
+    with
+    | Some s -> s
+    | None -> Alcotest.fail "no hbrc_mw faults analyzed"
+  in
+  List.iter
+    (fun (stage, series) ->
+      let analyzed =
+        match List.assoc_opt stage stages with
+        | Some sk -> Sketch.mean sk
+        | None -> Alcotest.failf "no %s stage analyzed" stage
+      in
+      let registry = Time.to_us (Stats.span_mean stats series) in
+      Alcotest.(check bool) (stage ^ " stage timed") true (registry > 0.);
+      Alcotest.(check (float 1e-6)) (stage ^ " mean") registry analyzed)
+    [
+      ("request", Dsmpm2_core.Instrument.stage_request);
+      ("transfer", Dsmpm2_core.Instrument.stage_transfer);
+    ]
+
 let () =
   Alcotest.run "analyze"
     [
@@ -373,6 +413,8 @@ let () =
         [
           Alcotest.test_case "stage arithmetic" `Quick test_critical_path_stages;
           Alcotest.test_case "migration stage" `Quick test_migration_stage;
+          Alcotest.test_case "stage means = registry" `Quick
+            test_stage_means_match_registry;
         ] );
       ( "contention",
         [

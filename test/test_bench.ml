@@ -1,5 +1,5 @@
-(* Tests of the macro-benchmark suite: schema round-trip, determinism and
-   matrix filtering. *)
+(* Tests of the macro-benchmark suite: schema round-trip, determinism,
+   matrix filtering and the order of the fault percentiles. *)
 
 open Dsmpm2_sim
 open Dsmpm2_experiments
@@ -170,24 +170,55 @@ let test_filter_cases () =
   Alcotest.(check (list string)) "no match" []
     (List.map (fun c -> c.B.c_id) (B.filter_cases ~filter:"nonesuch" all))
 
-(* --- snapshot file I/O, plain and gzip --- *)
+(* --- snapshot file I/O --- *)
 
-let test_load_gzip_transparent () =
+let test_load_round_trip () =
   let t = B.run ~seeds:[ 0 ] ~filter:"jacobi:hbrc_mw:bip-myrinet" () in
-  let text = Json.to_string_pretty (B.to_json t) ^ "\n" in
-  let check path =
-    Gzip.write_file path text;
-    let back =
-      match B.load path with
-      | Ok t -> t
-      | Error msg -> Alcotest.failf "load %s: %s" path msg
-    in
-    Sys.remove path;
-    Alcotest.(check bool) (path ^ " loads back") true (back = t)
+  let path = Filename.temp_file "dsm_macro" ".json" in
+  Json.to_file path (B.to_json t);
+  let back =
+    match B.load path with
+    | Ok t -> t
+    | Error msg -> Alcotest.failf "load %s: %s" path msg
   in
+  Sys.remove path;
   Alcotest.(check int) "filter selected one case" 1 (List.length t.B.bs_results);
-  check (Filename.temp_file "dsm_macro" ".json");
-  check (Filename.temp_file "dsm_macro" ".json.gz")
+  Alcotest.(check bool) (path ^ " loads back") true (back = t)
+
+(* --- fault percentiles: one series, so always ordered ---
+
+   p50, p90, p99 and p999 all read the registry's whole-fault latency, so
+   every sample is ordered, and a protocol that migrates threads instead of
+   shipping pages still has a tail. *)
+
+let check_percentiles label (t : B.t) =
+  List.iter
+    (fun cr ->
+      List.iter
+        (fun s ->
+          let name =
+            Printf.sprintf "%s %s seed %d" label cr.B.cr_case.B.c_id s.B.s_seed
+          in
+          Alcotest.(check bool)
+            (name ^ ": p50 <= p90 <= p99 <= p999")
+            true
+            (s.B.s_fault_p50_us <= s.B.s_fault_p90_us
+            && s.B.s_fault_p90_us <= s.B.s_fault_p99_us
+            && s.B.s_fault_p99_us <= s.B.s_fault_p999_us);
+          if cr.B.cr_case.B.c_protocol = "migrate_thread" then
+            Alcotest.(check bool) (name ^ ": p999 > 0") true
+              (s.B.s_fault_p999_us > 0.))
+        cr.B.cr_samples)
+    t.B.bs_results
+
+let test_percentiles_ordered () =
+  (match B.load "../BENCH_macro.json" with
+  | Ok t -> check_percentiles "committed" t
+  | Error msg -> Alcotest.failf "committed snapshot: %s" msg);
+  let fresh = B.run ~filter:"tsp:migrate_thread" () in
+  Alcotest.(check int) "both migrate_thread cases" 2
+    (List.length fresh.B.bs_results);
+  check_percentiles "fresh" fresh
 
 let () =
   Alcotest.run "bench_suite"
@@ -211,7 +242,11 @@ let () =
         ] );
       ( "io",
         [
-          Alcotest.test_case "gzip-transparent load" `Quick
-            test_load_gzip_transparent;
+          Alcotest.test_case "file round trip" `Quick test_load_round_trip;
+        ] );
+      ( "percentiles",
+        [
+          Alcotest.test_case "ordered, migrate_thread has a tail" `Quick
+            test_percentiles_ordered;
         ] );
     ]

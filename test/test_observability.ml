@@ -482,7 +482,7 @@ let test_autodump_on_critical_alert () =
   let eng = Engine.create () in
   let tr = Trace.create ~enabled:true () in
   Trace.set_capacity tr 16;
-  let path = Filename.temp_file "dsm_autodump" ".jsonl.gz" in
+  let path = Filename.temp_file "dsm_autodump" ".jsonl" in
   Trace.set_autodump tr path;
   Alcotest.(check bool) "armed but not fired" false (Trace.autodump_fired tr);
   for i = 0 to 39 do

@@ -290,9 +290,9 @@ let test_trace_self_diff_clean () =
            d.Rundiff.rd_patterns)
 
 let test_load_source_sniffs () =
-  (* a gzipped trace dump loads as Run; a bench snapshot as Bench *)
+  (* a trace dump loads as Run; a bench snapshot as Bench *)
   let tr = jacobi_trace ~protocol:"hbrc_mw" in
-  let path = Filename.temp_file "dsm_trace" ".jsonl.gz" in
+  let path = Filename.temp_file "dsm_trace" ".jsonl" in
   Trace.save_jsonl path tr;
   (match Rundiff.load_source path with
   | Ok (Rundiff.Run _) -> ()
@@ -300,8 +300,7 @@ let test_load_source_sniffs () =
   | Error msg -> Alcotest.failf "load_source trace: %s" msg);
   Sys.remove path;
   let bench_path = Filename.temp_file "dsm_macro" ".json" in
-  Gzip.write_file bench_path
-    (Json.to_string_pretty (B.to_json (base_snapshot ())));
+  Json.to_file bench_path (B.to_json (base_snapshot ()));
   (match Rundiff.load_source bench_path with
   | Ok (Rundiff.Bench _) -> ()
   | Ok (Rundiff.Run _) -> Alcotest.fail "bench loaded as trace"

@@ -493,51 +493,6 @@ let prop_stats_percentiles_within_alpha =
           float_of_int (abs (est - exact)) <= (0.01 *. float_of_int exact) +. 0.5)
         [ 50.; 90.; 99. ])
 
-(* --- Gzip --- *)
-
-let prop_gzip_roundtrip =
-  QCheck.Test.make ~name:"gzip round-trips any payload" ~count:200
-    QCheck.(string_gen_of_size Gen.(0 -- 200_000) Gen.char)
-    (fun s ->
-      match Gzip.decompress (Gzip.compress s) with
-      | Ok s' -> String.equal s s'
-      | Error _ -> false)
-
-let test_gzip_sniff () =
-  let z = Gzip.compress "hello" in
-  Alcotest.(check bool) "compressed sniffs as gzip" true (Gzip.is_gzip z);
-  Alcotest.(check bool) "plain text does not" false (Gzip.is_gzip "hello");
-  Alcotest.(check bool) "gz path" true (Gzip.gzip_path "trace.jsonl.gz");
-  Alcotest.(check bool) "plain path" false (Gzip.gzip_path "trace.jsonl");
-  Alcotest.(check bool) "corrupt trailer rejected" true
-    (let n = String.length z in
-     let bad = Bytes.of_string z in
-     Bytes.set bad (n - 1) (Char.chr (Char.code z.[n - 1] lxor 0xff));
-     match Gzip.decompress (Bytes.to_string bad) with
-     | Error _ -> true
-     | Ok _ -> false)
-
-let test_gzip_files () =
-  let payload = String.init 10_000 (fun i -> Char.chr (i * 7 mod 256)) in
-  let check_path path =
-    Gzip.write_file path payload;
-    let back =
-      match Gzip.read_file path with
-      | Ok s -> s
-      | Error msg -> Alcotest.failf "read %s: %s" path msg
-    in
-    Sys.remove path;
-    Alcotest.(check string) (path ^ " round-trips") payload back
-  in
-  let tmp = Filename.temp_file "dsm_gzip" ".bin" in
-  check_path tmp;
-  let tmpgz = Filename.temp_file "dsm_gzip" ".bin.gz" in
-  (* the .gz path must actually hold gzip bytes on disk *)
-  Gzip.write_file tmpgz payload;
-  let raw = In_channel.with_open_bin tmpgz In_channel.input_all in
-  Alcotest.(check bool) "on-disk bytes are gzip" true (Gzip.is_gzip raw);
-  check_path tmpgz
-
 (* --- Run_meta --- *)
 
 let test_run_meta_roundtrip () =
@@ -643,13 +598,6 @@ let () =
             test_stats_record_allocates_nothing;
           Alcotest.test_case "stats percentiles" `Quick test_stats_percentiles;
           QCheck_alcotest.to_alcotest prop_stats_percentiles_within_alpha;
-        ] );
-      ( "gzip",
-        [
-          QCheck_alcotest.to_alcotest prop_gzip_roundtrip;
-          Alcotest.test_case "magic sniffing + corruption" `Quick test_gzip_sniff;
-          Alcotest.test_case "file round-trip, plain and .gz" `Quick
-            test_gzip_files;
         ] );
       ( "run_meta",
         [

@@ -3,8 +3,9 @@
    online/post-mortem classifier agreement across every protocol and
    conformance workload, schedule transparency of telemetry + sampling,
    the exactness of deterministic head-based span sampling against an
-   unsampled reference run, bounded-trace hot-page accounting, and the
-   advice.page alert's JSONL round trip. *)
+   unsampled reference run, bounded-trace hot-page accounting, the
+   advice.page alert's JSONL round trip, and [dsm watch]'s fault latency
+   reading the registry. *)
 
 open Dsmpm2_sim
 open Dsmpm2_net
@@ -296,11 +297,9 @@ let test_sampling_telemetry_agreement () =
 
 (* --- allocation: the observer path in steady state --- *)
 
-(* A resolved remote read: the fault opens span [span]'s latency
-   measurement and the install closes it.  Once the page, the node sets,
-   the protocol and the per-interval tables have seen it, a pair costs
-   only the open-fault entry, the boxed latency sample and the optional
-   span arguments. *)
+(* A resolved remote read: a fault and its install.  Once the page, the
+   node sets and the per-interval tables have seen it, a pair costs only
+   the optional span arguments. *)
 let test_steady_pair_allocates_little () =
   let dsm = Dsm.create ~nodes:2 ~driver:Driver.bip_myrinet () in
   Monitor.enable dsm true;
@@ -377,6 +376,57 @@ let test_capped_trace_hot_pages () =
         (match Option.bind (Json.member "sampled_out" t) Json.to_int with
         | Some n -> n > 0
         | None -> false)
+
+(* --- watch and the registry report the same faults ---
+
+   Telemetry times nothing itself: the cluster percentiles of its snapshot
+   are the registry's whole-fault series, and its per-protocol fault count
+   is that protocol's read, write and inline-check-miss faults. *)
+
+let test_watch_agrees_with_registry () =
+  let captured = ref None in
+  let observe dsm =
+    Monitor.enable dsm true;
+    captured := Some (dsm, Watchdog.attach dsm)
+  in
+  ignore
+    (Dsmpm2_apps.Jacobi.run
+       {
+         Dsmpm2_apps.Jacobi.default with
+         tie_seed = Some 0;
+         observe = Some observe;
+       });
+  let dsm, wd = Option.get !captured in
+  let tele = Watchdog.telemetry wd in
+  let stats = Dsm.stats dsm in
+  let latency =
+    match Json.member "fault_latency_us" (Telemetry.to_json tele) with
+    | Some j -> j
+    | None -> Alcotest.fail "snapshot has no fault_latency_us"
+  in
+  let field name =
+    match Option.bind (Json.member name latency) Json.to_float with
+    | Some v -> v
+    | None -> Alcotest.failf "fault_latency_us has no %s" name
+  in
+  Alcotest.(check bool) "faults were timed" true (field "count" > 0.);
+  List.iter
+    (fun (name, p) ->
+      Alcotest.(check (float 0.))
+        name
+        (Time.to_us (Stats.span_percentile stats Instrument.stage_total p))
+        (field name))
+    [ ("p50", 50.); ("p99", 99.); ("p999", 99.9) ];
+  (* The run has one protocol, so its count is the cluster total. *)
+  let n name = Stats.count stats name in
+  Alcotest.(check (list (pair string int)))
+    "per-protocol faults = read + write + check-miss"
+    [
+      ( "hbrc_mw",
+        n Instrument.read_faults + n Instrument.write_faults
+        + n Instrument.check_misses );
+    ]
+    (Telemetry.protocols tele)
 
 (* --- advice.page alerts round-trip through JSONL --- *)
 
@@ -458,6 +508,8 @@ let () =
             test_agrees_with_analyze;
           Alcotest.test_case "exact under sampling + tiny ring" `Quick
             test_sampling_telemetry_agreement;
+          Alcotest.test_case "watch = registry fault latency" `Quick
+            test_watch_agrees_with_registry;
         ] );
       ( "transparency",
         [
