@@ -150,8 +150,23 @@ let bechamel_tests ?filter () =
     done;
     Engine.run eng
   in
+  (* The engine alone: 1 024 events from 16 self-rescheduling chains, so
+     the queue stays 16 deep, each with a tie key drawn. *)
+  let engine_events () =
+    let eng = Engine.create ~tie_seed:1 () in
+    let left = ref (1024 - 16) in
+    let rec tick () =
+      if !left > 0 then begin
+        decr left;
+        Engine.after eng (Dsmpm2_sim.Time.of_ns 1) tick
+      end
+    in
+    for _ = 1 to 16 do Engine.after eng Dsmpm2_sim.Time.zero tick done;
+    Engine.run eng
+  in
   let named =
     [
+      ("sim/engine_events", engine_events);
       ("sim/read_fault_page_transfer", fault_once `Page);
       ("sim/read_fault_thread_migration", fault_once `Migrate);
       ("sim/read_fault_monitor_disabled", fault_once_monitored false);

@@ -18,7 +18,9 @@ let migration_overhead rt =
 let with_entry rt (e : Page_table.entry) f =
   let marcel = Runtime.marcel rt in
   Marcel.Mutex.lock marcel e.entry_mutex;
-  Fun.protect ~finally:(fun () -> Marcel.Mutex.unlock marcel e.entry_mutex) f
+  match f () with
+  | v -> Marcel.Mutex.unlock marcel e.entry_mutex; v
+  | exception ex -> Marcel.Mutex.unlock marcel e.entry_mutex; raise ex
 
 let wait_while_faulting rt (e : Page_table.entry) =
   let marcel = Runtime.marcel rt in
@@ -137,7 +139,11 @@ let send_diffs_grouped rt ~release diffs_with_home =
 let push_diffs rt ~targets ~diffs ~release =
   let node = Runtime.self_node rt in
   let marcel = Runtime.marcel rt in
-  let targets = List.sort_uniq compare (List.filter (fun n -> n <> node) targets) in
+  let targets =
+    match targets with
+    | [ target ] -> if target = node then [] else targets
+    | _ -> List.sort_uniq compare (List.filter (fun n -> n <> node) targets)
+  in
   match targets with
   | [] -> ()
   | [ target ] -> Dsm_comm.call_diffs rt ~to_:target ~diffs ~release
@@ -167,14 +173,3 @@ let diff_against_twin rt ~node (e : Page_table.entry) =
       let current = Frame_store.frame (Runtime.store rt node) e.page in
       let diff = Diff.compute ~page:e.page ~twin ~current in
       if Diff.is_empty diff then None else Some diff
-
-let group_by_home rt ~node pages =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun page ->
-      let e = Runtime.entry rt ~node ~page in
-      let existing = Option.value ~default:[] (Hashtbl.find_opt tbl e.home) in
-      Hashtbl.replace tbl e.home (page :: existing))
-    pages;
-  Hashtbl.fold (fun home pages acc -> (home, List.rev pages) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)

@@ -89,7 +89,3 @@ val make_twin : Runtime.t -> node:int -> Page_table.entry -> unit
 val diff_against_twin : Runtime.t -> node:int -> Page_table.entry -> Diff.t option
 (** The diff of the current frame against the twin; [None] when no twin
     exists or nothing changed. *)
-
-val group_by_home : Runtime.t -> node:int -> int list -> (int * int list) list
-(** Partitions pages by their home node: [(home, pages)] assoc list, sorted
-    by home. *)

@@ -39,6 +39,7 @@ type sample = {
   s_write_faults : int;
   s_dropped : int;  (* messages lost to fault injection *)
   s_rpc_retries : int;  (* RPC retransmissions after deadline expiry *)
+  s_events : int;  (* engine events executed: the host work, counted *)
   s_fault_p50_us : float;
   s_fault_p90_us : float;
   s_fault_p99_us : float;
@@ -152,6 +153,7 @@ let measure case ~seed =
     s_write_faults = Stats.count stats Instrument.write_faults;
     s_dropped = Network.messages_dropped net;
     s_rpc_retries = Dsmpm2_pm2.Rpc.retransmissions (Dsmpm2_pm2.Pm2.rpc (Dsm.pm2 dsm));
+    s_events = Engine.events_executed (Dsm.engine dsm);
     s_fault_p50_us = pct 50.;
     s_fault_p90_us = pct 90.;
     s_fault_p99_us = pct 99.;
@@ -214,7 +216,7 @@ let metric_names =
   [
     "time_us"; "messages"; "bytes"; "read_faults"; "write_faults";
     "dropped"; "rpc_retries";
-    "fault_p50_us"; "fault_p90_us"; "fault_p99_us"; "fault_p999_us";
+    "fault_p50_us"; "fault_p90_us"; "fault_p99_us"; "fault_p999_us"; "events";
   ]
 
 let metric name s =
@@ -230,6 +232,7 @@ let metric name s =
   | "fault_p90_us" -> s.s_fault_p90_us
   | "fault_p99_us" -> s.s_fault_p99_us
   | "fault_p999_us" -> s.s_fault_p999_us
+  | "events" -> float_of_int s.s_events
   | _ -> invalid_arg (Printf.sprintf "Bench_suite.metric: unknown metric %S" name)
 
 let metric_mean cr name = mean (List.map (metric name) cr.cr_samples)
@@ -252,6 +255,7 @@ let sample_to_json s =
       ("fault_p90_us", Json.Float s.s_fault_p90_us);
       ("fault_p99_us", Json.Float s.s_fault_p99_us);
       ("fault_p999_us", Json.Float s.s_fault_p999_us);
+      ("events", Json.Int s.s_events);
     ]
 
 let case_result_to_json cr =
@@ -297,8 +301,10 @@ let sample_of_json j =
   let* s_fault_p50_us = flt "fault_p50_us" in
   let* s_fault_p90_us = flt "fault_p90_us" in
   let* s_fault_p99_us = flt "fault_p99_us" in
-  (* p99.9 joined after the first baselines; absent means zero. *)
+  (* p99.9 and the event count joined after the first baselines; absent
+     means zero. *)
   let s_fault_p999_us = Option.value (flt "fault_p999_us") ~default:0. in
+  let s_events = Option.value (int "events") ~default:0 in
   Some
     {
       s_seed;
@@ -309,6 +315,7 @@ let sample_of_json j =
       s_write_faults;
       s_dropped;
       s_rpc_retries;
+      s_events;
       s_fault_p50_us;
       s_fault_p90_us;
       s_fault_p99_us;

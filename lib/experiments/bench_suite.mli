@@ -53,6 +53,9 @@ type sample = {
   s_write_faults : int;
   s_dropped : int;  (** messages lost to fault injection (0 without a plan) *)
   s_rpc_retries : int;  (** RPC retransmissions after deadline expiry *)
+  s_events : int;
+      (** engine events executed: a deterministic count of the host work,
+          identical on every OCaml version, unlike GC words *)
   s_fault_p50_us : float;
   s_fault_p90_us : float;
   s_fault_p99_us : float;
@@ -91,9 +94,10 @@ val run :
 val metric_names : string list
 (** Every per-sample metric, in schema order: [time_us], [messages],
     [bytes], [read_faults], [write_faults], [dropped], [rpc_retries],
-    [fault_p50_us], [fault_p90_us], [fault_p99_us], [fault_p999_us].
-    [dropped], [rpc_retries] and [fault_p999_us] joined after the first
-    baselines; snapshots without them parse as zero. *)
+    [fault_p50_us], [fault_p90_us], [fault_p99_us], [fault_p999_us],
+    [events].  [dropped], [rpc_retries], [fault_p999_us] and [events]
+    joined after the first baselines; snapshots without them parse as
+    zero. *)
 
 val metric : string -> sample -> float
 (** A sample's value for a {!metric_names} member (counts as floats). *)

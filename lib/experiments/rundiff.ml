@@ -352,12 +352,16 @@ let diff ?(threshold_pct = default_threshold_pct) ?(force = false) ~baseline
 
 let time_delta cd = List.find_opt (fun m -> m.md_metric = "time_us") cd.cd_metrics
 
+(* The gated metrics: the simulated clock, and the engine events executed —
+   the deterministic count of what simulating the case costs the host. *)
+let gated = [ "time_us"; "events" ]
+
 let gate_cases dir t =
-  List.filter_map
+  List.concat_map
     (fun cd ->
-      match time_delta cd with
-      | Some m when m.md_significant && m.md_direction = dir -> Some (cd, m)
-      | _ -> None)
+      List.filter_map
+        (fun m -> if List.mem m.md_metric gated && m.md_significant && m.md_direction = dir then Some (cd, m) else None)
+        cd.cd_metrics)
     t.rd_cases
 
 let gate_stages dir t =
@@ -368,8 +372,9 @@ let gate_stages dir t =
 let describe dir t =
   List.map
     (fun (cd, m) ->
-      Printf.sprintf "%s: time %.1fus -> %.1fus (%+.1f%%, noise ±%.1f)"
-        cd.cd_id m.md_base m.md_fresh m.md_pct m.md_noise)
+      let name, u = if m.md_metric = "time_us" then ("time", "us") else (m.md_metric, "") in
+      Printf.sprintf "%s: %s %.1f%s -> %.1f%s (%+.1f%%, noise ±%.1f)" cd.cd_id name
+        m.md_base u m.md_fresh u m.md_pct m.md_noise)
     (gate_cases dir t)
   @ List.map
       (fun sd ->

@@ -21,8 +21,9 @@
     the point.  [~force:true] overrides the refusal.
 
     The verdict {!significant_regression} is what the CLI turns into exit
-    code 1: some case's simulated wall clock regressed beyond noise, or
-    some critical-path stage slowed beyond the threshold. *)
+    code 1: some case's simulated wall clock or engine event count
+    regressed beyond noise, or some critical-path stage slowed beyond the
+    threshold. *)
 
 open Dsmpm2_sim
 
@@ -114,8 +115,8 @@ val diff :
     mismatch (suite-level and per matched case) unless [force]. *)
 
 val significant_regression : t -> bool
-(** True when some case's [time_us] regressed significantly, or (trace
-    mode) some stage's mean slowed beyond the threshold. *)
+(** True when some case's [time_us] or [events] regressed significantly,
+    or (trace mode) some stage's mean slowed beyond the threshold. *)
 
 val regressions : t -> string list
 (** One human-readable line per significant regression, for error output. *)

@@ -119,5 +119,3 @@ let write_byte t ~addr v =
   if v < 0 || v > 255 then invalid_arg "Frame_store.write_byte: out of range";
   let b = frame t (Page.page_of_addr t.geo addr) in
   Bytes.set b (Page.offset_of_addr t.geo addr) (Char.chr v)
-
-let copy_page = Bytes.copy

@@ -48,5 +48,3 @@ val write_int : t -> addr:int -> int -> unit
 
 val read_byte : t -> addr:int -> int
 val write_byte : t -> addr:int -> int -> unit
-
-val copy_page : bytes -> bytes

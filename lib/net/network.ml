@@ -114,6 +114,15 @@ let seeded_jitter ?(extra_us = 40.) ?(spike_us = 400.) ?(spike_pct = 2) ~seed ()
     in
     Time.(delay + extra + spike)
 
+(* Every drop is first-class in the trace: the event carries the link, the
+   message kind and the sending operation's span, so the blame engine can
+   walk from a stale read back to the exact loss.  [ev] is built lazily —
+   the no-trace path allocates nothing. *)
+let drop t ev =
+  match t.net_trace with
+  | Some tr when Trace.enabled tr -> Trace.emit tr t.eng ~span:(t.span_source ()) (ev ())
+  | _ -> ()
+
 let send t ~src ~dst ~cost k =
   if src < 0 || src >= t.nnodes || dst < 0 || dst >= t.nnodes then
     invalid_arg "Network.send: node id out of range";
@@ -134,27 +143,17 @@ let send t ~src ~dst ~cost k =
     let kind = kind_index cost in
     let cell = t.msgs.((src * kinds) + kind) in
     Stats.add cell ~events:1 ~volume:(Driver.wire_bytes cost);
-    (* Every drop is first-class in the trace: the event carries the link,
-       the message kind and the sending operation's span, so the blame
-       engine can walk from a stale read back to the exact loss.  [ev] is
-       built lazily — the no-trace path allocates nothing. *)
-    let drop ev =
-      match t.net_trace with
-      | Some tr when Trace.enabled tr ->
-          Trace.emit tr t.eng ~span:(t.span_source ()) (ev ())
-      | _ -> ()
-    in
     let kind_name = kind_names.(kind) in
     (* A crashed sender's traffic dies on the host; this is checked before
        the loss draw so blackholed messages never consume loss stream
        entropy a later run-with-different-windows would miss. *)
     if Fault_plan.is_down t.plan ~node:src (Engine.now t.eng) then begin
       Fault_plan.note_blackhole t.plan;
-      drop (fun () -> Trace.Blackhole { src; dst; kind = kind_name; down = src })
+      drop t (fun () -> Trace.Blackhole { src; dst; kind = kind_name; down = src })
     end
     else if Fault_plan.loses_message t.plan then begin
       Fault_plan.note_loss t.plan;
-      drop (fun () -> Trace.Drop { src; dst; kind = kind_name })
+      drop t (fun () -> Trace.Drop { src; dst; kind = kind_name })
     end
     else begin
       let delay = Driver.delay t.net_driver cost in
@@ -178,7 +177,7 @@ let send t ~src ~dst ~cost k =
         (* Delivered into a down window: the NIC is dead, the message is
            gone.  The link slot is not consumed by a vanished message. *)
         Fault_plan.note_blackhole t.plan;
-        drop (fun () -> Trace.Blackhole { src; dst; kind = kind_name; down = dst })
+        drop t (fun () -> Trace.Blackhole { src; dst; kind = kind_name; down = dst })
       end
       else begin
         t.last_delivery.(link) <- arrival;

@@ -28,4 +28,3 @@ let alloc_pages t n =
   addr
 
 let allocated_bytes t = t.total
-let end_address t = t.next

@@ -28,5 +28,3 @@ val alloc_pages : t -> int -> int
     never share a page (and hence can carry distinct protocols). *)
 
 val allocated_bytes : t -> int
-val end_address : t -> int
-(** First address beyond any allocation so far. *)

@@ -6,7 +6,7 @@ type thread = {
   tid : int;
   mutable node : int;
   mutable stack_bytes : int;
-  mutable attached_bytes : int;
+  attached_bytes : int;
   mutable alive : bool;
   mutable pending_us : float;
   mutable ticks : int;
@@ -24,8 +24,8 @@ type t = {
   by_fiber : thread Int_table.t;
   (* One-entry cache over [by_fiber]: the thread of fiber [self_fid].
      Fiber ids are never reused, and a dead thread leaves the cache when it
-     leaves [by_fiber], so a cached pair cannot go stale.  [self_fid = -1]
-     means empty. *)
+     leaves [by_fiber], so a cached pair cannot go stale.  [self_fid =
+     min_int] means empty (the engine's "no fiber" is -1). *)
   mutable self_fid : int;
   mutable self_th : thread;
   mutable tick_us : float;
@@ -52,7 +52,7 @@ let create eng ~nodes =
     cpus = Array.init nodes (fun i -> Cpu.create ~name:(Printf.sprintf "node%d" i) ());
     next_tid = 0;
     by_fiber = Int_table.create 64;
-    self_fid = -1;
+    self_fid = min_int;
     self_th = no_thread;
     tick_us = 0.;
   }
@@ -72,16 +72,14 @@ let thread_of_fiber t fid =
     th
   end
 
-let self t =
-  let outside () = failwith "Marcel.self: not running inside a Marcel thread" in
-  match Engine.current_fiber t.eng with
-  | Some fid -> ( try thread_of_fiber t fid with Not_found -> outside ())
-  | None -> outside ()
+(* The thread running now; raises [Not_found] outside Marcel threads. *)
+let current t = thread_of_fiber t (Engine.current_fiber t.eng)
 
-let self_opt t =
-  match Engine.current_fiber t.eng with
-  | None -> None
-  | Some fid -> Int_table.find_opt t.by_fiber fid
+let self t =
+  try current t
+  with Not_found -> failwith "Marcel.self: not running inside a Marcel thread"
+
+let self_opt t = match current t with th -> Some th | exception Not_found -> None
 
 let node_of_fiber t fid =
   Option.map (fun th -> th.node) (Int_table.find_opt t.by_fiber fid)
@@ -103,7 +101,6 @@ let live_threads t ~node =
   |> List.sort (fun a b -> compare a.tid b.tid)
 let stack_bytes th = th.stack_bytes
 let attached_bytes th = th.attached_bytes
-let set_attached_bytes th n = th.attached_bytes <- n
 let footprint_bytes th = th.stack_bytes + descriptor_bytes + th.attached_bytes
 let is_alive th = th.alive
 
@@ -135,9 +132,21 @@ let pay_pending t th =
 let forget t fid =
   Int_table.remove t.by_fiber fid;
   if t.self_fid = fid then begin
-    t.self_fid <- -1;
+    t.self_fid <- min_int;
     t.self_th <- no_thread
   end
+
+(* The end of thread [th], run in its own fiber however its body ended: pay
+   any outstanding lazily-charged CPU work before dying so accounting is
+   complete (paying may suspend, so the thread stays mapped until then),
+   then wake the joiners. *)
+let finish t th =
+  pay_pending t th;
+  th.alive <- false;
+  forget t (Engine.current_fiber t.eng);
+  let joiners = th.joiners in
+  th.joiners <- [];
+  List.iter (fun resume -> resume ()) joiners
 
 let spawn t ?(stack_bytes = 1024) ?(attached_bytes = 0) ?(migratable = false) ~node f =
   if node < 0 || node >= Array.length t.cpus then
@@ -157,22 +166,15 @@ let spawn t ?(stack_bytes = 1024) ?(attached_bytes = 0) ?(migratable = false) ~n
     }
   in
   t.next_tid <- t.next_tid + 1;
-  let fid = ref (-1) in
-  fid :=
+  let fid =
     Engine.spawn t.eng (fun () ->
-        Fun.protect
-          ~finally:(fun () ->
-            (* Pay any outstanding lazily-charged CPU work before dying so
-               accounting is complete (paying may suspend, so the thread
-               stays mapped until then), then wake the joiners. *)
-            pay_pending t th;
-            th.alive <- false;
-            forget t !fid;
-            let joiners = th.joiners in
-            th.joiners <- [];
-            List.iter (fun resume -> resume ()) joiners)
-          f);
-  Int_table.replace t.by_fiber !fid th;
+        match f () with
+        | () -> finish t th
+        | exception e ->
+            finish t th;
+            raise e)
+  in
+  Int_table.replace t.by_fiber fid th;
   th
 
 let join t th =
@@ -202,7 +204,7 @@ let set_tick_us t us =
   t.tick_us <- us
 
 let flush_charges t =
-  match self_opt t with None -> () | Some th -> pay_pending t th
+  match current t with th -> pay_pending t th | exception Not_found -> ()
 
 let set_node t th node =
   if node < 0 || node >= Array.length t.cpus then

@@ -62,7 +62,6 @@ val tid : thread -> int
 val node : thread -> int
 val stack_bytes : thread -> int
 val attached_bytes : thread -> int
-val set_attached_bytes : thread -> int -> unit
 val footprint_bytes : thread -> int
 (** Stack + descriptor (256 B) + attached data: the payload size of a
     migration. *)

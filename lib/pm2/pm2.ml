@@ -22,12 +22,9 @@ let create ?tie_seed ?jitter ?(page_size = 4096) ~nodes ~driver () =
      fiber -> Marcel thread -> active span, so a message dropped while an
      operation's thread is sending lands in that operation's span. *)
   Network.set_trace net pm2_trace ~span:(fun () ->
-      match Engine.current_fiber eng with
+      match Marcel.tid_of_fiber marcel (Engine.current_fiber eng) with
       | None -> Trace.no_span
-      | Some fid -> (
-          match Marcel.tid_of_fiber marcel fid with
-          | None -> Trace.no_span
-          | Some tid -> Trace.thread_span pm2_trace ~tid));
+      | Some tid -> Trace.thread_span pm2_trace ~tid);
   Rpc.set_trace rpc pm2_trace;
   {
     eng;

@@ -1,8 +1,8 @@
 (** Deterministic discrete-event simulation engine with effect-based fibers.
 
     The engine owns a virtual clock and an event queue ordered by
-    [(time, sequence number)], so two runs over the same inputs execute events
-    in exactly the same order.  Code running inside the engine is organised as
+    [(time, tie key, sequence number)], so two runs over the same inputs
+    execute events in exactly the same order.  Code running inside the engine is organised as
     {e fibers}: lightweight cooperative threads implemented with OCaml 5
     effect handlers.  A fiber suspends by capturing its continuation and
     handing a resume thunk to whoever will wake it (a timer, a message
@@ -85,8 +85,8 @@ val spawn : t -> (unit -> unit) -> int
     returns its fiber id.  While the fiber (or one of its resumed
     continuations) is executing, [current_fiber t] returns this id. *)
 
-val current_fiber : t -> int option
-(** The id of the fiber whose code is executing right now, or [None] when
+val current_fiber : t -> int
+(** The id of the fiber whose code is executing right now, or [-1] when
     running in plain event context (timer callbacks, message deliveries). *)
 
 val suspend : t -> ((unit -> unit) -> unit) -> unit

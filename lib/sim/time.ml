@@ -13,5 +13,3 @@ let pp ppf t =
   if t >= 1_000_000_000 then Format.fprintf ppf "%.3fs" (float_of_int t /. 1e9)
   else if t >= 1_000_000 then Format.fprintf ppf "%.3fms" (to_ms t)
   else Format.fprintf ppf "%.1fus" (to_us t)
-
-let pp_us ppf t = Format.fprintf ppf "%.1f" (to_us t)

@@ -21,6 +21,3 @@ val to_ms : t -> float
 
 val pp : Format.formatter -> t -> unit
 (** Prints with an adaptive unit, e.g. ["198.0us"] or ["12.3ms"]. *)
-
-val pp_us : Format.formatter -> t -> unit
-(** Prints in microseconds with one decimal, e.g. ["198.0"]. *)

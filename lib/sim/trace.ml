@@ -331,8 +331,6 @@ let set_thread_span t ~tid span =
     if span = no_span then Int_table.remove t.thread_spans tid
     else Int_table.replace t.thread_spans tid span
 
-let clear_thread_span t ~tid = Int_table.remove t.thread_spans tid
-
 let thread_span t ~tid =
   if not t.on then no_span
   else

@@ -200,8 +200,6 @@ val set_thread_span : t -> tid:int -> int -> unit
 (** Associates the active span with a Marcel thread; passing [no_span]
     clears the association. *)
 
-val clear_thread_span : t -> tid:int -> unit
-
 val thread_span : t -> tid:int -> int
 (** The thread's active span, or [no_span]. *)
 

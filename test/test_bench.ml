@@ -30,6 +30,7 @@ let gen_t =
           s_write_faults = wf;
           s_dropped = rf mod 7;
           s_rpc_retries = wf mod 5;
+          s_events = msgs * 3;
           s_fault_p50_us = p50;
           s_fault_p90_us = p90;
           s_fault_p99_us = p99;

@@ -9,7 +9,8 @@ module B = Bench_suite
 
 (* --- synthetic snapshots (no simulation needed) --- *)
 
-let sample ~seed ~time ?(messages = 100) ?(dropped = 0) ?(rpc_retries = 0) () =
+let sample ~seed ~time ?(messages = 100) ?(dropped = 0) ?(rpc_retries = 0)
+    ?(events = 1000) () =
   {
     B.s_seed = seed;
     s_time_us = time;
@@ -19,6 +20,7 @@ let sample ~seed ~time ?(messages = 100) ?(dropped = 0) ?(rpc_retries = 0) () =
     s_write_faults = 5;
     s_dropped = dropped;
     s_rpc_retries = rpc_retries;
+    s_events = events;
     s_fault_p50_us = 50.;
     s_fault_p90_us = 90.;
     s_fault_p99_us = 99.;
@@ -161,6 +163,19 @@ let test_messages_delta_reported_not_gating () =
     msgs.Rundiff.md_significant;
   Alcotest.(check bool) "but the gate is simulated time" false
     (Rundiff.significant_regression d)
+
+let test_events_gate () =
+  (* The engine event count is deterministic per seed, so it gates like the
+     simulated clock: more events at the same simulated time regress. *)
+  let a = snapshot [ sample ~seed:0 ~time:1000. () ] in
+  let b = snapshot [ sample ~seed:0 ~time:1000. ~events:1100 () ] in
+  let d = diff_exn a b in
+  Alcotest.(check (list string)) "events regression line"
+    [ "app:proto:drv: events 1000.0 -> 1100.0 (+10.0%, noise ±0.0)" ]
+    (Rundiff.regressions d);
+  let fewer = snapshot [ sample ~seed:0 ~time:1000. ~events:900 () ] in
+  Alcotest.(check bool) "fewer events is no regression" false
+    (Rundiff.significant_regression (diff_exn a fewer))
 
 let test_fault_metrics_advisory () =
   (* A fault-injection delta — more drops, more retransmissions — is
@@ -322,6 +337,7 @@ let () =
             test_noise_bound_suppresses;
           Alcotest.test_case "traffic deltas report, time gates" `Quick
             test_messages_delta_reported_not_gating;
+          Alcotest.test_case "event count gates" `Quick test_events_gate;
           Alcotest.test_case "fault metrics advisory" `Quick
             test_fault_metrics_advisory;
         ] );

@@ -11,30 +11,6 @@ let test_time_conversions () =
   Alcotest.(check int) "rounding" 11 (Time.of_ns 11);
   Alcotest.(check string) "pp us" "42.0us" (Format.asprintf "%a" Time.pp (Time.of_us 42.))
 
-(* --- Heap --- *)
-
-let test_heap_basic () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  List.iter (Heap.add h) [ 5; 3; 8; 1; 9; 2 ];
-  Alcotest.(check int) "length" 6 (Heap.length h);
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
-  Alcotest.(check (option int)) "pop min" (Some 1) (Heap.pop h);
-  Alcotest.(check (option int)) "next" (Some 2) (Heap.pop h);
-  Heap.clear h;
-  Alcotest.(check (option int)) "cleared" None (Heap.pop h)
-
-let prop_heap_sorted =
-  QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.add h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort compare xs)
-
 (* --- Rng --- *)
 
 let test_rng_deterministic () =
@@ -67,6 +43,58 @@ let test_rng_shuffle_permutes () =
   Rng.shuffle rng a;
   Alcotest.(check (list int)) "same multiset" (List.init 50 Fun.id)
     (List.sort compare (Array.to_list a))
+
+(* The first eight draws of each kind for three seeds.  Every seeded
+   schedule, workload and fault plan derives from this stream, so a change
+   to how the state is stored must replay it bit for bit. *)
+let rng_pins =
+  [
+    ( 0,
+      [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL; 0xf88bb8a8724c81ecL;
+        0x1b39896a51a8749bL; 0x53cb9f0c747ea2eaL; 0x2c829abe1f4532e1L; 0xc584133ac916ab3cL ],
+      [ 0x1ec7736b; 0x286e597d; 0x20025153; 0x1c93207b; 0x146a1d26; 0x1d1fa8ba; 0x07d14cb8;
+        0x3245aacf ],
+      [ 0x1.c4415072f63b9p-1; 0x1.b9e279aa86e58p-2; 0x1.b1174620025p-6; 0x1.f1177150e499p-1;
+        0x1.b39896a51a87p-4; 0x1.4f2e7c31d1fa8p-2; 0x1.6414d5f0fa298p-3; 0x1.8b082675922d5p-1 ] );
+    ( 1,
+      [ 0xbfef8030ddc2d772L; 0x5f552ce482f2aa47L; 0x70335fc3daf3d8a7L; 0xf440fe3b62c79d2cL;
+        0x33ba2f29e7c168bbL; 0x98843f48a94b7866L; 0x74ad4c24d41a25f8L; 0x2f9a1f13648eab6eL ],
+      [ 0x3770b5dc; 0x20bcaa91; 0x36bcf629; 0x18b1e74b; 0x39f05a2e; 0x2a52de19; 0x3506897e;
+        0x1923aadb ],
+      [ 0x1.7fdf0061bb85ap-1; 0x1.7d54b3920bcaap-2; 0x1.c0cd7f0f6bcf6p-2; 0x1.e881fc76c58f3p-1;
+        0x1.9dd1794f3e0b4p-3; 0x1.31087e915296fp-1; 0x1.d2b5309350688p-2; 0x1.7cd0f89b24754p-3 ] );
+    ( 42,
+      [ 0x989b3f130a063869L; 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L; 0x0c4b6b24ef01890eL;
+        0xfb16a06e52ec10a7L; 0x3c30fc5fd50692c3L; 0x4782c4b4c4fdf7c9L; 0x272404a0a3926552L ],
+      [ 0x02818e1a; 0x095c37b5; 0x0e806cb5; 0x3bc06243; 0x14bb0429; 0x3541a4b0; 0x313f7df2;
+        0x28e49954 ],
+      [ 0x1.31367e26140c7p-1; 0x1.486da5f92b86cp-3; 0x1.54c85f31d00d8p-3; 0x1.896d649de031p-5;
+        0x1.f62d40dca5d82p-1; 0x1.e187e2fea8348p-3; 0x1.1e0b12d313f7cp-2; 0x1.392025051c93p-3 ] );
+  ]
+
+let test_rng_stream_pinned () =
+  List.iter
+    (fun (seed, bits, ints, floats) ->
+      let draws f = let rng = Rng.create ~seed in List.init 8 (fun _ -> f rng) in
+      let name what = Printf.sprintf "seed %d %s" seed what in
+      Alcotest.(check (list int64)) (name "bits64") bits (draws Rng.bits64);
+      Alcotest.(check (list int)) (name "int") ints (draws (fun r -> Rng.int r 0x40000000));
+      Alcotest.(check (list (float 0.))) (name "float") floats (draws (fun r -> Rng.float r 1.0)))
+    rng_pins
+
+(* Minor words per call of [f], after a warm-up; [Gc.minor_words] itself
+   boxes its result, which the per-call figure divides away. *)
+let words_per_call ~n f =
+  for i = 1 to 16 do f i done;
+  let before = Gc.minor_words () in
+  for i = 1 to n do f i done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_rng_int_allocates_nothing () =
+  let rng = Rng.create ~seed:5 in
+  let sink = ref 0 in
+  let words = words_per_call ~n:10_000 (fun _ -> sink := !sink + Rng.int rng 0x40000000) in
+  Alcotest.(check bool) (Printf.sprintf "Rng.int: %.3f words" words) true (words < 0.01)
 
 (* --- Engine --- *)
 
@@ -116,12 +144,12 @@ let test_engine_stalled_detection () =
 
 let test_engine_current_fiber () =
   let eng = Engine.create () in
-  let inside = ref None and outside = ref (Some 0) in
+  let inside = ref (-1) and outside = ref 0 in
   let fid = Engine.spawn eng (fun () -> inside := Engine.current_fiber eng) in
   Engine.at eng (Time.of_us 1.) (fun () -> outside := Engine.current_fiber eng);
   Engine.run eng;
-  Alcotest.(check (option int)) "inside fiber" (Some fid) !inside;
-  Alcotest.(check (option int)) "event context has no fiber" None !outside
+  Alcotest.(check int) "inside fiber" fid !inside;
+  Alcotest.(check int) "event context has no fiber" (-1) !outside
 
 let test_engine_resume_twice_rejected () =
   let eng = Engine.create () in
@@ -140,6 +168,114 @@ let test_engine_run_limit () =
   Engine.at eng (Time.of_us 1_000.) (fun () -> incr ran);
   Engine.run ~limit:(Time.of_us 100.) eng;
   Alcotest.(check int) "only early event ran" 1 !ran
+
+(* --- the event queue --- *)
+
+type queue_op = At of int | Observer of int | Run of int
+
+let queue_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun dt -> At dt) (int_bound 4));
+        (2, map (fun dt -> Observer dt) (int_bound 4));
+        (1, map (fun dl -> Run dl) (int_bound 6));
+      ])
+
+let print_queue_op = function
+  | At dt -> Printf.sprintf "At %d" dt
+  | Observer dt -> Printf.sprintf "Observer %d" dt
+  | Run dl -> Printf.sprintf "Run %d" dl
+
+(* Replays random [at]/[at_observer]/[run ~limit] mixes at repeated times
+   against a model that sorts by (time, tie, seq) and draws the tie keys
+   from its own copy of the seed's stream.  The first forty events are
+   queued before anything runs, so the queue outgrows its first
+   allocation. *)
+let prop_queue_order =
+  QCheck.Test.make ~name:"queue runs events in (time, tie, seq) order" ~count:300
+    QCheck.(
+      pair (option small_nat)
+        (make
+           ~print:(fun ops -> String.concat "; " (List.map print_queue_op ops))
+           Gen.(
+             map2 ( @ )
+               (list_repeat 40 (map (fun dt -> At dt) (int_bound 8)))
+               (list_size (0 -- 200) queue_op_gen))))
+    (fun (tie_seed, ops) ->
+      let eng = Engine.create ?tie_seed () in
+      let model_rng = Option.map (fun seed -> Rng.create ~seed) tie_seed in
+      let log = ref [] and expected = ref [] in
+      let pending = ref [] and seq = ref 0 and clock = ref 0 and peak = ref 0 in
+      let ok = ref true in
+      let queue time tie =
+        let id = !seq in
+        incr seq;
+        pending := (time, tie, id) :: !pending;
+        fun () -> log := id :: !log
+      in
+      let run limit =
+        let due, later = List.partition (fun (time, _, _) -> time <= limit) !pending in
+        let due = List.sort compare due in
+        List.iter (fun (time, _, id) -> clock := time; expected := id :: !expected) due;
+        pending := later;
+        if limit = max_int then Engine.run eng else Engine.run ~limit eng
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | At dt ->
+              let time = !clock + dt in
+              let tie = match model_rng with None -> 0 | Some r -> Rng.int r 0x40000000 in
+              Engine.at eng time (queue time tie)
+          | Observer dt ->
+              let time = !clock + dt in
+              Engine.at_observer eng time (queue time max_int)
+          | Run dl -> run (!clock + dl));
+          peak := max !peak (Engine.pending_events eng);
+          if Engine.pending_events eng <> List.length !pending then ok := false;
+          if Engine.now eng <> !clock then ok := false)
+        ops;
+      run max_int;
+      !ok && !peak > 16 && Engine.pending_events eng = 0 && !log = !expected)
+
+let test_engine_chain_allocates_nothing () =
+  (* A steady self-rescheduling chain at queue depth 16: each event pops,
+     draws a tie key and pushes its successor, all without allocating. *)
+  let eng = Engine.create ~tie_seed:3 () in
+  let left = ref 0 in
+  let rec tick () =
+    if !left > 0 then begin
+      decr left;
+      Engine.after eng (Time.of_ns 1) tick
+    end
+  in
+  let chain n =
+    left := n;
+    for _ = 1 to 16 do Engine.after eng Time.zero tick done;
+    Engine.run eng
+  in
+  chain 64;
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  chain n;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check bool) (Printf.sprintf "Engine.after chain: %.3f words/event" words) true
+    (words < 0.01)
+
+let test_marcel_yield_allocation_bound () =
+  let open Dsmpm2_pm2 in
+  let eng = Engine.create () in
+  let marcel = Marcel.create eng ~nodes:1 in
+  let words = ref infinity in
+  ignore
+    (Marcel.spawn marcel ~node:0 (fun () ->
+         words := words_per_call ~n:10_000 (fun _ -> Marcel.yield marcel)));
+  Engine.run eng;
+  (* The effect, its continuation, the handler's reply, the resume thunk
+     and its cell: 22 words on OCaml 5.1, so the bound leaves room for
+     other runtime versions. *)
+  Alcotest.(check bool) (Printf.sprintf "Marcel.yield: %.1f words" !words) true (!words <= 32.)
 
 (* --- schedule perturbation --- *)
 
@@ -533,10 +669,13 @@ let () =
     [
       ( "time",
         [ Alcotest.test_case "conversions" `Quick test_time_conversions ] );
-      ( "heap",
+      ( "queue",
         [
-          Alcotest.test_case "basic operations" `Quick test_heap_basic;
-          QCheck_alcotest.to_alcotest prop_heap_sorted;
+          QCheck_alcotest.to_alcotest prop_queue_order;
+          Alcotest.test_case "after chain allocates nothing" `Quick
+            test_engine_chain_allocates_nothing;
+          Alcotest.test_case "yield allocation bound" `Quick
+            test_marcel_yield_allocation_bound;
         ] );
       ( "rng",
         [
@@ -547,6 +686,8 @@ let () =
           Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
           Alcotest.test_case "bool mixes" `Quick test_rng_bool_takes_both_values;
           QCheck_alcotest.to_alcotest prop_rng_int_bounds;
+          Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned;
+          Alcotest.test_case "int allocates nothing" `Quick test_rng_int_allocates_nothing;
         ] );
       ( "engine",
         [
