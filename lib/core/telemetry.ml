@@ -1,7 +1,7 @@
 open Dsmpm2_sim
 open Dsmpm2_pm2
 
-(* --- sharing patterns (canonical; Analyze re-exports) --- *)
+(* --- sharing patterns --- *)
 
 type pattern =
   | Private
@@ -47,6 +47,32 @@ type profile = {
   pr_bytes : int;
   pr_invalidations : int;
 }
+
+type advice = {
+  av_page : int;
+  av_pattern : pattern;
+  av_current : string;
+  av_recommended : string;
+}
+
+(* The advisor's one rule: a page deserves advice when the protocol its
+   pattern recommends differs from the one it runs.  Returns the matched
+   option itself, so the per-tick drain allocates nothing here. *)
+let recommendation pattern ~protocol =
+  match recommended_protocol pattern with
+  | Some r as advised when not (String.equal r protocol) -> advised
+  | _ -> None
+
+let advise p =
+  Option.map
+    (fun r ->
+      {
+        av_page = p.pr_page;
+        av_pattern = p.pr_pattern;
+        av_current = p.pr_protocol;
+        av_recommended = r;
+      })
+    (recommendation p.pr_pattern ~protocol:p.pr_protocol)
 
 (* --- the streaming classifier --- *)
 
@@ -209,7 +235,6 @@ module Pages = struct
       pr_invalidations = a.c_invalidations;
     }
 
-  let classify t page = Option.map classify_acc (Int_table.find_opt t.tbl page)
   let profile t page =
     Option.map (profile_acc page) (Int_table.find_opt t.tbl page)
 
@@ -219,8 +244,6 @@ module Pages = struct
            compare
              (b.pr_read_faults + b.pr_write_faults, b.pr_bytes, a.pr_page)
              (a.pr_read_faults + a.pr_write_faults, a.pr_bytes, b.pr_page))
-
-  let pages t = Int_table.fold (fun p _ acc -> p :: acc) t.tbl [] |> List.sort compare
 end
 
 (* --- the attached engine --- *)
@@ -239,13 +262,6 @@ type thrash_report = {
   th_count : int;
   th_nodes : int list;
   th_span : Time.t;
-}
-
-type advice = {
-  av_page : int;
-  av_pattern : pattern;
-  av_current : string;
-  av_recommended : string;
 }
 
 type interval = {
@@ -270,7 +286,6 @@ type t = {
   cfg : config;
   pgs : Pages.t;
   mutable seen : int; (* events observed, pre-sampling *)
-  nd_faults : int array;
   class_cache : pattern Int_table.t; (* last known pattern per page *)
   mutable reclass_total : int;
   windows : window Int_table.t; (* page -> its recent installs *)
@@ -341,10 +356,7 @@ let on_event t ~at ~span:_ ev =
   t.seen <- t.seen + 1;
   Pages.feed t.pgs ev;
   match ev with
-  | Trace.Fault { node; page; _ } ->
-      touch t page;
-      if node >= 0 && node < Array.length t.nd_faults then
-        t.nd_faults.(node) <- t.nd_faults.(node) + 1
+  | Trace.Fault { page; _ } -> touch t page
   | Trace.Page_install { node; page; _ } ->
       touch t page;
       note_install t ~page ~node at
@@ -367,7 +379,6 @@ let attach ?(config = default_config) rt =
       cfg = config;
       pgs = Pages.create ();
       seen = 0;
-      nd_faults = Array.make (Runtime.nodes rt) 0;
       class_cache = Int_table.create 64;
       reclass_total = 0;
       windows = Int_table.create 64;
@@ -393,33 +404,37 @@ let detach t =
 let config t = t.cfg
 let events_seen t = t.seen
 let pages t = t.pgs
-let node_faults t = t.nd_faults
 let reclassifications t = t.reclass_total
 let intervals t = t.interval_count
-
-let classification t =
-  List.filter_map
-    (fun page ->
-      Option.map (fun p -> (page, p)) (Pages.classify t.pgs page))
-    (Pages.pages t.pgs)
 
 (* Fault counts and latencies come from the runtime's registry: the
    fault cells of [Instrument] count every read, write and inline-check
    miss and time it from detection to resumed access ([stage_total]). *)
-let protocols t =
-  let stats = t.rt.Runtime.stats in
-  let tally name acc =
-    Stats.fold_count stats name
-      (fun lbl n acc ->
-        let p = Option.value lbl.Stats.lbl_protocol ~default:"?" in
-        let prev = Option.value (List.assoc_opt p acc) ~default:0 in
-        (p, prev + n) :: List.remove_assoc p acc)
-      acc
-  in
-  List.fold_right tally
+let fold_faults t f acc =
+  List.fold_right
+    (fun name acc -> Stats.fold_count t.rt.Runtime.stats name f acc)
     Instrument.[ read_faults; write_faults; check_misses ]
+    acc
+
+let protocols t =
+  fold_faults t
+    (fun lbl n acc ->
+      let p = Option.value lbl.Stats.lbl_protocol ~default:"?" in
+      let prev = Option.value (List.assoc_opt p acc) ~default:0 in
+      (p, prev + n) :: List.remove_assoc p acc)
     []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let node_faults t =
+  let counts = Array.make (Runtime.nodes t.rt) 0 in
+  fold_faults t
+    (fun lbl n () ->
+      match lbl.Stats.lbl_node with
+      | Some nd when nd >= 0 && nd < Array.length counts ->
+          counts.(nd) <- counts.(nd) + n
+      | _ -> ())
+    ();
+  counts
 
 let fault_percentiles = [ ("p50", 50.); ("p90", 90.); ("p99", 99.); ("p999", 99.9) ]
 
@@ -459,10 +474,8 @@ let end_interval t =
           | exception Not_found -> Int_table.add t.class_cache page pattern);
           if a.Pages.c_read_faults + a.Pages.c_write_faults >= t.cfg.advice_min_faults
           then
-            match recommended_protocol pattern with
-            | Some r
-              when r <> a.Pages.c_protocol
-                   && not (advised_as t page r) ->
+            match recommendation pattern ~protocol:a.Pages.c_protocol with
+            | Some r when not (advised_as t page r) ->
                 Int_table.replace t.advised page r;
                 fresh_advice :=
                   {
@@ -530,6 +543,15 @@ let profile_to_json p =
       ("invalidations", Json.Int p.pr_invalidations);
     ]
 
+let advice_to_json a =
+  Json.Obj
+    [
+      ("page", Json.Int a.av_page);
+      ("pattern", Json.String (pattern_to_string a.av_pattern));
+      ("current", Json.String a.av_current);
+      ("recommended", Json.String a.av_recommended);
+    ]
+
 let to_json ?meta t =
   let rt = t.rt in
   let tr = Monitor.trace rt in
@@ -542,8 +564,8 @@ let to_json ?meta t =
       ("intervals", Json.Int t.interval_count);
       ("reclassifications", Json.Int t.reclass_total);
       ( "node_faults",
-        Json.List (Array.to_list (Array.map (fun n -> Json.Int n) t.nd_faults))
-      );
+        Json.List
+          (Array.to_list (Array.map (fun n -> Json.Int n) (node_faults t))) );
       ( "protocols",
         Json.List
           (List.map
@@ -557,18 +579,7 @@ let to_json ?meta t =
           (("count", Json.Int count)
           :: List.map (fun (name, us) -> (name, Json.Float us)) pcts) );
       ("pages", Json.List (List.map profile_to_json (Pages.profiles t.pgs)));
-      ( "advice",
-        Json.List
-          (List.map
-             (fun a ->
-               Json.Obj
-                 [
-                   ("page", Json.Int a.av_page);
-                   ("pattern", Json.String (pattern_to_string a.av_pattern));
-                   ("current", Json.String a.av_current);
-                   ("recommended", Json.String a.av_recommended);
-                 ])
-             (advice_list t)) );
+      ("advice", Json.List (List.map advice_to_json (advice_list t)));
       ( "trace",
         Json.Obj
           [
@@ -588,7 +599,7 @@ let pp_top ?(top = 10) ppf t =
   let tr = Monitor.trace rt in
   Format.fprintf ppf "t=%10.1f us  events=%-9d pages=%-5d reclass=%d@."
     (Pm2.now_us rt.Runtime.pm2) t.seen
-    (List.length (Pages.pages t.pgs))
+    (Int_table.length t.pgs.Pages.tbl)
     t.reclass_total;
   let count, pcts = fault_latency t in
   if count > 0 then begin
@@ -600,7 +611,7 @@ let pp_top ?(top = 10) ppf t =
     (fun (name, faults) -> Format.fprintf ppf "  %-16s faults=%d@." name faults)
     (protocols t);
   Format.fprintf ppf "node faults:";
-  Array.iteri (fun nd f -> Format.fprintf ppf " %d:%d" nd f) t.nd_faults;
+  Array.iteri (fun nd f -> Format.fprintf ppf " %d:%d" nd f) (node_faults t);
   Format.fprintf ppf "@.";
   let hot = Pages.profiles t.pgs in
   if hot <> [] then begin
@@ -613,9 +624,9 @@ let pp_top ?(top = 10) ppf t =
             p.pr_page
             (pattern_to_string p.pr_pattern)
             p.pr_read_faults p.pr_write_faults p.pr_transfers p.pr_bytes
-            (match recommended_protocol p.pr_pattern with
-            | Some r when r <> p.pr_protocol -> " -> " ^ r
-            | _ -> ""))
+            (match advise p with
+            | Some a -> " -> " ^ a.av_recommended
+            | None -> ""))
       hot
   end;
   Format.fprintf ppf "trace: recorded=%d stored=%d evicted=%d sampled_out=%d%s@."

@@ -31,7 +31,8 @@ open Dsmpm2_sim
 
 (** {2 Sharing patterns}
 
-    The canonical definition; [Analyze.pattern] re-exports this type. *)
+    The one definition: [dsm watch], [dsm analyze] and [dsm diff] all
+    name these types. *)
 
 type pattern =
   | Private  (** one accessing node *)
@@ -45,10 +46,11 @@ type pattern =
 val pattern_to_string : pattern -> string
 
 val recommended_protocol : pattern -> string option
-(** The advisor's mapping (see [Analyze.recommended_protocol]): migratory →
-    [migrate_thread], false sharing → [hbrc_mw], read-mostly and
-    producer-consumer → [write_update], single writer → [erc_sw]; [None]
-    for private/mixed. *)
+(** The advisor's mapping: migratory data wants the thread moved to it
+    ([migrate_thread]), tolerated false sharing wants multiple-writer diffs
+    ([hbrc_mw]), read-mostly and producer-consumer pages want updates pushed
+    ([write_update]), a single writer fits eager release consistency
+    ([erc_sw]).  [None] for private/mixed: keep the current protocol. *)
 
 type profile = {
   pr_page : int;
@@ -63,6 +65,25 @@ type profile = {
   pr_bytes : int;  (** page-send bytes plus attributed diff bytes *)
   pr_invalidations : int;
 }
+
+val profile_to_json : profile -> Json.t
+(** One page of the heatmap, as both [dsm watch --out] and [dsm analyze
+    --out] write it. *)
+
+type advice = {
+  av_page : int;
+  av_pattern : pattern;
+  av_current : string;  (** protocol the page runs *)
+  av_recommended : string;
+}
+
+val advise : profile -> advice option
+(** The advisor's rule: [Some] when the page's {!recommended_protocol}
+    differs from the one it runs.  [dsm analyze] applies it to every page;
+    the attached engine also requires [advice_min_faults] and issues each
+    recommendation once. *)
+
+val advice_to_json : advice -> Json.t
 
 (** {2 The streaming classifier}
 
@@ -81,17 +102,11 @@ module Pages : sig
       [Invalidate] and [Diff] events carry classification evidence; every
       other constructor is ignored. *)
 
-  val classify : t -> int -> pattern option
-  (** The page's current pattern, [None] when the page was never seen. *)
-
   val profile : t -> int -> profile option
 
   val profiles : t -> profile list
   (** Every tracked page, ranked by total faults then bytes moved
       descending (ties by page ascending) — the heatmap order. *)
-
-  val pages : t -> int list
-  (** Tracked page ids, sorted. *)
 end
 
 (** {2 The attached engine} *)
@@ -104,21 +119,14 @@ type config = {
 }
 
 val default_config : config
-(** Thrash parameters match [Watchdog.default_config] (8 installs within
-    300 us); [advice_min_faults = 4]. *)
+(** 8 installs within 300 us qualify as thrashing (the watchdog's
+    [thrash.page] rule); [advice_min_faults = 4]. *)
 
 type thrash_report = {
   th_page : int;
   th_count : int;  (** installs inside the qualifying window *)
   th_nodes : int list;  (** distinct installing nodes, sorted *)
   th_span : Time.t;  (** observed window duration *)
-}
-
-type advice = {
-  av_page : int;
-  av_pattern : pattern;
-  av_current : string;  (** protocol the page runs *)
-  av_recommended : string;
 }
 
 type interval = {
@@ -152,12 +160,9 @@ val events_seen : t -> int
 val pages : t -> Pages.t
 (** The live classifier (shared state — read, don't feed). *)
 
-val classification : t -> (int * pattern) list
-(** Every tracked page's current pattern, sorted by page — what the
-    agreement test compares against [Analyze]. *)
-
 val node_faults : t -> int array
-(** Faults observed per node, indexed by node id. *)
+(** Faults per node, indexed by node id, from the registry: the read,
+    write and inline-check-miss faults of the node's cells. *)
 
 val protocols : t -> (string * int) list
 (** Per-protocol [(name, faults)] sorted by name, from the registry: the

@@ -18,6 +18,26 @@ type alert = {
   al_detail : string;
 }
 
+let severity_of_string = function
+  | "info" -> Some Info
+  | "warning" -> Some Warning
+  | "critical" -> Some Critical
+  | _ -> None
+
+let alert_of_event ~at = function
+  | Trace.Alert { severity; kind; node; detail } ->
+      Option.map
+        (fun sev ->
+          {
+            al_at_us = Time.to_us at;
+            al_severity = sev;
+            al_kind = kind;
+            al_node = node;
+            al_detail = detail;
+          })
+        (severity_of_string severity)
+  | _ -> None
+
 type node_rates = {
   nr_node : int;
   nr_faults_s : float;
@@ -38,8 +58,6 @@ type sample = {
 type config = {
   interval : Time.t;
   stall : Time.t;
-  thrash_window : int;
-  thrash_span : Time.t;
   ring_capacity : int;
   audits : bool;
   retry_storm : int;
@@ -49,8 +67,6 @@ let default_config =
   {
     interval = Time.of_us 200.;
     stall = Time.of_us 20_000.;
-    thrash_window = 8;
-    thrash_span = Time.of_us 300.;
     ring_capacity = 64;
     audits = true;
     retry_storm = 8;
@@ -652,20 +668,9 @@ let attach ?(config = default_config) rt =
   let nodes = Runtime.nodes rt in
   (* The watchdog consumes an attached telemetry engine rather than
      scanning the trace itself; reuse one if present (keeping whatever
-     config it was given), otherwise attach one carrying our thrash
-     parameters. *)
+     config it was given), otherwise attach one with the defaults. *)
   let tele =
-    match Telemetry.find rt with
-    | Some t -> t
-    | None ->
-        Telemetry.attach
-          ~config:
-            {
-              Telemetry.default_config with
-              Telemetry.thrash_window = config.thrash_window;
-              thrash_span = config.thrash_span;
-            }
-          rt
+    match Telemetry.find rt with Some t -> t | None -> Telemetry.attach rt
   in
   let w =
     {

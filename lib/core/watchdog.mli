@@ -53,6 +53,11 @@ type alert = {
   al_detail : string;
 }
 
+val alert_of_event : at:Time.t -> Trace.event -> alert option
+(** Decodes a stored [Trace.Alert] emitted at [at] back into the alert the
+    watchdog raised; [None] for any other event (or an unknown severity).
+    [dsm analyze], [dsm diff] and [dsm explain] read alerts through it. *)
+
 type node_rates = {
   nr_node : int;
   nr_faults_s : float;  (** faults per simulated second over the interval *)
@@ -75,9 +80,6 @@ type sample = {
 type config = {
   interval : Time.t;  (** sampling period (simulated time) *)
   stall : Time.t;  (** blocked longer than this => stall warning *)
-  thrash_window : int;  (** transfers per page kept in the sliding window *)
-  thrash_span : Time.t;
-      (** a full window spanning less than this => thrash warning *)
   ring_capacity : int;  (** time-series points retained *)
   audits : bool;  (** run the page-table invariant audits *)
   retry_storm : int;
@@ -86,8 +88,9 @@ type config = {
 }
 
 val default_config : config
-(** 200 us interval, 20 ms stall threshold, 8-transfer window over 300 us,
-    64-point ring, audits on, retry-storm threshold 8. *)
+(** 200 us interval, 20 ms stall threshold, 64-point ring, audits on,
+    retry-storm threshold 8.  The thrash window is the telemetry engine's
+    ({!Telemetry.config}). *)
 
 type t
 
@@ -97,8 +100,9 @@ val attach : ?config:config -> Runtime.t -> t
     itself when a run drains (or deadlocks) and re-arms on the next
     [Dsm.run].  At most one watchdog per runtime
     (raises [Invalid_argument] on a second attach).  Reuses an already
-    attached {!Telemetry} engine, otherwise attaches one carrying this
-    config's thrash parameters. *)
+    attached {!Telemetry} engine, otherwise attaches one with
+    {!Telemetry.default_config}: to change the thrash window, attach
+    telemetry with its own config first. *)
 
 val telemetry : t -> Telemetry.t
 (** The telemetry engine the watchdog drains each tick. *)

@@ -93,85 +93,22 @@ let chain_of_span (span, evs) =
           ch_events = evs;
         }
 
-(* --- per-page sharing patterns ---
+(* --- per-page sharing patterns and advice ---
 
-   The classification logic itself lives in [Telemetry.Pages], the
-   streaming accumulator shared with the online engine behind [dsm watch]:
-   one implementation backs both views, so the post-mortem heatmap and the
-   live classification agree by construction. *)
+   The classifier and the advisor's rule live in [Telemetry], shared with
+   the online engine behind [dsm watch]: one implementation backs both
+   views, so the post-mortem heatmap and the live classification agree by
+   construction. *)
 
 module Tele = Dsmpm2_core.Telemetry
+module Watchdog = Dsmpm2_core.Watchdog
 
-type pattern = Tele.pattern =
-  | Private
-  | Read_mostly
-  | Single_writer
-  | Producer_consumer
-  | Migratory
-  | False_sharing
-  | Mixed
-
-let pattern_to_string = Tele.pattern_to_string
-
-type page_profile = {
-  pg_page : int;
-  pg_protocol : string;
-  pg_pattern : pattern;
-  pg_read_faults : int;
-  pg_write_faults : int;
-  pg_readers : int list;
-  pg_writers : int list;
-  pg_diff_senders : int list;
-  pg_transfers : int;
-  pg_bytes : int;  (* page-send bytes + attributed diff bytes *)
-  pg_invalidations : int;
-}
-
-let page_stats events =
+let page_profiles events =
   let ps = Tele.Pages.create () in
   List.iter (fun (_, ev) -> Tele.Pages.feed ps ev) events;
-  ps
-
-let profile_of (p : Tele.profile) =
-  {
-    pg_page = p.Tele.pr_page;
-    pg_protocol = p.Tele.pr_protocol;
-    pg_pattern = p.Tele.pr_pattern;
-    pg_read_faults = p.Tele.pr_read_faults;
-    pg_write_faults = p.Tele.pr_write_faults;
-    pg_readers = p.Tele.pr_readers;
-    pg_writers = p.Tele.pr_writers;
-    pg_diff_senders = p.Tele.pr_diff_senders;
-    pg_transfers = p.Tele.pr_transfers;
-    pg_bytes = p.Tele.pr_bytes;
-    pg_invalidations = p.Tele.pr_invalidations;
-  }
-
-(* --- protocol advisor --- *)
-
-let recommended_protocol = Tele.recommended_protocol
-
-type advice = {
-  ad_page : int;
-  ad_pattern : pattern;
-  ad_current : string;
-  ad_recommended : string;
-}
-
-let advise profiles =
-  List.filter_map
-    (fun p ->
-      match recommended_protocol p.pg_pattern with
-      | Some r when r <> p.pg_protocol ->
-          Some
-            {
-              ad_page = p.pg_page;
-              ad_pattern = p.pg_pattern;
-              ad_current = p.pg_protocol;
-              ad_recommended = r;
-            }
-      | _ -> None)
-    profiles
+  (* [profiles] already ranks by (faults, bytes) descending, the heatmap
+     order. *)
+  Tele.Pages.profiles ps
 
 (* --- lock & barrier contention --- *)
 
@@ -309,32 +246,6 @@ let barrier_profiles events =
     arrivals []
   |> List.sort (fun a b -> compare a.br_barrier b.br_barrier)
 
-(* --- watchdog alerts --- *)
-
-type alert_line = {
-  at_us : float;
-  at_severity : string;
-  at_kind : string;
-  at_node : int;
-  at_detail : string;
-}
-
-let alert_lines events =
-  List.filter_map
-    (fun ((e : Trace.entry), ev) ->
-      match ev with
-      | Trace.Alert { severity; kind; node; detail } ->
-          Some
-            {
-              at_us = us_of e.Trace.at;
-              at_severity = severity;
-              at_kind = kind;
-              at_node = node;
-              at_detail = detail;
-            }
-      | _ -> None)
-    events
-
 (* Injected-fault footprint: how much the fault layer interfered with the
    run — the quick "was this run clean?" check before reaching for the
    blame engine. *)
@@ -380,11 +291,11 @@ type t = {
       (* protocol -> stage -> distribution, stages in [stage_order] *)
   an_totals : (string * Sketch.t) list;  (* protocol -> whole-fault distribution *)
   an_top : chain list;  (* top-K slowest, slowest first *)
-  an_pages : page_profile list;  (* ranked by (faults, bytes) desc *)
+  an_pages : Tele.profile list;  (* ranked by (faults, bytes) desc *)
   an_locks : lock_profile list;
   an_barriers : barrier_profile list;
-  an_advice : advice list;
-  an_alerts : alert_line list;  (* watchdog findings, chronological *)
+  an_advice : Tele.advice list;
+  an_alerts : Watchdog.alert list;  (* watchdog findings, chronological *)
   an_faults : fault_summary;  (* injected-fault footprint *)
 }
 
@@ -432,9 +343,7 @@ let analyze ?(top = 5) trace =
     in
     take top sorted
   in
-  (* [Tele.Pages.profiles] already ranks by (faults, bytes) descending,
-     the heatmap order. *)
-  let pages = List.map profile_of (Tele.Pages.profiles (page_stats events)) in
+  let pages = page_profiles events in
   let duration =
     List.fold_left (fun acc ((e : Trace.entry), _) -> Time.max acc e.Trace.at) Time.zero events
   in
@@ -449,8 +358,11 @@ let analyze ?(top = 5) trace =
     an_pages = pages;
     an_locks = lock_profiles events;
     an_barriers = barrier_profiles events;
-    an_advice = advise pages;
-    an_alerts = alert_lines events;
+    an_advice = List.filter_map Tele.advise pages;
+    an_alerts =
+      List.filter_map
+        (fun ((e : Trace.entry), ev) -> Watchdog.alert_of_event ~at:e.Trace.at ev)
+        events;
     an_faults = fault_summary events;
   }
 
@@ -463,7 +375,8 @@ let stages t = t.an_stage_dists
 let alerts t = t.an_alerts
 let faults t = t.an_faults
 
-let page_profile t ~page = List.find_opt (fun p -> p.pg_page = page) t.an_pages
+let page_profile t ~page =
+  List.find_opt (fun (p : Tele.profile) -> p.Tele.pr_page = page) t.an_pages
 
 (* --- text report --- *)
 
@@ -490,8 +403,9 @@ let report
     Format.fprintf ppf "@.== Watchdog alerts ==@.";
     List.iter
       (fun a ->
-        Format.fprintf ppf "  [%-8s] %10.1f us  %-18s %s@." a.at_severity a.at_us
-          a.at_kind a.at_detail)
+        Format.fprintf ppf "  [%-8s] %10.1f us  %-18s %s@."
+          (Watchdog.severity_to_string a.Watchdog.al_severity)
+          a.Watchdog.al_at_us a.Watchdog.al_kind a.Watchdog.al_detail)
       t.an_alerts
   end;
   if want `Critical then begin
@@ -535,12 +449,13 @@ let report
     Format.fprintf ppf "%-6s %-16s %-17s %6s %6s %6s %9s %6s %-10s %-10s@." "page"
       "protocol" "pattern" "rf" "wf" "xfers" "bytes" "inval" "readers" "writers";
     List.iter
-      (fun p ->
+      (fun (p : Tele.profile) ->
         Format.fprintf ppf "%-6d %-16s %-17s %6d %6d %6d %9d %6d %-10s %-10s@."
-          p.pg_page p.pg_protocol
-          (pattern_to_string p.pg_pattern)
-          p.pg_read_faults p.pg_write_faults p.pg_transfers p.pg_bytes
-          p.pg_invalidations (nodes_str p.pg_readers) (nodes_str p.pg_writers))
+          p.Tele.pr_page p.Tele.pr_protocol
+          (Tele.pattern_to_string p.Tele.pr_pattern)
+          p.Tele.pr_read_faults p.Tele.pr_write_faults p.Tele.pr_transfers
+          p.Tele.pr_bytes p.Tele.pr_invalidations (nodes_str p.Tele.pr_readers)
+          (nodes_str p.Tele.pr_writers))
       t.an_pages
   end;
   if want `Locks && t.an_locks <> [] then begin
@@ -575,11 +490,11 @@ let report
       Format.fprintf ppf "  every page already runs a protocol matching its pattern@."
     else
       List.iter
-        (fun a ->
+        (fun (a : Tele.advice) ->
           Format.fprintf ppf
-            "  page %d: %s under %s -> allocate with ~protocol:%s@." a.ad_page
-            (pattern_to_string a.ad_pattern)
-            a.ad_current a.ad_recommended)
+            "  page %d: %s under %s -> allocate with ~protocol:%s@." a.Tele.av_page
+            (Tele.pattern_to_string a.Tele.av_pattern)
+            a.Tele.av_current a.Tele.av_recommended)
         t.an_advice
   end
 
@@ -628,26 +543,7 @@ let to_json ?meta t =
                    | None -> []) ))
              t.an_stage_dists) );
       ("top_spans", Json.List (List.map chain_to_json t.an_top));
-      ( "pages",
-        Json.List
-          (List.map
-             (fun p ->
-               Json.Obj
-                 [
-                   ("page", Json.Int p.pg_page);
-                   ("protocol", Json.String p.pg_protocol);
-                   ("pattern", Json.String (pattern_to_string p.pg_pattern));
-                   ("read_faults", Json.Int p.pg_read_faults);
-                   ("write_faults", Json.Int p.pg_write_faults);
-                   ("readers", Json.List (List.map (fun n -> Json.Int n) p.pg_readers));
-                   ("writers", Json.List (List.map (fun n -> Json.Int n) p.pg_writers));
-                   ( "diff_senders",
-                     Json.List (List.map (fun n -> Json.Int n) p.pg_diff_senders) );
-                   ("transfers", Json.Int p.pg_transfers);
-                   ("bytes", Json.Int p.pg_bytes);
-                   ("invalidations", Json.Int p.pg_invalidations);
-                 ])
-             t.an_pages) );
+      ("pages", Json.List (List.map Tele.profile_to_json t.an_pages));
       ( "locks",
         Json.List
           (List.map
@@ -673,31 +569,8 @@ let to_json ?meta t =
                    ("imbalance", Sketch.to_json b.br_imbalance);
                  ])
              t.an_barriers) );
-      ( "advice",
-        Json.List
-          (List.map
-             (fun a ->
-               Json.Obj
-                 [
-                   ("page", Json.Int a.ad_page);
-                   ("pattern", Json.String (pattern_to_string a.ad_pattern));
-                   ("current", Json.String a.ad_current);
-                   ("recommended", Json.String a.ad_recommended);
-                 ])
-             t.an_advice) );
-      ( "alerts",
-        Json.List
-          (List.map
-             (fun a ->
-               Json.Obj
-                 [
-                   ("at_us", Json.Float a.at_us);
-                   ("severity", Json.String a.at_severity);
-                   ("kind", Json.String a.at_kind);
-                   ("node", Json.Int a.at_node);
-                   ("detail", Json.String a.at_detail);
-                 ])
-             t.an_alerts) );
+      ("advice", Json.List (List.map Tele.advice_to_json t.an_advice));
+      ("alerts", Json.List (List.map Watchdog.alert_to_json t.an_alerts));
       ( "faults",
         Json.Obj
           [

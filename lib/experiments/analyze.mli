@@ -17,7 +17,15 @@
       from the client-side request/granted/released events, per-barrier
       arrival imbalance;
     - {b a protocol advisor}: pattern → recommended built-in protocol, as a
-      [dsm_malloc ~protocol] attribute suggestion per page.
+      [dsm_malloc ~protocol] attribute suggestion per page;
+    - {b watchdog alerts} found in the trace.
+
+    Pages, advice and alerts are the live engines' own records —
+    {!Dsmpm2_core.Telemetry.profile}, {!Dsmpm2_core.Telemetry.advice} and
+    {!Dsmpm2_core.Watchdog.alert} — built by the same classifier, advisor
+    rule and alert decoder, and written by the same JSON encoders, so
+    [dsm analyze], [dsm watch] and [dsm diff] cannot disagree on a page
+    or an alert.
 
     Per-driver comparisons come from analyzing one trace per driver — the
     network driver is a property of the run, not of individual events. *)
@@ -45,50 +53,6 @@ type chain = {
   ch_stages : (string * float) list;  (** only the stages present, in order *)
   ch_hops : int;  (** page requests in the span (forwarding chain length) *)
   ch_events : (Trace.entry * Trace.event) list;
-}
-
-(** {2 Per-page sharing patterns} *)
-
-type pattern = Dsmpm2_core.Telemetry.pattern =
-  | Private  (** one accessing node *)
-  | Read_mostly  (** replicated, never written remotely *)
-  | Single_writer  (** one writer, occasional remote readers *)
-  | Producer_consumer  (** one writer, readers repeatedly re-fetch *)
-  | Migratory  (** write access hands off between nodes serially *)
-  | False_sharing  (** concurrent diffs from distinct nodes on one page *)
-  | Mixed  (** multiple writers without a clean handoff pattern *)
-(** Re-export of the canonical type: the classifier is
-    {!Dsmpm2_core.Telemetry.Pages}, shared between this post-mortem view
-    and the online engine, so the two always agree. *)
-
-val pattern_to_string : pattern -> string
-
-val recommended_protocol : pattern -> string option
-(** The advisor's mapping: migratory data wants the thread moved to it
-    ([migrate_thread]), tolerated false sharing wants multiple-writer diffs
-    ([hbrc_mw]), read-mostly and producer-consumer pages want updates pushed
-    ([write_update]), a single writer fits eager release consistency
-    ([erc_sw]).  [None] for private/mixed: keep the current protocol. *)
-
-type page_profile = {
-  pg_page : int;
-  pg_protocol : string;
-  pg_pattern : pattern;
-  pg_read_faults : int;
-  pg_write_faults : int;
-  pg_readers : int list;  (** nodes that read-faulted, sorted *)
-  pg_writers : int list;  (** nodes that write-faulted or sent diffs, sorted *)
-  pg_diff_senders : int list;  (** distinct nodes whose diffs touched the page *)
-  pg_transfers : int;  (** whole-page sends *)
-  pg_bytes : int;  (** page-send bytes plus attributed diff bytes *)
-  pg_invalidations : int;
-}
-
-type advice = {
-  ad_page : int;
-  ad_pattern : pattern;
-  ad_current : string;
-  ad_recommended : string;
 }
 
 (** {2 Synchronization contention} *)
@@ -120,18 +84,6 @@ type fault_summary = {
 (** Counts of the fault layer's typed trace events — zero everywhere for an
     unfaulted run. *)
 
-(** {2 Watchdog alerts} *)
-
-type alert_line = {
-  at_us : float;
-  at_severity : string;
-  at_kind : string;
-  at_node : int;
-  at_detail : string;
-}
-(** One [Trace.Alert] event from a run monitored by the live watchdog
-    ({!Dsmpm2_core.Watchdog}), as found in the trace. *)
-
 (** {2 Analysis} *)
 
 type t
@@ -147,18 +99,21 @@ val stages : t -> (string * (string * Sketch.t) list) list
 (** Per protocol (sorted), the duration of each stage present, in
     {!stage_order}. *)
 
-val pages : t -> page_profile list
+val pages : t -> Dsmpm2_core.Telemetry.profile list
 (** The heatmap: ranked by total faults, then bytes moved, descending. *)
 
-val page_profile : t -> page:int -> page_profile option
+val page_profile : t -> page:int -> Dsmpm2_core.Telemetry.profile option
 val locks : t -> lock_profile list
 
 val barriers : t -> barrier_profile list
-val advice : t -> advice list
-(** Only pages whose recommended protocol differs from the one they ran. *)
+val advice : t -> Dsmpm2_core.Telemetry.advice list
+(** {!Dsmpm2_core.Telemetry.advise} over every page, with no minimum
+    fault count: only pages whose recommended protocol differs from the
+    one they ran. *)
 
-val alerts : t -> alert_line list
-(** Watchdog findings recorded in the trace, chronological. *)
+val alerts : t -> Dsmpm2_core.Watchdog.alert list
+(** Watchdog findings recorded in the trace, chronological, decoded by
+    {!Dsmpm2_core.Watchdog.alert_of_event}. *)
 
 val faults : t -> fault_summary
 (** Injected-fault event counts found in the trace. *)

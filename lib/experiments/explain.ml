@@ -271,11 +271,14 @@ let explain_alert ~trace ~kind ~node ~at ~detail =
 (* One explanation per critical alert in the dump — the `dsm explain
    trace.jsonl` entry point, where no checker verdicts are available. *)
 let explain_trace trace =
+  let open Dsmpm2_core.Watchdog in
   List.filter_map
     (fun ((e : Trace.entry), ev) ->
-      match ev with
-      | Trace.Alert { severity = "critical"; kind; node; detail } ->
-          Some (explain_alert ~trace ~kind ~node ~at:e.Trace.at ~detail)
+      match alert_of_event ~at:e.Trace.at ev with
+      | Some { al_severity = Critical; al_kind; al_node; al_detail; _ } ->
+          Some
+            (explain_alert ~trace ~kind:al_kind ~node:al_node ~at:e.Trace.at
+               ~detail:al_detail)
       | _ -> None)
     (Trace.events trace)
 

@@ -10,6 +10,8 @@
 
 open Dsmpm2_sim
 module B = Bench_suite
+module Tele = Dsmpm2_core.Telemetry
+module Watchdog = Dsmpm2_core.Watchdog
 
 let default_threshold_pct = 2.0
 let noise_sigma = 3.0
@@ -76,7 +78,7 @@ type stage_delta = {
 type pattern_drift = { pd_page : int; pd_base : string; pd_fresh : string }
 
 type alert_delta = {
-  al_severity : string;
+  al_severity : Watchdog.severity;
   al_kind : string;
   al_base : int;
   al_fresh : int;
@@ -266,7 +268,8 @@ let diff_stages ~threshold_pct base fresh =
 let diff_patterns base fresh =
   let patterns a =
     List.map
-      (fun p -> (p.Analyze.pg_page, Analyze.pattern_to_string p.Analyze.pg_pattern))
+      (fun (p : Tele.profile) ->
+        (p.Tele.pr_page, Tele.pattern_to_string p.Tele.pr_pattern))
       (Analyze.pages a)
   in
   let pf = patterns fresh in
@@ -278,40 +281,20 @@ let diff_patterns base fresh =
     (patterns base)
   |> List.sort (fun a b -> compare a.pd_page b.pd_page)
 
-let severity_rank s =
-  (* critical first in reports *)
-  let rec idx i = function
-    | [] -> i
-    | x :: rest -> if x = s then i else idx (i + 1) rest
-  in
-  -idx 0 Trace.alert_severities
-
 let diff_alerts base fresh =
-  let counts a =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun al ->
-        let key = (al.Analyze.at_severity, al.Analyze.at_kind) in
-        let n = try Hashtbl.find tbl key with Not_found -> 0 in
-        Hashtbl.replace tbl key (n + 1))
-      (Analyze.alerts a);
-    tbl
+  let keys a =
+    List.map (fun al -> Watchdog.(al.al_severity, al.al_kind)) (Analyze.alerts a)
   in
-  let tb = counts base and tf = counts fresh in
-  let keys = Hashtbl.create 8 in
-  Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) tb;
-  Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) tf;
-  Hashtbl.fold (fun k () acc -> k :: acc) keys []
-  |> List.sort (fun (sa, ka) (sb, kb) ->
-         match compare (severity_rank sa) (severity_rank sb) with
-         | 0 -> compare ka kb
-         | c -> c)
-  |> List.filter_map (fun ((severity, kind) as key) ->
-         let n tbl = try Hashtbl.find tbl key with Not_found -> 0 in
-         let b = n tb and f = n tf in
-         if b = f then None
-         else
-           Some { al_severity = severity; al_kind = kind; al_base = b; al_fresh = f })
+  let in_base = keys base and in_fresh = keys fresh in
+  let count k l = List.length (List.filter (( = ) k) l) in
+  (* critical first in reports, then by kind *)
+  List.sort_uniq
+    (fun (sa, ka) (sb, kb) -> compare (sb, ka) (sa, kb))
+    (in_base @ in_fresh)
+  |> List.filter_map (fun ((al_severity, al_kind) as k) ->
+         let al_base = count k in_base and al_fresh = count k in_fresh in
+         if al_base = al_fresh then None
+         else Some { al_severity; al_kind; al_base; al_fresh })
 
 let diff_trace ~threshold_pct base fresh =
   {
@@ -473,7 +456,8 @@ let pp_text ppf t =
     Format.fprintf ppf "watchdog alerts:@.";
     List.iter
       (fun al ->
-        Format.fprintf ppf "  %-8s %-20s %d -> %d (%s)@." al.al_severity
+        Format.fprintf ppf "  %-8s %-20s %d -> %d (%s)@."
+          (Watchdog.severity_to_string al.al_severity)
           al.al_kind al.al_base al.al_fresh (alert_note al))
       t.rd_alerts
   end;
@@ -548,7 +532,8 @@ let pp_markdown ppf t =
     Format.fprintf ppf "Alert changes:@.@.";
     List.iter
       (fun al ->
-        Format.fprintf ppf "- **%s** `%s`: %d -> %d (%s)@." al.al_severity
+        Format.fprintf ppf "- **%s** `%s`: %d -> %d (%s)@."
+          (Watchdog.severity_to_string al.al_severity)
           al.al_kind al.al_base al.al_fresh (alert_note al))
       t.rd_alerts;
     Format.fprintf ppf "@."
@@ -629,7 +614,8 @@ let to_json t =
              (fun al ->
                Json.Obj
                  [
-                   ("severity", Json.String al.al_severity);
+                   ( "severity",
+                     Json.String (Watchdog.severity_to_string al.al_severity) );
                    ("kind", Json.String al.al_kind);
                    ("base", Json.Int al.al_base);
                    ("fresh", Json.Int al.al_fresh);

@@ -10,8 +10,9 @@
       sensitivity does not read as regression;
     - {b critical-path stage shifts} (trace mode), per protocol and stage,
       using the same stage arithmetic as {!Analyze};
-    - {b per-page sharing-pattern drift} — pages whose {!Analyze.pattern}
-      classification changed between the runs;
+    - {b per-page sharing-pattern drift} — pages whose
+      {!Dsmpm2_core.Telemetry.pattern} classification changed between the
+      runs;
     - {b new and vanished watchdog alerts}, grouped by severity and kind.
 
     Comparisons are refused ({!diff} returns [Error]) when the two sides'
@@ -82,12 +83,13 @@ type stage_delta = {
 
 type pattern_drift = {
   pd_page : int;
-  pd_base : string;  (** {!Analyze.pattern_to_string} of each side *)
+  pd_base : string;
+      (** {!Dsmpm2_core.Telemetry.pattern_to_string} of each side *)
   pd_fresh : string;
 }
 
 type alert_delta = {
-  al_severity : string;
+  al_severity : Dsmpm2_core.Watchdog.severity;
   al_kind : string;
   al_base : int;  (** occurrences on each side; 0 = new or vanished *)
   al_fresh : int;

@@ -4,6 +4,7 @@
    (re-running TSP under the advised protocol reduces faults). *)
 
 open Dsmpm2_sim
+open Dsmpm2_core
 open Dsmpm2_experiments
 
 let us = Time.of_us
@@ -19,24 +20,24 @@ let send ~node ~page ~dst at span =
 let pattern_of events page =
   let t = Trace.of_events events in
   match Analyze.page_profile (Analyze.analyze t) ~page with
-  | Some p -> p.Analyze.pg_pattern
+  | Some p -> p.Telemetry.pr_pattern
   | None -> Alcotest.failf "page %d has no profile" page
 
 let check_pattern what expected events page =
   Alcotest.(check string)
     what
-    (Analyze.pattern_to_string expected)
-    (Analyze.pattern_to_string (pattern_of events page))
+    (Telemetry.pattern_to_string expected)
+    (Telemetry.pattern_to_string (pattern_of events page))
 
 (* --- classification on synthetic traces --- *)
 
 let test_classify_private () =
-  check_pattern "one accessing node is private" Analyze.Private
+  check_pattern "one accessing node is private" Telemetry.Private
     [ fault ~node:1 ~page:3 ~mode:"read" 10. 0; fault ~node:1 ~page:3 ~mode:"write" 20. 1 ]
     3
 
 let test_classify_read_mostly () =
-  check_pattern "remote readers, no writer" Analyze.Read_mostly
+  check_pattern "remote readers, no writer" Telemetry.Read_mostly
     [
       fault ~node:0 ~page:5 ~mode:"read" 10. 0;
       fault ~node:1 ~page:5 ~mode:"read" 20. 1;
@@ -47,7 +48,7 @@ let test_classify_read_mostly () =
 let test_classify_migratory () =
   (* Write access hands off 0 -> 1 -> 2: each node write-faults the page away
      from the previous writer. *)
-  check_pattern "serial write handoffs migrate" Analyze.Migratory
+  check_pattern "serial write handoffs migrate" Telemetry.Migratory
     [
       fault ~node:0 ~page:7 ~mode:"write" 10. 0;
       fault ~node:1 ~page:7 ~mode:"write" 20. 1;
@@ -73,7 +74,7 @@ let test_classify_false_sharing () =
            protocol = "li_hudak";
          })
   in
-  check_pattern "diffs from two nodes are false sharing" Analyze.False_sharing
+  check_pattern "diffs from two nodes are false sharing" Telemetry.False_sharing
     [
       fault ~node:1 ~page:9 ~mode:"write" 10. 0;
       fault ~node:2 ~page:9 ~mode:"write" 12. 1;
@@ -83,7 +84,7 @@ let test_classify_false_sharing () =
     9
 
 let test_classify_producer_consumer () =
-  check_pattern "one writer, re-fetching readers" Analyze.Producer_consumer
+  check_pattern "one writer, re-fetching readers" Telemetry.Producer_consumer
     [
       fault ~node:0 ~page:2 ~mode:"write" 10. 0;
       fault ~node:1 ~page:2 ~mode:"read" 20. 1;
@@ -93,7 +94,7 @@ let test_classify_producer_consumer () =
     2
 
 let test_classify_single_writer () =
-  check_pattern "one writer, one cold reader" Analyze.Single_writer
+  check_pattern "one writer, one cold reader" Telemetry.Single_writer
     [
       fault ~node:0 ~page:4 ~mode:"write" 10. 0;
       fault ~node:1 ~page:4 ~mode:"read" 20. 1;
@@ -103,16 +104,16 @@ let test_classify_single_writer () =
 let test_advisor_mapping () =
   let expect pat proto =
     Alcotest.(check (option string))
-      (Analyze.pattern_to_string pat) proto
-      (Analyze.recommended_protocol pat)
+      (Telemetry.pattern_to_string pat) proto
+      (Telemetry.recommended_protocol pat)
   in
-  expect Analyze.Migratory (Some "migrate_thread");
-  expect Analyze.False_sharing (Some "hbrc_mw");
-  expect Analyze.Read_mostly (Some "write_update");
-  expect Analyze.Producer_consumer (Some "write_update");
-  expect Analyze.Single_writer (Some "erc_sw");
-  expect Analyze.Private None;
-  expect Analyze.Mixed None
+  expect Telemetry.Migratory (Some "migrate_thread");
+  expect Telemetry.False_sharing (Some "hbrc_mw");
+  expect Telemetry.Read_mostly (Some "write_update");
+  expect Telemetry.Producer_consumer (Some "write_update");
+  expect Telemetry.Single_writer (Some "erc_sw");
+  expect Telemetry.Private None;
+  expect Telemetry.Mixed None
 
 (* --- critical-path stage arithmetic --- *)
 
@@ -299,14 +300,14 @@ let test_tsp_advice_end_to_end () =
   let a = Analyze.analyze (Dsmpm2_core.Monitor.trace dsm) in
   let advice = Analyze.advice a in
   let to_migrate =
-    List.filter (fun ad -> ad.Analyze.ad_recommended = "migrate_thread") advice
+    List.filter (fun ad -> ad.Telemetry.av_recommended = "migrate_thread") advice
   in
   Alcotest.(check bool) "advisor recommends migrate_thread for the bound page"
     true (to_migrate <> []);
   List.iter
     (fun ad ->
       Alcotest.(check string) "because the page is migratory" "migratory"
-        (Analyze.pattern_to_string ad.Analyze.ad_pattern))
+        (Telemetry.pattern_to_string ad.Telemetry.av_pattern))
     to_migrate;
   let advised, _ = tsp_run "migrate_thread" in
   let faults r = r.Dsmpm2_apps.Tsp.read_faults + r.Dsmpm2_apps.Tsp.write_faults in

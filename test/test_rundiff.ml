@@ -270,7 +270,7 @@ let test_mixed_kinds_refused () =
 
 (* --- trace mode, over a real (tiny) run --- *)
 
-let jacobi_trace ~protocol =
+let jacobi_trace ?(watch = false) ~protocol () =
   let captured = ref None in
   ignore
     (Dsmpm2_apps.Jacobi.run
@@ -284,14 +284,15 @@ let jacobi_trace ~protocol =
            Some
              (fun dsm ->
                captured := Some dsm;
-               Monitor.enable dsm true);
+               Monitor.enable dsm true;
+               if watch then ignore (Watchdog.attach dsm));
        });
   match !captured with
   | Some dsm -> Monitor.trace dsm
   | None -> Alcotest.fail "jacobi did not expose its runtime"
 
 let test_trace_self_diff_clean () =
-  let tr = jacobi_trace ~protocol:"hbrc_mw" in
+  let tr = jacobi_trace ~protocol:"hbrc_mw" () in
   let src () = Rundiff.Run (Run_meta.empty, Analyze.analyze tr) in
   match Rundiff.diff ~baseline:(src ()) ~fresh:(src ()) () with
   | Error msg -> Alcotest.failf "diff refused: %s" msg
@@ -304,9 +305,36 @@ let test_trace_self_diff_clean () =
            (fun p -> string_of_int p.Rundiff.pd_page)
            d.Rundiff.rd_patterns)
 
+(* Same app, two protocols, watchdog attached: the diff reports the
+   advice.page alerts that appear and the pages whose pattern changes. *)
+let test_trace_protocol_switch_deltas () =
+  let src protocol =
+    Rundiff.Run
+      ( Run_meta.empty,
+        Analyze.analyze (jacobi_trace ~watch:true ~protocol ()) )
+  in
+  match Rundiff.diff ~baseline:(src "hbrc_mw") ~fresh:(src "li_hudak") () with
+  | Error msg -> Alcotest.failf "diff refused: %s" msg
+  | Ok d ->
+      Alcotest.(check (list (triple int string string)))
+        "pages 1 and 2 turn migratory"
+        [ (1, "false-sharing", "migratory"); (2, "false-sharing", "migratory") ]
+        (List.map
+           (fun p -> Rundiff.(p.pd_page, p.pd_base, p.pd_fresh))
+           d.Rundiff.rd_patterns);
+      Alcotest.(check (list (pair string (pair int int))))
+        "two new advice.page alerts"
+        [ ("info advice.page", (0, 2)) ]
+        (List.map
+           (fun al ->
+             Rundiff.
+               ( Watchdog.severity_to_string al.al_severity ^ " " ^ al.al_kind,
+                 (al.al_base, al.al_fresh) ))
+           d.Rundiff.rd_alerts)
+
 let test_load_source_sniffs () =
   (* a trace dump loads as Run; a bench snapshot as Bench *)
-  let tr = jacobi_trace ~protocol:"hbrc_mw" in
+  let tr = jacobi_trace ~protocol:"hbrc_mw" () in
   let path = Filename.temp_file "dsm_trace" ".jsonl" in
   Trace.save_jsonl path tr;
   (match Rundiff.load_source path with
@@ -354,5 +382,7 @@ let () =
           Alcotest.test_case "self-diff clean" `Quick test_trace_self_diff_clean;
           Alcotest.test_case "load_source sniffs kinds" `Quick
             test_load_source_sniffs;
+          Alcotest.test_case "protocol switch deltas" `Quick
+            test_trace_protocol_switch_deltas;
         ] );
     ]

@@ -135,7 +135,16 @@ let test_stats_rollup_is_concatenation () =
 
 (* --- online classifier = post-mortem classifier, everywhere --- *)
 
-let pattern_pair p = (p.Analyze.pg_page, Analyze.pattern_to_string p.Analyze.pg_pattern)
+(* Whole records, in heatmap order: both views build the same
+   [Telemetry.profile] from the same classifier. *)
+let profile =
+  Alcotest.testable
+    (fun ppf p ->
+      Fmt.pf ppf "page %d %s/%s" p.Telemetry.pr_page p.Telemetry.pr_protocol
+        (Telemetry.pattern_to_string p.Telemetry.pr_pattern))
+    ( = )
+
+let online_profiles tele = Telemetry.Pages.profiles (Telemetry.pages tele)
 
 let test_agrees_with_analyze () =
   List.iter
@@ -155,17 +164,10 @@ let test_agrees_with_analyze () =
             Printf.sprintf "%s/%s" protocol
               (Conformance.workload_name workload)
           in
-          let online =
-            List.map
-              (fun (page, p) -> (page, Telemetry.pattern_to_string p))
-              (Telemetry.classification tele)
-          in
-          let post =
-            List.sort compare
-              (List.map pattern_pair (Analyze.pages (Analyze.analyze (Monitor.trace dsm))))
-          in
-          Alcotest.(check (list (pair int string)))
-            (label ^ ": same classification") post online)
+          Alcotest.(check (list profile))
+            (label ^ ": same profiles")
+            (Analyze.pages (Analyze.analyze (Monitor.trace dsm)))
+            (online_profiles tele))
         Conformance.workloads)
     Conformance.all_protocols
 
@@ -265,11 +267,7 @@ let test_sampling_telemetry_agreement () =
   (* Online classification under aggressive sampling + a tiny ring equals
      the post-mortem classification of the unsampled reference trace. *)
   let _, ref_dsm = traced_jacobi 5 in
-  let post =
-    List.sort compare
-      (List.map pattern_pair
-         (Analyze.pages (Analyze.analyze (Monitor.trace ref_dsm))))
-  in
+  let post = Analyze.pages (Analyze.analyze (Monitor.trace ref_dsm)) in
   let captured = ref None in
   let observe dsm =
     Monitor.enable dsm true;
@@ -284,14 +282,9 @@ let test_sampling_telemetry_agreement () =
   | None -> Alcotest.fail "jacobi did not expose its runtime"
   | Some dsm ->
       let tele = Option.get (Telemetry.find dsm) in
-      let online =
-        List.map
-          (fun (page, p) -> (page, Telemetry.pattern_to_string p))
-          (Telemetry.classification tele)
-      in
-      Alcotest.(check (list (pair int string)))
-        "classification exact despite 5% sampling and a 64-event ring" post
-        online;
+      Alcotest.(check (list profile))
+        "profiles exact despite 5% sampling and a 64-event ring" post
+        (online_profiles tele);
       Alcotest.(check bool) "the ring really was under pressure" true
         (Trace.length (Monitor.trace dsm) <= 64)
 

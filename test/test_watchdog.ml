@@ -127,14 +127,20 @@ let test_thrash_detected () =
   let dsm = make () in
   Monitor.enable dsm true;
   let x = Dsm.malloc dsm ~protocol:(proto dsm "li_hudak") 8 in
+  (* The thrash window is the telemetry engine's knob: attach it first and
+     the watchdog drains that engine. *)
+  ignore
+    (Telemetry.attach
+       ~config:
+         Telemetry.
+           {
+             default_config with
+             thrash_window = 4;
+             thrash_span = Time.of_us 1_000_000.;
+           }
+       dsm);
   let config =
-    Watchdog.
-      {
-        default_config with
-        interval = Time.of_us 100.;
-        thrash_window = 4;
-        thrash_span = Time.of_us 1_000_000.;
-      }
+    Watchdog.{ default_config with interval = Time.of_us 100. }
   in
   let w = Watchdog.attach ~config dsm in
   for node = 0 to 1 do
@@ -232,7 +238,7 @@ let test_traced_alerts_reach_analyzer () =
   Monitor.enable dsm true;
   let l0 = Dsm.lock_create dsm () in
   let l1 = Dsm.lock_create dsm () in
-  ignore (Watchdog.attach dsm);
+  let w = Watchdog.attach dsm in
   ignore
     (Dsm.spawn dsm ~node:0 (fun () ->
          Dsm.lock_acquire dsm l0;
@@ -245,14 +251,19 @@ let test_traced_alerts_reach_analyzer () =
          Dsm.lock_acquire dsm l0));
   (try Dsm.run dsm with Engine.Stalled _ -> ());
   let a = Analyze.analyze (Monitor.trace dsm) in
+  Alcotest.(check bool) "the analyzer decodes the watchdog's own records" true
+    (Analyze.alerts a = Watchdog.alerts w);
   match
-    List.filter (fun al -> al.Analyze.at_kind = "deadlock.cycle") (Analyze.alerts a)
+    List.filter
+      (fun al -> al.Watchdog.al_kind = "deadlock.cycle")
+      (Analyze.alerts a)
   with
   | [] -> Alcotest.fail "analyzer did not surface the watchdog alert"
   | al :: _ ->
-      Alcotest.(check string) "severity" "critical" al.Analyze.at_severity;
+      Alcotest.(check bool) "severity" true
+        (al.Watchdog.al_severity = Watchdog.Critical);
       Alcotest.(check bool) "detail preserved" true
-        (contains al.Analyze.at_detail "back to thread")
+        (contains al.Watchdog.al_detail "back to thread")
 
 (* --- ring buffer, health report, double attach --- *)
 
