@@ -101,7 +101,7 @@ let bechamel_tests ?filter () =
   in
   (* Monitoring-disabled overhead: the same simulated workload with the
      monitor explicitly off must cost the same as never mentioning it —
-     Trace.recordf and Monitor.emit call sites are supposed to be free. *)
+     the guarded Monitor.emit call sites are supposed to be free. *)
   let fault_once_monitored enabled () =
     let dsm = Dsm.create ~nodes:2 ~driver:Driver.bip_myrinet () in
     let ids = Builtin.register_all dsm in

@@ -20,14 +20,8 @@ type Rpc.payload +=
   | Ack
   | Lock_error of string
 
-type diff_handler =
-  Runtime.t -> node:int -> diff:Diff.t -> sender:int -> release:bool -> unit
-
 type diffs_handler =
   Runtime.t -> node:int -> diffs:Diff.t list -> sender:int -> release:bool -> unit
-
-let set_diff_handler (rt : Runtime.t) ~protocol handler =
-  Hashtbl.replace rt.diff_handlers protocol handler
 
 let set_diffs_handler (rt : Runtime.t) ~protocol handler =
   Hashtbl.replace rt.diffs_batch_handlers protocol handler
@@ -163,11 +157,7 @@ let on_diffs rt ~src:_ payload =
                  });
           match Hashtbl.find_opt rt.Runtime.diffs_batch_handlers protocol with
           | Some handler -> handler rt ~node ~diffs:ds ~sender ~release
-          | None -> (
-              match Hashtbl.find_opt rt.Runtime.diff_handlers protocol with
-              | Some handler ->
-                  List.iter (fun diff -> handler rt ~node ~diff ~sender ~release) ds
-              | None -> List.iter (apply_diff_locally rt ~node) ds))
+          | None -> List.iter (apply_diff_locally rt ~node) ds)
         (List.rev groups);
       (Ack, Driver.Request)
   | _ -> invalid_arg "Dsm_comm: bad payload for diffs service"

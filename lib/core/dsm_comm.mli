@@ -9,7 +9,7 @@
 
     Diff application is protocol-sensitive (a home receiving release-time
     diffs may have to invalidate third-party copies), so protocols may
-    override the default apply-only behaviour with [set_diff_handler]. *)
+    override the default apply-only behaviour with [set_diffs_handler]. *)
 
 open Dsmpm2_sim
 open Dsmpm2_pm2
@@ -78,23 +78,17 @@ val call_diffs : Runtime.t -> to_:int -> diffs:Diff.t list -> release:bool -> un
 (** Sends diffs to their (common) home node and waits for the ack.  The home
     applies them via the diff handler of each page's protocol. *)
 
-type diff_handler =
-  Runtime.t -> node:int -> diff:Diff.t -> sender:int -> release:bool -> unit
-
-val set_diff_handler : Runtime.t -> protocol:int -> diff_handler -> unit
-(** Overrides diff processing for pages of [protocol].  The default handler
-    applies the diff to the local frame under the entry mutex. *)
-
 type diffs_handler =
   Runtime.t -> node:int -> diffs:Diff.t list -> sender:int -> release:bool -> unit
 
 val set_diffs_handler : Runtime.t -> protocol:int -> diffs_handler -> unit
-(** Batch form of {!set_diff_handler}: the handler receives every diff of an
-    arriving [Diffs] message destined to [protocol] at once (order
-    preserved), letting it coalesce its follow-up work — e.g. one batched
-    invalidation per copyset node for the whole release instead of one RPC
-    per (page, target).  When both handlers are registered the batch one
-    wins. *)
+(** Overrides diff processing for pages of [protocol]: the handler receives
+    every diff of an arriving [Diffs] message destined to [protocol] at once
+    (order preserved), letting it coalesce its follow-up work — e.g. one
+    batched invalidation per copyset node for the whole release instead of
+    one RPC per (page, target).  Without a handler each diff goes to
+    {!apply_diff_locally}. *)
 
 val apply_diff_locally : Runtime.t -> node:int -> Diff.t -> unit
-(** The default behaviour, exposed so custom handlers can reuse it. *)
+(** The default: applies the diff to the local frame under the entry mutex;
+    exposed so custom handlers can reuse it. *)

@@ -92,6 +92,8 @@ let add_protocol t protocol =
           transfer = cell ~span:stage_transfer ();
         })
 
+let faults c = Stats.events c.read + Stats.events c.write + Stats.events c.miss
+
 let proto t ~node ~protocol =
   if protocol >= Array.length t.protos || Array.length t.protos.(protocol) = 0 then
     add_protocol t protocol;

@@ -16,7 +16,10 @@ val stage_fault : string
 (** Page-fault detection (signal catch + decode in the paper): 11 us. *)
 
 val stage_request : string
-(** Page request propagation, including forwarding hops. *)
+(** Page request propagation over the {e last} hop only: a forwarded
+    request is re-stamped when it is re-sent ([Dsm_comm.send_request]), so
+    the series runs from the final forward to the node that serves it,
+    not from the fault. *)
 
 val stage_transfer : string
 (** Page (or migration payload) transfer time. *)
@@ -103,6 +106,11 @@ type t = {
 val create : Stats.t -> nodes:int -> protocol_name:(int -> string) -> t
 (** Creates the node-labelled and unlabelled cells in [stats];
     [protocol_name] names a protocol id for the protocol label. *)
+
+val faults : proto_cells -> int
+(** What counts as a fault: a read fault, a write fault or an inline-check
+    miss — the events {!stage_total} times.  Telemetry's and the watchdog's
+    fault counts both read it. *)
 
 val proto : t -> node:int -> protocol:int -> proto_cells
 (** The cells of [node] under protocol id [protocol], created (for every

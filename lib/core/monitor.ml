@@ -5,10 +5,6 @@ open Dsmpm2_pm2
 let trace rt = Pm2.trace rt.Runtime.pm2
 let enable rt on = Trace.enable (trace rt) on
 let enabled rt = Trace.enabled (trace rt)
-let events rt = Trace.events (trace rt)
-
-let record rt ~category fmt =
-  Trace.recordf (trace rt) (Runtime.engine rt) ~category fmt
 
 (* --- spans ---
 

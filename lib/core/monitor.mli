@@ -18,14 +18,6 @@ val enabled : Runtime.t -> bool
 val trace : Runtime.t -> Trace.t
 (** The raw event log (chronological). *)
 
-val events : Runtime.t -> (Trace.entry * Trace.event) list
-(** The typed events, chronological — what the post-mortem analyzer
-    ([Dsmpm2_experiments.Analyze]) consumes on a live runtime. *)
-
-val record :
-  Runtime.t -> category:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Free-form trace line; free when disabled. *)
-
 val emit : Runtime.t -> ?span:int -> Trace.event -> unit
 (** Records a typed event; the span defaults to {!current_span}.  No-op
     when disabled, but hot call sites should guard with {!enabled} so the

@@ -73,14 +73,11 @@ type t = {
   barriers : (int, barrier_state) Hashtbl.t;
   mutable next_barrier : int;
   mutable fault_loop_limit : int;
-  diff_handlers : (int, diff_handler) Hashtbl.t;
   diffs_batch_handlers : (int, diffs_handler) Hashtbl.t;
   mutable history : History.t option;
   mutable watch : watch_hooks option;
   mutable telemetry : attachment option;
 }
-
-and diff_handler = t -> node:int -> diff:Diff.t -> sender:int -> release:bool -> unit
 
 and diffs_handler =
   t -> node:int -> diffs:Diff.t list -> sender:int -> release:bool -> unit
@@ -122,7 +119,6 @@ let create ?(costs = default_costs) pm2 =
     barriers = Hashtbl.create 16;
     next_barrier = 0;
     fault_loop_limit = 1000;
-    diff_handlers = Hashtbl.create 8;
     diffs_batch_handlers = Hashtbl.create 8;
     history = None;
     watch = None;

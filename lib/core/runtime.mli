@@ -86,11 +86,9 @@ type t = {
   mutable next_barrier : int;
   mutable fault_loop_limit : int;
       (** safety bound on fault-retry iterations per access *)
-  diff_handlers : (int, diff_handler) Hashtbl.t;
-      (** per-protocol diff processing, see {!Dsm_comm.set_diff_handler} *)
   diffs_batch_handlers : (int, diffs_handler) Hashtbl.t;
-      (** per-protocol whole-batch diff processing, preferred over
-          [diff_handlers] when present; see {!Dsm_comm.set_diffs_handler} *)
+      (** per-protocol whole-batch diff processing; see
+          {!Dsm_comm.set_diffs_handler} *)
   mutable history : History.t option;
       (** when set, the access and sync paths record every shared operation
           for the conformance checker (see [Dsm.enable_history]) *)
@@ -101,8 +99,6 @@ type t = {
       (** the online telemetry engine, when one is attached (see
           [Telemetry.attach]); the runtime itself never reads it *)
 }
-
-and diff_handler = t -> node:int -> diff:Diff.t -> sender:int -> release:bool -> unit
 
 and diffs_handler =
   t -> node:int -> diffs:Diff.t list -> sender:int -> release:bool -> unit

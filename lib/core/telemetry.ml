@@ -397,42 +397,38 @@ let attach ?(config = default_config) rt =
 let find rt =
   match rt.Runtime.telemetry with Some (Tele t) -> Some t | _ -> None
 
-let detach t =
-  Trace.clear_observer (Monitor.trace t.rt);
-  t.rt.Runtime.telemetry <- None
-
-let config t = t.cfg
 let events_seen t = t.seen
 let pages t = t.pgs
-let reclassifications t = t.reclass_total
-let intervals t = t.interval_count
 
-(* Fault counts and latencies come from the runtime's registry: the
-   fault cells of [Instrument] count every read, write and inline-check
-   miss and time it from detection to resumed access ([stage_total]). *)
+(* Fault counts and latencies come from the runtime's fault cells: each
+   (node, protocol) cell counts its faults ({!Instrument.faults}) and times
+   them from detection to resumed access ([stage_total]). *)
 let fold_faults t f acc =
-  List.fold_right
-    (fun name acc -> Stats.fold_count t.rt.Runtime.stats name f acc)
-    Instrument.[ read_faults; write_faults; check_misses ]
-    acc
+  let cells = t.rt.Runtime.cells in
+  let acc = ref acc in
+  Array.iteri
+    (fun p row ->
+      Array.iteri
+        (fun node c ->
+          let n = Instrument.faults c in
+          if n > 0 then
+            acc := f ~protocol:(cells.Instrument.protocol_name p) ~node n !acc)
+        row)
+    cells.Instrument.protos;
+  !acc
 
 let protocols t =
   fold_faults t
-    (fun lbl n acc ->
-      let p = Option.value lbl.Stats.lbl_protocol ~default:"?" in
-      let prev = Option.value (List.assoc_opt p acc) ~default:0 in
-      (p, prev + n) :: List.remove_assoc p acc)
+    (fun ~protocol ~node:_ n acc ->
+      let prev = Option.value (List.assoc_opt protocol acc) ~default:0 in
+      (protocol, prev + n) :: List.remove_assoc protocol acc)
     []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let node_faults t =
   let counts = Array.make (Runtime.nodes t.rt) 0 in
   fold_faults t
-    (fun lbl n () ->
-      match lbl.Stats.lbl_node with
-      | Some nd when nd >= 0 && nd < Array.length counts ->
-          counts.(nd) <- counts.(nd) + n
-      | _ -> ())
+    (fun ~protocol:_ ~node n () -> counts.(node) <- counts.(node) + n)
     ();
   counts
 

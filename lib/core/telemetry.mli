@@ -150,10 +150,6 @@ val attach : ?config:config -> Runtime.t -> t
 val find : Runtime.t -> t option
 (** The engine attached to this runtime, if any. *)
 
-val detach : t -> unit
-(** Releases the observer slot and the runtime attachment. *)
-
-val config : t -> config
 val events_seen : t -> int
 (** Events observed (the full emission stream, not just stored events). *)
 
@@ -161,19 +157,12 @@ val pages : t -> Pages.t
 (** The live classifier (shared state — read, don't feed). *)
 
 val node_faults : t -> int array
-(** Faults per node, indexed by node id, from the registry: the read,
-    write and inline-check-miss faults of the node's cells. *)
+(** Faults per node, indexed by node id: {!Instrument.faults} of the
+    node's fault cells. *)
 
 val protocols : t -> (string * int) list
-(** Per-protocol [(name, faults)] sorted by name, from the registry: the
-    read, write and inline-check-miss faults of the protocol's cells. *)
-
-val reclassifications : t -> int
-(** Total classification churn: pattern changes after a page's first
-    classification. *)
-
-val intervals : t -> int
-(** {!end_interval} calls so far. *)
+(** Per-protocol [(name, faults)] sorted by name, protocols with no fault
+    left out: {!Instrument.faults} of the protocol's fault cells. *)
 
 val end_interval : t -> interval
 (** Drains and resets the per-interval state (installs, touched pages,

@@ -3,12 +3,7 @@ open Dsmpm2_net
 open Dsmpm2_pm2
 open Dsmpm2_mem
 
-type severity = Info | Warning | Critical
-
-let severity_to_string = function
-  | Info -> "info"
-  | Warning -> "warning"
-  | Critical -> "critical"
+type severity = Trace.severity = Info | Warning | Critical
 
 type alert = {
   al_at_us : float;
@@ -18,24 +13,16 @@ type alert = {
   al_detail : string;
 }
 
-let severity_of_string = function
-  | "info" -> Some Info
-  | "warning" -> Some Warning
-  | "critical" -> Some Critical
-  | _ -> None
-
 let alert_of_event ~at = function
   | Trace.Alert { severity; kind; node; detail } ->
-      Option.map
-        (fun sev ->
-          {
-            al_at_us = Time.to_us at;
-            al_severity = sev;
-            al_kind = kind;
-            al_node = node;
-            al_detail = detail;
-          })
-        (severity_of_string severity)
+      Some
+        {
+          al_at_us = Time.to_us at;
+          al_severity = severity;
+          al_kind = kind;
+          al_node = node;
+          al_detail = detail;
+        }
   | _ -> None
 
 type node_rates = {
@@ -123,7 +110,7 @@ let forward_alert rt a =
     Monitor.emit rt ~span:Trace.no_span
       (Trace.Alert
          {
-           severity = severity_to_string a.al_severity;
+           severity = a.al_severity;
            kind = a.al_kind;
            node = a.al_node;
            detail = a.al_detail;
@@ -519,15 +506,13 @@ let refresh_proto_order w =
     end
   end
 
-(* Adds protocol [p]'s read and write faults into [node_faults], node by
-   node, and returns their sum. *)
+(* Adds protocol [p]'s faults ({!Instrument.faults}) into [node_faults],
+   node by node, and returns their sum. *)
 let add_faults (cells : Instrument.t) node_faults p =
   let row = cells.Instrument.protos.(p) in
   let total = ref 0 in
   for nd = 0 to Array.length row - 1 do
-    let f =
-      Stats.events row.(nd).Instrument.read + Stats.events row.(nd).Instrument.write
-    in
+    let f = Instrument.faults row.(nd) in
     node_faults.(nd) <- node_faults.(nd) + f;
     total := !total + f
   done;
@@ -723,7 +708,7 @@ let alert_to_json a =
   Json.Obj
     [
       ("at_us", Json.Float a.al_at_us);
-      ("severity", Json.String (severity_to_string a.al_severity));
+      ("severity", Json.String (Trace.severity_to_string a.al_severity));
       ("kind", Json.String a.al_kind);
       ("node", Json.Int a.al_node);
       ("detail", Json.String a.al_detail);
@@ -811,6 +796,6 @@ let pp_summary ppf w =
     List.iter
       (fun a ->
         Format.fprintf ppf "  [%-8s] %8.1f us  %-18s %s@."
-          (severity_to_string a.al_severity)
+          (Trace.severity_to_string a.al_severity)
           a.al_at_us a.al_kind a.al_detail)
       (alerts w)

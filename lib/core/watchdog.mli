@@ -29,9 +29,8 @@
 
 open Dsmpm2_sim
 
-type severity = Info | Warning | Critical
-
-val severity_to_string : severity -> string
+type severity = Trace.severity = Info | Warning | Critical
+(** The trace's alert severity; {!Trace.severity_to_string} names it. *)
 
 type alert = {
   al_at_us : float;
@@ -55,12 +54,14 @@ type alert = {
 
 val alert_of_event : at:Time.t -> Trace.event -> alert option
 (** Decodes a stored [Trace.Alert] emitted at [at] back into the alert the
-    watchdog raised; [None] for any other event (or an unknown severity).
+    watchdog raised; [None] for any other event.
     [dsm analyze], [dsm diff] and [dsm explain] read alerts through it. *)
 
 type node_rates = {
   nr_node : int;
-  nr_faults_s : float;  (** faults per simulated second over the interval *)
+  nr_faults_s : float;
+      (** faults ({!Instrument.faults}) per simulated second over the
+          interval *)
   nr_msgs_s : float;
   nr_bytes_s : float;
 }
@@ -71,7 +72,8 @@ type sample = {
   sp_live_fibers : int;
   sp_rates : node_rates array;
   sp_proto_faults : (string * int) list;
-      (** interval fault counts per protocol, sorted by name *)
+      (** interval fault counts ({!Instrument.faults}) per protocol,
+          sorted by name; protocols without a fault are left out *)
   sp_hot_pages : (int * int) list;
       (** (page, transfers) this interval, hottest first, top 5 *)
   sp_alerts : int;  (** alerts raised during this interval *)

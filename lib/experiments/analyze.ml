@@ -32,7 +32,7 @@ type chain = {
   ch_total_us : float;
   ch_stages : (string * float) list;  (* stage name -> us, only present stages *)
   ch_hops : int;
-  ch_events : (Trace.entry * Trace.event) list;
+  ch_events : (Time.t * int * Trace.event) list;
 }
 
 let us_of t = Time.to_us t
@@ -40,24 +40,26 @@ let us_of t = Time.to_us t
 let chain_of_span (span, evs) =
   let fault =
     List.find_map
-      (fun ((e : Trace.entry), ev) ->
+      (fun (at, _, ev) ->
         match ev with
         | Trace.Fault { node; page; protocol; mode } ->
-            Some (e.Trace.at, node, page, protocol, mode)
+            Some (at, node, page, protocol, mode)
         | _ -> None)
       evs
   in
   match fault with
   | None -> None
   | Some (t0, node, page, protocol, mode) ->
-      let ats p = List.filter_map (fun ((e : Trace.entry), ev) -> if p ev then Some e.Trace.at else None) evs in
+      let ats p =
+        List.filter_map (fun (at, _, ev) -> if p ev then Some at else None) evs
+      in
       let requests = ats (function Trace.Page_request _ -> true | _ -> false) in
       let sends = ats (function Trace.Page_send _ -> true | _ -> false) in
       let installs = ats (function Trace.Page_install _ -> true | _ -> false) in
       let migrations = ats (function Trace.Migration _ -> true | _ -> false) in
       let last_at =
         List.fold_left
-          (fun acc ((e : Trace.entry), _) -> Time.max acc e.Trace.at)
+          (fun acc (at, _, _) -> Time.max acc at)
           t0 evs
       in
       let first = function [] -> None | x :: _ -> Some x in
@@ -105,7 +107,7 @@ module Watchdog = Dsmpm2_core.Watchdog
 
 let page_profiles events =
   let ps = Tele.Pages.create () in
-  List.iter (fun (_, ev) -> Tele.Pages.feed ps ev) events;
+  List.iter (fun (_, _, ev) -> Tele.Pages.feed ps ev) events;
   (* [profiles] already ranks by (faults, bytes) descending, the heatmap
      order. *)
   Tele.Pages.profiles ps
@@ -127,7 +129,7 @@ let lock_profiles events =
     Hashtbl.create 16
   in
   List.iter
-    (fun ((e : Trace.entry), ev) ->
+    (fun (at, _, ev) ->
       match ev with
       | Trace.Lock { node; lock; op } when op = "request" || op = "granted" || op = "released" ->
           let req, grant, rel =
@@ -141,7 +143,7 @@ let lock_profiles events =
           let cell =
             match op with "request" -> req | "granted" -> grant | _ -> rel
           in
-          cell := e.Trace.at :: !cell
+          cell := at :: !cell
       | _ -> ())
     events;
   let by_lock : (int, float list ref * float list ref * int ref * int ref) Hashtbl.t =
@@ -194,7 +196,7 @@ type barrier_profile = {
 let barrier_profiles events =
   let arrivals : (int, (Time.t * int) list ref) Hashtbl.t = Hashtbl.create 8 in
   List.iter
-    (fun ((e : Trace.entry), ev) ->
+    (fun (at, _, ev) ->
       match ev with
       | Trace.Barrier { node; barrier } ->
           let cell =
@@ -205,7 +207,7 @@ let barrier_profiles events =
                 Hashtbl.add arrivals barrier c;
                 c
           in
-          cell := (e.Trace.at, node) :: !cell
+          cell := (at, node) :: !cell
       | _ -> ())
     events;
   Hashtbl.fold
@@ -259,7 +261,7 @@ type fault_summary = {
 
 let fault_summary events =
   List.fold_left
-    (fun acc (_, ev) ->
+    (fun acc (_, _, ev) ->
       match ev with
       | Trace.Drop _ -> { acc with fs_drops = acc.fs_drops + 1 }
       | Trace.Blackhole _ -> { acc with fs_blackholes = acc.fs_blackholes + 1 }
@@ -345,7 +347,7 @@ let analyze ?(top = 5) trace =
   in
   let pages = page_profiles events in
   let duration =
-    List.fold_left (fun acc ((e : Trace.entry), _) -> Time.max acc e.Trace.at) Time.zero events
+    List.fold_left (fun acc (at, _, _) -> Time.max acc at) Time.zero events
   in
   {
     an_events = List.length events;
@@ -361,7 +363,7 @@ let analyze ?(top = 5) trace =
     an_advice = List.filter_map Tele.advise pages;
     an_alerts =
       List.filter_map
-        (fun ((e : Trace.entry), ev) -> Watchdog.alert_of_event ~at:e.Trace.at ev)
+        (fun (at, _, ev) -> Watchdog.alert_of_event ~at ev)
         events;
     an_faults = fault_summary events;
   }
@@ -404,7 +406,7 @@ let report
     List.iter
       (fun a ->
         Format.fprintf ppf "  [%-8s] %10.1f us  %-18s %s@."
-          (Watchdog.severity_to_string a.Watchdog.al_severity)
+          (Trace.severity_to_string a.Watchdog.al_severity)
           a.Watchdog.al_at_us a.Watchdog.al_kind a.Watchdog.al_detail)
       t.an_alerts
   end;
@@ -437,9 +439,9 @@ let report
             (fun (stage, us) -> Format.fprintf ppf "    %-10s %9.1f us@." stage us)
             c.ch_stages;
           List.iter
-            (fun ((e : Trace.entry), _) ->
-              Format.fprintf ppf "    [%a] %-12s %s@." Time.pp e.Trace.at
-                e.Trace.category e.Trace.message)
+            (fun (at, _, ev) ->
+              Format.fprintf ppf "    [%a] %-12s %s@." Time.pp at
+                (Trace.event_category ev) (Trace.event_message ev))
             c.ch_events)
         t.an_top
     end
@@ -516,8 +518,7 @@ let chain_to_json c =
       ( "events",
         Json.List
           (List.map
-             (fun ((e : Trace.entry), ev) ->
-               Trace.event_to_json ~at:e.Trace.at ~span:e.Trace.span ev)
+             (fun (at, span, ev) -> Trace.event_to_json ~at ~span ev)
              c.ch_events) );
     ]
 

@@ -52,7 +52,7 @@ type chain = {
   ch_total_us : float;
   ch_stages : (string * float) list;  (** only the stages present, in order *)
   ch_hops : int;  (** page requests in the span (forwarding chain length) *)
-  ch_events : (Trace.entry * Trace.event) list;
+  ch_events : (Time.t * int * Trace.event) list;  (** the span's events *)
 }
 
 (** {2 Synchronization contention} *)

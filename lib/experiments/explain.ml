@@ -43,7 +43,7 @@ type explanation = {
   x_target : target;
   x_causes : cause list;
   x_spans : int list;
-  x_slice : (Trace.entry * Trace.event) list;
+  x_slice : (Time.t * int * Trace.event) list;
 }
 
 let causes x = x.x_causes
@@ -116,10 +116,9 @@ let explain ~trace tgt =
   in
   let seed_spans =
     List.fold_left
-      (fun acc ((e : Trace.entry), ev) ->
-        if e.Trace.at <= tgt.t_at && e.Trace.span <> Trace.no_span
-           && interesting ev
-        then Int_set.add e.Trace.span acc
+      (fun acc (at, span, ev) ->
+        if at <= tgt.t_at && span <> Trace.no_span && interesting ev
+        then Int_set.add span acc
         else acc)
       Int_set.empty evs
   in
@@ -128,46 +127,45 @@ let explain ~trace tgt =
      even though a frozen node emits nothing while it is down. *)
   let involved =
     List.fold_left
-      (fun acc ((e : Trace.entry), ev) ->
+      (fun acc (at, span, ev) ->
         if
-          (e.Trace.span <> Trace.no_span
-          && Int_set.mem e.Trace.span seed_spans)
-          || (global && e.Trace.at <= tgt.t_at && is_fault_event ev)
+          (span <> Trace.no_span && Int_set.mem span seed_spans)
+          || (global && at <= tgt.t_at && is_fault_event ev)
         then List.fold_left (fun a n -> Int_set.add n a) acc (event_endpoints ev)
         else acc)
       (if tgt.t_node < 0 then Int_set.empty else Int_set.singleton tgt.t_node)
       evs
   in
-  let in_seed (e : Trace.entry) = Int_set.mem e.Trace.span seed_spans in
+  let in_seed span = Int_set.mem span seed_spans in
   (* Pass 3 — the slice: seed-span events, page-matching span-less events,
      and Crash/Restart markers for involved nodes, all at or before the
      target. *)
   let slice =
     List.filter
-      (fun ((e : Trace.entry), ev) ->
-        e.Trace.at <= tgt.t_at
+      (fun (at, span, ev) ->
+        at <= tgt.t_at
         &&
         match ev with
         | Trace.Crash { node; _ } | Trace.Restart { node } ->
             Int_set.mem node involved
-        | _ -> in_seed e || (e.Trace.span = Trace.no_span && interesting ev))
+        | _ -> in_seed span || (span = Trace.no_span && interesting ev))
       evs
   in
   (* Pass 4 — causes.  Primary: drops inside a seed span (the message the
      operation lost).  Fallback: drops on a link between involved nodes —
      retransmitted requests go out in timer context where no span is
      attached, so their losses are span-less but still on-link. *)
-  let drop_cause ((e : Trace.entry), ev) =
+  let drop_cause (at, span, ev) =
     match ev with
     | Trace.Drop { src; dst; kind } ->
         Some
           (Dropped_message
              {
-               c_at = e.Trace.at;
+               c_at = at;
                c_src = src;
                c_dst = dst;
                c_kind = kind;
-               c_span = e.Trace.span;
+               c_span = span;
                c_blackhole = false;
                c_down = -1;
              })
@@ -175,41 +173,42 @@ let explain ~trace tgt =
         Some
           (Dropped_message
              {
-               c_at = e.Trace.at;
+               c_at = at;
                c_src = src;
                c_dst = dst;
                c_kind = kind;
-               c_span = e.Trace.span;
+               c_span = span;
                c_blackhole = true;
                c_down = down;
              })
     | _ -> None
   in
-  let before (e : Trace.entry) = e.Trace.at <= tgt.t_at in
+  let before at = at <= tgt.t_at in
   let span_drops =
     List.filter_map
-      (fun ((e, _) as x) -> if before e && in_seed e then drop_cause x else None)
+      (fun ((at, span, _) as x) ->
+        if before at && in_seed span then drop_cause x else None)
       evs
   in
   let drops =
     if span_drops <> [] then span_drops
     else
       List.filter_map
-        (fun (((e : Trace.entry), ev) as x) ->
+        (fun ((at, _, ev) as x) ->
           match ev with
           | Trace.Drop { src; dst; _ } | Trace.Blackhole { src; dst; _ }
-            when before e && Int_set.mem src involved && Int_set.mem dst involved
+            when before at && Int_set.mem src involved && Int_set.mem dst involved
             -> drop_cause x
           | _ -> None)
         evs
   in
   let crash_windows =
     List.filter_map
-      (fun ((e : Trace.entry), ev) ->
+      (fun (at, _, ev) ->
         match ev with
         | Trace.Crash { node; up }
-          when before e && Int_set.mem node involved ->
-            Some (Crash_window { c_node = node; c_down = e.Trace.at; c_up = up })
+          when before at && Int_set.mem node involved ->
+            Some (Crash_window { c_node = node; c_down = at; c_up = up })
         | _ -> None)
       evs
   in
@@ -218,19 +217,19 @@ let explain ~trace tgt =
   let retries = Hashtbl.create 8 in
   let retry_order = ref [] in
   List.iter
-    (fun ((e : Trace.entry), ev) ->
+    (fun (at, span, ev) ->
       match ev with
       | Trace.Rpc_retry { service; src; dst; attempt }
-        when before e
-             && (in_seed e || (Int_set.mem src involved && Int_set.mem dst involved))
+        when before at
+             && (in_seed span || (Int_set.mem src involved && Int_set.mem dst involved))
         -> (
           let key = (service, src, dst) in
           match Hashtbl.find_opt retries key with
           | Some (attempts, _) ->
-              Hashtbl.replace retries key (max attempts attempt, e.Trace.at)
+              Hashtbl.replace retries key (max attempts attempt, at)
           | None ->
               retry_order := key :: !retry_order;
-              Hashtbl.replace retries key (attempt, e.Trace.at))
+              Hashtbl.replace retries key (attempt, at))
       | _ -> ())
     evs;
   let retry_causes =
@@ -273,11 +272,11 @@ let explain_alert ~trace ~kind ~node ~at ~detail =
 let explain_trace trace =
   let open Dsmpm2_core.Watchdog in
   List.filter_map
-    (fun ((e : Trace.entry), ev) ->
-      match alert_of_event ~at:e.Trace.at ev with
+    (fun (at, _, ev) ->
+      match alert_of_event ~at ev with
       | Some { al_severity = Critical; al_kind; al_node; al_detail; _ } ->
           Some
-            (explain_alert ~trace ~kind:al_kind ~node:al_node ~at:e.Trace.at
+            (explain_alert ~trace ~kind:al_kind ~node:al_node ~at
                ~detail:al_detail)
       | _ -> None)
     (Trace.events trace)
@@ -322,9 +321,9 @@ let to_text ppf x =
   Format.fprintf ppf "  causal slice (%d events across %d spans):@."
     (List.length x.x_slice) (List.length x.x_spans);
   List.iter
-    (fun ((e : Trace.entry), _) ->
-      Format.fprintf ppf "    [%a] s%-4d %-12s %s@." Time.pp e.Trace.at
-        e.Trace.span e.Trace.category e.Trace.message)
+    (fun (at, span, ev) ->
+      Format.fprintf ppf "    [%a] s%-4d %-12s %s@." Time.pp at span
+        (Trace.event_category ev) (Trace.event_message ev))
     x.x_slice
 
 let cause_to_json = function
@@ -377,8 +376,7 @@ let to_json x =
       ( "slice",
         Json.List
           (List.map
-             (fun ((e : Trace.entry), ev) ->
-               Trace.event_to_json ~at:e.Trace.at ~span:e.Trace.span ev)
+             (fun (at, span, ev) -> Trace.event_to_json ~at ~span ev)
              x.x_slice) );
     ]
 
@@ -409,33 +407,33 @@ let to_dot ppf x =
     (dot_escape t.t_kind) t.t_node
     (if t.t_page < 0 then "" else Printf.sprintf " page %d" t.t_page)
     (Time.to_us t.t_at);
-  let is_cause_event ((e : Trace.entry), ev) =
+  let is_cause_event (at, _, ev) =
     match ev with
     | Trace.Drop _ | Trace.Blackhole _ | Trace.Crash _ | Trace.Rpc_retry _ ->
         List.exists
           (function
             | Dropped_message { c_at; _ }
             | Retry_storm { c_last = c_at; _ }
-            | Crash_window { c_down = c_at; _ } -> c_at = e.Trace.at)
+            | Crash_window { c_down = c_at; _ } -> c_at = at)
           x.x_causes
     | _ -> false
   in
   List.iteri
-    (fun i ((e : Trace.entry), _ as ent) ->
+    (fun i ((at, _, ev) as ent) ->
       Format.fprintf ppf "  e%d [label=\"t=%.0fus %s\\n%s\"%s];@." i
-        (Time.to_us e.Trace.at) (dot_escape e.Trace.category)
-        (dot_escape e.Trace.message)
+        (Time.to_us at) (dot_escape (Trace.event_category ev))
+        (dot_escape (Trace.event_message ev))
         (if is_cause_event ent then ", color=red, penwidth=2" else ""))
     x.x_slice;
   (* Program-order edges within each span. *)
   let last_in_span = Hashtbl.create 16 in
   List.iteri
-    (fun i ((e : Trace.entry), _) ->
-      if e.Trace.span <> Trace.no_span then begin
-        (match Hashtbl.find_opt last_in_span e.Trace.span with
+    (fun i (_, span, _) ->
+      if span <> Trace.no_span then begin
+        (match Hashtbl.find_opt last_in_span span with
         | Some j -> Format.fprintf ppf "  e%d -> e%d;@." j i
         | None -> ());
-        Hashtbl.replace last_in_span e.Trace.span i
+        Hashtbl.replace last_in_span span i
       end)
     x.x_slice;
   (* Cause edges into the target. *)
@@ -448,8 +446,7 @@ let to_dot ppf x =
      slice horizon; give them synthetic nodes so every cause is visible. *)
   let slice_crash_ats =
     List.filter_map
-      (fun ((e : Trace.entry), ev) ->
-        match ev with Trace.Crash _ -> Some e.Trace.at | _ -> None)
+      (fun (at, _, ev) -> match ev with Trace.Crash _ -> Some at | _ -> None)
       x.x_slice
   in
   List.iteri

@@ -53,7 +53,7 @@ type explanation = {
   x_target : target;
   x_causes : cause list;  (** drops first, then crash windows, then storms *)
   x_spans : int list;  (** the seed spans, ascending *)
-  x_slice : (Trace.entry * Trace.event) list;  (** chronological *)
+  x_slice : (Time.t * int * Trace.event) list;  (** chronological *)
 }
 
 val causes : explanation -> cause list

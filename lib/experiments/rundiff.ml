@@ -457,7 +457,7 @@ let pp_text ppf t =
     List.iter
       (fun al ->
         Format.fprintf ppf "  %-8s %-20s %d -> %d (%s)@."
-          (Watchdog.severity_to_string al.al_severity)
+          (Trace.severity_to_string al.al_severity)
           al.al_kind al.al_base al.al_fresh (alert_note al))
       t.rd_alerts
   end;
@@ -533,7 +533,7 @@ let pp_markdown ppf t =
     List.iter
       (fun al ->
         Format.fprintf ppf "- **%s** `%s`: %d -> %d (%s)@."
-          (Watchdog.severity_to_string al.al_severity)
+          (Trace.severity_to_string al.al_severity)
           al.al_kind al.al_base al.al_fresh (alert_note al))
       t.rd_alerts;
     Format.fprintf ppf "@."
@@ -615,7 +615,7 @@ let to_json t =
                Json.Obj
                  [
                    ( "severity",
-                     Json.String (Watchdog.severity_to_string al.al_severity) );
+                     Json.String (Trace.severity_to_string al.al_severity) );
                    ("kind", Json.String al.al_kind);
                    ("base", Json.Int al.al_base);
                    ("fresh", Json.Int al.al_fresh);

@@ -17,9 +17,9 @@ type ids = {
 }
 
 val register_all : Dsm.t -> ids
-(** Registers the six protocols (and the home-side diff handler of
-    [hbrc_mw]) and makes [li_hudak] the default protocol, as in the paper's
-    example programs. *)
+(** Registers the six protocols (and [hbrc_mw]'s home-side diffs handler,
+    {!Dsm_comm.set_diffs_handler}) and makes [li_hudak] the default
+    protocol, as in the paper's example programs. *)
 
 val summary : (string * string * string) list
 (** [(name, consistency model, basic features)] — the rows of the paper's

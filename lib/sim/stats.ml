@@ -74,13 +74,6 @@ let count ?labels t name =
     (fun acc c -> if selected labels c then acc + counted name c else acc)
     0 t.cells
 
-let fold_count t name f init =
-  List.fold_left
-    (fun acc c ->
-      let v = counted name c in
-      if v <> 0 then f c.c_labels v acc else acc)
-    init t.cells
-
 let span_cells ?labels t name =
   List.filter (fun c -> String.equal c.span_name name && selected labels c) t.cells
 

@@ -67,11 +67,6 @@ val count : ?labels:labels -> t -> string -> int
     count answers to [name] plus the volumes of those whose volume does.
     0 when no cell feeds it. *)
 
-val fold_count : t -> string -> (labels -> int -> 'a -> 'a) -> 'a -> 'a
-(** Folds over every cell's non-zero contribution to the counter [name],
-    with the cell's labels: the per-node and per-protocol breakdown in
-    one pass. *)
-
 val span_mean : ?labels:labels -> t -> string -> Time.t
 (** Integer mean of the series; 0 when it has no samples. *)
 

@@ -1,3 +1,16 @@
+type severity = Info | Warning | Critical
+
+let severity_to_string = function
+  | Info -> "info"
+  | Warning -> "warning"
+  | Critical -> "critical"
+
+let severity_of_string = function
+  | "info" -> Some Info
+  | "warning" -> Some Warning
+  | "critical" -> Some Critical
+  | _ -> None
+
 type event =
   | Fault of { node : int; page : int; protocol : string; mode : string }
   | Page_request of {
@@ -35,18 +48,14 @@ type event =
   | Lock of { node : int; lock : int; op : string }
   | Barrier of { node : int; barrier : int }
   | Migration of { thread : int; src : int; dst : int }
-  | Alert of { severity : string; kind : string; node : int; detail : string }
+  | Alert of { severity : severity; kind : string; node : int; detail : string }
   | Drop of { src : int; dst : int; kind : string }
   | Blackhole of { src : int; dst : int; kind : string; down : int }
   | Crash of { node : int; up : Time.t }
   | Restart of { node : int }
   | Rpc_retry of { service : string; src : int; dst : int; attempt : int }
-  | Message of { category : string; message : string }
 
 let no_span = -1
-
-let alert_severities = [ "info"; "warning"; "critical" ]
-let valid_severity s = List.mem s alert_severities
 
 let event_category = function
   | Fault _ -> "fault"
@@ -64,7 +73,6 @@ let event_category = function
   | Crash _ -> "crash"
   | Restart _ -> "restart"
   | Rpc_retry _ -> "rpc.retry"
-  | Message { category; _ } -> category
 
 let event_message = function
   | Fault { node; page; protocol; mode } ->
@@ -89,7 +97,7 @@ let event_message = function
   | Migration { thread; src; dst } ->
       Printf.sprintf "thread %d: node %d -> %d" thread src dst
   | Alert { severity; kind; node; detail } ->
-      Printf.sprintf "ALERT[%s] %s%s: %s" severity kind
+      Printf.sprintf "ALERT[%s] %s%s: %s" (severity_to_string severity) kind
         (if node < 0 then "" else Printf.sprintf " (node %d)" node)
         detail
   | Drop { src; dst; kind } ->
@@ -102,10 +110,9 @@ let event_message = function
   | Rpc_retry { service; src; dst; attempt } ->
       Printf.sprintf "rpc %s: retransmission #%d on link %d->%d" service attempt
         src dst
-  | Message { message; _ } -> message
 
 (* The node a trace event belongs to, for the Chrome exporter's process
-   lanes; -1 when the event has no natural node. *)
+   lanes; -1 for a run-wide alert. *)
 let event_node = function
   | Fault { node; _ }
   | Page_request { node; _ }
@@ -122,19 +129,16 @@ let event_node = function
   | Crash { node; _ } -> node
   | Restart { node } -> node
   | Rpc_retry { src; _ } -> src
-  | Message _ -> -1
-
-type entry = { at : Time.t; span : int; category : string; message : string }
 
 (* Storage is a growable circular buffer of three parallel arrays — the
    timestamp, the span id and the typed event of each stored emission — so
-   recording writes two ints and one pointer and builds nothing: the
-   [entry] view (category and rendered message) is made by the readers,
-   from the pure [event_category]/[event_message].  The flight recorder
+   recording writes two ints and one pointer and builds nothing; readers
+   get the same typed triples back, and only the printers render text, with
+   the pure [event_category]/[event_message].  The flight recorder
    ([set_capacity]) overwrites the oldest slot in O(1) while the unbounded
    default keeps amortized O(1) appends.  [total] counts every event ever
-   recorded (monotonic, survives eviction): it is the cursor space of
-   [recent ~since] and the base of the [evicted] accounting. *)
+   recorded (monotonic, survives eviction): the base of the [evicted]
+   accounting. *)
 type t = {
   mutable on : bool;
   mutable ats : Time.t array;
@@ -154,7 +158,7 @@ type t = {
   mutable sampled_out : int; (* events dropped by the sampler, monotonic *)
 }
 
-let dummy_event = Message { category = ""; message = "" }
+let dummy_event = Restart { node = -1 }
 
 let create ?(enabled = false) () =
   {
@@ -234,27 +238,23 @@ let autodump_fired t = t.autodump_fired
    [dsm explain] still sees whole causal chains.  The draw is a pure
    function of (sampling seed, span id) — independent of emission order,
    wall clock and engine state — so sampled runs stay replayable.  Rare,
-   high-signal kinds (alerts, fault-plan events, RPC retries) and free-form
-   messages always keep; events outside any span ([no_span]) always keep. *)
+   high-signal kinds (alerts, fault-plan events, RPC retries) always keep;
+   events outside any span ([no_span]) always keep. *)
 
 let set_observer t f =
   match t.observer with
   | Some _ -> invalid_arg "Trace.set_observer: an observer is already attached"
   | None -> t.observer <- Some f
 
-let clear_observer t = t.observer <- None
-
 let set_sampling t ~seed ~keep_pct =
   if not (keep_pct >= 0. && keep_pct <= 100.) then
     invalid_arg "Trace.set_sampling: keep_pct must be within [0, 100]";
   t.sampling <- Some (seed, keep_pct)
 
-let sampling t = t.sampling
 let sampled_out t = t.sampled_out
 
 let always_keep = function
-  | Alert _ | Drop _ | Blackhole _ | Crash _ | Restart _ | Rpc_retry _
-  | Message _ -> true
+  | Alert _ | Drop _ | Blackhole _ | Crash _ | Restart _ | Rpc_retry _ -> true
   | Fault _ | Page_request _ | Page_send _ | Page_install _ | Invalidate _
   | Diff _ | Lock _ | Barrier _ | Migration _ -> false
 
@@ -304,7 +304,7 @@ let push t at span ev =
   match t.autodump with
   | Some path when not t.autodump_fired -> (
       match ev with
-      | Alert { severity = "critical"; _ } ->
+      | Alert { severity = Critical; _ } ->
           t.autodump_fired <- true;
           !autodump_impl path t
       | _ -> ())
@@ -350,23 +350,9 @@ let submit t at span ev =
 let emit t eng ?(span = no_span) ev =
   if t.on then submit t (Engine.now eng) span ev
 
-let record t eng ~category message =
-  if t.on then submit t (Engine.now eng) no_span (Message { category; message })
-
-let recordf t eng ~category fmt =
-  if t.on then
-    Format.kasprintf
-      (fun message ->
-        submit t (Engine.now eng) no_span (Message { category; message }))
-      fmt
-  else Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-
-(* --- inspection: entries are rendered here, on read --- *)
+(* --- inspection: the stored typed events, as recorded --- *)
 
 let length t = t.len
-
-let entry_of ~at ~span ev =
-  { at; span; category = event_category ev; message = event_message ev }
 
 let iter t f =
   for i = 0 to t.len - 1 do
@@ -374,39 +360,14 @@ let iter t f =
     f ~at:t.ats.(k) ~span:t.span_ids.(k) t.evs.(k)
   done
 
-(* The stored entries [from .. len-1] that satisfy [keep], rendered and
-   paired with their events, chronological. *)
-let collect ?(from = 0) t keep =
+let events t =
   let rec build i acc =
-    if i < from then acc
+    if i < 0 then acc
     else
       let k = slot t i in
-      let at = t.ats.(k) and span = t.span_ids.(k) and ev = t.evs.(k) in
-      build (i - 1)
-        (if keep span ev then (entry_of ~at ~span ev, ev) :: acc else acc)
+      build (i - 1) ((t.ats.(k), t.span_ids.(k), t.evs.(k)) :: acc)
   in
   build (t.len - 1) []
-
-let events t = collect t (fun _ _ -> true)
-let entries t = List.map fst (events t)
-
-let by_category t c =
-  List.map fst (collect t (fun _ ev -> String.equal (event_category ev) c))
-
-let by_span t s = collect t (fun span _ -> span = s)
-
-(* The events recorded after cursor [since], chronological: an incremental
-   reader's feed.  [since] counts ever-recorded events ({!recorded}), so
-   the cursor stays correct when the flight recorder evicts entries — a
-   caller that fell behind an eviction simply misses the overwritten events
-   (they are gone) and resumes at the oldest survivor.  Cost and allocation
-   are proportional to the increment; a call with nothing new returns []
-   without allocating. *)
-let recent t ~since =
-  let first_stored = t.total - t.len in
-  let from = if since < first_stored then first_stored else since in
-  let fresh = t.total - from in
-  if fresh <= 0 then [] else collect ~from:(t.len - fresh) t (fun _ _ -> true)
 
 (* Every span's events grouped together (chronological inside each group),
    ordered by each span's first event — the analyzer's raw material. *)
@@ -414,13 +375,14 @@ let spans t =
   let tbl = Hashtbl.create 64 in
   let order = ref [] in
   List.iter
-    (fun ((e, _) as x) ->
-      match Hashtbl.find_opt tbl e.span with
-      | Some rev -> Hashtbl.replace tbl e.span (x :: rev)
-      | None ->
-          order := e.span :: !order;
-          Hashtbl.replace tbl e.span [ x ])
-    (collect t (fun span _ -> span <> no_span));
+    (fun ((_, span, _) as x) ->
+      if span <> no_span then
+        match Hashtbl.find_opt tbl span with
+        | Some rev -> Hashtbl.replace tbl span (x :: rev)
+        | None ->
+            order := span :: !order;
+            Hashtbl.replace tbl span [ x ])
+    (events t);
   List.rev_map (fun s -> (s, List.rev (Hashtbl.find tbl s))) !order
 
 (* Rebuild a trace from typed events, e.g. re-loaded from a JSONL dump.
@@ -436,27 +398,6 @@ let of_events evs =
     evs;
   t.next_span <- !max_span + 1;
   t
-
-let hash t =
-  let acc = ref 0 in
-  iter t (fun ~at ~span:_ ev ->
-      acc := Hashtbl.hash (!acc, at, event_category ev, event_message ev));
-  !acc
-
-let pp ppf t =
-  iter t (fun ~at ~span:_ ev ->
-      Format.fprintf ppf "[%a] %-12s %s@." Time.pp at (event_category ev)
-        (event_message ev))
-
-let clear t =
-  Array.fill t.evs 0 (Array.length t.evs) dummy_event;
-  t.start <- 0;
-  t.len <- 0;
-  t.total <- 0;
-  t.next_span <- 0;
-  t.autodump_fired <- false;
-  t.sampled_out <- 0;
-  Int_table.reset t.thread_spans
 
 (* --- JSON export --- *)
 
@@ -539,7 +480,7 @@ let event_fields = function
   | Alert { severity; kind; node; detail } ->
       [
         ("type", Json.String "alert");
-        ("severity", Json.String severity);
+        ("severity", Json.String (severity_to_string severity));
         ("kind", Json.String kind);
         ("node", Json.Int node);
         ("detail", Json.String detail);
@@ -574,12 +515,6 @@ let event_fields = function
         ("src", Json.Int src);
         ("dst", Json.Int dst);
         ("attempt", Json.Int attempt);
-      ]
-  | Message { category; message } ->
-      [
-        ("type", Json.String "message");
-        ("category", Json.String category);
-        ("message", Json.String message);
       ]
 
 let event_to_json ~at ~span ev =
@@ -662,13 +597,11 @@ let event_of_json j =
         let* dst = geti "dst" in
         Some (Migration { thread; src; dst })
     | "alert" ->
-        let* severity = gets "severity" in
-        if not (valid_severity severity) then None
-        else
-          let* kind = gets "kind" in
-          let* node = geti "node" in
-          let* detail = gets "detail" in
-          Some (Alert { severity; kind; node; detail })
+        let* severity = Option.bind (gets "severity") severity_of_string in
+        let* kind = gets "kind" in
+        let* node = geti "node" in
+        let* detail = gets "detail" in
+        Some (Alert { severity; kind; node; detail })
     | "drop" ->
         let* src = geti "src" in
         let* dst = geti "dst" in
@@ -693,10 +626,6 @@ let event_of_json j =
         let* dst = geti "dst" in
         let* attempt = geti "attempt" in
         Some (Rpc_retry { service; src; dst; attempt })
-    | "message" ->
-        let* category = gets "category" in
-        let* message = gets "message" in
-        Some (Message { category; message })
     | _ -> None
   in
   Some (at, span, ev)

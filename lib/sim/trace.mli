@@ -2,18 +2,28 @@
 
     The paper highlights PM2's "very precise post-mortem monitoring tools"
     as part of the platform's value; this module is their equivalent.  When
-    enabled, components record timestamped {e typed} events (faults, page
+    enabled, components {!emit} timestamped {e typed} events (faults, page
     requests and transfers, invalidations, diffs, lock and barrier traffic,
-    thread migrations); after the run the trace can be dumped as text,
-    JSONL or Chrome [trace_event] JSON, filtered by category or span, or
-    hashed (the hash is used by the determinism tests: same seed => same
-    trace).
+    thread migrations, watchdog alerts, injected faults).
+
+    There is one event model and one read path.  The trace stores each
+    emission as its [(timestamp, span id, event)] triple and gives back
+    exactly those triples ({!iter}, {!events}, {!spans}); a JSONL dump
+    re-loaded with {!of_jsonl} yields the same triples, so a live and a
+    reloaded trace feed every tool identically.  Text is made only where it
+    is printed, from {!event_category} and {!event_message}.
 
     A {e span id} links every event belonging to one logical operation: a
     remote access carries its span from fault detection through request
-    forwarding, page transfer and install, across nodes.  Free-form
-    [record]/[recordf] lines are still supported and become [Message]
-    events. *)
+    forwarding, page transfer and install, across nodes. *)
+
+type severity = Info | Warning | Critical  (** of an [Alert], mildest first *)
+
+val severity_to_string : severity -> string
+(** ["info"], ["warning"] or ["critical"]. *)
+
+val severity_of_string : string -> severity option
+(** Inverse of {!severity_to_string}; [None] for any other string. *)
 
 type event =
   | Fault of { node : int; page : int; protocol : string; mode : string }
@@ -53,9 +63,8 @@ type event =
   | Lock of { node : int; lock : int; op : string }
   | Barrier of { node : int; barrier : int }
   | Migration of { thread : int; src : int; dst : int }
-  | Alert of { severity : string; kind : string; node : int; detail : string }
-      (** Watchdog finding.  [severity] is one of {!alert_severities};
-          [kind] is a dotted taxonomy name ("invariant.owner",
+  | Alert of { severity : severity; kind : string; node : int; detail : string }
+      (** Watchdog finding.  [kind] is a dotted taxonomy name ("invariant.owner",
           "deadlock.cycle", "stall.lock", "thrash.page", ...); [node] is the
           node the finding concerns or [-1] for run-wide findings; [detail]
           carries the human-readable evidence. *)
@@ -75,36 +84,19 @@ type event =
   | Rpc_retry of { service : string; src : int; dst : int; attempt : int }
       (** A retransmission going out after a reply deadline expired
           ([Rpc.call]); [attempt] counts the attempts already made. *)
-  | Message of { category : string; message : string }
-      (** Free-form compatibility events from [record]/[recordf]. *)
 
 val no_span : int
 (** The span id of events outside any operation ([-1]). *)
 
-val alert_severities : string list
-(** The valid [Alert] severities, mildest first:
-    [["info"; "warning"; "critical"]]. *)
-
-val valid_severity : string -> bool
-(** Whether a string is a member of {!alert_severities}.  {!event_of_json}
-    rejects alert objects whose severity fails this check. *)
-
 val event_category : event -> string
-(** The legacy category name ("fault", "request", "page", ...) used by the
-    text renderer and per-category summaries. *)
+(** The category name ("fault", "request", "page", ...) the printers and
+    per-category summaries show. *)
 
 val event_message : event -> string
-(** The legacy human-readable rendering. *)
+(** The one-line human-readable rendering. *)
 
 val event_node : event -> int
-(** The node an event belongs to, or [-1] when it has no natural node
-    (free-form messages). *)
-
-type entry = { at : Time.t; span : int; category : string; message : string }
-(** The read-side view of one stored event.  Recording stores only the
-    timestamp, the span id and the typed event; [category] and [message]
-    are rendered by the inspection functions and exporters, from
-    {!event_category} and {!event_message}, when the trace is read. *)
+(** The node an event belongs to, or [-1] for a run-wide alert. *)
 
 type t
 
@@ -129,8 +121,7 @@ val capacity : t -> int option
 (** The configured bound, or [None] for an unbounded trace. *)
 
 val recorded : t -> int
-(** Events ever recorded, including evicted ones; monotonic.  This is the
-    cursor space of {!recent}. *)
+(** Events ever recorded, including evicted ones; monotonic. *)
 
 val evicted : t -> int
 (** Events overwritten by the ring ([recorded - length]); 0 while
@@ -159,8 +150,8 @@ val autodump_fired : t -> bool
     entirely} (causal chains stay whole for [dsm explain]) and the same
     (seed, span) always decides the same way, independent of emission order
     — sampled runs remain replayable.  Alerts, fault-plan events ([Drop],
-    [Blackhole], [Crash], [Restart], [Rpc_retry]), free-form [Message]s and
-    events outside any span are always kept. *)
+    [Blackhole], [Crash], [Restart], [Rpc_retry]) and events outside any
+    span are always kept. *)
 
 val set_observer : t -> (at:Time.t -> span:int -> event -> unit) -> unit
 (** Attaches the observer, called with each emission's timestamp, span id
@@ -168,16 +159,11 @@ val set_observer : t -> (at:Time.t -> span:int -> event -> unit) -> unit
     [Invalid_argument] when one is already attached (there is exactly one
     slot; compose externally if needed). *)
 
-val clear_observer : t -> unit
-
 val set_sampling : t -> seed:int -> keep_pct:float -> unit
 (** Enables head-based span sampling: a span is stored with probability
     [keep_pct]% under a pure function of [(seed, span id)].  Raises
     [Invalid_argument] unless [0 <= keep_pct <= 100].  [keep_pct = 100.]
     keeps everything; [0.] keeps only the always-kept kinds. *)
-
-val sampling : t -> (int * float) option
-(** The configured [(seed, keep_pct)], or [None] when unsampled. *)
 
 val span_kept : t -> int -> bool
 (** Whether the sampler keeps the given span id ([true] when unsampled or
@@ -185,9 +171,9 @@ val span_kept : t -> int -> bool
     and tools can predict a sampled trace's contents. *)
 
 val sampled_out : t -> int
-(** Events dropped by the sampler since creation (monotonic, reset by
-    {!clear}).  Disjoint from {!evicted}: sampled-out events were never
-    stored and do not advance {!recorded}. *)
+(** Events dropped by the sampler since creation (monotonic).  Disjoint
+    from {!evicted}: sampled-out events were never stored and do not
+    advance {!recorded}. *)
 
 (** {2 Span context}
 
@@ -210,58 +196,23 @@ val emit : t -> Engine.t -> ?span:int -> event -> unit
     message is formatted.  Call sites on hot paths should guard with
     {!enabled} so the event itself is not even allocated. *)
 
-val record : t -> Engine.t -> category:string -> string -> unit
-(** No-op when the trace is disabled. *)
-
-val recordf :
-  t -> Engine.t -> category:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Like [record] with a format string; the message is only built when the
-    trace is enabled. *)
-
 (** {2 Inspection}
 
-    Every function below renders the {!entry} views it returns; {!iter}
-    and {!length} render nothing. *)
+    Every reader returns the stored [(timestamp, span id, event)] triples,
+    chronological; nothing is rendered. *)
 
 val iter : t -> (at:Time.t -> span:int -> event -> unit) -> unit
-(** The stored events in chronological order, without rendering. *)
 
-val entries : t -> entry list
-(** In chronological order. *)
+val events : t -> (Time.t * int * event) list
 
-val events : t -> (entry * event) list
-(** In chronological order, with the typed event. *)
-
-val by_category : t -> string -> entry list
-(** Renders only the events of the given category. *)
-
-val by_span : t -> int -> (entry * event) list
-(** Every event of one logical operation, chronological. *)
-
-val spans : t -> (int * (entry * event) list) list
+val spans : t -> (int * (Time.t * int * event) list) list
 (** Every span's events grouped (chronological within a group), ordered by
-    first appearance — each group is one logical operation's full chain. *)
+    first appearance — each group is one logical operation's full chain.
+    Events outside any span are left out. *)
 
 val length : t -> int
 (** Number of events currently stored ([<= recorded] once the flight
     recorder evicts); O(1). *)
-
-val recent : t -> since:int -> (entry * event) list
-(** [recent t ~since] returns the events recorded after cursor [since],
-    chronological — an incremental reader's feed.  The cursor counts
-    ever-recorded events ({!recorded}), so it stays correct across ring
-    eviction: events already overwritten are silently skipped.  Cost and
-    allocation are proportional to the number of fresh events, not the
-    whole trace (a call with nothing new allocates nothing); call with
-    [since = recorded t] from the previous read. *)
-
-val hash : t -> int
-(** Order-sensitive digest of the whole trace. *)
-
-val pp : Format.formatter -> t -> unit
-
-val clear : t -> unit
-(** Drops all entries and resets span allocation. *)
 
 (** {2 Exporters} *)
 
@@ -269,14 +220,16 @@ val event_to_json : at:Time.t -> span:int -> event -> Json.t
 (** One flat object: [at_ns], [span], ["type"] plus the event's fields. *)
 
 val event_of_json : Json.t -> (Time.t * int * event) option
-(** Inverse of {!event_to_json}; [None] on unknown or malformed input. *)
+(** Inverse of {!event_to_json}; [None] on unknown or malformed input,
+    including an alert whose severity {!severity_of_string} rejects. *)
 
 val to_jsonl : Format.formatter -> t -> unit
 (** One {!event_to_json} object per line, chronological. *)
 
 val of_events : (Time.t * int * event) list -> t
 (** Rebuilds a (disabled, post-mortem) trace from chronological typed
-    events; inspection and export behave as on a live trace. *)
+    events, the triples {!events} returns; inspection and export behave as
+    on a live trace. *)
 
 val of_jsonl : string -> (t, string) result
 (** [of_jsonl contents] re-loads a {!to_jsonl} dump (the whole file as one

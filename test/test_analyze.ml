@@ -238,7 +238,14 @@ let all_variant_events =
     ev 60. (Trace.Lock { node = 1; lock = 4; op = "request" });
     ev 70. (Trace.Barrier { node = 2; barrier = 0 });
     ev 80. ~span:2 (Trace.Migration { thread = 9; src = 0; dst = 3 });
-    ev 90. (Trace.Message { category = "custom"; message = "free-form \"quoted\" text" });
+    ev 90.
+      (Trace.Alert
+         {
+           severity = Trace.Warning;
+           kind = "thrash.page";
+           node = 1;
+           detail = "page 3: \"quoted\"";
+         });
   ]
 
 let test_of_jsonl_round_trip () =
@@ -251,12 +258,8 @@ let test_of_jsonl_round_trip () =
   | Error msg -> Alcotest.failf "of_jsonl failed: %s" msg
   | Ok t' ->
       Alcotest.(check int) "same length" (Trace.length t) (Trace.length t');
-      List.iter2
-        (fun ((e : Trace.entry), ev) ((e' : Trace.entry), ev') ->
-          Alcotest.(check int) "timestamp survives" e.Trace.at e'.Trace.at;
-          Alcotest.(check int) "span survives" e.Trace.span e'.Trace.span;
-          Alcotest.(check bool) "event survives" true (ev = ev'))
-        (Trace.events t) (Trace.events t');
+      Alcotest.(check bool) "every (timestamp, span, event) survives" true
+        (Trace.events t = Trace.events t');
       (* Fresh spans minted after a reload must not collide with loaded ones. *)
       Trace.enable t' true;
       Alcotest.(check bool) "next span past loaded max" true (Trace.new_span t' > 2)

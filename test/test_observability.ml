@@ -32,10 +32,9 @@ let sample_events =
     Trace.Lock { node = 1; lock = 4; op = "acquire" };
     Trace.Barrier { node = 2; barrier = 0 };
     Trace.Migration { thread = 9; src = 0; dst = 3 };
-    Trace.Message { category = "custom"; message = "free-form \"quoted\" text" };
     Trace.Alert
       {
-        severity = "critical";
+        severity = Trace.Critical;
         kind = "deadlock.cycle";
         node = 1;
         detail = "thread 3 (node 1) waits for lock 0";
@@ -94,35 +93,39 @@ let contains s sub =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
+let severities = Trace.[ Info; Warning; Critical ]
+
 let test_alert_round_trip () =
-  (* Every legal severity survives the JSONL round-trip with every field
+  (* Every severity survives the JSONL round-trip with every field
      intact. *)
   List.iter
     (fun severity ->
-      Alcotest.(check bool) "severity is legal" true (Trace.valid_severity severity);
+      let name = Trace.severity_to_string severity in
+      Alcotest.(check (option string)) "severity name parses back" (Some name)
+        (Option.map Trace.severity_to_string (Trace.severity_of_string name));
       let ev =
         Trace.Alert
           { severity; kind = "invariant.owner"; node = 3; detail = "page 7: no owner" }
       in
       let json = Trace.event_to_json ~at:(Time.of_us 12.) ~span:Trace.no_span ev in
       match Json.of_string (Json.to_string json) with
-      | Error msg -> Alcotest.failf "alert (%s) unparseable: %s" severity msg
+      | Error msg -> Alcotest.failf "alert (%s) unparseable: %s" name msg
       | Ok parsed -> (
           match Trace.event_of_json parsed with
           | Some (at, span, (Trace.Alert a as ev')) ->
               Alcotest.(check int) "timestamp survives" (Time.of_us 12.) at;
               Alcotest.(check int) "span survives" Trace.no_span span;
-              Alcotest.(check string) "severity survives" severity a.severity;
+              Alcotest.(check bool) "severity survives" true (a.severity = severity);
               Alcotest.(check string) "kind survives" "invariant.owner" a.kind;
               Alcotest.(check int) "node survives" 3 a.node;
               Alcotest.(check string) "detail survives" "page 7: no owner" a.detail;
               Alcotest.(check bool) "whole event equal" true (ev = ev')
-          | _ -> Alcotest.failf "alert (%s) did not decode" severity))
-    Trace.alert_severities
+          | _ -> Alcotest.failf "alert (%s) did not decode" name))
+    severities
 
 let test_alert_rejects_bad_severity () =
   let ev =
-    Trace.Alert { severity = "warning"; kind = "thrash.page"; node = 0; detail = "d" }
+    Trace.Alert { severity = Trace.Warning; kind = "thrash.page"; node = 0; detail = "d" }
   in
   let json = Trace.event_to_json ~at:0 ~span:Trace.no_span ev in
   let patched =
@@ -160,9 +163,7 @@ let gen_event =
        return (Trace.Barrier { node; barrier }));
       (let* thread = int_bound 31 and* src = int_bound 7 and* dst = int_bound 7 in
        return (Trace.Migration { thread; src; dst }));
-      (let* category = name and* message = text in
-       return (Trace.Message { category; message }));
-      (let* severity = oneofl Trace.alert_severities in
+      (let* severity = oneofl severities in
        let* kind = name and* node = int_bound 7 and* detail = text in
        return (Trace.Alert { severity; kind; node; detail }));
       (let* src = int_bound 7 and* dst = int_bound 7 and* kind = name in
@@ -194,8 +195,7 @@ let prop_jsonl_round_trip =
       Format.pp_print_flush fmt ();
       match Trace.of_jsonl (Buffer.contents buf) with
       | Error _ -> false
-      | Ok tr' ->
-          List.map snd (Trace.events tr') = List.map snd (Trace.events tr))
+      | Ok tr' -> Trace.events tr' = Trace.events tr)
 
 (* --- span linkage: one cold li_hudak read fault on 2 nodes --- *)
 
@@ -213,12 +213,20 @@ let test_span_links_cold_fault () =
   let trace = Monitor.trace dsm in
   (* Exactly one fault, so exactly one span; every stage of the access must
      carry it, across both nodes. *)
-  let faults = Trace.by_category trace "fault" in
+  let faults =
+    List.filter
+      (function _, _, Trace.Fault _ -> true | _ -> false)
+      (Trace.events trace)
+  in
   Alcotest.(check int) "one fault" 1 (List.length faults);
-  let span = (List.hd faults).Trace.span in
+  let _, span, _ = List.hd faults in
   Alcotest.(check bool) "fault has a real span" true (span <> Trace.no_span);
-  let chain = Trace.by_span trace span in
-  let category (e, _) = e.Trace.category in
+  let chain =
+    match List.assoc_opt span (Trace.spans trace) with
+    | Some chain -> chain
+    | None -> Alcotest.fail "the fault's span has no events"
+  in
+  let category (_, _, ev) = Trace.event_category ev in
   let has cat = List.exists (fun x -> category x = cat) chain in
   Alcotest.(check bool) "request in span" true (has "request");
   Alcotest.(check bool) "send in span" true (has "page.send");
@@ -227,13 +235,15 @@ let test_span_links_cold_fault () =
      crosses the node boundary. *)
   let nodes =
     List.sort_uniq compare
-      (List.filter (fun n -> n >= 0) (List.map (fun (_, ev) -> Trace.event_node ev) chain))
+      (List.filter
+         (fun n -> n >= 0)
+         (List.map (fun (_, _, ev) -> Trace.event_node ev) chain))
   in
   Alcotest.(check (list int)) "span crosses nodes" [ 0; 1 ] nodes;
   (* Causal order within the span: fault <= request <= send <= install. *)
   let at cat =
     match List.find_opt (fun x -> category x = cat) chain with
-    | Some (e, _) -> e.Trace.at
+    | Some (at, _, _) -> at
     | None -> Alcotest.failf "missing %s event" cat
   in
   Alcotest.(check bool) "fault before request" true (at "fault" <= at "request");
@@ -375,17 +385,21 @@ let test_prometheus_export () =
 let test_summary_tie_order () =
   let dsm = Dsm.create ~nodes:1 ~driver:Driver.bip_myrinet () in
   Monitor.enable dsm true;
+  let emit ev = Monitor.emit dsm ~span:Trace.no_span ev in
   (* Three categories, one event each: a three-way tie that hashtable
      iteration order used to break arbitrarily. *)
-  List.iter
-    (fun cat -> Monitor.record dsm ~category:cat "x")
-    [ "zeta"; "alpha"; "mid" ];
-  Monitor.record dsm ~category:"busy" "x";
-  Monitor.record dsm ~category:"busy" "x";
+  List.iter emit
+    [
+      Trace.Restart { node = 0 };
+      Trace.Barrier { node = 0; barrier = 0 };
+      Trace.Lock { node = 0; lock = 0; op = "request" };
+    ];
+  emit (Trace.Migration { thread = 1; src = 0; dst = 0 });
+  emit (Trace.Migration { thread = 2; src = 0; dst = 0 });
   let order = List.map (fun l -> l.Monitor.category) (Monitor.summary dsm) in
   Alcotest.(check (list string))
     "count descending, name ascending on ties"
-    [ "busy"; "alpha"; "mid"; "zeta" ]
+    [ "migrate"; "barrier"; "lock"; "restart" ]
     order
 
 (* --- flight recorder: bounded ring, eviction accounting, autodump --- *)
@@ -404,7 +418,7 @@ let test_ring_eviction_bounds () =
   (* The survivors are the newest 64, still in chronological order. *)
   let barriers =
     List.filter_map
-      (fun (_, ev) ->
+      (fun (_, _, ev) ->
         match ev with Trace.Barrier { barrier; _ } -> Some barrier | _ -> None)
       (Trace.events tr)
   in
@@ -423,43 +437,11 @@ let test_ring_shrink_drops_oldest () =
   Alcotest.(check int) "evictions counted" 7 (Trace.evicted tr);
   let barriers =
     List.filter_map
-      (fun (_, ev) ->
+      (fun (_, _, ev) ->
         match ev with Trace.Barrier { barrier; _ } -> Some barrier | _ -> None)
       (Trace.events tr)
   in
   Alcotest.(check (list int)) "newest three kept" [ 7; 8; 9 ] barriers
-
-let test_recent_cursor_across_eviction () =
-  let eng = Engine.create () in
-  let tr = Trace.create ~enabled:true () in
-  Trace.set_capacity tr 4;
-  for i = 0 to 5 do
-    Trace.emit tr eng (Trace.Barrier { node = 0; barrier = i })
-  done;
-  (* Cursor 0 predates the eviction horizon: overwritten events are silently
-     skipped, not resurrected. *)
-  Alcotest.(check int) "clamped to what is stored" 4
-    (List.length (Trace.recent tr ~since:0));
-  Alcotest.(check int) "cursor counts recorded events" 2
-    (List.length (Trace.recent tr ~since:4));
-  Alcotest.(check int) "caught-up cursor sees nothing" 0
-    (List.length (Trace.recent tr ~since:6))
-
-let test_recent_no_fresh_allocates_nothing () =
-  let eng = Engine.create () in
-  let tr = Trace.create ~enabled:true () in
-  Trace.set_capacity tr 128;
-  for i = 0 to 499 do
-    Trace.emit tr eng (Trace.Barrier { node = 0; barrier = i })
-  done;
-  let since = Trace.recorded tr in
-  let before = Gc.minor_words () in
-  for _ = 1 to 1000 do
-    ignore (Trace.recent tr ~since)
-  done;
-  let after = Gc.minor_words () in
-  Alcotest.(check bool) "caught-up polling is allocation-free" true
-    (after -. before < 256.)
 
 let test_emit_into_full_ring_allocates_nothing () =
   let eng = Engine.create () in
@@ -490,12 +472,12 @@ let test_autodump_on_critical_alert () =
   done;
   Trace.emit tr eng
     (Trace.Alert
-       { severity = "warning"; kind = "thrash.page"; node = 0; detail = "w" });
+       { severity = Trace.Warning; kind = "thrash.page"; node = 0; detail = "w" });
   Alcotest.(check bool) "warnings do not trip the recorder" false
     (Trace.autodump_fired tr);
   Trace.emit tr eng
     (Trace.Alert
-       { severity = "critical"; kind = "deadlock.stall"; node = 1; detail = "c" });
+       { severity = Trace.Critical; kind = "deadlock.stall"; node = 1; detail = "c" });
   Alcotest.(check bool) "critical alert dumps" true (Trace.autodump_fired tr);
   (* The dump is the ring at the instant of the alert, re-loadable, ending
      with the alert itself. *)
@@ -505,12 +487,12 @@ let test_autodump_on_critical_alert () =
       Alcotest.(check int) "dump is the ring" 16 (Trace.length dumped);
       let last =
         match List.rev (Trace.events dumped) with
-        | (_, ev) :: _ -> ev
+        | (_, _, ev) :: _ -> ev
         | [] -> Alcotest.fail "empty dump"
       in
       Alcotest.(check bool) "last event is the critical alert" true
         (match last with
-        | Trace.Alert { severity = "critical"; kind = "deadlock.stall"; _ } ->
+        | Trace.Alert { severity = Trace.Critical; kind = "deadlock.stall"; _ } ->
             true
         | _ -> false));
   (* Second critical alert while fired: no re-dump (the file keeps the first
@@ -518,7 +500,12 @@ let test_autodump_on_critical_alert () =
   Sys.remove path;
   Trace.emit tr eng
     (Trace.Alert
-       { severity = "critical"; kind = "deadlock.stall"; node = 1; detail = "again" });
+       {
+         severity = Trace.Critical;
+         kind = "deadlock.stall";
+         node = 1;
+         detail = "again";
+       });
   Alcotest.(check bool) "disarmed after firing" false (Sys.file_exists path)
 
 (* --- Monitor.to_prometheus: runtime + network + derived counters --- *)
@@ -577,15 +564,13 @@ let test_disabled_monitor_no_events () =
   ignore (Dsm.spawn dsm ~node:0 (fun () -> ignore (Dsm.read_int dsm x)));
   Dsm.run dsm;
   Alcotest.(check int) "no events recorded" 0 (Trace.length (Monitor.trace dsm));
-  Alcotest.(check int) "spans not minted" 0
-    (List.length (Trace.by_span (Monitor.trace dsm) 0))
+  Alcotest.(check int) "spans not minted" Trace.no_span (Monitor.new_span dsm)
 
-(* --- byte identity of the rendered trace ---
+(* --- byte identity of the exported trace ---
 
-   The stored trace is rendered (category, message, JSON) when it is read.
-   These digests pin every byte a seeded, watched run renders, bounded and
-   sampled or not: they move only when what a run records or how an event
-   is rendered changes. *)
+   These digests pin every byte of the JSONL dump of a seeded, watched run,
+   bounded and sampled or not: they move only when what a run records or
+   how an event is exported changes. *)
 
 let monitored_jacobi ~protocol ~bounded =
   let trace = ref None in
@@ -623,28 +608,16 @@ let jsonl_digest tr =
 
 let test_rendering_pinned () =
   List.iter
-    (fun (protocol, bounded, hash, digest) ->
+    (fun (protocol, bounded, digest) ->
       let tr = monitored_jacobi ~protocol ~bounded in
       let name = Printf.sprintf "%s%s" protocol (if bounded then " ring" else "") in
-      Alcotest.(check int) (name ^ " Trace.hash") hash (Trace.hash tr);
       Alcotest.(check string) (name ^ " jsonl digest") digest (jsonl_digest tr))
     [
-      ("write_update", false, 264221975, "2ddff2cb7560dd56e1eb596ce6f82aff");
-      ("write_update", true, 1025196022, "3fba6ff33c82f61632c815c401082a96");
-      ("hbrc_mw", false, 561333793, "55287454eae9abbf5f7f4248f704e079");
-      ("hbrc_mw", true, 793057506, "54821d54f98dc0fa893bc7a8598207aa");
+      ("write_update", false, "2ddff2cb7560dd56e1eb596ce6f82aff");
+      ("write_update", true, "3fba6ff33c82f61632c815c401082a96");
+      ("hbrc_mw", false, "55287454eae9abbf5f7f4248f704e079");
+      ("hbrc_mw", true, "54821d54f98dc0fa893bc7a8598207aa");
     ]
-
-let test_entries_render_events () =
-  let eng = Engine.create () in
-  let tr = Trace.create ~enabled:true () in
-  List.iter (fun ev -> Trace.emit tr eng ~span:5 ev) sample_events;
-  List.iter2
-    (fun (e : Trace.entry) ev ->
-      Alcotest.(check string) "category" (Trace.event_category ev) e.Trace.category;
-      Alcotest.(check string) "message" (Trace.event_message ev) e.Trace.message;
-      Alcotest.(check int) "span" 5 e.Trace.span)
-    (Trace.entries tr) sample_events
 
 let () =
   Alcotest.run "observability"
@@ -668,8 +641,6 @@ let () =
         [
           Alcotest.test_case "same seed same trace" `Quick test_trace_deterministic;
           Alcotest.test_case "rendering pinned" `Quick test_rendering_pinned;
-          Alcotest.test_case "entries render events" `Quick
-            test_entries_render_events;
         ] );
       ( "exporters",
         [
@@ -689,10 +660,6 @@ let () =
           Alcotest.test_case "ring eviction bounds" `Quick test_ring_eviction_bounds;
           Alcotest.test_case "shrink drops oldest" `Quick
             test_ring_shrink_drops_oldest;
-          Alcotest.test_case "recent cursor across eviction" `Quick
-            test_recent_cursor_across_eviction;
-          Alcotest.test_case "caught-up recent allocates nothing" `Quick
-            test_recent_no_fresh_allocates_nothing;
           Alcotest.test_case "emit into a full ring allocates nothing" `Quick
             test_emit_into_full_ring_allocates_nothing;
           Alcotest.test_case "autodump on critical alert" `Quick

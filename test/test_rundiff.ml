@@ -328,7 +328,7 @@ let test_trace_protocol_switch_deltas () =
         (List.map
            (fun al ->
              Rundiff.
-               ( Watchdog.severity_to_string al.al_severity ^ " " ^ al.al_kind,
+               ( Trace.severity_to_string al.al_severity ^ " " ^ al.al_kind,
                  (al.al_base, al.al_fresh) ))
            d.Rundiff.rd_alerts)
 

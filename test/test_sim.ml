@@ -495,32 +495,38 @@ let test_rng_bool_takes_both_values () =
 
 (* --- Trace and Stats --- *)
 
+let barrier b = Trace.Barrier { node = 0; barrier = b }
+
 let test_trace_records_in_order () =
   let eng = Engine.create () in
   let trace = Trace.create ~enabled:true () in
-  Engine.at eng (Time.of_us 2.) (fun () -> Trace.record trace eng ~category:"b" "two");
-  Engine.at eng (Time.of_us 1.) (fun () -> Trace.record trace eng ~category:"a" "one");
+  Engine.at eng (Time.of_us 2.) (fun () -> Trace.emit trace eng ~span:7 (barrier 2));
+  Engine.at eng (Time.of_us 1.) (fun () -> Trace.emit trace eng (barrier 1));
   Engine.run eng;
-  let entries = Trace.entries trace in
-  Alcotest.(check int) "two entries" 2 (List.length entries);
-  Alcotest.(check (list string)) "chronological" [ "one"; "two" ]
-    (List.map (fun e -> e.Trace.message) entries);
-  Alcotest.(check int) "by category" 1 (List.length (Trace.by_category trace "a"))
+  Alcotest.(check bool) "chronological (timestamp, span, event) triples" true
+    (Trace.events trace
+    = [ (Time.of_us 1., Trace.no_span, barrier 1); (Time.of_us 2., 7, barrier 2) ])
 
 let test_trace_disabled_is_free () =
   let eng = Engine.create () in
   let trace = Trace.create () in
-  Trace.record trace eng ~category:"x" "ignored";
-  Trace.recordf trace eng ~category:"x" "also %d" 42;
-  Alcotest.(check int) "nothing recorded" 0 (Trace.length trace)
+  Trace.emit trace eng (barrier 0);
+  Alcotest.(check int) "nothing recorded" 0 (Trace.length trace);
+  Alcotest.(check int) "no span minted" Trace.no_span (Trace.new_span trace)
 
-let test_trace_hash_distinguishes () =
+(* Two traces fed the same emissions hold equal events; one different
+   emission makes them differ. *)
+let test_trace_events_compare () =
   let eng = Engine.create () in
-  let t1 = Trace.create ~enabled:true () and t2 = Trace.create ~enabled:true () in
-  Trace.record t1 eng ~category:"x" "a";
-  Trace.record t2 eng ~category:"x" "b";
-  Alcotest.(check bool) "different traces, different hash" false
-    (Trace.hash t1 = Trace.hash t2)
+  let fill bs =
+    let t = Trace.create ~enabled:true () in
+    List.iter (fun b -> Trace.emit t eng (barrier b)) bs;
+    Trace.events t
+  in
+  Alcotest.(check bool) "same emissions, same events" true
+    (fill [ 1; 2 ] = fill [ 1; 2 ]);
+  Alcotest.(check bool) "different emissions, different events" false
+    (fill [ 1; 2 ] = fill [ 1; 3 ])
 
 let test_stats_counters_and_spans () =
   let s = Stats.create () in
@@ -729,7 +735,7 @@ let () =
         [
           Alcotest.test_case "trace order" `Quick test_trace_records_in_order;
           Alcotest.test_case "trace disabled" `Quick test_trace_disabled_is_free;
-          Alcotest.test_case "trace hash" `Quick test_trace_hash_distinguishes;
+          Alcotest.test_case "trace events compare" `Quick test_trace_events_compare;
           Alcotest.test_case "stats" `Quick test_stats_counters_and_spans;
           Alcotest.test_case "stats interned handles" `Quick
             test_stats_interned_handles;

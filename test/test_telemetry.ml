@@ -238,13 +238,13 @@ let test_sampling_keeps_whole_spans_exactly () =
     (ref_result = sampled_result);
   (* The stored trace is exactly the reference stream filtered by the pure
      per-span keep decision: whole spans survive or vanish together, and
-     alert/fault/message kinds are always kept. *)
+     alert and injected-fault kinds are always kept. *)
   let expected =
     List.filter
-      (fun ((e : Trace.entry), ev) ->
+      (fun (_, span, ev) ->
         (not (sampleable ev))
-        || e.Trace.span = Trace.no_span
-        || Trace.span_kept (Monitor.trace sampled_dsm) e.Trace.span)
+        || span = Trace.no_span
+        || Trace.span_kept (Monitor.trace sampled_dsm) span)
       ref_events
   in
   Alcotest.(check int) "stored trace is the predicted subset" 0
@@ -466,7 +466,7 @@ let test_advice_alert_jsonl_roundtrip () =
       | Ok loaded ->
           let details tr =
             List.filter_map
-              (fun (_, ev) ->
+              (fun (_, _, ev) ->
                 match ev with
                 | Trace.Alert { kind = "advice.page"; detail; _ } -> Some detail
                 | _ -> None)

@@ -265,6 +265,36 @@ let test_traced_alerts_reach_analyzer () =
       Alcotest.(check bool) "detail preserved" true
         (contains al.Watchdog.al_detail "back to thread")
 
+(* --- one fault count: the watchdog's interval faults add up to telemetry's ---
+
+   Under java_ic almost every fault is an inline-check miss; the watchdog
+   must count those too.  Summed through [set_on_sample], since the sample
+   ring drops early samples. *)
+
+let test_interval_faults_match_telemetry () =
+  let captured = ref None in
+  let sampled = ref 0 in
+  let observe dsm =
+    Monitor.enable dsm true;
+    let w = Watchdog.attach dsm in
+    Watchdog.set_on_sample w (fun s ->
+        List.iter (fun (_, n) -> sampled := !sampled + n) s.Watchdog.sp_proto_faults);
+    captured := Some dsm
+  in
+  ignore
+    (Dsmpm2_apps.Map_coloring.run
+       {
+         Dsmpm2_apps.Map_coloring.default with
+         nodes = 2;
+         protocol = "java_ic";
+         observe = Some observe;
+       });
+  let dsm = Option.get !captured in
+  let tele = Option.get (Telemetry.find dsm) in
+  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 (Telemetry.protocols tele) in
+  Alcotest.(check bool) "the run faulted" true (total > 0);
+  Alcotest.(check int) "interval faults sum to the telemetry total" total !sampled
+
 (* --- ring buffer, health report, double attach --- *)
 
 let test_ring_is_bounded () =
@@ -400,6 +430,8 @@ let () =
             test_watchdog_preserves_schedule;
           Alcotest.test_case "alerts reach the analyzer" `Quick
             test_traced_alerts_reach_analyzer;
+          Alcotest.test_case "interval faults match telemetry" `Quick
+            test_interval_faults_match_telemetry;
         ] );
       ( "reporting",
         [
