@@ -443,6 +443,45 @@ let test_ring_shrink_drops_oldest () =
   in
   Alcotest.(check (list int)) "newest three kept" [ 7; 8; 9 ] barriers
 
+let test_recorded_counts_across_eviction () =
+  let eng = Engine.create () in
+  let tr = Trace.create ~enabled:true () in
+  Trace.set_capacity tr 4;
+  for i = 0 to 5 do
+    Trace.emit tr eng (Trace.Barrier { node = 0; barrier = i })
+  done;
+  (* Overwritten events are gone for good: every reader sees what is
+     stored, while [recorded] keeps counting every emission. *)
+  Alcotest.(check int) "recorded counts evicted events" 6 (Trace.recorded tr);
+  Alcotest.(check int) "clamped to what is stored" 4 (Trace.length tr);
+  Alcotest.(check int) "evicted = recorded - length" 2 (Trace.evicted tr);
+  let seen = ref [] in
+  Trace.iter tr (fun ~at:_ ~span:_ ev ->
+      match ev with
+      | Trace.Barrier { barrier; _ } -> seen := barrier :: !seen
+      | _ -> ());
+  Alcotest.(check (list int)) "iter walks the survivors in order" [ 2; 3; 4; 5 ]
+    (List.rev !seen);
+  Alcotest.(check int) "events agrees with iter" 4 (List.length (Trace.events tr))
+
+let test_iter_full_ring_allocates_nothing () =
+  let eng = Engine.create () in
+  let tr = Trace.create ~enabled:true () in
+  Trace.set_capacity tr 128;
+  for i = 0 to 499 do
+    Trace.emit tr eng (Trace.Barrier { node = 0; barrier = i })
+  done;
+  let n = ref 0 in
+  let count ~at:_ ~span:_ _ = incr n in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Trace.iter tr count
+  done;
+  let after = Gc.minor_words () in
+  Alcotest.(check int) "every stored event visited" (1000 * 128) !n;
+  Alcotest.(check bool) "walking the ring is allocation-free" true
+    (after -. before < 256.)
+
 let test_emit_into_full_ring_allocates_nothing () =
   let eng = Engine.create () in
   let tr = Trace.create ~enabled:true () in
@@ -619,6 +658,38 @@ let test_rendering_pinned () =
       ("hbrc_mw", true, "54821d54f98dc0fa893bc7a8598207aa");
     ]
 
+let test_chrome_renders_events () =
+  (* Text is made only where it is printed: the Chrome export renders each
+     stored event with [event_category] and [event_message], and the stored
+     triples come back exactly as emitted. *)
+  let eng = Engine.create () in
+  let tr = Trace.create ~enabled:true () in
+  List.iter (fun ev -> Trace.emit tr eng ~span:5 ev) sample_events;
+  Alcotest.(check bool) "events are the emitted triples" true
+    (Trace.events tr = List.map (fun ev -> (Time.zero, 5, ev)) sample_events);
+  let rendered =
+    match Json.member "traceEvents" (Trace.chrome_json tr) with
+    | Some (Json.List l) -> l
+    | _ -> Alcotest.fail "no traceEvents list"
+  in
+  Alcotest.(check int) "one chrome event per stored event"
+    (List.length sample_events) (List.length rendered);
+  List.iter2
+    (fun json ev ->
+      let str path =
+        List.fold_left
+          (fun j key -> Option.bind j (Json.member key))
+          (Some json) path
+        |> Fun.flip Option.bind Json.to_str
+      in
+      Alcotest.(check (option string)) "category" (Some (Trace.event_category ev))
+        (str [ "name" ]);
+      Alcotest.(check (option string)) "message" (Some (Trace.event_message ev))
+        (str [ "args"; "detail" ]);
+      Alcotest.(check (option int)) "span" (Some 5)
+        (Option.bind (Json.member "tid" json) Json.to_int))
+    rendered sample_events
+
 let () =
   Alcotest.run "observability"
     [
@@ -641,6 +712,8 @@ let () =
         [
           Alcotest.test_case "same seed same trace" `Quick test_trace_deterministic;
           Alcotest.test_case "rendering pinned" `Quick test_rendering_pinned;
+          Alcotest.test_case "chrome renders events" `Quick
+            test_chrome_renders_events;
         ] );
       ( "exporters",
         [
@@ -660,6 +733,10 @@ let () =
           Alcotest.test_case "ring eviction bounds" `Quick test_ring_eviction_bounds;
           Alcotest.test_case "shrink drops oldest" `Quick
             test_ring_shrink_drops_oldest;
+          Alcotest.test_case "recorded counts across eviction" `Quick
+            test_recorded_counts_across_eviction;
+          Alcotest.test_case "iter over a full ring allocates nothing" `Quick
+            test_iter_full_ring_allocates_nothing;
           Alcotest.test_case "emit into a full ring allocates nothing" `Quick
             test_emit_into_full_ring_allocates_nothing;
           Alcotest.test_case "autodump on critical alert" `Quick
