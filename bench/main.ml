@@ -111,8 +111,8 @@ let bechamel_tests ?filter () =
     Dsm.run dsm
   in
   (* Hot-path kernels: diff computation (word-scan vs the byte-at-a-time
-     reference), the frame-store word-access fast path, and a raw network
-     send.  These are the paths the release/fault machinery hammers, so
+     reference), the frame-store word-access fast path, a page-table
+     lookup, and a raw network send.  These are the paths the release/fault machinery hammers, so
      their host-side cost bounds how large a simulated run can get. *)
   let open Dsmpm2_mem in
   let sparse_page () =
@@ -139,6 +139,19 @@ let bechamel_tests ?filter () =
     let acc = ref 0 in
     for _ = 1 to 64 do
       acc := !acc + Frame_store.read_int fs ~addr:0
+    done;
+    Sys.opaque_identity !acc |> ignore
+  in
+  (* The DSM's per-access page lookup: 64 finds spread over 256 mapped
+     pages, each on a different entry. *)
+  let table = Page_table.create ~node:0 in
+  for page = 1 to 256 do
+    ignore (Page_table.declare table ~page ~home:0 ~owner:0 ~protocol:0 ~rights:Access.No_access)
+  done;
+  let page_table_find () =
+    let acc = ref 0 in
+    for i = 0 to 63 do
+      acc := !acc + (Page_table.find table (1 + (i * 37 land 255))).Page_table.home
     done;
     Sys.opaque_identity !acc |> ignore
   in
@@ -175,6 +188,7 @@ let bechamel_tests ?filter () =
       ("diff/compute_4k_sparse", diff_sparse);
       ("diff/compute_4k_sparse_bytewise", diff_sparse_bytewise);
       ("frame/read_int_hot_x64", frame_read_hot);
+      ("core/page_table_find_x64", page_table_find);
       ("net/send_request_x64", network_send);
     ]
   in

@@ -24,7 +24,12 @@ type diffs_handler =
   Runtime.t -> node:int -> diffs:Diff.t list -> sender:int -> release:bool -> unit
 
 let set_diffs_handler (rt : Runtime.t) ~protocol handler =
-  Hashtbl.replace rt.diffs_batch_handlers protocol handler
+  rt.diffs_batch_handlers <- Dense.ensure rt.diffs_batch_handlers protocol None;
+  rt.diffs_batch_handlers.(protocol) <- Some handler
+
+let diffs_handler (rt : Runtime.t) ~protocol =
+  let handlers = rt.diffs_batch_handlers in
+  if protocol >= 0 && protocol < Array.length handlers then handlers.(protocol) else None
 
 let apply_diff_locally (rt : Runtime.t) ~node (diff : Diff.t) =
   let e = Runtime.entry rt ~node ~page:diff.Diff.page in
@@ -155,7 +160,7 @@ let on_diffs rt ~src:_ payload =
                    release;
                    protocol = (Runtime.proto rt protocol).Protocol.name;
                  });
-          match Hashtbl.find_opt rt.Runtime.diffs_batch_handlers protocol with
+          match diffs_handler rt ~protocol with
           | Some handler -> handler rt ~node ~diffs:ds ~sender ~release
           | None -> List.iter (apply_diff_locally rt ~node) ds)
         (List.rev groups);

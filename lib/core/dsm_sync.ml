@@ -28,7 +28,8 @@ let lock_create (rt : Runtime.t) ?protocol ?manager () =
       lock_ext = Page_table.No_ext;
     }
   in
-  Hashtbl.add rt.Runtime.locks id lock;
+  rt.locks <- Dense.ensure rt.locks id lock;
+  rt.locks.(id) <- lock;
   id
 
 let lock_acquire rt id =
@@ -103,7 +104,8 @@ let barrier_create (rt : Runtime.t) ?protocol ?manager ~parties () =
       barrier_mutex = Marcel.Mutex.create ();
     }
   in
-  Hashtbl.add rt.Runtime.barriers id barrier;
+  rt.barriers <- Dense.ensure rt.barriers id barrier;
+  rt.barriers.(id) <- barrier;
   id
 
 let barrier_wait rt id =

@@ -10,25 +10,28 @@ let enabled rt = Trace.enabled (trace rt)
 
    The span of the operation a Marcel thread is currently working on; set
    by the fault path and by the RPC handlers from the span carried in the
-   incoming message, so one remote access keeps one id across nodes. *)
+   incoming message, so one remote access keeps one id across nodes.  It
+   is a field of the thread, and only read or written while tracing is
+   on. *)
 
-let self_tid rt = Marcel.tid (Marcel.self (Runtime.marcel rt))
 let new_span rt = Trace.new_span (trace rt)
-let current_span rt = Trace.thread_span (trace rt) ~tid:(self_tid rt)
+
+let current_span rt =
+  if Trace.enabled (trace rt) then Marcel.span (Marcel.self (Runtime.marcel rt))
+  else Trace.no_span
 
 let with_thread_span rt span f =
-  let tr = trace rt in
-  if not (Trace.enabled tr) then f ()
+  if not (Trace.enabled (trace rt)) then f ()
   else begin
-    let tid = self_tid rt in
-    let previous = Trace.thread_span tr ~tid in
-    Trace.set_thread_span tr ~tid span;
+    let th = Marcel.self (Runtime.marcel rt) in
+    let previous = Marcel.span th in
+    Marcel.set_span th span;
     match f () with
     | v ->
-        Trace.set_thread_span tr ~tid previous;
+        Marcel.set_span th previous;
         v
     | exception e ->
-        Trace.set_thread_span tr ~tid previous;
+        Marcel.set_span th previous;
         raise e
   end
 

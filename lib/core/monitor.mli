@@ -29,10 +29,14 @@ val new_span : Runtime.t -> int
 (** A fresh causal span id ([Trace.no_span] while monitoring is off). *)
 
 val current_span : Runtime.t -> int
-(** The span the calling Marcel thread is working on, or [Trace.no_span]. *)
+(** The span the calling Marcel thread is working on, or [Trace.no_span].
+    While monitoring is off it is [Trace.no_span] without looking the
+    thread up, so it may be called anywhere; while it is on, the caller
+    must be a Marcel thread. *)
 
 val with_thread_span : Runtime.t -> int -> (unit -> 'a) -> 'a
-(** Runs [f] with the calling thread's span set (restored afterwards). *)
+(** Runs [f] with the calling thread's span ({!Dsmpm2_pm2.Marcel.span})
+    set, restored afterwards.  Just [f ()] while monitoring is off. *)
 
 (** {2 Reports} *)
 

@@ -21,59 +21,83 @@ type entry = {
 
 type t = {
   table_node : int;
-  entries : entry Int_table.t;
-  node_exts : (int, ext) Hashtbl.t;
+  mutable entries : entry array;
+      (* page -> entry, [absent] where the page is not mapped: page numbers
+         are dense from the iso-address allocator, so a lookup is one
+         array read *)
+  mutable count : int;
+  mutable node_exts : ext array; (* protocol id -> state, [No_ext] if unset *)
   mutable mapped : Stats.cell option;
 }
 
 exception Not_mapped of int
 
-let create ~node =
+let new_entry ~page ~home ~owner ~protocol ~rights =
   {
-    table_node = node;
-    entries = Int_table.create 256;
-    node_exts = Hashtbl.create 8;
-    mapped = None;
+    page;
+    rights;
+    prob_owner = owner;
+    home;
+    copyset = [];
+    protocol;
+    faulting = false;
+    pinned = false;
+    fault_done = Marcel.Cond.create ();
+    entry_mutex = Marcel.Mutex.create ();
+    twin = None;
+    ext = No_ext;
   }
+
+let absent = new_entry ~page:(-1) ~home:0 ~owner:0 ~protocol:0 ~rights:Dsmpm2_mem.Access.No_access
+
+let create ~node =
+  { table_node = node; entries = [||]; count = 0; node_exts = [||]; mapped = None }
 
 let node t = t.table_node
 let count_mapped t cell = t.mapped <- Some cell
 
+(* The entry of [page], or [absent]; a page outside the array is a miss and
+   leaves the table as it is. *)
+let[@inline] get t page =
+  if page >= 0 && page < Array.length t.entries then Array.unsafe_get t.entries page
+  else absent
+
 let declare t ~page ~home ~owner ~protocol ~rights =
-  if Int_table.mem t.entries page then
+  if get t page != absent then
     invalid_arg (Printf.sprintf "Page_table.declare: page %d already mapped" page);
+  t.entries <- Dense.ensure t.entries page absent;
   Option.iter Stats.bump t.mapped;
-  let entry =
-    {
-      page;
-      rights;
-      prob_owner = owner;
-      home;
-      copyset = [];
-      protocol;
-      faulting = false;
-      pinned = false;
-      fault_done = Marcel.Cond.create ();
-      entry_mutex = Marcel.Mutex.create ();
-      twin = None;
-      ext = No_ext;
-    }
-  in
-  Int_table.add t.entries page entry;
+  let entry = new_entry ~page ~home ~owner ~protocol ~rights in
+  t.entries.(page) <- entry;
+  t.count <- t.count + 1;
   entry
 
 let find t page =
-  match Int_table.find t.entries page with
-  | e -> e
-  | exception Not_found -> raise (Not_mapped page)
+  let e = get t page in
+  if e == absent then raise (Not_mapped page);
+  e
 
-let find_opt t page = Int_table.find_opt t.entries page
-let mem t page = Int_table.mem t.entries page
-let length t = Int_table.length t.entries
+let find_opt t page =
+  let e = get t page in
+  if e == absent then None else Some e
+
+let mem t page = get t page != absent
+let length t = t.count
+
+let iter t f =
+  let entries = t.entries in
+  for page = 0 to Array.length entries - 1 do
+    let e = Array.unsafe_get entries page in
+    if e != absent then f e
+  done
 
 let entries t =
-  Int_table.fold (fun _ e acc -> e :: acc) t.entries []
-  |> List.sort (fun a b -> compare a.page b.page)
+  let acc = ref [] in
+  for page = Array.length t.entries - 1 downto 0 do
+    let e = t.entries.(page) in
+    if e != absent then acc := e :: !acc
+  done;
+  !acc
 
 let copyset_add e n =
   if not (List.mem n e.copyset) then
@@ -82,6 +106,9 @@ let copyset_add e n =
 let copyset_remove e n = e.copyset <- List.filter (fun m -> m <> n) e.copyset
 
 let node_ext t ~protocol =
-  match Hashtbl.find_opt t.node_exts protocol with Some e -> e | None -> No_ext
+  if protocol >= 0 && protocol < Array.length t.node_exts then t.node_exts.(protocol)
+  else No_ext
 
-let set_node_ext t ~protocol ext = Hashtbl.replace t.node_exts protocol ext
+let set_node_ext t ~protocol ext =
+  t.node_exts <- Dense.ensure t.node_exts protocol No_ext;
+  t.node_exts.(protocol) <- ext

@@ -62,10 +62,15 @@ val declare :
   protocol:int ->
   rights:Dsmpm2_mem.Access.t ->
   entry
-(** Adds an entry for [page]; raises [Invalid_argument] if already present. *)
+(** Adds an entry for [page]; raises [Invalid_argument] if already present
+    or if [page] is negative.  The table is an array indexed by page number
+    (iso-address pages are dense from 1), grown by doubling here and
+    nowhere else. *)
 
 val find : t -> int -> entry
-(** @raise Not_mapped if the page was never declared. *)
+(** One array read; allocation-free on a hit.
+    @raise Not_mapped if the page was never declared (negative pages and
+    pages beyond the array included; a miss never grows the table). *)
 
 val find_opt : t -> int -> entry option
 val mem : t -> int -> bool
@@ -73,6 +78,10 @@ val mem : t -> int -> bool
 val length : t -> int
 (** Number of mapped pages; O(1).  Pages are never unmapped, so an
     unchanged length means an unchanged set of entries. *)
+
+val iter : t -> (entry -> unit) -> unit
+(** Applies [f] to every entry in page order, allocating nothing.  [f] may
+    suspend: a page declared meanwhile may or may not be visited. *)
 
 val entries : t -> entry list
 (** Sorted by page number. *)

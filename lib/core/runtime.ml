@@ -68,12 +68,12 @@ type t = {
   stats : Stats.t;
   cells : Instrument.t;
   mutable services : services option;
-  locks : (int, lock_state) Hashtbl.t;
+  mutable locks : lock_state array; (* by id; slots from [next_lock] on are filler *)
   mutable next_lock : int;
-  barriers : (int, barrier_state) Hashtbl.t;
+  mutable barriers : barrier_state array; (* by id, as [locks] *)
   mutable next_barrier : int;
   mutable fault_loop_limit : int;
-  diffs_batch_handlers : (int, diffs_handler) Hashtbl.t;
+  mutable diffs_batch_handlers : diffs_handler option array; (* by protocol id *)
   mutable history : History.t option;
   mutable watch : watch_hooks option;
   mutable telemetry : attachment option;
@@ -114,12 +114,12 @@ let create ?(costs = default_costs) pm2 =
     stats;
     cells;
     services = None;
-    locks = Hashtbl.create 16;
+    locks = [||];
     next_lock = 0;
-    barriers = Hashtbl.create 16;
+    barriers = [||];
     next_barrier = 0;
     fault_loop_limit = 1000;
-    diffs_batch_handlers = Hashtbl.create 8;
+    diffs_batch_handlers = [||];
     history = None;
     watch = None;
     telemetry = None;
@@ -153,14 +153,12 @@ let services t =
 let entry t ~node ~page = Page_table.find t.tables.(node) page
 
 let lock_state t id =
-  match Hashtbl.find_opt t.locks id with
-  | Some l -> l
-  | None -> invalid_arg (Printf.sprintf "Runtime.lock_state: unknown lock %d" id)
+  if id >= 0 && id < t.next_lock then t.locks.(id)
+  else invalid_arg (Printf.sprintf "Runtime.lock_state: unknown lock %d" id)
 
 let barrier_state t id =
-  match Hashtbl.find_opt t.barriers id with
-  | Some b -> b
-  | None -> invalid_arg (Printf.sprintf "Runtime.barrier_state: unknown barrier %d" id)
+  if id >= 0 && id < t.next_barrier then t.barriers.(id)
+  else invalid_arg (Printf.sprintf "Runtime.barrier_state: unknown barrier %d" id)
 
 let record_history t ~start kind =
   match t.history with

@@ -80,15 +80,17 @@ type t = {
           duration series *)
   cells : Instrument.t;  (** the registry's hot-path cells *)
   mutable services : services option;  (** set once by {!Dsm_comm.init} *)
-  locks : (int, lock_state) Hashtbl.t;
+  mutable locks : lock_state array;
+      (** indexed by lock id: ids are dense from 0, and the slots from
+          [next_lock] on are filler *)
   mutable next_lock : int;
-  barriers : (int, barrier_state) Hashtbl.t;
+  mutable barriers : barrier_state array;  (** indexed by barrier id, as [locks] *)
   mutable next_barrier : int;
   mutable fault_loop_limit : int;
       (** safety bound on fault-retry iterations per access *)
-  diffs_batch_handlers : (int, diffs_handler) Hashtbl.t;
-      (** per-protocol whole-batch diff processing; see
-          {!Dsm_comm.set_diffs_handler} *)
+  mutable diffs_batch_handlers : diffs_handler option array;
+      (** per-protocol whole-batch diff processing, indexed by protocol id;
+          see {!Dsm_comm.set_diffs_handler} *)
   mutable history : History.t option;
       (** when set, the access and sync paths record every shared operation
           for the conformance checker (see [Dsm.enable_history]) *)
@@ -136,7 +138,11 @@ val entry : t -> node:int -> page:int -> Page_table.entry
 (** Shorthand for [Page_table.find (table t node) page]. *)
 
 val lock_state : t -> int -> lock_state
+(** One array read.  @raise Invalid_argument for an id [lock_create] never
+    returned. *)
+
 val barrier_state : t -> int -> barrier_state
+(** As {!lock_state}, for barriers. *)
 
 val notify_wait : t -> node:int -> tid:int -> target:int -> unit
 val notify_wake : t -> node:int -> tid:int -> target:int -> unit

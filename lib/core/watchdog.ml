@@ -211,13 +211,12 @@ let detect_cycles w =
   let rt = w.rt in
   let next tid =
     match Hashtbl.find_opt w.waiters tid with
-    | None -> None
-    | Some (target, _, _) when target < 0 -> None
-    | Some (lock, _, _) -> (
-        match Hashtbl.find_opt rt.Runtime.locks lock with
-        | Some ls when ls.Runtime.lock_held && ls.Runtime.lock_holder >= 0 ->
-            Some (lock, ls.Runtime.lock_holder)
-        | _ -> None)
+    | Some (lock, _, _) when lock >= 0 && lock < rt.Runtime.next_lock ->
+        let ls = Runtime.lock_state rt lock in
+        if ls.Runtime.lock_held && ls.Runtime.lock_holder >= 0 then
+          Some (lock, ls.Runtime.lock_holder)
+        else None
+    | _ -> None
   in
   Hashtbl.iter
     (fun tid0 _ ->
@@ -293,13 +292,14 @@ let audit_rows w =
     mapped := !mapped + Page_table.length (Runtime.table rt node)
   done;
   if !mapped <> w.audit_mapped then begin
-    w.audit_rows <-
-      Array.of_list
-        (List.map
-           (fun (e0 : Page_table.entry) ->
-             Array.init n (fun node ->
-                 Page_table.find_opt (Runtime.table rt node) e0.Page_table.page))
-           (Page_table.entries (Runtime.table rt 0)));
+    let table0 = Runtime.table rt 0 in
+    let rows = Array.make (Page_table.length table0) [||] in
+    let i = ref 0 in
+    Page_table.iter table0 (fun e0 ->
+        let page = e0.Page_table.page in
+        rows.(!i) <- Array.init n (fun node -> Page_table.find_opt (Runtime.table rt node) page);
+        incr i);
+    w.audit_rows <- rows;
     w.audit_mapped <- !mapped
   end;
   w.audit_rows

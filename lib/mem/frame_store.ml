@@ -1,13 +1,9 @@
-open Dsmpm2_sim
-
 type t = {
   geo : Page.geometry;
-  frames : bytes Int_table.t;
-  (* One-entry cache over [frames]: the word-access fast path hits the same
-     page repeatedly (array sweeps, spin loops), so the common case skips
-     the table probe entirely.  [last_page = -1] means empty. *)
-  mutable last_page : int;
-  mutable last_frame : bytes;
+  mutable frames : bytes array;
+      (* page -> frame, [absent] where the node holds no frame: page numbers
+         are dense, so the word-access fast path is one array read *)
+  mutable count : int;
   (* Frames that left the store (dropped, or replaced by an install), kept
      to be overwritten by [copy_out].  A 4 KiB buffer is allocated straight
      on the major heap, so a page transfer that reuses one costs the GC
@@ -19,12 +15,14 @@ type t = {
 
 let max_spares = 2
 
+(* No frame is empty: [install_owned] checks the page length. *)
+let absent = Bytes.empty
+
 let create ~geometry =
   {
     geo = geometry;
-    frames = Int_table.create 64;
-    last_page = -1;
-    last_frame = Bytes.empty;
+    frames = [||];
+    count = 0;
     spares = Array.make max_spares Bytes.empty;
     nspares = 0;
   }
@@ -36,38 +34,41 @@ let retire t b =
   end
 
 let geometry t = t.geo
-let has_frame t page = Int_table.mem t.frames page
 
-let frame t page =
-  if t.last_page = page then t.last_frame
-  else begin
-    let b =
-      match Int_table.find t.frames page with
-      | b -> b
-      | exception Not_found ->
-          let b = Bytes.make (Page.size t.geo) '\000' in
-          Int_table.add t.frames page b;
-          b
-    in
-    t.last_page <- page;
-    t.last_frame <- b;
-    b
-  end
+(* The frame of [page], or [absent]; a page outside the array is a miss and
+   leaves the store as it is. *)
+let[@inline] get t page =
+  if page >= 0 && page < Array.length t.frames then Array.unsafe_get t.frames page
+  else absent
+
+let has_frame t page = get t page != absent
+
+(* Stores [b] as [page]'s frame, growing the array to reach [page]. *)
+let set t page b =
+  t.frames <- Dsmpm2_sim.Dense.ensure t.frames page absent;
+  let old = t.frames.(page) in
+  if old == absent then t.count <- t.count + 1 else if old != b then retire t old;
+  t.frames.(page) <- b
+
+let materialise t page =
+  let b = Bytes.make (Page.size t.geo) '\000' in
+  set t page b;
+  b
+
+(* Inlined into the word accessors: a present frame costs them one array
+   read and no call. *)
+let[@inline] frame t page =
+  let b = get t page in
+  if b != absent then b else materialise t page
 
 let peek t page =
-  if t.last_page = page then Some t.last_frame else Int_table.find_opt t.frames page
+  let b = get t page in
+  if b == absent then None else Some b
 
-(* Installing takes over as the cached entry: the next access is almost
-   always to the page that just arrived. *)
 let install_owned t page data =
   if Bytes.length data <> Page.size t.geo then
     invalid_arg "Frame_store.install_owned: wrong page length";
-  (match Int_table.find t.frames page with
-  | old -> if old != data then retire t old
-  | exception Not_found -> ());
-  Int_table.replace t.frames page data;
-  t.last_page <- page;
-  t.last_frame <- data
+  set t page data
 
 let install t page data =
   if Bytes.length data <> Page.size t.geo then
@@ -75,13 +76,11 @@ let install t page data =
   install_owned t page (Bytes.copy data)
 
 let drop t page =
-  (match Int_table.find t.frames page with
-  | old -> retire t old
-  | exception Not_found -> ());
-  Int_table.remove t.frames page;
-  if t.last_page = page then begin
-    t.last_page <- -1;
-    t.last_frame <- Bytes.empty
+  let old = get t page in
+  if old != absent then begin
+    retire t old;
+    t.frames.(page) <- absent;
+    t.count <- t.count - 1
   end
 
 let copy_out t page =
@@ -95,7 +94,7 @@ let copy_out t page =
     b
   end
 
-let frame_count t = Int_table.length t.frames
+let frame_count t = t.count
 
 let check_word_aligned addr =
   if addr land 7 <> 0 then

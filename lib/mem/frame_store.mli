@@ -12,12 +12,15 @@ val geometry : t -> Page.geometry
 
 val has_frame : t -> int -> bool
 val frame : t -> int -> bytes
-(** Returns the frame for the page, creating a zeroed one if absent.
-    Repeated access to the same page hits a one-entry cache and skips the
-    hash probe. *)
+(** Returns the frame for the page, creating a zeroed one if absent.  The
+    store is an array indexed by page number, so a present frame costs one
+    array read.  Raises [Invalid_argument] on a negative page. *)
 
 val peek : t -> int -> bytes option
-(** The frame if present, without creating it. *)
+(** The frame if present, without creating it.  {!has_frame} and [peek]
+    miss cleanly on any page, negative or beyond every frame, and never
+    grow the store: only {!frame}, {!install}, {!install_owned} and
+    {!copy_out} do. *)
 
 val install : t -> int -> bytes -> unit
 (** Replaces (or creates) the frame with a copy of [bytes] (which must have

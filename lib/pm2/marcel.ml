@@ -15,19 +15,17 @@ type thread = {
   migratable : bool;
   mutable requested_node : int option;
       (* set by the load balancer; honoured at the next safe point *)
+  mutable span : int; (* the trace span the thread is working on *)
 }
 
 type t = {
   eng : Engine.t;
   cpus : Cpu.t array;
   mutable next_tid : int;
-  by_fiber : thread Int_table.t;
-  (* One-entry cache over [by_fiber]: the thread of fiber [self_fid].
-     Fiber ids are never reused, and a dead thread leaves the cache when it
-     leaves [by_fiber], so a cached pair cannot go stale.  [self_fid =
-     min_int] means empty (the engine's "no fiber" is -1). *)
-  mutable self_fid : int;
-  mutable self_th : thread;
+  mutable by_fiber : thread array;
+      (* fiber id -> its thread, [no_thread] where the fiber is not a live
+         Marcel thread.  The engine reuses the ids of ended fibers, so the
+         array is as long as the peak number of live fibers. *)
   mutable tick_us : float;
 }
 
@@ -43,6 +41,7 @@ let no_thread =
     joiners = [];
     migratable = false;
     requested_node = None;
+    span = Trace.no_span;
   }
 
 let create eng ~nodes =
@@ -51,9 +50,7 @@ let create eng ~nodes =
     eng;
     cpus = Array.init nodes (fun i -> Cpu.create ~name:(Printf.sprintf "node%d" i) ());
     next_tid = 0;
-    by_fiber = Int_table.create 64;
-    self_fid = min_int;
-    self_th = no_thread;
+    by_fiber = [||];
     tick_us = 0.;
   }
 
@@ -61,31 +58,28 @@ let engine t = t.eng
 let node_count t = Array.length t.cpus
 let cpu t i = t.cpus.(i)
 
-(* The thread of fiber [fid]; raises [Not_found] for fibers that are not
-   Marcel threads. *)
+(* The thread of fiber [fid], or [no_thread] for fibers that are not
+   Marcel threads (and for [-1], plain event context). *)
 let thread_of_fiber t fid =
-  if fid = t.self_fid then t.self_th
-  else begin
-    let th = Int_table.find t.by_fiber fid in
-    t.self_fid <- fid;
-    t.self_th <- th;
-    th
-  end
-
-(* The thread running now; raises [Not_found] outside Marcel threads. *)
-let current t = thread_of_fiber t (Engine.current_fiber t.eng)
+  if fid >= 0 && fid < Array.length t.by_fiber then Array.unsafe_get t.by_fiber fid
+  else no_thread
 
 let self t =
-  try current t
-  with Not_found -> failwith "Marcel.self: not running inside a Marcel thread"
+  let th = thread_of_fiber t (Engine.current_fiber t.eng) in
+  if th == no_thread then failwith "Marcel.self: not running inside a Marcel thread";
+  th
 
-let self_opt t = match current t with th -> Some th | exception Not_found -> None
+let self_opt t =
+  let th = thread_of_fiber t (Engine.current_fiber t.eng) in
+  if th == no_thread then None else Some th
 
 let node_of_fiber t fid =
-  Option.map (fun th -> th.node) (Int_table.find_opt t.by_fiber fid)
+  let th = thread_of_fiber t fid in
+  if th == no_thread then None else Some th.node
 
 let tid_of_fiber t fid =
-  Option.map (fun th -> th.tid) (Int_table.find_opt t.by_fiber fid)
+  let th = thread_of_fiber t fid in
+  if th == no_thread then None else Some th.tid
 
 let tid th = th.tid
 let node th = th.node
@@ -94,10 +88,13 @@ let request_move th ~dst = if th.migratable then th.requested_node <- Some dst
 let pending_move th = th.requested_node
 let clear_move th = th.requested_node <- None
 
+let span th = th.span
+let set_span th span = th.span <- span
+
 let live_threads t ~node =
-  Int_table.fold
-    (fun _ th acc -> if th.alive && th.node = node then th :: acc else acc)
-    t.by_fiber []
+  Array.fold_left
+    (fun acc th -> if th.alive && th.node = node then th :: acc else acc)
+    [] t.by_fiber
   |> List.sort (fun a b -> compare a.tid b.tid)
 let stack_bytes th = th.stack_bytes
 let attached_bytes th = th.attached_bytes
@@ -127,15 +124,6 @@ let pay_pending t th =
     Cpu.compute t.eng t.cpus.(th.node) (Time.of_us us)
   end
 
-(* A dead thread leaves the fiber map: every RPC served runs in a fresh
-   thread, so keeping them would grow the map for the whole run. *)
-let forget t fid =
-  Int_table.remove t.by_fiber fid;
-  if t.self_fid = fid then begin
-    t.self_fid <- min_int;
-    t.self_th <- no_thread
-  end
-
 (* The end of thread [th], run in its own fiber however its body ended: pay
    any outstanding lazily-charged CPU work before dying so accounting is
    complete (paying may suspend, so the thread stays mapped until then),
@@ -143,7 +131,8 @@ let forget t fid =
 let finish t th =
   pay_pending t th;
   th.alive <- false;
-  forget t (Engine.current_fiber t.eng);
+  (* The engine hands this fiber's id to a later spawn. *)
+  t.by_fiber.(Engine.current_fiber t.eng) <- no_thread;
   let joiners = th.joiners in
   th.joiners <- [];
   List.iter (fun resume -> resume ()) joiners
@@ -163,6 +152,7 @@ let spawn t ?(stack_bytes = 1024) ?(attached_bytes = 0) ?(migratable = false) ~n
       joiners = [];
       migratable;
       requested_node = None;
+      span = Trace.no_span;
     }
   in
   t.next_tid <- t.next_tid + 1;
@@ -174,7 +164,8 @@ let spawn t ?(stack_bytes = 1024) ?(attached_bytes = 0) ?(migratable = false) ~n
             finish t th;
             raise e)
   in
-  Int_table.replace t.by_fiber fid th;
+  t.by_fiber <- Dense.ensure t.by_fiber fid no_thread;
+  t.by_fiber.(fid) <- th;
   th
 
 let join t th =
@@ -204,7 +195,8 @@ let set_tick_us t us =
   t.tick_us <- us
 
 let flush_charges t =
-  match current t with th -> pay_pending t th | exception Not_found -> ()
+  let th = thread_of_fiber t (Engine.current_fiber t.eng) in
+  if th != no_thread then pay_pending t th
 
 let set_node t th node =
   if node < 0 || node >= Array.length t.cpus then

@@ -40,8 +40,9 @@ val spawn :
 
 val self : t -> thread
 (** The calling thread.  Raises [Failure] outside of a Marcel thread.
-    Allocation-free: a one-entry cache keyed by the current fiber answers
-    repeated calls from the same thread without a table probe. *)
+    Allocation-free: one read of an array indexed by the current fiber id
+    (the engine reuses the ids of ended fibers, so the array stays as long
+    as the peak number of live fibers). *)
 
 val self_opt : t -> thread option
 
@@ -54,9 +55,9 @@ val node_of_fiber : t -> int -> int option
 
 val tid_of_fiber : t -> int -> int option
 (** The tid of the Marcel thread running on engine fiber [fid], or [None]
-    for fibers that are not Marcel threads.  The PM2 layer composes this
-    with [Trace.thread_span] so the network can attribute a dropped message
-    to the operation of whoever is sending. *)
+    for fibers that are not Marcel threads.  Fiber ids are reused once a
+    fiber ends, so this (like {!node_of_fiber}) names the thread running on
+    [fid] now, never an earlier, dead one. *)
 
 val tid : thread -> int
 val node : thread -> int
@@ -68,6 +69,15 @@ val footprint_bytes : thread -> int
 
 val is_alive : thread -> bool
 val is_migratable : thread -> bool
+
+val span : thread -> int
+(** The trace span of the operation the thread is working on
+    ([Trace.no_span] until set).  Set by the DSM monitor
+    ([Monitor.with_thread_span]) and read wherever an event is attributed
+    to the thread's operation: the network's drop events, RPC retries,
+    migrations. *)
+
+val set_span : thread -> int -> unit
 
 val request_move : thread -> dst:int -> unit
 (** Asks a migratable thread to move to [dst]; honoured at its next safe

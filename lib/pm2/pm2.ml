@@ -18,13 +18,13 @@ let create ?tie_seed ?jitter ?(page_size = 4096) ~nodes ~driver () =
   let rpc = Rpc.create marcel net in
   let pm2_trace = Trace.create () in
   (* Fault forensics: the network and RPC layers emit Drop/Blackhole and
-     Rpc_retry events into the shared trace.  The span source walks
-     fiber -> Marcel thread -> active span, so a message dropped while an
+     Rpc_retry events into the shared trace.  The span source reads the
+     sending Marcel thread's active span, so a message dropped while an
      operation's thread is sending lands in that operation's span. *)
   Network.set_trace net pm2_trace ~span:(fun () ->
-      match Marcel.tid_of_fiber marcel (Engine.current_fiber eng) with
+      match Marcel.self_opt marcel with
       | None -> Trace.no_span
-      | Some tid -> Trace.thread_span pm2_trace ~tid);
+      | Some th -> Marcel.span th);
   Rpc.set_trace rpc pm2_trace;
   {
     eng;
@@ -59,7 +59,7 @@ let migrate t ~dst =
     t.migrations <- t.migrations + 1;
     if Trace.enabled t.pm2_trace then
       Trace.emit t.pm2_trace t.eng
-        ~span:(Trace.thread_span t.pm2_trace ~tid:(Marcel.tid th))
+        ~span:(Marcel.span th)
         (Trace.Migration { thread = Marcel.tid th; src; dst });
     Engine.suspend t.eng (fun resume ->
         Network.send t.net ~src ~dst

@@ -166,8 +166,7 @@ let call t ~dst ~service ~cost payload =
          context, where the sending thread's span is unreachable. *)
       let span =
         match t.rpc_trace with
-        | Some tr when Trace.enabled tr ->
-            Trace.thread_span tr ~tid:(Marcel.tid th)
+        | Some tr when Trace.enabled tr -> Marcel.span th
         | _ -> Trace.no_span
       in
       let rid = t.next_rid in

@@ -144,16 +144,13 @@ let lock_release rt ~node ~lock:_ =
    refetches the post-release reference copy from the home. *)
 let lock_acquire rt ~node ~lock:_ =
   let id = protocol_id rt in
-  let table = Runtime.table rt node in
-  List.iter
-    (fun (e : Page_table.entry) ->
+  Page_table.iter (Runtime.table rt node) (fun e ->
       if
         e.Page_table.protocol = id
         && node <> e.Page_table.home
         && e.Page_table.rights <> Access.No_access
         && not e.Page_table.faulting
       then Protocol_lib.with_entry rt e (fun () -> flush_and_drop rt ~node e))
-    (Page_table.entries table)
 
 (* Home-side processing of release-tagged diff batches: apply every diff,
    then invalidate third-party copies (each of which flushes its own diffs

@@ -66,9 +66,7 @@ let drop_selected rt ~node ~protocol ~only =
   let selected page =
     match only with None -> true | Some pages -> List.mem page pages
   in
-  let table = Runtime.table rt node in
-  List.iter
-    (fun (e : Page_table.entry) ->
+  Page_table.iter (Runtime.table rt node) (fun e ->
       if
         e.Page_table.protocol = protocol
         && node <> e.Page_table.home
@@ -78,7 +76,6 @@ let drop_selected rt ~node ~protocol ~only =
       then
         Protocol_lib.with_entry rt e (fun () ->
             Protocol_lib.drop_copy rt ~node ~page:e.Page_table.page))
-    (Page_table.entries table)
 
 let fetch rt ~node ~page ~mode =
   let e = Runtime.entry rt ~node ~page in

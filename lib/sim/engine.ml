@@ -24,6 +24,11 @@ type t = {
   mutable live : int;
   mutable executed : int;
   mutable next_fiber : int;
+  mutable free : int array;
+  mutable nfree : int;
+      (* ids of ended fibers, a stack in [free.(0 .. nfree - 1)]: [spawn]
+         reuses them before taking [next_fiber], so tables indexed by fiber
+         id stay as short as the peak number of live fibers *)
   mutable current : int; (* -1 outside any fiber *)
   mutable handler : (unit, unit) Effect.Deep.handler;
   tie_rng : Rng.t option;
@@ -173,6 +178,15 @@ let resumer t fid k =
         cell := None;
         schedule t t.clock fid nop k
 
+(* A fiber's body returned or raised: its id is free for the next [spawn].
+   The handler runs this inside the fiber's last slice, so [current] is the
+   ending fiber. *)
+let release t =
+  t.free <- Dense.ensure t.free t.nfree 0;
+  t.free.(t.nfree) <- t.current;
+  t.nfree <- t.nfree + 1;
+  t.live <- t.live - 1
+
 (* One handler serves every fiber of the engine.  A fiber performs
    [Suspend] only while one of its slices runs, so [current] names it.
    The fiber accounting ([live]) brackets the whole fiber lifetime: a
@@ -193,6 +207,8 @@ let create ?tie_seed () =
       live = 0;
       executed = 0;
       next_fiber = 0;
+      free = [||];
+      nfree = 0;
       current = -1;
       handler = { retc = ignore; exnc = raise; effc = (fun _ -> None) };
       tie_rng = Option.map (fun seed -> Rng.create ~seed) tie_seed;
@@ -205,8 +221,8 @@ let create ?tie_seed () =
      [create] measurably slower. *)
   t.handler <-
     {
-      retc = (fun () -> t.live <- t.live - 1);
-      exnc = (fun e -> t.live <- t.live - 1; raise e);
+      retc = (fun () -> release t);
+      exnc = (fun e -> release t; raise e);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
@@ -247,8 +263,17 @@ let slice t fid body k =
       schedule t until fid body k
 
 let spawn t f =
-  let fid = t.next_fiber in
-  t.next_fiber <- fid + 1;
+  let fid =
+    if t.nfree > 0 then begin
+      t.nfree <- t.nfree - 1;
+      t.free.(t.nfree)
+    end
+    else begin
+      let fid = t.next_fiber in
+      t.next_fiber <- fid + 1;
+      fid
+    end
+  in
   t.live <- t.live + 1;
   schedule t t.clock fid f None;
   fid

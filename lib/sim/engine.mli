@@ -83,11 +83,19 @@ val pending_events : t -> int
 val spawn : t -> (unit -> unit) -> int
 (** [spawn t f] schedules a new fiber running [f] at the current time and
     returns its fiber id.  While the fiber (or one of its resumed
-    continuations) is executing, [current_fiber t] returns this id. *)
+    continuations) is executing, [current_fiber t] returns this id.  Ids
+    are small non-negative ints, and an id is reused once its fiber has
+    ended (its body returned or raised): the most recently freed id goes
+    first, and a fresh id only when none is free.  A table indexed by
+    fiber id therefore needs no more slots than the peak number of live
+    fibers.  Reuse changes no schedule: events are ordered by time, tie key
+    and sequence number, never by fiber id. *)
 
 val current_fiber : t -> int
 (** The id of the fiber whose code is executing right now, or [-1] when
-    running in plain event context (timer callbacks, message deliveries). *)
+    running in plain event context (timer callbacks, message deliveries).
+    Once a fiber has ended, a later {!spawn} may hand its id to a new
+    fiber, so an id names a fiber only while that fiber is live. *)
 
 val suspend : t -> ((unit -> unit) -> unit) -> unit
 (** [suspend t register] suspends the calling fiber.  [register] receives a

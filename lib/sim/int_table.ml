@@ -3,7 +3,7 @@ include Hashtbl.Make (struct
 
   let equal (a : int) b = a = b
 
-  (* The key itself: pages and fiber ids are small dense integers, which a
+  (* The key itself: the keys (pages, node ids) are small integers, which a
      power-of-two bucket array spreads as well as any mixing would. *)
   let hash (x : int) = x land max_int
 end)

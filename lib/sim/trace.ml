@@ -149,7 +149,6 @@ type t = {
   mutable total : int; (* events ever recorded, monotonic *)
   mutable cap : int option; (* flight-recorder bound; [None] = unbounded *)
   mutable next_span : int;
-  thread_spans : int Int_table.t; (* tid -> active span *)
   mutable autodump : string option; (* dump target armed on critical alerts *)
   mutable autodump_fired : bool;
   mutable observer : (at:Time.t -> span:int -> event -> unit) option;
@@ -171,7 +170,6 @@ let create ?(enabled = false) () =
     total = 0;
     cap = None;
     next_span = 0;
-    thread_spans = Int_table.create 16;
     autodump = None;
     autodump_fired = false;
     observer = None;
@@ -325,18 +323,6 @@ let new_span t =
     t.next_span <- s + 1;
     s
   end
-
-let set_thread_span t ~tid span =
-  if t.on then
-    if span = no_span then Int_table.remove t.thread_spans tid
-    else Int_table.replace t.thread_spans tid span
-
-let thread_span t ~tid =
-  if not t.on then no_span
-  else
-    match Int_table.find t.thread_spans tid with
-    | span -> span
-    | exception Not_found -> no_span
 
 (* --- recording --- *)
 

@@ -175,19 +175,16 @@ val sampled_out : t -> int
     from {!evicted}: sampled-out events were never stored and do not
     advance {!recorded}. *)
 
-(** {2 Span context}
+(** {2 Spans}
 
-    All span bookkeeping is a no-op while the trace is disabled. *)
+    A span groups the events of one operation (a fault, a served request)
+    across nodes.  The trace only numbers them: the span a thread is
+    working on lives on the thread itself ([Marcel.span], set by
+    [Monitor.with_thread_span]), so finding it is a field read, not a
+    lookup keyed by thread. *)
 
 val new_span : t -> int
 (** A fresh span id ([no_span] when disabled). *)
-
-val set_thread_span : t -> tid:int -> int -> unit
-(** Associates the active span with a Marcel thread; passing [no_span]
-    clears the association. *)
-
-val thread_span : t -> tid:int -> int
-(** The thread's active span, or [no_span]. *)
 
 (** {2 Recording} *)
 

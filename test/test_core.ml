@@ -67,6 +67,88 @@ let test_page_table_int_keys () =
     [ 1; 1000 * 17; -17; 1 lsl 40 ];
   Alcotest.(check int) "all entries listed" 1000 (List.length (Page_table.entries t))
 
+(* Random operation sequences on a page table and a frame store, replayed
+   against association-list models.  Probes and drops reach below zero and
+   far past the arrays' ends, so misses are exercised; only pages 0..40
+   are ever stored. *)
+type table_op =
+  | Declare of int
+  | Probe of int
+  | Frame of int
+  | Install of int * char
+  | Drop of int
+
+let show_table_op = function
+  | Declare p -> Printf.sprintf "declare %d" p
+  | Probe p -> Printf.sprintf "probe %d" p
+  | Frame p -> Printf.sprintf "frame %d" p
+  | Install (p, c) -> Printf.sprintf "install %d %C" p c
+  | Drop p -> Printf.sprintf "drop %d" p
+
+let gen_table_op =
+  QCheck.Gen.(
+    let stored = int_range 0 40 in
+    let any = oneof [ int_range (-3) 70; return (1 lsl 40); return min_int ] in
+    frequency
+      [
+        (2, map (fun p -> Declare p) stored);
+        (3, map (fun p -> Probe p) any);
+        (2, map (fun p -> Frame p) stored);
+        (2, map2 (fun p c -> Install (p, c)) stored (char_range 'a' 'z'));
+        (2, map (fun p -> Drop p) any);
+      ])
+
+let prop_tables_match_model =
+  QCheck.Test.make ~name:"page table and frame store match a model" ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show_table_op ops))
+        Gen.(list_size (int_range 0 120) gen_table_op))
+    (fun ops ->
+      let geo = Page.geometry ~size:64 in
+      let t = Page_table.create ~node:0 and fs = Frame_store.create ~geometry:geo in
+      let pages = ref [] and frames = ref [] in
+      let byte b = Bytes.get b 0 in
+      let step op =
+        (match op with
+        | Declare p -> (
+            match Page_table.declare t ~page:p ~home:0 ~owner:0 ~protocol:0 ~rights:Access.No_access with
+            | e -> if List.mem p !pages || e.Page_table.page <> p then failwith "declare accepted"
+            | exception Invalid_argument _ -> if not (List.mem p !pages) then failwith "declare refused");
+            if not (List.mem p !pages) then pages := p :: !pages
+        | Probe p ->
+            let mapped = List.mem p !pages in
+            if Page_table.mem t p <> mapped then failwith "mem";
+            (match Page_table.find_opt t p with
+            | Some e -> if not mapped || e.Page_table.page <> p then failwith "find_opt hit"
+            | None -> if mapped then failwith "find_opt miss");
+            (match Page_table.find t p with
+            | e -> if e.Page_table.page <> p then failwith "find"
+            | exception Page_table.Not_mapped q -> if mapped || q <> p then failwith "find miss");
+            let model = List.assoc_opt p !frames in
+            if Frame_store.has_frame fs p <> (model <> None) then failwith "has_frame";
+            if Option.map byte (Frame_store.peek fs p) <> model then failwith "peek"
+        | Frame p ->
+            let b = Frame_store.frame fs p in
+            let expected = Option.value ~default:'\000' (List.assoc_opt p !frames) in
+            if byte b <> expected then failwith "frame contents";
+            frames := (p, expected) :: List.remove_assoc p !frames
+        | Install (p, c) ->
+            Frame_store.install_owned fs p (Bytes.make (Page.size geo) c);
+            frames := (p, c) :: List.remove_assoc p !frames
+        | Drop p ->
+            Frame_store.drop fs p;
+            frames := List.remove_assoc p !frames);
+        let sorted = List.sort compare !pages in
+        let visited = ref [] in
+        Page_table.iter t (fun e -> visited := e.Page_table.page :: !visited);
+        Page_table.length t = List.length sorted
+        && List.map (fun e -> e.Page_table.page) (Page_table.entries t) = sorted
+        && List.rev !visited = sorted
+        && Frame_store.frame_count fs = List.length !frames
+      in
+      List.for_all step ops)
+
 (* --- allocation --- *)
 
 let test_malloc_round_robin_homes () =
@@ -513,6 +595,7 @@ let () =
           Alcotest.test_case "copyset" `Quick test_page_table_copyset;
           Alcotest.test_case "entries sorted" `Quick test_page_table_entries_sorted;
           Alcotest.test_case "int keys" `Quick test_page_table_int_keys;
+          QCheck_alcotest.to_alcotest prop_tables_match_model;
         ] );
       ( "malloc",
         [

@@ -605,6 +605,46 @@ let test_disabled_monitor_no_events () =
   Alcotest.(check int) "no events recorded" 0 (Trace.length (Monitor.trace dsm));
   Alcotest.(check int) "spans not minted" Trace.no_span (Monitor.new_span dsm)
 
+let test_current_span_off_outside_threads () =
+  (* With monitoring off there is no span to find, so no thread is looked
+     up: outside any Marcel thread the answer is still [no_span]. *)
+  let dsm = Dsm.create ~nodes:2 ~driver:Driver.bip_myrinet () in
+  Alcotest.(check int) "no span" Trace.no_span (Monitor.current_span dsm)
+
+let test_span_bookkeeping_allocates_nothing () =
+  (* Two threads take turns, so each [Marcel.self] follows a fiber switch;
+     it and [with_thread_span] (monitoring on) are array and field reads.
+     A yield's own allocation is the same in both loops and cancels. *)
+  let dsm = Dsm.create ~nodes:1 ~driver:Driver.bip_myrinet () in
+  Monitor.enable dsm true;
+  let marcel = Runtime.marcel dsm in
+  let n = 1_000 in
+  let body () = () in
+  let words_of_turns ~lookups =
+    let words = ref 0. in
+    for i = 0 to 1 do
+      ignore
+        (Dsm.spawn dsm ~node:0 (fun () ->
+             for _ = 1 to 16 do Dsmpm2_pm2.Marcel.yield marcel done;
+             let before = Gc.minor_words () in
+             for _ = 1 to n do
+               Dsmpm2_pm2.Marcel.yield marcel;
+               if lookups then begin
+                 ignore (Sys.opaque_identity (Dsmpm2_pm2.Marcel.self marcel));
+                 Monitor.with_thread_span dsm i body
+               end
+             done;
+             words := !words +. (Gc.minor_words () -. before)))
+    done;
+    Dsm.run dsm;
+    !words
+  in
+  let base = words_of_turns ~lookups:false in
+  let per_call = (words_of_turns ~lookups:true -. base) /. float_of_int (2 * n) in
+  Alcotest.(check bool)
+    (Printf.sprintf "self + with_thread_span: %.3f words/call" per_call)
+    true (per_call < 1.)
+
 (* --- byte identity of the exported trace ---
 
    These digests pin every byte of the JSONL dump of a seeded, watched run,
@@ -707,6 +747,10 @@ let () =
           Alcotest.test_case "cold fault linkage" `Quick test_span_links_cold_fault;
           Alcotest.test_case "disabled records nothing" `Quick
             test_disabled_monitor_no_events;
+          Alcotest.test_case "current span off outside threads" `Quick
+            test_current_span_off_outside_threads;
+          Alcotest.test_case "span bookkeeping allocates nothing" `Quick
+            test_span_bookkeeping_allocates_nothing;
         ] );
       ( "determinism",
         [

@@ -39,7 +39,7 @@ let test_self_outside_thread_fails () =
       ignore (Marcel.self (Pm2.marcel pm2)))
 
 let test_self_across_fibers () =
-  (* Marcel.self caches the current thread: interleaved fibers and a
+  (* Marcel.self reads the current fiber's slot: interleaved fibers and a
      re-homed thread must still each see themselves. *)
   let pm2 = Pm2.create ~nodes:2 ~driver:Driver.bip_myrinet () in
   let marcel = Pm2.marcel pm2 in
@@ -63,6 +63,78 @@ let test_self_across_fibers () =
   Pm2.run pm2;
   Alcotest.(check int) "each fiber sees its own thread" 0 !mismatches;
   Alcotest.(check int) "self follows set_node" 1 !rehomed
+
+let test_reused_fiber_names_new_thread () =
+  (* The engine hands an ended fiber's id to the next spawn: every
+     fiber -> thread query must then name the new thread, never the dead
+     one, and answer None once it has ended too. *)
+  let pm2 = Pm2.create ~nodes:2 ~driver:Driver.bip_myrinet () in
+  let marcel = Pm2.marcel pm2 in
+  let eng = Pm2.engine pm2 in
+  let fid = ref (-1) in
+  let first = Pm2.spawn pm2 ~node:0 (fun () -> fid := Engine.current_fiber eng) in
+  Pm2.run pm2;
+  let seen = ref None in
+  let second =
+    Pm2.spawn pm2 ~node:1 (fun () ->
+        let f = Engine.current_fiber eng in
+        seen :=
+          Some
+            ( f,
+              Marcel.self marcel,
+              Marcel.node_of_fiber marcel f,
+              Marcel.tid_of_fiber marcel f ))
+  in
+  Pm2.run pm2;
+  match !seen with
+  | None -> Alcotest.fail "second thread did not run"
+  | Some (f, self, node, tid) ->
+      Alcotest.(check int) "id reused" !fid f;
+      Alcotest.(check bool) "self is the new thread" true (self == second);
+      Alcotest.(check bool) "not the dead one" true (self != first);
+      Alcotest.(check (option int)) "node_of_fiber" (Some 1) node;
+      Alcotest.(check (option int)) "tid_of_fiber" (Some (Marcel.tid second)) tid;
+      Alcotest.(check (option int)) "ended: no node" None (Marcel.node_of_fiber marcel f);
+      Alcotest.(check (option int)) "ended: no tid" None (Marcel.tid_of_fiber marcel f)
+
+let test_live_threads_by_tid_after_reuse () =
+  (* The first thread ends early and its fiber id goes to a later thread,
+     so fiber order is not tid order; live_threads still sorts by tid. *)
+  let pm2 = Pm2.create ~nodes:1 ~driver:Driver.bip_myrinet () in
+  let marcel = Pm2.marcel pm2 in
+  let sleeper us () = Engine.sleep (Pm2.engine pm2) (Time.of_us us) in
+  let spawn us = Pm2.spawn pm2 ~node:0 (sleeper us) in
+  let _short = spawn 1. in
+  let b = spawn 10. in
+  let c = spawn 10. in
+  Pm2.run pm2 ~limit:(Time.of_us 5.);
+  let d = spawn 10. in
+  Alcotest.(check (list int)) "live threads by tid"
+    (List.map Marcel.tid [ b; c; d ])
+    (List.map Marcel.tid (Marcel.live_threads marcel ~node:0));
+  Pm2.run pm2
+
+let test_sequential_spawns_stay_short () =
+  (* 10 000 threads, one alive at a time: every one runs on the same few
+     fiber ids, and the runtime holds no more memory after the last than
+     after the first hundred. *)
+  let pm2 = Pm2.create ~nodes:1 ~driver:Driver.bip_myrinet () in
+  let marcel = Pm2.marcel pm2 in
+  let eng = Pm2.engine pm2 in
+  let max_fid = ref (-1) in
+  let cycles n =
+    for _ = 1 to n do
+      ignore
+        (Pm2.spawn pm2 ~node:0 (fun () -> max_fid := max !max_fid (Engine.current_fiber eng)));
+      Pm2.run pm2
+    done
+  in
+  cycles 100;
+  let words_early = Obj.reachable_words (Obj.repr marcel) in
+  cycles 9_900;
+  Alcotest.(check int) "one fiber id serves every thread" 0 !max_fid;
+  Alcotest.(check int) "no growth with threads served" words_early
+    (Obj.reachable_words (Obj.repr marcel))
 
 let test_charge_then_compute_accounts () =
   let final = ref 0. in
@@ -534,6 +606,12 @@ let () =
           Alcotest.test_case "spawn/self/join" `Quick test_spawn_self_join;
           Alcotest.test_case "self outside thread" `Quick test_self_outside_thread_fails;
           Alcotest.test_case "self across fibers" `Quick test_self_across_fibers;
+          Alcotest.test_case "reused fiber names new thread" `Quick
+            test_reused_fiber_names_new_thread;
+          Alcotest.test_case "live threads by tid after reuse" `Quick
+            test_live_threads_by_tid_after_reuse;
+          Alcotest.test_case "sequential spawns stay short" `Quick
+            test_sequential_spawns_stay_short;
           Alcotest.test_case "charge accounting" `Quick test_charge_then_compute_accounts;
           Alcotest.test_case "charges paid at exit" `Quick
             test_pending_charges_paid_at_exit;

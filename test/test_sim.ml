@@ -151,6 +151,34 @@ let test_engine_current_fiber () =
   Alcotest.(check int) "inside fiber" fid !inside;
   Alcotest.(check int) "event context has no fiber" (-1) !outside
 
+let test_engine_reuses_ended_fiber_ids () =
+  (* An ended fiber's id goes to the next spawn, whether its body returned
+     or raised; a live fiber's id is never handed out. *)
+  let eng = Engine.create () in
+  let seen = ref [] in
+  let record () = seen := Engine.current_fiber eng :: !seen in
+  let a = Engine.spawn eng record in
+  Engine.run eng;
+  let b = Engine.spawn eng record in
+  Alcotest.(check int) "finished fiber's id reused" a b;
+  Engine.run eng;
+  let c =
+    Engine.spawn eng (fun () ->
+        record ();
+        failwith "boom")
+  in
+  Alcotest.check_raises "body raised" (Failure "boom") (fun () -> Engine.run eng);
+  let d = Engine.spawn eng record in
+  Alcotest.(check int) "raised fiber's id reused" c d;
+  Engine.run eng;
+  let sleeper = Engine.spawn eng (fun () -> Engine.sleep eng (Time.of_us 1.); record ()) in
+  let other = Engine.spawn eng record in
+  Alcotest.(check bool) "live ids distinct" true (sleeper <> other);
+  Engine.run eng;
+  Alcotest.(check (list int)) "current_fiber inside each" [ a; b; c; d; other; sleeper ]
+    (List.rev !seen);
+  Alcotest.(check int) "no fiber left" 0 (Engine.live_fibers eng)
+
 let test_engine_resume_twice_rejected () =
   let eng = Engine.create () in
   let saved = ref ignore in
@@ -703,6 +731,8 @@ let () =
           Alcotest.test_case "sleep advances clock" `Quick test_engine_sleep_advances_clock;
           Alcotest.test_case "stall detection" `Quick test_engine_stalled_detection;
           Alcotest.test_case "current fiber" `Quick test_engine_current_fiber;
+          Alcotest.test_case "ended fiber ids reused" `Quick
+            test_engine_reuses_ended_fiber_ids;
           Alcotest.test_case "double resume rejected" `Quick
             test_engine_resume_twice_rejected;
           Alcotest.test_case "run limit" `Quick test_engine_run_limit;
