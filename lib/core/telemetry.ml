@@ -83,16 +83,18 @@ module Pages = struct
      writer plus a running handoff count — a transition [n <> last] in the
      chronological write sequence is counted the moment it happens, which
      is precisely what replaying the sequence afterwards would count.  The
-     size of the reader/writer union is kept as the sets grow, so
-     classifying a page reads counters and builds nothing. *)
+     sets are one flag byte per node, and each set's size (and the size of
+     the reader/writer union) is kept as the sets grow, so classifying a
+     page reads counters and builds nothing. *)
   type acc = {
     mutable c_protocol : string;
     mutable c_read_faults : int;
     mutable c_write_faults : int;
-    c_readers : unit Int_table.t;
-    c_writers : unit Int_table.t;
+    mutable c_nodes : Bytes.t; (* by node: [reader] lor [writer] lor [differ] *)
+    mutable c_readers : int; (* nodes flagged [reader] *)
+    mutable c_writers : int; (* nodes flagged [writer] *)
+    mutable c_differs : int; (* nodes flagged [differ] *)
     mutable c_accessors : int; (* |readers| + |writers \ readers| *)
-    c_differs : unit Int_table.t;
     mutable c_diffs : int; (* diffs received (one per Diff per page) *)
     mutable c_transfers : int;
     mutable c_send_bytes : int;
@@ -102,51 +104,100 @@ module Pages = struct
     mutable c_handoffs : int; (* writer changes in the chronological order *)
   }
 
-  type t = { tbl : acc Int_table.t }
+  let reader = 1
+  let writer = 2
+  let differ = 4
 
-  let create () = { tbl = Int_table.create 64 }
+  let fresh () =
+    {
+      c_protocol = "?";
+      c_read_faults = 0;
+      c_write_faults = 0;
+      c_nodes = Bytes.empty;
+      c_readers = 0;
+      c_writers = 0;
+      c_differs = 0;
+      c_accessors = 0;
+      c_diffs = 0;
+      c_transfers = 0;
+      c_send_bytes = 0;
+      c_diff_bytes = 0;
+      c_invalidations = 0;
+      c_last_writer = -1;
+      c_handoffs = 0;
+    }
+
+  (* Pages are dense from 1 ({!Page_table}): the accumulators are an array
+     indexed by page, [absent] where no event named the page yet. *)
+  type t = { mutable accs : acc array; mutable count : int }
+
+  let absent = fresh ()
+  let create () = { accs = [||]; count = 0 }
+
+  let find t page =
+    if page >= 0 && page < Array.length t.accs then t.accs.(page) else absent
 
   let acc t page =
-    match Int_table.find t.tbl page with
-    | a -> a
-    | exception Not_found ->
-        let a =
-          {
-            c_protocol = "?";
-            c_read_faults = 0;
-            c_write_faults = 0;
-            c_readers = Int_table.create 4;
-            c_writers = Int_table.create 4;
-            c_accessors = 0;
-            c_differs = Int_table.create 4;
-            c_diffs = 0;
-            c_transfers = 0;
-            c_send_bytes = 0;
-            c_diff_bytes = 0;
-            c_invalidations = 0;
-            c_last_writer = -1;
-            c_handoffs = 0;
-          }
-        in
-        Int_table.add t.tbl page a;
-        a
+    let a = find t page in
+    if a != absent then a
+    else begin
+      let a = fresh () in
+      t.accs <- Dense.ensure t.accs page absent;
+      t.accs.(page) <- a;
+      t.count <- t.count + 1;
+      a
+    end
+
+  let flags a node =
+    if node < Bytes.length a.c_nodes then Char.code (Bytes.get a.c_nodes node)
+    else 0
+
+  let set_flag a node bit =
+    let n = Bytes.length a.c_nodes in
+    if node >= n then begin
+      let grown = Bytes.make (max (2 * n) (node + 1)) '\000' in
+      Bytes.blit a.c_nodes 0 grown 0 n;
+      a.c_nodes <- grown
+    end;
+    Bytes.set a.c_nodes node (Char.chr (flags a node lor bit))
 
   let note_read a node =
-    if not (Int_table.mem a.c_readers node) then begin
-      if not (Int_table.mem a.c_writers node) then
-        a.c_accessors <- a.c_accessors + 1;
-      Int_table.add a.c_readers node ()
+    let f = flags a node in
+    if f land reader = 0 then begin
+      if f land writer = 0 then a.c_accessors <- a.c_accessors + 1;
+      a.c_readers <- a.c_readers + 1;
+      set_flag a node reader
     end
 
   let note_write a node =
-    if not (Int_table.mem a.c_writers node) then begin
-      if not (Int_table.mem a.c_readers node) then
-        a.c_accessors <- a.c_accessors + 1;
-      Int_table.add a.c_writers node ()
+    let f = flags a node in
+    if f land writer = 0 then begin
+      if f land reader = 0 then a.c_accessors <- a.c_accessors + 1;
+      a.c_writers <- a.c_writers + 1;
+      set_flag a node writer
     end;
     if a.c_last_writer >= 0 && node <> a.c_last_writer then
       a.c_handoffs <- a.c_handoffs + 1;
     a.c_last_writer <- node
+
+  let note_differ a node =
+    if flags a node land differ = 0 then begin
+      a.c_differs <- a.c_differs + 1;
+      set_flag a node differ
+    end
+
+  (* One Diff names several pages; each is credited an equal [share] of
+     its bytes. *)
+  let rec feed_diff t ~protocol ~sender ~share = function
+    | [] -> ()
+    | page :: rest ->
+        let a = acc t page in
+        a.c_protocol <- protocol;
+        note_differ a sender;
+        a.c_diffs <- a.c_diffs + 1;
+        a.c_diff_bytes <- a.c_diff_bytes + share;
+        note_write a sender;
+        feed_diff t ~protocol ~sender ~share rest
 
   let feed t ev =
     match ev with
@@ -174,16 +225,8 @@ module Pages = struct
         a.c_protocol <- protocol;
         a.c_invalidations <- a.c_invalidations + 1
     | Trace.Diff { page_list; bytes; sender; protocol; _ } ->
-        let n = max 1 (List.length page_list) in
-        List.iter
-          (fun page ->
-            let a = acc t page in
-            a.c_protocol <- protocol;
-            Int_table.replace a.c_differs sender ();
-            a.c_diffs <- a.c_diffs + 1;
-            a.c_diff_bytes <- a.c_diff_bytes + (bytes / n);
-            note_write a sender)
-          page_list
+        let share = bytes / max 1 (List.length page_list) in
+        feed_diff t ~protocol ~sender ~share page_list
     | _ -> ()
 
   (* The classification heuristic, identical to the post-mortem analyzer's
@@ -199,16 +242,16 @@ module Pages = struct
      and some reader is remote unless the only reader is the writer. *)
   let classify_acc a =
     if a.c_accessors <= 1 then Private
-    else if Int_table.length a.c_differs >= 2 then False_sharing
+    else if a.c_differs >= 2 then False_sharing
     else
-      match Int_table.length a.c_writers with
+      match a.c_writers with
       | 0 -> Read_mostly
       | 1 ->
           let w = a.c_last_writer in
           let remote_readers =
-            match Int_table.length a.c_readers with
+            match a.c_readers with
             | 0 -> false
-            | 1 -> not (Int_table.mem a.c_readers w)
+            | 1 -> flags a w land reader = 0
             | _ -> true
           in
           let produces = a.c_write_faults + a.c_diffs in
@@ -217,8 +260,13 @@ module Pages = struct
           else Single_writer
       | _ -> if a.c_handoffs >= 2 then Migratory else Mixed
 
-  let sorted_keys tbl =
-    Int_table.fold (fun k () acc -> k :: acc) tbl [] |> List.sort compare
+  (* The nodes carrying [bit], ascending. *)
+  let nodes_with a bit =
+    let l = ref [] in
+    for node = Bytes.length a.c_nodes - 1 downto 0 do
+      if flags a node land bit <> 0 then l := node :: !l
+    done;
+    !l
 
   let profile_acc page a =
     {
@@ -227,23 +275,28 @@ module Pages = struct
       pr_pattern = classify_acc a;
       pr_read_faults = a.c_read_faults;
       pr_write_faults = a.c_write_faults;
-      pr_readers = sorted_keys a.c_readers;
-      pr_writers = sorted_keys a.c_writers;
-      pr_diff_senders = sorted_keys a.c_differs;
+      pr_readers = nodes_with a reader;
+      pr_writers = nodes_with a writer;
+      pr_diff_senders = nodes_with a differ;
       pr_transfers = a.c_transfers;
       pr_bytes = a.c_send_bytes + a.c_diff_bytes;
       pr_invalidations = a.c_invalidations;
     }
 
   let profile t page =
-    Option.map (profile_acc page) (Int_table.find_opt t.tbl page)
+    let a = find t page in
+    if a == absent then None else Some (profile_acc page a)
 
   let profiles t =
-    Int_table.fold (fun page a acc -> profile_acc page a :: acc) t.tbl []
-    |> List.sort (fun a b ->
+    let l = ref [] in
+    Array.iteri
+      (fun page a -> if a != absent then l := profile_acc page a :: !l)
+      t.accs;
+    List.sort (fun a b ->
            compare
              (b.pr_read_faults + b.pr_write_faults, b.pr_bytes, a.pr_page)
              (a.pr_read_faults + a.pr_write_faults, a.pr_bytes, b.pr_page))
+         !l
 end
 
 (* --- the attached engine --- *)
@@ -271,14 +324,22 @@ type interval = {
   iv_advice : advice list;
 }
 
-(* The last [thrash_window] installs of one page, as a fixed ring of
-   (at, node) pairs: [w_next] is the slot the next install overwrites,
-   which once the ring is full holds the oldest install. *)
-type window = {
-  w_at : Time.t array;
-  w_node : int array;
-  mutable w_next : int;
-  mutable w_len : int;
+(* What the engine keeps per page.  A page belongs to the interval's
+   touched set when its stamp is the current interval, so the set empties
+   by moving to the next interval: nothing is cleared.  The page's last
+   [thrash_window] installs are a fixed ring of (at, node) pairs:
+   [ps_next] is the slot the next install overwrites, which once the ring
+   is full holds the oldest install. *)
+type page_state = {
+  mutable ps_stamp : int; (* the last interval that touched the page *)
+  mutable ps_installs : int; (* installs during interval [ps_stamp] *)
+  mutable ps_pattern : pattern option; (* last known classification *)
+  mutable ps_advised : string option; (* recommendation issued *)
+  mutable ps_thrash_last : Time.t option; (* last thrash report *)
+  ps_at : Time.t array;
+  ps_node : int array;
+  mutable ps_next : int;
+  mutable ps_len : int;
 }
 
 type t = {
@@ -286,68 +347,91 @@ type t = {
   cfg : config;
   pgs : Pages.t;
   mutable seen : int; (* events observed, pre-sampling *)
-  class_cache : pattern Int_table.t; (* last known pattern per page *)
+  mutable states : page_state array; (* by page, [no_state] if untouched *)
+  mutable touched : int array; (* the pages touched this interval, a stack *)
+  mutable n_touched : int;
   mutable reclass_total : int;
-  windows : window Int_table.t; (* page -> its recent installs *)
-  thrash_last : Time.t Int_table.t; (* page -> last thrash report *)
   mutable pending_thrash : thrash_report list; (* newest first *)
-  advised : string Int_table.t; (* page -> recommendation issued *)
-  interval_touched : unit Int_table.t;
-  interval_installs : int Int_table.t;
   mutable interval_count : int;
 }
+
+let new_state n =
+  {
+    ps_stamp = -1;
+    ps_installs = 0;
+    ps_pattern = None;
+    ps_advised = None;
+    ps_thrash_last = None;
+    ps_at = Array.make n Time.zero;
+    ps_node = Array.make n 0;
+    ps_next = 0;
+    ps_len = 0;
+  }
+
+let no_state = new_state 0
+
+(* Marks [page] touched this interval and returns its state. *)
+let touch t page =
+  let s =
+    if page < Array.length t.states && t.states.(page) != no_state then
+      t.states.(page)
+    else begin
+      let s = new_state (max 1 t.cfg.thrash_window) in
+      t.states <- Dense.ensure t.states page no_state;
+      t.states.(page) <- s;
+      s
+    end
+  in
+  if s.ps_stamp <> t.interval_count then begin
+    s.ps_stamp <- t.interval_count;
+    s.ps_installs <- 0;
+    t.touched <- Dense.ensure t.touched t.n_touched 0;
+    t.touched.(t.n_touched) <- page;
+    t.n_touched <- t.n_touched + 1
+  end;
+  s
+
+let rec touch_all t = function
+  | [] -> ()
+  | page :: rest ->
+      ignore (touch t page);
+      touch_all t rest
 
 (* Thrashing: the same windowed ping-pong detector the watchdog used to run
    over stored trace events, now fed from the live stream — [thrash_window]
    installs of one page within [thrash_span] across >= 2 nodes, re-reported
    only after a quiet period longer than the span. *)
-let window t page =
-  match Int_table.find t.windows page with
-  | w -> w
-  | exception Not_found ->
-      let n = max 1 t.cfg.thrash_window in
-      let w =
-        { w_at = Array.make n Time.zero; w_node = Array.make n 0; w_next = 0; w_len = 0 }
-      in
-      Int_table.add t.windows page w;
-      w
-
 let rec mixed_nodes nodes i =
   i < Array.length nodes && (nodes.(i) <> nodes.(0) || mixed_nodes nodes (i + 1))
 
-let note_install t ~page ~node at =
-  (match Int_table.find t.interval_installs page with
-  | c -> Int_table.replace t.interval_installs page (c + 1)
-  | exception Not_found -> Int_table.add t.interval_installs page 1);
-  let win = window t page in
-  let n = Array.length win.w_at in
-  win.w_at.(win.w_next) <- at;
-  win.w_node.(win.w_next) <- node;
-  win.w_next <- (win.w_next + 1) mod n;
-  if win.w_len < n then win.w_len <- win.w_len + 1;
-  if win.w_len >= t.cfg.thrash_window then begin
-    (* Full ring: [w_next] now indexes the oldest install. *)
-    let span = Time.(at - win.w_at.(win.w_next)) in
+let note_install t s ~page ~node at =
+  s.ps_installs <- s.ps_installs + 1;
+  let n = Array.length s.ps_at in
+  s.ps_at.(s.ps_next) <- at;
+  s.ps_node.(s.ps_next) <- node;
+  s.ps_next <- (s.ps_next + 1) mod n;
+  if s.ps_len < n then s.ps_len <- s.ps_len + 1;
+  if s.ps_len >= t.cfg.thrash_window then begin
+    (* Full ring: [ps_next] now indexes the oldest install. *)
+    let span = Time.(at - s.ps_at.(s.ps_next)) in
     let quiet_enough =
-      match Int_table.find t.thrash_last page with
-      | last -> Time.(at - last) > t.cfg.thrash_span
-      | exception Not_found -> true
+      match s.ps_thrash_last with
+      | Some last -> Time.(at - last) > t.cfg.thrash_span
+      | None -> true
     in
-    if span <= t.cfg.thrash_span && mixed_nodes win.w_node 1 && quiet_enough
+    if span <= t.cfg.thrash_span && mixed_nodes s.ps_node 1 && quiet_enough
     then begin
-      Int_table.replace t.thrash_last page at;
+      s.ps_thrash_last <- Some at;
       t.pending_thrash <-
         {
           th_page = page;
-          th_count = win.w_len;
-          th_nodes = List.sort_uniq compare (Array.to_list win.w_node);
+          th_count = s.ps_len;
+          th_nodes = List.sort_uniq compare (Array.to_list s.ps_node);
           th_span = span;
         }
         :: t.pending_thrash
     end
   end
-
-let touch t page = Int_table.replace t.interval_touched page ()
 
 (* The observer callback: pure bookkeeping, O(1) amortized per event.  No
    engine interaction, no shared RNG — attaching telemetry cannot perturb a
@@ -356,13 +440,12 @@ let on_event t ~at ~span:_ ev =
   t.seen <- t.seen + 1;
   Pages.feed t.pgs ev;
   match ev with
-  | Trace.Fault { page; _ } -> touch t page
+  | Trace.Fault { page; _ } -> ignore (touch t page)
   | Trace.Page_install { node; page; _ } ->
-      touch t page;
-      note_install t ~page ~node at
+      note_install t (touch t page) ~page ~node at
   | Trace.Page_send { page; _ } | Trace.Invalidate { page; _ } ->
-      touch t page
-  | Trace.Diff { page_list; _ } -> List.iter (touch t) page_list
+      ignore (touch t page)
+  | Trace.Diff { page_list; _ } -> touch_all t page_list
   | _ -> ()
 
 (* --- attachment --- *)
@@ -379,14 +462,11 @@ let attach ?(config = default_config) rt =
       cfg = config;
       pgs = Pages.create ();
       seen = 0;
-      class_cache = Int_table.create 64;
+      states = [||];
+      touched = [||];
+      n_touched = 0;
       reclass_total = 0;
-      windows = Int_table.create 64;
-      thrash_last = Int_table.create 16;
       pending_thrash = [];
-      advised = Int_table.create 16;
-      interval_touched = Int_table.create 64;
-      interval_installs = Int_table.create 64;
       interval_count = 0;
     }
   in
@@ -444,83 +524,87 @@ let fault_latency t =
 
 (* --- interval drain --- *)
 
-let advised_as t page r =
-  match Int_table.find t.advised page with
-  | prev -> String.equal prev r
-  | exception Not_found -> false
+let quiet = { iv_installs = []; iv_reclassified = 0; iv_thrash = []; iv_advice = [] }
 
 let end_interval t =
-  t.interval_count <- t.interval_count + 1;
   (* Classification churn and fresh advice, over the pages touched this
      interval only. *)
   let reclass = ref 0 in
   let fresh_advice = ref [] in
-  Int_table.iter
-    (fun page () ->
-      match Int_table.find t.pgs.Pages.tbl page with
-      | exception Not_found -> ()
-      | a ->
-          let pattern = Pages.classify_acc a in
-          (match Int_table.find t.class_cache page with
-          | old ->
-              if old <> pattern then begin
-                incr reclass;
-                Int_table.replace t.class_cache page pattern
-              end
-          | exception Not_found -> Int_table.add t.class_cache page pattern);
-          if a.Pages.c_read_faults + a.Pages.c_write_faults >= t.cfg.advice_min_faults
-          then
-            match recommendation pattern ~protocol:a.Pages.c_protocol with
-            | Some r when not (advised_as t page r) ->
-                Int_table.replace t.advised page r;
-                fresh_advice :=
-                  {
-                    av_page = page;
-                    av_pattern = pattern;
-                    av_current = a.Pages.c_protocol;
-                    av_recommended = r;
-                  }
-                  :: !fresh_advice
-            | _ -> ())
-    t.interval_touched;
+  let installs = ref [] in
+  for i = 0 to t.n_touched - 1 do
+    let page = t.touched.(i) in
+    let s = t.states.(page) in
+    if s.ps_installs > 0 then installs := (page, s.ps_installs) :: !installs;
+    let a = Pages.find t.pgs page in
+    if a != Pages.absent then begin
+      let pattern = Pages.classify_acc a in
+      (match s.ps_pattern with
+      | Some old when old = pattern -> ()
+      | Some _ ->
+          incr reclass;
+          s.ps_pattern <- Some pattern
+      | None -> s.ps_pattern <- Some pattern);
+      if a.Pages.c_read_faults + a.Pages.c_write_faults >= t.cfg.advice_min_faults
+      then
+        match recommendation pattern ~protocol:a.Pages.c_protocol with
+        | Some r as advised
+          when not (Option.equal String.equal s.ps_advised advised) ->
+            s.ps_advised <- advised;
+            fresh_advice :=
+              {
+                av_page = page;
+                av_pattern = pattern;
+                av_current = a.Pages.c_protocol;
+                av_recommended = r;
+              }
+              :: !fresh_advice
+        | _ -> ()
+    end
+  done;
+  t.n_touched <- 0;
+  t.interval_count <- t.interval_count + 1;
   t.reclass_total <- t.reclass_total + !reclass;
-  let installs =
-    Int_table.fold (fun p c acc -> (p, c) :: acc) t.interval_installs []
-    |> List.sort (fun (pa, ca) (pb, cb) ->
-           let c = compare cb ca in
-           if c <> 0 then c else compare pa pb)
-  in
-  let iv =
-    {
-      iv_installs = installs;
-      iv_reclassified = !reclass;
-      iv_thrash = List.rev t.pending_thrash;
-      iv_advice =
-        List.sort (fun a b -> compare a.av_page b.av_page) !fresh_advice;
-    }
-  in
-  t.pending_thrash <- [];
-  Int_table.reset t.interval_touched;
-  Int_table.reset t.interval_installs;
-  iv
+  match (!installs, t.pending_thrash, !fresh_advice) with
+  | [], [], [] when !reclass = 0 -> quiet
+  | _ ->
+      let iv =
+        {
+          iv_installs =
+            List.sort
+              (fun (pa, ca) (pb, cb) ->
+                let c = compare cb ca in
+                if c <> 0 then c else compare pa pb)
+              !installs;
+          iv_reclassified = !reclass;
+          iv_thrash = List.rev t.pending_thrash;
+          iv_advice =
+            List.sort (fun a b -> compare a.av_page b.av_page) !fresh_advice;
+        }
+      in
+      t.pending_thrash <- [];
+      iv
 
 (* --- snapshots --- *)
 
+(* Issued advice in page order, each with the page's current pattern. *)
 let advice_list t =
-  Int_table.fold
-    (fun page r acc ->
-      match Pages.profile t.pgs page with
-      | Some pr ->
+  let l = ref [] in
+  for page = Array.length t.states - 1 downto 0 do
+    match t.states.(page).ps_advised with
+    | Some r ->
+        let a = Pages.find t.pgs page in
+        l :=
           {
             av_page = page;
-            av_pattern = pr.pr_pattern;
-            av_current = pr.pr_protocol;
+            av_pattern = Pages.classify_acc a;
+            av_current = a.Pages.c_protocol;
             av_recommended = r;
           }
-          :: acc
-      | None -> acc)
-    t.advised []
-  |> List.sort (fun a b -> compare a.av_page b.av_page)
+          :: !l
+    | None -> ()
+  done;
+  !l
 
 let profile_to_json p =
   Json.Obj
@@ -595,7 +679,7 @@ let pp_top ?(top = 10) ppf t =
   let tr = Monitor.trace rt in
   Format.fprintf ppf "t=%10.1f us  events=%-9d pages=%-5d reclass=%d@."
     (Pm2.now_us rt.Runtime.pm2) t.seen
-    (Int_table.length t.pgs.Pages.tbl)
+    t.pgs.Pages.count
     t.reclass_total;
   let count, pcts = fault_latency t in
   if count > 0 then begin

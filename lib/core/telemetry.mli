@@ -90,8 +90,10 @@ val advice_to_json : advice -> Json.t
     A pure per-page accumulator: feed it trace events in any order
     consistent with the stream and ask for classifications at any point.
     O(1) amortized per event (handoffs are counted against the last writer
-    instead of replaying a write sequence; reader/writer sets are hash
-    sets).  No engine, no clock, no randomness. *)
+    instead of replaying a write sequence; the accumulators are an array
+    indexed by page, and the reader/writer/differ sets one flag byte per
+    node).  No engine, no clock, no randomness.  Page and node ids must be
+    non-negative: [feed] raises [Invalid_argument] on a negative one. *)
 module Pages : sig
   type t
 

@@ -75,7 +75,13 @@ type t = {
   mutable warn_count : int;
   mutable info_count : int;
   mutable prev_alerts : int;  (* alert_count at the previous sample *)
-  ring : sample option array;
+  (* The sample ring, unboxed: slot [i] of a sample is stride [i] of each
+     array (see [floats_per_slot], [ints_per_slot]).  The arrays are
+     allocated on the first tick, so attaching costs nothing. *)
+  mutable ring_floats : float array;  (* at_us, then 3 rates per node *)
+  mutable ring_ints : int array;  (* events, fibers, alerts, hot pages *)
+  mutable ring_protos : int array;  (* interval faults by protocol id *)
+  mutable proto_stride : int;  (* protocol ids per slot of [ring_protos] *)
   mutable ring_len : int;
   mutable ring_next : int;
   mutable prev_at : Time.t;
@@ -83,8 +89,6 @@ type t = {
   prev_node_msgs : int array;
   prev_node_bytes : int array;
   node_faults : int array;  (* scratch: this tick's per-node fault totals *)
-  mutable proto_order : int array;
-      (* protocol ids with fault cells, sorted by name then id *)
   mutable prev_proto_faults : int array;  (* by protocol id, cumulative *)
   mutable audit_rows : Page_table.entry option array array;
       (* per page of node 0's table, in page order: every node's entry *)
@@ -149,19 +153,57 @@ let samples_taken w = w.samples_taken
 let pages_audited w = w.pages_audited
 let set_on_sample w f = w.on_sample <- Some f
 
-let samples w =
-  let cap = Array.length w.ring in
-  let start = (w.ring_next - w.ring_len + cap) mod cap in
-  List.init w.ring_len (fun i ->
-      match w.ring.((start + i) mod cap) with
-      | Some s -> s
-      | None -> assert false)
+(* --- the sample ring --- *)
 
-let push_ring w s =
-  let cap = Array.length w.ring in
-  w.ring.(w.ring_next) <- Some s;
-  w.ring_next <- (w.ring_next + 1) mod cap;
-  if w.ring_len < cap then w.ring_len <- w.ring_len + 1
+let hot_pages = 5
+let floats_per_slot nodes = 1 + (3 * nodes)
+let ints_per_slot = 4 + (2 * hot_pages)
+
+(* Interval faults per protocol name, in name order, named on read: ids
+   sharing a name count as one protocol, and protocols without a fault
+   are left out. *)
+let proto_faults w slot =
+  let cells = w.rt.Runtime.cells in
+  let protos = cells.Instrument.protos in
+  let rec group = function
+    | (a, x) :: (b, y) :: rest when String.equal a b -> group ((a, x + y) :: rest)
+    | (a, x) :: rest -> if x > 0 then (a, x) :: group rest else group rest
+    | [] -> []
+  in
+  List.init w.proto_stride Fun.id
+  |> List.filter (fun p -> Array.length protos.(p) > 0)
+  |> List.map (fun p ->
+         (cells.Instrument.protocol_name p, w.ring_protos.((slot * w.proto_stride) + p)))
+  |> List.stable_sort (fun (a, _) (b, _) -> String.compare a b)
+  |> group
+
+let decode w slot =
+  let nodes = Array.length w.node_faults in
+  let fl = w.ring_floats and fb = slot * floats_per_slot nodes in
+  let it = w.ring_ints and ib = slot * ints_per_slot in
+  {
+    sp_at_us = fl.(fb);
+    sp_events = it.(ib);
+    sp_live_fibers = it.(ib + 1);
+    sp_rates =
+      Array.init nodes (fun nd ->
+          let b = fb + 1 + (3 * nd) in
+          {
+            nr_node = nd;
+            nr_faults_s = fl.(b);
+            nr_msgs_s = fl.(b + 1);
+            nr_bytes_s = fl.(b + 2);
+          });
+    sp_proto_faults = proto_faults w slot;
+    sp_hot_pages =
+      List.init it.(ib + 3) (fun k -> (it.(ib + 4 + (2 * k)), it.(ib + 5 + (2 * k))));
+    sp_alerts = it.(ib + 2);
+  }
+
+let samples w =
+  let cap = w.cfg.ring_capacity in
+  let start = (w.ring_next - w.ring_len + cap) mod cap in
+  List.init w.ring_len (fun i -> decode w ((start + i) mod cap))
 
 (* --- wait-for graph --- *)
 
@@ -434,7 +476,11 @@ let audit_page w row =
     end
   end
 
-let audit w = Array.iter (audit_page w) (audit_rows w)
+let audit w =
+  let rows = audit_rows w in
+  for i = 0 to Array.length rows - 1 do
+    audit_page w rows.(i)
+  done
 
 (* --- fault-plan health (only active when a plan is installed) --- *)
 
@@ -482,29 +528,26 @@ let check_faults w now =
 (* --- interval rates --- *)
 
 (* The fault counters are read straight from the runtime's fault cells
-   ({!Instrument.proto_cells}), protocol by protocol, into arrays reused
-   across ticks: a quiet tick allocates only the sample itself. *)
+   ({!Instrument.proto_cells}), protocol by protocol, and every figure of
+   the sample is written into the ring's arrays: a quiet tick allocates
+   nothing here. *)
 
-let refresh_proto_order w =
-  let cells = w.rt.Runtime.cells in
-  let protos = cells.Instrument.protos in
-  let used =
-    Array.fold_left (fun n row -> if Array.length row > 0 then n + 1 else n) 0 protos
-  in
-  if used <> Array.length w.proto_order then begin
-    let ids =
-      List.filter
-        (fun p -> Array.length protos.(p) > 0)
-        (List.init (Array.length protos) Fun.id)
-    in
-    let named = List.map (fun p -> (cells.Instrument.protocol_name p, p)) ids in
-    w.proto_order <- Array.of_list (List.map snd (List.sort compare named));
-    if Array.length w.prev_proto_faults < Array.length protos then begin
-      let grown = Array.make (Array.length protos) 0 in
-      Array.blit w.prev_proto_faults 0 grown 0 (Array.length w.prev_proto_faults);
-      w.prev_proto_faults <- grown
-    end
-  end
+let alloc_ring w =
+  let cap = w.cfg.ring_capacity and nodes = Array.length w.node_faults in
+  w.ring_floats <- Array.make (cap * floats_per_slot nodes) 0.;
+  w.ring_ints <- Array.make (cap * ints_per_slot) 0
+
+(* Protocols register after the runtime is built: a new protocol id widens
+   every slot of [ring_protos], the recorded slots keeping their counts. *)
+let widen_protos w n =
+  let cap = w.cfg.ring_capacity and old = w.proto_stride in
+  let grown = Array.make (cap * n) 0 in
+  for slot = 0 to cap - 1 do
+    Array.blit w.ring_protos (slot * old) grown (slot * n) old
+  done;
+  w.ring_protos <- grown;
+  w.proto_stride <- n;
+  w.prev_proto_faults <- Dense.ensure w.prev_proto_faults (n - 1) 0
 
 (* Adds protocol [p]'s faults ({!Instrument.faults}) into [node_faults],
    node by node, and returns their sum. *)
@@ -518,70 +561,66 @@ let add_faults (cells : Instrument.t) node_faults p =
   done;
   !total
 
+(* [installs] arrives sorted (most active first) from the telemetry
+   interval; the first [hot_pages] are kept, as (page, transfers) pairs
+   after their count. *)
+let rec put_hot it ib k = function
+  | (page, c) :: rest when k < hot_pages ->
+      it.(ib + 4 + (2 * k)) <- page;
+      it.(ib + 5 + (2 * k)) <- c;
+      put_hot it ib (k + 1) rest
+  | _ -> it.(ib + 3) <- k
+
+(* Records this tick's sample in ring slot [ring_next] and returns the
+   slot. *)
 let snapshot w now ~installs =
   let rt = w.rt in
   let cells = rt.Runtime.cells in
-  let nodes = Runtime.nodes rt in
+  let nodes = Array.length w.node_faults in
   let dt_s = Time.to_us Time.(now - w.prev_at) /. 1e6 in
-  refresh_proto_order w;
+  if Array.length w.ring_ints = 0 then alloc_ring w;
+  let n_protos = Array.length cells.Instrument.protos in
+  if n_protos > w.proto_stride then widen_protos w n_protos;
+  let slot = w.ring_next in
   let node_faults = w.node_faults in
   Array.fill node_faults 0 nodes 0;
-  (* Interval faults per protocol name, in name order; ids sharing a name
-     are adjacent in [proto_order] and count as one protocol. *)
-  let order = w.proto_order in
-  let proto_list = ref [] in
-  let i = ref (Array.length order - 1) in
-  while !i >= 0 do
-    let name = cells.Instrument.protocol_name order.(!i) in
-    let delta = ref 0 in
-    while !i >= 0 && String.equal (cells.Instrument.protocol_name order.(!i)) name do
-      let p = order.(!i) in
-      let cur = add_faults cells node_faults p in
-      delta := !delta + cur - w.prev_proto_faults.(p);
-      w.prev_proto_faults.(p) <- cur;
-      decr i
-    done;
-    if !delta > 0 then proto_list := (name, !delta) :: !proto_list
+  let pb = slot * w.proto_stride in
+  for p = 0 to n_protos - 1 do
+    let cur = add_faults cells node_faults p in
+    w.ring_protos.(pb + p) <- cur - w.prev_proto_faults.(p);
+    w.prev_proto_faults.(p) <- cur
   done;
   let net = Pm2.network rt.Runtime.pm2 in
-  let rate prev cur =
-    if dt_s <= 0. then 0. else float_of_int (cur - prev) /. dt_s
-  in
-  let rates =
-    Array.init nodes (fun nd ->
-        let msgs = Network.messages_from net nd
-        and bytes = Network.bytes_from net nd in
-        let r =
-          {
-            nr_node = nd;
-            nr_faults_s = rate w.prev_node_faults.(nd) node_faults.(nd);
-            nr_msgs_s = rate w.prev_node_msgs.(nd) msgs;
-            nr_bytes_s = rate w.prev_node_bytes.(nd) bytes;
-          }
-        in
-        w.prev_node_faults.(nd) <- node_faults.(nd);
-        w.prev_node_msgs.(nd) <- msgs;
-        w.prev_node_bytes.(nd) <- bytes;
-        r)
-  in
-  (* [installs] arrives sorted (most active first) from the telemetry
-     interval. *)
-  let hot = List.filteri (fun i _ -> i < 5) installs in
+  let fl = w.ring_floats and fb = slot * floats_per_slot nodes in
+  fl.(fb) <- Time.to_us now;
+  for nd = 0 to nodes - 1 do
+    let msgs = Network.messages_from net nd
+    and bytes = Network.bytes_from net nd in
+    let b = fb + 1 + (3 * nd) in
+    (* Written out rather than through a helper, which would box [dt_s]
+       at every call. *)
+    if dt_s <= 0. then Array.fill fl b 3 0.
+    else begin
+      fl.(b) <- float_of_int (node_faults.(nd) - w.prev_node_faults.(nd)) /. dt_s;
+      fl.(b + 1) <- float_of_int (msgs - w.prev_node_msgs.(nd)) /. dt_s;
+      fl.(b + 2) <- float_of_int (bytes - w.prev_node_bytes.(nd)) /. dt_s
+    end;
+    w.prev_node_faults.(nd) <- node_faults.(nd);
+    w.prev_node_msgs.(nd) <- msgs;
+    w.prev_node_bytes.(nd) <- bytes
+  done;
   w.prev_at <- now;
   let eng = Runtime.engine rt in
-  let s =
-    {
-      sp_at_us = Time.to_us now;
-      sp_events = Engine.events_executed eng;
-      sp_live_fibers = Engine.live_fibers eng;
-      sp_rates = rates;
-      sp_proto_faults = !proto_list;
-      sp_hot_pages = hot;
-      sp_alerts = w.alert_count - w.prev_alerts;
-    }
-  in
+  let it = w.ring_ints and ib = slot * ints_per_slot in
+  it.(ib) <- Engine.events_executed eng;
+  it.(ib + 1) <- Engine.live_fibers eng;
+  it.(ib + 2) <- w.alert_count - w.prev_alerts;
+  put_hot it ib 0 installs;
   w.prev_alerts <- w.alert_count;
-  s
+  let cap = w.cfg.ring_capacity in
+  w.ring_next <- (slot + 1) mod cap;
+  if w.ring_len < cap then w.ring_len <- w.ring_len + 1;
+  slot
 
 (* --- the sampler --- *)
 
@@ -591,13 +630,14 @@ let tick w =
   let now = Engine.now eng in
   w.samples_taken <- w.samples_taken + 1;
   let iv = drain_telemetry w in
-  check_stalls w now;
-  detect_cycles w;
+  if Hashtbl.length w.waiters > 0 then begin
+    check_stalls w now;
+    detect_cycles w
+  end;
   check_faults w now;
   if w.cfg.audits then audit w;
-  let s = snapshot w now ~installs:iv.Telemetry.iv_installs in
-  push_ring w s;
-  (match w.on_sample with Some f -> f s | None -> ());
+  let slot = snapshot w now ~installs:iv.Telemetry.iv_installs in
+  (match w.on_sample with Some f -> f (decode w slot) | None -> ());
   let live = Engine.live_fibers eng in
   let pending = Engine.pending_events eng in
   if pending = 0 && live > 0 then begin
@@ -671,7 +711,10 @@ let attach ?(config = default_config) rt =
       warn_count = 0;
       info_count = 0;
       prev_alerts = 0;
-      ring = Array.make config.ring_capacity None;
+      ring_floats = [||];
+      ring_ints = [||];
+      ring_protos = [||];
+      proto_stride = 0;
       ring_len = 0;
       ring_next = 0;
       prev_at = Engine.now (Runtime.engine rt);
@@ -679,7 +722,6 @@ let attach ?(config = default_config) rt =
       prev_node_msgs = Array.make nodes 0;
       prev_node_bytes = Array.make nodes 0;
       node_faults = Array.make nodes 0;
-      proto_order = [||];
       prev_proto_faults = [||];
       audit_rows = [||];
       audit_mapped = -1;

@@ -110,7 +110,8 @@ val telemetry : t -> Telemetry.t
 (** The telemetry engine the watchdog drains each tick. *)
 
 val set_on_sample : t -> (sample -> unit) -> unit
-(** Called after every sample — the live dashboard hook. *)
+(** Called after every sample with the sample decoded from the ring — the
+    live dashboard hook. *)
 
 val alerts : t -> alert list
 (** Chronological. *)
@@ -120,7 +121,8 @@ val alert_counts : t -> int * int * int
 
 val samples : t -> sample list
 (** The retained time series, chronological (at most
-    [config.ring_capacity] points). *)
+    [config.ring_capacity] points).  The ring stores samples unboxed;
+    each call decodes fresh records. *)
 
 val samples_taken : t -> int
 val pages_audited : t -> int

@@ -620,6 +620,25 @@ let to_jsonl ppf t =
   iter t (fun ~at ~span ev ->
       Format.fprintf ppf "%s@." (Json.to_string (event_to_json ~at ~span ev)))
 
+(* No run names a negative page ([Page_table.declare] raises on one) or a
+   negative node, and the telemetry tables a loaded dump feeds are arrays
+   indexed by both: a hand-edited line with one is refused at load. *)
+let negative_id = function
+  | Fault { node; page; _ } ->
+      if page < 0 then Some ("page", page)
+      else if node < 0 then Some ("node", node)
+      else None
+  | Page_request { page; _ }
+  | Page_send { page; _ }
+  | Page_install { page; _ }
+  | Invalidate { page; _ } ->
+      if page < 0 then Some ("page", page) else None
+  | Diff { page_list; sender; _ } -> (
+      match List.find_opt (fun p -> p < 0) page_list with
+      | Some p -> Some ("page", p)
+      | None -> if sender < 0 then Some ("node", sender) else None)
+  | _ -> None
+
 (* Inverse of [to_jsonl] over a whole dump (the file's contents, one JSON
    object per line).  Blank lines are skipped; the first malformed line
    aborts the load with its line number. *)
@@ -634,7 +653,11 @@ let of_jsonl contents =
           | Ok j -> (
               match event_of_json j with
               | None -> Error (Printf.sprintf "line %d: not a trace event" lineno)
-              | Some (at, span, ev) -> parse ((at, span, ev) :: acc) (lineno + 1) rest))
+              | Some (at, span, ev) -> (
+                  match negative_id ev with
+                  | Some (what, id) ->
+                      Error (Printf.sprintf "line %d: negative %s id %d" lineno what id)
+                  | None -> parse ((at, span, ev) :: acc) (lineno + 1) rest)))
   in
   parse [] 1 (String.split_on_char '\n' contents)
 

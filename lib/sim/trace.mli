@@ -231,8 +231,10 @@ val of_events : (Time.t * int * event) list -> t
 val of_jsonl : string -> (t, string) result
 (** [of_jsonl contents] re-loads a {!to_jsonl} dump (the whole file as one
     string).  Blank lines are skipped; [Error] carries the first offending
-    line's number.  Inverse of {!to_jsonl}: exporting the result re-prints
-    the same lines. *)
+    line's number.  A negative page id, or a negative node id on a [Fault]
+    or a [Diff] sender, is an error too: no run emits one, and the
+    telemetry tables index by them.  Inverse of {!to_jsonl}: exporting the
+    result re-prints the same lines. *)
 
 val chrome_json : t -> Json.t
 (** The whole trace as a Chrome [trace_event] document: instant events with

@@ -279,6 +279,53 @@ let test_of_jsonl_rejects_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown event kind accepted"
 
+(* No run names a negative page or node, and telemetry indexes its tables
+   by both: a hand-edited dump carrying one is refused at its line. *)
+let test_of_jsonl_rejects_negative_ids () =
+  let line ev = Json.to_string (Trace.event_to_json ~at:(us 1.) ~span:0 ev) in
+  let good = line (Trace.Barrier { node = 0; barrier = 0 }) in
+  List.iter
+    (fun (ev, expected) ->
+      match Trace.of_jsonl (String.concat "\n" [ good; ""; line ev; good ]) with
+      | Error msg -> Alcotest.(check string) expected expected msg
+      | Ok _ -> Alcotest.failf "accepted: %s" expected)
+    [
+      ( Trace.Fault { node = 1; page = -3; protocol = "li_hudak"; mode = "read" },
+        "line 3: negative page id -3" );
+      ( Trace.Fault { node = -1; page = 3; protocol = "li_hudak"; mode = "read" },
+        "line 3: negative node id -1" );
+      ( Trace.Page_send
+          { node = 0; page = -7; protocol = "li_hudak"; dst = 1; bytes = 4096; grant = "RW" },
+        "line 3: negative page id -7" );
+      ( Trace.Page_install
+          { node = 1; page = -1; protocol = "li_hudak"; sender = 0; grant = "R" },
+        "line 3: negative page id -1" );
+      ( Trace.Invalidate { node = 2; page = -2; protocol = "hbrc_mw"; sender = 0 },
+        "line 3: negative page id -2" );
+      ( Trace.Diff
+          {
+            node = 0;
+            pages = 2;
+            page_list = [ 4; -9 ];
+            bytes = 96;
+            sender = 3;
+            release = true;
+            protocol = "hbrc_mw";
+          },
+        "line 3: negative page id -9" );
+      ( Trace.Diff
+          {
+            node = 0;
+            pages = 1;
+            page_list = [ 4 ];
+            bytes = 96;
+            sender = -3;
+            release = true;
+            protocol = "hbrc_mw";
+          },
+        "line 3: negative node id -3" );
+    ]
+
 (* --- the advisor pays off end to end --- *)
 
 (* The TSP global bound is lock-protected and bounces between workers:
@@ -429,6 +476,8 @@ let () =
         [
           Alcotest.test_case "round-trip all variants" `Quick test_of_jsonl_round_trip;
           Alcotest.test_case "rejects garbage" `Quick test_of_jsonl_rejects_garbage;
+          Alcotest.test_case "rejects negative ids" `Quick
+            test_of_jsonl_rejects_negative_ids;
         ] );
       ( "advisor",
         [

@@ -1,5 +1,6 @@
 (* The online telemetry engine and its foundations: the quantile sketch's
-   relative-error and merge guarantees (QCheck), registry rollups,
+   relative-error and merge guarantees (QCheck), the streaming classifier
+   against a list model (QCheck), registry rollups,
    online/post-mortem classifier agreement across every protocol and
    conformance workload, schedule transparency of telemetry + sampling,
    the exactness of deterministic head-based span sampling against an
@@ -290,6 +291,182 @@ let test_sampling_telemetry_agreement () =
 
 (* --- allocation: the observer path in steady state --- *)
 
+(* --- the streaming classifier against a list model ---
+
+   The model keeps every event that names a page and classifies from the
+   lists after the fact, the way the heuristic is stated: node sets are
+   deduplicated lists, and handoffs are counted by replaying the
+   chronological write sequence. *)
+
+let model_profiles events =
+  (* (page, node, event) per page named, a Diff once per listed page. *)
+  let named =
+    List.concat_map
+      (fun ev ->
+        match ev with
+        | Trace.Fault { page; _ }
+        | Trace.Page_send { page; _ }
+        | Trace.Page_install { page; _ }
+        | Trace.Invalidate { page; _ } ->
+            [ (page, ev) ]
+        | Trace.Diff { page_list; _ } -> List.map (fun p -> (p, ev)) page_list
+        | _ -> [])
+      events
+  in
+  let pages = List.sort_uniq compare (List.map fst named) in
+  let uniq l = List.sort_uniq compare l in
+  let count f l = List.length (List.filter f l) in
+  let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
+  List.map
+    (fun page ->
+      let evs = List.filter_map (fun (p, ev) -> if p = page then Some ev else None) named in
+      let protocol =
+        List.fold_left
+          (fun _ ev ->
+            match ev with
+            | Trace.Fault { protocol; _ }
+            | Trace.Page_send { protocol; _ }
+            | Trace.Page_install { protocol; _ }
+            | Trace.Invalidate { protocol; _ }
+            | Trace.Diff { protocol; _ } ->
+                protocol
+            | _ -> assert false)
+          "?" evs
+      in
+      let faults write =
+        List.filter_map
+          (function
+            | Trace.Fault { node; mode; _ } when (mode = "write") = write -> Some node
+            | _ -> None)
+          evs
+      in
+      let senders =
+        List.filter_map (function Trace.Diff { sender; _ } -> Some sender | _ -> None) evs
+      in
+      (* The chronological write sequence: write faults and diffs. *)
+      let write_seq =
+        List.filter_map
+          (function
+            | Trace.Fault { node; mode = "write"; _ } -> Some node
+            | Trace.Diff { sender; _ } -> Some sender
+            | _ -> None)
+          evs
+      in
+      let readers = uniq (faults false) and writers = uniq write_seq in
+      let diff_senders = uniq senders in
+      let read_faults = List.length (faults false)
+      and write_faults = List.length (faults true) in
+      let pattern =
+        if List.length (uniq (readers @ writers)) <= 1 then Telemetry.Private
+        else if List.length diff_senders >= 2 then Telemetry.False_sharing
+        else
+          match writers with
+          | [] -> Telemetry.Read_mostly
+          | [ w ] ->
+              if
+                List.exists (fun r -> r <> w) readers
+                && write_faults + List.length senders >= 2
+                && read_faults >= 2
+              then Telemetry.Producer_consumer
+              else Telemetry.Single_writer
+          | _ ->
+              let rec handoffs = function
+                | a :: (b :: _ as rest) -> (if a <> b then 1 else 0) + handoffs rest
+                | _ -> 0
+              in
+              if handoffs write_seq >= 2 then Telemetry.Migratory else Telemetry.Mixed
+      in
+      {
+        Telemetry.pr_page = page;
+        pr_protocol = protocol;
+        pr_pattern = pattern;
+        pr_read_faults = read_faults;
+        pr_write_faults = write_faults;
+        pr_readers = readers;
+        pr_writers = writers;
+        pr_diff_senders = diff_senders;
+        pr_transfers = count (function Trace.Page_send _ -> true | _ -> false) evs;
+        pr_bytes =
+          sum
+            (function
+              | Trace.Page_send { bytes; _ } -> bytes
+              | Trace.Diff { bytes; page_list; _ } -> bytes / max 1 (List.length page_list)
+              | _ -> 0)
+            evs;
+        pr_invalidations = count (function Trace.Invalidate _ -> true | _ -> false) evs;
+      })
+    pages
+  |> List.sort (fun a b ->
+         compare
+           (b.Telemetry.pr_read_faults + b.Telemetry.pr_write_faults, b.Telemetry.pr_bytes, a.Telemetry.pr_page)
+           (a.Telemetry.pr_read_faults + a.Telemetry.pr_write_faults, a.Telemetry.pr_bytes, b.Telemetry.pr_page))
+
+(* Pages 1-64 with a hot few, nodes 0-15, three protocol names, and an
+   event with no page evidence now and then. *)
+let gen_pages_event =
+  let open QCheck.Gen in
+  let page = oneof [ int_range 1 4; int_range 1 64 ] in
+  let node = int_range 0 15 in
+  let protocol = oneofl [ "li_hudak"; "hbrc_mw"; "write_update" ] in
+  let bytes = int_range 0 8192 in
+  frequency
+    [
+      ( 5,
+        let+ node = node and+ page = page and+ protocol = protocol and+ write = bool in
+        Trace.Fault { node; page; protocol; mode = (if write then "write" else "read") } );
+      ( 2,
+        let+ node = node and+ page = page and+ protocol = protocol and+ bytes = bytes in
+        Trace.Page_send { node; page; protocol; dst = (node + 1) mod 16; bytes; grant = "RW" } );
+      ( 2,
+        let+ node = node and+ page = page and+ protocol = protocol in
+        Trace.Page_install { node; page; protocol; sender = (node + 1) mod 16; grant = "R" } );
+      ( 1,
+        let+ node = node and+ page = page and+ protocol = protocol in
+        Trace.Invalidate { node; page; protocol; sender = (node + 1) mod 16 } );
+      ( 3,
+        let+ sender = node
+        and+ page_list = list_size (int_range 0 4) page
+        and+ protocol = protocol
+        and+ bytes = bytes in
+        Trace.Diff
+          {
+            node = sender;
+            pages = List.length page_list;
+            page_list;
+            bytes;
+            sender;
+            release = true;
+            protocol;
+          } );
+      (1, map (fun node -> Trace.Barrier { node; barrier = 0 }) node);
+    ]
+
+let show_profile p =
+  Json.to_string (Telemetry.profile_to_json p)
+
+let prop_pages_match_model =
+  QCheck.Test.make ~name:"Pages.profiles matches a list model" ~count:300
+    QCheck.(
+      make
+        ~print:(fun evs ->
+          String.concat "\n"
+            (List.map (fun ev -> Json.to_string (Trace.event_to_json ~at:0 ~span:0 ev)) evs))
+        Gen.(list_size (int_range 0 200) gen_pages_event))
+    (fun events ->
+      let ps = Telemetry.Pages.create () in
+      List.iter (Telemetry.Pages.feed ps) events;
+      let got = Telemetry.Pages.profiles ps and want = model_profiles events in
+      if got <> want then
+        QCheck.Test.fail_reportf "profiles:\n%s\nmodel:\n%s"
+          (String.concat "\n" (List.map show_profile got))
+          (String.concat "\n" (List.map show_profile want));
+      List.iter
+        (fun p ->
+          if Telemetry.Pages.profile ps p.Telemetry.pr_page <> Some p then
+            QCheck.Test.fail_reportf "profile %d" p.Telemetry.pr_page)
+        want;
+      Telemetry.Pages.profile ps 65 = None && Telemetry.Pages.profile ps 0 = None)
+
 (* A resolved remote read: a fault and its install.  Once the page, the
    node sets and the per-interval tables have seen it, a pair costs only
    the optional span arguments. *)
@@ -519,6 +696,7 @@ let () =
           Alcotest.test_case "capped trace still classifies" `Quick
             test_capped_trace_hot_pages;
         ] );
+      ("classifier", [ QCheck_alcotest.to_alcotest prop_pages_match_model ]);
       ( "allocation",
         [
           Alcotest.test_case "steady fault/install pair" `Quick

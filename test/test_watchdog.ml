@@ -334,6 +334,53 @@ let test_health_json () =
         [ "trace"; "pages" ]
   | None -> Alcotest.fail "health report must carry the telemetry snapshot"
 
+(* --- the health report, pinned ---
+
+   The digest of [health_json], with every ["meta"] key dropped (it names
+   the git revision), for two seeded watched jacobi runs.  The literals
+   were captured before the sample ring and the telemetry tables were
+   unboxed: a change to how the watchdog stores its samples must not move
+   a byte of the report. *)
+
+let rec drop_meta = function
+  | Json.Obj fields ->
+      Json.Obj
+        (List.filter_map
+           (fun (k, v) -> if k = "meta" then None else Some (k, drop_meta v))
+           fields)
+  | Json.List l -> Json.List (List.map drop_meta l)
+  | j -> j
+
+let watched_jacobi ~protocol ~nodes =
+  let watchdog = ref None in
+  let observe dsm =
+    Monitor.enable dsm true;
+    watchdog := Some (Watchdog.attach dsm)
+  in
+  ignore
+    (Dsmpm2_apps.Jacobi.run
+       {
+         Dsmpm2_apps.Jacobi.default with
+         size = 32;
+         iterations = 4;
+         nodes;
+         protocol;
+         tie_seed = Some 3;
+         observe = Some observe;
+       });
+  match !watchdog with Some w -> w | None -> Alcotest.fail "observe not called"
+
+let test_health_report_pinned () =
+  List.iter
+    (fun (protocol, nodes, digest) ->
+      let w = watched_jacobi ~protocol ~nodes in
+      let text = Json.to_string (drop_meta (Watchdog.health_json w)) in
+      Alcotest.(check string)
+        (Printf.sprintf "%s on %d nodes: health digest" protocol nodes)
+        digest
+        (Digest.to_hex (Digest.string text)))
+    [ ("write_update", 8, "af914b0da51035140fa5411b23b2b891"); ("hbrc_mw", 4, "07a52053c36dc4d20c803a4d9d44ca4a") ]
+
 let test_double_attach_rejected () =
   let dsm = make () in
   ignore (Watchdog.attach dsm);
@@ -406,6 +453,21 @@ let test_quiet_tick_allocates_the_sample () =
     (Printf.sprintf "%.0f words per quiet tick <= %.0f" per_tick bound)
     true (per_tick <= bound)
 
+(* The stricter pin: the ring stores samples unboxed, so a quiet tick
+   allocates a small constant (the re-armed timer closure and the drained
+   interval) at any cluster size. *)
+let test_quiet_tick_keeps_nothing_boxed () =
+  List.iter
+    (fun nodes ->
+      let plain, _, _ = quiet_run_words ~nodes ~watched:false in
+      let watched, ticks, _ = quiet_run_words ~nodes ~watched:true in
+      Alcotest.(check bool) "enough ticks" true (ticks >= 100);
+      let per_tick = (watched -. plain) /. float_of_int ticks in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d nodes: %.0f words per quiet tick <= 32" nodes per_tick)
+        true (per_tick <= 32.))
+    [ 8; 32 ]
+
 let () =
   Alcotest.run "watchdog"
     [
@@ -437,6 +499,8 @@ let () =
         [
           Alcotest.test_case "ring bounded" `Quick test_ring_is_bounded;
           Alcotest.test_case "health json" `Quick test_health_json;
+          Alcotest.test_case "health report pinned" `Quick
+            test_health_report_pinned;
           Alcotest.test_case "double attach rejected" `Quick
             test_double_attach_rejected;
         ] );
@@ -446,5 +510,7 @@ let () =
             test_disabled_paths_allocate_nothing;
           Alcotest.test_case "quiet tick allocates the sample" `Quick
             test_quiet_tick_allocates_the_sample;
+          Alcotest.test_case "quiet tick keeps nothing boxed" `Quick
+            test_quiet_tick_keeps_nothing_boxed;
         ] );
     ]
