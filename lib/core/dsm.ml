@@ -139,7 +139,9 @@ let switch_protocol (rt : t) ~addr ~size ~protocol =
 
    One path for every access.  A hit costs one current-thread lookup (the
    caller's [Marcel.self]) and one page-table lookup, and allocates
-   nothing.  Only a miss runs [fault]; [access] then looks the node and
+   nothing: [access] is inlined into the word accessors, and every helper
+   it reaches in another module is inlined into it.  Only a miss leaves
+   it, for the [miss] loop, which runs [fault] and then looks the node and
    the entry up again, because a fault may move the thread
    ([migrate_thread]). *)
 
@@ -178,33 +180,49 @@ let fault (rt : t) ~node ~page ~mode ~protocol proto =
       | Access.Write -> proto.Protocol.write_fault rt ~node ~page);
   Stats.record cell Time.(Engine.now (Runtime.engine rt) - started)
 
-(* Returns the protocol of [addr]'s page once [th]'s node holds rights for
-   [mode] on it; [faults] counts the faults taken so far.  The hot path
-   reads the runtime's tables directly: every call saved is a few
-   nanoseconds of a hit. *)
-let rec access (rt : t) th ~addr ~mode faults =
-  if faults > rt.Runtime.fault_loop_limit then
-    raise (Fault_storm { addr; mode; attempts = faults });
-  let node = Marcel.node th in
-  let page = Page.page_of_addr rt.Runtime.geo addr in
-  let e = Page_table.find rt.Runtime.tables.(node) page in
-  let proto = Protocol.find rt.Runtime.registry e.Page_table.protocol in
-  (match proto.Protocol.detection with
+let[@inline never] fault_storm ~addr ~mode ~attempts =
+  raise (Fault_storm { addr; mode; attempts })
+
+(* The first two steps of an attempt to access [addr], [faults] faults
+   in: the fault-loop limit, then [addr]'s entry on [th]'s node, with an
+   inline check counted and charged.  The caller tests the rights.  The
+   hot path reads the runtime's tables directly: every call saved is a
+   few nanoseconds of a hit. *)
+let[@inline] lookup (rt : t) th ~addr ~mode faults =
+  if faults > rt.Runtime.fault_loop_limit then fault_storm ~addr ~mode ~attempts:faults;
+  let e =
+    Page_table.find
+      rt.Runtime.tables.(Marcel.node th)
+      (Page.page_of_addr rt.Runtime.geo addr)
+  in
+  (match (Protocol.find rt.Runtime.registry e.Page_table.protocol).Protocol.detection with
   | Protocol.Inline_check ->
       Stats.bump rt.Runtime.cells.Instrument.checks;
       Marcel.charge_tick th
   | Protocol.Page_fault -> ());
-  if Access.allows e.Page_table.rights mode then begin
-    Protocol_lib.unpin rt e;
-    proto
-  end
-  else begin
-    fault rt ~node ~page ~mode ~protocol:e.Page_table.protocol proto;
-    access rt th ~addr ~mode (faults + 1)
-  end
+  e
+
+(* Faults on [e], which does not grant [mode], and retries until [th]'s
+   node holds the rights; returns the granting entry.  Kept out of line,
+   so [access] stays small enough to inline. *)
+let[@inline never] rec miss (rt : t) th ~addr ~mode (e : Page_table.entry) faults =
+  let protocol = e.Page_table.protocol in
+  fault rt ~node:(Marcel.node th) ~page:e.Page_table.page ~mode ~protocol
+    (Protocol.find rt.Runtime.registry protocol);
+  let faults = faults + 1 in
+  let e = lookup rt th ~addr ~mode faults in
+  if Access.allows e.Page_table.rights mode then e else miss rt th ~addr ~mode e faults
+
+(* Returns the protocol of [addr]'s page once [th]'s node holds rights for
+   [mode] on it. *)
+let[@inline] access (rt : t) th ~addr ~mode =
+  let e = lookup rt th ~addr ~mode 0 in
+  let e = if Access.allows e.Page_table.rights mode then e else miss rt th ~addr ~mode e 0 in
+  Protocol_lib.unpin rt e;
+  Protocol.find rt.Runtime.registry e.Page_table.protocol
 
 let ensure_access (rt : t) ~addr ~mode =
-  ignore (access rt (Marcel.self (Runtime.marcel rt)) ~addr ~mode 0 : t Protocol.t)
+  ignore (access rt (Marcel.self (Runtime.marcel rt)) ~addr ~mode : t Protocol.t)
 
 (* The start of an access's real-time window: only the history reads it. *)
 let history_start (rt : t) =
@@ -244,7 +262,7 @@ let write_hook (rt : t) th proto ~addr ~value =
 let read_int rt addr =
   let start = history_start rt in
   let th = Marcel.self (Runtime.marcel rt) in
-  let proto = access rt th ~addr ~mode:Access.Read 0 in
+  let proto = access rt th ~addr ~mode:Access.Read in
   let value = Frame_store.read_int rt.Runtime.stores.(Marcel.node th) ~addr in
   record_access rt th ~start ~write:false ~addr ~value;
   read_hook rt th proto ~addr;
@@ -253,7 +271,7 @@ let read_int rt addr =
 let write_int rt addr value =
   let start = history_start rt in
   let th = Marcel.self (Runtime.marcel rt) in
-  let proto = access rt th ~addr ~mode:Access.Write 0 in
+  let proto = access rt th ~addr ~mode:Access.Write in
   Frame_store.write_int rt.Runtime.stores.(Marcel.node th) ~addr value;
   (* Record before the hook: propagation (update pushes, diff flushes) may
      block, and a remote read of the propagated value must find this write
@@ -266,7 +284,7 @@ let write_int rt addr value =
 let read_byte rt addr =
   let start = history_start rt in
   let th = Marcel.self (Runtime.marcel rt) in
-  let proto = access rt th ~addr ~mode:Access.Read 0 in
+  let proto = access rt th ~addr ~mode:Access.Read in
   let store = rt.Runtime.stores.(Marcel.node th) in
   let b = Frame_store.read_byte store ~addr in
   let word_addr = addr land lnot 7 in
@@ -278,7 +296,7 @@ let read_byte rt addr =
 let write_byte rt addr value =
   let start = history_start rt in
   let th = Marcel.self (Runtime.marcel rt) in
-  let proto = access rt th ~addr ~mode:Access.Write 0 in
+  let proto = access rt th ~addr ~mode:Access.Write in
   let store = rt.Runtime.stores.(Marcel.node th) in
   Frame_store.write_byte store ~addr value;
   let word_addr = addr land lnot 7 in

@@ -72,9 +72,11 @@ let declare t ~page ~home ~owner ~protocol ~rights =
   t.count <- t.count + 1;
   entry
 
-let find t page =
+let[@inline never] not_mapped page = raise (Not_mapped page)
+
+let[@inline] find t page =
   let e = get t page in
-  if e == absent then raise (Not_mapped page);
+  if e == absent then not_mapped page;
   e
 
 let find_opt t page =

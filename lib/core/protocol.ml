@@ -51,10 +51,12 @@ let register reg proto =
   reg.protocols <- Array.append reg.protocols [| proto |];
   id
 
-let find reg id =
-  if id < 0 || id >= Array.length reg.protocols then
-    invalid_arg (Printf.sprintf "Protocol.find: unknown protocol id %d" id);
-  reg.protocols.(id)
+let[@inline never] unknown_id id =
+  invalid_arg (Printf.sprintf "Protocol.find: unknown protocol id %d" id)
+
+let[@inline] find reg id =
+  if id < 0 || id >= Array.length reg.protocols then unknown_id id;
+  Array.unsafe_get reg.protocols id
 
 let find_by_name reg name =
   let rec search i =

@@ -42,7 +42,7 @@ let wait_for_service rt (e : Page_table.entry) =
     Marcel.Cond.wait marcel e.fault_done e.entry_mutex
   done
 
-let unpin rt (e : Page_table.entry) =
+let[@inline] unpin rt (e : Page_table.entry) =
   if e.pinned then begin
     e.pinned <- false;
     Marcel.Cond.broadcast (Runtime.marcel rt) e.fault_done

@@ -137,8 +137,8 @@ let notify_rearm t =
   match t.watch with None -> () | Some w -> w.wh_rearm ()
 
 let nodes t = Pm2.nodes t.pm2
-let marcel t = Pm2.marcel t.pm2
-let engine t = Pm2.engine t.pm2
+let[@inline] marcel t = Pm2.marcel t.pm2
+let[@inline] engine t = Pm2.engine t.pm2
 let rpc t = Pm2.rpc t.pm2
 let self_node t = Pm2.self_node t.pm2
 let table t node = t.tables.(node)

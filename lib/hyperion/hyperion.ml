@@ -65,11 +65,13 @@ let home_of_addr t addr =
 
 let home t o = home_of_addr t o.obj_addr
 
-let check_field o i =
-  if i < 0 || i >= o.obj_fields then
-    invalid_arg
-      (Printf.sprintf "Hyperion: field %d out of range (object has %d fields)" i
-         o.obj_fields)
+let[@inline never] field_out_of_range o i =
+  invalid_arg
+    (Printf.sprintf "Hyperion: field %d out of range (object has %d fields)" i
+       o.obj_fields)
+
+let[@inline] check_field o i =
+  if i < 0 || i >= o.obj_fields then field_out_of_range o i
 
 let get t o i =
   check_field o i;
@@ -84,9 +86,11 @@ let monitor_enter t m = Dsm.lock_acquire t.dsm m
 let monitor_exit t m = Dsm.lock_release t.dsm m
 let synchronized t m f = Dsm.with_lock t.dsm m f
 
+(* Only the protocols built on Java_common keep modification records to
+   flush; any other protocol's node state is its own. *)
 let main_memory_update t =
-  let node = Dsm.self_node t.dsm in
-  Java_common.flush_records t.dsm ~node ~protocol:t.proto
+  if Java_common.keeps_records (Runtime.proto t.dsm t.proto) then
+    Java_common.flush_records t.dsm ~node:(Dsm.self_node t.dsm) ~protocol:t.proto
 
 let peek_main_memory t o i =
   check_field o i;

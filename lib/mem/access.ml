@@ -1,7 +1,7 @@
 type t = No_access | Read_only | Read_write
 type mode = Read | Write
 
-let allows t mode =
+let[@inline] allows t mode =
   match (t, mode) with
   | No_access, (Read | Write) -> false
   | Read_only, Read -> true

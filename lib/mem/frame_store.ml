@@ -96,16 +96,17 @@ let copy_out t page =
 
 let frame_count t = t.count
 
-let check_word_aligned addr =
-  if addr land 7 <> 0 then
-    invalid_arg (Printf.sprintf "Frame_store: unaligned word access at %#x" addr)
+let[@inline never] unaligned addr =
+  invalid_arg (Printf.sprintf "Frame_store: unaligned word access at %#x" addr)
 
-let read_int t ~addr =
+let[@inline] check_word_aligned addr = if addr land 7 <> 0 then unaligned addr
+
+let[@inline] read_int t ~addr =
   check_word_aligned addr;
   let b = frame t (Page.page_of_addr t.geo addr) in
   Int64.to_int (Bytes.get_int64_le b (Page.offset_of_addr t.geo addr))
 
-let write_int t ~addr v =
+let[@inline] write_int t ~addr v =
   check_word_aligned addr;
   let b = frame t (Page.page_of_addr t.geo addr) in
   Bytes.set_int64_le b (Page.offset_of_addr t.geo addr) (Int64.of_int v)

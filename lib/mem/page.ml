@@ -10,8 +10,8 @@ let geometry ~size =
   { size; shift = log2 size 0; mask = size - 1 }
 
 let size g = g.size
-let page_of_addr g addr = addr asr g.shift
-let offset_of_addr g addr = addr land g.mask
+let[@inline] page_of_addr g addr = addr asr g.shift
+let[@inline] offset_of_addr g addr = addr land g.mask
 let base_of_page g page = page lsl g.shift
 
 let pages_of_range g ~addr ~len =

@@ -60,13 +60,16 @@ let cpu t i = t.cpus.(i)
 
 (* The thread of fiber [fid], or [no_thread] for fibers that are not
    Marcel threads (and for [-1], plain event context). *)
-let thread_of_fiber t fid =
+let[@inline] thread_of_fiber t fid =
   if fid >= 0 && fid < Array.length t.by_fiber then Array.unsafe_get t.by_fiber fid
   else no_thread
 
-let self t =
+let[@inline never] not_in_thread () =
+  failwith "Marcel.self: not running inside a Marcel thread"
+
+let[@inline] self t =
   let th = thread_of_fiber t (Engine.current_fiber t.eng) in
-  if th == no_thread then failwith "Marcel.self: not running inside a Marcel thread";
+  if th == no_thread then not_in_thread ();
   th
 
 let self_opt t =
@@ -82,7 +85,7 @@ let tid_of_fiber t fid =
   if th == no_thread then None else Some th.tid
 
 let tid th = th.tid
-let node th = th.node
+let[@inline] node th = th.node
 let is_migratable th = th.migratable
 let request_move th ~dst = if th.migratable then th.requested_node <- Some dst
 let pending_move th = th.requested_node
@@ -182,13 +185,13 @@ let compute t us =
   th.pending_us <- 0.;
   if total > 0. then Cpu.compute t.eng t.cpus.(th.node) (Time.of_us total)
 
-let charge_thread t th us =
+let[@inline] charge_thread t th us =
   if us < 0. then invalid_arg "Marcel.charge: negative duration";
   settle t th;
   th.pending_us <- th.pending_us +. us
 
 let charge t us = charge_thread t (self t) us
-let charge_tick th = th.ticks <- th.ticks + 1
+let[@inline] charge_tick th = th.ticks <- th.ticks + 1
 
 let set_tick_us t us =
   if us < 0. then invalid_arg "Marcel.set_tick_us: negative duration";

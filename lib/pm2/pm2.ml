@@ -36,8 +36,8 @@ let create ?tie_seed ?jitter ?(page_size = 4096) ~nodes ~driver () =
     migrations = 0;
   }
 
-let engine t = t.eng
-let marcel t = t.marcel
+let[@inline] engine t = t.eng
+let[@inline] marcel t = t.marcel
 let rpc t = t.rpc
 let network t = t.net
 let iso t = t.iso
@@ -69,7 +69,7 @@ let migrate t ~dst =
             resume ()))
   end
 
-let honour_move t th =
+let[@inline] honour_move t th =
   match Marcel.pending_move th with
   | Some dst ->
       Marcel.clear_move th;

@@ -10,10 +10,15 @@ let state rt ~node ~protocol =
   let table = Runtime.table rt node in
   match Page_table.node_ext table ~protocol with
   | Java_state s -> s
-  | _ ->
+  | Page_table.No_ext ->
       let s = { records = Hashtbl.create 16 } in
       Page_table.set_node_ext table ~protocol (Java_state s);
       s
+  | _ ->
+      invalid_arg
+        (Printf.sprintf
+           "Java_common: protocol %d keeps its own state on node %d, not Java records"
+           protocol node)
 
 let id_of rt name =
   match Protocol.find_by_name rt.Runtime.registry name with
@@ -129,6 +134,11 @@ let lock_acquire ~name rt ~node ~lock:_ =
 
 let on_local_write rt ~node ~page ~offset ~value =
   record_write rt ~node ~page ~offset ~value
+
+let keeps_records (p : Runtime.t Protocol.t) =
+  match p.Protocol.on_local_write with
+  | Some hook -> hook == on_local_write
+  | None -> false
 
 let make ~name ~detection =
   {

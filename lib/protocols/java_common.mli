@@ -17,13 +17,20 @@ open Dsmpm2_core
 
 val make : name:string -> detection:Protocol.detection -> Runtime.t Protocol.t
 
+val keeps_records : Runtime.t Protocol.t -> bool
+(** Whether the protocol records its local writes here: true for every
+    protocol built by {!make} (java_ic, java_pf, entry_ec, whatever their
+    [model]), false for any other. *)
+
 val recorded_words : Runtime.t -> node:int -> page:int -> (int * int) list
 (** The (offset, value) modification records not yet transmitted for this
     page, oldest first; for tests. *)
 
 val flush_records : Runtime.t -> node:int -> protocol:int -> unit
 (** Sends all pending records to their homes (the "main memory update"
-    primitive Hyperion calls on monitor exit). *)
+    primitive Hyperion calls on monitor exit).  Raises [Invalid_argument]
+    if [protocol] keeps other node state on [node] (it is not one of the
+    protocols built on this module). *)
 
 val flush_selected : Runtime.t -> node:int -> protocol:int -> only:int list option -> unit
 (** Like {!flush_records}, restricted to the pages in [only] (all pages when

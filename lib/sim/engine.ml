@@ -46,7 +46,7 @@ exception Stalled of int
 let now t = t.clock
 let live_fibers t = t.live
 let events_executed t = t.executed
-let current_fiber t = t.current
+let[@inline] current_fiber t = t.current
 let tie_seed t = t.tie_seed
 let pending_events t = t.size
 

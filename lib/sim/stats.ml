@@ -44,7 +44,7 @@ let cell t ?node ?protocol ?(count = "") ?(volume = "") ?(span = "") () =
   t.cells <- c :: t.cells;
   c
 
-let bump c = c.events <- c.events + 1
+let[@inline] bump c = c.events <- c.events + 1
 
 let add c ~events ~volume =
   c.events <- c.events + events;

@@ -164,6 +164,18 @@ let test_coloring_both_protocols_optimal () =
       Alcotest.(check int) (protocol ^ " optimal cost") optimal r.Map_coloring.best_cost)
     [ "java_ic"; "java_pf" ]
 
+(* Hyperion over a protocol outside the Java model: the set-up thread's
+   main-memory update must leave sc_abd's quorum services in place. *)
+let test_coloring_sc_abd_optimal () =
+  let color_costs = [| 1; 1; 1; 1 |] in
+  let r =
+    Map_coloring.run
+      { Map_coloring.default with Map_coloring.protocol = "sc_abd"; nodes = 2; color_costs }
+  in
+  Alcotest.(check int) "sc_abd optimal cost"
+    (Map_coloring.solve_sequential ~color_costs ())
+    r.Map_coloring.best_cost
+
 let test_coloring_ic_pays_checks () =
   let ic = Map_coloring.run { Map_coloring.default with Map_coloring.protocol = "java_ic"; nodes = 2 } in
   let pf = Map_coloring.run { Map_coloring.default with Map_coloring.protocol = "java_pf"; nodes = 2 } in
@@ -290,6 +302,7 @@ let () =
         [
           Alcotest.test_case "both protocols optimal" `Slow test_coloring_both_protocols_optimal;
           Alcotest.test_case "ic pays checks, pf pays faults" `Slow test_coloring_ic_pays_checks;
+          Alcotest.test_case "sc_abd optimal" `Slow test_coloring_sc_abd_optimal;
         ] );
       ( "catalog",
         [

@@ -555,6 +555,19 @@ let test_fault_storm_guard () =
         Alcotest.(check int) "caught at the limit" 6 attempts);
   Alcotest.(check bool) "storm detected" true !stormed
 
+let test_fault_limit_before_rights () =
+  (* Each attempt checks the limit before the rights: with a negative
+     limit even a hit on a page the node holds is refused, and before any
+     fault is taken. *)
+  let dsm, _ = make ~nodes:2 () in
+  let x = Dsm.malloc dsm ~home:(Dsm.On_node 0) 8 in
+  (dsm : Dsm.t).Runtime.fault_loop_limit <- -1;
+  let attempts = ref None in
+  run_one dsm ~node:0 (fun () ->
+      try ignore (Dsm.read_int dsm x)
+      with Dsm.Fault_storm { attempts = a; _ } -> attempts := Some a);
+  Alcotest.(check (option int)) "refused at the first attempt" (Some 0) !attempts
+
 let test_ensure_access_public_path () =
   (* The compiler-target entry point: after ensure_access, the access is
      local and free. *)
@@ -648,6 +661,8 @@ let () =
         [
           Alcotest.test_case "custom cost model" `Quick test_custom_costs;
           Alcotest.test_case "fault-storm guard" `Quick test_fault_storm_guard;
+          Alcotest.test_case "limit checked before rights" `Quick
+            test_fault_limit_before_rights;
           Alcotest.test_case "public ensure_access" `Quick test_ensure_access_public_path;
           Alcotest.test_case "lock manager placement" `Quick test_lock_manager_placement;
           Alcotest.test_case "monitor summary counts" `Quick test_monitor_summary_counts;

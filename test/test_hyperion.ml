@@ -168,6 +168,49 @@ let test_records_visible_through_api () =
       Alcotest.(check int) "cleared after update" 0
         (List.length (Java_common.recorded_words dsm ~node:1 ~page)))
 
+(* A main-memory update under a non-Java protocol flushes nothing and
+   leaves that protocol's node state alone: here hbrc_mw's dirty list. *)
+let test_update_keeps_foreign_state () =
+  let dsm = Dsm.create ~nodes:2 ~driver:Driver.sisci_sci () in
+  let ids = Builtin.register_all dsm in
+  let hyp = H.create dsm ~protocol:ids.Builtin.hbrc_mw in
+  let o = H.new_obj hyp ~home:1 ~fields:1 () in
+  let page = List.hd (Dsm.region_pages dsm ~addr:(H.addr o) ~size:8) in
+  run_one dsm ~node:0 (fun () ->
+      H.put hyp o 0 5;
+      Alcotest.(check (list int)) "dirty after the put" [ page ]
+        (Hbrc_mw.dirty_pages dsm ~node:0);
+      H.main_memory_update hyp;
+      Alcotest.(check (list int)) "still dirty after the update" [ page ]
+        (Hbrc_mw.dirty_pages dsm ~node:0));
+  (* Java records never replace another protocol's node state. *)
+  let hbrc = ids.Builtin.hbrc_mw in
+  Alcotest.check_raises "foreign state refused"
+    (Invalid_argument
+       (Printf.sprintf
+          "Java_common: protocol %d keeps its own state on node 0, not Java records" hbrc))
+    (fun () -> Java_common.flush_records dsm ~node:0 ~protocol:hbrc)
+
+(* entry_ec is built on Java_common under the Release model: an update
+   still transmits its pending records. *)
+let test_update_flushes_entry_ec () =
+  let dsm = Dsm.create ~nodes:2 ~driver:Driver.sisci_sci () in
+  ignore (Builtin.register_all dsm : Builtin.ids);
+  let extras = Builtin.register_extras dsm in
+  let hyp = H.create dsm ~protocol:extras.Builtin.entry_ec in
+  let o = H.new_obj hyp ~home:1 ~fields:2 () in
+  let page = List.hd (Dsm.region_pages dsm ~addr:(H.addr o) ~size:8) in
+  run_one dsm ~node:0 (fun () ->
+      H.put hyp o 0 1;
+      H.put hyp o 1 2;
+      Alcotest.(check int) "two pending records" 2
+        (List.length (Java_common.recorded_words dsm ~node:0 ~page));
+      H.main_memory_update hyp;
+      Alcotest.(check int) "cleared after update" 0
+        (List.length (Java_common.recorded_words dsm ~node:0 ~page)));
+  Alcotest.(check (list int)) "home holds the values" [ 1; 2 ]
+    (List.init 2 (H.peek_main_memory hyp o))
+
 let test_get_hit_allocates_nothing () =
   (* Hyperion.get on a local object under java_ic: the inline check is
      counted and charged on every call, and the call allocates nothing. *)
@@ -210,5 +253,9 @@ let () =
           Alcotest.test_case "explicit main-memory update" `Quick
             test_explicit_main_memory_update;
           Alcotest.test_case "records API" `Quick test_records_visible_through_api;
+          Alcotest.test_case "update keeps foreign state" `Quick
+            test_update_keeps_foreign_state;
+          Alcotest.test_case "update flushes entry_ec" `Quick
+            test_update_flushes_entry_ec;
         ] );
     ]
