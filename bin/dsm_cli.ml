@@ -423,7 +423,7 @@ let analyze_cmd =
     (Cmd.info "analyze"
        ~doc:
          "Post-mortem trace analysis: fault critical paths, per-page sharing \
-          patterns, lock/barrier contention, protocol advice.")
+          patterns, lock/barrier contention, watchdog alerts.")
     Term.(
       const run $ workload $ trace_jsonl $ workload_protocol_arg $ nodes_arg $ driver_arg
       $ seed_arg $ top $ out $ folded_file)
@@ -681,9 +681,9 @@ let check_cmd =
    Each frame shows health (per-node rates, interval faults, alerts) and
    then the memory: the online telemetry engine's cluster fault-latency
    sketch percentiles, per-protocol and per-node fault counts, and the
-   hottest pages with their streaming sharing classification and protocol
-   advice.  Telemetry reads the trace observer stream, so the frames stay
-   exact under --trace-cap rings and --sample-pct sampling. *)
+   hottest pages with their streaming sharing classification.  Telemetry
+   reads the trace observer stream, so the frames stay exact under
+   --trace-cap rings and --sample-pct sampling. *)
 
 let watch_cmd =
   let run workload protocol nodes driver seed size iterations interval_us
@@ -793,7 +793,7 @@ let watch_cmd =
          "Run an application under the live watchdog and telemetry engine: \
           periodic invariant audits, deadlock/stall and thrash detection, \
           per-node rates, fault-latency sketch percentiles and the hottest \
-          pages with streaming sharing classifications and protocol advice.  \
+          pages with streaming sharing classifications.  \
           Exact even under $(b,--trace-cap) and $(b,--sample-pct).  Exits \
           non-zero on critical alerts.")
     Term.(

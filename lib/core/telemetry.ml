@@ -21,19 +21,6 @@ let pattern_to_string = function
   | False_sharing -> "false-sharing"
   | Mixed -> "mixed"
 
-(* Pattern -> built-in protocol, following the paper's Table 2 roles:
-   migratory data wants the accessing thread moved to it; false sharing
-   wants a multiple-writer diff protocol; read-mostly and producer-consumer
-   pages want updates pushed instead of replicas invalidated; a single
-   writer with a private working set fits eager release consistency. *)
-let recommended_protocol = function
-  | Migratory -> Some "migrate_thread"
-  | False_sharing -> Some "hbrc_mw"
-  | Read_mostly -> Some "write_update"
-  | Producer_consumer -> Some "write_update"
-  | Single_writer -> Some "erc_sw"
-  | Private | Mixed -> None
-
 type profile = {
   pr_page : int;
   pr_protocol : string;
@@ -47,32 +34,6 @@ type profile = {
   pr_bytes : int;
   pr_invalidations : int;
 }
-
-type advice = {
-  av_page : int;
-  av_pattern : pattern;
-  av_current : string;
-  av_recommended : string;
-}
-
-(* The advisor's one rule: a page deserves advice when the protocol its
-   pattern recommends differs from the one it runs.  Returns the matched
-   option itself, so the per-tick drain allocates nothing here. *)
-let recommendation pattern ~protocol =
-  match recommended_protocol pattern with
-  | Some r as advised when not (String.equal r protocol) -> advised
-  | _ -> None
-
-let advise p =
-  Option.map
-    (fun r ->
-      {
-        av_page = p.pr_page;
-        av_pattern = p.pr_pattern;
-        av_current = p.pr_protocol;
-        av_recommended = r;
-      })
-    (recommendation p.pr_pattern ~protocol:p.pr_protocol)
 
 (* --- the streaming classifier --- *)
 
@@ -301,14 +262,9 @@ end
 
 (* --- the attached engine --- *)
 
-type config = {
-  thrash_window : int;
-  thrash_span : Time.t;
-  advice_min_faults : int;
-}
+type config = { thrash_window : int; thrash_span : Time.t }
 
-let default_config =
-  { thrash_window = 8; thrash_span = Time.of_us 300.; advice_min_faults = 4 }
+let default_config = { thrash_window = 8; thrash_span = Time.of_us 300. }
 
 type thrash_report = {
   th_page : int;
@@ -321,7 +277,6 @@ type interval = {
   iv_installs : (int * int) list;
   iv_reclassified : int;
   iv_thrash : thrash_report list;
-  iv_advice : advice list;
 }
 
 (* What the engine keeps per page.  A page belongs to the interval's
@@ -334,7 +289,6 @@ type page_state = {
   mutable ps_stamp : int; (* the last interval that touched the page *)
   mutable ps_installs : int; (* installs during interval [ps_stamp] *)
   mutable ps_pattern : pattern option; (* last known classification *)
-  mutable ps_advised : string option; (* recommendation issued *)
   mutable ps_thrash_last : Time.t option; (* last thrash report *)
   ps_at : Time.t array;
   ps_node : int array;
@@ -360,7 +314,6 @@ let new_state n =
     ps_stamp = -1;
     ps_installs = 0;
     ps_pattern = None;
-    ps_advised = None;
     ps_thrash_last = None;
     ps_at = Array.make n Time.zero;
     ps_node = Array.make n 0;
@@ -524,13 +477,11 @@ let fault_latency t =
 
 (* --- interval drain --- *)
 
-let quiet = { iv_installs = []; iv_reclassified = 0; iv_thrash = []; iv_advice = [] }
+let quiet = { iv_installs = []; iv_reclassified = 0; iv_thrash = [] }
 
 let end_interval t =
-  (* Classification churn and fresh advice, over the pages touched this
-     interval only. *)
+  (* Classification churn, over the pages touched this interval only. *)
   let reclass = ref 0 in
-  let fresh_advice = ref [] in
   let installs = ref [] in
   for i = 0 to t.n_touched - 1 do
     let page = t.touched.(i) in
@@ -539,34 +490,19 @@ let end_interval t =
     let a = Pages.find t.pgs page in
     if a != Pages.absent then begin
       let pattern = Pages.classify_acc a in
-      (match s.ps_pattern with
+      match s.ps_pattern with
       | Some old when old = pattern -> ()
       | Some _ ->
           incr reclass;
           s.ps_pattern <- Some pattern
-      | None -> s.ps_pattern <- Some pattern);
-      if a.Pages.c_read_faults + a.Pages.c_write_faults >= t.cfg.advice_min_faults
-      then
-        match recommendation pattern ~protocol:a.Pages.c_protocol with
-        | Some r as advised
-          when not (Option.equal String.equal s.ps_advised advised) ->
-            s.ps_advised <- advised;
-            fresh_advice :=
-              {
-                av_page = page;
-                av_pattern = pattern;
-                av_current = a.Pages.c_protocol;
-                av_recommended = r;
-              }
-              :: !fresh_advice
-        | _ -> ()
+      | None -> s.ps_pattern <- Some pattern
     end
   done;
   t.n_touched <- 0;
   t.interval_count <- t.interval_count + 1;
   t.reclass_total <- t.reclass_total + !reclass;
-  match (!installs, t.pending_thrash, !fresh_advice) with
-  | [], [], [] when !reclass = 0 -> quiet
+  match (!installs, t.pending_thrash) with
+  | [], [] when !reclass = 0 -> quiet
   | _ ->
       let iv =
         {
@@ -578,33 +514,12 @@ let end_interval t =
               !installs;
           iv_reclassified = !reclass;
           iv_thrash = List.rev t.pending_thrash;
-          iv_advice =
-            List.sort (fun a b -> compare a.av_page b.av_page) !fresh_advice;
         }
       in
       t.pending_thrash <- [];
       iv
 
 (* --- snapshots --- *)
-
-(* Issued advice in page order, each with the page's current pattern. *)
-let advice_list t =
-  let l = ref [] in
-  for page = Array.length t.states - 1 downto 0 do
-    match t.states.(page).ps_advised with
-    | Some r ->
-        let a = Pages.find t.pgs page in
-        l :=
-          {
-            av_page = page;
-            av_pattern = Pages.classify_acc a;
-            av_current = a.Pages.c_protocol;
-            av_recommended = r;
-          }
-          :: !l
-    | None -> ()
-  done;
-  !l
 
 let profile_to_json p =
   Json.Obj
@@ -621,15 +536,6 @@ let profile_to_json p =
       ("transfers", Json.Int p.pr_transfers);
       ("bytes", Json.Int p.pr_bytes);
       ("invalidations", Json.Int p.pr_invalidations);
-    ]
-
-let advice_to_json a =
-  Json.Obj
-    [
-      ("page", Json.Int a.av_page);
-      ("pattern", Json.String (pattern_to_string a.av_pattern));
-      ("current", Json.String a.av_current);
-      ("recommended", Json.String a.av_recommended);
     ]
 
 let to_json ?meta t =
@@ -659,7 +565,6 @@ let to_json ?meta t =
           (("count", Json.Int count)
           :: List.map (fun (name, us) -> (name, Json.Float us)) pcts) );
       ("pages", Json.List (List.map profile_to_json (Pages.profiles t.pgs)));
-      ("advice", Json.List (List.map advice_to_json (advice_list t)));
       ( "trace",
         Json.Obj
           [
@@ -700,13 +605,10 @@ let pp_top ?(top = 10) ppf t =
       (fun i p ->
         if i < top then
           Format.fprintf ppf
-            "  page %-5d %-17s rf=%-6d wf=%-6d xfers=%-6d bytes=%-9d%s@."
+            "  page %-5d %-17s rf=%-6d wf=%-6d xfers=%-6d bytes=%-9d@."
             p.pr_page
             (pattern_to_string p.pr_pattern)
-            p.pr_read_faults p.pr_write_faults p.pr_transfers p.pr_bytes
-            (match advise p with
-            | Some a -> " -> " ^ a.av_recommended
-            | None -> ""))
+            p.pr_read_faults p.pr_write_faults p.pr_transfers p.pr_bytes)
       hot
   end;
   Format.fprintf ppf "trace: recorded=%d stored=%d evicted=%d sampled_out=%d%s@."

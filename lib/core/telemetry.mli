@@ -45,13 +45,6 @@ type pattern =
 
 val pattern_to_string : pattern -> string
 
-val recommended_protocol : pattern -> string option
-(** The advisor's mapping: migratory data wants the thread moved to it
-    ([migrate_thread]), tolerated false sharing wants multiple-writer diffs
-    ([hbrc_mw]), read-mostly and producer-consumer pages want updates pushed
-    ([write_update]), a single writer fits eager release consistency
-    ([erc_sw]).  [None] for private/mixed: keep the current protocol. *)
-
 type profile = {
   pr_page : int;
   pr_protocol : string;
@@ -69,21 +62,6 @@ type profile = {
 val profile_to_json : profile -> Json.t
 (** One page of the heatmap, as both [dsm watch --out] and [dsm analyze
     --out] write it. *)
-
-type advice = {
-  av_page : int;
-  av_pattern : pattern;
-  av_current : string;  (** protocol the page runs *)
-  av_recommended : string;
-}
-
-val advise : profile -> advice option
-(** The advisor's rule: [Some] when the page's {!recommended_protocol}
-    differs from the one it runs.  [dsm analyze] applies it to every page;
-    the attached engine also requires [advice_min_faults] and issues each
-    recommendation once. *)
-
-val advice_to_json : advice -> Json.t
 
 (** {2 The streaming classifier}
 
@@ -116,13 +94,11 @@ end
 type config = {
   thrash_window : int;  (** installs per page examined for ping-pong *)
   thrash_span : Time.t;  (** window duration qualifying as thrashing *)
-  advice_min_faults : int;
-      (** fault evidence required before advising a protocol change *)
 }
 
 val default_config : config
 (** 8 installs within 300 us qualify as thrashing (the watchdog's
-    [thrash.page] rule); [advice_min_faults = 4]. *)
+    [thrash.page] rule). *)
 
 type thrash_report = {
   th_page : int;
@@ -136,7 +112,6 @@ type interval = {
       (** page → installs this interval, most active first *)
   iv_reclassified : int;  (** pages whose pattern changed this interval *)
   iv_thrash : thrash_report list;  (** chronological *)
-  iv_advice : advice list;  (** newly issued, by page *)
 }
 (** What {!end_interval} drains: the watchdog turns these into alerts and
     its per-tick hot-page sample. *)
@@ -168,7 +143,7 @@ val protocols : t -> (string * int) list
 
 val end_interval : t -> interval
 (** Drains and resets the per-interval state (installs, touched pages,
-    thrash findings, fresh advice).  Called by the watchdog once per
+    thrash findings).  Called by the watchdog once per
     tick. *)
 
 val to_json : ?meta:Run_meta.t -> t -> Json.t
@@ -176,12 +151,12 @@ val to_json : ?meta:Run_meta.t -> t -> Json.t
     totals, per-protocol fault counts, the cluster fault latency
     ([fault_latency_us]: count, p50, p90, p99, p999 of
     {!Instrument.stage_total}), the page heatmap with classifications,
-    classification churn, trace accounting
-    (recorded/stored/evicted/capacity/sampled_out) and issued advice. *)
+    classification churn and trace accounting
+    (recorded/stored/evicted/capacity/sampled_out). *)
 
 val pp_top : ?top:int -> Format.formatter -> t -> unit
 (** The hot-page half of a [dsm watch] frame: cluster rollup (fault count
     and {!Instrument.stage_total} percentiles), per-protocol fault counts,
     per-node fault counts, the [top]
-    (default 10) hottest pages with patterns and recommendations, and
+    (default 10) hottest pages with their patterns, and
     trace-pressure accounting. *)

@@ -46,18 +46,14 @@ type config = {
   interval : Time.t;
   stall : Time.t;
   ring_capacity : int;
-  audits : bool;
-  retry_storm : int;
 }
 
 let default_config =
-  {
-    interval = Time.of_us 200.;
-    stall = Time.of_us 20_000.;
-    ring_capacity = 64;
-    audits = true;
-    retry_storm = 8;
-  }
+  { interval = Time.of_us 200.; stall = Time.of_us 20_000.; ring_capacity = 64 }
+
+(* RPC retransmissions within one interval above which an
+   "rpc.retry_storm" warning fires. *)
+let retry_storm = 8
 
 type t = {
   rt : Runtime.t;
@@ -309,14 +305,6 @@ let drain_telemetry w =
            (String.concat "," (List.map string_of_int r.Telemetry.th_nodes))
            (Time.to_us r.Telemetry.th_span)))
     iv.Telemetry.iv_thrash;
-  List.iter
-    (fun (a : Telemetry.advice) ->
-      raise_alert w ~severity:Info ~kind:"advice.page"
-        (Printf.sprintf "page %d looks %s under %s: allocate with ~protocol:%s"
-           a.Telemetry.av_page
-           (Telemetry.pattern_to_string a.Telemetry.av_pattern)
-           a.Telemetry.av_current a.Telemetry.av_recommended))
-    iv.Telemetry.iv_advice;
   iv
 
 (* --- page-table invariant audits ---
@@ -513,7 +501,7 @@ let check_faults w now =
                (Fault_plan.messages_blackholed plan)));
     w.prev_dropped <- dropped;
     let retrans = Rpc.retransmissions (Runtime.rpc rt) in
-    if retrans - w.prev_retrans > w.cfg.retry_storm then
+    if retrans - w.prev_retrans > retry_storm then
       once w "fault.retry_storm" (fun () ->
           raise_alert w ~severity:Warning ~kind:"rpc.retry_storm"
             (Printf.sprintf
@@ -521,7 +509,7 @@ let check_faults w now =
                 %d): calls are hammering an unreachable node"
                (retrans - w.prev_retrans)
                (Time.to_us w.cfg.interval)
-               w.cfg.retry_storm));
+               retry_storm));
     w.prev_retrans <- retrans
   end
 
@@ -635,7 +623,7 @@ let tick w =
     detect_cycles w
   end;
   check_faults w now;
-  if w.cfg.audits then audit w;
+  audit w;
   let slot = snapshot w now ~installs:iv.Telemetry.iv_installs in
   (match w.on_sample with Some f -> f (decode w slot) | None -> ());
   let live = Engine.live_fibers eng in

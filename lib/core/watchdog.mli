@@ -16,7 +16,7 @@
       hooks and reports cycles (deadlock) and threads blocked beyond a
       simulated-time threshold (stalls);
     - drains the online telemetry engine ({!Telemetry}, attached on demand)
-      for page-thrash findings, hot-page accounting and protocol advice —
+      for page-thrash findings and hot-page accounting —
       telemetry observes every trace emission at the source, so these stay
       exact under trace sampling and flight-recorder eviction;
     - snapshots interval rates (faults/s, messages/s, bytes/s per node,
@@ -39,15 +39,12 @@ type alert = {
       (** dotted taxonomy: "invariant.owner" / "invariant.copyset" /
           "invariant.home" / "invariant.protocol" (critical),
           "deadlock.cycle" / "deadlock.stall" (critical),
-          "stall.lock" / "stall.barrier" / "thrash.page" (warning),
-          "advice.page" (info, a page's observed sharing pattern suggests a
-          different protocol — detail names the page, the pattern and the
-          recommended [~protocol] attribute); with a
+          "stall.lock" / "stall.barrier" / "thrash.page" (warning); with a
           fault plan installed ({!Dsm.inject_faults}) also "node.dead"
           (warning, a node entered a crash window), "node.restart" (info),
           "node.partitioned" (info, the plan started dropping traffic) and
-          "rpc.retry_storm" (warning, retransmissions over
-          {!config.retry_storm} in one interval) *)
+          "rpc.retry_storm" (warning, more than 8 RPC retransmissions in one
+          interval) *)
   al_node : int;  (** node concerned, [-1] for run-wide findings *)
   al_detail : string;
 }
@@ -83,16 +80,12 @@ type config = {
   interval : Time.t;  (** sampling period (simulated time) *)
   stall : Time.t;  (** blocked longer than this => stall warning *)
   ring_capacity : int;  (** time-series points retained *)
-  audits : bool;  (** run the page-table invariant audits *)
-  retry_storm : int;
-      (** RPC retransmissions within one interval above which a
-          "rpc.retry_storm" warning fires (fault plans only) *)
 }
 
 val default_config : config
-(** 200 us interval, 20 ms stall threshold, 64-point ring, audits on,
-    retry-storm threshold 8.  The thrash window is the telemetry engine's
-    ({!Telemetry.config}). *)
+(** 200 us interval, 20 ms stall threshold, 64-point ring.  Every sample
+    runs the page-table audits.  The thrash window is the telemetry
+    engine's ({!Telemetry.config}). *)
 
 type t
 

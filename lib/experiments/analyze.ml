@@ -95,11 +95,11 @@ let chain_of_span (span, evs) =
           ch_events = evs;
         }
 
-(* --- per-page sharing patterns and advice ---
+(* --- per-page sharing patterns ---
 
-   The classifier and the advisor's rule live in [Telemetry], shared with
-   the online engine behind [dsm watch]: one implementation backs both
-   views, so the post-mortem heatmap and the live classification agree by
+   The classifier lives in [Telemetry], shared with the online engine
+   behind [dsm watch]: one implementation backs both views, so the
+   post-mortem heatmap and the live classification agree by
    construction. *)
 
 module Tele = Dsmpm2_core.Telemetry
@@ -296,7 +296,6 @@ type t = {
   an_pages : Tele.profile list;  (* ranked by (faults, bytes) desc *)
   an_locks : lock_profile list;
   an_barriers : barrier_profile list;
-  an_advice : Tele.advice list;
   an_alerts : Watchdog.alert list;  (* watchdog findings, chronological *)
   an_faults : fault_summary;  (* injected-fault footprint *)
 }
@@ -360,7 +359,6 @@ let analyze ?(top = 5) trace =
     an_pages = pages;
     an_locks = lock_profiles events;
     an_barriers = barrier_profiles events;
-    an_advice = List.filter_map Tele.advise pages;
     an_alerts =
       List.filter_map
         (fun (at, _, ev) -> Watchdog.alert_of_event ~at ev)
@@ -369,7 +367,6 @@ let analyze ?(top = 5) trace =
   }
 
 let pages t = t.an_pages
-let advice t = t.an_advice
 let locks t = t.an_locks
 let barriers t = t.an_barriers
 let chains t = t.an_chains
@@ -387,7 +384,7 @@ let nodes_str nodes =
 
 let report
     ?(sections =
-      [ `Alerts; `Faults; `Critical; `Pages; `Locks; `Barriers; `Advice ]) ppf
+      [ `Alerts; `Faults; `Critical; `Pages; `Locks; `Barriers ]) ppf
     t =
   let want s = List.mem s sections in
   Format.fprintf ppf "Trace analysis: %d events, %d spans, %.1f us@." t.an_events
@@ -485,19 +482,6 @@ let report
           b.br_parties b.br_rounds (Sketch.mean b.br_imbalance)
           (Sketch.max_value b.br_imbalance))
       t.an_barriers
-  end;
-  if want `Advice then begin
-    Format.fprintf ppf "@.== Protocol advisor (dsm_malloc attribute suggestions) ==@.";
-    if t.an_advice = [] then
-      Format.fprintf ppf "  every page already runs a protocol matching its pattern@."
-    else
-      List.iter
-        (fun (a : Tele.advice) ->
-          Format.fprintf ppf
-            "  page %d: %s under %s -> allocate with ~protocol:%s@." a.Tele.av_page
-            (Tele.pattern_to_string a.Tele.av_pattern)
-            a.Tele.av_current a.Tele.av_recommended)
-        t.an_advice
   end
 
 (* --- stable JSON --- *)
@@ -570,7 +554,6 @@ let to_json ?meta t =
                    ("imbalance", Sketch.to_json b.br_imbalance);
                  ])
              t.an_barriers) );
-      ("advice", Json.List (List.map Tele.advice_to_json t.an_advice));
       ("alerts", Json.List (List.map Watchdog.alert_to_json t.an_alerts));
       ( "faults",
         Json.Obj

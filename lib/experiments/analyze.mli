@@ -16,14 +16,12 @@
     - {b lock and barrier contention}: per-lock wait/hold distributions
       from the client-side request/granted/released events, per-barrier
       arrival imbalance;
-    - {b a protocol advisor}: pattern → recommended built-in protocol, as a
-      [dsm_malloc ~protocol] attribute suggestion per page;
     - {b watchdog alerts} found in the trace.
 
-    Pages, advice and alerts are the live engines' own records —
-    {!Dsmpm2_core.Telemetry.profile}, {!Dsmpm2_core.Telemetry.advice} and
-    {!Dsmpm2_core.Watchdog.alert} — built by the same classifier, advisor
-    rule and alert decoder, and written by the same JSON encoders, so
+    Pages and alerts are the live engines' own records —
+    {!Dsmpm2_core.Telemetry.profile} and {!Dsmpm2_core.Watchdog.alert} —
+    built by the same classifier and alert decoder, and written by the
+    same JSON encoders, so
     [dsm analyze], [dsm watch] and [dsm diff] cannot disagree on a page
     or an alert.
 
@@ -106,10 +104,6 @@ val page_profile : t -> page:int -> Dsmpm2_core.Telemetry.profile option
 val locks : t -> lock_profile list
 
 val barriers : t -> barrier_profile list
-val advice : t -> Dsmpm2_core.Telemetry.advice list
-(** {!Dsmpm2_core.Telemetry.advise} over every page, with no minimum
-    fault count: only pages whose recommended protocol differs from the
-    one they ran. *)
 
 val alerts : t -> Dsmpm2_core.Watchdog.alert list
 (** Watchdog findings recorded in the trace, chronological, decoded by
@@ -120,8 +114,7 @@ val faults : t -> fault_summary
 
 val report :
   ?sections:
-    [ `Alerts | `Faults | `Critical | `Pages | `Locks | `Barriers | `Advice ]
-    list ->
+    [ `Alerts | `Faults | `Critical | `Pages | `Locks | `Barriers ] list ->
   Format.formatter ->
   t ->
   unit

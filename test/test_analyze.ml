@@ -1,7 +1,7 @@
 (* The post-mortem trace analyzer: exact sharing-pattern classification on
    synthetic traces, critical-path stage arithmetic, lock/barrier contention
-   profiles, the [of_jsonl] round-trip, and the advisor's end-to-end value
-   (re-running TSP under the advised protocol reduces faults). *)
+   profiles, the [of_jsonl] round-trip, and TSP's bound page end to end
+   (classified migratory; migrate_thread faults less on it). *)
 
 open Dsmpm2_sim
 open Dsmpm2_core
@@ -100,20 +100,6 @@ let test_classify_single_writer () =
       fault ~node:1 ~page:4 ~mode:"read" 20. 1;
     ]
     4
-
-let test_advisor_mapping () =
-  let expect pat proto =
-    Alcotest.(check (option string))
-      (Telemetry.pattern_to_string pat) proto
-      (Telemetry.recommended_protocol pat)
-  in
-  expect Telemetry.Migratory (Some "migrate_thread");
-  expect Telemetry.False_sharing (Some "hbrc_mw");
-  expect Telemetry.Read_mostly (Some "write_update");
-  expect Telemetry.Producer_consumer (Some "write_update");
-  expect Telemetry.Single_writer (Some "erc_sw");
-  expect Telemetry.Private None;
-  expect Telemetry.Mixed None
 
 (* --- critical-path stage arithmetic --- *)
 
@@ -326,11 +312,11 @@ let test_of_jsonl_rejects_negative_ids () =
         "line 3: negative node id -3" );
     ]
 
-(* --- the advisor pays off end to end --- *)
+(* --- TSP's bound page end to end --- *)
 
 (* The TSP global bound is lock-protected and bounces between workers:
-   the analyzer must classify its page migratory and recommend
-   migrate_thread; following the advice must reduce page traffic. *)
+   the analyzer must classify its page migratory, and moving the threads
+   to the page instead (migrate_thread) must reduce faults. *)
 let tsp_run protocol =
   let captured = ref None in
   let observe dsm =
@@ -345,29 +331,24 @@ let tsp_run protocol =
   | Some dsm -> (r, dsm)
   | None -> Alcotest.fail "tsp did not expose its runtime"
 
-let test_tsp_advice_end_to_end () =
+let test_tsp_bound_page_end_to_end () =
   let baseline, dsm = tsp_run "li_hudak" in
   let a = Analyze.analyze (Dsmpm2_core.Monitor.trace dsm) in
-  let advice = Analyze.advice a in
-  let to_migrate =
-    List.filter (fun ad -> ad.Telemetry.av_recommended = "migrate_thread") advice
-  in
-  Alcotest.(check bool) "advisor recommends migrate_thread for the bound page"
-    true (to_migrate <> []);
-  List.iter
-    (fun ad ->
-      Alcotest.(check string) "because the page is migratory" "migratory"
-        (Telemetry.pattern_to_string ad.Telemetry.av_pattern))
-    to_migrate;
-  let advised, _ = tsp_run "migrate_thread" in
+  (* The bound is TSP's only allocation, so it sits on page 1. *)
+  (match Analyze.page_profile a ~page:1 with
+  | Some p ->
+      Alcotest.(check string) "the bound page is migratory" "migratory"
+        (Telemetry.pattern_to_string p.Telemetry.pr_pattern)
+  | None -> Alcotest.fail "no profile for the bound page");
+  let migrated, _ = tsp_run "migrate_thread" in
   let faults r = r.Dsmpm2_apps.Tsp.read_faults + r.Dsmpm2_apps.Tsp.write_faults in
   Alcotest.(check bool)
-    (Printf.sprintf "advised protocol faults less (%d < %d)" (faults advised)
+    (Printf.sprintf "migrate_thread faults less (%d < %d)" (faults migrated)
        (faults baseline))
     true
-    (faults advised < faults baseline);
+    (faults migrated < faults baseline);
   Alcotest.(check bool) "and still finds the same tour" true
-    (advised.Dsmpm2_apps.Tsp.best = baseline.Dsmpm2_apps.Tsp.best)
+    (migrated.Dsmpm2_apps.Tsp.best = baseline.Dsmpm2_apps.Tsp.best)
 
 (* --- analysis exports --- *)
 
@@ -380,7 +361,7 @@ let test_json_export_parses () =
       List.iter
         (fun field ->
           Alcotest.(check bool) ("has " ^ field) true (Json.member field json <> None))
-        [ "critical_path"; "top_spans"; "pages"; "locks"; "barriers"; "advice" ]
+        [ "critical_path"; "top_spans"; "pages"; "locks"; "barriers" ]
 
 let test_folded_output_shape () =
   let _, dsm = tsp_run "li_hudak" in
@@ -458,7 +439,6 @@ let () =
           Alcotest.test_case "false sharing" `Quick test_classify_false_sharing;
           Alcotest.test_case "producer-consumer" `Quick test_classify_producer_consumer;
           Alcotest.test_case "single writer" `Quick test_classify_single_writer;
-          Alcotest.test_case "advisor mapping" `Quick test_advisor_mapping;
         ] );
       ( "critical-path",
         [
@@ -479,9 +459,10 @@ let () =
           Alcotest.test_case "rejects negative ids" `Quick
             test_of_jsonl_rejects_negative_ids;
         ] );
-      ( "advisor",
+      ( "tsp",
         [
-          Alcotest.test_case "tsp end to end" `Quick test_tsp_advice_end_to_end;
+          Alcotest.test_case "bound page end to end" `Quick
+            test_tsp_bound_page_end_to_end;
         ] );
       ( "exports",
         [

@@ -692,10 +692,10 @@ let test_rendering_pinned () =
       let name = Printf.sprintf "%s%s" protocol (if bounded then " ring" else "") in
       Alcotest.(check string) (name ^ " jsonl digest") digest (jsonl_digest tr))
     [
-      ("write_update", false, "2ddff2cb7560dd56e1eb596ce6f82aff");
+      ("write_update", false, "4d610d543dc0b65a25bbbff51fd13973");
       ("write_update", true, "3fba6ff33c82f61632c815c401082a96");
-      ("hbrc_mw", false, "55287454eae9abbf5f7f4248f704e079");
-      ("hbrc_mw", true, "54821d54f98dc0fa893bc7a8598207aa");
+      ("hbrc_mw", false, "d436b0732a5cac867f8acfbb28e8f621");
+      ("hbrc_mw", true, "c7bde8e4a71b3e62b62aa9a44096dbef");
     ]
 
 let test_chrome_renders_events () =

@@ -1,7 +1,8 @@
 (* The live watchdog: deadlock-cycle naming, stall warnings, thrash
-   detection, green-path invariant audits across every builtin protocol,
-   schedule transparency of the attached sampler, the bounded time-series
-   ring, the JSON health report and the allocation-free disabled paths. *)
+   detection, the retry-storm warning under a crash window, green-path
+   invariant audits across every builtin protocol, schedule transparency
+   of the attached sampler, the bounded time-series ring, the JSON health
+   report and the allocation-free disabled paths. *)
 
 open Dsmpm2_sim
 open Dsmpm2_net
@@ -132,12 +133,7 @@ let test_thrash_detected () =
   ignore
     (Telemetry.attach
        ~config:
-         Telemetry.
-           {
-             default_config with
-             thrash_window = 4;
-             thrash_span = Time.of_us 1_000_000.;
-           }
+         Telemetry.{ thrash_window = 4; thrash_span = Time.of_us 1_000_000. }
        dsm);
   let config =
     Watchdog.{ default_config with interval = Time.of_us 100. }
@@ -157,6 +153,42 @@ let test_thrash_detected () =
   | a :: _ ->
       Alcotest.(check bool) "names the page" true
         (contains a.Watchdog.al_detail "ping-ponged")
+
+(* --- retry storm: calls hammering a crashed node --- *)
+
+(* Node 1 is down for the first 2 ms.  Twelve threads on node 0 each ask
+   it for a lock it manages; with a 50 us reply deadline every thread
+   retransmits about four times per 200 us interval, far above the
+   threshold of 8.  The node restarts before the calls give up, so the run
+   completes. *)
+let test_retry_storm_warns () =
+  let dsm = make () in
+  Monitor.enable dsm true;
+  Dsm.inject_faults dsm
+    ~retry:{ Dsmpm2_pm2.Rpc.timeout_us = 50.; retries = 100; backoff = 1.; jitter_us = 0. }
+    (Fault_plan.create
+       ~windows:
+         [ { Fault_plan.w_node = 1; w_down = Time.zero; w_up = Time.of_us 2000. } ]
+       ());
+  let w = Watchdog.attach dsm in
+  let acquired = ref 0 in
+  for _ = 1 to 12 do
+    let l = Dsm.lock_create dsm ~manager:1 () in
+    ignore
+      (Dsm.spawn dsm ~node:0 (fun () ->
+           Dsm.with_lock dsm l (fun () -> incr acquired)))
+  done;
+  Dsm.run dsm;
+  Alcotest.(check int) "every lock acquired after the restart" 12 !acquired;
+  (match kind_alerts w "rpc.retry_storm" with
+  | [ a ] ->
+      Alcotest.(check bool) "warning severity" true
+        (a.Watchdog.al_severity = Watchdog.Warning);
+      Alcotest.(check bool) "names the threshold" true
+        (contains a.Watchdog.al_detail "(threshold 8)")
+  | l -> Alcotest.failf "expected one retry-storm alert, got %d" (List.length l));
+  Alcotest.(check bool) "the crash window is named too" true
+    (kind_alerts w "node.dead" <> [])
 
 (* --- green path: clean runs raise no alerts under any builtin protocol --- *)
 
@@ -191,16 +223,8 @@ let test_green_path_all_protocols () =
   List.iter
     (fun name ->
       let _, w = green_run name in
-      (* Informational protocol advice ("advice.page") may fire on a clean
-         run — it is a tuning hint, not a health finding.  Green means no
-         warnings and no criticals. *)
-      let problems =
-        List.filter
-          (fun a -> a.Watchdog.al_severity <> Watchdog.Info)
-          (Watchdog.alerts w)
-      in
       Alcotest.(check (list string)) (name ^ ": no alerts") []
-        (List.map (fun a -> a.Watchdog.al_detail) problems);
+        (List.map (fun a -> a.Watchdog.al_detail) (Watchdog.alerts w));
       Alcotest.(check bool) (name ^ ": sampled") true (Watchdog.samples_taken w > 0);
       Alcotest.(check bool) (name ^ ": audited pages") true
         (Watchdog.pages_audited w > 0))
@@ -379,7 +403,7 @@ let test_health_report_pinned () =
         (Printf.sprintf "%s on %d nodes: health digest" protocol nodes)
         digest
         (Digest.to_hex (Digest.string text)))
-    [ ("write_update", 8, "af914b0da51035140fa5411b23b2b891"); ("hbrc_mw", 4, "07a52053c36dc4d20c803a4d9d44ca4a") ]
+    [ ("write_update", 8, "6c94dd6120d7701071f0ccfd35e11ef4"); ("hbrc_mw", 4, "e2da3f31ffb51500b37393597b7a0061") ]
 
 let test_double_attach_rejected () =
   let dsm = make () in
@@ -481,6 +505,8 @@ let () =
         [ Alcotest.test_case "long lock wait warns" `Quick test_long_wait_warns ] );
       ( "thrashing",
         [ Alcotest.test_case "page ping-pong" `Quick test_thrash_detected ] );
+      ( "faults",
+        [ Alcotest.test_case "retry storm warns" `Quick test_retry_storm_warns ] );
       ( "audits",
         [
           Alcotest.test_case "green path, all protocols" `Quick
