@@ -177,9 +177,56 @@ let bechamel_tests ?filter () =
     for _ = 1 to 16 do Engine.after eng Dsmpm2_sim.Time.zero tick done;
     Engine.run eng
   in
+  (* Fiber start-up: 64 spawns in a chain, each of a body that goes 50
+     frames deep, sleeps once at the bottom and spawns the next on its way
+     out, as the RPC server threads of a simulation follow each other. *)
+  let spawn_eng = Engine.create () in
+  let left = ref 0 in
+  let rec deep n =
+    if n = 0 then begin
+      Engine.sleep spawn_eng (Dsmpm2_sim.Time.of_ns 1);
+      0
+    end
+    else 1 + deep (Sys.opaque_identity (n - 1))
+  in
+  let rec body () =
+    ignore (Sys.opaque_identity (deep 50));
+    if !left > 0 then begin
+      decr left;
+      ignore (Engine.spawn spawn_eng body)
+    end
+  in
+  let spawn_deep () =
+    left := 63;
+    ignore (Engine.spawn spawn_eng body);
+    Engine.run spawn_eng
+  in
+  (* The flight recorder at steady state: 64 freshly built fault and diff
+     events over 128 (node, page) keys into a full 4 096-slot ring. *)
+  let ring_eng = Engine.create () in
+  let ring = Trace.create ~enabled:true () in
+  Trace.set_capacity ring 4096;
+  let emitted = ref 0 in
+  let emit_full_ring () =
+    for _ = 1 to 64 do
+      let i = !emitted in
+      emitted := i + 1;
+      let key = (i / 2) land 127 in
+      let node = key lsr 4 and page = key land 15 in
+      Trace.emit ring ring_eng
+        (if i land 1 = 0 then Trace.Fault { node; page; protocol = "hbrc_mw"; mode = "write" }
+         else
+           Trace.Diff
+             { node; pages = 1; page_list = [ page ]; bytes = 64; sender = (node + 1) land 7;
+               release = true; protocol = "hbrc_mw" })
+    done
+  in
+  for _ = 1 to 64 do emit_full_ring () done;
   let named =
     [
       ("sim/engine_events", engine_events);
+      ("sim/spawn_deep_x64", spawn_deep);
+      ("trace/emit_full_ring_x64", emit_full_ring);
       ("sim/read_fault_page_transfer", fault_once `Page);
       ("sim/read_fault_thread_migration", fault_once `Migrate);
       ("sim/read_fault_monitor_disabled", fault_once_monitored false);

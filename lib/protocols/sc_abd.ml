@@ -64,6 +64,13 @@ let quorum rt = (Runtime.nodes rt / 2) + 1
 
 let handler_node rt = Marcel.node (Marcel.self (Runtime.marcel rt))
 
+(* A quorum message that carries the page counts as a page sent by
+   [node]: a replica's [Tag_val] reply and a writer's [Put]. *)
+let count_page_sent rt ~node (e : Page_table.entry) =
+  Stats.bump
+    (Instrument.proto rt.Runtime.cells ~node ~protocol:e.Page_table.protocol)
+      .Instrument.send
+
 (* A get never blocks: two nodes with rounds in flight on the same page must
    still answer each other's collect phases, or neither round finishes. *)
 let on_get rt ~src:_ payload =
@@ -77,6 +84,7 @@ let on_get rt ~src:_ payload =
           let data =
             Bytes.copy (Frame_store.frame (Runtime.store rt node) page)
           in
+          count_page_sent rt ~node e;
           ( Tag_val { page; ts = t.ts; origin = t.origin; data },
             Driver.Bulk (Bytes.length data) ))
   | _ -> invalid_arg "sc_abd: bad payload for get service"
@@ -185,7 +193,9 @@ let quorum_get rt ~node ~page =
    is the caller's responsibility (it holds the entry mutex context). *)
 let quorum_put rt ~node ~page ~ts ~origin ~data =
   let srv = (services rt).srv_put in
+  let e = Runtime.entry rt ~node ~page in
   quorum_round rt ~node ~page (fun dst ->
+      count_page_sent rt ~node e;
       try
         ignore
           (Rpc.call (Runtime.rpc rt) ~dst ~service:srv

@@ -1,4 +1,6 @@
-type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
+type _ Effect.t +=
+  | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
+  | Park : (unit -> unit) Effect.t
 
 let nop () = ()
 
@@ -30,6 +32,11 @@ type t = {
          reuses them before taking [next_fiber], so tables indexed by fiber
          id stay as short as the peak number of live fibers *)
   mutable current : int; (* -1 outside any fiber *)
+  mutable pool : (unit -> unit, unit) Effect.Deep.continuation array;
+  mutable npool : int;
+      (* parked fibers, a stack in [pool.(0 .. npool - 1)]: each waits
+         in [worker] for the next body to run, on a stack that has already
+         grown to what earlier bodies needed *)
   mutable handler : (unit, unit) Effect.Deep.handler;
   tie_rng : Rng.t option;
       (* schedule perturbation: when set, same-time events are ordered by a
@@ -45,6 +52,7 @@ exception Stalled of int
 
 let now t = t.clock
 let live_fibers t = t.live
+let pooled_fibers t = t.npool
 let events_executed t = t.executed
 let[@inline] current_fiber t = t.current
 let tie_seed t = t.tie_seed
@@ -179,18 +187,55 @@ let resumer t fid k =
         schedule t t.clock fid nop k
 
 (* A fiber's body returned or raised: its id is free for the next [spawn].
-   The handler runs this inside the fiber's last slice, so [current] is the
-   ending fiber. *)
+   This runs inside the fiber's last slice, so [current] is the ending
+   fiber. *)
 let release t =
   t.free <- Dense.ensure t.free t.nfree 0;
   t.free.(t.nfree) <- t.current;
   t.nfree <- t.nfree + 1;
   t.live <- t.live - 1
 
+exception Retired
+
+(* The loop every OCaml fiber of the engine runs: park, then run the body
+   it is handed, release the body's id, and park again.  A body that
+   raises unwinds the loop, so its fiber dies instead of returning to the
+   pool; a parked fiber that is [Retired] returns, which frees its
+   stack. *)
+let rec worker t =
+  match Effect.perform Park with
+  | body ->
+      body ();
+      release t;
+      worker t
+  | exception Retired -> ()
+
+(* Ends the parked fibers.  OCaml frees a fiber's stack only when the
+   fiber ends, never when its continuation is dropped, so [run] retires
+   the pool when the queue drains, and the first park registers a
+   finaliser that retires it for an engine dropped before that.  Retiring
+   at the drain, not only in the finaliser, hands the stacks back to the
+   runtime at once, for the next simulation to reuse. *)
+let retire t =
+  let n = t.npool in
+  t.npool <- 0;
+  for i = 0 to n - 1 do
+    Effect.Deep.discontinue t.pool.(i) Retired
+  done
+
+let park t k =
+  if t.npool = Array.length t.pool then begin
+    if t.npool = 0 then Gc.finalise retire t;
+    t.pool <- Array.append t.pool (Array.make (max 8 t.npool) k)
+  end;
+  t.pool.(t.npool) <- k;
+  t.npool <- t.npool + 1
+
 (* One handler serves every fiber of the engine.  A fiber performs
    [Suspend] only while one of its slices runs, so [current] names it.
-   The fiber accounting ([live]) brackets the whole fiber lifetime: a
-   suspended fiber remains live until its continuation terminates. *)
+   The fiber accounting ([live]) brackets the whole body lifetime: a
+   suspended body remains live until it returns or raises, and a parked
+   fiber is not live. *)
 let create ?tie_seed () =
   let t =
     {
@@ -210,6 +255,8 @@ let create ?tie_seed () =
       free = [||];
       nfree = 0;
       current = -1;
+      pool = [||];
+      npool = 0;
       handler = { retc = ignore; exnc = raise; effc = (fun _ -> None) };
       tie_rng = Option.map (fun seed -> Rng.create ~seed) tie_seed;
       tie_seed;
@@ -219,18 +266,27 @@ let create ?tie_seed () =
   in
   (* Set once the record exists: building it as a recursive value made
      [create] measurably slower. *)
+  let on_park = Some (park t) in
   t.handler <-
     {
-      retc = (fun () -> release t);
+      retc = ignore;
       exnc = (fun e -> release t; raise e);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
           | Suspend register ->
               Some (fun (k : (a, unit) Effect.Deep.continuation) -> register (resumer t t.current k))
+          | Park -> on_park
           | _ -> None);
     };
   t
+
+(* Starts [body] on a parked fiber, parking a fresh one first when the
+   pool is empty. *)
+let start t body =
+  if t.npool = 0 then Effect.Deep.match_with worker t t.handler;
+  t.npool <- t.npool - 1;
+  Effect.Deep.continue t.pool.(t.npool) body
 
 (* Runs a slice of fiber [fid]: its [body] or the continuation [k], with
    [current] set for the duration so that thread packages built on top can
@@ -240,7 +296,7 @@ let enter t fid body k =
   t.current <- fid;
   match
     match k with
-    | None -> Effect.Deep.match_with body () t.handler
+    | None -> start t body
     | Some k -> Effect.Deep.continue k ()
   with
   | () -> t.current <- prev
@@ -290,4 +346,7 @@ let run ?(limit = max_int) t =
     if k != None then t.conts.(slot) <- None;
     if fid < 0 then action () else slice t fid action k
   done;
-  if t.size = 0 && t.live > 0 then raise (Stalled t.live)
+  if t.size = 0 then begin
+    retire t;
+    if t.live > 0 then raise (Stalled t.live)
+  end

@@ -82,11 +82,17 @@ val pending_events : t -> int
 
 val spawn : t -> (unit -> unit) -> int
 (** [spawn t f] schedules a new fiber running [f] at the current time and
-    returns its fiber id.  While the fiber (or one of its resumed
-    continuations) is executing, [current_fiber t] returns this id.  Ids
-    are small non-negative ints, and an id is reused once its fiber has
-    ended (its body returned or raised): the most recently freed id goes
-    first, and a fresh id only when none is free.  A table indexed by
+    returns its fiber id.  The body starts on a pooled OCaml fiber when
+    one is parked: a fiber whose earlier body returned waits in the pool
+    with the stack that body grew, so the next body does not grow one
+    from scratch.  A fiber whose body raised is not pooled, and the
+    parked ones end when {!run} drains the queue (or, for an engine
+    dropped before that, when it is garbage collected).  While the
+    fiber (or one of its resumed continuations) is executing,
+    [current_fiber t] returns this id.  Ids are small non-negative ints,
+    and an id is reused once its fiber has ended (its body returned or
+    raised): the most recently freed id goes first, and a fresh id only
+    when none is free.  A table indexed by
     fiber id therefore needs no more slots than the peak number of live
     fibers.  Reuse changes no schedule: events are ordered by time, tie key
     and sequence number, never by fiber id. *)
@@ -117,6 +123,11 @@ exception Stalled of int
 
 val live_fibers : t -> int
 (** Number of spawned fibers that have neither finished nor died. *)
+
+val pooled_fibers : t -> int
+(** Number of parked OCaml fibers waiting for a body.  They are not live:
+    they count neither in {!live_fibers} nor towards {!Stalled}.  A run
+    that drains the queue ends them, so this is 0 after it returns. *)
 
 val events_executed : t -> int
 (** Total events executed so far; a cheap progress/complexity metric. *)

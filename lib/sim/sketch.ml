@@ -18,7 +18,12 @@ type t = {
   inv_log_gamma : float;
   mutable n : int;
   mutable zeros : int; (* samples in [0, zero_threshold] *)
-  range : float array; (* [| sum; min; max |]: unboxed, so updates allocate nothing *)
+  range : float array;
+      (* [| sum; min; max; last |]: unboxed, so updates allocate nothing.
+         [last] is the most recent value that took a log bucket, and
+         [last_bucket] its bucket index: a latency stream repeats values
+         often, and a repeat skips the [log]. *)
+  mutable last_bucket : int;
   mutable base : int; (* log-bucket index of counts.(0) *)
   mutable counts : int array; (* log-bucket index base + k -> samples *)
 }
@@ -33,7 +38,8 @@ let create ?(alpha = 0.01) () =
     inv_log_gamma = 1. /. log gamma;
     n = 0;
     zeros = 0;
-    range = [| 0.; infinity; neg_infinity |];
+    range = [| 0.; infinity; neg_infinity; nan |];
+    last_bucket = 0;
     base = 0;
     counts = [||];
   }
@@ -66,7 +72,15 @@ let[@inline] insert t v =
   if v > t.range.(2) then t.range.(2) <- v;
   if v <= zero_threshold then t.zeros <- t.zeros + 1
   else begin
-    let i = int_of_float (Float.ceil (log v *. t.inv_log_gamma)) in
+    let i =
+      if v = t.range.(3) then t.last_bucket
+      else begin
+        let i = int_of_float (Float.ceil (log v *. t.inv_log_gamma)) in
+        t.range.(3) <- v;
+        t.last_bucket <- i;
+        i
+      end
+    in
     if i < t.base || i >= t.base + Array.length t.counts then cover t i;
     let k = i - t.base in
     t.counts.(k) <- t.counts.(k) + 1

@@ -138,7 +138,13 @@ let event_node = function
    ([set_capacity]) overwrites the oldest slot in O(1) while the unbounded
    default keeps amortized O(1) appends.  [total] counts every event ever
    recorded (monotonic, survives eviction): the base of the [evicted]
-   accounting. *)
+   accounting.
+
+   The event slot holds an interned copy of each DSM event ([intern]): a
+   run emits the same fault, transfer and diff events over and over, and
+   storing a fresh event in a long-lived array makes the minor GC promote
+   it, to be overwritten a ring lap later.  An equal event already in the
+   table is stored instead, so the fresh one dies young. *)
 type t = {
   mutable on : bool;
   mutable ats : Time.t array;
@@ -155,9 +161,88 @@ type t = {
       (* sees every emission, before sampling and before ring eviction *)
   mutable sampling : (int * float) option; (* (seed, keep percentage) *)
   mutable sampled_out : int; (* events dropped by the sampler, monotonic *)
+  mutable interned : event array;
+      (* [intern_sets] sets of [intern_ways] events, most recent first;
+         empty until the first push *)
 }
 
 let dummy_event = Restart { node = -1 }
+
+(* --- interning --- *)
+
+let intern_ways = 4
+let intern_sets = 512
+
+(* The set an event interns into, from (kind, node, page, peer); -1 for
+   the kinds that are stored as emitted.  A [Diff] keys on its first
+   page. *)
+let intern_set ev =
+  let[@inline] mix kind node page peer =
+    let h = (((((kind * 0x3B9ACA07) + node) * 0x5BD1E995) + page) * 0x2545F491) + peer in
+    let h = h * 0x9E3779B1 in
+    (h lxor (h lsr 32)) land (intern_sets - 1)
+  in
+  match ev with
+  | Fault { node; page; _ } -> mix 1 node page 0
+  | Page_request { node; page; requester; _ } -> mix 2 node page requester
+  | Page_send { node; page; dst; _ } -> mix 3 node page dst
+  | Page_install { node; page; sender; _ } -> mix 4 node page sender
+  | Invalidate { node; page; sender; _ } -> mix 5 node page sender
+  | Diff { node; page_list; sender; _ } ->
+      mix 6 node (match page_list with p :: _ -> p | [] -> -1) sender
+  | Lock _ | Barrier _ | Migration _ | Alert _ | Drop _ | Blackhole _ | Crash _
+  | Restart _ | Rpc_retry _ ->
+      -1
+
+let[@inline] same_string a b = a == b || String.equal a b
+
+let rec same_ints a b =
+  a == b || match (a, b) with x :: a, y :: b -> x = y && same_ints a b | _ -> false
+
+(* Field-by-field equality of two events of the interned kinds. *)
+let same_event a b =
+  match (a, b) with
+  | Fault a, Fault b ->
+      a.node = b.node && a.page = b.page && same_string a.mode b.mode
+      && same_string a.protocol b.protocol
+  | Page_request a, Page_request b ->
+      a.node = b.node && a.page = b.page && a.requester = b.requester
+      && same_string a.mode b.mode && same_string a.protocol b.protocol
+  | Page_send a, Page_send b ->
+      a.node = b.node && a.page = b.page && a.dst = b.dst && a.bytes = b.bytes
+      && same_string a.grant b.grant && same_string a.protocol b.protocol
+  | Page_install a, Page_install b ->
+      a.node = b.node && a.page = b.page && a.sender = b.sender
+      && same_string a.grant b.grant && same_string a.protocol b.protocol
+  | Invalidate a, Invalidate b ->
+      a.node = b.node && a.page = b.page && a.sender = b.sender
+      && same_string a.protocol b.protocol
+  | Diff a, Diff b ->
+      a.node = b.node && a.sender = b.sender && a.pages = b.pages && a.bytes = b.bytes
+      && a.release = b.release && same_ints a.page_list b.page_list
+      && same_string a.protocol b.protocol
+  | _ -> false
+
+let rec find_way tbl base w ev =
+  if w = intern_ways then begin
+    Array.blit tbl base tbl (base + 1) (intern_ways - 1);
+    tbl.(base) <- ev;
+    ev
+  end
+  else
+    let e = tbl.(base + w) in
+    if same_event e ev then e else find_way tbl base (w + 1) ev
+
+(* The stored copy of [ev]: the equal event already in its set, or [ev]
+   itself, which then enters the set and pushes out its oldest way. *)
+let intern t ev =
+  let set = intern_set ev in
+  if set < 0 then ev
+  else begin
+    if Array.length t.interned = 0 then
+      t.interned <- Array.make (intern_sets * intern_ways) dummy_event;
+    find_way t.interned (set * intern_ways) 0 ev
+  end
 
 let create ?(enabled = false) () =
   {
@@ -175,6 +260,7 @@ let create ?(enabled = false) () =
     observer = None;
     sampling = None;
     sampled_out = 0;
+    interned = [||];
   }
 
 let enable t b = t.on <- b
@@ -295,7 +381,7 @@ let push t at span ev =
   in
   t.ats.(k) <- at;
   t.span_ids.(k) <- span;
-  t.evs.(k) <- ev;
+  t.evs.(k) <- intern t ev;
   t.total <- t.total + 1;
   (* Flight-recorder dump: the first critical alert freezes the evidence
      to disk while the ring still holds the events leading up to it. *)

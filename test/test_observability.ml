@@ -499,6 +499,55 @@ let test_emit_into_full_ring_allocates_nothing () =
   Alcotest.(check bool) "emit allocates < 1 word per call" true
     (after -. before < float_of_int calls)
 
+(* A freshly built event equal to the [i]-th of 256 distinct ones: a
+   [Fault] or a [Diff] over 128 (node, page) keys. *)
+let fresh_dsm_event i =
+  let key = (i / 2) mod 128 in
+  let node = key / 16 and page = key mod 16 in
+  if i land 1 = 0 then Trace.Fault { node; page; protocol = "hbrc_mw"; mode = "write" }
+  else
+    Trace.Diff
+      { node; pages = 1; page_list = [ page ]; bytes = 64; sender = (node + 1) mod 8;
+        release = true; protocol = "hbrc_mw" }
+
+let test_full_ring_promotes_nothing () =
+  (* Storing each fresh event in the long-lived ring would promote it at
+     the next minor GC (8 words per event here); the ring stores the
+     interned equal event instead, so the fresh one dies young. *)
+  let eng = Engine.create () in
+  let tr = Trace.create ~enabled:true () in
+  Trace.set_capacity tr 4096;
+  for i = 0 to 8191 do
+    Trace.emit tr eng (fresh_dsm_event i)
+  done;
+  Gc.minor ();
+  let promoted () = (Gc.quick_stat ()).Gc.promoted_words in
+  let before = promoted () in
+  let n = 100_000 in
+  for i = 1 to n do
+    Trace.emit tr eng (fresh_dsm_event i);
+    if i mod 1000 = 0 then Gc.minor ()
+  done;
+  let words = (promoted () -. before) /. float_of_int n in
+  Alcotest.(check int) "ring full" 4096 (Trace.length tr);
+  Alcotest.(check bool) (Printf.sprintf "promoted %.3f words per event" words) true (words < 1.)
+
+let test_equal_events_shared () =
+  let eng = Engine.create () in
+  let tr = Trace.create ~enabled:true () in
+  for i = 0 to 511 do
+    Trace.emit tr eng (fresh_dsm_event i)
+  done;
+  let barrier = Sys.opaque_identity 1 in
+  Trace.emit tr eng (Trace.Barrier { node = 0; barrier });
+  Trace.emit tr eng (Trace.Barrier { node = 0; barrier });
+  let evs = Array.of_list (List.map (fun (_, _, ev) -> ev) (Trace.events tr)) in
+  for i = 0 to 255 do
+    Alcotest.(check bool) "equal events" true (evs.(i) = evs.(i + 256));
+    Alcotest.(check bool) "stored once" true (evs.(i) == evs.(i + 256))
+  done;
+  Alcotest.(check bool) "other kinds stored as emitted" false (evs.(512) == evs.(513))
+
 let test_autodump_on_critical_alert () =
   let eng = Engine.create () in
   let tr = Trace.create ~enabled:true () in
@@ -783,6 +832,9 @@ let () =
             test_iter_full_ring_allocates_nothing;
           Alcotest.test_case "emit into a full ring allocates nothing" `Quick
             test_emit_into_full_ring_allocates_nothing;
+          Alcotest.test_case "full ring promotes nothing" `Quick
+            test_full_ring_promotes_nothing;
+          Alcotest.test_case "equal events stored once" `Quick test_equal_events_shared;
           Alcotest.test_case "autodump on critical alert" `Quick
             test_autodump_on_critical_alert;
         ] );

@@ -561,6 +561,35 @@ let test_erc_release_batched_invalidations () =
   Alcotest.(check int) "every (page, target) pair invalidated" (pages * 6)
     (Dsmpm2_sim.Stats.count stats Instrument.invalidations)
 
+(* --- sc_abd --- *)
+
+let test_sc_abd_counts_quorum_pages () =
+  (* One remote read on 3 nodes is one quorum round: the collect phase
+     gets a [Tag_val] reply carrying the page from each of the two
+     replicas, and the write-back phase sends each of them a [Put]
+     carrying it.  Those four messages are the run's page sends, and the
+     only bulk messages on the wire. *)
+  let dsm, _ = make ~nodes:3 () in
+  let extras = Builtin.register_extras dsm in
+  let x = Dsm.malloc dsm ~protocol:extras.Builtin.sc_abd ~home:(Dsm.On_node 1) 8 in
+  run_one dsm ~node:0 (fun () -> ignore (Dsm.read_int dsm x));
+  let stats = Dsm.stats dsm in
+  let on node =
+    Dsmpm2_sim.Stats.count
+      ~labels:(Dsmpm2_sim.Stats.labels ~node ~protocol:"sc_abd" ())
+      stats Instrument.pages_sent
+  in
+  Alcotest.(check int) "one read fault" 1
+    (Dsmpm2_sim.Stats.count stats Instrument.read_faults);
+  Alcotest.(check int) "four page-carrying messages" 4
+    (Dsmpm2_sim.Stats.count stats Instrument.pages_sent);
+  Alcotest.(check (list int)) "two puts by the reader, one reply per replica"
+    [ 2; 1; 1 ] [ on 0; on 1; on 2 ];
+  Alcotest.(check int) "as many bulk messages" 4
+    (Dsmpm2_sim.Stats.count
+       (Network.stats (Dsmpm2_pm2.Pm2.network (Dsm.pm2 dsm)))
+       "msg.bulk")
+
 let test_stress_li_hudak () = stress "li_hudak"
 let test_stress_erc_sw () = stress "erc_sw"
 let test_stress_hbrc_mw () = stress "hbrc_mw"
@@ -571,6 +600,11 @@ let test_stress_migrate_thread () = stress "migrate_thread"
 let () =
   Alcotest.run "protocols"
     [
+      ( "sc_abd",
+        [
+          Alcotest.test_case "quorum transfers count as page sends" `Quick
+            test_sc_abd_counts_quorum_pages;
+        ] );
       ( "li_hudak",
         [
           Alcotest.test_case "read replication" `Quick test_li_hudak_read_replication;

@@ -359,6 +359,115 @@ let test_engine_live_fibers () =
   Engine.run eng;
   Alcotest.(check int) "none after" 0 (Engine.live_fibers eng)
 
+(* --- the fiber pool --- *)
+
+(* A run that drains the queue ends the parked fibers, so a test that
+   looks at the pool between phases keeps one far event queued and runs
+   each phase up to a limit. *)
+let pool_engine () =
+  let eng = Engine.create () in
+  Engine.at eng (Time.of_us 1e6) ignore;
+  eng
+
+let test_pool_raise_on_reused_fiber () =
+  let eng = pool_engine () in
+  for _ = 1 to 3 do ignore (Engine.spawn eng ignore) done;
+  Engine.run ~limit:Time.zero eng;
+  Alcotest.(check int) "one fiber served all three" 1 (Engine.pooled_fibers eng);
+  let inside = ref (-1) in
+  let boom =
+    Engine.spawn eng (fun () ->
+        inside := Engine.current_fiber eng;
+        Engine.sleep eng (Time.of_us 1.);
+        failwith "boom")
+  in
+  Alcotest.check_raises "escapes run" (Failure "boom") (fun () ->
+      Engine.run ~limit:(Time.of_us 10.) eng);
+  Alcotest.(check int) "ran as its own id" boom !inside;
+  Alcotest.(check int) "not live" 0 (Engine.live_fibers eng);
+  Alcotest.(check int) "died, not pooled" 0 (Engine.pooled_fibers eng);
+  let next = Engine.spawn eng ignore in
+  Alcotest.(check int) "id freed" boom next;
+  Alcotest.(check int) "live again" 1 (Engine.live_fibers eng);
+  Engine.run ~limit:(Time.of_us 20.) eng;
+  Alcotest.(check int) "fresh fiber parked" 1 (Engine.pooled_fibers eng);
+  Alcotest.(check int) "none live" 0 (Engine.live_fibers eng)
+
+let test_pool_parked_not_live () =
+  let eng = Engine.create () in
+  for _ = 1 to 10 do ignore (Engine.spawn eng (fun () -> Engine.sleep eng (Time.of_us 1.))) done;
+  let parked = ref (-1) in
+  ignore
+    (Engine.spawn eng (fun () ->
+         Engine.sleep eng (Time.of_us 2.);
+         parked := Engine.pooled_fibers eng;
+         Engine.suspend eng (fun _resume -> ())));
+  Alcotest.check_raises "only the suspended body counts" (Engine.Stalled 1) (fun () ->
+      Engine.run eng);
+  Alcotest.(check int) "ten parked at the stall" 10 !parked;
+  Alcotest.(check int) "ended with the drained run" 0 (Engine.pooled_fibers eng)
+
+let test_pool_suspend_in_second_body () =
+  let eng = pool_engine () in
+  let log = ref [] in
+  let saved = ref ignore in
+  let first = Engine.spawn eng (fun () -> log := "first" :: !log) in
+  Engine.run ~limit:Time.zero eng;
+  let second =
+    Engine.spawn eng (fun () ->
+        Engine.suspend eng (fun resume -> saved := resume);
+        log := Printf.sprintf "second resumed as %d" (Engine.current_fiber eng) :: !log)
+  in
+  let lent = ref (-1) in
+  Engine.at eng (Time.of_us 3.) (fun () ->
+      lent := Engine.pooled_fibers eng;
+      !saved ());
+  Engine.run ~limit:(Time.of_us 10.) eng;
+  Alcotest.(check int) "fiber lent to the second body" 0 !lent;
+  Alcotest.(check int) "same id reused" first second;
+  Alcotest.(check (list string)) "the second body resumed"
+    [ "first"; Printf.sprintf "second resumed as %d" second ]
+    (List.rev !log);
+  Alcotest.(check int) "parked again" 1 (Engine.pooled_fibers eng)
+
+let test_pool_spawn_in_last_slice () =
+  let eng = Engine.create () in
+  let ran = ref [] and parked = ref (-1) in
+  ignore
+    (Engine.spawn eng (fun () ->
+         Engine.sleep eng (Time.of_us 2.);
+         ignore
+           (Engine.spawn eng (fun () ->
+                parked := Engine.pooled_fibers eng;
+                ran := Engine.now eng :: !ran));
+         ran := Engine.now eng :: !ran));
+  Engine.run eng;
+  Alcotest.(check (list int)) "both ran at 2us" [ Time.of_us 2.; Time.of_us 2. ] !ran;
+  Alcotest.(check int) "the child took its parent's fiber" 0 !parked;
+  Alcotest.(check int) "none live" 0 (Engine.live_fibers eng)
+
+let test_pool_serves_two_runs () =
+  let eng = pool_engine () in
+  let phase n ~until =
+    let woke = ref 0 in
+    for i = 1 to n do
+      ignore
+        (Engine.spawn eng (fun () ->
+             Engine.sleep eng (Time.of_us (float_of_int i));
+             incr woke))
+    done;
+    Engine.run ~limit:(Time.of_us until) eng;
+    !woke
+  in
+  Alcotest.(check int) "first phase" 8 (phase 8 ~until:100.);
+  Alcotest.(check int) "eight parked" 8 (Engine.pooled_fibers eng);
+  Alcotest.(check int) "second phase" 8 (phase 8 ~until:200.);
+  Alcotest.(check int) "no new fiber" 8 (Engine.pooled_fibers eng);
+  Alcotest.(check int) "wider phase" 12 (phase 12 ~until:300.);
+  Alcotest.(check int) "grown to the peak" 12 (Engine.pooled_fibers eng);
+  Engine.run eng;
+  Alcotest.(check int) "a drained run ends them" 0 (Engine.pooled_fibers eng)
+
 (* --- Cpu --- *)
 
 let test_cpu_serialises () =
@@ -663,6 +772,142 @@ let prop_stats_percentiles_within_alpha =
           float_of_int (abs (est - exact)) <= (0.01 *. float_of_int exact) +. 0.5)
         [ 50.; 90.; 99. ])
 
+(* --- Sketch --- *)
+
+(* The sketch recomputed from scratch for every sample: bucket
+   [ceil (log v / log gamma)] per positive sample, with no memo. *)
+type ref_sketch = {
+  mutable r_n : int;
+  mutable r_zeros : int;
+  mutable r_sum : float;
+  mutable r_min : float;
+  mutable r_max : float;
+  mutable r_buckets : (int * int) list; (* ascending bucket index, count *)
+}
+
+let alpha = 0.01
+let gamma = (1. +. alpha) /. (1. -. alpha)
+
+let ref_create () =
+  { r_n = 0; r_zeros = 0; r_sum = 0.; r_min = infinity; r_max = neg_infinity; r_buckets = [] }
+
+let rec bump_bucket i = function
+  | (j, c) :: rest when j = i -> (j, c + 1) :: rest
+  | ((j, _) as b) :: rest when j < i -> b :: bump_bucket i rest
+  | rest -> (i, 1) :: rest
+
+let ref_add r v =
+  let v = if v > 0. then v else 0. in
+  r.r_n <- r.r_n + 1;
+  r.r_sum <- r.r_sum +. v;
+  if v < r.r_min then r.r_min <- v;
+  if v > r.r_max then r.r_max <- v;
+  if v <= 1e-9 then r.r_zeros <- r.r_zeros + 1
+  else
+    r.r_buckets <- bump_bucket (int_of_float (Float.ceil (log v /. log gamma))) r.r_buckets
+
+let ref_merge a b =
+  let r = ref_create () in
+  r.r_n <- a.r_n + b.r_n;
+  r.r_zeros <- a.r_zeros + b.r_zeros;
+  r.r_sum <- a.r_sum +. b.r_sum;
+  r.r_min <- Float.min a.r_min b.r_min;
+  r.r_max <- Float.max a.r_max b.r_max;
+  r.r_buckets <-
+    List.fold_left
+      (fun acc (i, c) ->
+        let rec add = function
+          | (j, d) :: rest when j = i -> (j, c + d) :: rest
+          | ((j, _) as x) :: rest when j < i -> x :: add rest
+          | rest -> (i, c) :: rest
+        in
+        add acc)
+      a.r_buckets b.r_buckets;
+  r
+
+let ref_quantile r q =
+  if r.r_n = 0 then 0.
+  else begin
+    let q = Float.max 0. (Float.min 1. q) in
+    let rank = int_of_float (Float.floor (q *. float_of_int (r.r_n - 1))) in
+    if rank < r.r_zeros then r.r_min
+    else begin
+      let rec walk seen = function
+        | [] -> r.r_max
+        | (i, c) :: rest ->
+            if seen + c > rank - r.r_zeros then
+              2. *. exp (float_of_int i *. log gamma) /. (gamma +. 1.)
+            else walk (seen + c) rest
+      in
+      Float.max r.r_min (Float.min r.r_max (walk 0 r.r_buckets))
+    end
+  end
+
+let percentiles = [ 0.; 1.; 10.; 25.; 50.; 75.; 90.; 99.; 99.9; 100. ]
+
+let same_as_ref sk r =
+  let ref_buckets =
+    (if r.r_zeros > 0 then [ (0., r.r_zeros) ] else [])
+    @ List.map (fun (i, c) -> (exp (float_of_int i *. log gamma), c)) r.r_buckets
+  in
+  let empty f = if r.r_n = 0 then 0. else f in
+  Sketch.count sk = r.r_n
+  && Sketch.sum sk = r.r_sum
+  && Sketch.min_value sk = empty r.r_min
+  && Sketch.max_value sk = empty r.r_max
+  && List.rev (Sketch.fold_buckets sk (fun e c acc -> (e, c) :: acc) []) = ref_buckets
+  && List.for_all
+       (fun p -> Sketch.percentile sk p = ref_quantile r (p /. 100.))
+       percentiles
+
+(* Runs of one value: integers (fed through [add_int]), fractions, close
+   neighbours a few buckets apart, zeros, negatives, NaNs and
+   sub-threshold values. *)
+let sketch_run_gen =
+  QCheck.Gen.(
+    pair
+      (frequency
+         [
+           (4, map float_of_int (int_range 1 5_000_000));
+           (2, float_range 1e-6 1e3);
+           (2, map (fun k -> 1. +. (float_of_int k *. 0.125)) (int_bound 16));
+           (1, return 0.);
+           (1, map (fun v -> -.v) (float_range 0. 1e6));
+           (1, return Float.nan);
+           (1, return 1e-12);
+         ])
+      (int_range 1 6))
+
+let print_runs =
+  QCheck.Print.(list (pair (fun v -> Printf.sprintf "%h" v) int))
+
+let feed sk r runs =
+  List.iter
+    (fun (v, len) ->
+      for _ = 1 to len do
+        if Float.is_integer v && Float.abs v < 1e9 then Sketch.add_int sk (int_of_float v)
+        else Sketch.add sk v;
+        ref_add r v
+      done)
+    runs
+
+let prop_sketch_memo_exact =
+  QCheck.Test.make ~name:"sketch equals a memo-free reference, merges included" ~count:300
+    (QCheck.make ~print:QCheck.Print.(pair print_runs print_runs)
+       QCheck.Gen.(pair (list_size (0 -- 40) sketch_run_gen) (list_size (0 -- 40) sketch_run_gen)))
+    (fun (xs, ys) ->
+      let a = Sketch.create () and ra = ref_create () in
+      let b = Sketch.create () and rb = ref_create () in
+      feed a ra xs;
+      feed b rb ys;
+      let merged = Sketch.merge a b and rmerged = ref_merge ra rb in
+      let ok = same_as_ref a ra && same_as_ref b rb && same_as_ref merged rmerged in
+      (* Merging into [a] then feeding it more must not reuse a stale memo. *)
+      Sketch.merge_into a b;
+      let ra = ref_merge ra rb in
+      feed a ra ys;
+      ok && same_as_ref a ra)
+
 (* --- Run_meta --- *)
 
 let test_run_meta_roundtrip () =
@@ -752,6 +997,16 @@ let () =
           Alcotest.test_case "gate neutral when quiescent" `Quick
             test_engine_gate_clear_and_neutral;
         ] );
+      ( "fiber pool",
+        [
+          Alcotest.test_case "raise on a reused fiber" `Quick test_pool_raise_on_reused_fiber;
+          Alcotest.test_case "parked fibers not live" `Quick test_pool_parked_not_live;
+          Alcotest.test_case "suspend in a second body" `Quick
+            test_pool_suspend_in_second_body;
+          Alcotest.test_case "spawn in the last slice" `Quick test_pool_spawn_in_last_slice;
+          Alcotest.test_case "serves two runs" `Quick test_pool_serves_two_runs;
+        ] );
+      ("sketch", [ QCheck_alcotest.to_alcotest prop_sketch_memo_exact ]);
       ( "cpu",
         [
           Alcotest.test_case "serialises work" `Quick test_cpu_serialises;
