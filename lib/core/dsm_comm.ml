@@ -62,10 +62,10 @@ let on_request rt ~src:_ payload =
                    mode = Access.mode_to_string mode;
                    requester;
                  });
-          (* Record the request-propagation stage when this node is (likely)
+          (* Stamp the request-propagation stage when this node is (likely)
              the final server; forwarded requests are re-stamped per hop. *)
           if e.Page_table.prob_owner = node || e.Page_table.home = node then
-            Stats.record
+            Monitor.stamp rt ~span ~node ~protocol:e.Page_table.protocol
               (Instrument.proto rt.Runtime.cells ~node ~protocol:e.Page_table.protocol)
                 .Instrument.request
               Time.(Engine.now (Runtime.engine rt) - sent_at);
@@ -93,7 +93,7 @@ let on_send_page rt ~src:_ payload =
                    sender = msg.Protocol.sender;
                    grant = Access.to_string msg.Protocol.grant;
                  });
-          Stats.record
+          Monitor.stamp rt ~span:msg.Protocol.span ~node ~protocol:e.Page_table.protocol
             (Instrument.proto rt.Runtime.cells ~node ~protocol:e.Page_table.protocol)
               .Instrument.transfer
             Time.(Engine.now (Runtime.engine rt) - msg.Protocol.sent_at);

@@ -6,7 +6,17 @@
     series named below.  Each event site owns one cell per label
     set — (node, protocol) for faults, page traffic and stages, node for
     invalidations, diffs and sync waits — so an event is one update of one
-    cell, with no name hashing on the hot path. *)
+    cell, with no name hashing on the hot path.
+
+    Four stage series are also stamped into the trace while monitoring is
+    on: {!stage_request}, {!stage_transfer}, {!stage_migration} and
+    {!stage_total}.  Their sites call [Monitor.stamp], which records the
+    sample and emits the same value as a [Trace.Stage] event named after
+    the series, so [dsm analyze] reads these stages rather than measuring
+    them.  {!stage_fault}, {!stage_overhead_server} and
+    {!stage_overhead_client} stay registry-only: they are cost-model
+    constants, the same for every fault, so stamping them would add trace
+    events and host time but no information. *)
 
 open Dsmpm2_sim
 
@@ -19,7 +29,11 @@ val stage_request : string
 (** Page request propagation over the {e last} hop only: a forwarded
     request is re-stamped when it is re-sent ([Dsm_comm.send_request]), so
     the series runs from the final forward to the node that serves it,
-    not from the fault. *)
+    not from the fault.  [Dsm_comm]'s request handler records it on the
+    receiving node [n] iff [n]'s entry for the page has
+    [prob_owner = n || home = n]: once per request reaching a node that
+    believes it owns or homes the page, whether it then serves or
+    forwards. *)
 
 val stage_transfer : string
 (** Page (or migration payload) transfer time. *)
@@ -31,7 +45,9 @@ val stage_overhead_client : string
 (** Requester-side page installation and table update. *)
 
 val stage_migration : string
-(** Thread-migration time (Table 4). *)
+(** Thread-migration time (Table 4).  Its one cell is unlabelled: the
+    registry keeps it run-wide, while its trace stamp names the faulting
+    node and protocol. *)
 
 val stage_total : string
 (** Whole fault, detection to resumed access: the duration series of the

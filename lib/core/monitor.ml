@@ -41,6 +41,20 @@ let emit rt ?span event =
     let span = match span with Some s -> s | None -> current_span rt in
     Trace.emit tr (Runtime.engine rt) ~span event
 
+(* The one place a stage duration is recorded: the registry sample, and
+   the same value as a trace stamp named after the cell's series. *)
+let stamp rt ?span ~node ~protocol cell ns =
+  Stats.record cell ns;
+  if enabled rt then
+    emit rt ?span
+      (Trace.Stage
+         {
+           node;
+           protocol = (Runtime.proto rt protocol).Protocol.name;
+           stage = Stats.span_name cell;
+           ns;
+         })
+
 type summary_line = {
   category : string;
   events : int;

@@ -23,6 +23,15 @@ val emit : Runtime.t -> ?span:int -> Trace.event -> unit
     when disabled, but hot call sites should guard with {!enabled} so the
     event value is not even allocated. *)
 
+val stamp :
+  Runtime.t -> ?span:int -> node:int -> protocol:int -> Stats.cell -> Time.t -> unit
+(** [stamp rt ~node ~protocol cell ns] records a fault stage: [ns] as one
+    sample of [cell]'s duration series and, while monitoring is on, the
+    same value as a {!Dsmpm2_sim.Trace.Stage} event named after that
+    series, for [node] under protocol id [protocol] (span as {!emit}).
+    The four stage sites the trace carries call it, so a trace and the
+    registry cannot disagree on them. *)
+
 (** {2 Span context} *)
 
 val new_span : Runtime.t -> int

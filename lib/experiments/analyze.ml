@@ -4,23 +4,23 @@ open Dsmpm2_sim
    [Monitor.trace] or a re-loaded [Trace.of_jsonl] dump) into the reports
    the paper attributes to PM2's "very precise post-mortem monitoring
    tools" — per-fault critical paths, per-page sharing-pattern profiles,
-   lock/barrier contention, and a per-region protocol recommendation. *)
+   lock/barrier contention and the watchdog's findings. *)
 
-(* Every latency distribution here is a [Sketch] of microsecond samples,
-   the same quantile type the registry keeps. *)
+module Instrument = Dsmpm2_core.Instrument
+
+(* Every lock and barrier distribution here is a [Sketch] of microsecond
+   samples, the same quantile type the registry keeps. *)
 let sketch_of us =
   let sk = Sketch.create () in
   List.iter (Sketch.add sk) us;
   sk
 
-(* --- critical paths --- *)
+(* --- critical paths ---
 
-(* The stage model: a remote access's span stitches
-     fault --(detect+request propagation)--> request at the server
-           --(serve)--> page send --(transfer)--> install --(install)--> done.
-   Thread-migration protocols replace the transfer chain with a [migrate]
-   stage (fault to migration completion). *)
-let stage_order = [ "request"; "serve"; "transfer"; "install"; "migrate" ]
+   The analyzer measures no stage itself.  The runtime stamps each stage
+   once, into its registry and, as a [Stage] event, into the trace
+   ([Monitor.stamp]); a stage table is a fold of those stamps, and a fault
+   chain's stages are the stamps in its span. *)
 
 type chain = {
   ch_span : int;
@@ -30,7 +30,7 @@ type chain = {
   ch_mode : string;
   ch_start_us : float;
   ch_total_us : float;
-  ch_stages : (string * float) list;  (* stage name -> us, only present stages *)
+  ch_stages : (string * float) list;
   ch_hops : int;
   ch_events : (Time.t * int * Trace.event) list;
 }
@@ -38,62 +38,70 @@ type chain = {
 let us_of t = Time.to_us t
 
 let chain_of_span (span, evs) =
-  let fault =
-    List.find_map
-      (fun (at, _, ev) ->
-        match ev with
-        | Trace.Fault { node; page; protocol; mode } ->
-            Some (at, node, page, protocol, mode)
-        | _ -> None)
-      evs
-  in
-  match fault with
-  | None -> None
-  | Some (t0, node, page, protocol, mode) ->
-      let ats p =
-        List.filter_map (fun (at, _, ev) -> if p ev then Some at else None) evs
-      in
-      let requests = ats (function Trace.Page_request _ -> true | _ -> false) in
-      let sends = ats (function Trace.Page_send _ -> true | _ -> false) in
-      let installs = ats (function Trace.Page_install _ -> true | _ -> false) in
-      let migrations = ats (function Trace.Migration _ -> true | _ -> false) in
-      let last_at =
-        List.fold_left
-          (fun acc (at, _, _) -> Time.max acc at)
-          t0 evs
-      in
-      let first = function [] -> None | x :: _ -> Some x in
-      let last l = first (List.rev l) in
-      let span_us a b = us_of Time.(b - a) in
-      let stages = ref [] in
-      let add name v = if v >= 0. then stages := (name, v) :: !stages in
-      (match first requests with Some r -> add "request" (span_us t0 r) | None -> ());
-      (match (last requests, first sends) with
-      | Some r, Some s -> add "serve" (span_us r s)
-      | _ -> ());
-      (match (first sends, first installs) with
-      | Some s, Some i -> add "transfer" (span_us s i)
-      | _ -> ());
-      (match first installs with
-      | Some i -> add "install" (span_us i last_at)
-      | None -> ());
-      (if sends = [] then
-         match first migrations with
-         | Some m -> add "migrate" (span_us t0 m)
-         | None -> ());
-      Some
-        {
-          ch_span = span;
-          ch_node = node;
-          ch_page = page;
-          ch_protocol = protocol;
-          ch_mode = mode;
-          ch_start_us = us_of t0;
-          ch_total_us = span_us t0 last_at;
-          ch_stages = List.rev !stages;
-          ch_hops = List.length requests;
-          ch_events = evs;
-        }
+  List.find_map
+    (fun (at, _, ev) ->
+      match ev with
+      | Trace.Fault { node; page; protocol; mode } ->
+          let stages, others =
+            List.partition_map
+              (fun ((_, _, ev) as x) ->
+                match ev with
+                | Trace.Stage { stage; ns; _ } -> Left (stage, us_of ns)
+                | _ -> Right x)
+              evs
+          in
+          Some
+            {
+              ch_span = span;
+              ch_node = node;
+              ch_page = page;
+              ch_protocol = protocol;
+              ch_mode = mode;
+              ch_start_us = us_of at;
+              ch_total_us =
+                Option.value ~default:0. (List.assoc_opt Instrument.stage_total stages);
+              ch_stages = stages;
+              ch_hops =
+                List.length
+                  (List.filter
+                     (function _, _, Trace.Page_request _ -> true | _ -> false)
+                     others);
+              ch_events = others;
+            }
+      | _ -> None)
+    evs
+
+(* Per protocol, the registry summary of each stamped stage, in
+   [Instrument.stages] order: the stamps are folded into a registry of
+   their own, so every figure is computed as the runtime's is. *)
+let stage_table events =
+  let stats = Stats.create () in
+  let cells = Hashtbl.create 16 in
+  List.iter
+    (fun (_, _, ev) ->
+      match ev with
+      | Trace.Stage { protocol; stage; ns; _ } ->
+          let cell =
+            match Hashtbl.find_opt cells (protocol, stage) with
+            | Some c -> c
+            | None ->
+                let c = Stats.cell stats ~protocol ~span:stage () in
+                Hashtbl.add cells (protocol, stage) c;
+                c
+          in
+          Stats.record cell ns
+      | _ -> ())
+    events;
+  Hashtbl.fold (fun (protocol, _) _ acc -> protocol :: acc) cells []
+  |> List.sort_uniq String.compare
+  |> List.map (fun protocol ->
+         let labels = Stats.labels ~protocol () in
+         ( protocol,
+           List.filter_map
+             (fun stage ->
+               let s = Stats.span_summary ~labels stats stage in
+               if s.Stats.sm_samples > 0 then Some s else None)
+             Instrument.stages ))
 
 (* --- per-page sharing patterns ---
 
@@ -260,27 +268,14 @@ type fault_summary = {
 }
 
 let fault_summary events =
-  List.fold_left
-    (fun acc (_, _, ev) ->
-      match ev with
-      | Trace.Drop _ -> { acc with fs_drops = acc.fs_drops + 1 }
-      | Trace.Blackhole _ -> { acc with fs_blackholes = acc.fs_blackholes + 1 }
-      | Trace.Crash _ -> { acc with fs_crash_windows = acc.fs_crash_windows + 1 }
-      | Trace.Restart _ -> { acc with fs_restarts = acc.fs_restarts + 1 }
-      | Trace.Rpc_retry _ -> { acc with fs_rpc_retries = acc.fs_rpc_retries + 1 }
-      | _ -> acc)
-    {
-      fs_drops = 0;
-      fs_blackholes = 0;
-      fs_crash_windows = 0;
-      fs_restarts = 0;
-      fs_rpc_retries = 0;
-    }
-    events
-
-let fault_summary_empty fs =
-  fs.fs_drops = 0 && fs.fs_blackholes = 0 && fs.fs_crash_windows = 0
-  && fs.fs_restarts = 0 && fs.fs_rpc_retries = 0
+  let count kind = List.length (List.filter (fun (_, _, ev) -> kind ev) events) in
+  {
+    fs_drops = count (function Trace.Drop _ -> true | _ -> false);
+    fs_blackholes = count (function Trace.Blackhole _ -> true | _ -> false);
+    fs_crash_windows = count (function Trace.Crash _ -> true | _ -> false);
+    fs_restarts = count (function Trace.Restart _ -> true | _ -> false);
+    fs_rpc_retries = count (function Trace.Rpc_retry _ -> true | _ -> false);
+  }
 
 (* --- the analysis --- *)
 
@@ -289,9 +284,7 @@ type t = {
   an_spans : int;
   an_duration_us : float;
   an_chains : chain list;  (* all fault chains, chronological *)
-  an_stage_dists : (string * (string * Sketch.t) list) list;
-      (* protocol -> stage -> distribution, stages in [stage_order] *)
-  an_totals : (string * Sketch.t) list;  (* protocol -> whole-fault distribution *)
+  an_stages : (string * Stats.span_summary list) list;
   an_top : chain list;  (* top-K slowest, slowest first *)
   an_pages : Tele.profile list;  (* ranked by (faults, bytes) desc *)
   an_locks : lock_profile list;
@@ -304,47 +297,10 @@ let analyze ?(top = 5) trace =
   let events = Trace.events trace in
   let span_groups = Trace.spans trace in
   let chains = List.filter_map chain_of_span span_groups in
-  let protocols =
-    List.sort_uniq compare (List.map (fun c -> c.ch_protocol) chains)
-  in
-  let stage_dists =
-    List.map
-      (fun proto ->
-        let of_proto = List.filter (fun c -> c.ch_protocol = proto) chains in
-        let per_stage =
-          List.filter_map
-            (fun stage ->
-              let samples =
-                List.filter_map (fun c -> List.assoc_opt stage c.ch_stages) of_proto
-              in
-              if samples = [] then None else Some (stage, sketch_of samples))
-            stage_order
-        in
-        (proto, per_stage))
-      protocols
-  in
-  let totals =
-    List.map
-      (fun proto ->
-        ( proto,
-          sketch_of
-            (List.filter_map
-               (fun c -> if c.ch_protocol = proto then Some c.ch_total_us else None)
-               chains) ))
-      protocols
-  in
   let top_chains =
-    let sorted =
-      List.stable_sort (fun a b -> compare b.ch_total_us a.ch_total_us) chains
-    in
-    let rec take n = function
-      | [] -> []
-      | _ when n = 0 -> []
-      | x :: rest -> x :: take (n - 1) rest
-    in
-    take top sorted
+    List.stable_sort (fun a b -> compare b.ch_total_us a.ch_total_us) chains
+    |> List.filteri (fun i _ -> i < top)
   in
-  let pages = page_profiles events in
   let duration =
     List.fold_left (fun acc (at, _, _) -> Time.max acc at) Time.zero events
   in
@@ -353,10 +309,9 @@ let analyze ?(top = 5) trace =
     an_spans = List.length span_groups;
     an_duration_us = us_of duration;
     an_chains = chains;
-    an_stage_dists = stage_dists;
-    an_totals = totals;
+    an_stages = stage_table events;
     an_top = top_chains;
-    an_pages = pages;
+    an_pages = page_profiles events;
     an_locks = lock_profiles events;
     an_barriers = barrier_profiles events;
     an_alerts =
@@ -370,7 +325,7 @@ let pages t = t.an_pages
 let locks t = t.an_locks
 let barriers t = t.an_barriers
 let chains t = t.an_chains
-let stages t = t.an_stage_dists
+let stages t = t.an_stages
 let alerts t = t.an_alerts
 let faults t = t.an_faults
 
@@ -389,7 +344,7 @@ let report
   let want s = List.mem s sections in
   Format.fprintf ppf "Trace analysis: %d events, %d spans, %.1f us@." t.an_events
     t.an_spans t.an_duration_us;
-  if want `Faults && not (fault_summary_empty t.an_faults) then begin
+  if want `Faults && t.an_faults <> fault_summary [] then begin
     let f = t.an_faults in
     Format.fprintf ppf "@.== Injected faults ==@.";
     Format.fprintf ppf
@@ -409,20 +364,18 @@ let report
   end;
   if want `Critical then begin
     Format.fprintf ppf "@.== Fault critical paths ==@.";
-    Format.fprintf ppf "%-16s %-10s %7s %9s %9s %9s %9s@." "protocol" "stage"
-      "faults" "p50(us)" "p90(us)" "p99(us)" "max(us)";
-    let row proto stage d =
-      Format.fprintf ppf "%-16s %-10s %7d %9.1f %9.1f %9.1f %9.1f@." proto stage
-        (Sketch.count d) (Sketch.percentile d 50.) (Sketch.percentile d 90.)
-        (Sketch.percentile d 99.) (Sketch.max_value d)
-    in
+    Format.fprintf ppf "%-16s %-16s %7s %9s %9s %9s %9s %9s@." "protocol" "stage"
+      "samples" "mean(us)" "p50(us)" "p90(us)" "p99(us)" "max(us)";
     List.iter
-      (fun (proto, per_stage) ->
-        List.iter (fun (stage, d) -> row proto stage d) per_stage;
-        match List.assoc_opt proto t.an_totals with
-        | Some d when Sketch.count d > 0 -> row proto "total" d
-        | _ -> ())
-      t.an_stage_dists;
+      (fun (proto, rows) ->
+        List.iter
+          (fun s ->
+            Format.fprintf ppf "%-16s %-16s %7d %9.1f %9.1f %9.1f %9.1f %9.1f@." proto
+              s.Stats.sm_name s.Stats.sm_samples (us_of s.Stats.sm_mean)
+              (us_of s.Stats.sm_p50) (us_of s.Stats.sm_p90) (us_of s.Stats.sm_p99)
+              (us_of s.Stats.sm_max))
+          rows)
+      t.an_stages;
     if t.an_top <> [] then begin
       Format.fprintf ppf "@.Top %d slowest faults:@." (List.length t.an_top);
       List.iter
@@ -433,7 +386,7 @@ let report
             c.ch_hops
             (if c.ch_hops = 1 then "" else "s");
           List.iter
-            (fun (stage, us) -> Format.fprintf ppf "    %-10s %9.1f us@." stage us)
+            (fun (stage, us) -> Format.fprintf ppf "    %-16s %9.1f us@." stage us)
             c.ch_stages;
           List.iter
             (fun (at, _, ev) ->
@@ -518,15 +471,9 @@ let to_json ?meta t =
       ( "critical_path",
         Json.Obj
           (List.map
-             (fun (proto, per_stage) ->
-               ( proto,
-                 Json.Obj
-                   (List.map (fun (s, d) -> (s, Sketch.to_json d)) per_stage
-                   @
-                   match List.assoc_opt proto t.an_totals with
-                   | Some d -> [ ("total", Sketch.to_json d) ]
-                   | None -> []) ))
-             t.an_stage_dists) );
+             (fun (proto, rows) ->
+               (proto, Json.List (List.map Stats.summary_to_json rows)))
+             t.an_stages) );
       ("top_spans", Json.List (List.map chain_to_json t.an_top));
       ("pages", Json.List (List.map Tele.profile_to_json t.an_pages));
       ( "locks",
@@ -568,25 +515,26 @@ let to_json ?meta t =
 
 (* --- folded stacks (flamegraph.pl / speedscope input) --- *)
 
-(* One line per (protocol, stage) with the total time attributed, plus the
-   per-fault residual (total minus accounted stages) as [other]; values in
+(* One line per (protocol, stage) with the total time stamped, plus the
+   whole-fault time no other stage accounts for as [other]; values in
    integer microseconds as flamegraph folded format expects. *)
 let folded ppf t =
+  let us ns = int_of_float (Float.round (us_of ns)) in
   List.iter
-    (fun (proto, per_stage) ->
-      let accounted = ref 0. in
+    (fun (proto, rows) ->
+      let accounted = ref Time.zero and total = ref Time.zero in
       List.iter
-        (fun (stage, d) ->
-          accounted := !accounted +. Sketch.sum d;
-          Format.fprintf ppf "dsmpm2;%s;fault;%s %d@." proto stage
-            (int_of_float (Float.round (Sketch.sum d))))
-        per_stage;
-      match List.assoc_opt proto t.an_totals with
-      | Some d when Sketch.sum d -. !accounted > 0.5 ->
-          Format.fprintf ppf "dsmpm2;%s;fault;other %d@." proto
-            (int_of_float (Float.round (Sketch.sum d -. !accounted)))
-      | _ -> ())
-    t.an_stage_dists;
+        (fun s ->
+          if s.Stats.sm_name = Instrument.stage_total then total := s.Stats.sm_total
+          else begin
+            accounted := Time.(!accounted + s.Stats.sm_total);
+            Format.fprintf ppf "dsmpm2;%s;fault;%s %d@." proto s.Stats.sm_name
+              (us s.Stats.sm_total)
+          end)
+        rows;
+      let other = Time.(!total - !accounted) in
+      if us other > 0 then Format.fprintf ppf "dsmpm2;%s;fault;other %d@." proto (us other))
+    t.an_stages;
   List.iter
     (fun l ->
       if Sketch.sum l.lk_wait >= 0.5 then

@@ -5,11 +5,11 @@
     queryable report.  Feed it a live runtime's trace ({!Dsmpm2_core.Monitor.trace})
     or a JSONL dump re-loaded with {!Dsmpm2_sim.Trace.of_jsonl}; get back:
 
-    - {b fault critical paths}: each fault span's
-      fault → request → send → install chain cut into stages
-      (request propagation, remote serve, wire transfer, local install, or a
-      thread-migration leg), with p50/p90/p99 per protocol and the
-      top-K slowest spans including their full event chains;
+    - {b fault critical paths}: the stage stamps the runtime wrote into
+      the trace ({!Trace.Stage}, one per registry sample of
+      [stage.request], [stage.transfer], [stage.migration] and
+      [stage.total]) summed up per protocol and stage, and the top-K
+      slowest fault spans with their stamps and full event chains;
     - {b per-page profiles}: sharing-pattern classification (private,
       read-mostly, single-writer, producer-consumer, migratory,
       false-sharing) and a heatmap ranked by faults and bytes moved;
@@ -30,15 +30,16 @@
 
 open Dsmpm2_sim
 
-(** Every latency distribution below is a {!Sketch.t} of microsecond
-    samples: its count, sum, exact max and 1%-accurate percentiles. *)
+(** The lock and barrier distributions below are {!Sketch.t}s of
+    microsecond samples: count, sum, exact max and 1%-accurate
+    percentiles. *)
 
-(** {2 Fault critical paths} *)
+(** {2 Fault critical paths}
 
-val stage_order : string list
-(** [["request"; "serve"; "transfer"; "install"; "migrate"]] — the stage
-    names in causal order.  [migrate] replaces the transfer chain for
-    thread-migration protocols (spans with a migration and no page send). *)
+    The analyzer measures no stage: it reads the stamps.  On a trace that
+    kept every event (unsampled, nothing evicted), each stage row has the
+    registry's sample count, integer-nanosecond total and mean for that
+    protocol and series. *)
 
 type chain = {
   ch_span : int;
@@ -47,10 +48,12 @@ type chain = {
   ch_protocol : string;
   ch_mode : string;  (** "read" or "write" *)
   ch_start_us : float;
-  ch_total_us : float;
-  ch_stages : (string * float) list;  (** only the stages present, in order *)
+  ch_total_us : float;  (** the span's [stage.total] stamp; 0 without one *)
+  ch_stages : (string * float) list;
+      (** the span's stage stamps (series name, us), chronological *)
   ch_hops : int;  (** page requests in the span (forwarding chain length) *)
-  ch_events : (Time.t * int * Trace.event) list;  (** the span's events *)
+  ch_events : (Time.t * int * Trace.event) list;
+      (** the span's other events *)
 }
 
 (** {2 Synchronization contention} *)
@@ -88,14 +91,16 @@ type t
 
 val analyze : ?top:int -> Trace.t -> t
 (** Runs every analysis over the trace.  [top] (default 5) bounds the
-    slowest-spans list. *)
+    slowest-spans list, ranked by [stage.total] stamp. *)
 
 val chains : t -> chain list
 (** All fault-rooted spans, chronological. *)
 
-val stages : t -> (string * (string * Sketch.t) list) list
-(** Per protocol (sorted), the duration of each stage present, in
-    {!stage_order}. *)
+val stages : t -> (string * Stats.span_summary list) list
+(** Per protocol (sorted), the summary of each stamped stage, in
+    {!Dsmpm2_core.Instrument.stages} order: the stamps folded into a
+    registry of their own, so the figures are the runtime's
+    {!Stats.span_summary} of the same samples. *)
 
 val pages : t -> Dsmpm2_core.Telemetry.profile list
 (** The heatmap: ranked by total faults, then bytes moved, descending. *)
@@ -128,5 +133,7 @@ val to_json : ?meta:Run_meta.t -> t -> Json.t
     git revision. *)
 
 val folded : Format.formatter -> t -> unit
-(** Folded-stack lines ([dsmpm2;<proto>;fault;<stage> <us>] plus lock and
-    barrier frames) for flamegraph.pl or speedscope. *)
+(** Folded-stack lines ([dsmpm2;<proto>;fault;<stage> <us>] for every
+    stamped stage but [stage.total], whose unaccounted rest is
+    [dsmpm2;<proto>;fault;other], plus lock and barrier frames) for
+    flamegraph.pl or speedscope. *)

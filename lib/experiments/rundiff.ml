@@ -4,9 +4,9 @@
    module turns that spread into a noise bound so a delta between two
    snapshots only reads as signal when it clears both noise_sigma·σ and a
    relative threshold.  Trace dumps are compared through Analyze — the same
-   stage arithmetic, page classification and alert extraction the
-   post-mortem report uses — so `dsm analyze` and `dsm diff` never disagree
-   about what a stage or a pattern is. *)
+   stage stamps, page classification and alert extraction the post-mortem
+   report uses — so `dsm analyze` and `dsm diff` never disagree about what
+   a stage or a pattern is. *)
 
 open Dsmpm2_sim
 module B = Bench_suite
@@ -205,43 +205,30 @@ let diff_bench ~threshold_pct a b =
 
 (* --- trace mode --- *)
 
-(* Per (protocol, stage) duration sketches, straight from the analyzer —
-   its stage arithmetic, not a reimplementation. *)
-let stage_sketches a =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (protocol, per_stage) ->
-      List.iter
-        (fun (stage, sk) -> Hashtbl.replace tbl (protocol, stage) sk)
-        per_stage)
-    (Analyze.stages a);
-  tbl
+(* Per (protocol, stage) summaries, straight from the analyzer's fold of
+   the runtime's stage stamps. *)
+let stage_rows a =
+  List.concat_map
+    (fun (protocol, rows) -> List.map (fun s -> ((protocol, s.Stats.sm_name), s)) rows)
+    (Analyze.stages a)
 
 let stage_rank stage =
-  let rec idx i = function
-    | [] -> i
-    | s :: rest -> if s = stage then i else idx (i + 1) rest
-  in
-  idx 0 Analyze.stage_order
+  Option.value ~default:max_int
+    (List.find_index (String.equal stage) Dsmpm2_core.Instrument.stages)
 
 let diff_stages ~threshold_pct base fresh =
-  let tb = stage_sketches base and tf = stage_sketches fresh in
-  let keys = Hashtbl.create 16 in
-  Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) tb;
-  Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) tf;
-  Hashtbl.fold (fun k () acc -> k :: acc) keys []
-  |> List.sort (fun (pa, sa) (pb, sb) ->
-         match compare pa pb with
-         | 0 -> compare (stage_rank sa) (stage_rank sb)
-         | c -> c)
+  let tb = stage_rows base and tf = stage_rows fresh in
+  List.sort_uniq
+    (fun (pa, sa) (pb, sb) -> compare (pa, stage_rank sa, sa) (pb, stage_rank sb, sb))
+    (List.map fst tb @ List.map fst tf)
   |> List.map (fun ((protocol, stage) as key) ->
-         let stats tbl =
-           match Hashtbl.find_opt tbl key with
+         let stats rows =
+           match List.assoc_opt key rows with
            | None -> (0., 0., 0)
-           | Some sk ->
-               ( Sketch.mean sk,
-                 Sketch.percentile sk 90.,
-                 Sketch.count sk )
+           | Some s ->
+               ( Time.to_us s.Stats.sm_mean,
+                 Time.to_us s.Stats.sm_p90,
+                 s.Stats.sm_samples )
          in
          let bm, bp90, bn = stats tb and fm, fp90, fn = stats tf in
          let delta = fm -. bm in

@@ -9,7 +9,7 @@
       clears both [noise_sigma]·σ and the relative threshold, so schedule
       sensitivity does not read as regression;
     - {b critical-path stage shifts} (trace mode), per protocol and stage,
-      using the same stage arithmetic as {!Analyze};
+      read from the stage stamps, as {!Analyze} reads them;
     - {b per-page sharing-pattern drift} — pages whose
       {!Dsmpm2_core.Telemetry.pattern} classification changed between the
       runs;
@@ -69,7 +69,7 @@ type case_delta = {
 
 type stage_delta = {
   sd_protocol : string;
-  sd_stage : string;  (** an {!Analyze.stage_order} member *)
+  sd_stage : string;  (** a {!Dsmpm2_core.Instrument.stages} member *)
   sd_base_mean_us : float;
   sd_fresh_mean_us : float;
   sd_base_p90_us : float;

@@ -58,6 +58,7 @@ let record c dt =
 let events c = c.events
 let volume c = c.volume
 let samples c = Sketch.count c.sketch
+let span_name c = c.span_name
 
 (* --- views: rollups over the cells a name and label set select --- *)
 

@@ -60,6 +60,9 @@ val events : cell -> int
 val volume : cell -> int
 val samples : cell -> int
 
+val span_name : cell -> string
+(** The name of the cell's duration series ([""] when it has none). *)
+
 (** {1 Views} *)
 
 val count : ?labels:labels -> t -> string -> int

@@ -54,6 +54,7 @@ type event =
   | Crash of { node : int; up : Time.t }
   | Restart of { node : int }
   | Rpc_retry of { service : string; src : int; dst : int; attempt : int }
+  | Stage of { node : int; protocol : string; stage : string; ns : Time.t }
 
 let no_span = -1
 
@@ -73,6 +74,7 @@ let event_category = function
   | Crash _ -> "crash"
   | Restart _ -> "restart"
   | Rpc_retry _ -> "rpc.retry"
+  | Stage _ -> "stage"
 
 let event_message = function
   | Fault { node; page; protocol; mode } ->
@@ -110,6 +112,8 @@ let event_message = function
   | Rpc_retry { service; src; dst; attempt } ->
       Printf.sprintf "rpc %s: retransmission #%d on link %d->%d" service attempt
         src dst
+  | Stage { node; protocol; stage; ns } ->
+      Printf.sprintf "node %d: %s %.1f us (%s)" node stage (Time.to_us ns) protocol
 
 (* The node a trace event belongs to, for the Chrome exporter's process
    lanes; -1 for a run-wide alert. *)
@@ -121,7 +125,8 @@ let event_node = function
   | Invalidate { node; _ }
   | Diff { node; _ }
   | Lock { node; _ }
-  | Barrier { node; _ } -> node
+  | Barrier { node; _ }
+  | Stage { node; _ } -> node
   | Migration { src; _ } -> src
   | Alert { node; _ } -> node
   | Drop { src; _ } -> src
@@ -175,7 +180,8 @@ let intern_sets = 512
 
 (* The set an event interns into, from (kind, node, page, peer); -1 for
    the kinds that are stored as emitted.  A [Diff] keys on its first
-   page. *)
+   page; a [Stage] on its duration, with its series name's length (each
+   stage name has its own) as the peer. *)
 let intern_set ev =
   let[@inline] mix kind node page peer =
     let h = (((((kind * 0x3B9ACA07) + node) * 0x5BD1E995) + page) * 0x2545F491) + peer in
@@ -190,6 +196,7 @@ let intern_set ev =
   | Invalidate { node; page; sender; _ } -> mix 5 node page sender
   | Diff { node; page_list; sender; _ } ->
       mix 6 node (match page_list with p :: _ -> p | [] -> -1) sender
+  | Stage { node; stage; ns; _ } -> mix 7 node ns (String.length stage)
   | Lock _ | Barrier _ | Migration _ | Alert _ | Drop _ | Blackhole _ | Crash _
   | Restart _ | Rpc_retry _ ->
       -1
@@ -220,6 +227,9 @@ let same_event a b =
   | Diff a, Diff b ->
       a.node = b.node && a.sender = b.sender && a.pages = b.pages && a.bytes = b.bytes
       && a.release = b.release && same_ints a.page_list b.page_list
+      && same_string a.protocol b.protocol
+  | Stage a, Stage b ->
+      a.node = b.node && a.ns = b.ns && same_string a.stage b.stage
       && same_string a.protocol b.protocol
   | _ -> false
 
@@ -340,7 +350,7 @@ let sampled_out t = t.sampled_out
 let always_keep = function
   | Alert _ | Drop _ | Blackhole _ | Crash _ | Restart _ | Rpc_retry _ -> true
   | Fault _ | Page_request _ | Page_send _ | Page_install _ | Invalidate _
-  | Diff _ | Lock _ | Barrier _ | Migration _ -> false
+  | Diff _ | Lock _ | Barrier _ | Migration _ | Stage _ -> false
 
 let span_kept t span =
   match t.sampling with
@@ -588,6 +598,14 @@ let event_fields = function
         ("dst", Json.Int dst);
         ("attempt", Json.Int attempt);
       ]
+  | Stage { node; protocol; stage; ns } ->
+      [
+        ("type", Json.String "stage");
+        ("node", Json.Int node);
+        ("protocol", Json.String protocol);
+        ("stage", Json.String stage);
+        ("ns", Json.Int ns);
+      ]
 
 let event_to_json ~at ~span ev =
   Json.Obj (("at_ns", Json.Int at) :: ("span", Json.Int span) :: event_fields ev)
@@ -598,106 +616,77 @@ let event_of_json j =
   let gets name = Option.join (Json.member name j |> Option.map Json.to_str) in
   let getb name = Option.join (Json.member name j |> Option.map Json.to_bool) in
   let ( let* ) = Option.bind in
-  let* at = geti "at_ns" in
-  let* span = geti "span" in
+  let ( and* ) a b = match (a, b) with Some a, Some b -> Some (a, b) | _ -> None in
+  let* at = geti "at_ns" and* span = geti "span" and* ty = gets "type" in
   let* ev =
-    let* ty = gets "type" in
     match ty with
     | "fault" ->
-        let* node = geti "node" in
-        let* page = geti "page" in
-        let* protocol = gets "protocol" in
-        let* mode = gets "mode" in
+        let* node = geti "node" and* page = geti "page" and* protocol = gets "protocol"
+        and* mode = gets "mode" in
         Some (Fault { node; page; protocol; mode })
     | "page_request" ->
-        let* node = geti "node" in
-        let* page = geti "page" in
-        let* protocol = gets "protocol" in
-        let* mode = gets "mode" in
-        let* requester = geti "requester" in
+        let* node = geti "node" and* page = geti "page" and* protocol = gets "protocol"
+        and* mode = gets "mode" and* requester = geti "requester" in
         Some (Page_request { node; page; protocol; mode; requester })
     | "page_send" ->
-        let* node = geti "node" in
-        let* page = geti "page" in
-        let* protocol = gets "protocol" in
-        let* dst = geti "dst" in
-        let* bytes = geti "bytes" in
-        let* grant = gets "grant" in
+        let* node = geti "node" and* page = geti "page" and* protocol = gets "protocol"
+        and* dst = geti "dst" and* bytes = geti "bytes" and* grant = gets "grant" in
         Some (Page_send { node; page; protocol; dst; bytes; grant })
     | "page_install" ->
-        let* node = geti "node" in
-        let* page = geti "page" in
-        let* protocol = gets "protocol" in
-        let* sender = geti "sender" in
-        let* grant = gets "grant" in
+        let* node = geti "node" and* page = geti "page" and* protocol = gets "protocol"
+        and* sender = geti "sender" and* grant = gets "grant" in
         Some (Page_install { node; page; protocol; sender; grant })
     | "invalidate" ->
-        let* node = geti "node" in
-        let* page = geti "page" in
-        let* protocol = gets "protocol" in
-        let* sender = geti "sender" in
+        let* node = geti "node" and* page = geti "page" and* protocol = gets "protocol"
+        and* sender = geti "sender" in
         Some (Invalidate { node; page; protocol; sender })
     | "diff" ->
-        let* node = geti "node" in
-        let* pages = geti "pages" in
-        let* page_list =
+        let* node = geti "node" and* pages = geti "pages" and* bytes = geti "bytes"
+        and* sender = geti "sender" and* release = getb "release"
+        and* protocol = gets "protocol"
+        and* page_list =
           let* items = Option.join (Json.member "page_list" j |> Option.map Json.to_list) in
           List.fold_right
             (fun item acc ->
-              let* acc = acc in
-              let* p = Json.to_int item in
+              let* acc = acc and* p = Json.to_int item in
               Some (p :: acc))
             items (Some [])
         in
-        let* bytes = geti "bytes" in
-        let* sender = geti "sender" in
-        let* release = getb "release" in
-        let* protocol = gets "protocol" in
         Some (Diff { node; pages; page_list; bytes; sender; release; protocol })
     | "lock" ->
-        let* node = geti "node" in
-        let* lock = geti "lock" in
-        let* op = gets "op" in
+        let* node = geti "node" and* lock = geti "lock" and* op = gets "op" in
         Some (Lock { node; lock; op })
     | "barrier" ->
-        let* node = geti "node" in
-        let* barrier = geti "barrier" in
+        let* node = geti "node" and* barrier = geti "barrier" in
         Some (Barrier { node; barrier })
     | "migration" ->
-        let* thread = geti "thread" in
-        let* src = geti "src" in
-        let* dst = geti "dst" in
+        let* thread = geti "thread" and* src = geti "src" and* dst = geti "dst" in
         Some (Migration { thread; src; dst })
     | "alert" ->
-        let* severity = Option.bind (gets "severity") severity_of_string in
-        let* kind = gets "kind" in
-        let* node = geti "node" in
-        let* detail = gets "detail" in
+        let* severity = Option.bind (gets "severity") severity_of_string
+        and* kind = gets "kind" and* node = geti "node" and* detail = gets "detail" in
         Some (Alert { severity; kind; node; detail })
     | "drop" ->
-        let* src = geti "src" in
-        let* dst = geti "dst" in
-        let* kind = gets "kind" in
+        let* src = geti "src" and* dst = geti "dst" and* kind = gets "kind" in
         Some (Drop { src; dst; kind })
     | "blackhole" ->
-        let* src = geti "src" in
-        let* dst = geti "dst" in
-        let* kind = gets "kind" in
-        let* down = geti "down" in
+        let* src = geti "src" and* dst = geti "dst" and* kind = gets "kind"
+        and* down = geti "down" in
         Some (Blackhole { src; dst; kind; down })
     | "crash" ->
-        let* node = geti "node" in
-        let* up = geti "up_ns" in
+        let* node = geti "node" and* up = geti "up_ns" in
         Some (Crash { node; up })
     | "restart" ->
         let* node = geti "node" in
         Some (Restart { node })
     | "rpc_retry" ->
-        let* service = gets "service" in
-        let* src = geti "src" in
-        let* dst = geti "dst" in
-        let* attempt = geti "attempt" in
+        let* service = gets "service" and* src = geti "src" and* dst = geti "dst"
+        and* attempt = geti "attempt" in
         Some (Rpc_retry { service; src; dst; attempt })
+    | "stage" ->
+        let* node = geti "node" and* protocol = gets "protocol" and* stage = gets "stage"
+        and* ns = geti "ns" in
+        Some (Stage { node; protocol; stage; ns })
     | _ -> None
   in
   Some (at, span, ev)
@@ -708,21 +697,26 @@ let to_jsonl ppf t =
 
 (* No run names a negative page ([Page_table.declare] raises on one) or a
    negative node, and the telemetry tables a loaded dump feeds are arrays
-   indexed by both: a hand-edited line with one is refused at load. *)
-let negative_id = function
+   indexed by both: a hand-edited line with one is refused at load.  So is
+   a negative stage duration, which a sketch would silently clamp to 0. *)
+let negative_field = function
   | Fault { node; page; _ } ->
-      if page < 0 then Some ("page", page)
-      else if node < 0 then Some ("node", node)
+      if page < 0 then Some ("page id", page)
+      else if node < 0 then Some ("node id", node)
       else None
   | Page_request { page; _ }
   | Page_send { page; _ }
   | Page_install { page; _ }
   | Invalidate { page; _ } ->
-      if page < 0 then Some ("page", page) else None
+      if page < 0 then Some ("page id", page) else None
   | Diff { page_list; sender; _ } -> (
       match List.find_opt (fun p -> p < 0) page_list with
-      | Some p -> Some ("page", p)
-      | None -> if sender < 0 then Some ("node", sender) else None)
+      | Some p -> Some ("page id", p)
+      | None -> if sender < 0 then Some ("node id", sender) else None)
+  | Stage { node; ns; _ } ->
+      if node < 0 then Some ("node id", node)
+      else if ns < 0 then Some ("duration", ns)
+      else None
   | _ -> None
 
 (* Inverse of [to_jsonl] over a whole dump (the file's contents, one JSON
@@ -740,9 +734,9 @@ let of_jsonl contents =
               match event_of_json j with
               | None -> Error (Printf.sprintf "line %d: not a trace event" lineno)
               | Some (at, span, ev) -> (
-                  match negative_id ev with
-                  | Some (what, id) ->
-                      Error (Printf.sprintf "line %d: negative %s id %d" lineno what id)
+                  match negative_field ev with
+                  | Some (what, v) ->
+                      Error (Printf.sprintf "line %d: negative %s %d" lineno what v)
                   | None -> parse ((at, span, ev) :: acc) (lineno + 1) rest)))
   in
   parse [] 1 (String.split_on_char '\n' contents)

@@ -4,7 +4,8 @@
     as part of the platform's value; this module is their equivalent.  When
     enabled, components {!emit} timestamped {e typed} events (faults, page
     requests and transfers, invalidations, diffs, lock and barrier traffic,
-    thread migrations, watchdog alerts, injected faults).
+    thread migrations, watchdog alerts, injected faults, and the fault
+    stage stamps of the runtime's registry).
 
     There is one event model and one read path.  The trace stores each
     emission as its [(timestamp, span id, event)] triple and gives back
@@ -84,6 +85,14 @@ type event =
   | Rpc_retry of { service : string; src : int; dst : int; attempt : int }
       (** A retransmission going out after a reply deadline expired
           ([Rpc.call]); [attempt] counts the attempts already made. *)
+  | Stage of { node : int; protocol : string; stage : string; ns : Time.t }
+      (** A stage stamp: the duration [ns] that the runtime just recorded
+          into its registry series [stage] ("stage.request",
+          "stage.transfer", "stage.migration" or "stage.total", as
+          [Instrument] names them) for [node] under [protocol].  It is
+          emitted at the same site and under the same condition as the
+          registry sample, so a complete trace holds exactly the
+          registry's samples of those series. *)
 
 val no_span : int
 (** The span id of events outside any operation ([-1]). *)
@@ -231,9 +240,10 @@ val of_events : (Time.t * int * event) list -> t
 val of_jsonl : string -> (t, string) result
 (** [of_jsonl contents] re-loads a {!to_jsonl} dump (the whole file as one
     string).  Blank lines are skipped; [Error] carries the first offending
-    line's number.  A negative page id, or a negative node id on a [Fault]
-    or a [Diff] sender, is an error too: no run emits one, and the
-    telemetry tables index by them.  Inverse of {!to_jsonl}: exporting the
+    line's number.  A negative page id, a negative node id on a [Fault],
+    a [Diff] sender or a [Stage], or a negative [Stage] duration, is an
+    error too: no run emits one, the telemetry tables index by ids, and a
+    sketch would clamp the duration to 0.  Inverse of {!to_jsonl}: exporting the
     result re-prints the same lines. *)
 
 val chrome_json : t -> Json.t

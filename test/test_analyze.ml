@@ -1,6 +1,6 @@
 (* The post-mortem trace analyzer: exact sharing-pattern classification on
-   synthetic traces, critical-path stage arithmetic, lock/barrier contention
-   profiles, the [of_jsonl] round-trip, and TSP's bound page end to end
+   synthetic traces, critical paths read from stage stamps (and equal to
+   the registry's on real runs), lock/barrier contention profiles, the [of_jsonl] round-trip, and TSP's bound page end to end
    (classified migratory; migrate_thread faults less on it). *)
 
 open Dsmpm2_sim
@@ -101,7 +101,10 @@ let test_classify_single_writer () =
     ]
     4
 
-(* --- critical-path stage arithmetic --- *)
+(* --- critical paths from stage stamps --- *)
+
+let stamp ~node ?(protocol = "li_hudak") stage us_ at span =
+  ev at ~span (Trace.Stage { node; protocol; stage; ns = us us_ })
 
 let test_critical_path_stages () =
   let events =
@@ -110,40 +113,76 @@ let test_critical_path_stages () =
       ev 110. ~span:7
         (Trace.Page_request
            { node = 1; page = 1; protocol = "li_hudak"; mode = "read"; requester = 0 });
+      stamp ~node:1 Instrument.stage_request 10. 110. 7;
       send ~node:1 ~page:1 ~dst:0 140. 7;
       ev 180. ~span:7
         (Trace.Page_install
            { node = 0; page = 1; protocol = "li_hudak"; sender = 1; grant = "read" });
+      stamp ~node:0 Instrument.stage_transfer 40. 180. 7;
+      stamp ~node:0 Instrument.stage_total 93. 190. 7;
+      (* A second fault, stamped in the opposite order: the table keeps
+         [Instrument.stages] order. *)
+      fault ~node:2 ~page:1 ~mode:"read" 200. 8;
+      stamp ~node:2 Instrument.stage_total 7. 207. 8;
+      stamp ~node:1 Instrument.stage_request 20. 205. 8;
     ]
   in
   let a = Analyze.analyze (Trace.of_events events) in
-  match Analyze.chains a with
-  | [ c ] ->
+  (match Analyze.chains a with
+  | [ c; _ ] ->
       Alcotest.(check int) "span" 7 c.Analyze.ch_span;
       Alcotest.(check int) "hops" 1 c.Analyze.ch_hops;
-      Alcotest.(check (float 0.01)) "total" 80. c.Analyze.ch_total_us;
-      let stage name = List.assoc name c.Analyze.ch_stages in
-      Alcotest.(check (float 0.01)) "request" 10. (stage "request");
-      Alcotest.(check (float 0.01)) "serve" 30. (stage "serve");
-      Alcotest.(check (float 0.01)) "transfer" 40. (stage "transfer");
-      Alcotest.(check (float 0.01)) "install" 0. (stage "install");
-      Alcotest.(check bool) "no migrate stage" true
-        (not (List.mem_assoc "migrate" c.Analyze.ch_stages))
-  | cs -> Alcotest.failf "expected one fault chain, got %d" (List.length cs)
+      Alcotest.(check (float 0.01)) "total is the stamp, not the span's extent" 93.
+        c.Analyze.ch_total_us;
+      Alcotest.(check (list (pair string (float 0.01))))
+        "the chain's stages are its stamps"
+        [
+          (Instrument.stage_request, 10.);
+          (Instrument.stage_transfer, 40.);
+          (Instrument.stage_total, 93.);
+        ]
+        c.Analyze.ch_stages;
+      Alcotest.(check int) "stamps are not repeated as events" 4
+        (List.length c.Analyze.ch_events)
+  | cs -> Alcotest.failf "expected two fault chains, got %d" (List.length cs));
+  match Analyze.stages a with
+  | [ ("li_hudak", rows) ] ->
+      Alcotest.(check (list (pair string int)))
+        "one row per stamped stage, in Instrument order, summed exactly"
+        [
+          (Instrument.stage_request, 30_000);
+          (Instrument.stage_transfer, 40_000);
+          (Instrument.stage_total, 100_000);
+        ]
+        (List.map (fun s -> (s.Stats.sm_name, s.Stats.sm_total)) rows)
+  | _ -> Alcotest.fail "expected one protocol"
 
 let test_migration_stage () =
   let events =
     [
       fault ~node:0 ~page:1 ~mode:"write" 100. 3;
-      ev 160. ~span:3 (Trace.Migration { thread = 5; src = 0; dst = 2 });
+      ev 100. ~span:3 (Trace.Migration { thread = 5; src = 0; dst = 2 });
+      stamp ~node:0 ~protocol:"migrate_thread" Instrument.stage_migration 60. 160. 3;
+      stamp ~node:0 ~protocol:"migrate_thread" Instrument.stage_total 71. 171. 3;
+      (* A slower fault with no total stamp (cut from the trace) ranks
+         last: top-K ranks by the stamp. *)
+      fault ~node:1 ~page:1 ~mode:"write" 200. 4;
+      ev 900. ~span:4 (Trace.Migration { thread = 6; src = 1; dst = 2 });
     ]
   in
-  let a = Analyze.analyze (Trace.of_events events) in
-  match Analyze.chains a with
-  | [ c ] ->
-      Alcotest.(check (float 0.01)) "migrate stage" 60.
-        (List.assoc "migrate" c.Analyze.ch_stages)
-  | cs -> Alcotest.failf "expected one chain, got %d" (List.length cs)
+  let a = Analyze.analyze ~top:1 (Trace.of_events events) in
+  (match Analyze.chains a with
+  | [ c; cut ] ->
+      Alcotest.(check (float 0.01)) "migration stage" 60.
+        (List.assoc Instrument.stage_migration c.Analyze.ch_stages);
+      Alcotest.(check (float 0.01)) "no stamp, no total" 0. cut.Analyze.ch_total_us
+  | cs -> Alcotest.failf "expected two chains, got %d" (List.length cs));
+  let top_spans =
+    match Json.member "top_spans" (Analyze.to_json a) with
+    | Some (Json.List l) -> List.filter_map (fun j -> Option.bind (Json.member "span" j) Json.to_int) l
+    | _ -> Alcotest.fail "no top_spans"
+  in
+  Alcotest.(check (list int)) "slowest by stamp" [ 3 ] top_spans
 
 (* --- lock & barrier contention --- *)
 
@@ -232,6 +271,7 @@ let all_variant_events =
            node = 1;
            detail = "page 3: \"quoted\"";
          });
+    stamp ~node:1 Instrument.stage_total 30. 100. 0;
   ]
 
 let test_of_jsonl_round_trip () =
@@ -266,7 +306,8 @@ let test_of_jsonl_rejects_garbage () =
   | Ok _ -> Alcotest.fail "unknown event kind accepted"
 
 (* No run names a negative page or node, and telemetry indexes its tables
-   by both: a hand-edited dump carrying one is refused at its line. *)
+   by both: a hand-edited dump carrying one is refused at its line.  So is
+   a negative stage duration, which a sketch would clamp to 0. *)
 let test_of_jsonl_rejects_negative_ids () =
   let line ev = Json.to_string (Trace.event_to_json ~at:(us 1.) ~span:0 ev) in
   let good = line (Trace.Barrier { node = 0; barrier = 0 }) in
@@ -310,6 +351,12 @@ let test_of_jsonl_rejects_negative_ids () =
             protocol = "hbrc_mw";
           },
         "line 3: negative node id -3" );
+      ( Trace.Stage
+          { node = -2; protocol = "li_hudak"; stage = Instrument.stage_request; ns = 5 },
+        "line 3: negative node id -2" );
+      ( Trace.Stage
+          { node = 1; protocol = "li_hudak"; stage = Instrument.stage_total; ns = -5 },
+        "line 3: negative duration -5" );
     ]
 
 (* --- TSP's bound page end to end --- *)
@@ -388,45 +435,98 @@ let test_folded_output_shape () =
             (int_of_string_opt count <> None))
     lines
 
-(* --- one stage model ---
+(* --- one stage measurement, read twice ---
 
-   The analyzer replays the trace; the runtime times the same stages into
-   its registry.  On a seeded jacobi run (hbrc_mw, 4 nodes) the request and
-   transfer stage means agree. *)
+   The runtime stamps each stage once, into its registry and into the
+   trace.  On an unsampled, unevicted trace, every stage the analyzer
+   prints has the registry's sample count and integer-nanosecond total
+   (so mean) for that protocol, and every stamped series the registry
+   holds is printed. *)
 
-let test_stage_means_match_registry () =
+let observed run =
   let captured = ref None in
   let observe dsm =
-    Dsmpm2_core.Monitor.enable dsm true;
+    Monitor.enable dsm true;
     captured := Some dsm
   in
+  run (Some observe);
+  Option.get !captured
+
+(* The registry's (samples, total) of [series] under [protocol]: its
+   (node, protocol) cells, or the whole series for the run-wide
+   [stage.migration] cell (each run below uses one protocol). *)
+let registry stats ~protocol series =
+  let sum labels =
+    let s = Stats.span_summary ?labels stats series in
+    (s.Stats.sm_samples, s.Stats.sm_total)
+  in
+  if series = Instrument.stage_migration then sum None
+  else
+    List.fold_left
+      (fun (n, total) l ->
+        if l.Stats.lbl_protocol = Some protocol then
+          let n', total' = sum (Some l) in
+          (n + n', total + total')
+        else (n, total))
+      (0, 0) (Stats.label_sets stats)
+
+let stamped =
+  Instrument.[ stage_request; stage_transfer; stage_migration; stage_total ]
+
+let check_stages_match_registry ~protocol ~expect run () =
+  let dsm = observed run in
+  let trace = Monitor.trace dsm in
+  Alcotest.(check int) "nothing evicted" 0 (Trace.evicted trace);
+  let stats = Dsm.stats dsm in
+  let rows =
+    match Analyze.stages (Analyze.analyze trace) with
+    | [ (p, rows) ] when p = protocol -> rows
+    | ps -> Alcotest.failf "expected %s stages only, got %d protocols" protocol (List.length ps)
+  in
+  Alcotest.(check (list string)) "printed stages"
+    expect (List.map (fun s -> s.Stats.sm_name) rows);
+  Alcotest.(check (list string)) "the registry's stamped series"
+    expect
+    (List.filter (fun series -> fst (registry stats ~protocol series) > 0) stamped);
+  List.iter
+    (fun s ->
+      let name = s.Stats.sm_name in
+      let n, total = registry stats ~protocol name in
+      Alcotest.(check int) (name ^ " count") n s.Stats.sm_samples;
+      Alcotest.(check int) (name ^ " total ns") total s.Stats.sm_total;
+      Alcotest.(check int) (name ^ " mean ns") (total / n) s.Stats.sm_mean)
+    rows
+
+let jacobi ?(nodes = 4) ?(size = 48) ?(iterations = 8) protocol observe =
   ignore
     (Dsmpm2_apps.Jacobi.run
-       { Dsmpm2_apps.Jacobi.default with observe = Some observe });
-  let dsm = Option.get !captured in
-  let stats = Dsmpm2_core.Dsm.stats dsm in
-  let stages =
-    match
-      List.assoc_opt "hbrc_mw"
-        (Analyze.stages (Analyze.analyze (Dsmpm2_core.Monitor.trace dsm)))
-    with
-    | Some s -> s
-    | None -> Alcotest.fail "no hbrc_mw faults analyzed"
-  in
-  List.iter
-    (fun (stage, series) ->
-      let analyzed =
-        match List.assoc_opt stage stages with
-        | Some sk -> Sketch.mean sk
-        | None -> Alcotest.failf "no %s stage analyzed" stage
-      in
-      let registry = Time.to_us (Stats.span_mean stats series) in
-      Alcotest.(check bool) (stage ^ " stage timed") true (registry > 0.);
-      Alcotest.(check (float 1e-6)) (stage ^ " mean") registry analyzed)
-    [
-      ("request", Dsmpm2_core.Instrument.stage_request);
-      ("transfer", Dsmpm2_core.Instrument.stage_transfer);
-    ]
+       { Dsmpm2_apps.Jacobi.default with protocol; nodes; size; iterations; observe })
+
+let stage_runs =
+  let open Instrument in
+  let page = [ stage_request; stage_transfer; stage_total ] in
+  [
+    ("jacobi write_update, 8 nodes", "write_update", page,
+      jacobi ~nodes:8 "write_update");
+    ("jacobi li_hudak", "li_hudak", page, jacobi "li_hudak");
+    ("jacobi hbrc_mw", "hbrc_mw", page, jacobi "hbrc_mw");
+    ("jacobi sc_abd", "sc_abd", [ stage_total ],
+      jacobi ~size:16 ~iterations:4 "sc_abd");
+    ( "tsp migrate_thread",
+      "migrate_thread",
+      [ stage_migration; stage_total ],
+      fun observe ->
+        ignore
+          (Dsmpm2_apps.Tsp.run
+             { Dsmpm2_apps.Tsp.default with protocol = "migrate_thread"; observe }) );
+    ( "coloring java_ic",
+      "java_ic",
+      page,
+      fun observe ->
+        ignore
+          (Dsmpm2_apps.Map_coloring.run
+             { Dsmpm2_apps.Map_coloring.default with protocol = "java_ic"; observe }) );
+  ]
 
 let () =
   Alcotest.run "analyze"
@@ -444,9 +544,13 @@ let () =
         [
           Alcotest.test_case "stage arithmetic" `Quick test_critical_path_stages;
           Alcotest.test_case "migration stage" `Quick test_migration_stage;
-          Alcotest.test_case "stage means = registry" `Quick
-            test_stage_means_match_registry;
         ] );
+      ( "stages = registry",
+        List.map
+          (fun (name, protocol, expect, run) ->
+            Alcotest.test_case name `Quick
+              (check_stages_match_registry ~protocol ~expect run))
+          stage_runs );
       ( "contention",
         [
           Alcotest.test_case "lock wait and hold" `Quick test_lock_contention;

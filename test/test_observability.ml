@@ -44,6 +44,8 @@ let sample_events =
     Trace.Crash { node = 2; up = Time.of_us 368. };
     Trace.Restart { node = 2 };
     Trace.Rpc_retry { service = "dsm.page_fetch"; src = 0; dst = 2; attempt = 3 };
+    Trace.Stage
+      { node = 1; protocol = "li_hudak"; stage = Instrument.stage_total; ns = 120_300 };
   ]
 
 let test_event_json_round_trip () =
@@ -178,6 +180,9 @@ let gen_event =
       (let* service = name and* src = int_bound 7 and* dst = int_bound 7 in
        let* attempt = int_range 1 9 in
        return (Trace.Rpc_retry { service; src; dst; attempt }));
+      (let* node = int_bound 7 and* protocol = name in
+       let* stage = oneofl Instrument.stages and* ns = int_bound 1_000_000 in
+       return (Trace.Stage { node; protocol; stage; ns }));
     ]
 
 let prop_jsonl_round_trip =
@@ -741,10 +746,10 @@ let test_rendering_pinned () =
       let name = Printf.sprintf "%s%s" protocol (if bounded then " ring" else "") in
       Alcotest.(check string) (name ^ " jsonl digest") digest (jsonl_digest tr))
     [
-      ("write_update", false, "4d610d543dc0b65a25bbbff51fd13973");
+      ("write_update", false, "07ef4b48470993c38bc2d77c09be3229");
       ("write_update", true, "3fba6ff33c82f61632c815c401082a96");
-      ("hbrc_mw", false, "d436b0732a5cac867f8acfbb28e8f621");
-      ("hbrc_mw", true, "c7bde8e4a71b3e62b62aa9a44096dbef");
+      ("hbrc_mw", false, "566b4760d26b783938b6a1b77b5ea104");
+      ("hbrc_mw", true, "d94fdf7e36d443c6cd806d480944fd43");
     ]
 
 let test_chrome_renders_events () =

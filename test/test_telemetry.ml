@@ -210,7 +210,7 @@ let test_schedule_transparent_25_seeds () =
 let sampleable = function
   | Trace.Fault _ | Trace.Page_request _ | Trace.Page_send _
   | Trace.Page_install _ | Trace.Invalidate _ | Trace.Diff _ | Trace.Lock _
-  | Trace.Barrier _ | Trace.Migration _ ->
+  | Trace.Barrier _ | Trace.Migration _ | Trace.Stage _ ->
       true
   | _ -> false
 
