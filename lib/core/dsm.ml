@@ -178,7 +178,7 @@ let fault (rt : t) ~node ~page ~mode ~protocol proto =
       match mode with
       | Access.Read -> proto.Protocol.read_fault rt ~node ~page
       | Access.Write -> proto.Protocol.write_fault rt ~node ~page);
-  Monitor.stamp rt ~span ~node ~protocol cell
+  Monitor.stamp rt ~span ~node ~protocol ~obj:page cell
     Time.(Engine.now (Runtime.engine rt) - started)
 
 let[@inline never] fault_storm ~addr ~mode ~attempts =

@@ -65,7 +65,7 @@ let on_request rt ~src:_ payload =
           (* Stamp the request-propagation stage when this node is (likely)
              the final server; forwarded requests are re-stamped per hop. *)
           if e.Page_table.prob_owner = node || e.Page_table.home = node then
-            Monitor.stamp rt ~span ~node ~protocol:e.Page_table.protocol
+            Monitor.stamp rt ~span ~node ~protocol:e.Page_table.protocol ~obj:page
               (Instrument.proto rt.Runtime.cells ~node ~protocol:e.Page_table.protocol)
                 .Instrument.request
               Time.(Engine.now (Runtime.engine rt) - sent_at);
@@ -94,6 +94,7 @@ let on_send_page rt ~src:_ payload =
                    grant = Access.to_string msg.Protocol.grant;
                  });
           Monitor.stamp rt ~span:msg.Protocol.span ~node ~protocol:e.Page_table.protocol
+            ~obj:msg.Protocol.page
             (Instrument.proto rt.Runtime.cells ~node ~protocol:e.Page_table.protocol)
               .Instrument.transfer
             Time.(Engine.now (Runtime.engine rt) - msg.Protocol.sent_at);
@@ -171,7 +172,7 @@ let on_lock_acquire rt ~src:_ payload =
   match payload with
   | Lock_op { lock; node; tid } ->
       if Monitor.enabled rt then
-        Monitor.emit rt (Trace.Lock { node; lock; op = "acquire" });
+        Monitor.emit rt (Trace.Lock { node; lock; op = Trace.Acquire });
       let ls = Runtime.lock_state rt lock in
       let marcel = Runtime.marcel rt in
       Marcel.Mutex.lock marcel ls.Runtime.lock_mutex;
@@ -189,7 +190,7 @@ let on_lock_release rt ~src:_ payload =
   match payload with
   | Lock_op { lock; node; tid } ->
       if Monitor.enabled rt then
-        Monitor.emit rt (Trace.Lock { node; lock; op = "release" });
+        Monitor.emit rt (Trace.Lock { node; lock; op = Trace.Release });
       let ls = Runtime.lock_state rt lock in
       let marcel = Runtime.marcel rt in
       Marcel.Mutex.lock marcel ls.Runtime.lock_mutex;

@@ -26,6 +26,7 @@ let lock_create (rt : Runtime.t) ?protocol ?manager () =
       lock_mutex = Marcel.Mutex.create ();
       lock_acquisitions = 0;
       lock_ext = Page_table.No_ext;
+      lock_granted = Time.zero;
     }
   in
   rt.locks <- Dense.ensure rt.locks id lock;
@@ -38,24 +39,20 @@ let lock_acquire rt id =
   let tid = Marcel.tid (Marcel.self (Runtime.marcel rt)) in
   let services = Runtime.services rt in
   let started = Engine.now (Runtime.engine rt) in
-  (* Client-side request/granted pair: the gap is this node's observed lock
-     wait (manager queueing plus network), the raw material of the
-     analyzer's per-lock contention profile. *)
-  if Monitor.enabled rt then
-    Monitor.emit rt (Trace.Lock { node; lock = id; op = "request" });
   Runtime.notify_wait rt ~node ~tid ~target:id;
   ignore
     (Rpc.call (Runtime.rpc rt) ~dst:ls.Runtime.lock_manager
        ~service:services.Runtime.srv_lock_acquire ~cost:Driver.Request
        (Dsm_comm.Lock_op { lock = id; node; tid }));
   Runtime.notify_wake rt ~node ~tid ~target:id;
-  if Monitor.enabled rt then
-    Monitor.emit rt (Trace.Lock { node; lock = id; op = "granted" });
+  (* One holder at a time, so the lock record can carry its hold's start. *)
+  ls.Runtime.lock_granted <- Engine.now (Runtime.engine rt);
   let proto = Runtime.proto rt ls.Runtime.lock_protocol in
   proto.Protocol.lock_acquire rt ~node ~lock:id;
   Runtime.record_history rt ~start:started (History.Acquire { lock = id });
-  let waited = Time.(Engine.now (Runtime.engine rt) - started) in
-  Stats.record rt.Runtime.cells.Instrument.nodes.(node).Instrument.lock waited
+  Monitor.stamp rt ~node ~protocol:ls.Runtime.lock_protocol ~obj:id
+    rt.Runtime.cells.Instrument.nodes.(node).Instrument.lock
+    Time.(Engine.now (Runtime.engine rt) - started)
 
 let lock_release rt id =
   let ls = Runtime.lock_state rt id in
@@ -63,8 +60,7 @@ let lock_release rt id =
   let started = Engine.now (Runtime.engine rt) in
   (* The hold ends when release processing starts (the protocol's flush
      runs on the holder's time, not the next waiter's). *)
-  if Monitor.enabled rt then
-    Monitor.emit rt (Trace.Lock { node; lock = id; op = "released" });
+  let held = Time.(started - ls.Runtime.lock_granted) in
   let proto = Runtime.proto rt ls.Runtime.lock_protocol in
   proto.Protocol.lock_release rt ~node ~lock:id;
   (* Record before the manager round-trip: the release's place in the
@@ -79,7 +75,9 @@ let lock_release rt id =
       (Dsm_comm.Lock_op { lock = id; node; tid })
   with
   | Dsm_comm.Lock_error msg -> raise (Lock_error msg)
-  | _ -> ()
+  | _ ->
+      Monitor.stamp rt ~node ~protocol:ls.Runtime.lock_protocol ~obj:id
+        rt.Runtime.cells.Instrument.nodes.(node).Instrument.hold held
 
 let with_lock rt id f =
   lock_acquire rt id;
@@ -123,8 +121,9 @@ let barrier_wait rt id =
        ~service:services.Runtime.srv_barrier ~cost:Driver.Request
        (Dsm_comm.Barrier_wait { barrier = id; node }));
   Runtime.notify_wake rt ~node ~tid ~target:hook;
-  let waited = Time.(Engine.now (Runtime.engine rt) - started) in
-  Stats.record rt.Runtime.cells.Instrument.nodes.(node).Instrument.barrier waited;
+  Monitor.stamp rt ~node ~protocol:bs.Runtime.barrier_protocol ~obj:id
+    rt.Runtime.cells.Instrument.nodes.(node).Instrument.barrier
+    Time.(Engine.now (Runtime.engine rt) - started);
   proto.Protocol.lock_acquire rt ~node ~lock:hook;
   Runtime.record_history rt ~start:started
     (History.Barrier { barrier = id; parties = bs.Runtime.barrier_parties })

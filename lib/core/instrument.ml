@@ -18,6 +18,7 @@ let diff_bytes = "diff.bytes"
 let check_misses = "check.miss"
 let inline_checks = "check.count"
 let lock_wait = "sync.lock.wait"
+let lock_hold = "sync.lock.hold"
 let barrier_wait = "sync.barrier.wait"
 
 type proto_cells = {
@@ -34,6 +35,7 @@ type node_cells = {
   invalidate : Stats.cell;
   diff : Stats.cell;
   lock : Stats.cell;
+  hold : Stats.cell;
   barrier : Stats.cell;
   mapped : Stats.cell;
 }
@@ -60,6 +62,7 @@ let create stats ~nodes ~protocol_name =
             invalidate = cell ~node ~count:invalidate_rpcs ~volume:invalidations ();
             diff = cell ~node ~count:diffs_sent ~volume:diff_bytes ();
             lock = cell ~node ~span:lock_wait ();
+            hold = cell ~node ~span:lock_hold ();
             barrier = cell ~node ~span:barrier_wait ();
             mapped = cell ~node ~count:pages_mapped ();
           });

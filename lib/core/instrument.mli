@@ -8,15 +8,16 @@
     invalidations, diffs and sync waits — so an event is one update of one
     cell, with no name hashing on the hot path.
 
-    Four stage series are also stamped into the trace while monitoring is
-    on: {!stage_request}, {!stage_transfer}, {!stage_migration} and
-    {!stage_total}.  Their sites call [Monitor.stamp], which records the
-    sample and emits the same value as a [Trace.Stage] event named after
-    the series, so [dsm analyze] reads these stages rather than measuring
-    them.  {!stage_fault}, {!stage_overhead_server} and
-    {!stage_overhead_client} stay registry-only: they are cost-model
-    constants, the same for every fault, so stamping them would add trace
-    events and host time but no information. *)
+    Four stage series ({!stage_request}, {!stage_transfer},
+    {!stage_migration}, {!stage_total}) and the three sync series are
+    also stamped into the trace while monitoring is on: their sites call
+    [Monitor.stamp], which records the sample and emits the same value as
+    a [Trace.Stage] event named after the series, so [dsm analyze] reads
+    these durations rather than measuring them.  {!stage_fault},
+    {!stage_overhead_server} and {!stage_overhead_client} stay
+    registry-only: they are cost-model constants, the same for every
+    fault, so stamping them would add trace events and host time but no
+    information. *)
 
 open Dsmpm2_sim
 
@@ -78,10 +79,19 @@ val check_misses : string
 val inline_checks : string
 
 val lock_wait : string
-(** Client-observed DSM lock acquisition latency (request to grant). *)
+(** DSM lock acquisition on the acquiring node: from the call to
+    [Dsm_sync.lock_acquire] until the protocol's [lock_acquire] action
+    returns (manager round trip, queueing, acquire-time consistency). *)
+
+val lock_hold : string
+(** DSM lock tenure on the releasing node: from the grant reaching the
+    holder (before the protocol's [lock_acquire] action) to the call to
+    [Dsm_sync.lock_release]; recorded once the manager accepts the
+    release. *)
 
 val barrier_wait : string
-(** Client-observed barrier latency (arrival to release). *)
+(** Barrier latency on the arriving node: the manager round trip only,
+    after the protocol's release action and before its acquire action. *)
 
 val stages : string list
 (** All stage series names, in pipeline order. *)
@@ -103,6 +113,7 @@ type node_cells = {
   invalidate : Stats.cell;  (** one event per RPC, one volume unit per page *)
   diff : Stats.cell;  (** one event per diff, volume in wire bytes *)
   lock : Stats.cell;  (** {!lock_wait} *)
+  hold : Stats.cell;  (** {!lock_hold} *)
   barrier : Stats.cell;  (** {!barrier_wait} *)
   mapped : Stats.cell;  (** {!pages_mapped} *)
 }

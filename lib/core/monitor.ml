@@ -41,9 +41,10 @@ let emit rt ?span event =
     let span = match span with Some s -> s | None -> current_span rt in
     Trace.emit tr (Runtime.engine rt) ~span event
 
-(* The one place a stage duration is recorded: the registry sample, and
-   the same value as a trace stamp named after the cell's series. *)
-let stamp rt ?span ~node ~protocol cell ns =
+(* The one place a stage or sync duration is recorded: the registry
+   sample, and the same value as a trace stamp named after the cell's
+   series. *)
+let stamp rt ?span ~node ~protocol ~obj cell ns =
   Stats.record cell ns;
   if enabled rt then
     emit rt ?span
@@ -52,6 +53,7 @@ let stamp rt ?span ~node ~protocol cell ns =
            node;
            protocol = (Runtime.proto rt protocol).Protocol.name;
            stage = Stats.span_name cell;
+           obj;
            ns;
          })
 
@@ -90,20 +92,11 @@ let report ppf rt =
       Format.fprintf ppf "%-16s %8d %12.1f %12.1f@." l.category l.events l.first_us
         l.last_us)
     (summary rt);
-  Format.fprintf ppf "@.Per-stage costs (us):@.";
-  Format.fprintf ppf "%-28s %8s %10s %10s %10s %10s %10s@." "stage" "samples"
-    "mean" "p50" "p90" "p99" "max";
-  List.iter
-    (fun s ->
-      if s.Stats.sm_samples > 0 then
-        Format.fprintf ppf "%-28s %8d %10.1f %10.1f %10.1f %10.1f %10.1f@."
-          s.Stats.sm_name s.Stats.sm_samples
-          (Time.to_us s.Stats.sm_mean)
-          (Time.to_us s.Stats.sm_p50)
-          (Time.to_us s.Stats.sm_p90)
-          (Time.to_us s.Stats.sm_p99)
-          (Time.to_us s.Stats.sm_max))
-    (Stats.span_summaries rt.Runtime.stats)
+  Format.fprintf ppf "@.Duration series:@.";
+  Stats.pp_span_table ppf ~key:"labels"
+    (List.filter_map
+       (fun s -> if s.Stats.sm_samples > 0 then Some ("all", s) else None)
+       (Stats.span_summaries rt.Runtime.stats))
 
 (* --- JSON snapshot --- *)
 

@@ -5,9 +5,11 @@
 
     When enabled, the DSM layers record every protocol-level event (faults,
     requests served, pages sent, invalidations, diffs, lock and barrier
-    traffic) as typed {!Dsmpm2_sim.Trace.event}s into the runtime's trace;
-    after the run, [report] summarises them per category, [to_json] exports
-    a stable metrics snapshot, and the raw trace remains available for
+    requests at their managers) as typed
+    {!Dsmpm2_sim.Trace.event}s into the runtime's trace, together with a
+    {!stamp} of every fault-stage and sync-wait sample; after the run,
+    [report] summarises them per category, [to_json] exports a stable
+    metrics snapshot, and the raw trace remains available for
     fine-grained inspection or export (JSONL, Chrome trace). *)
 
 open Dsmpm2_sim
@@ -24,12 +26,14 @@ val emit : Runtime.t -> ?span:int -> Trace.event -> unit
     event value is not even allocated. *)
 
 val stamp :
-  Runtime.t -> ?span:int -> node:int -> protocol:int -> Stats.cell -> Time.t -> unit
-(** [stamp rt ~node ~protocol cell ns] records a fault stage: [ns] as one
-    sample of [cell]'s duration series and, while monitoring is on, the
-    same value as a {!Dsmpm2_sim.Trace.Stage} event named after that
-    series, for [node] under protocol id [protocol] (span as {!emit}).
-    The four stage sites the trace carries call it, so a trace and the
+  Runtime.t -> ?span:int -> node:int -> protocol:int -> obj:int -> Stats.cell ->
+  Time.t -> unit
+(** [stamp rt ~node ~protocol ~obj cell ns] records a fault stage or a
+    sync wait: [ns] as one sample of [cell]'s duration series and, while
+    monitoring is on, the same value as a {!Dsmpm2_sim.Trace.Stage} event
+    named after that series, for [node] under protocol id [protocol] on
+    [obj] (the faulting page, or the lock or barrier id; span as
+    {!emit}).  Every stamped series' sites call it, so a trace and the
     registry cannot disagree on them. *)
 
 (** {2 Span context} *)
@@ -62,9 +66,11 @@ val summary : Runtime.t -> summary_line list
     deterministic. *)
 
 val report : Format.formatter -> Runtime.t -> unit
-(** The post-mortem report: the per-category summary followed by the
-    per-stage latency distribution (mean/p50/p90/p99/max) accumulated by
-    the instrumentation layer. *)
+(** The post-mortem report: the per-category summary followed by every
+    duration series of the registry, over all label sets, as
+    {!Dsmpm2_sim.Stats.pp_span_table} rows (samples, mean, p50, p90, p99,
+    max) — the stage and sync tables [dsm analyze] prints with the same
+    printer. *)
 
 val run_meta : ?protocol:string -> ?case:string -> Runtime.t -> Run_meta.t
 (** The run's identity ({!Dsmpm2_sim.Run_meta}): git revision (best

@@ -29,6 +29,7 @@ type lock_state = {
   lock_mutex : Marcel.Mutex.t;
   mutable lock_acquisitions : int;
   mutable lock_ext : Page_table.ext;
+  mutable lock_granted : Time.t; (* holder-side: start of the current hold *)
 }
 
 type barrier_state = {

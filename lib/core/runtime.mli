@@ -38,6 +38,7 @@ type lock_state = {
   mutable lock_acquisitions : int;
   mutable lock_ext : Page_table.ext;
       (** protocol-specific lock state (e.g. entry-consistency bindings) *)
+  mutable lock_granted : Time.t;  (** holder-side: when the current hold began *)
 }
 
 type barrier_state = {

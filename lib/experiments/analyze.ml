@@ -4,23 +4,17 @@ open Dsmpm2_sim
    [Monitor.trace] or a re-loaded [Trace.of_jsonl] dump) into the reports
    the paper attributes to PM2's "very precise post-mortem monitoring
    tools" — per-fault critical paths, per-page sharing-pattern profiles,
-   lock/barrier contention and the watchdog's findings. *)
+   lock and barrier waits and the watchdog's findings. *)
 
 module Instrument = Dsmpm2_core.Instrument
 
-(* Every lock and barrier distribution here is a [Sketch] of microsecond
-   samples, the same quantile type the registry keeps. *)
-let sketch_of us =
-  let sk = Sketch.create () in
-  List.iter (Sketch.add sk) us;
-  sk
-
 (* --- critical paths ---
 
-   The analyzer measures no stage itself.  The runtime stamps each stage
-   once, into its registry and, as a [Stage] event, into the trace
-   ([Monitor.stamp]); a stage table is a fold of those stamps, and a fault
-   chain's stages are the stamps in its span. *)
+   The analyzer measures no duration itself.  The runtime stamps each
+   fault stage and each lock or barrier wait once, into its registry and,
+   as a [Stage] event, into the trace ([Monitor.stamp]); every table is a
+   fold of those stamps, and a fault chain's stages are the stamps in its
+   span. *)
 
 type chain = {
   ch_span : int;
@@ -71,37 +65,50 @@ let chain_of_span (span, evs) =
       | _ -> None)
     evs
 
-(* Per protocol, the registry summary of each stamped stage, in
-   [Instrument.stages] order: the stamps are folded into a registry of
-   their own, so every figure is computed as the runtime's is. *)
-let stage_table events =
+(* The stamps folded into a registry of the analyzer's own, so every
+   figure is computed as the runtime's is.  A fault stage's cell is
+   labelled with its protocol; a sync stamp's with its lock or barrier id,
+   which this registry keeps in the node label (a lock and a barrier may
+   share an id: their series names tell them apart). *)
+let sync_series = Instrument.[ lock_wait; lock_hold; barrier_wait ]
+
+let stamp_registry events =
   let stats = Stats.create () in
   let cells = Hashtbl.create 16 in
   List.iter
     (fun (_, _, ev) ->
       match ev with
-      | Trace.Stage { protocol; stage; ns; _ } ->
+      | Trace.Stage { protocol; stage; obj; ns; _ } ->
+          let node, protocol =
+            if List.mem stage sync_series then (Some obj, None) else (None, Some protocol)
+          in
           let cell =
-            match Hashtbl.find_opt cells (protocol, stage) with
+            match Hashtbl.find_opt cells (node, protocol, stage) with
             | Some c -> c
             | None ->
-                let c = Stats.cell stats ~protocol ~span:stage () in
-                Hashtbl.add cells (protocol, stage) c;
+                let c = Stats.cell stats ?node ?protocol ~span:stage () in
+                Hashtbl.add cells (node, protocol, stage) c;
                 c
           in
           Stats.record cell ns
       | _ -> ())
     events;
-  Hashtbl.fold (fun (protocol, _) _ acc -> protocol :: acc) cells []
-  |> List.sort_uniq String.compare
-  |> List.map (fun protocol ->
-         let labels = Stats.labels ~protocol () in
-         ( protocol,
-           List.filter_map
-             (fun stage ->
-               let s = Stats.span_summary ~labels stats stage in
-               if s.Stats.sm_samples > 0 then Some s else None)
-             Instrument.stages ))
+  stats
+
+(* Per label set that [key] names (in label-set order), the summary of
+   each of [series] it has samples of, in [series] order. *)
+let table stats ~key series =
+  List.filter_map
+    (fun labels ->
+      Option.bind (key labels) (fun k ->
+          match
+            List.filter
+              (fun s -> s.Stats.sm_samples > 0)
+              (List.map (Stats.span_summary ~labels stats) series)
+          with
+          | [] -> None
+          | rows -> Some (k, rows)))
+    (Stats.label_sets stats)
 
 (* --- per-page sharing patterns ---
 
@@ -119,142 +126,6 @@ let page_profiles events =
   (* [profiles] already ranks by (faults, bytes) descending, the heatmap
      order. *)
   Tele.Pages.profiles ps
-
-(* --- lock & barrier contention --- *)
-
-type lock_profile = {
-  lk_lock : int;
-  lk_nodes : int;
-  lk_acquisitions : int;
-  lk_wait : Sketch.t;
-  lk_hold : Sketch.t;
-}
-
-let lock_profiles events =
-  (* Per (lock, node): chronological request / granted / released series;
-     position i of each pairs into one acquisition. *)
-  let series : (int * int, Time.t list ref * Time.t list ref * Time.t list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  List.iter
-    (fun (at, _, ev) ->
-      match ev with
-      | Trace.Lock { node; lock; op } when op = "request" || op = "granted" || op = "released" ->
-          let req, grant, rel =
-            match Hashtbl.find_opt series (lock, node) with
-            | Some s -> s
-            | None ->
-                let s = (ref [], ref [], ref []) in
-                Hashtbl.add series (lock, node) s;
-                s
-          in
-          let cell =
-            match op with "request" -> req | "granted" -> grant | _ -> rel
-          in
-          cell := at :: !cell
-      | _ -> ())
-    events;
-  let by_lock : (int, float list ref * float list ref * int ref * int ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  Hashtbl.iter
-    (fun (lock, _node) (req, grant, rel) ->
-      let waits, holds, acquisitions, nodes =
-        match Hashtbl.find_opt by_lock lock with
-        | Some x -> x
-        | None ->
-            let x = (ref [], ref [], ref 0, ref 0) in
-            Hashtbl.add by_lock lock x;
-            x
-      in
-      incr nodes;
-      let rec pair f xs ys =
-        match (xs, ys) with
-        | x :: xs, y :: ys ->
-            f x y;
-            pair f xs ys
-        | _ -> ()
-      in
-      let req = List.rev !req and grant = List.rev !grant and rel = List.rev !rel in
-      acquisitions := !acquisitions + List.length grant;
-      pair (fun r g -> waits := us_of Time.(g - r) :: !waits) req grant;
-      pair (fun g r -> holds := us_of Time.(r - g) :: !holds) grant rel)
-    series;
-  Hashtbl.fold
-    (fun lock (waits, holds, acquisitions, nodes) acc ->
-      {
-        lk_lock = lock;
-        lk_nodes = !nodes;
-        lk_acquisitions = !acquisitions;
-        lk_wait = sketch_of !waits;
-        lk_hold = sketch_of !holds;
-      }
-      :: acc)
-    by_lock []
-  |> List.sort (fun a b ->
-         compare (Sketch.sum b.lk_wait, a.lk_lock) (Sketch.sum a.lk_wait, b.lk_lock))
-
-type barrier_profile = {
-  br_barrier : int;
-  br_parties : int;
-  br_rounds : int;
-  br_imbalance : Sketch.t;  (* last-minus-first arrival per completed round *)
-}
-
-let barrier_profiles events =
-  let arrivals : (int, (Time.t * int) list ref) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (at, _, ev) ->
-      match ev with
-      | Trace.Barrier { node; barrier } ->
-          let cell =
-            match Hashtbl.find_opt arrivals barrier with
-            | Some c -> c
-            | None ->
-                let c = ref [] in
-                Hashtbl.add arrivals barrier c;
-                c
-          in
-          cell := (at, node) :: !cell
-      | _ -> ())
-    events;
-  Hashtbl.fold
-    (fun barrier cell acc ->
-      let arr = List.rev !cell in
-      let parties =
-        List.length (List.sort_uniq compare (List.map snd arr))
-      in
-      let rec rounds acc = function
-        | [] -> List.rev acc
-        | l ->
-            let rec take n acc = function
-              | rest when n = 0 -> (List.rev acc, rest)
-              | [] -> (List.rev acc, [])
-              | x :: rest -> take (n - 1) (x :: acc) rest
-            in
-            let round, rest = take parties [] l in
-            if List.length round = parties then rounds (round :: acc) rest
-            else List.rev acc
-      in
-      let complete = if parties = 0 then [] else rounds [] arr in
-      let imbalances =
-        List.map
-          (fun round ->
-            let ats = List.map fst round in
-            let first = List.fold_left min (List.hd ats) ats in
-            let last = List.fold_left max (List.hd ats) ats in
-            us_of Time.(last - first))
-          complete
-      in
-      {
-        br_barrier = barrier;
-        br_parties = parties;
-        br_rounds = List.length complete;
-        br_imbalance = sketch_of imbalances;
-      }
-      :: acc)
-    arrivals []
-  |> List.sort (fun a b -> compare a.br_barrier b.br_barrier)
 
 (* Injected-fault footprint: how much the fault layer interfered with the
    run — the quick "was this run clean?" check before reaching for the
@@ -284,11 +155,11 @@ type t = {
   an_spans : int;
   an_duration_us : float;
   an_chains : chain list;  (* all fault chains, chronological *)
-  an_stages : (string * Stats.span_summary list) list;
+  an_stages : (string * Stats.span_summary list) list;  (* by protocol *)
   an_top : chain list;  (* top-K slowest, slowest first *)
   an_pages : Tele.profile list;  (* ranked by (faults, bytes) desc *)
-  an_locks : lock_profile list;
-  an_barriers : barrier_profile list;
+  an_locks : (int * Stats.span_summary list) list;  (* by lock id *)
+  an_barriers : (int * Stats.span_summary list) list;  (* by barrier id *)
   an_alerts : Watchdog.alert list;  (* watchdog findings, chronological *)
   an_faults : fault_summary;  (* injected-fault footprint *)
 }
@@ -304,16 +175,19 @@ let analyze ?(top = 5) trace =
   let duration =
     List.fold_left (fun acc (at, _, _) -> Time.max acc at) Time.zero events
   in
+  let stamps = stamp_registry events in
+  let by_obj labels = labels.Stats.lbl_node in
   {
     an_events = List.length events;
     an_spans = List.length span_groups;
     an_duration_us = us_of duration;
     an_chains = chains;
-    an_stages = stage_table events;
+    an_stages =
+      table stamps ~key:(fun l -> l.Stats.lbl_protocol) Instrument.stages;
     an_top = top_chains;
     an_pages = page_profiles events;
-    an_locks = lock_profiles events;
-    an_barriers = barrier_profiles events;
+    an_locks = table stamps ~key:by_obj Instrument.[ lock_wait; lock_hold ];
+    an_barriers = table stamps ~key:by_obj [ Instrument.barrier_wait ];
     an_alerts =
       List.filter_map
         (fun (at, _, ev) -> Watchdog.alert_of_event ~at ev)
@@ -333,6 +207,10 @@ let page_profile t ~page =
   List.find_opt (fun (p : Tele.profile) -> p.Tele.pr_page = page) t.an_pages
 
 (* --- text report --- *)
+
+(* A table's [(key, summaries)] groups as printer rows. *)
+let rows key_to_string groups =
+  List.concat_map (fun (k, ss) -> List.map (fun s -> (key_to_string k, s)) ss) groups
 
 let nodes_str nodes =
   "[" ^ String.concat ";" (List.map string_of_int nodes) ^ "]"
@@ -364,18 +242,7 @@ let report
   end;
   if want `Critical then begin
     Format.fprintf ppf "@.== Fault critical paths ==@.";
-    Format.fprintf ppf "%-16s %-16s %7s %9s %9s %9s %9s %9s@." "protocol" "stage"
-      "samples" "mean(us)" "p50(us)" "p90(us)" "p99(us)" "max(us)";
-    List.iter
-      (fun (proto, rows) ->
-        List.iter
-          (fun s ->
-            Format.fprintf ppf "%-16s %-16s %7d %9.1f %9.1f %9.1f %9.1f %9.1f@." proto
-              s.Stats.sm_name s.Stats.sm_samples (us_of s.Stats.sm_mean)
-              (us_of s.Stats.sm_p50) (us_of s.Stats.sm_p90) (us_of s.Stats.sm_p99)
-              (us_of s.Stats.sm_max))
-          rows)
-      t.an_stages;
+    Stats.pp_span_table ppf ~key:"protocol" (rows Fun.id t.an_stages);
     if t.an_top <> [] then begin
       Format.fprintf ppf "@.Top %d slowest faults:@." (List.length t.an_top);
       List.iter
@@ -411,30 +278,12 @@ let report
       t.an_pages
   end;
   if want `Locks && t.an_locks <> [] then begin
-    Format.fprintf ppf "@.== Lock contention ==@.";
-    Format.fprintf ppf "%-6s %6s %6s %9s %9s %9s %9s %9s@." "lock" "nodes" "acq"
-      "wait p50" "wait p99" "wait max" "hold p50" "hold max";
-    List.iter
-      (fun l ->
-        Format.fprintf ppf "%-6d %6d %6d %9.1f %9.1f %9.1f %9.1f %9.1f@."
-          l.lk_lock l.lk_nodes l.lk_acquisitions
-          (Sketch.percentile l.lk_wait 50.)
-          (Sketch.percentile l.lk_wait 99.)
-          (Sketch.max_value l.lk_wait)
-          (Sketch.percentile l.lk_hold 50.)
-          (Sketch.max_value l.lk_hold))
-      t.an_locks
+    Format.fprintf ppf "@.== Lock waits and holds ==@.";
+    Stats.pp_span_table ppf ~key:"lock" (rows string_of_int t.an_locks)
   end;
   if want `Barriers && t.an_barriers <> [] then begin
-    Format.fprintf ppf "@.== Barrier imbalance ==@.";
-    Format.fprintf ppf "%-8s %8s %7s %10s %10s@." "barrier" "parties" "rounds"
-      "mean(us)" "max(us)";
-    List.iter
-      (fun b ->
-        Format.fprintf ppf "%-8d %8d %7d %10.1f %10.1f@." b.br_barrier
-          b.br_parties b.br_rounds (Sketch.mean b.br_imbalance)
-          (Sketch.max_value b.br_imbalance))
-      t.an_barriers
+    Format.fprintf ppf "@.== Barrier waits ==@.";
+    Stats.pp_span_table ppf ~key:"barrier" (rows string_of_int t.an_barriers)
   end
 
 (* --- stable JSON --- *)
@@ -459,6 +308,13 @@ let chain_to_json c =
              c.ch_events) );
     ]
 
+(* A table as [{key: [summary, ...]}], in the registry's encoding. *)
+let table_to_json key_to_string groups =
+  Json.Obj
+    (List.map
+       (fun (k, ss) -> (key_to_string k, Json.List (List.map Stats.summary_to_json ss)))
+       groups)
+
 let to_json ?meta t =
   Json.Obj
     [
@@ -468,39 +324,11 @@ let to_json ?meta t =
       ("events", Json.Int t.an_events);
       ("spans", Json.Int t.an_spans);
       ("duration_us", Json.Float t.an_duration_us);
-      ( "critical_path",
-        Json.Obj
-          (List.map
-             (fun (proto, rows) ->
-               (proto, Json.List (List.map Stats.summary_to_json rows)))
-             t.an_stages) );
+      ("critical_path", table_to_json Fun.id t.an_stages);
       ("top_spans", Json.List (List.map chain_to_json t.an_top));
       ("pages", Json.List (List.map Tele.profile_to_json t.an_pages));
-      ( "locks",
-        Json.List
-          (List.map
-             (fun l ->
-               Json.Obj
-                 [
-                   ("lock", Json.Int l.lk_lock);
-                   ("nodes", Json.Int l.lk_nodes);
-                   ("acquisitions", Json.Int l.lk_acquisitions);
-                   ("wait", Sketch.to_json l.lk_wait);
-                   ("hold", Sketch.to_json l.lk_hold);
-                 ])
-             t.an_locks) );
-      ( "barriers",
-        Json.List
-          (List.map
-             (fun b ->
-               Json.Obj
-                 [
-                   ("barrier", Json.Int b.br_barrier);
-                   ("parties", Json.Int b.br_parties);
-                   ("rounds", Json.Int b.br_rounds);
-                   ("imbalance", Sketch.to_json b.br_imbalance);
-                 ])
-             t.an_barriers) );
+      ("locks", table_to_json string_of_int t.an_locks);
+      ("barriers", table_to_json string_of_int t.an_barriers);
       ("alerts", Json.List (List.map Watchdog.alert_to_json t.an_alerts));
       ( "faults",
         Json.Obj
@@ -516,8 +344,9 @@ let to_json ?meta t =
 (* --- folded stacks (flamegraph.pl / speedscope input) --- *)
 
 (* One line per (protocol, stage) with the total time stamped, plus the
-   whole-fault time no other stage accounts for as [other]; values in
-   integer microseconds as flamegraph folded format expects. *)
+   whole-fault time no other stage accounts for as [other], then one line
+   per (lock, series) and (barrier, series); values in integer
+   microseconds as flamegraph folded format expects. *)
 let folded ppf t =
   let us ns = int_of_float (Float.round (us_of ns)) in
   List.iter
@@ -535,18 +364,13 @@ let folded ppf t =
       let other = Time.(!total - !accounted) in
       if us other > 0 then Format.fprintf ppf "dsmpm2;%s;fault;other %d@." proto (us other))
     t.an_stages;
-  List.iter
-    (fun l ->
-      if Sketch.sum l.lk_wait >= 0.5 then
-        Format.fprintf ppf "dsmpm2;locks;lock_%d;wait %d@." l.lk_lock
-          (int_of_float (Float.round (Sketch.sum l.lk_wait)));
-      if Sketch.sum l.lk_hold >= 0.5 then
-        Format.fprintf ppf "dsmpm2;locks;lock_%d;hold %d@." l.lk_lock
-          (int_of_float (Float.round (Sketch.sum l.lk_hold))))
-    t.an_locks;
-  List.iter
-    (fun b ->
-      if Sketch.sum b.br_imbalance >= 0.5 then
-        Format.fprintf ppf "dsmpm2;barriers;barrier_%d;imbalance %d@." b.br_barrier
-          (int_of_float (Float.round (Sketch.sum b.br_imbalance))))
-    t.an_barriers
+  let sync frame groups =
+    List.iter
+      (fun (id, s) ->
+        if us s.Stats.sm_total > 0 then
+          Format.fprintf ppf "dsmpm2;%ss;%s_%s;%s %d@." frame frame id s.Stats.sm_name
+            (us s.Stats.sm_total))
+      (rows string_of_int groups)
+  in
+  sync "lock" t.an_locks;
+  sync "barrier" t.an_barriers

@@ -13,9 +13,10 @@
     - {b per-page profiles}: sharing-pattern classification (private,
       read-mostly, single-writer, producer-consumer, migratory,
       false-sharing) and a heatmap ranked by faults and bytes moved;
-    - {b lock and barrier contention}: per-lock wait/hold distributions
-      from the client-side request/granted/released events, per-barrier
-      arrival imbalance;
+    - {b lock and barrier waits}: the sync stamps the runtime wrote into
+      the trace (one per registry sample of [sync.lock.wait],
+      [sync.lock.hold] and [sync.barrier.wait]) summed up per lock and per
+      barrier;
     - {b watchdog alerts} found in the trace.
 
     Pages and alerts are the live engines' own records —
@@ -30,16 +31,16 @@
 
 open Dsmpm2_sim
 
-(** The lock and barrier distributions below are {!Sketch.t}s of
-    microsecond samples: count, sum, exact max and 1%-accurate
-    percentiles. *)
-
 (** {2 Fault critical paths}
 
-    The analyzer measures no stage: it reads the stamps.  On a trace that
+    The analyzer measures no duration: every table it prints is the
+    stamps folded into a {!Stats} registry of its own.  On a trace that
     kept every event (unsampled, nothing evicted), each stage row has the
     registry's sample count, integer-nanosecond total and mean for that
-    protocol and series. *)
+    protocol and series, and each sync series, summed over locks or
+    barriers, has the registry's count and total.  On a ring-capped or
+    sampled trace every row holds exactly the stamps that were kept, so
+    no figure can fall below zero or above the registry's maximum. *)
 
 type chain = {
   ch_span : int;
@@ -54,23 +55,6 @@ type chain = {
   ch_hops : int;  (** page requests in the span (forwarding chain length) *)
   ch_events : (Time.t * int * Trace.event) list;
       (** the span's other events *)
-}
-
-(** {2 Synchronization contention} *)
-
-type lock_profile = {
-  lk_lock : int;
-  lk_nodes : int;  (** distinct client nodes *)
-  lk_acquisitions : int;
-  lk_wait : Sketch.t;  (** request → granted, per acquisition *)
-  lk_hold : Sketch.t;  (** granted → released *)
-}
-
-type barrier_profile = {
-  br_barrier : int;
-  br_parties : int;  (** distinct arriving nodes *)
-  br_rounds : int;  (** completed rounds observed *)
-  br_imbalance : Sketch.t;  (** last minus first arrival, per round *)
 }
 
 (** {2 Injected faults} *)
@@ -106,9 +90,14 @@ val pages : t -> Dsmpm2_core.Telemetry.profile list
 (** The heatmap: ranked by total faults, then bytes moved, descending. *)
 
 val page_profile : t -> page:int -> Dsmpm2_core.Telemetry.profile option
-val locks : t -> lock_profile list
 
-val barriers : t -> barrier_profile list
+val locks : t -> (int * Stats.span_summary list) list
+(** Per lock id (ascending), the summary of its [sync.lock.wait] and
+    [sync.lock.hold] stamps, those it has. *)
+
+val barriers : t -> (int * Stats.span_summary list) list
+(** Per barrier id (ascending), the summary of its [sync.barrier.wait]
+    stamps: one sample per arriving node per round. *)
 
 val alerts : t -> Dsmpm2_core.Watchdog.alert list
 (** Watchdog findings recorded in the trace, chronological, decoded by
@@ -124,10 +113,14 @@ val report :
   t ->
   unit
 (** The human-readable report; [sections] defaults to all of them (the
-    alert summary is printed only when the trace contains alerts). *)
+    alert summary is printed only when the trace contains alerts).  The
+    stage, lock and barrier tables are {!Stats.pp_span_table} rows. *)
 
 val to_json : ?meta:Run_meta.t -> t -> Json.t
-(** Stable machine-readable form of the whole analysis.  [meta] is the
+(** Stable machine-readable form of the whole analysis; the
+    ["critical_path"], ["locks"] and ["barriers"] tables are objects from
+    protocol, lock id or barrier id to a list of
+    {!Stats.summary_to_json} rows.  [meta] is the
     run's identity (driver, protocol, seed, ...) when the caller knows it —
     a trace re-loaded from JSONL carries none, so it defaults to just the
     git revision. *)
@@ -135,5 +128,7 @@ val to_json : ?meta:Run_meta.t -> t -> Json.t
 val folded : Format.formatter -> t -> unit
 (** Folded-stack lines ([dsmpm2;<proto>;fault;<stage> <us>] for every
     stamped stage but [stage.total], whose unaccounted rest is
-    [dsmpm2;<proto>;fault;other], plus lock and barrier frames) for
-    flamegraph.pl or speedscope. *)
+    [dsmpm2;<proto>;fault;other], then
+    [dsmpm2;locks;lock_<id>;<series> <us>] and
+    [dsmpm2;barriers;barrier_<id>;<series> <us>] with each sync series'
+    total) for flamegraph.pl or speedscope. *)

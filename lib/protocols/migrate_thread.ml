@@ -7,7 +7,7 @@ let migrate_on_fault rt ~node ~page =
   let dst = e.Page_table.prob_owner in
   let started = Engine.now (Runtime.engine rt) in
   Pm2.migrate rt.Runtime.pm2 ~dst;
-  Monitor.stamp rt ~node ~protocol:e.Page_table.protocol
+  Monitor.stamp rt ~node ~protocol:e.Page_table.protocol ~obj:page
     rt.Runtime.cells.Instrument.migrate
     Time.(Engine.now (Runtime.engine rt) - started);
   Protocol_lib.migration_overhead rt

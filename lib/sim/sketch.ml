@@ -90,7 +90,6 @@ let add t v = insert t v
 let add_int t v = insert t (float_of_int v)
 let count t = t.n
 let sum t = t.range.(0)
-let mean t = if t.n = 0 then 0. else t.range.(0) /. float_of_int t.n
 let min_value t = if t.n = 0 then 0. else t.range.(1)
 let max_value t = if t.n = 0 then 0. else t.range.(2)
 
@@ -160,16 +159,3 @@ let merge a b =
   merge_into t a;
   merge_into t b;
   t
-
-let to_json t =
-  Json.Obj
-    [
-      ("count", Json.Int t.n);
-      ("sum", Json.Float (sum t));
-      ("min", Json.Float (min_value t));
-      ("max", Json.Float (max_value t));
-      ("p50", Json.Float (percentile t 50.));
-      ("p90", Json.Float (percentile t 90.));
-      ("p99", Json.Float (percentile t 99.));
-      ("p999", Json.Float (percentile t 99.9));
-    ]

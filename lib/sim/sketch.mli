@@ -37,9 +37,6 @@ val add_int : t -> int -> unit
 val count : t -> int
 val sum : t -> float
 
-val mean : t -> float
-(** [sum / count]; 0 when empty. *)
-
 val min_value : t -> float
 val max_value : t -> float
 (** 0 when empty. *)
@@ -73,7 +70,3 @@ val fold_buckets : t -> (float -> int -> 'a -> 'a) -> 'a -> 'a
     [gamma^i] (every sample in it is [<= upper]), and the zero bucket comes
     first with edge [0].  Cumulating [count] gives Prometheus [le]
     buckets. *)
-
-val to_json : t -> Json.t
-(** Stable snapshot: count, sum, min/max and the standard percentile
-    ladder (p50/p90/p99/p999), all as numbers. *)

@@ -155,6 +155,17 @@ let summary_to_json s =
       ("max_us", Json.Float (Time.to_us s.sm_max));
     ]
 
+let pp_span_table ppf ~key rows =
+  let us = Time.to_us in
+  Format.fprintf ppf "%-16s %-22s %7s %9s %9s %9s %9s %9s@." key "series" "samples"
+    "mean(us)" "p50(us)" "p90(us)" "p99(us)" "max(us)";
+  List.iter
+    (fun (k, s) ->
+      Format.fprintf ppf "%-16s %-22s %7d %9.1f %9.1f %9.1f %9.1f %9.1f@." k s.sm_name
+        s.sm_samples (us s.sm_mean) (us s.sm_p50) (us s.sm_p90) (us s.sm_p99)
+        (us s.sm_max))
+    rows
+
 let labels_to_json l =
   Json.Obj
     (List.concat

@@ -105,6 +105,13 @@ val label_sets : t -> labels list
 
 val summary_to_json : span_summary -> Json.t
 
+val pp_span_table : Format.formatter -> key:string -> (string * span_summary) list -> unit
+(** The one span-summary table printer: a header whose first column is
+    titled [key], then one line per [(key, summary)] row — the key, the
+    series name, the sample count, and mean, p50, p90, p99 and max in
+    microseconds.  [--report] and every [dsm analyze] table print with
+    it. *)
+
 val to_json : t -> Json.t
 (** [{"counters": {...}, "spans": [{name, samples, total_us, mean_us,
     p50_us, p90_us, p99_us, max_us}, ...], "labelled": [{"labels": {...},

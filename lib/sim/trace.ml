@@ -11,6 +11,12 @@ let severity_of_string = function
   | "critical" -> Some Critical
   | _ -> None
 
+type lock_op = Acquire | Release
+
+let lock_op_to_string = function Acquire -> "acquire" | Release -> "release"
+
+let lock_op_of_string s = List.find_opt (fun op -> lock_op_to_string op = s) [ Acquire; Release ]
+
 type event =
   | Fault of { node : int; page : int; protocol : string; mode : string }
   | Page_request of {
@@ -45,7 +51,7 @@ type event =
       release : bool;
       protocol : string;
     }
-  | Lock of { node : int; lock : int; op : string }
+  | Lock of { node : int; lock : int; op : lock_op }
   | Barrier of { node : int; barrier : int }
   | Migration of { thread : int; src : int; dst : int }
   | Alert of { severity : severity; kind : string; node : int; detail : string }
@@ -54,7 +60,7 @@ type event =
   | Crash of { node : int; up : Time.t }
   | Restart of { node : int }
   | Rpc_retry of { service : string; src : int; dst : int; attempt : int }
-  | Stage of { node : int; protocol : string; stage : string; ns : Time.t }
+  | Stage of { node : int; protocol : string; stage : string; obj : int; ns : Time.t }
 
 let no_span = -1
 
@@ -89,7 +95,8 @@ let event_message = function
       Printf.sprintf "node %d: page %d received from %d (%s)" node page sender grant
   | Invalidate { node; page; sender; protocol = _ } ->
       Printf.sprintf "node %d: invalidate page %d (from %d)" node page sender
-  | Lock { node; lock; op } -> Printf.sprintf "lock %d: %s by node %d" lock op node
+  | Lock { node; lock; op } ->
+      Printf.sprintf "lock %d: %s by node %d" lock (lock_op_to_string op) node
   | Barrier { node; barrier } ->
       Printf.sprintf "barrier %d: node %d arrived" barrier node
   | Diff { node; pages; bytes; sender; release; protocol; page_list = _ } ->
@@ -112,7 +119,7 @@ let event_message = function
   | Rpc_retry { service; src; dst; attempt } ->
       Printf.sprintf "rpc %s: retransmission #%d on link %d->%d" service attempt
         src dst
-  | Stage { node; protocol; stage; ns } ->
+  | Stage { node; protocol; stage; ns; obj = _ } ->
       Printf.sprintf "node %d: %s %.1f us (%s)" node stage (Time.to_us ns) protocol
 
 (* The node a trace event belongs to, for the Chrome exporter's process
@@ -180,8 +187,8 @@ let intern_sets = 512
 
 (* The set an event interns into, from (kind, node, page, peer); -1 for
    the kinds that are stored as emitted.  A [Diff] keys on its first
-   page; a [Stage] on its duration, with its series name's length (each
-   stage name has its own) as the peer. *)
+   page; a [Stage] on its duration, with its object and its series name's
+   length as the peer. *)
 let intern_set ev =
   let[@inline] mix kind node page peer =
     let h = (((((kind * 0x3B9ACA07) + node) * 0x5BD1E995) + page) * 0x2545F491) + peer in
@@ -196,7 +203,7 @@ let intern_set ev =
   | Invalidate { node; page; sender; _ } -> mix 5 node page sender
   | Diff { node; page_list; sender; _ } ->
       mix 6 node (match page_list with p :: _ -> p | [] -> -1) sender
-  | Stage { node; stage; ns; _ } -> mix 7 node ns (String.length stage)
+  | Stage { node; stage; obj; ns; _ } -> mix 7 node ns ((obj * 32) + String.length stage)
   | Lock _ | Barrier _ | Migration _ | Alert _ | Drop _ | Blackhole _ | Crash _
   | Restart _ | Rpc_retry _ ->
       -1
@@ -229,7 +236,7 @@ let same_event a b =
       && a.release = b.release && same_ints a.page_list b.page_list
       && same_string a.protocol b.protocol
   | Stage a, Stage b ->
-      a.node = b.node && a.ns = b.ns && same_string a.stage b.stage
+      a.node = b.node && a.ns = b.ns && a.obj = b.obj && same_string a.stage b.stage
       && same_string a.protocol b.protocol
   | _ -> false
 
@@ -544,7 +551,7 @@ let event_fields = function
         ("type", Json.String "lock");
         ("node", Json.Int node);
         ("lock", Json.Int lock);
-        ("op", Json.String op);
+        ("op", Json.String (lock_op_to_string op));
       ]
   | Barrier { node; barrier } ->
       [
@@ -598,12 +605,13 @@ let event_fields = function
         ("dst", Json.Int dst);
         ("attempt", Json.Int attempt);
       ]
-  | Stage { node; protocol; stage; ns } ->
+  | Stage { node; protocol; stage; obj; ns } ->
       [
         ("type", Json.String "stage");
         ("node", Json.Int node);
         ("protocol", Json.String protocol);
         ("stage", Json.String stage);
+        ("obj", Json.Int obj);
         ("ns", Json.Int ns);
       ]
 
@@ -654,7 +662,8 @@ let event_of_json j =
         in
         Some (Diff { node; pages; page_list; bytes; sender; release; protocol })
     | "lock" ->
-        let* node = geti "node" and* lock = geti "lock" and* op = gets "op" in
+        let* node = geti "node" and* lock = geti "lock"
+        and* op = Option.bind (gets "op") lock_op_of_string in
         Some (Lock { node; lock; op })
     | "barrier" ->
         let* node = geti "node" and* barrier = geti "barrier" in
@@ -685,8 +694,8 @@ let event_of_json j =
         Some (Rpc_retry { service; src; dst; attempt })
     | "stage" ->
         let* node = geti "node" and* protocol = gets "protocol" and* stage = gets "stage"
-        and* ns = geti "ns" in
-        Some (Stage { node; protocol; stage; ns })
+        and* obj = geti "obj" and* ns = geti "ns" in
+        Some (Stage { node; protocol; stage; obj; ns })
     | _ -> None
   in
   Some (at, span, ev)
@@ -697,8 +706,9 @@ let to_jsonl ppf t =
 
 (* No run names a negative page ([Page_table.declare] raises on one) or a
    negative node, and the telemetry tables a loaded dump feeds are arrays
-   indexed by both: a hand-edited line with one is refused at load.  So is
-   a negative stage duration, which a sketch would silently clamp to 0. *)
+   indexed by both: a hand-edited line with one is refused at load.  So
+   are a stamp's negative object (page, lock or barrier id) and negative
+   duration, which a sketch would silently clamp to 0. *)
 let negative_field = function
   | Fault { node; page; _ } ->
       if page < 0 then Some ("page id", page)
@@ -713,8 +723,9 @@ let negative_field = function
       match List.find_opt (fun p -> p < 0) page_list with
       | Some p -> Some ("page id", p)
       | None -> if sender < 0 then Some ("node id", sender) else None)
-  | Stage { node; ns; _ } ->
+  | Stage { node; obj; ns; _ } ->
       if node < 0 then Some ("node id", node)
+      else if obj < 0 then Some ("object id", obj)
       else if ns < 0 then Some ("duration", ns)
       else None
   | _ -> None

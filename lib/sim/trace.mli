@@ -3,9 +3,10 @@
     The paper highlights PM2's "very precise post-mortem monitoring tools"
     as part of the platform's value; this module is their equivalent.  When
     enabled, components {!emit} timestamped {e typed} events (faults, page
-    requests and transfers, invalidations, diffs, lock and barrier traffic,
-    thread migrations, watchdog alerts, injected faults, and the fault
-    stage stamps of the runtime's registry).
+    requests and transfers, invalidations, diffs, lock and barrier
+    requests reaching their managers, thread migrations, watchdog alerts,
+    injected faults, and the fault-stage and sync-wait stamps of the
+    runtime's registry).
 
     There is one event model and one read path.  The trace stores each
     emission as its [(timestamp, span id, event)] triple and gives back
@@ -25,6 +26,8 @@ val severity_to_string : severity -> string
 
 val severity_of_string : string -> severity option
 (** Inverse of {!severity_to_string}; [None] for any other string. *)
+
+type lock_op = Acquire | Release  (** the request a lock manager received *)
 
 type event =
   | Fault of { node : int; page : int; protocol : string; mode : string }
@@ -61,7 +64,9 @@ type event =
       release : bool;
       protocol : string;  (** the pages' protocol (batches are split per protocol) *)
     }
-  | Lock of { node : int; lock : int; op : string }
+  | Lock of { node : int; lock : int; op : lock_op }
+      (** Manager-side: an acquire or release request from a thread of
+          [node] reached [lock]'s manager. *)
   | Barrier of { node : int; barrier : int }
   | Migration of { thread : int; src : int; dst : int }
   | Alert of { severity : severity; kind : string; node : int; detail : string }
@@ -85,14 +90,14 @@ type event =
   | Rpc_retry of { service : string; src : int; dst : int; attempt : int }
       (** A retransmission going out after a reply deadline expired
           ([Rpc.call]); [attempt] counts the attempts already made. *)
-  | Stage of { node : int; protocol : string; stage : string; ns : Time.t }
-      (** A stage stamp: the duration [ns] that the runtime just recorded
-          into its registry series [stage] ("stage.request",
-          "stage.transfer", "stage.migration" or "stage.total", as
-          [Instrument] names them) for [node] under [protocol].  It is
-          emitted at the same site and under the same condition as the
-          registry sample, so a complete trace holds exactly the
-          registry's samples of those series. *)
+  | Stage of { node : int; protocol : string; stage : string; obj : int; ns : Time.t }
+      (** A stamp: the duration [ns] the runtime just recorded into its
+          registry series [stage] (a fault stage such as "stage.total", on
+          page [obj], or a sync series such as "sync.lock.wait", on lock
+          or barrier [obj]) for [node] under [protocol].  It is emitted at
+          the same site and under the same condition as the registry
+          sample, so a complete trace holds exactly the registry's samples
+          of the stamped series. *)
 
 val no_span : int
 (** The span id of events outside any operation ([-1]). *)
@@ -240,9 +245,10 @@ val of_events : (Time.t * int * event) list -> t
 val of_jsonl : string -> (t, string) result
 (** [of_jsonl contents] re-loads a {!to_jsonl} dump (the whole file as one
     string).  Blank lines are skipped; [Error] carries the first offending
-    line's number.  A negative page id, a negative node id on a [Fault],
-    a [Diff] sender or a [Stage], or a negative [Stage] duration, is an
-    error too: no run emits one, the telemetry tables index by ids, and a
+    line's number.  A lock [op] other than ["acquire"] or ["release"] is
+    an error, as are a negative page id, a negative node id on a [Fault],
+    a [Diff] sender or a [Stage], and a negative [Stage] object or
+    duration: no run emits one, the telemetry tables index by ids, and a
     sketch would clamp the duration to 0.  Inverse of {!to_jsonl}: exporting the
     result re-prints the same lines. *)
 

@@ -1,7 +1,8 @@
 (* The post-mortem trace analyzer: exact sharing-pattern classification on
-   synthetic traces, critical paths read from stage stamps (and equal to
-   the registry's on real runs), lock/barrier contention profiles, the [of_jsonl] round-trip, and TSP's bound page end to end
-   (classified migratory; migrate_thread faults less on it). *)
+   synthetic traces, critical paths and lock and barrier tables read from
+   stamps (equal to the registry's on real runs, and bounded by it on
+   ring-capped ones), the [of_jsonl] round-trip, and TSP's bound page end
+   to end (classified migratory; migrate_thread faults less on it). *)
 
 open Dsmpm2_sim
 open Dsmpm2_core
@@ -103,8 +104,8 @@ let test_classify_single_writer () =
 
 (* --- critical paths from stage stamps --- *)
 
-let stamp ~node ?(protocol = "li_hudak") stage us_ at span =
-  ev at ~span (Trace.Stage { node; protocol; stage; ns = us us_ })
+let stamp ~node ?(protocol = "li_hudak") ?(obj = 1) stage us_ at span =
+  ev at ~span (Trace.Stage { node; protocol; stage; obj; ns = us us_ })
 
 let test_critical_path_stages () =
   let events =
@@ -184,55 +185,76 @@ let test_migration_stage () =
   in
   Alcotest.(check (list int)) "slowest by stamp" [ 3 ] top_spans
 
-(* --- lock & barrier contention --- *)
+(* --- lock & barrier waits, from sync stamps --- *)
+
+let sync ~node ~obj stage us_ at = stamp ~node ~obj stage us_ at Trace.no_span
+
+(* (series, samples, total ns, max ns) of each row of a sync table. *)
+let sync_table groups =
+  List.map
+    (fun (id, rows) ->
+      ( id,
+        List.map
+          (fun s -> (s.Stats.sm_name, (s.Stats.sm_samples, (s.Stats.sm_total, s.Stats.sm_max))))
+          rows ))
+    groups
+
+let sync_table_t = Alcotest.(list (pair int (list (pair string (pair int (pair int int))))))
 
 let test_lock_contention () =
-  let lock ~node ~op at = ev at (Trace.Lock { node; lock = 0; op }) in
+  let open Instrument in
   let events =
     [
-      (* Node 1 waits 5us, holds 10us; node 2 requests at 12, granted at 30
-         (18us wait, the contended acquisition), holds 5us. *)
-      lock ~node:1 ~op:"request" 10.;
-      lock ~node:2 ~op:"request" 12.;
-      lock ~node:1 ~op:"granted" 15.;
-      lock ~node:1 ~op:"released" 25.;
-      lock ~node:2 ~op:"granted" 30.;
-      lock ~node:2 ~op:"released" 35.;
-      (* Manager-side bookkeeping ops must not pollute the client series. *)
-      lock ~node:1 ~op:"acquire" 15.;
-      lock ~node:1 ~op:"release" 25.;
+      (* Lock 0: node 1 waits 5us and holds 10us, node 2 waits 18us (the
+         contended acquisition) and holds 5us.  Lock 3: one wait, its hold
+         cut from the trace. *)
+      sync ~node:1 ~obj:0 lock_wait 5. 15.;
+      sync ~node:2 ~obj:3 lock_wait 2. 16.;
+      sync ~node:1 ~obj:0 lock_hold 10. 25.;
+      sync ~node:2 ~obj:0 lock_wait 18. 30.;
+      sync ~node:2 ~obj:0 lock_hold 5. 35.;
+      (* Neither a barrier sharing lock 0's id, nor a fault stage on page
+         0, nor the managers' own events are lock waits. *)
+      sync ~node:1 ~obj:0 barrier_wait 50. 60.;
+      stamp ~node:1 ~obj:0 stage_total 7. 70. 9;
+      ev 15. (Trace.Lock { node = 1; lock = 0; op = Trace.Acquire });
+      ev 25. (Trace.Lock { node = 1; lock = 0; op = Trace.Release });
     ]
   in
   let a = Analyze.analyze (Trace.of_events events) in
-  match Analyze.locks a with
-  | [ l ] ->
-      Alcotest.(check int) "lock id" 0 l.Analyze.lk_lock;
-      Alcotest.(check int) "nodes" 2 l.Analyze.lk_nodes;
-      Alcotest.(check int) "acquisitions" 2 l.Analyze.lk_acquisitions;
-      Alcotest.(check (float 0.01)) "total wait" 23. (Sketch.sum l.Analyze.lk_wait);
-      Alcotest.(check (float 0.01)) "max wait" 18. (Sketch.max_value l.Analyze.lk_wait);
-      Alcotest.(check (float 0.01)) "total hold" 15. (Sketch.sum l.Analyze.lk_hold)
-  | ls -> Alcotest.failf "expected one lock profile, got %d" (List.length ls)
+  Alcotest.check sync_table_t "wait then hold rows per lock, summed exactly"
+    [
+      (0, [ (lock_wait, (2, (23_000, 18_000))); (lock_hold, (2, (15_000, 10_000))) ]);
+      (3, [ (lock_wait, (1, (2_000, 2_000))) ]);
+    ]
+    (sync_table (Analyze.locks a))
 
-let test_barrier_imbalance () =
-  let arrive ~node at = ev at (Trace.Barrier { node; barrier = 1 }) in
+let test_barrier_waits () =
+  let open Instrument in
   let events =
     [
-      (* Two complete rounds of three parties: imbalances 8us and 2us. *)
-      arrive ~node:0 10.; arrive ~node:1 12.; arrive ~node:2 18.;
-      arrive ~node:2 30.; arrive ~node:0 31.; arrive ~node:1 32.;
-      (* A trailing incomplete round must be ignored. *)
-      arrive ~node:0 50.;
+      (* Barrier 1, two rounds of three parties: each arrival's wait is its
+         own stamp, so no round has to be cut out of the arrivals. *)
+      sync ~node:0 ~obj:1 barrier_wait 8. 18.;
+      sync ~node:1 ~obj:1 barrier_wait 6. 18.;
+      sync ~node:2 ~obj:1 barrier_wait 0. 18.;
+      sync ~node:2 ~obj:1 barrier_wait 2. 32.;
+      sync ~node:0 ~obj:1 barrier_wait 1. 32.;
+      sync ~node:1 ~obj:1 barrier_wait 0. 32.;
+      (* Barrier 0, one arrival of a round the trace kept only part of. *)
+      sync ~node:3 ~obj:0 barrier_wait 4. 50.;
+      (* A manager-side arrival is not a wait. *)
+      ev 50. (Trace.Barrier { node = 0; barrier = 0 });
     ]
   in
   let a = Analyze.analyze (Trace.of_events events) in
-  match Analyze.barriers a with
-  | [ b ] ->
-      Alcotest.(check int) "parties" 3 b.Analyze.br_parties;
-      Alcotest.(check int) "complete rounds" 2 b.Analyze.br_rounds;
-      Alcotest.(check (float 0.01)) "max imbalance" 8. (Sketch.max_value b.Analyze.br_imbalance);
-      Alcotest.(check (float 0.01)) "mean imbalance" 5. (Sketch.mean b.Analyze.br_imbalance)
-  | bs -> Alcotest.failf "expected one barrier profile, got %d" (List.length bs)
+  Alcotest.check sync_table_t "one wait row per barrier, summed exactly"
+    [
+      (0, [ (barrier_wait, (1, (4_000, 4_000))) ]);
+      (1, [ (barrier_wait, (6, (17_000, 8_000))) ]);
+    ]
+    (sync_table (Analyze.barriers a));
+  Alcotest.check sync_table_t "no lock rows" [] (sync_table (Analyze.locks a))
 
 (* --- of_jsonl round-trip over every event variant --- *)
 
@@ -260,7 +282,8 @@ let all_variant_events =
            release = true;
            protocol = "hbrc_mw";
          });
-    ev 60. (Trace.Lock { node = 1; lock = 4; op = "request" });
+    ev 60. (Trace.Lock { node = 1; lock = 4; op = Trace.Acquire });
+    ev 65. (Trace.Lock { node = 2; lock = 4; op = Trace.Release });
     ev 70. (Trace.Barrier { node = 2; barrier = 0 });
     ev 80. ~span:2 (Trace.Migration { thread = 9; src = 0; dst = 3 });
     ev 90.
@@ -271,7 +294,8 @@ let all_variant_events =
            node = 1;
            detail = "page 3: \"quoted\"";
          });
-    stamp ~node:1 Instrument.stage_total 30. 100. 0;
+    stamp ~node:1 ~obj:3 Instrument.stage_total 30. 100. 0;
+    stamp ~node:2 ~obj:4 Instrument.lock_hold 12. 110. 0;
   ]
 
 let test_of_jsonl_round_trip () =
@@ -301,13 +325,27 @@ let test_of_jsonl_rejects_garbage () =
       Alcotest.(check bool) "error names the line" true
         (String.length msg >= 6 && String.sub msg 0 6 = "line 2")
   | Ok _ -> Alcotest.fail "garbage accepted");
-  match Trace.of_jsonl "{\"kind\":\"nope\"}\n" with
+  (match Trace.of_jsonl "{\"kind\":\"nope\"}\n" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown event kind accepted"
+  | Ok _ -> Alcotest.fail "unknown event kind accepted");
+  (* A lock line names the request its manager received: no other op is
+     a lock event. *)
+  let lock_line op =
+    Printf.sprintf {|{"at_ns":5,"span":-1,"type":"lock","node":0,"lock":2,"op":"%s"}|} op
+  in
+  (match Trace.of_jsonl (lock_line "release") with
+  | Ok t -> Alcotest.(check int) "a known op loads" 1 (Trace.length t)
+  | Error msg -> Alcotest.failf "known op refused: %s" msg);
+  match Trace.of_jsonl (good ^ "\n" ^ lock_line "granted") with
+  | Error msg ->
+      Alcotest.(check string) "unknown lock op refused at its line"
+        "line 2: not a trace event" msg
+  | Ok _ -> Alcotest.fail "unknown lock op accepted"
 
 (* No run names a negative page or node, and telemetry indexes its tables
-   by both: a hand-edited dump carrying one is refused at its line.  So is
-   a negative stage duration, which a sketch would clamp to 0. *)
+   by both: a hand-edited dump carrying one is refused at its line.  So
+   are a stamp's negative object and negative duration, which a sketch
+   would clamp to 0. *)
 let test_of_jsonl_rejects_negative_ids () =
   let line ev = Json.to_string (Trace.event_to_json ~at:(us 1.) ~span:0 ev) in
   let good = line (Trace.Barrier { node = 0; barrier = 0 }) in
@@ -352,11 +390,17 @@ let test_of_jsonl_rejects_negative_ids () =
           },
         "line 3: negative node id -3" );
       ( Trace.Stage
-          { node = -2; protocol = "li_hudak"; stage = Instrument.stage_request; ns = 5 },
+          { node = -2; protocol = "li_hudak"; stage = Instrument.stage_request; obj = 1; ns = 5 },
         "line 3: negative node id -2" );
       ( Trace.Stage
-          { node = 1; protocol = "li_hudak"; stage = Instrument.stage_total; ns = -5 },
+          { node = 1; protocol = "li_hudak"; stage = Instrument.stage_total; obj = 1; ns = -5 },
         "line 3: negative duration -5" );
+      ( Trace.Stage
+          { node = 1; protocol = "li_hudak"; stage = Instrument.lock_wait; obj = -4; ns = 5 },
+        "line 3: negative object id -4" );
+      ( Trace.Stage
+          { node = 0; protocol = "hbrc_mw"; stage = Instrument.barrier_wait; obj = -1; ns = 5 },
+        "line 3: negative object id -1" );
     ]
 
 (* --- TSP's bound page end to end --- *)
@@ -443,10 +487,11 @@ let test_folded_output_shape () =
    (so mean) for that protocol, and every stamped series the registry
    holds is printed. *)
 
-let observed run =
+let observed ?capacity run =
   let captured = ref None in
   let observe dsm =
     Monitor.enable dsm true;
+    Option.iter (Trace.set_capacity (Monitor.trace dsm)) capacity;
     captured := Some dsm
   in
   run (Some observe);
@@ -497,10 +542,27 @@ let check_stages_match_registry ~protocol ~expect run () =
       Alcotest.(check int) (name ^ " mean ns") (total / n) s.Stats.sm_mean)
     rows
 
-let jacobi ?(nodes = 4) ?(size = 48) ?(iterations = 8) protocol observe =
+let jacobi ?(nodes = 4) ?(size = 48) ?(iterations = 8) ?tie_seed protocol observe =
   ignore
     (Dsmpm2_apps.Jacobi.run
-       { Dsmpm2_apps.Jacobi.default with protocol; nodes; size; iterations; observe })
+       {
+         Dsmpm2_apps.Jacobi.default with
+         protocol;
+         nodes;
+         size;
+         iterations;
+         tie_seed;
+         observe;
+       })
+
+let tsp ?tie_seed protocol observe =
+  ignore
+    (Dsmpm2_apps.Tsp.run { Dsmpm2_apps.Tsp.default with protocol; tie_seed; observe })
+
+let coloring protocol observe =
+  ignore
+    (Dsmpm2_apps.Map_coloring.run
+       { Dsmpm2_apps.Map_coloring.default with protocol; observe })
 
 let stage_runs =
   let open Instrument in
@@ -512,21 +574,101 @@ let stage_runs =
     ("jacobi hbrc_mw", "hbrc_mw", page, jacobi "hbrc_mw");
     ("jacobi sc_abd", "sc_abd", [ stage_total ],
       jacobi ~size:16 ~iterations:4 "sc_abd");
-    ( "tsp migrate_thread",
-      "migrate_thread",
-      [ stage_migration; stage_total ],
-      fun observe ->
-        ignore
-          (Dsmpm2_apps.Tsp.run
-             { Dsmpm2_apps.Tsp.default with protocol = "migrate_thread"; observe }) );
-    ( "coloring java_ic",
-      "java_ic",
-      page,
-      fun observe ->
-        ignore
-          (Dsmpm2_apps.Map_coloring.run
-             { Dsmpm2_apps.Map_coloring.default with protocol = "java_ic"; observe }) );
+    ("tsp migrate_thread", "migrate_thread", [ stage_migration; stage_total ],
+      tsp "migrate_thread");
+    ("coloring java_ic", "java_ic", page, coloring "java_ic");
   ]
+
+(* --- one sync measurement, read twice ---
+
+   Lock and barrier waits are stamped the same way.  The registry keeps
+   them per node and the analyzer per lock or barrier, so on a complete
+   trace each sync series, summed over its objects, has the registry's
+   sample count and integer-nanosecond total. *)
+
+let sync_series = Instrument.[ lock_wait; lock_hold; barrier_wait ]
+
+(* Every row of the lock and barrier tables, with its lock or barrier id. *)
+let sync_rows a =
+  List.concat_map
+    (fun (id, rows) -> List.map (fun s -> (id, s)) rows)
+    (Analyze.locks a @ Analyze.barriers a)
+
+let check_sync_matches_registry ~expect run () =
+  let dsm = observed run in
+  let trace = Monitor.trace dsm in
+  Alcotest.(check int) "nothing evicted" 0 (Trace.evicted trace);
+  let stats = Dsm.stats dsm in
+  let rows = List.map snd (sync_rows (Analyze.analyze trace)) in
+  Alcotest.(check (list string)) "the registry's sync series" expect
+    (List.filter
+       (fun series -> (Stats.span_summary stats series).Stats.sm_samples > 0)
+       sync_series);
+  List.iter
+    (fun series ->
+      let reg = Stats.span_summary stats series in
+      let mine = List.filter (fun s -> s.Stats.sm_name = series) rows in
+      let sum f = List.fold_left (fun acc s -> acc + f s) 0 mine in
+      Alcotest.(check int) (series ^ " count") reg.Stats.sm_samples
+        (sum (fun s -> s.Stats.sm_samples));
+      Alcotest.(check int) (series ^ " total ns") reg.Stats.sm_total
+        (sum (fun s -> s.Stats.sm_total)))
+    sync_series
+
+let sync_runs =
+  let open Instrument in
+  [
+    ("tsp li_hudak", [ lock_wait; lock_hold ], tsp "li_hudak");
+    ("coloring java_ic", [ lock_wait; lock_hold ], coloring "java_ic");
+    ("jacobi hbrc_mw", [ barrier_wait ], jacobi "hbrc_mw");
+  ]
+
+(* --- ring-capped traces ---
+
+   A flight recorder keeps only the newest events.  A stamp carries its
+   whole duration, so each row holds exactly the stamps the ring kept: no
+   figure can come from a request paired with an earlier acquisition's
+   grant, or from arrivals cut into the wrong rounds. *)
+
+let check_capped_sync ~capacity ~expect run () =
+  let dsm = observed ~capacity run in
+  let trace = Monitor.trace dsm in
+  Alcotest.(check bool) "the ring evicted" true (Trace.evicted trace > 0);
+  let kept = Hashtbl.create 8 in
+  Trace.iter trace (fun ~at:_ ~span:_ ev ->
+      match ev with
+      | Trace.Stage { stage; obj; _ } when List.mem stage sync_series ->
+          let n = Option.value ~default:0 (Hashtbl.find_opt kept (stage, obj)) in
+          Hashtbl.replace kept (stage, obj) (n + 1)
+      | _ -> ());
+  let stats = Dsm.stats dsm in
+  let rows = sync_rows (Analyze.analyze trace) in
+  Alcotest.(check (list string)) "kept sync series" expect
+    (List.sort_uniq String.compare (List.map (fun (_, s) -> s.Stats.sm_name) rows));
+  Alcotest.(check int) "one row per kept (series, object)" (Hashtbl.length kept)
+    (List.length rows);
+  List.iter
+    (fun (id, s) ->
+      let name = Printf.sprintf "%s on %d" s.Stats.sm_name id in
+      Alcotest.(check int) (name ^ ": one sample per kept stamp")
+        (Hashtbl.find kept (s.Stats.sm_name, id))
+        s.Stats.sm_samples;
+      let reg_max = (Stats.span_summary stats s.Stats.sm_name).Stats.sm_max in
+      List.iter
+        (fun (what, v) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s %d ns within [0, %d]" name what v reg_max)
+            true
+            (v >= 0 && v <= reg_max))
+        Stats.
+          [
+            ("mean", s.sm_mean);
+            ("p50", s.sm_p50);
+            ("p90", s.sm_p90);
+            ("p99", s.sm_p99);
+            ("max", s.sm_max);
+          ])
+    rows
 
 let () =
   Alcotest.run "analyze"
@@ -551,10 +693,22 @@ let () =
             Alcotest.test_case name `Quick
               (check_stages_match_registry ~protocol ~expect run))
           stage_runs );
+      ( "sync = registry",
+        List.map
+          (fun (name, expect, run) ->
+            Alcotest.test_case name `Quick (check_sync_matches_registry ~expect run))
+          sync_runs );
       ( "contention",
         [
           Alcotest.test_case "lock wait and hold" `Quick test_lock_contention;
-          Alcotest.test_case "barrier imbalance" `Quick test_barrier_imbalance;
+          Alcotest.test_case "barrier waits" `Quick test_barrier_waits;
+          Alcotest.test_case "capped tsp ring" `Quick
+            (check_capped_sync ~capacity:101
+               ~expect:Instrument.[ lock_hold; lock_wait ]
+               (tsp ~tie_seed:3 "li_hudak"));
+          Alcotest.test_case "capped jacobi ring" `Quick
+            (check_capped_sync ~capacity:301 ~expect:[ Instrument.barrier_wait ]
+               (jacobi ~tie_seed:3 "hbrc_mw"));
         ] );
       ( "jsonl",
         [

@@ -29,7 +29,8 @@ let sample_events =
         release = true;
         protocol = "hbrc_mw";
       };
-    Trace.Lock { node = 1; lock = 4; op = "acquire" };
+    Trace.Lock { node = 1; lock = 4; op = Trace.Acquire };
+    Trace.Lock { node = 2; lock = 4; op = Trace.Release };
     Trace.Barrier { node = 2; barrier = 0 };
     Trace.Migration { thread = 9; src = 0; dst = 3 };
     Trace.Alert
@@ -45,7 +46,9 @@ let sample_events =
     Trace.Restart { node = 2 };
     Trace.Rpc_retry { service = "dsm.page_fetch"; src = 0; dst = 2; attempt = 3 };
     Trace.Stage
-      { node = 1; protocol = "li_hudak"; stage = Instrument.stage_total; ns = 120_300 };
+      { node = 1; protocol = "li_hudak"; stage = Instrument.stage_total; obj = 3; ns = 120_300 };
+    Trace.Stage
+      { node = 2; protocol = "hbrc_mw"; stage = Instrument.barrier_wait; obj = 0; ns = 617_000 };
   ]
 
 let test_event_json_round_trip () =
@@ -159,7 +162,7 @@ let gen_event =
        let* mode = oneofl [ "read"; "write" ] in
        return (Trace.Fault { node; page; protocol; mode }));
       (let* node = int_bound 7 and* lock = int_bound 9 in
-       let* op = oneofl [ "acquire"; "granted"; "released" ] in
+       let* op = oneofl [ Trace.Acquire; Trace.Release ] in
        return (Trace.Lock { node; lock; op }));
       (let* node = int_bound 7 and* barrier = int_bound 9 in
        return (Trace.Barrier { node; barrier }));
@@ -181,8 +184,11 @@ let gen_event =
        let* attempt = int_range 1 9 in
        return (Trace.Rpc_retry { service; src; dst; attempt }));
       (let* node = int_bound 7 and* protocol = name in
-       let* stage = oneofl Instrument.stages and* ns = int_bound 1_000_000 in
-       return (Trace.Stage { node; protocol; stage; ns }));
+       let* stage =
+         oneofl Instrument.(lock_wait :: lock_hold :: barrier_wait :: stages)
+       and* obj = int_bound 99
+       and* ns = int_bound 1_000_000 in
+       return (Trace.Stage { node; protocol; stage; obj; ns }));
     ]
 
 let prop_jsonl_round_trip =
@@ -397,7 +403,7 @@ let test_summary_tie_order () =
     [
       Trace.Restart { node = 0 };
       Trace.Barrier { node = 0; barrier = 0 };
-      Trace.Lock { node = 0; lock = 0; op = "request" };
+      Trace.Lock { node = 0; lock = 0; op = Trace.Acquire };
     ];
   emit (Trace.Migration { thread = 1; src = 0; dst = 0 });
   emit (Trace.Migration { thread = 2; src = 0; dst = 0 });
@@ -746,10 +752,10 @@ let test_rendering_pinned () =
       let name = Printf.sprintf "%s%s" protocol (if bounded then " ring" else "") in
       Alcotest.(check string) (name ^ " jsonl digest") digest (jsonl_digest tr))
     [
-      ("write_update", false, "07ef4b48470993c38bc2d77c09be3229");
-      ("write_update", true, "3fba6ff33c82f61632c815c401082a96");
-      ("hbrc_mw", false, "566b4760d26b783938b6a1b77b5ea104");
-      ("hbrc_mw", true, "d94fdf7e36d443c6cd806d480944fd43");
+      ("write_update", false, "090e7b4e46f0071cc25ca90a7a1c1ef4");
+      ("write_update", true, "7f2f5add0f42a37903b780151ff59bee");
+      ("hbrc_mw", false, "60d9275c27c0009e58d740b196d0fc60");
+      ("hbrc_mw", true, "9f4f172e63782207a9395aabae907b96");
     ]
 
 let test_chrome_renders_events () =
