@@ -177,6 +177,22 @@ let bechamel_tests ?filter () =
     for _ = 1 to 16 do Engine.after eng Dsmpm2_sim.Time.zero tick done;
     Engine.run eng
   in
+  (* The now lane: 1 024 events at one instant from 16 fiber chains, each
+     fiber yielding three times and then spawning its successor, so every
+     event is a fiber start or a resume, with a tie key drawn. *)
+  let engine_same_instant () =
+    let eng = Engine.create ~tie_seed:1 () in
+    let left = ref (256 - 16) in
+    let rec body () =
+      for _ = 1 to 3 do Engine.suspend eng (fun resume -> resume ()) done;
+      if !left > 0 then begin
+        decr left;
+        ignore (Engine.spawn eng body)
+      end
+    in
+    for _ = 1 to 16 do ignore (Engine.spawn eng body) done;
+    Engine.run eng
+  in
   (* Fiber start-up: 64 spawns in a chain, each of a body that goes 50
      frames deep, sleeps once at the bottom and spawns the next on its way
      out, as the RPC server threads of a simulation follow each other. *)
@@ -225,6 +241,7 @@ let bechamel_tests ?filter () =
   let named =
     [
       ("sim/engine_events", engine_events);
+      ("sim/engine_same_instant", engine_same_instant);
       ("sim/spawn_deep_x64", spawn_deep);
       ("trace/emit_full_ring_x64", emit_full_ring);
       ("sim/read_fault_page_transfer", fault_once `Page);

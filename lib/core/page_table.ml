@@ -103,7 +103,7 @@ let entries t =
 
 let copyset_add e n =
   if not (List.mem n e.copyset) then
-    e.copyset <- List.sort compare (n :: e.copyset)
+    e.copyset <- List.sort Int.compare (n :: e.copyset)
 
 let copyset_remove e n = e.copyset <- List.filter (fun m -> m <> n) e.copyset
 

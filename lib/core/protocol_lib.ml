@@ -83,11 +83,11 @@ let invalidate_copies_many rt ~pages_by_target =
   let batches =
     Hashtbl.fold
       (fun target pages acc ->
-        match List.sort_uniq compare pages with
+        match List.sort_uniq Int.compare pages with
         | [] -> acc
         | pages -> (target, pages) :: acc)
       merged []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
   (* Helper threads have their own tids, so the caller's span would be lost;
      capture it here and thread it through explicitly. *)
@@ -108,7 +108,7 @@ let invalidate_copies_many rt ~pages_by_target =
 let invalidate_copies rt ~page ~targets =
   invalidate_copies_many rt
     ~pages_by_target:
-      (List.map (fun target -> (target, [ page ])) (List.sort_uniq compare targets))
+      (List.map (fun target -> (target, [ page ])) (List.sort_uniq Int.compare targets))
 
 let send_diffs_grouped rt ~release diffs_with_home =
   let node = Runtime.self_node rt in
@@ -121,7 +121,7 @@ let send_diffs_grouped rt ~release diffs_with_home =
     diffs_with_home;
   let batches =
     Hashtbl.fold (fun home diffs acc -> (home, List.rev diffs) :: acc) by_home []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
   match batches with
   | [] -> ()
@@ -142,7 +142,7 @@ let push_diffs rt ~targets ~diffs ~release =
   let targets =
     match targets with
     | [ target ] -> if target = node then [] else targets
-    | _ -> List.sort_uniq compare (List.filter (fun n -> n <> node) targets)
+    | _ -> List.sort_uniq Int.compare (List.filter (fun n -> n <> node) targets)
   in
   match targets with
   | [] -> ()

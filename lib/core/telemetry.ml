@@ -338,7 +338,7 @@ let touch t page =
   if s.ps_stamp <> t.interval_count then begin
     s.ps_stamp <- t.interval_count;
     s.ps_installs <- 0;
-    t.touched <- Dense.ensure t.touched t.n_touched 0;
+    if t.n_touched = Array.length t.touched then t.touched <- Dense.ensure t.touched t.n_touched 0;
     t.touched.(t.n_touched) <- page;
     t.n_touched <- t.n_touched + 1
   end;

@@ -45,7 +45,7 @@ let has_frame t page = get t page != absent
 
 (* Stores [b] as [page]'s frame, growing the array to reach [page]. *)
 let set t page b =
-  t.frames <- Dsmpm2_sim.Dense.ensure t.frames page absent;
+  if page >= Array.length t.frames then t.frames <- Dsmpm2_sim.Dense.ensure t.frames page absent;
   let old = t.frames.(page) in
   if old == absent then t.count <- t.count + 1 else if old != b then retire t old;
   t.frames.(page) <- b

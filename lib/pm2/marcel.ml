@@ -167,7 +167,7 @@ let spawn t ?(stack_bytes = 1024) ?(attached_bytes = 0) ?(migratable = false) ~n
             finish t th;
             raise e)
   in
-  t.by_fiber <- Dense.ensure t.by_fiber fid no_thread;
+  if fid >= Array.length t.by_fiber then t.by_fiber <- Dense.ensure t.by_fiber fid no_thread;
   t.by_fiber.(fid) <- th;
   th
 

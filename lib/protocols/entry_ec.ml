@@ -17,8 +17,8 @@ let bind rt ~lock ~addr ~size =
   let ls = Runtime.lock_state rt lock in
   let pages = Dsm.region_pages rt ~addr ~size in
   match binding_of ls with
-  | Some b -> b.pages <- List.sort_uniq compare (pages @ b.pages)
-  | None -> ls.Runtime.lock_ext <- Ec_binding { pages = List.sort_uniq compare pages }
+  | Some b -> b.pages <- List.sort_uniq Int.compare (pages @ b.pages)
+  | None -> ls.Runtime.lock_ext <- Ec_binding { pages = List.sort_uniq Int.compare pages }
 
 let bound_pages rt ~lock =
   match binding_of (Runtime.lock_state rt lock) with

@@ -23,7 +23,7 @@ let mark_written rt ~node ~page =
   let s = state rt ~node in
   if not (List.mem page s.written) then s.written <- page :: s.written
 
-let pending_writes rt ~node = List.sort compare (state rt ~node).written
+let pending_writes rt ~node = List.sort Int.compare (state rt ~node).written
 
 let read_fault rt ~node ~page =
   let e = Runtime.entry rt ~node ~page in
@@ -93,7 +93,7 @@ let write_server rt ~node ~page ~requester =
              invalidation at a node that re-fetched (or became owner) is
              ignored or just forces a re-fetch. *)
           let others = List.filter (fun n -> n <> requester) e.Page_table.copyset in
-          let copyset = List.sort_uniq compare (node :: others) in
+          let copyset = List.sort_uniq Int.compare (node :: others) in
           Dsm_comm.send_page rt ~to_:requester ~page ~grant:Access.Read_write
             ~ownership:true ~copyset ~req_mode:Access.Write;
           e.Page_table.prob_owner <- requester;
@@ -123,7 +123,7 @@ let receive_page_server rt ~node ~msg =
            ownership migration (dirty page, see [write_server]) must not be
            dropped when ownership bounces back before our release. *)
         e.Page_table.copyset <-
-          List.sort_uniq compare
+          List.sort_uniq Int.compare
             (List.filter (fun n -> n <> node) msg.Protocol.copyset
             @ e.Page_table.copyset)
       end
@@ -142,7 +142,7 @@ let receive_page_server rt ~node ~msg =
    O(pages x copyset). *)
 let lock_release rt ~node ~lock:_ =
   let s = state rt ~node in
-  let written = List.sort compare s.written in
+  let written = List.sort Int.compare s.written in
   let by_target = Hashtbl.create 8 in
   List.iter
     (fun page ->

@@ -27,7 +27,7 @@ let clear_dirty rt ~node ~page =
   let s = state rt ~node in
   s.dirty <- List.filter (fun p -> p <> page) s.dirty
 
-let dirty_pages rt ~node = List.sort compare (state rt ~node).dirty
+let dirty_pages rt ~node = List.sort Int.compare (state rt ~node).dirty
 
 let read_fault rt ~node ~page =
   let e = Runtime.entry rt ~node ~page in
@@ -125,7 +125,7 @@ let receive_page_server rt ~node ~msg =
    our copy read-only with a fresh fault required before the next write. *)
 let lock_release rt ~node ~lock:_ =
   let s = state rt ~node in
-  let dirty = List.sort compare s.dirty in
+  let dirty = List.sort Int.compare s.dirty in
   s.dirty <- [];
   let diffs_with_home =
     List.filter_map

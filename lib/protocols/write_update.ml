@@ -56,7 +56,7 @@ let write_server rt ~node ~page ~requester =
         if e.Page_table.prob_owner = node then begin
           Protocol_lib.server_overhead rt;
           let copyset =
-            List.sort_uniq compare
+            List.sort_uniq Int.compare
               (node :: List.filter (fun n -> n <> requester) e.Page_table.copyset)
           in
           Dsm_comm.send_page rt ~to_:requester ~page ~grant:Access.Read_write

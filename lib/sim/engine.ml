@@ -6,22 +6,35 @@ let nop () = ()
 
 type t = {
   mutable clock : Time.t;
-  (* The event queue: a binary min-heap over (time, tie, seq) held in
-     parallel int arrays, so a sift moves ints only.  Entry [i] runs what
-     slot [slots.(i)] of [actions]/[conts]/[fids] holds; a slot is written
-     when its event is queued and cleared when it runs.  A slot with
-     [fids = -1] is a plain event; otherwise it is a slice of that fiber,
-     which resumes the continuation in [conts] or, if there is none, starts
-     the body in [actions].  Past the heap, [slots.(size ..)] lists the
-     unused slots. *)
+  (* The event queue is two binary min-heaps over parallel int arrays, so a
+     sift moves ints only.  The future lane ([times], [ties], [seqs],
+     [slots], [size]) orders by (time, tie, seq); the now lane ([now_ties],
+     [now_seqs], [now_slots], [now_size]) holds only events due at [clock]
+     and orders by (tie, seq).  [pop] keeps the global (time, tie, seq)
+     order, and the clock never advances while the now lane holds an
+     event.  Entry [i] of either lane runs what slot [slots.(i)] (or
+     [now_slots.(i)]) of [actions]/[conts]/[fids] holds.  A slot with
+     [fids = -1] is a plain event running [actions]; otherwise it is a
+     slice of that fiber, which resumes the continuation in [conts] or, if
+     there is none, starts the body in [actions].  Queuing writes one of
+     [actions]/[conts] (both for a fiber start) and running clears
+     neither: a slot keeps its last closure until it is reused. *)
   mutable times : int array;
   mutable ties : int array;
   mutable seqs : int array;
   mutable slots : int array;
   mutable size : int;
+  mutable now_ties : int array;
+  mutable now_seqs : int array;
+  mutable now_slots : int array;
+  mutable now_size : int;
   mutable actions : (unit -> unit) array;
   mutable conts : (unit, unit) Effect.Deep.continuation option array;
   mutable fids : int array;
+  mutable spare : int array;
+  mutable nspare : int;
+      (* unused slots, a stack in [spare.(0 .. nspare - 1)]: the slot freed
+         last is reused first *)
   mutable seq : int;
   mutable live : int;
   mutable executed : int;
@@ -38,6 +51,8 @@ type t = {
          in [worker] for the next body to run, on a stack that has already
          grown to what earlier bodies needed *)
   mutable handler : (unit, unit) Effect.Deep.handler;
+  mutable register : (unit -> unit) -> unit;
+      (* what the last [Suspend] asked to register its resumer with *)
   tie_rng : Rng.t option;
       (* schedule perturbation: when set, same-time events are ordered by a
          seed-driven tie key instead of insertion order *)
@@ -56,27 +71,43 @@ let pooled_fibers t = t.npool
 let events_executed t = t.executed
 let[@inline] current_fiber t = t.current
 let tie_seed t = t.tie_seed
-let pending_events t = t.size
+let pending_events t = t.size + t.now_size
 
 (* --- the queue --- *)
 
-let grow t =
-  let cap = Array.length t.times in
-  let ncap = if cap = 0 then 16 else 2 * cap in
-  let extend a fill = Array.append a (Array.make (ncap - cap) fill) in
-  t.times <- extend t.times 0;
-  t.ties <- extend t.ties 0;
-  t.seqs <- extend t.seqs 0;
-  t.slots <- Array.append t.slots (Array.init (ncap - cap) (fun i -> cap + i));
-  t.actions <- extend t.actions nop;
-  t.conts <- extend t.conts None;
-  t.fids <- extend t.fids (-1)
+let extend a cap fill = Array.append a (Array.make (cap - Array.length a) fill)
+let grown_cap a = max 16 (2 * Array.length a)
 
-(* Heap indices stay below [size], within every array's capacity. *)
+let grow_future t =
+  let cap = grown_cap t.times in
+  t.times <- extend t.times cap 0;
+  t.ties <- extend t.ties cap 0;
+  t.seqs <- extend t.seqs cap 0;
+  t.slots <- extend t.slots cap 0
+
+let grow_now t =
+  let cap = grown_cap t.now_ties in
+  t.now_ties <- extend t.now_ties cap 0;
+  t.now_seqs <- extend t.now_seqs cap 0;
+  t.now_slots <- extend t.now_slots cap 0
+
+(* Called with every slot in use: the new slots become the spare ones,
+   the lowest on top. *)
+let grow_slots t =
+  let old = Array.length t.fids in
+  let cap = grown_cap t.fids in
+  t.actions <- extend t.actions cap nop;
+  t.conts <- extend t.conts cap None;
+  t.fids <- extend t.fids cap (-1);
+  t.spare <- Array.init cap (fun i -> cap - 1 - i);
+  t.nspare <- cap - old
+
+(* Heap indices stay below the lane's size and slots below the slot
+   tables' length, within every array's capacity. *)
 external ( .!() ) : int array -> int -> int = "%array_unsafe_get"
 external ( .!()<- ) : int array -> int -> int -> unit = "%array_unsafe_set"
 
-(* Whether entry [i] orders before the key (time, tie, seq). *)
+(* Whether future entry [i] orders before the key (time, tie, seq). *)
 let[@inline] before t i time tie seq =
   let ti = t.times.!(i) in
   ti < time
@@ -109,29 +140,87 @@ let rec sift_down t i time tie seq slot n =
   end
   else set t i time tie seq slot
 
+(* The now lane: the same heap without the time, which is [clock] for
+   every entry. *)
+let[@inline] now_before t i tie seq =
+  let ki = t.now_ties.!(i) in
+  ki < tie || (ki = tie && t.now_seqs.!(i) < seq)
+
+let[@inline] now_set t i tie seq slot =
+  t.now_ties.!(i) <- tie;
+  t.now_seqs.!(i) <- seq;
+  t.now_slots.!(i) <- slot
+
+let[@inline] now_move t ~from i = now_set t i t.now_ties.!(from) t.now_seqs.!(from) t.now_slots.!(from)
+
+let rec now_sift_up t i tie seq slot =
+  let p = (i - 1) / 2 in
+  if i > 0 && not (now_before t p tie seq) then begin
+    now_move t ~from:p i;
+    now_sift_up t p tie seq slot
+  end
+  else now_set t i tie seq slot
+
+let rec now_sift_down t i tie seq slot n =
+  let l = (2 * i) + 1 in
+  let c = if l + 1 < n && now_before t (l + 1) t.now_ties.!(l) t.now_seqs.!(l) then l + 1 else l in
+  if c < n && now_before t c tie seq then begin
+    now_move t ~from:c i;
+    now_sift_down t c tie seq slot n
+  end
+  else now_set t i tie seq slot
+
+(* Queues an event in a spare slot, writing one closure field: a plain
+   event ([fid < 0]) its action, a resume ([k <> None]) its continuation,
+   and a fiber start both, the [None] overwriting an earlier resume's. *)
 let push t time tie fid action k =
-  if t.size = Array.length t.times then grow t;
-  let n = t.size in
-  let slot = t.slots.(n) in
-  t.actions.(slot) <- action;
-  if k != None then t.conts.(slot) <- k;
-  t.fids.(slot) <- fid;
+  if t.nspare = 0 then grow_slots t;
+  let slot = t.spare.!(t.nspare - 1) in
+  t.nspare <- t.nspare - 1;
+  t.fids.!(slot) <- fid;
+  if k == None then Array.unsafe_set t.actions slot action;
+  if fid >= 0 then Array.unsafe_set t.conts slot k;
   let seq = t.seq in
   t.seq <- seq + 1;
-  t.size <- n + 1;
-  sift_up t n time tie seq slot
+  if time = t.clock then begin
+    let n = t.now_size in
+    if n = Array.length t.now_ties then grow_now t;
+    t.now_size <- n + 1;
+    now_sift_up t n tie seq slot
+  end
+  else begin
+    let n = t.size in
+    if n = Array.length t.times then grow_future t;
+    t.size <- n + 1;
+    sift_up t n time tie seq slot
+  end
+
+(* Whether the next event is in the future lane: the now lane is empty, or
+   the future top is due now as well and orders before the now top. *)
+let[@inline] future_next t =
+  t.now_size = 0
+  || t.size > 0
+     && t.times.!(0) = t.clock
+     && before t 0 t.clock t.now_ties.!(0) t.now_seqs.!(0)
 
 (* Removes the earliest event, advances the clock to it and returns its
-   slot, already back among the unused ones: read it before the next
-   [push]. *)
+   slot, still in use: the caller hands it back to [spare]. *)
 let pop t =
-  let slot = t.slots.(0) in
-  t.clock <- t.times.(0);
-  let n = t.size - 1 in
-  t.size <- n;
-  if n > 0 then sift_down t 0 t.times.(n) t.ties.(n) t.seqs.(n) t.slots.(n) n;
-  t.slots.(n) <- slot;
-  slot
+  if future_next t then begin
+    let slot = t.slots.!(0) in
+    t.clock <- t.times.!(0);
+    let n = t.size - 1 in
+    t.size <- n;
+    if n > 0 then sift_down t 0 t.times.!(n) t.ties.!(n) t.seqs.!(n) t.slots.!(n) n;
+    slot
+  end
+  else begin
+    let slot = t.now_slots.!(0) in
+    let n = t.now_size - 1 in
+    t.now_size <- n;
+    if n > 0 then now_sift_down t 0 t.now_ties.!(n) t.now_seqs.!(n) t.now_slots.!(n) n;
+    slot
+  end
 
 (* The tie key is drawn in scheduling order, so a given seed always maps
    the same (deterministic) sequence of scheduling calls to the same
@@ -190,7 +279,7 @@ let resumer t fid k =
    This runs inside the fiber's last slice, so [current] is the ending
    fiber. *)
 let release t =
-  t.free <- Dense.ensure t.free t.nfree 0;
+  if t.nfree = Array.length t.free then t.free <- Dense.ensure t.free t.nfree 0;
   t.free.(t.nfree) <- t.current;
   t.nfree <- t.nfree + 1;
   t.live <- t.live - 1
@@ -235,7 +324,9 @@ let park t k =
    [Suspend] only while one of its slices runs, so [current] names it.
    The fiber accounting ([live]) brackets the whole body lifetime: a
    suspended body remains live until it returns or raises, and a parked
-   fiber is not live. *)
+   fiber is not live.  The handler allocates nothing: [Suspend] leaves its
+   register function in [register] and returns the one closure that hands
+   it the resumer, as [Park] returns [on_park]. *)
 let create ?tie_seed () =
   let t =
     {
@@ -245,9 +336,15 @@ let create ?tie_seed () =
       seqs = [||];
       slots = [||];
       size = 0;
+      now_ties = [||];
+      now_seqs = [||];
+      now_slots = [||];
+      now_size = 0;
       actions = [||];
       conts = [||];
       fids = [||];
+      spare = [||];
+      nspare = 0;
       seq = 0;
       live = 0;
       executed = 0;
@@ -258,6 +355,7 @@ let create ?tie_seed () =
       pool = [||];
       npool = 0;
       handler = { retc = ignore; exnc = raise; effc = (fun _ -> None) };
+      register = ignore;
       tie_rng = Option.map (fun seed -> Rng.create ~seed) tie_seed;
       tie_seed;
       gate = None;
@@ -266,16 +364,18 @@ let create ?tie_seed () =
   in
   (* Set once the record exists: building it as a recursive value made
      [create] measurably slower. *)
-  let on_park = Some (park t) in
+  let on_park = Some (park t)
+  and on_suspend = Some (fun k -> t.register (resumer t t.current k)) in
   t.handler <-
     {
       retc = ignore;
       exnc = (fun e -> release t; raise e);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) : ((a, unit) Effect.Deep.continuation -> unit) option ->
           match eff with
           | Suspend register ->
-              Some (fun (k : (a, unit) Effect.Deep.continuation) -> register (resumer t t.current k))
+              t.register <- register;
+              on_suspend
           | Park -> on_park
           | _ -> None);
     };
@@ -337,16 +437,20 @@ let spawn t f =
 let suspend _t register = Effect.perform (Suspend register)
 let sleep t dt = suspend t (fun resume -> after t dt resume)
 
+(* The next event is due at [clock] while the now lane holds one, so a
+   [limit] already behind the clock stops the run at once. *)
 let run ?(limit = max_int) t =
-  while t.size > 0 && t.times.(0) <= limit do
+  while if t.now_size > 0 then t.clock <= limit else t.size > 0 && t.times.!(0) <= limit do
     let slot = pop t in
     t.executed <- t.executed + 1;
-    let action = t.actions.(slot) and fid = t.fids.(slot) and k = t.conts.(slot) in
-    t.actions.(slot) <- nop;
-    if k != None then t.conts.(slot) <- None;
-    if fid < 0 then action () else slice t fid action k
+    (* The slot is spare again before its event runs, which may queue
+       another event in it: read what it holds first. *)
+    t.spare.!(t.nspare) <- slot;
+    t.nspare <- t.nspare + 1;
+    let fid = t.fids.!(slot) and action = Array.unsafe_get t.actions slot in
+    if fid < 0 then action () else slice t fid action (Array.unsafe_get t.conts slot)
   done;
-  if t.size = 0 then begin
+  if pending_events t = 0 then begin
     retire t;
     if t.live > 0 then raise (Stalled t.live)
   end

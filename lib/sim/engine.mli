@@ -74,7 +74,8 @@ val parked_count : t -> int
 (** Number of times the gate parked a fiber slice so far. *)
 
 val pending_events : t -> int
-(** Events currently queued.  Inside a [periodic] tick this counts everyone
+(** Events currently queued, those due at the current instant and those
+    due later alike.  Inside a [periodic] tick this counts everyone
     {e else}: the tick's own event has been popped and the re-arm is only
     scheduled after the tick returns, so [pending_events t = 0] with
     [live_fibers t > 0] means no event can ever wake the remaining fibers —
@@ -113,7 +114,10 @@ val sleep : t -> Time.t -> unit
 (** Suspends the calling fiber for [dt] of virtual time. *)
 
 val run : ?limit:Time.t -> t -> unit
-(** Executes events until the queue drains or the clock would pass [limit].
+(** Executes events until the queue drains or the next event is due after
+    [limit]: an event runs only at a time [<= limit], so with the clock
+    already past [limit] nothing runs, not even the events due at the
+    current instant.  The events left stay queued for a later [run].
     Raises [Stalled] if fibers remain suspended with an empty queue and a
     positive count of live fibers (i.e. a deadlock in simulated code). *)
 

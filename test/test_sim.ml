@@ -199,73 +199,155 @@ let test_engine_run_limit () =
 
 (* --- the event queue --- *)
 
-type queue_op = At of int | Observer of int | Run of int
+(* An event to queue [dt] after the current time, as a workload event or
+   an observer; when it runs it queues its [children] the same way, so
+   children with [dt = 0] land among the same-time events queued
+   earlier. *)
+type event_spec = { dt : int; observer : bool; children : event_spec list }
+type queue_op = Queue of event_spec | Run of int
+
+let rec event_spec_gen depth =
+  QCheck.Gen.(
+    map3
+      (fun dt observer children -> { dt; observer; children })
+      (frequency [ (3, return 0); (2, int_range 1 4) ])
+      (map (fun n -> n = 0) (int_bound 3))
+      (if depth = 0 then return [] else list_size (0 -- 2) (event_spec_gen (depth - 1))))
 
 let queue_op_gen =
   QCheck.Gen.(
     frequency
       [
-        (6, map (fun dt -> At dt) (int_bound 4));
-        (2, map (fun dt -> Observer dt) (int_bound 4));
-        (1, map (fun dl -> Run dl) (int_bound 6));
+        (8, map (fun e -> Queue e) (event_spec_gen 2));
+        (1, map (fun dl -> Run dl) (int_range (-2) 6));
       ])
 
+let rec print_event_spec e =
+  Printf.sprintf "{%s%d%s}"
+    (if e.observer then "obs " else "")
+    e.dt
+    (if e.children = [] then ""
+     else " [" ^ String.concat "; " (List.map print_event_spec e.children) ^ "]")
+
 let print_queue_op = function
-  | At dt -> Printf.sprintf "At %d" dt
-  | Observer dt -> Printf.sprintf "Observer %d" dt
+  | Queue e -> "Queue " ^ print_event_spec e
   | Run dl -> Printf.sprintf "Run %d" dl
 
-(* Replays random [at]/[at_observer]/[run ~limit] mixes at repeated times
-   against a model that sorts by (time, tie, seq) and draws the tie keys
-   from its own copy of the seed's stream.  The first forty events are
-   queued before anything runs, so the queue outgrows its first
-   allocation. *)
+(* Replays random mixes of queued events, events queued by running ones,
+   observers and [run ~limit] (with the limit behind, at and ahead of the
+   clock) against a model that sorts by (time, tie, seq) and draws the tie
+   keys from its own copy of the seed's stream.  Each event logs the
+   clock and [pending_events] when it runs, and after every step the
+   clock and the pending count match the model's.  The first forty events
+   are queued before anything runs, half of them for the current instant,
+   so both lanes outgrow their first allocation. *)
 let prop_queue_order =
+  let leaf dt = { dt; observer = false; children = [] } in
   QCheck.Test.make ~name:"queue runs events in (time, tie, seq) order" ~count:300
     QCheck.(
       pair (option small_nat)
         (make
            ~print:(fun ops -> String.concat "; " (List.map print_queue_op ops))
            Gen.(
-             map2 ( @ )
-               (list_repeat 40 (map (fun dt -> At dt) (int_bound 8)))
+             map3
+               (fun a b c -> a @ b @ c)
+               (list_repeat 20 (return (Queue (leaf 0))))
+               (list_repeat 20 (map (fun dt -> Queue (leaf dt)) (int_range 1 8)))
                (list_size (0 -- 200) queue_op_gen))))
     (fun (tie_seed, ops) ->
       let eng = Engine.create ?tie_seed () in
+      (* The engine's side: every queued event gets the next id. *)
+      let log = ref [] and ids = ref 0 in
+      let rec queue e =
+        let id = !ids in
+        incr ids;
+        let time = Engine.now eng + e.dt in
+        let run () =
+          log := (id, Engine.now eng, Engine.pending_events eng) :: !log;
+          List.iter queue e.children
+        in
+        if e.observer then Engine.at_observer eng time run else Engine.at eng time run
+      in
+      (* The model's side: a list of (time, tie, id, event). *)
       let model_rng = Option.map (fun seed -> Rng.create ~seed) tie_seed in
-      let log = ref [] and expected = ref [] in
-      let pending = ref [] and seq = ref 0 and clock = ref 0 and peak = ref 0 in
-      let ok = ref true in
-      let queue time tie =
-        let id = !seq in
-        incr seq;
-        pending := (time, tie, id) :: !pending;
-        fun () -> log := id :: !log
+      let expected = ref [] and pending = ref [] and next = ref 0 and clock = ref 0 in
+      let model_queue e =
+        let tie =
+          if e.observer then max_int
+          else match model_rng with None -> 0 | Some r -> Rng.int r 0x40000000
+        in
+        pending := (!clock + e.dt, tie, !next, e) :: !pending;
+        incr next
       in
-      let run limit =
-        let due, later = List.partition (fun (time, _, _) -> time <= limit) !pending in
-        let due = List.sort compare due in
-        List.iter (fun (time, _, id) -> clock := time; expected := id :: !expected) due;
-        pending := later;
-        if limit = max_int then Engine.run eng else Engine.run ~limit eng
+      (* Ids are unique, so the sort never compares two events. *)
+      let rec model_run limit =
+        match List.sort compare !pending with
+        | (time, _, id, e) :: rest when time <= limit ->
+            pending := rest;
+            clock := time;
+            expected := (id, time, List.length rest) :: !expected;
+            List.iter model_queue e.children;
+            model_run limit
+        | _ -> ()
       in
-      List.iter
-        (fun op ->
-          (match op with
-          | At dt ->
-              let time = !clock + dt in
-              let tie = match model_rng with None -> 0 | Some r -> Rng.int r 0x40000000 in
-              Engine.at eng time (queue time tie)
-          | Observer dt ->
-              let time = !clock + dt in
-              Engine.at_observer eng time (queue time max_int)
-          | Run dl -> run (!clock + dl));
-          peak := max !peak (Engine.pending_events eng);
-          if Engine.pending_events eng <> List.length !pending then ok := false;
-          if Engine.now eng <> !clock then ok := false)
-        ops;
-      run max_int;
+      let ok = ref true and peak = ref 0 in
+      let step op =
+        (match op with
+        | Queue e ->
+            queue e;
+            model_queue e
+        | Run dl ->
+            let limit = !clock + dl in
+            model_run limit;
+            Engine.run ~limit eng);
+        peak := max !peak (Engine.pending_events eng);
+        if Engine.pending_events eng <> List.length !pending then ok := false;
+        if Engine.now eng <> !clock then ok := false
+      in
+      List.iter step ops;
+      model_run max_int;
+      Engine.run eng;
       !ok && !peak > 16 && Engine.pending_events eng = 0 && !log = !expected)
+
+(* The executed order of one seeded schedule that mixes every kind of
+   event: fiber starts, resumes woken by the fiber itself (yield), by a
+   plain event (a waiter queue) and by a timer (sleep), plain events at
+   the current instant and later, and a periodic observer.  The digest
+   pins it: any change to which events run, or in what order, moves it. *)
+let mixed_schedule_digest () =
+  let eng = Engine.create ~tie_seed:11 () in
+  let buf = Buffer.create 4096 and waiters = Queue.create () in
+  let note tag a b = Printf.bprintf buf "%s%d.%d@%d;" tag a b (Engine.now eng) in
+  let rec worker w () =
+    for i = 0 to 11 do
+      note "w" w i;
+      match (w + i) mod 5 with
+      | 0 -> Engine.suspend eng (fun resume -> resume ())
+      | 1 -> Engine.sleep eng (Time.of_ns (1 + (w * i mod 3)))
+      | 2 -> if w < 32 then ignore (Engine.spawn eng (worker (w + 8)))
+      | 3 ->
+          Engine.at eng (Engine.now eng) (fun () -> note "a" w i);
+          Engine.after eng (Time.of_ns 2) (fun () -> note "b" w i)
+      | _ -> Engine.suspend eng (fun resume -> Queue.add resume waiters)
+    done
+  in
+  let rec waker () =
+    note "k" (Queue.length waiters) 0;
+    Queue.iter (fun resume -> resume ()) waiters;
+    Queue.clear waiters;
+    if Engine.live_fibers eng > 0 then Engine.after eng (Time.of_ns 3) waker
+  in
+  for w = 0 to 7 do ignore (Engine.spawn eng (worker w)) done;
+  Engine.at eng Time.zero waker;
+  Engine.periodic eng ~interval:(Time.of_ns 5) (fun () ->
+      note "p" (Engine.pending_events eng) 0;
+      Engine.live_fibers eng > 0);
+  Engine.run eng;
+  (Engine.events_executed eng, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_engine_replay_fingerprint () =
+  Alcotest.(check (pair int string)) "mixed schedule" (6689, "ce3d8acc45e82fd916188389ca15986a")
+    (mixed_schedule_digest ())
 
 let test_engine_chain_allocates_nothing () =
   (* A steady self-rescheduling chain at queue depth 16: each event pops,
@@ -300,10 +382,10 @@ let test_marcel_yield_allocation_bound () =
     (Marcel.spawn marcel ~node:0 (fun () ->
          words := words_per_call ~n:10_000 (fun _ -> Marcel.yield marcel)));
   Engine.run eng;
-  (* The effect, its continuation, the handler's reply, the resume thunk
-     and its cell: 22 words on OCaml 5.1, so the bound leaves room for
-     other runtime versions. *)
-  Alcotest.(check bool) (Printf.sprintf "Marcel.yield: %.1f words" !words) true (!words <= 32.)
+  (* The effect, its continuation, the resume thunk and its cell: 15
+     words on OCaml 5.1 (the handler's reply is preallocated), so the
+     bound leaves room for other runtime versions. *)
+  Alcotest.(check bool) (Printf.sprintf "Marcel.yield: %.1f words" !words) true (!words <= 24.)
 
 (* --- schedule perturbation --- *)
 
@@ -951,6 +1033,7 @@ let () =
       ( "queue",
         [
           QCheck_alcotest.to_alcotest prop_queue_order;
+          Alcotest.test_case "replay fingerprint" `Quick test_engine_replay_fingerprint;
           Alcotest.test_case "after chain allocates nothing" `Quick
             test_engine_chain_allocates_nothing;
           Alcotest.test_case "yield allocation bound" `Quick
