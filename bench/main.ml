@@ -155,6 +155,26 @@ let bechamel_tests ?filter () =
     done;
     Sys.opaque_identity !acc |> ignore
   in
+  (* The DSM access hit: 64 word reads on a page homed on the reading node,
+     by one held thread that sleeps 1 ns between batches, so a run is one
+     engine event (the wake-up) and 64 hits.  Under li_hudak a hit is the
+     rights test alone; under java_ic it also counts and charges an inline
+     check. *)
+  let read_hits protocol =
+    let dsm = Dsm.create ~nodes:2 ~driver:Driver.bip_myrinet () in
+    let ids = Builtin.register_all dsm in
+    let base = Dsm.malloc dsm ~protocol:(protocol ids) ~home:(Dsm.On_node 0) 4096 in
+    let eng = Dsm.engine dsm in
+    ignore
+      (Dsm.spawn dsm ~node:0 (fun () ->
+           while true do
+             for i = 0 to 63 do
+               ignore (Sys.opaque_identity (Dsm.read_int dsm (base + (i * 8))))
+             done;
+             Engine.sleep eng (Dsmpm2_sim.Time.of_ns 1)
+           done));
+    fun () -> Dsm.run ~limit:Dsmpm2_sim.Time.(Engine.now eng + of_ns 1) dsm
+  in
   let network_send () =
     let eng = Engine.create () in
     let net = Dsmpm2_net.Network.create eng ~driver:Dsmpm2_net.Driver.bip_myrinet ~nodes:2 in
@@ -253,6 +273,8 @@ let bechamel_tests ?filter () =
       ("diff/compute_4k_sparse_bytewise", diff_sparse_bytewise);
       ("frame/read_int_hot_x64", frame_read_hot);
       ("core/page_table_find_x64", page_table_find);
+      ("core/dsm_read_hit_x64", read_hits (fun ids -> ids.Builtin.li_hudak));
+      ("core/dsm_read_hit_inline_x64", read_hits (fun ids -> ids.Builtin.java_ic));
       ("net/send_request_x64", network_send);
     ]
   in

@@ -137,13 +137,23 @@ let switch_protocol (rt : t) ~addr ~size ~protocol =
 
 (* --- access detection ---
 
-   One path for every access.  A hit costs one current-thread lookup (the
-   caller's [Marcel.self]) and one page-table lookup, and allocates
-   nothing: [access] is inlined into the word accessors, and every helper
-   it reaches in another module is inlined into it.  Only a miss leaves
-   it, for the [miss] loop, which runs [fault] and then looks the node and
-   the entry up again, because a fault may move the thread
-   ([migrate_thread]). *)
+   DSM-PM2 detects accesses with the MMU: a hit costs nothing and only a
+   fault reaches the protocol.  Here a software check replaces the MMU on
+   every access, so a hit is kept to one test on the entry [Dsm] has to
+   look up anyway.  [hit] finds [addr]'s entry on the caller's node and
+   completes the access on its own when the fault-loop limit is not
+   negative, the protocol's hit class ({!Protocol.hit_class}) has the
+   mode's bit, the entry's rights allow the mode and the page is not
+   pinned; under an inline-check class it counts and charges the check.
+   A hit reads or writes the frame and, with history on, records the op
+   at the current instant: no simulated time passes on a hit.
+
+   Everything the test refuses takes the general path, the [_general]
+   accessors below, whose behaviour is the whole access protocol: the
+   fault loop, unpinning the page after a fault, the protocol's access
+   hooks and the history window.  There is one way to decide a hit, and
+   conformance runs (history on) take it too.  The general path is kept
+   out of line, so a hit runs through a few lines of straight code. *)
 
 let fault (rt : t) ~node ~page ~mode ~protocol proto =
   let cells = Instrument.proto rt.Runtime.cells ~node ~protocol in
@@ -186,9 +196,7 @@ let[@inline never] fault_storm ~addr ~mode ~attempts =
 
 (* The first two steps of an attempt to access [addr], [faults] faults
    in: the fault-loop limit, then [addr]'s entry on [th]'s node, with an
-   inline check counted and charged.  The caller tests the rights.  The
-   hot path reads the runtime's tables directly: every call saved is a
-   few nanoseconds of a hit. *)
+   inline check counted and charged.  The caller tests the rights. *)
 let[@inline] lookup (rt : t) th ~addr ~mode faults =
   if faults > rt.Runtime.fault_loop_limit then fault_storm ~addr ~mode ~attempts:faults;
   let e =
@@ -196,16 +204,16 @@ let[@inline] lookup (rt : t) th ~addr ~mode faults =
       rt.Runtime.tables.(Marcel.node th)
       (Page.page_of_addr rt.Runtime.geo addr)
   in
-  (match (Protocol.find rt.Runtime.registry e.Page_table.protocol).Protocol.detection with
-  | Protocol.Inline_check ->
-      Stats.bump rt.Runtime.cells.Instrument.checks;
-      Marcel.charge_tick th
-  | Protocol.Page_fault -> ());
+  if Protocol.hit_class rt.Runtime.registry e.Page_table.protocol land Protocol.inline_hits
+     <> 0
+  then begin
+    Stats.bump rt.Runtime.cells.Instrument.checks;
+    Marcel.charge_tick th
+  end;
   e
 
 (* Faults on [e], which does not grant [mode], and retries until [th]'s
-   node holds the rights; returns the granting entry.  Kept out of line,
-   so [access] stays small enough to inline. *)
+   node holds the rights; returns the granting entry. *)
 let[@inline never] rec miss (rt : t) th ~addr ~mode (e : Page_table.entry) faults =
   let protocol = e.Page_table.protocol in
   fault rt ~node:(Marcel.node th) ~page:e.Page_table.page ~mode ~protocol
@@ -214,16 +222,45 @@ let[@inline never] rec miss (rt : t) th ~addr ~mode (e : Page_table.entry) fault
   let e = lookup rt th ~addr ~mode faults in
   if Access.allows e.Page_table.rights mode then e else miss rt th ~addr ~mode e faults
 
-(* Returns the protocol of [addr]'s page once [th]'s node holds rights for
-   [mode] on it. *)
+(* The general path's access: returns the protocol of [addr]'s page once
+   [th]'s node holds rights for [mode] on it, and unpins the page. *)
 let[@inline] access (rt : t) th ~addr ~mode =
   let e = lookup rt th ~addr ~mode 0 in
   let e = if Access.allows e.Page_table.rights mode then e else miss rt th ~addr ~mode e 0 in
   Protocol_lib.unpin rt e;
   Protocol.find rt.Runtime.registry e.Page_table.protocol
 
+let[@inline] mode_bit = function
+  | Access.Read -> Protocol.read_hits
+  | Access.Write -> Protocol.write_hits
+
+(* The hit test: true iff [th] may complete a [mode] access to [addr]
+   without the protocol, in which case an inline check has been counted
+   and charged.  A refusal has counted nothing. *)
+let[@inline] hit (rt : t) th ~addr ~mode =
+  rt.Runtime.fault_loop_limit >= 0
+  &&
+  let e =
+    Page_table.find
+      rt.Runtime.tables.(Marcel.node th)
+      (Page.page_of_addr rt.Runtime.geo addr)
+  in
+  let cls = Protocol.hit_class rt.Runtime.registry e.Page_table.protocol in
+  if cls land mode_bit mode <> 0
+     && Access.allows e.Page_table.rights mode
+     && not e.Page_table.pinned
+  then begin
+    if cls land Protocol.inline_hits <> 0 then begin
+      Stats.bump rt.Runtime.cells.Instrument.checks;
+      Marcel.charge_tick th
+    end;
+    true
+  end
+  else false
+
 let ensure_access (rt : t) ~addr ~mode =
-  ignore (access rt (Marcel.self (Runtime.marcel rt)) ~addr ~mode : t Protocol.t)
+  let th = Marcel.self (Runtime.marcel rt) in
+  if not (hit rt th ~addr ~mode) then ignore (access rt th ~addr ~mode : t Protocol.t)
 
 (* The start of an access's real-time window: only the history reads it. *)
 let history_start (rt : t) =
@@ -240,6 +277,14 @@ let record_access (rt : t) th ~start ~write ~addr ~value =
       History.record h ~tid:(Marcel.tid th) ~node:(Marcel.node th) ~start
         ~finish:(Engine.now (Runtime.engine rt))
         (if write then History.Write { addr; value } else History.Read { addr; value })
+
+(* Logs a hit on [addr] as an access to its containing word, whose value
+   it reads back from [th]'s node.  History works at word granularity.  A
+   hit takes no simulated time, so its window is the current instant. *)
+let[@inline never] record_hit (rt : t) th ~write ~addr =
+  let addr = addr land lnot 7 in
+  let value = Frame_store.read_int rt.Runtime.stores.(Marcel.node th) ~addr in
+  record_access rt th ~start:(Engine.now (Runtime.engine rt)) ~write ~addr ~value
 
 let read_hook (rt : t) th proto ~addr =
   match proto.Protocol.on_local_read with
@@ -260,18 +305,16 @@ let write_hook (rt : t) th proto ~addr ~value =
   | None -> ()
   | Some h -> History.extend_finish h ~tid:(Marcel.tid th) (Engine.now (Runtime.engine rt))
 
-let read_int rt addr =
+let[@inline never] read_int_general rt th addr =
   let start = history_start rt in
-  let th = Marcel.self (Runtime.marcel rt) in
   let proto = access rt th ~addr ~mode:Access.Read in
   let value = Frame_store.read_int rt.Runtime.stores.(Marcel.node th) ~addr in
   record_access rt th ~start ~write:false ~addr ~value;
   read_hook rt th proto ~addr;
   value
 
-let write_int rt addr value =
+let[@inline never] write_int_general rt th addr value =
   let start = history_start rt in
-  let th = Marcel.self (Runtime.marcel rt) in
   let proto = access rt th ~addr ~mode:Access.Write in
   Frame_store.write_int rt.Runtime.stores.(Marcel.node th) ~addr value;
   (* Record before the hook: propagation (update pushes, diff flushes) may
@@ -282,9 +325,8 @@ let write_int rt addr value =
 
 (* History works at word granularity: a byte access reports its containing
    word. *)
-let read_byte rt addr =
+let[@inline never] read_byte_general rt th addr =
   let start = history_start rt in
-  let th = Marcel.self (Runtime.marcel rt) in
   let proto = access rt th ~addr ~mode:Access.Read in
   let store = rt.Runtime.stores.(Marcel.node th) in
   let b = Frame_store.read_byte store ~addr in
@@ -294,9 +336,8 @@ let read_byte rt addr =
   read_hook rt th proto ~addr:word_addr;
   b
 
-let write_byte rt addr value =
+let[@inline never] write_byte_general rt th addr value =
   let start = history_start rt in
-  let th = Marcel.self (Runtime.marcel rt) in
   let proto = access rt th ~addr ~mode:Access.Write in
   let store = rt.Runtime.stores.(Marcel.node th) in
   Frame_store.write_byte store ~addr value;
@@ -304,6 +345,40 @@ let write_byte rt addr value =
   let value = Frame_store.read_int store ~addr:word_addr in
   record_access rt th ~start ~write:true ~addr:word_addr ~value;
   write_hook rt th proto ~addr:word_addr ~value
+
+let read_int rt addr =
+  let th = Marcel.self (Runtime.marcel rt) in
+  if hit rt th ~addr ~mode:Access.Read then begin
+    let value = Frame_store.read_int rt.Runtime.stores.(Marcel.node th) ~addr in
+    (match rt.Runtime.history with None -> () | Some _ -> record_hit rt th ~write:false ~addr);
+    value
+  end
+  else read_int_general rt th addr
+
+let write_int rt addr value =
+  let th = Marcel.self (Runtime.marcel rt) in
+  if hit rt th ~addr ~mode:Access.Write then begin
+    Frame_store.write_int rt.Runtime.stores.(Marcel.node th) ~addr value;
+    match rt.Runtime.history with None -> () | Some _ -> record_hit rt th ~write:true ~addr
+  end
+  else write_int_general rt th addr value
+
+let read_byte rt addr =
+  let th = Marcel.self (Runtime.marcel rt) in
+  if hit rt th ~addr ~mode:Access.Read then begin
+    let b = Frame_store.read_byte rt.Runtime.stores.(Marcel.node th) ~addr in
+    (match rt.Runtime.history with None -> () | Some _ -> record_hit rt th ~write:false ~addr);
+    b
+  end
+  else read_byte_general rt th addr
+
+let write_byte rt addr value =
+  let th = Marcel.self (Runtime.marcel rt) in
+  if hit rt th ~addr ~mode:Access.Write then begin
+    Frame_store.write_byte rt.Runtime.stores.(Marcel.node th) ~addr value;
+    match rt.Runtime.history with None -> () | Some _ -> record_hit rt th ~write:true ~addr
+  end
+  else write_byte_general rt th addr value
 
 let unsafe_peek (rt : t) ~node addr =
   Frame_store.read_int (Runtime.store rt node) ~addr

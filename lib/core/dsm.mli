@@ -102,7 +102,21 @@ val switch_protocol : t -> addr:int -> size:int -> protocol:int -> unit
 
 val read_int : t -> int -> int
 (** Reads the shared 8-byte word at the address, from the calling thread's
-    node, faulting (and running protocol actions) as needed. *)
+    node, faulting (and running protocol actions) as needed.
+
+    What a hit costs: the word accessors and {!ensure_access} first make
+    one test on the page's entry on the caller's node.  The access is a
+    hit when the fault-loop limit is not negative, the protocol's
+    {!Protocol.hit_class} has the mode's bit (no [on_local_read] for a
+    read, no [on_local_write] for a write), the entry's rights allow the
+    mode and the page is not pinned by a just-completed fault.  A hit
+    costs the caller's thread lookup, the entry lookup and the frame
+    access; it takes no simulated time unless the protocol is
+    [Inline_check], whose hits count one check and charge
+    [inline_check_us] each.  It allocates nothing unless history is on,
+    and then records the op with [start = finish = now].  Every other
+    access takes the general path: the fault loop, unpinning, the
+    protocol's access hooks and the history window. *)
 
 val write_int : t -> int -> int -> unit
 val read_byte : t -> int -> int

@@ -41,31 +41,58 @@ type 'rt t = {
   on_page_init : ('rt -> node:int -> page:int -> unit) option;
 }
 
-type 'rt registry = { mutable protocols : 'rt t array }
+(* Ids [0, count) are registered; [classes.(id)] is the hit class of
+   [protocols.(id)], computed once at registration (records are
+   immutable).  Both arrays grow by doubling ([Dense.ensure]) from room
+   for 16, so registering the built-in protocols allocates each once;
+   slots from [count] on are filler. *)
+type 'rt registry = {
+  mutable protocols : 'rt t array;
+  mutable classes : int array;
+  mutable count : int;
+}
 
 let no_action _ ~node:_ ~lock:_ = ()
-let create_registry () = { protocols = [||] }
+let create_registry () = { protocols = [||]; classes = [||]; count = 0 }
+
+let read_hits = 1
+let write_hits = 2
+let inline_hits = 4
+
+let class_of proto =
+  (match proto.on_local_read with None -> read_hits | Some _ -> 0)
+  lor (match proto.on_local_write with None -> write_hits | Some _ -> 0)
+  lor match proto.detection with Inline_check -> inline_hits | Page_fault -> 0
 
 let register reg proto =
-  let id = Array.length reg.protocols in
-  reg.protocols <- Array.append reg.protocols [| proto |];
+  let id = reg.count in
+  if id = Array.length reg.protocols then begin
+    reg.protocols <- Dense.ensure reg.protocols (max id 15) proto;
+    reg.classes <- Dense.ensure reg.classes (max id 15) 0
+  end;
+  reg.protocols.(id) <- proto;
+  reg.classes.(id) <- class_of proto;
+  reg.count <- id + 1;
   id
 
 let[@inline never] unknown_id id =
   invalid_arg (Printf.sprintf "Protocol.find: unknown protocol id %d" id)
 
 let[@inline] find reg id =
-  if id < 0 || id >= Array.length reg.protocols then unknown_id id;
+  if id < 0 || id >= reg.count then unknown_id id;
   Array.unsafe_get reg.protocols id
+
+let[@inline] hit_class reg id =
+  if id < 0 || id >= reg.count then unknown_id id;
+  Array.unsafe_get reg.classes id
 
 let find_by_name reg name =
   let rec search i =
-    if i >= Array.length reg.protocols then None
+    if i >= reg.count then None
     else if String.equal reg.protocols.(i).name name then Some (i, reg.protocols.(i))
     else search (i + 1)
   in
   search 0
 
-let count reg = Array.length reg.protocols
-
-let all reg = Array.to_list (Array.mapi (fun i p -> (i, p)) reg.protocols)
+let count reg = reg.count
+let all reg = List.init reg.count (fun i -> (i, reg.protocols.(i)))

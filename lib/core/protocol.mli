@@ -116,6 +116,26 @@ val register : 'rt registry -> 'rt t -> int
 val find : 'rt registry -> int -> 'rt t
 (** @raise Invalid_argument on an unknown id. *)
 
+val read_hits : int
+val write_hits : int
+val inline_hits : int
+
+val hit_class : 'rt registry -> int -> int
+(** The hit class of a registered protocol: which accesses the core may
+    complete on its own, without the protocol record.  Computed once by
+    {!register} from the record, so reading it is one array load.  The
+    class is the [lor] of up to three bits:
+
+    - [read_hits]: [on_local_read = None], so a read the rights allow
+      needs nothing from the protocol;
+    - [write_hits]: [on_local_write = None], the same for writes;
+    - [inline_hits]: [detection = Inline_check], so every access is a
+      counted, charged locality check.
+
+    [Dsm]'s hit test (see {!Dsm.read_int}) completes an access on its own
+    only when the class has the access mode's bit.
+    @raise Invalid_argument on an unknown id. *)
+
 val find_by_name : 'rt registry -> string -> (int * 'rt t) option
 val count : 'rt registry -> int
 val all : 'rt registry -> (int * 'rt t) list

@@ -69,93 +69,68 @@ let install_page rt ~node (msg : Protocol.page_message) =
   let e = Runtime.entry rt ~node ~page:msg.Protocol.page in
   e.rights <- msg.Protocol.grant
 
-let invalidate_copies_many rt ~pages_by_target =
-  let node = Runtime.self_node rt in
-  let marcel = Runtime.marcel rt in
-  let merged = Hashtbl.create 8 in
-  List.iter
-    (fun (target, pages) ->
-      if target <> node then
-        Hashtbl.replace merged target
-          (List.rev_append pages
-             (Option.value ~default:[] (Hashtbl.find_opt merged target))))
-    pages_by_target;
-  let batches =
-    Hashtbl.fold
-      (fun target pages acc ->
-        match List.sort_uniq Int.compare pages with
-        | [] -> acc
-        | pages -> (target, pages) :: acc)
-      merged []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+(* The runs of equal keys in [sorted], a key-sorted pair list, as
+   [(key, values)] with the values in list order. *)
+let runs sorted =
+  let rec run key vs = function
+    | (k, v) :: rest when Int.equal k key -> run key (v :: vs) rest
+    | rest -> ((key, List.rev vs), rest)
   in
+  let rec go acc = function
+    | [] -> List.rev acc
+    | (key, v) :: rest ->
+        let batch, rest = run key [ v ] rest in
+        go (batch :: acc) rest
+  in
+  go [] sorted
+
+let compare_pair (t1, p1) (t2, p2) =
+  let c = Int.compare t1 t2 in
+  if c <> 0 then c else Int.compare p1 p2
+
+let invalidation_batches ~self copies =
+  runs (List.sort_uniq compare_pair (List.filter (fun (target, _) -> target <> self) copies))
+
+let group_by_key pairs = runs (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) pairs)
+
+(* Sends every batch with [send]: one batch from the calling thread,
+   several from helper threads on [node], spawned in batch order, then
+   waits for them all. *)
+let fan_out rt ~node send = function
+  | [] -> ()
+  | [ batch ] -> send batch
+  | batches ->
+      let marcel = Runtime.marcel rt in
+      let helpers =
+        List.map (fun batch -> Marcel.spawn marcel ~node (fun () -> send batch)) batches
+      in
+      List.iter (fun th -> Marcel.join marcel th) helpers
+
+let invalidate_copies_many rt ~copies =
+  let node = Runtime.self_node rt in
   (* Helper threads have their own tids, so the caller's span would be lost;
      capture it here and thread it through explicitly. *)
   let span = Monitor.current_span rt in
-  match batches with
-  | [] -> ()
-  | [ (target, pages) ] -> Dsm_comm.call_invalidate_batch rt ~span ~to_:target ~pages ()
-  | batches ->
-      let helpers =
-        List.map
-          (fun (target, pages) ->
-            Marcel.spawn marcel ~node (fun () ->
-                Dsm_comm.call_invalidate_batch rt ~span ~to_:target ~pages ()))
-          batches
-      in
-      List.iter (fun th -> Marcel.join marcel th) helpers
+  fan_out rt ~node
+    (fun (target, pages) -> Dsm_comm.call_invalidate_batch rt ~span ~to_:target ~pages ())
+    (invalidation_batches ~self:node copies)
 
 let invalidate_copies rt ~page ~targets =
-  invalidate_copies_many rt
-    ~pages_by_target:
-      (List.map (fun target -> (target, [ page ])) (List.sort_uniq Int.compare targets))
+  invalidate_copies_many rt ~copies:(List.map (fun target -> (target, page)) targets)
 
 let send_diffs_grouped rt ~release diffs_with_home =
-  let node = Runtime.self_node rt in
-  let marcel = Runtime.marcel rt in
-  let by_home = Hashtbl.create 4 in
-  List.iter
-    (fun (home, d) ->
-      Hashtbl.replace by_home home
-        (d :: Option.value ~default:[] (Hashtbl.find_opt by_home home)))
-    diffs_with_home;
-  let batches =
-    Hashtbl.fold (fun home diffs acc -> (home, List.rev diffs) :: acc) by_home []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
-  match batches with
-  | [] -> ()
-  | [ (home, diffs) ] -> Dsm_comm.call_diffs rt ~to_:home ~diffs ~release
-  | batches ->
-      let helpers =
-        List.map
-          (fun (home, diffs) ->
-            Marcel.spawn marcel ~node (fun () ->
-                Dsm_comm.call_diffs rt ~to_:home ~diffs ~release))
-          batches
-      in
-      List.iter (fun th -> Marcel.join marcel th) helpers
+  fan_out rt ~node:(Runtime.self_node rt)
+    (fun (home, diffs) -> Dsm_comm.call_diffs rt ~to_:home ~diffs ~release)
+    (group_by_key diffs_with_home)
 
 let push_diffs rt ~targets ~diffs ~release =
   let node = Runtime.self_node rt in
-  let marcel = Runtime.marcel rt in
   let targets =
     match targets with
     | [ target ] -> if target = node then [] else targets
     | _ -> List.sort_uniq Int.compare (List.filter (fun n -> n <> node) targets)
   in
-  match targets with
-  | [] -> ()
-  | [ target ] -> Dsm_comm.call_diffs rt ~to_:target ~diffs ~release
-  | targets ->
-      let helpers =
-        List.map
-          (fun target ->
-            Marcel.spawn marcel ~node (fun () ->
-                Dsm_comm.call_diffs rt ~to_:target ~diffs ~release))
-          targets
-      in
-      List.iter (fun th -> Marcel.join marcel th) helpers
+  fan_out rt ~node (fun target -> Dsm_comm.call_diffs rt ~to_:target ~diffs ~release) targets
 
 let drop_copy rt ~node ~page =
   let e = Runtime.entry rt ~node ~page in

@@ -60,19 +60,27 @@ val invalidate_copies : Runtime.t -> page:int -> targets:int list -> unit
 (** Invalidates [targets] in parallel and waits for all acks.  The calling
     node is filtered out. *)
 
-val invalidate_copies_many :
-  Runtime.t -> pages_by_target:(int * int list) list -> unit
-(** Batched invalidation: for each [(target, pages)] association, sends a
-    {e single} invalidation RPC carrying the whole page list, all targets in
+val invalidate_copies_many : Runtime.t -> copies:(int * int) list -> unit
+(** Batched invalidation of [(target, page)] copies: sends each target a
+    {e single} invalidation RPC carrying all its pages, all targets in
     parallel, and waits for every ack — O(copyset) messages per release
-    instead of O(pages x copyset).  The calling node is filtered out,
-    duplicate targets are merged, duplicate pages deduplicated, and empty
-    page lists dropped.  Must not be called with any target's entry mutex
-    held (the invalidated node may flush diffs back). *)
+    instead of O(pages x copyset).  The batches are
+    {!invalidation_batches} of the calling node.  Must not be called with
+    any target's entry mutex held (the invalidated node may flush diffs
+    back). *)
+
+val invalidation_batches : self:int -> (int * int) list -> (int * int list) list
+(** The batches {!invalidate_copies_many} sends from node [self]: one per
+    target other than [self], targets ascending, each with its pages
+    ascending and without duplicates.  One sort of the pairs. *)
+
+val group_by_key : (int * 'a) list -> (int * 'a list) list
+(** Groups pairs by key, keys ascending, each group's values in input
+    order: one stable sort of the pairs. *)
 
 val send_diffs_grouped : Runtime.t -> release:bool -> (int * Diff.t) list -> unit
-(** Groups [(home, diff)] pairs by home and sends each home {e one}
-    release-path diffs message (all homes in parallel), waiting for every
+(** Groups [(home, diff)] pairs by home ({!group_by_key}) and sends each
+    home {e one} diffs message (all homes in parallel), waiting for every
     ack.  Diff order per home follows the input order. *)
 
 val push_diffs : Runtime.t -> targets:int list -> diffs:Diff.t list -> release:bool -> unit

@@ -143,29 +143,22 @@ let receive_page_server rt ~node ~msg =
 let lock_release rt ~node ~lock:_ =
   let s = state rt ~node in
   let written = List.sort Int.compare s.written in
-  let by_target = Hashtbl.create 8 in
-  List.iter
-    (fun page ->
-      let e = Runtime.entry rt ~node ~page in
-      Protocol_lib.with_entry rt e (fun () ->
-          if e.Page_table.copyset <> [] then begin
-            List.iter
-              (fun target ->
-                Hashtbl.replace by_target target
-                  (page
-                  :: Option.value ~default:[] (Hashtbl.find_opt by_target target)))
-              e.Page_table.copyset;
-            e.Page_table.copyset <- []
-          end))
-    written;
+  let copies =
+    List.concat_map
+      (fun page ->
+        let e = Runtime.entry rt ~node ~page in
+        Protocol_lib.with_entry rt e (fun () ->
+            let copies = List.map (fun target -> (target, page)) e.Page_table.copyset in
+            e.Page_table.copyset <- [];
+            copies))
+      written
+  in
   (* Cleared only after the collection loop: a server fiber migrating one of
      these pages away mid-release must still see it as written so it retains
      the copyset (see [write_server]) instead of shipping our invalidation
      obligation to the new owner. *)
   s.written <- List.filter (fun p -> not (List.mem p written)) s.written;
-  Protocol_lib.invalidate_copies_many rt
-    ~pages_by_target:
-      (Hashtbl.fold (fun target pages acc -> (target, pages) :: acc) by_target [])
+  Protocol_lib.invalidate_copies_many rt ~copies
 
 let protocol =
   {

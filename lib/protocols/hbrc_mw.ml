@@ -160,29 +160,21 @@ let lock_acquire rt ~node ~lock:_ =
 let on_diffs_batch rt ~node ~diffs ~sender ~release =
   List.iter (fun diff -> Dsm_comm.apply_diff_locally rt ~node diff) diffs;
   if release then begin
-    let by_target = Hashtbl.create 8 in
-    List.iter
-      (fun diff ->
-        let page = diff.Diff.page in
-        let e = Runtime.entry rt ~node ~page in
-        let targets =
+    let copies =
+      List.concat_map
+        (fun diff ->
+          let page = diff.Diff.page in
+          let e = Runtime.entry rt ~node ~page in
           Protocol_lib.with_entry rt e (fun () ->
-              let t =
+              let targets =
                 List.filter (fun n -> n <> sender && n <> node) e.Page_table.copyset
               in
               e.Page_table.copyset <-
                 (if List.mem sender e.Page_table.copyset then [ sender ] else []);
-              t)
-        in
-        List.iter
-          (fun target ->
-            Hashtbl.replace by_target target
-              (page :: Option.value ~default:[] (Hashtbl.find_opt by_target target)))
-          targets)
-      diffs;
-    Protocol_lib.invalidate_copies_many rt
-      ~pages_by_target:
-        (Hashtbl.fold (fun target pages acc -> (target, pages) :: acc) by_target [])
+              List.map (fun target -> (target, page)) targets))
+        diffs
+    in
+    Protocol_lib.invalidate_copies_many rt ~copies
   end
 
 let register_diff_handler rt ~protocol =

@@ -149,6 +149,56 @@ let prop_tables_match_model =
       in
       List.for_all step ops)
 
+(* --- batched invalidations and diffs: one grouping --- *)
+
+(* The grouping [invalidate_copies_many] and [send_diffs_grouped] did with
+   per-call hash tables, kept as the model: the batches, their order and
+   so the RPC order must not move. *)
+let model_invalidation_batches ~self pages_by_target =
+  let merged = Hashtbl.create 8 in
+  List.iter
+    (fun (target, pages) ->
+      if target <> self then
+        Hashtbl.replace merged target
+          (List.rev_append pages (Option.value ~default:[] (Hashtbl.find_opt merged target))))
+    pages_by_target;
+  Hashtbl.fold
+    (fun target pages acc ->
+      match List.sort_uniq Int.compare pages with [] -> acc | pages -> (target, pages) :: acc)
+    merged []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+let model_group_by_key pairs =
+  let by_key = Hashtbl.create 4 in
+  List.iter
+    (fun (k, v) ->
+      Hashtbl.replace by_key k (v :: Option.value ~default:[] (Hashtbl.find_opt by_key k)))
+    pairs;
+  Hashtbl.fold (fun k vs acc -> (k, List.rev vs) :: acc) by_key []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+let gen_pairs = QCheck.(list_of_size Gen.(int_range 0 40) (pair (int_range 0 5) (int_range 0 12)))
+
+let prop_invalidation_batches =
+  QCheck.Test.make ~name:"invalidation batches match the hash-table grouping" ~count:300
+    QCheck.(pair (int_range 0 5) gen_pairs)
+    (fun (self, copies) ->
+      Protocol_lib.invalidation_batches ~self copies
+      = model_invalidation_batches ~self (List.map (fun (t, p) -> (t, [ p ])) copies))
+
+let prop_group_by_key =
+  QCheck.Test.make ~name:"diff batches match the hash-table grouping" ~count:300 gen_pairs
+    (fun pairs -> Protocol_lib.group_by_key pairs = model_group_by_key pairs)
+
+let test_batches_example () =
+  Alcotest.(check (list (pair int (list int)))) "targets ascending, pages sorted, self dropped"
+    [ (0, [ 3; 5 ]); (2, [ 1; 4 ]) ]
+    (Protocol_lib.invalidation_batches ~self:1
+       [ (2, 4); (0, 5); (1, 9); (2, 1); (0, 3); (2, 4) ]);
+  Alcotest.(check (list (pair int (list string)))) "values in input order"
+    [ (0, [ "b"; "d" ]); (3, [ "a"; "c" ]) ]
+    (Protocol_lib.group_by_key [ (3, "a"); (0, "b"); (3, "c"); (0, "d") ])
+
 (* --- allocation --- *)
 
 let test_malloc_round_robin_homes () =
@@ -280,12 +330,219 @@ let test_inline_check_hit_allocates_nothing () =
   let reads =
     words_per_call dsm ~node:0 ~n (fun i -> ignore (Dsm.read_int dsm (x + ((i land 511) * 8))))
   in
+  let ensures =
+    words_per_call dsm ~node:0 ~n (fun i ->
+        Dsm.ensure_access dsm ~addr:(x + ((i land 511) * 8)) ~mode:Access.Read)
+  in
   Alcotest.(check bool) (Printf.sprintf "java_ic read hit: %.2f words" reads) true (reads < 1.);
-  Alcotest.(check int) "one inline check per access" (16 + n) (checks ());
+  Alcotest.(check bool) (Printf.sprintf "java_ic ensure_access hit: %.2f words" ensures) true
+    (ensures < 1.);
+  Alcotest.(check int) "one inline check per access" (2 * (16 + n)) (checks ());
   (* The deferred check ticks are paid in full: every check is charged. *)
   Alcotest.(check (float 1e-6)) "checks charged"
-    (float_of_int (16 + n) *. Runtime.default_costs.Runtime.inline_check_us)
+    (float_of_int (2 * (16 + n)) *. Runtime.default_costs.Runtime.inline_check_us)
     (Dsm.now_us dsm)
+
+(* --- the hit test: every access it refuses takes the general path --- *)
+
+let count dsm name = Stats.count (Dsm.stats dsm) name
+let page_of dsm addr = Page.page_of_addr (dsm : Dsm.t).Runtime.geo addr
+
+(* [f]'s simulated duration, run in a thread on [node]. *)
+let timed dsm ~node f =
+  let took = ref nan in
+  run_one dsm ~node (fun () ->
+      let t0 = Dsm.now_us dsm in
+      f ();
+      took := Dsm.now_us dsm -. t0);
+  !took
+
+let test_hit_class_bits () =
+  let dsm, ids = make () in
+  let extras = Builtin.register_extras dsm in
+  let cls id = Protocol.hit_class dsm.Runtime.registry id in
+  let both = Protocol.read_hits lor Protocol.write_hits in
+  Alcotest.(check int) "li_hudak" both (cls ids.Builtin.li_hudak);
+  Alcotest.(check int) "hbrc_mw" both (cls ids.Builtin.hbrc_mw);
+  Alcotest.(check int) "java_ic: reads, inline" (Protocol.read_hits lor Protocol.inline_hits)
+    (cls ids.Builtin.java_ic);
+  Alcotest.(check int) "java_pf: reads" Protocol.read_hits (cls ids.Builtin.java_pf);
+  Alcotest.(check int) "write_update: reads" Protocol.read_hits
+    (cls extras.Builtin.write_update);
+  Alcotest.(check int) "sc_abd: none" 0 (cls extras.Builtin.sc_abd);
+  Alcotest.check_raises "unknown id"
+    (Invalid_argument "Protocol.find: unknown protocol id 99") (fun () ->
+      ignore (cls 99))
+
+let test_write_to_read_only_faults () =
+  let dsm, _ = make ~nodes:2 () in
+  let x = Dsm.malloc dsm ~home:(Dsm.On_node 1) 8 in
+  run_one dsm ~node:1 (fun () -> Dsm.write_int dsm x 3);
+  Alcotest.(check (float 0.5)) "read fault: Table 3 total" 198.
+    (timed dsm ~node:0 (fun () -> Alcotest.(check int) "read" 3 (Dsm.read_int dsm x)));
+  Alcotest.check access "read copy" Access.Read_only (Dsm.unsafe_rights dsm ~node:0 ~addr:x);
+  let write = timed dsm ~node:0 (fun () -> Dsm.write_int dsm x 4) in
+  Alcotest.(check bool) (Printf.sprintf "write faults: %.1f us" write) true (write > 11.);
+  Alcotest.(check int) "one read fault" 1 (count dsm Instrument.read_faults);
+  Alcotest.(check int) "one write fault" 1 (count dsm Instrument.write_faults);
+  Alcotest.(check int) "written" 4 (Dsm.unsafe_peek dsm ~node:0 x);
+  Alcotest.(check (float 0.)) "then a hit" 0.
+    (timed dsm ~node:0 (fun () -> Alcotest.(check int) "read back" 4 (Dsm.read_int dsm x)));
+  Alcotest.(check int) "no more faults" 2
+    (count dsm Instrument.read_faults + count dsm Instrument.write_faults)
+
+let test_invalidated_page_faults () =
+  let dsm, _ = make ~nodes:2 () in
+  let x = Dsm.malloc dsm ~home:(Dsm.On_node 1) 8 in
+  run_one dsm ~node:0 (fun () -> ignore (Dsm.read_int dsm x));
+  Alcotest.(check (float 0.)) "cached read hits" 0.
+    (timed dsm ~node:0 (fun () -> ignore (Dsm.read_int dsm x)));
+  run_one dsm ~node:1 (fun () -> Dsm.write_int dsm x 9);
+  Alcotest.check access "invalidated" Access.No_access (Dsm.unsafe_rights dsm ~node:0 ~addr:x);
+  Alcotest.(check (float 0.5)) "the next read faults" 198.
+    (timed dsm ~node:0 (fun () -> Alcotest.(check int) "fresh value" 9 (Dsm.read_int dsm x)));
+  Alcotest.(check int) "two read faults" 2 (count dsm Instrument.read_faults)
+
+let test_access_after_fault_unpins () =
+  let dsm, _ = make ~nodes:2 () in
+  let x = Dsm.malloc dsm ~home:(Dsm.On_node 0) 8 in
+  let e = Runtime.entry dsm ~node:0 ~page:(page_of dsm x) in
+  (* A remote fault's retry unpins the page it fetched. *)
+  let y = Dsm.malloc dsm ~home:(Dsm.On_node 1) 8 in
+  run_one dsm ~node:0 (fun () -> ignore (Dsm.read_int dsm y));
+  Alcotest.(check bool) "fetched page unpinned" false
+    (Runtime.entry dsm ~node:0 ~page:(page_of dsm y)).Page_table.pinned;
+  (* A fault that just completed on [x] leaves it pinned, with the rights
+     granted: a server waits until the first access. *)
+  run_one dsm ~node:0 (fun () -> Dsm.write_int dsm x 6);
+  e.Page_table.faulting <- true;
+  Protocol_lib.complete_fault dsm e;
+  Alcotest.(check bool) "pinned" true e.Page_table.pinned;
+  let woke = ref nan and read = ref 0 in
+  ignore
+    (Dsm.spawn dsm ~node:0 (fun () ->
+         Protocol_lib.with_entry dsm e (fun () ->
+             Protocol_lib.wait_for_service dsm e;
+             woke := Dsm.now_us dsm)));
+  ignore
+    (Dsm.spawn dsm ~node:0 (fun () ->
+         Dsm.compute dsm 5.;
+         read := Dsm.read_int dsm x));
+  let t0 = Dsm.now_us dsm in
+  Dsm.run dsm;
+  Alcotest.(check int) "value" 6 !read;
+  Alcotest.(check bool) "unpinned" false e.Page_table.pinned;
+  Alcotest.(check (float 1e-6)) "server woken by the access" 5. (!woke -. t0);
+  Alcotest.(check int) "no fault on x" 1 (count dsm Instrument.read_faults);
+  Alcotest.(check int) "no write fault" 0 (count dsm Instrument.write_faults)
+
+let test_write_update_owner_pushes () =
+  let dsm, _ = make ~nodes:2 () in
+  let wu = (Builtin.register_extras dsm).Builtin.write_update in
+  let x = Dsm.malloc dsm ~protocol:wu ~home:(Dsm.On_node 0) 8 in
+  run_one dsm ~node:1 (fun () -> ignore (Dsm.read_int dsm x));
+  Alcotest.(check (list int)) "copyset" [ 1 ]
+    (Runtime.entry dsm ~node:0 ~page:(page_of dsm x)).Page_table.copyset;
+  Alcotest.check access "owner writable" Access.Read_write (Dsm.unsafe_rights dsm ~node:0 ~addr:x);
+  let push = timed dsm ~node:0 (fun () -> Dsm.write_int dsm x 11) in
+  Alcotest.(check bool) (Printf.sprintf "the push blocks: %.1f us" push) true (push > 0.);
+  Alcotest.(check int) "replica updated" 11 (Dsm.unsafe_peek dsm ~node:1 x);
+  Alcotest.check access "replica kept" Access.Read_only (Dsm.unsafe_rights dsm ~node:1 ~addr:x);
+  Alcotest.(check int) "no write fault" 0 (count dsm Instrument.write_faults)
+
+let test_sc_abd_read_runs_hook () =
+  let dsm, _ = make ~nodes:3 () in
+  let abd = (Builtin.register_extras dsm).Builtin.sc_abd in
+  let x = Dsm.malloc dsm ~protocol:abd ~home:(Dsm.On_node 0) 8 in
+  (* Rights the protocol has granted and not yet revoked: the read needs
+     no fault, but its hook must still revoke them. *)
+  (Runtime.entry dsm ~node:0 ~page:(page_of dsm x)).Page_table.rights <- Access.Read_only;
+  Alcotest.(check (float 0.)) "no fault" 0.
+    (timed dsm ~node:0 (fun () -> Alcotest.(check int) "value" 0 (Dsm.read_int dsm x)));
+  Alcotest.check access "revoked by on_local_read" Access.No_access
+    (Dsm.unsafe_rights dsm ~node:0 ~addr:x);
+  Alcotest.(check int) "no read fault" 0 (count dsm Instrument.read_faults);
+  let again = timed dsm ~node:0 (fun () -> ignore (Dsm.read_int dsm x)) in
+  Alcotest.(check bool) (Printf.sprintf "next read runs a round: %.1f us" again) true
+    (again > 0.);
+  Alcotest.(check int) "one read fault" 1 (count dsm Instrument.read_faults)
+
+let test_java_ic_checks_counted () =
+  let dsm, ids = make ~nodes:2 () in
+  let x = Dsm.malloc dsm ~protocol:ids.Builtin.java_ic ~home:(Dsm.On_node 0) 64 in
+  let n = 100 in
+  run_one dsm ~node:0 (fun () ->
+      for i = 0 to n - 1 do
+        Dsm.write_int dsm (x + (i land 7 * 8)) i;
+        ignore (Dsm.read_int dsm (x + (i land 7 * 8)))
+      done);
+  let check_us = Runtime.default_costs.Runtime.inline_check_us in
+  Alcotest.(check int) "one check per access" (2 * n) (count dsm Instrument.inline_checks);
+  Alcotest.(check (float 1e-6)) "each check charged" (float_of_int (2 * n) *. check_us)
+    (Dsm.now_us dsm);
+  Alcotest.(check int) "no misses" 0 (count dsm Instrument.check_misses);
+  Alcotest.(check int) "last value" 99 (Dsm.unsafe_peek dsm ~node:0 (x + 24));
+  (* A miss checks once per attempt: the refused one and the retry. *)
+  run_one dsm ~node:1 (fun () -> ignore (Dsm.read_int dsm x));
+  Alcotest.(check int) "one miss" 1 (count dsm Instrument.check_misses);
+  Alcotest.(check int) "two more checks" ((2 * n) + 2) (count dsm Instrument.inline_checks)
+
+let test_switch_protocol_hooks () =
+  let dsm, ids = make ~nodes:2 () in
+  let wu = (Builtin.register_extras dsm).Builtin.write_update in
+  let x = Dsm.malloc dsm ~protocol:ids.Builtin.li_hudak ~home:(Dsm.On_node 0) 8 in
+  (* Node 1 holds a copy, then node 0 writes. *)
+  let round v =
+    run_one dsm ~node:1 (fun () -> ignore (Dsm.read_int dsm x));
+    run_one dsm ~node:0 (fun () -> Dsm.write_int dsm x v)
+  in
+  Dsm.switch_protocol dsm ~addr:x ~size:8 ~protocol:wu;
+  round 1;
+  Alcotest.(check int) "write_update: the hook pushes" 1 (Dsm.unsafe_peek dsm ~node:1 x);
+  Alcotest.check access "copy kept" Access.Read_only (Dsm.unsafe_rights dsm ~node:1 ~addr:x);
+  Dsm.switch_protocol dsm ~addr:x ~size:8 ~protocol:ids.Builtin.li_hudak;
+  round 2;
+  Alcotest.check access "li_hudak: the copy is invalidated" Access.No_access
+    (Dsm.unsafe_rights dsm ~node:1 ~addr:x);
+  Alcotest.(check int) "one write fault (the upgrade)" 1 (count dsm Instrument.write_faults);
+  (* No copies left: the owner's next write is a hit. *)
+  Alcotest.(check (float 0.)) "then a hit" 0.
+    (timed dsm ~node:0 (fun () -> Dsm.write_int dsm x 3));
+  Alcotest.(check int) "value" 3 (Dsm.unsafe_peek dsm ~node:0 x)
+
+let test_history_records_hits_once () =
+  let dsm, _ = make ~nodes:2 () in
+  let hist = Dsm.enable_history dsm in
+  let x = Dsm.malloc dsm ~home:(Dsm.On_node 0) 16 in
+  run_one dsm ~node:0 (fun () ->
+      Dsm.compute dsm 3.;
+      Dsm.write_int dsm x 5;
+      ignore (Dsm.read_int dsm x);
+      Dsm.write_byte dsm (x + 9) 2;
+      ignore (Dsm.read_byte dsm (x + 9)));
+  run_one dsm ~node:1 (fun () -> ignore (Dsm.read_int dsm x));
+  let word = function
+    | History.Read { addr; value } -> (false, addr, value)
+    | History.Write { addr; value } -> (true, addr, value)
+    | _ -> Alcotest.fail "not a word access"
+  in
+  match History.ops hist with
+  | [ w; r; wb; rb; miss ] ->
+      List.iter
+        (fun op ->
+          Alcotest.(check (float 1e-9)) "hit: start = finish = now" 3.
+            (Time.to_us op.History.start);
+          Alcotest.(check (float 1e-9)) "hit: finish" 3. (Time.to_us op.History.finish))
+        [ w; r; wb; rb ];
+      Alcotest.(check (triple bool int int)) "write" (true, x, 5) (word w.History.kind);
+      Alcotest.(check (triple bool int int)) "read" (false, x, 5) (word r.History.kind);
+      Alcotest.(check (triple bool int int)) "byte write: its word" (true, x + 8, 0x200)
+        (word wb.History.kind);
+      Alcotest.(check (triple bool int int)) "byte read: its word" (false, x + 8, 0x200)
+        (word rb.History.kind);
+      Alcotest.(check bool) "a miss spans its fault" true
+        (Time.to_us miss.History.finish -. Time.to_us miss.History.start > 100.)
+  | ops -> Alcotest.failf "expected 5 ops, got %d" (List.length ops)
 
 (* --- single access path: equivalences --- *)
 
@@ -558,15 +815,26 @@ let test_fault_storm_guard () =
 let test_fault_limit_before_rights () =
   (* Each attempt checks the limit before the rights: with a negative
      limit even a hit on a page the node holds is refused, and before any
-     fault is taken. *)
-  let dsm, _ = make ~nodes:2 () in
-  let x = Dsm.malloc dsm ~home:(Dsm.On_node 0) 8 in
-  (dsm : Dsm.t).Runtime.fault_loop_limit <- -1;
-  let attempts = ref None in
-  run_one dsm ~node:0 (fun () ->
-      try ignore (Dsm.read_int dsm x)
-      with Dsm.Fault_storm { attempts = a; _ } -> attempts := Some a);
-  Alcotest.(check (option int)) "refused at the first attempt" (Some 0) !attempts
+     fault is taken or any inline check counted. *)
+  List.iter
+    (fun protocol_of ->
+      let dsm, ids = make ~nodes:2 () in
+      let protocol = protocol_of ids in
+      let name = Dsm.protocol_name dsm protocol in
+      let x = Dsm.malloc dsm ~protocol ~home:(Dsm.On_node 0) 8 in
+      (dsm : Dsm.t).Runtime.fault_loop_limit <- -1;
+      let refused access =
+        let attempts = ref None in
+        run_one dsm ~node:0 (fun () ->
+            try access () with Dsm.Fault_storm { attempts = a; _ } -> attempts := Some a);
+        Alcotest.(check (option int)) (name ^ ": refused at the first attempt") (Some 0)
+          !attempts
+      in
+      refused (fun () -> ignore (Dsm.read_int dsm x));
+      refused (fun () -> Dsm.ensure_access dsm ~addr:x ~mode:Access.Read);
+      Alcotest.(check int) (name ^ ": nothing counted") 0
+        (count dsm Instrument.inline_checks + count dsm Instrument.read_faults))
+    [ (fun ids -> ids.Builtin.li_hudak); (fun ids -> ids.Builtin.java_ic) ]
 
 let test_ensure_access_public_path () =
   (* The compiler-target entry point: after ensure_access, the access is
@@ -634,6 +902,25 @@ let () =
             test_migrating_read_records_new_node;
           Alcotest.test_case "history is observation-only" `Quick
             test_history_is_observation_only;
+        ] );
+      ( "hit test",
+        [
+          Alcotest.test_case "hit class bits" `Quick test_hit_class_bits;
+          Alcotest.test_case "write to read-only faults" `Quick test_write_to_read_only_faults;
+          Alcotest.test_case "invalidated page faults" `Quick test_invalidated_page_faults;
+          Alcotest.test_case "access after fault unpins" `Quick test_access_after_fault_unpins;
+          Alcotest.test_case "write_update owner pushes" `Quick test_write_update_owner_pushes;
+          Alcotest.test_case "sc_abd read runs its hook" `Quick test_sc_abd_read_runs_hook;
+          Alcotest.test_case "java_ic checks counted" `Quick test_java_ic_checks_counted;
+          Alcotest.test_case "switch_protocol hooks" `Quick test_switch_protocol_hooks;
+          Alcotest.test_case "history records hits once" `Quick
+            test_history_records_hits_once;
+        ] );
+      ( "batches",
+        [
+          Alcotest.test_case "example" `Quick test_batches_example;
+          QCheck_alcotest.to_alcotest prop_invalidation_batches;
+          QCheck_alcotest.to_alcotest prop_group_by_key;
         ] );
       ( "locks",
         [
