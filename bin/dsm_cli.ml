@@ -446,159 +446,105 @@ let check_cmd =
                    (List.map Conformance.workload_name Conformance.workloads));
               exit 2)
     in
-    if faults then begin
-      (* The same grid under seeded crash/loss schedules.  With
-         --expect-vulnerable the sweep is the CI smoke for the legacy
-         protocols: it succeeds only when every swept protocol visibly
-         fails (stall or typed crash) AND the watchdog attributed the
-         failure with a typed fault alert — loud failure, never silent
-         corruption. *)
-      let spec =
-        {
-          Conformance.default_fault_spec with
-          Conformance.f_loss_pct = loss;
-          f_crashes = crashes;
-        }
-      in
-      let progress =
-        if verbose then fun cell -> Format.fprintf ppf "  done %s@." cell
-        else fun _ -> ()
-      in
-      (* With --explain every failing outcome's violations are run through
-         the blame engine; explanations land next to the run as
-         explain_<proto>_<workload>_seed<N>.json/.dot artifacts.  An
-         explanation whose causal chain is empty means the forensics lost
-         the thread back to the injected fault — that is itself a failure. *)
-      let empty_chains = ref [] in
-      let on_failure protocol (o : Conformance.fault_outcome) =
-        match o.Conformance.fo_explanations with
-        | [] -> ()
-        | xs ->
-            let base =
-              Printf.sprintf "explain_%s_%s_seed%d" protocol
-                o.Conformance.fo_workload o.Conformance.fo_seed
-            in
-            Json.to_file (base ^ ".json")
-              (Json.List (List.map Explain.to_json xs));
-            to_formatter (base ^ ".dot") (fun fmt ->
-                Explain.to_dot fmt (List.hd xs));
-            List.iter
-              (fun x ->
-                if verbose then Format.fprintf ppf "%a@." Explain.to_text x;
-                if Explain.causes x = [] then
-                  empty_chains :=
-                    (protocol, o.Conformance.fo_seed) :: !empty_chains)
-              xs;
-            Format.fprintf ppf "explain: wrote %s.json and %s.dot (%d explanation(s))@."
-              base base (List.length xs)
-      in
-      let verdicts =
-        Conformance.fault_sweep ~protocols ~workload_list ~spec ~progress
-          ~explain ~on_failure ~seeds ()
-      in
-      Conformance.print_faults ppf verdicts;
-      experiment_obs obs ~name:"check-faults"
-        (Conformance.faults_to_json verdicts);
-      if explain && !empty_chains <> [] then begin
-        List.iter
-          (fun (p, s) ->
-            Format.fprintf ppf
-              "explain: %s seed %d: violation with an empty causal chain — \
-               the blame engine reached no injected fault@."
-              p s)
-          (List.rev !empty_chains);
-        exit 1
+    (* Fault tolerance is a protocol property, not a driver-latency one, so
+       the fault sweep runs one driver. *)
+    let spec, drivers =
+      if faults then
+        ( {
+            Conformance.default_fault_spec with
+            Conformance.f_loss_pct = loss;
+            f_crashes = crashes;
+          },
+          [ Dsmpm2_net.Driver.bip_myrinet ] )
+      else (Conformance.no_faults, Dsmpm2_net.Driver.all)
+    in
+    let seeds =
+      match replay with Some seed -> [ seed ] | None -> List.init seeds Fun.id
+    in
+    let progress =
+      if verbose then fun cell -> Format.fprintf ppf "  done %s@." cell
+      else fun _ -> ()
+    in
+    (* A replay prints each failing run in full, with the analyzer's view
+       of that run's own trace.  With --explain every failing run's
+       explanations land next to it as
+       explain_<proto>_<workload>_seed<N>.json/.dot; an explanation whose
+       causal chain is empty means the forensics lost the thread back to
+       the injected fault, which is itself a failure. *)
+    let empty_chains = ref [] in
+    let on_failure protocol (o : Conformance.outcome) dsm =
+      if replay <> None then begin
+        Format.fprintf ppf "%s:@." protocol;
+        Conformance.print_outcome ppf o;
+        Analyze.report ~sections:[ `Alerts; `Critical; `Pages ] ppf
+          (Analyze.analyze ~top:3 (Monitor.trace dsm))
       end;
-      if expect_vulnerable then begin
-        let fault_kinds =
-          [ "node.dead"; "node.restart"; "node.partitioned"; "rpc.retry_storm" ]
-        in
-        let shielded =
-          List.filter
-            (fun v ->
-              v.Conformance.fv_failures = 0
-              || not
-                   (List.exists
-                      (fun k -> List.mem k v.Conformance.fv_alert_kinds)
-                      fault_kinds))
-            verdicts
-        in
-        match shielded with
-        | [] ->
-            Format.fprintf ppf
-              "all %d protocols failed visibly with typed fault alerts, as \
-               expected@."
-              (List.length verdicts)
-        | vs ->
-            List.iter
-              (fun v ->
-                Format.fprintf ppf
-                  "%s: expected a visible fault-induced failure with a typed \
-                   alert, got %d failures (alerts: %s)@."
-                  v.Conformance.fv_protocol v.Conformance.fv_failures
-                  (String.concat ", " v.Conformance.fv_alert_kinds))
-              vs;
-            exit 1
-      end
-      else if Conformance.faults_failed verdicts then exit 1
+      match o.Conformance.o_explanations with
+      | [] -> ()
+      | xs ->
+          let base =
+            Printf.sprintf "explain_%s_%s_seed%d" protocol
+              o.Conformance.o_workload o.Conformance.o_seed
+          in
+          Json.to_file (base ^ ".json") (Json.List (List.map Explain.to_json xs));
+          to_formatter (base ^ ".dot") (fun fmt -> Explain.to_dot fmt (List.hd xs));
+          List.iter
+            (fun x ->
+              if verbose then Format.fprintf ppf "%a@." Explain.to_text x;
+              if Explain.causes x = [] then
+                empty_chains := (protocol, o.Conformance.o_seed) :: !empty_chains)
+            xs;
+          Format.fprintf ppf "explain: wrote %s.json and %s.dot (%d explanation(s))@."
+            base base (List.length xs)
+    in
+    let verdicts =
+      Conformance.sweep ~protocols ~drivers ~workload_list ~spec ~explain
+        ~progress ~on_failure ~seeds ()
+    in
+    Conformance.print ~spec ppf verdicts;
+    experiment_obs obs ~name:"check" (Conformance.to_json verdicts);
+    if !empty_chains <> [] then begin
+      List.iter
+        (fun (p, s) ->
+          Format.fprintf ppf
+            "explain: %s seed %d: violation with an empty causal chain — the \
+             blame engine reached no injected fault@."
+            p s)
+        (List.rev !empty_chains);
+      exit 1
+    end;
+    (* --expect-vulnerable is the CI smoke for the legacy protocols: it
+       succeeds only when every swept protocol visibly fails (stall, typed
+       crash or violation) AND the watchdog attributed the failure with a
+       typed fault alert — loud failure, never silent corruption. *)
+    if expect_vulnerable then begin
+      let fault_kinds =
+        [ "node.dead"; "node.restart"; "node.partitioned"; "rpc.retry_storm" ]
+      in
+      let shielded =
+        List.filter
+          (fun v ->
+            v.Conformance.v_failures = 0
+            || not
+                 (List.exists
+                    (fun k -> List.mem k v.Conformance.v_alert_kinds)
+                    fault_kinds))
+          verdicts
+      in
+      List.iter
+        (fun v ->
+          Format.fprintf ppf
+            "%s: expected a visible fault-induced failure with a typed alert, \
+             got %d failures (alerts: %s)@."
+            v.Conformance.v_protocol v.Conformance.v_failures
+            (String.concat ", " v.Conformance.v_alert_kinds))
+        shielded;
+      if shielded <> [] then exit 1;
+      Format.fprintf ppf
+        "all %d protocols failed visibly with typed fault alerts, as expected@."
+        (List.length verdicts)
     end
-    else
-    match replay with
-    | Some seed ->
-        (* Replay one seed across the selected grid and dump each failing
-           outcome in full — the debugging entry point for a sweep failure. *)
-        let any = ref false in
-        List.iter
-          (fun protocol ->
-            List.iter
-              (fun driver ->
-                List.iter
-                  (fun workload ->
-                    let o = Conformance.run_one ~protocol ~driver ~workload ~seed in
-                    if Conformance.outcome_failed o || verbose then begin
-                      Format.fprintf ppf "%s / %s / %s / seed %d: %s@." protocol
-                        driver.Dsmpm2_net.Driver.name
-                        (Conformance.workload_name workload)
-                        seed
-                        (if Conformance.outcome_failed o then "FAIL" else "pass");
-                      if Conformance.outcome_failed o then begin
-                        any := true;
-                        (match o.Conformance.o_wrong_result with
-                        | Some msg -> Format.fprintf ppf "  wrong result: %s@." msg
-                        | None -> ());
-                        List.iter
-                          (fun v ->
-                            Format.fprintf ppf "  %s@."
-                              (History.violation_to_string v))
-                          o.Conformance.o_violations;
-                        (* Re-run the same schedule with monitoring on and
-                           show what the failing run actually did: its fault
-                           critical paths and per-page profiles. *)
-                        let _, dsm =
-                          Conformance.run_one_traced ~protocol ~driver ~workload
-                            ~seed
-                        in
-                        Analyze.report
-                          ~sections:[ `Alerts; `Critical; `Pages ]
-                          ppf
-                          (Analyze.analyze ~top:3 (Monitor.trace dsm))
-                      end
-                    end)
-                  workload_list)
-              Dsmpm2_net.Driver.all)
-          protocols;
-        if !any then exit 1
-    | None ->
-        let progress =
-          if verbose then fun cell -> Format.fprintf ppf "  done %s@." cell
-          else fun _ -> ()
-        in
-        let verdicts =
-          Conformance.sweep ~protocols ~workload_list ~progress ~seeds ()
-        in
-        Conformance.print ppf verdicts;
-        experiment_obs obs ~name:"check" (Conformance.to_json verdicts);
-        if Conformance.failed verdicts then exit 1
+    else if Conformance.failed verdicts then exit 1
   in
   let seeds =
     Arg.(
@@ -623,7 +569,10 @@ let check_cmd =
       value
       & opt (some int) None
       & info [ "replay" ] ~docv:"SEED"
-          ~doc:"Replay one seed and print failing traces instead of sweeping.")
+          ~doc:
+            "Run only seed $(docv) (under that seed's fault plan with \
+             $(b,--faults)) and print each failing run in full with the \
+             analyzer's report on its trace.")
   in
   let verbose =
     Arg.(value & flag & info [ "verbose" ] ~doc:"Print per-cell progress.")
@@ -634,7 +583,8 @@ let check_cmd =
       & info [ "faults" ]
           ~doc:
             "Sweep seeded fault schedules (crash/restart windows plus \
-             message loss) instead of fault-free perturbation.")
+             message loss) instead of fault-free perturbation, on the \
+             BIP/Myrinet driver only.")
   in
   let loss =
     Arg.(
@@ -653,19 +603,18 @@ let check_cmd =
       value & flag
       & info [ "explain" ]
           ~doc:
-            "With $(b,--faults): run the causal blame engine over every \
-             checker violation, print each cause, and write \
-             explain_*.json/.dot artifacts.  Fails (exit 1) if any \
-             explanation has an empty causal chain.")
+            "Run the causal blame engine over every failing run, print \
+             each cause, and write explain_*.json/.dot artifacts.  Fails \
+             (exit 1) if any explanation has an empty causal chain.")
   in
   let expect_vulnerable =
     Arg.(
       value & flag
       & info [ "expect-vulnerable" ]
           ~doc:
-            "Invert the $(b,--faults) verdict: succeed only when every swept \
-             protocol fails visibly (stall or crash) with a typed watchdog \
-             fault alert — the CI smoke for non-fault-tolerant protocols.")
+            "Invert the verdict: succeed only when every swept protocol \
+             fails visibly with a typed watchdog fault alert — with \
+             $(b,--faults), the CI smoke for non-fault-tolerant protocols.")
   in
   Cmd.v
     (Cmd.info "check"

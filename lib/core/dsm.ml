@@ -60,11 +60,11 @@ let malloc (rt : t) ?protocol ?(home = Round_robin) size =
     for node = 0 to n - 1 do
       let rights = if node = home_node then Access.Read_write else Access.No_access in
       ignore
-        (Page_table.declare rt.Runtime.tables.(node) ~page ~home:home_node
+        (Page_table.declare rt.Runtime.mem.(node).Runtime.table ~page ~home:home_node
            ~owner:home_node ~protocol ~rights)
     done;
     (* Materialise the reference copy eagerly so sends always find a frame. *)
-    ignore (Frame_store.frame rt.Runtime.stores.(home_node) page);
+    ignore (Frame_store.frame rt.Runtime.mem.(home_node).Runtime.store page);
     (match (Runtime.proto rt protocol).Protocol.on_page_init with
     | None -> ()
     | Some init -> for node = 0 to n - 1 do init rt ~node ~page done)
@@ -201,7 +201,7 @@ let[@inline] lookup (rt : t) th ~addr ~mode faults =
   if faults > rt.Runtime.fault_loop_limit then fault_storm ~addr ~mode ~attempts:faults;
   let e =
     Page_table.find
-      rt.Runtime.tables.(Marcel.node th)
+      rt.Runtime.mem.(Marcel.node th).Runtime.table
       (Page.page_of_addr rt.Runtime.geo addr)
   in
   if Protocol.hit_class rt.Runtime.registry e.Page_table.protocol land Protocol.inline_hits
@@ -234,17 +234,13 @@ let[@inline] mode_bit = function
   | Access.Read -> Protocol.read_hits
   | Access.Write -> Protocol.write_hits
 
-(* The hit test: true iff [th] may complete a [mode] access to [addr]
-   without the protocol, in which case an inline check has been counted
-   and charged.  A refusal has counted nothing. *)
-let[@inline] hit (rt : t) th ~addr ~mode =
+(* The hit test: true iff [th], whose node's memory is [m], may complete
+   a [mode] access to [addr] without the protocol, in which case an inline
+   check has been counted and charged.  A refusal has counted nothing. *)
+let[@inline] hit (rt : t) th (m : Runtime.node_mem) ~addr ~mode =
   rt.Runtime.fault_loop_limit >= 0
   &&
-  let e =
-    Page_table.find
-      rt.Runtime.tables.(Marcel.node th)
-      (Page.page_of_addr rt.Runtime.geo addr)
-  in
+  let e = Page_table.find m.Runtime.table (Page.page_of_addr rt.Runtime.geo addr) in
   let cls = Protocol.hit_class rt.Runtime.registry e.Page_table.protocol in
   if cls land mode_bit mode <> 0
      && Access.allows e.Page_table.rights mode
@@ -260,7 +256,8 @@ let[@inline] hit (rt : t) th ~addr ~mode =
 
 let ensure_access (rt : t) ~addr ~mode =
   let th = Marcel.self (Runtime.marcel rt) in
-  if not (hit rt th ~addr ~mode) then ignore (access rt th ~addr ~mode : t Protocol.t)
+  if not (hit rt th rt.Runtime.mem.(Marcel.node th) ~addr ~mode) then
+    ignore (access rt th ~addr ~mode : t Protocol.t)
 
 (* The start of an access's real-time window: only the history reads it. *)
 let history_start (rt : t) =
@@ -283,7 +280,7 @@ let record_access (rt : t) th ~start ~write ~addr ~value =
    hit takes no simulated time, so its window is the current instant. *)
 let[@inline never] record_hit (rt : t) th ~write ~addr =
   let addr = addr land lnot 7 in
-  let value = Frame_store.read_int rt.Runtime.stores.(Marcel.node th) ~addr in
+  let value = Frame_store.read_int rt.Runtime.mem.(Marcel.node th).Runtime.store ~addr in
   record_access rt th ~start:(Engine.now (Runtime.engine rt)) ~write ~addr ~value
 
 let read_hook (rt : t) th proto ~addr =
@@ -308,7 +305,7 @@ let write_hook (rt : t) th proto ~addr ~value =
 let[@inline never] read_int_general rt th addr =
   let start = history_start rt in
   let proto = access rt th ~addr ~mode:Access.Read in
-  let value = Frame_store.read_int rt.Runtime.stores.(Marcel.node th) ~addr in
+  let value = Frame_store.read_int rt.Runtime.mem.(Marcel.node th).Runtime.store ~addr in
   record_access rt th ~start ~write:false ~addr ~value;
   read_hook rt th proto ~addr;
   value
@@ -316,7 +313,7 @@ let[@inline never] read_int_general rt th addr =
 let[@inline never] write_int_general rt th addr value =
   let start = history_start rt in
   let proto = access rt th ~addr ~mode:Access.Write in
-  Frame_store.write_int rt.Runtime.stores.(Marcel.node th) ~addr value;
+  Frame_store.write_int rt.Runtime.mem.(Marcel.node th).Runtime.store ~addr value;
   (* Record before the hook: propagation (update pushes, diff flushes) may
      block, and a remote read of the propagated value must find this write
      already in the history. *)
@@ -328,7 +325,7 @@ let[@inline never] write_int_general rt th addr value =
 let[@inline never] read_byte_general rt th addr =
   let start = history_start rt in
   let proto = access rt th ~addr ~mode:Access.Read in
-  let store = rt.Runtime.stores.(Marcel.node th) in
+  let store = rt.Runtime.mem.(Marcel.node th).Runtime.store in
   let b = Frame_store.read_byte store ~addr in
   let word_addr = addr land lnot 7 in
   let value = Frame_store.read_int store ~addr:word_addr in
@@ -339,7 +336,7 @@ let[@inline never] read_byte_general rt th addr =
 let[@inline never] write_byte_general rt th addr value =
   let start = history_start rt in
   let proto = access rt th ~addr ~mode:Access.Write in
-  let store = rt.Runtime.stores.(Marcel.node th) in
+  let store = rt.Runtime.mem.(Marcel.node th).Runtime.store in
   Frame_store.write_byte store ~addr value;
   let word_addr = addr land lnot 7 in
   let value = Frame_store.read_int store ~addr:word_addr in
@@ -348,8 +345,9 @@ let[@inline never] write_byte_general rt th addr value =
 
 let read_int rt addr =
   let th = Marcel.self (Runtime.marcel rt) in
-  if hit rt th ~addr ~mode:Access.Read then begin
-    let value = Frame_store.read_int rt.Runtime.stores.(Marcel.node th) ~addr in
+  let m = rt.Runtime.mem.(Marcel.node th) in
+  if hit rt th m ~addr ~mode:Access.Read then begin
+    let value = Frame_store.read_int m.Runtime.store ~addr in
     (match rt.Runtime.history with None -> () | Some _ -> record_hit rt th ~write:false ~addr);
     value
   end
@@ -357,16 +355,18 @@ let read_int rt addr =
 
 let write_int rt addr value =
   let th = Marcel.self (Runtime.marcel rt) in
-  if hit rt th ~addr ~mode:Access.Write then begin
-    Frame_store.write_int rt.Runtime.stores.(Marcel.node th) ~addr value;
+  let m = rt.Runtime.mem.(Marcel.node th) in
+  if hit rt th m ~addr ~mode:Access.Write then begin
+    Frame_store.write_int m.Runtime.store ~addr value;
     match rt.Runtime.history with None -> () | Some _ -> record_hit rt th ~write:true ~addr
   end
   else write_int_general rt th addr value
 
 let read_byte rt addr =
   let th = Marcel.self (Runtime.marcel rt) in
-  if hit rt th ~addr ~mode:Access.Read then begin
-    let b = Frame_store.read_byte rt.Runtime.stores.(Marcel.node th) ~addr in
+  let m = rt.Runtime.mem.(Marcel.node th) in
+  if hit rt th m ~addr ~mode:Access.Read then begin
+    let b = Frame_store.read_byte m.Runtime.store ~addr in
     (match rt.Runtime.history with None -> () | Some _ -> record_hit rt th ~write:false ~addr);
     b
   end
@@ -374,8 +374,9 @@ let read_byte rt addr =
 
 let write_byte rt addr value =
   let th = Marcel.self (Runtime.marcel rt) in
-  if hit rt th ~addr ~mode:Access.Write then begin
-    Frame_store.write_byte rt.Runtime.stores.(Marcel.node th) ~addr value;
+  let m = rt.Runtime.mem.(Marcel.node th) in
+  if hit rt th m ~addr ~mode:Access.Write then begin
+    Frame_store.write_byte m.Runtime.store ~addr value;
     match rt.Runtime.history with None -> () | Some _ -> record_hit rt th ~write:true ~addr
   end
   else write_byte_general rt th addr value

@@ -53,6 +53,8 @@ type services = {
   srv_barrier : Rpc.service;
 }
 
+type node_mem = { table : Page_table.t; store : Frame_store.t }
+
 (* Open slot for layers above the runtime (Telemetry) to park per-DSM
    state without a dependency from [Runtime] on them: each layer extends
    the variant with its own constructor and pattern-matches it back out. *)
@@ -61,8 +63,7 @@ type attachment = ..
 type t = {
   pm2 : Pm2.t;
   geo : Page.geometry;
-  tables : Page_table.t array;
-  stores : Frame_store.t array;
+  mem : node_mem array;
   registry : t Protocol.registry;
   mutable default_protocol : int;
   costs : costs;
@@ -103,12 +104,11 @@ let create ?(costs = default_costs) pm2 =
   {
     pm2;
     geo;
-    tables =
+    mem =
       Array.init n (fun node ->
           let table = Page_table.create ~node in
           Page_table.count_mapped table cells.Instrument.nodes.(node).Instrument.mapped;
-          table);
-    stores = Array.init n (fun _ -> Frame_store.create ~geometry:geo);
+          { table; store = Frame_store.create ~geometry:geo });
     registry;
     default_protocol = 0;
     costs;
@@ -142,8 +142,8 @@ let[@inline] marcel t = Pm2.marcel t.pm2
 let[@inline] engine t = Pm2.engine t.pm2
 let rpc t = Pm2.rpc t.pm2
 let self_node t = Pm2.self_node t.pm2
-let table t node = t.tables.(node)
-let store t node = t.stores.(node)
+let table t node = t.mem.(node).table
+let store t node = t.mem.(node).store
 let proto t id = Protocol.find t.registry id
 
 let services t =
@@ -151,7 +151,7 @@ let services t =
   | Some s -> s
   | None -> failwith "Runtime.services: Dsm_comm.init has not run"
 
-let entry t ~node ~page = Page_table.find t.tables.(node) page
+let entry t ~node ~page = Page_table.find t.mem.(node).table page
 
 let lock_state t id =
   if id >= 0 && id < t.next_lock then t.locks.(id)

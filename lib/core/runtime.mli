@@ -63,6 +63,11 @@ type services = {
   srv_barrier : Rpc.service;
 }
 
+type node_mem = { table : Page_table.t; store : Frame_store.t }
+(** One node's memory: its page table and its frame store.  A record, so an
+    array of them is known to hold no floats and reading one element on the
+    access hit path is a plain load, with no float-array tag test. *)
+
 type attachment = ..
 (** Open slot for layers above the runtime to park per-DSM state without a
     dependency from [Runtime] on them.  [Telemetry] extends this with its
@@ -71,8 +76,7 @@ type attachment = ..
 type t = {
   pm2 : Pm2.t;
   geo : Page.geometry;
-  tables : Page_table.t array;
-  stores : Frame_store.t array;
+  mem : node_mem array;  (** indexed by node *)
   registry : t Protocol.registry;
   mutable default_protocol : int;
   costs : costs;

@@ -194,63 +194,159 @@ let build dsm ~protocol workload ~seed =
   | Racy_poll -> build_racy_poll dsm ~protocol ~seed
   | Mixed_sync -> build_mixed_sync dsm ~protocol ~seed
 
+(* --- one run: a workload under one protocol, driver, seed and fault spec --- *)
+
+type fault_spec = {
+  f_crashes : int;
+  f_loss_pct : float;
+  f_down_us : float;
+  f_horizon_us : float;
+  f_protect : int list;
+}
+
+(* An installed but empty fault layer draws nothing and gates nothing, so
+   this spec replays exactly the schedule of a runtime without one. *)
+let no_faults =
+  {
+    f_crashes = 0;
+    f_loss_pct = 0.;
+    f_down_us = 300.;
+    f_horizon_us = 4000.;
+    f_protect = [ 0; 1 ];
+  }
+
+(* Nodes 0 and 1 are protected because the workloads' lock managers live on
+   [id mod nodes] (lock_ladder's two locks -> nodes 0 and 1) and the barrier
+   manager on node 0: no protocol, quorum or not, survives losing the
+   centralized manager of a lock it needs.  Node 2 is the crash victim —
+   exactly the minority a 3-node quorum tolerates. *)
+let default_fault_spec = { no_faults with f_crashes = 2; f_loss_pct = 1.0 }
+
+let plan_of_spec spec ~seed =
+  Fault_plan.seeded ~nodes ~seed ~crashes:spec.f_crashes
+    ~loss_pct:spec.f_loss_pct ~protect:spec.f_protect ~down_us:spec.f_down_us
+    ~horizon_us:spec.f_horizon_us ()
+
 type outcome = {
   o_seed : int;
   o_workload : string;
   o_driver : string;
+  o_plan : string;
+  o_crashed : string option;
+  o_stalled : bool;
   o_violations : History.violation list;
   o_wrong_result : string option;
+  o_alert_kinds : string list;
+  o_dropped : int;
+  o_retransmissions : int;
   o_fingerprint : int;
   o_ops : int;
+  o_explanations : Explain.explanation list;
 }
 
-let outcome_failed o = o.o_violations <> [] || o.o_wrong_result <> None
+let outcome_failed o =
+  o.o_crashed <> None || o.o_stalled || o.o_violations <> []
+  || o.o_wrong_result <> None
 
-let run_one_dsm ~monitor ~protocol ~driver ~workload ~seed =
+(* Generous: total RPC patience under the default retry policy is ~4.5 ms
+   per call and crash windows live inside a 4 ms horizon, so a run that has
+   not drained by 100 ms of simulated time is genuinely stuck. *)
+let run_limit = Time.of_us 100_000.
+
+(* One blame-engine explanation per violation; for a run that stalled or
+   crashed without a checker verdict, one per critical watchdog alert
+   (deadlock.stall, node.dead, ...) — the same targets [dsm explain] uses on
+   a raw dump. *)
+let explanations dsm ~failed_loudly violations =
+  let tr = Monitor.trace dsm in
+  match violations with
+  | [] -> if failed_loudly then Explain.explain_trace tr else []
+  | _ ->
+      List.map
+        (fun (v : History.violation) ->
+          let op = v.History.v_op in
+          let page =
+            match op.History.kind with
+            | History.Read { addr; _ } | History.Write { addr; _ } ->
+                Dsmpm2_mem.Page.page_of_addr dsm.Runtime.geo addr
+            | _ -> -1
+          in
+          Explain.explain_violation ~trace:tr ~node:op.History.node ~page
+            ~at:op.History.finish
+            ~detail:(History.violation_to_string v))
+        violations
+
+let run ?(spec = no_faults) ?(explain = false) ?trace_capacity ~protocol
+    ~driver ~workload ~seed () =
   let jitter = Network.seeded_jitter ~seed () in
   let dsm = Dsm.create ~tie_seed:seed ~jitter ~nodes ~driver () in
   ignore (Builtin.register_all dsm);
   ignore (Builtin.register_extras dsm);
-  (* Monitoring only records events — it never perturbs the schedule, so a
-     traced replay is the same execution as the bare run.  The same holds
-     for the watchdog: its sampler runs on observer events that never draw
-     from the tie-key stream, so its invariant audits and alerts ride along
-     without changing the fingerprint. *)
-  if monitor then begin
-    Monitor.enable dsm true;
-    ignore (Watchdog.attach dsm)
-  end;
+  (* Monitoring only records events, and the watchdog samples on observer
+     events that never draw from the tie-key stream: both ride along on
+     every run without changing its schedule or its fingerprint. *)
+  Monitor.enable dsm true;
+  Option.iter (Trace.set_capacity (Monitor.trace dsm)) trace_capacity;
+  let watchdog = Watchdog.attach dsm in
   let proto_id =
     match Dsm.protocol_by_name dsm protocol with
     | Some id -> id
     | None -> invalid_arg (Printf.sprintf "Conformance: unknown protocol %s" protocol)
   in
+  let plan = plan_of_spec spec ~seed in
+  Dsm.inject_faults dsm plan;
   let hist = Dsm.enable_history dsm in
   let check_result = build dsm ~protocol:proto_id workload ~seed in
-  Dsm.run dsm;
+  let crashed, engine_stalled =
+    match Dsm.run ~limit:run_limit dsm with
+    | () -> (None, false)
+    | exception Engine.Stalled _ -> (None, true)
+    | exception exn -> (Some (Printexc.to_string exn), false)
+  in
+  let marcel = Runtime.marcel dsm in
+  let live =
+    List.concat
+      (List.init nodes (fun node -> Marcel.live_threads marcel ~node))
+  in
+  let stalled = engine_stalled || (crashed = None && live <> []) in
+  let complete = crashed = None && not stalled in
   let model = (Runtime.proto dsm proto_id).Protocol.model in
+  (* History and result checks only mean something for a run that drained:
+     an aborted or stalled run already failed louder. *)
+  let violations = if complete then History.check ~model hist else [] in
   ( {
       o_seed = seed;
       o_workload = workload_name workload;
       o_driver = driver.Driver.name;
-      o_violations = History.check ~model hist;
-      o_wrong_result = check_result hist;
+      o_plan = Fault_plan.to_string plan;
+      o_crashed = crashed;
+      o_stalled = stalled;
+      o_violations = violations;
+      o_wrong_result = (if complete then check_result hist else None);
+      o_alert_kinds =
+        List.sort_uniq String.compare
+          (List.map (fun a -> a.Watchdog.al_kind) (Watchdog.alerts watchdog));
+      o_dropped = Network.messages_dropped (Pm2.network (Dsm.pm2 dsm));
+      o_retransmissions = Rpc.retransmissions (Runtime.rpc dsm);
       o_fingerprint = History.fingerprint hist;
       o_ops = History.length hist;
+      o_explanations =
+        (if explain then
+           explanations dsm ~failed_loudly:(not complete) violations
+         else []);
     },
     dsm )
 
-let run_one ~protocol ~driver ~workload ~seed =
-  fst (run_one_dsm ~monitor:false ~protocol ~driver ~workload ~seed)
-
-let run_one_traced ~protocol ~driver ~workload ~seed =
-  run_one_dsm ~monitor:true ~protocol ~driver ~workload ~seed
+(* --- sweeps: every protocol over drivers x workloads x seeds --- *)
 
 type verdict = {
   v_protocol : string;
   v_model : Protocol.model;
   v_runs : int;
   v_failures : int;
+  v_stalls : int;
+  v_crashes : int;
+  v_alert_kinds : string list;
   v_first_failure : outcome option;
 }
 
@@ -265,23 +361,33 @@ let model_of_protocol protocol =
   | None -> invalid_arg (Printf.sprintf "Conformance: unknown protocol %s" protocol)
 
 let sweep ?(protocols = all_protocols) ?(drivers = Driver.all)
-    ?(workload_list = workloads) ?(progress = fun _ -> ()) ~seeds () =
+    ?(workload_list = workloads) ?spec ?explain ?(progress = fun _ -> ())
+    ?(on_failure = fun _ _ _ -> ()) ~seeds () =
   List.map
     (fun protocol ->
       let runs = ref 0 and failures = ref 0 in
+      let stalls = ref 0 and crashes = ref 0 in
+      let kinds = ref [] in
       let first = ref None in
       List.iter
         (fun driver ->
           List.iter
             (fun workload ->
-              for seed = 0 to seeds - 1 do
-                incr runs;
-                let o = run_one ~protocol ~driver ~workload ~seed in
-                if outcome_failed o then begin
-                  incr failures;
-                  if !first = None then first := Some o
-                end
-              done;
+              List.iter
+                (fun seed ->
+                  incr runs;
+                  let o, dsm =
+                    run ?spec ?explain ~protocol ~driver ~workload ~seed ()
+                  in
+                  kinds := List.rev_append o.o_alert_kinds !kinds;
+                  if o.o_stalled then incr stalls;
+                  if o.o_crashed <> None then incr crashes;
+                  if outcome_failed o then begin
+                    incr failures;
+                    if !first = None then first := Some o;
+                    on_failure protocol o dsm
+                  end)
+                seeds;
               progress (Printf.sprintf "%s/%s/%s" protocol driver.Driver.name
                           (workload_name workload)))
             workload_list)
@@ -291,41 +397,71 @@ let sweep ?(protocols = all_protocols) ?(drivers = Driver.all)
         v_model = model_of_protocol protocol;
         v_runs = !runs;
         v_failures = !failures;
+        v_stalls = !stalls;
+        v_crashes = !crashes;
+        v_alert_kinds = List.sort_uniq String.compare !kinds;
         v_first_failure = !first;
       })
     protocols
 
+let failed verdicts = List.exists (fun v -> v.v_failures > 0) verdicts
+
+(* --- rendering --- *)
+
 let print_outcome ppf o =
-  Format.fprintf ppf "    seed %d, %s, %s (%d ops recorded)@." o.o_seed o.o_driver
-    o.o_workload o.o_ops;
+  Format.fprintf ppf "    seed %d, %s, %s (%d ops recorded)@." o.o_seed
+    o.o_driver o.o_workload o.o_ops;
+  Format.fprintf ppf "    plan: %s@." o.o_plan;
+  (match o.o_crashed with
+  | Some msg -> Format.fprintf ppf "    crashed: %s@." msg
+  | None -> ());
+  if o.o_stalled then
+    Format.fprintf ppf "    stalled: threads still blocked at the run limit@.";
   (match o.o_wrong_result with
   | Some msg -> Format.fprintf ppf "    wrong result: %s@." msg
   | None -> ());
   List.iteri
     (fun i v ->
-      if i < 3 then
-        Format.fprintf ppf "    %s@." (History.violation_to_string v))
+      if i < 3 then Format.fprintf ppf "    %s@." (History.violation_to_string v))
     o.o_violations;
   if List.length o.o_violations > 3 then
     Format.fprintf ppf "    ... and %d more violations@."
-      (List.length o.o_violations - 3)
+      (List.length o.o_violations - 3);
+  List.iteri
+    (fun i x ->
+      if i < 3 then
+        List.iter
+          (fun c ->
+            Format.fprintf ppf "      because: %s@." (Explain.cause_to_string c))
+          (Explain.causes x))
+    o.o_explanations;
+  Format.fprintf ppf "    alerts: [%s]; %d messages dropped, %d retransmissions@."
+    (String.concat ", " o.o_alert_kinds)
+    o.o_dropped o.o_retransmissions
 
-let print ppf verdicts =
-  Format.fprintf ppf "Conformance sweep: perturbed schedules vs declared models@.";
-  Format.fprintf ppf "%-16s %-11s %7s %9s  %s@." "Protocol" "Model" "Runs"
-    "Failures" "Verdict";
+let print ?(spec = no_faults) ppf verdicts =
+  Format.fprintf ppf "Conformance sweep: perturbed schedules vs declared models%s@."
+    (if spec.f_crashes = 0 && spec.f_loss_pct = 0. then ""
+     else
+       Printf.sprintf " (faults: %d crash windows, %.1f%% loss)" spec.f_crashes
+         spec.f_loss_pct);
+  Format.fprintf ppf "%-16s %-11s %5s %9s %7s %8s  %s@." "Protocol" "Model"
+    "Runs" "Failures" "Stalls" "Crashes" "Verdict";
   List.iter
     (fun v ->
-      Format.fprintf ppf "%-16s %-11s %7d %9d  %s@." v.v_protocol
+      Format.fprintf ppf "%-16s %-11s %5d %9d %7d %8d  %s%s@." v.v_protocol
         (Protocol.model_to_string v.v_model)
-        v.v_runs v.v_failures
-        (if v.v_failures = 0 then "PASS" else "FAIL");
+        v.v_runs v.v_failures v.v_stalls v.v_crashes
+        (if v.v_failures = 0 then "PASS" else "FAIL")
+        (match v.v_alert_kinds with
+        | [] -> ""
+        | ks -> Printf.sprintf "  [%s]" (String.concat ", " ks));
       match v.v_first_failure with
-      | Some o when v.v_failures > 0 ->
+      | Some o ->
           Format.fprintf ppf "  first failing seed (replay with --replay %d):@."
             o.o_seed;
           print_outcome ppf o
-      | _ -> ())
+      | None -> ())
     verdicts
 
 let to_json verdicts =
@@ -338,271 +474,13 @@ let to_json verdicts =
              ("model", Json.String (Protocol.model_to_string v.v_model));
              ("runs", Json.Int v.v_runs);
              ("failures", Json.Int v.v_failures);
+             ("stalls", Json.Int v.v_stalls);
+             ("crashes", Json.Int v.v_crashes);
+             ( "alert_kinds",
+               Json.List (List.map (fun k -> Json.String k) v.v_alert_kinds) );
              ( "first_failing_seed",
                match v.v_first_failure with
                | Some o -> Json.Int o.o_seed
                | None -> Json.Null );
            ])
        verdicts)
-
-let failed verdicts = List.exists (fun v -> v.v_failures > 0) verdicts
-
-(* --- fault sweeps: the same grid under seeded crash/loss schedules --- *)
-
-type fault_spec = {
-  f_crashes : int;
-  f_loss_pct : float;
-  f_down_us : float;
-  f_horizon_us : float;
-  f_protect : int list;
-}
-
-(* Nodes 0 and 1 are protected because the workloads' lock managers live on
-   [id mod nodes] (lock_ladder's two locks -> nodes 0 and 1) and the barrier
-   manager on node 0: no protocol, quorum or not, survives losing the
-   centralized manager of a lock it needs.  Node 2 is the crash victim —
-   exactly the minority a 3-node quorum tolerates. *)
-let default_fault_spec =
-  {
-    f_crashes = 2;
-    f_loss_pct = 1.0;
-    f_down_us = 300.;
-    f_horizon_us = 4000.;
-    f_protect = [ 0; 1 ];
-  }
-
-let plan_of_spec spec ~seed =
-  Fault_plan.seeded ~nodes ~seed ~crashes:spec.f_crashes
-    ~loss_pct:spec.f_loss_pct ~protect:spec.f_protect ~down_us:spec.f_down_us
-    ~horizon_us:spec.f_horizon_us ()
-
-type fault_outcome = {
-  fo_seed : int;
-  fo_workload : string;
-  fo_plan : string;
-  fo_crashed : string option;
-  fo_stalled : bool;
-  fo_violations : History.violation list;
-  fo_wrong_result : string option;
-  fo_alert_kinds : string list;
-  fo_dropped : int;
-  fo_retransmissions : int;
-  fo_fingerprint : int;
-  fo_explanations : Explain.explanation list;
-}
-
-let fault_outcome_failed o =
-  o.fo_crashed <> None || o.fo_stalled || o.fo_violations <> []
-  || o.fo_wrong_result <> None
-
-(* Generous: total RPC patience under the default retry policy is ~4.5 ms
-   per call and crash windows live inside a 4 ms horizon, so a run that has
-   not drained by 100 ms of simulated time is genuinely stuck. *)
-let fault_run_limit = Time.of_us 100_000.
-
-let run_one_faulted ?(spec = default_fault_spec) ?(explain = false)
-    ?trace_capacity ~protocol ~driver ~workload ~seed () =
-  let jitter = Network.seeded_jitter ~seed () in
-  let dsm = Dsm.create ~tie_seed:seed ~jitter ~nodes ~driver () in
-  ignore (Builtin.register_all dsm);
-  ignore (Builtin.register_extras dsm);
-  Monitor.enable dsm true;
-  (match trace_capacity with
-  | Some cap -> Trace.set_capacity (Monitor.trace dsm) cap
-  | None -> ());
-  let watchdog = Watchdog.attach dsm in
-  let proto_id =
-    match Dsm.protocol_by_name dsm protocol with
-    | Some id -> id
-    | None -> invalid_arg (Printf.sprintf "Conformance: unknown protocol %s" protocol)
-  in
-  let plan = plan_of_spec spec ~seed in
-  Dsm.inject_faults dsm plan;
-  let hist = Dsm.enable_history dsm in
-  let check_result = build dsm ~protocol:proto_id workload ~seed in
-  let crashed, engine_stalled =
-    match Dsm.run ~limit:fault_run_limit dsm with
-    | () -> (None, false)
-    | exception Engine.Stalled _ -> (None, true)
-    | exception exn -> (Some (Printexc.to_string exn), false)
-  in
-  let marcel = Runtime.marcel dsm in
-  let live =
-    List.concat
-      (List.init nodes (fun node -> Marcel.live_threads marcel ~node))
-  in
-  let stalled = engine_stalled || (crashed = None && live <> []) in
-  let complete = crashed = None && not stalled in
-  let model = (Runtime.proto dsm proto_id).Protocol.model in
-  let net = Pm2.network (Dsm.pm2 dsm) in
-  (* History and result checks only mean something for a run that drained:
-     an aborted or stalled run already failed louder. *)
-  let violations = if complete then History.check ~model hist else [] in
-  let explanations =
-    if not explain then []
-    else
-      let tr = Monitor.trace dsm in
-      match violations with
-      | _ :: _ ->
-          List.map
-            (fun (v : History.violation) ->
-              let op = v.History.v_op in
-              let page =
-                match op.History.kind with
-                | History.Read { addr; _ } | History.Write { addr; _ } ->
-                    Dsmpm2_mem.Page.page_of_addr dsm.Runtime.geo addr
-                | _ -> -1
-              in
-              Explain.explain_violation ~trace:tr ~node:op.History.node ~page
-                ~at:op.History.finish
-                ~detail:(History.violation_to_string v))
-            violations
-      | [] when crashed <> None || stalled ->
-          (* No checker verdict to blame, but the run still failed loudly:
-             explain each critical watchdog alert instead (deadlock.stall,
-             node.dead, ...) — the same targets [dsm explain] uses on a raw
-             dump. *)
-          Explain.explain_trace tr
-      | [] -> []
-  in
-  {
-    fo_seed = seed;
-    fo_workload = workload_name workload;
-    fo_plan = Fault_plan.to_string plan;
-    fo_crashed = crashed;
-    fo_stalled = stalled;
-    fo_violations = violations;
-    fo_wrong_result = (if complete then check_result hist else None);
-    fo_alert_kinds =
-      List.sort_uniq String.compare
-        (List.map (fun a -> a.Watchdog.al_kind) (Watchdog.alerts watchdog));
-    fo_dropped = Network.messages_dropped net;
-    fo_retransmissions = Rpc.retransmissions (Runtime.rpc dsm);
-    fo_fingerprint = History.fingerprint hist;
-    fo_explanations = explanations;
-  }
-
-type fault_verdict = {
-  fv_protocol : string;
-  fv_model : Protocol.model;
-  fv_runs : int;
-  fv_failures : int;
-  fv_stalls : int;
-  fv_crashes : int;
-  fv_alert_kinds : string list;
-  fv_first_failure : fault_outcome option;
-}
-
-let fault_sweep ?(protocols = all_protocols) ?(drivers = [ Driver.bip_myrinet ])
-    ?(workload_list = workloads) ?(spec = default_fault_spec)
-    ?(progress = fun _ -> ()) ?(explain = false) ?(on_failure = fun _ _ -> ())
-    ~seeds () =
-  List.map
-    (fun protocol ->
-      let runs = ref 0 and failures = ref 0 in
-      let stalls = ref 0 and crashes = ref 0 in
-      let kinds = ref [] in
-      let first = ref None in
-      List.iter
-        (fun driver ->
-          List.iter
-            (fun workload ->
-              for seed = 0 to seeds - 1 do
-                incr runs;
-                let o =
-                  run_one_faulted ~spec ~explain ~protocol ~driver ~workload
-                    ~seed ()
-                in
-                kinds := List.rev_append o.fo_alert_kinds !kinds;
-                if o.fo_stalled then incr stalls;
-                if o.fo_crashed <> None then incr crashes;
-                if fault_outcome_failed o then begin
-                  incr failures;
-                  if !first = None then first := Some o;
-                  on_failure protocol o
-                end
-              done;
-              progress (Printf.sprintf "%s/%s/%s" protocol driver.Driver.name
-                          (workload_name workload)))
-            workload_list)
-        drivers;
-      {
-        fv_protocol = protocol;
-        fv_model = model_of_protocol protocol;
-        fv_runs = !runs;
-        fv_failures = !failures;
-        fv_stalls = !stalls;
-        fv_crashes = !crashes;
-        fv_alert_kinds = List.sort_uniq String.compare !kinds;
-        fv_first_failure = !first;
-      })
-    protocols
-
-let print_fault_outcome ppf o =
-  Format.fprintf ppf "    seed %d, %s@." o.fo_seed o.fo_workload;
-  Format.fprintf ppf "    plan: %s@." o.fo_plan;
-  (match o.fo_crashed with
-  | Some msg -> Format.fprintf ppf "    crashed: %s@." msg
-  | None -> ());
-  if o.fo_stalled then
-    Format.fprintf ppf "    stalled: threads still blocked at the run limit@.";
-  (match o.fo_wrong_result with
-  | Some msg -> Format.fprintf ppf "    wrong result: %s@." msg
-  | None -> ());
-  List.iteri
-    (fun i v ->
-      if i < 3 then Format.fprintf ppf "    %s@." (History.violation_to_string v))
-    o.fo_violations;
-  List.iteri
-    (fun i x ->
-      if i < 3 then
-        List.iter
-          (fun c ->
-            Format.fprintf ppf "      because: %s@." (Explain.cause_to_string c))
-          (Explain.causes x))
-    o.fo_explanations;
-  Format.fprintf ppf "    alerts: [%s]; %d messages dropped, %d retransmissions@."
-    (String.concat ", " o.fo_alert_kinds)
-    o.fo_dropped o.fo_retransmissions
-
-let print_faults ppf verdicts =
-  Format.fprintf ppf
-    "Fault sweep: seeded crash windows + message loss vs declared models@.";
-  Format.fprintf ppf "%-16s %-11s %5s %9s %7s %8s  %s@." "Protocol" "Model"
-    "Runs" "Failures" "Stalls" "Crashes" "Verdict";
-  List.iter
-    (fun v ->
-      Format.fprintf ppf "%-16s %-11s %5d %9d %7d %8d  %s  [%s]@." v.fv_protocol
-        (Protocol.model_to_string v.fv_model)
-        v.fv_runs v.fv_failures v.fv_stalls v.fv_crashes
-        (if v.fv_failures = 0 then "PASS" else "FAIL")
-        (String.concat ", " v.fv_alert_kinds);
-      match v.fv_first_failure with
-      | Some o when v.fv_failures > 0 ->
-          Format.fprintf ppf "  first failing seed:@.";
-          print_fault_outcome ppf o
-      | _ -> ())
-    verdicts
-
-let faults_to_json verdicts =
-  Json.List
-    (List.map
-       (fun v ->
-         Json.Obj
-           [
-             ("protocol", Json.String v.fv_protocol);
-             ("model", Json.String (Protocol.model_to_string v.fv_model));
-             ("runs", Json.Int v.fv_runs);
-             ("failures", Json.Int v.fv_failures);
-             ("stalls", Json.Int v.fv_stalls);
-             ("crashes", Json.Int v.fv_crashes);
-             ( "alert_kinds",
-               Json.List (List.map (fun k -> Json.String k) v.fv_alert_kinds) );
-             ( "first_failing_seed",
-               match v.fv_first_failure with
-               | Some o -> Json.Int o.fo_seed
-               | None -> Json.Null );
-           ])
-       verdicts)
-
-let faults_failed verdicts = List.exists (fun v -> v.fv_failures > 0) verdicts

@@ -10,8 +10,13 @@
     ({!Dsmpm2_core.Protocol.model}), and lock-protected workloads also check
     their final computed values.
 
-    A failing run is reported with its seed; re-running the same seed
-    replays the identical schedule, so verdicts are actionable. *)
+    Every run takes the same path ({!run}): monitor and watchdog attached,
+    a fault plan installed, a bounded run that turns a stall or an
+    exception into a failing outcome.  The plain sweep is the one under
+    {!no_faults}; the fault sweep is the one under seeded crash windows and
+    message loss.  A failing run is reported with its seed; re-running the
+    same seed under the same spec replays the identical schedule, so
+    verdicts are actionable. *)
 
 open Dsmpm2_net
 open Dsmpm2_core
@@ -29,79 +34,10 @@ val workload_name : workload -> string
 val workload_by_name : string -> workload option
 
 val all_protocols : string list
-(** Names of every registered builtin protocol, in registration order. *)
+(** Names of every builtin protocol: the core set, then the extras, each
+    in the order [Builtin] lists them (not their registry ids). *)
 
-(** {1 Single runs} *)
-
-type outcome = {
-  o_seed : int;
-  o_workload : string;
-  o_driver : string;
-  o_violations : History.violation list;
-  o_wrong_result : string option;
-      (** the workload's own result check, when the final values are wrong *)
-  o_fingerprint : int;  (** order-sensitive hash of the recorded history *)
-  o_ops : int;  (** number of recorded operations *)
-}
-
-val outcome_failed : outcome -> bool
-
-val run_one :
-  protocol:string -> driver:Driver.t -> workload:workload -> seed:int -> outcome
-(** Run one workload under one protocol, driver and seed, with history
-    recording enabled, and check the history against the protocol's declared
-    model.  Deterministic: the same arguments replay the same schedule. *)
-
-val run_one_traced :
-  protocol:string ->
-  driver:Driver.t ->
-  workload:workload ->
-  seed:int ->
-  outcome * Dsm.t
-(** Like {!run_one} but with the post-mortem monitor and the live watchdog
-    ({!Dsmpm2_core.Watchdog}) enabled, returning the finished runtime so the
-    caller can analyze its trace ({!Dsmpm2_core.Monitor.trace},
-    {!Analyze.analyze} — watchdog alerts appear in the analyzer's alert
-    section).  Monitoring only records and the watchdog samples on
-    schedule-neutral observer events — the schedule is the one {!run_one}
-    replays. *)
-
-(** {1 Sweeps} *)
-
-type verdict = {
-  v_protocol : string;
-  v_model : Protocol.model;
-  v_runs : int;
-  v_failures : int;
-  v_first_failure : outcome option;
-}
-
-val sweep :
-  ?protocols:string list ->
-  ?drivers:Driver.t list ->
-  ?workload_list:workload list ->
-  ?progress:(string -> unit) ->
-  seeds:int ->
-  unit ->
-  verdict list
-(** [sweep ~seeds ()] runs seeds 0..[seeds-1] for every protocol, driver and
-    workload (defaults: all of each) and aggregates per-protocol verdicts.
-    [progress] is called after each protocol/driver/workload cell. *)
-
-val print : Format.formatter -> verdict list -> unit
-val to_json : verdict list -> Dsmpm2_sim.Json.t
-val failed : verdict list -> bool
-
-(** {1 Fault sweeps}
-
-    The same grid re-run under seeded fault schedules
-    ({!Dsmpm2_sim.Fault_plan.seeded} + {!Dsm.inject_faults}): crash/restart
-    windows, message loss, RPC retry with timeouts, and the watchdog's typed
-    fault alerts.  A fault-tolerant protocol ([sc_abd]) must drain cleanly
-    and still satisfy its declared model; the ownership-chain family is
-    {e expected} to stall or crash here — that contrast (visible failure
-    with a typed alert, never silent corruption) is what the sweep
-    demonstrates. *)
+(** {1 Runs} *)
 
 type fault_spec = {
   f_crashes : int;  (** crash windows per schedule *)
@@ -111,36 +47,46 @@ type fault_spec = {
   f_protect : int list;  (** nodes never crashed (lock/barrier managers) *)
 }
 
+val no_faults : fault_spec
+(** No crash window and no loss: the plain sweep.  The installed fault
+    layer is empty, so a run replays exactly the schedule of a runtime
+    that never had one. *)
+
 val default_fault_spec : fault_spec
 (** 2 windows of 300 us in a 4 ms horizon, 1% loss, nodes 0 and 1 protected
     (the workloads' lock and barrier managers live there; node 2 is the
-    victim — exactly the minority a 3-node quorum tolerates). *)
+    victim — exactly the minority a 3-node quorum tolerates).  A
+    fault-tolerant protocol ([sc_abd]) must drain cleanly and still satisfy
+    its declared model under it; the ownership-chain family is {e expected}
+    to stall or crash — visibly, with a typed alert, never silently. *)
 
-type fault_outcome = {
-  fo_seed : int;
-  fo_workload : string;
-  fo_plan : string;  (** human-readable fault schedule *)
-  fo_crashed : string option;  (** exception that aborted the run *)
-  fo_stalled : bool;  (** threads still blocked at the run limit *)
-  fo_violations : History.violation list;
-  fo_wrong_result : string option;
-  fo_alert_kinds : string list;  (** distinct watchdog alert kinds, sorted *)
-  fo_dropped : int;  (** messages the fault plan dropped *)
-  fo_retransmissions : int;  (** RPC retransmissions sent *)
-  fo_fingerprint : int;
-      (** order-sensitive history hash, as in {!outcome}; with a zero-fault
-          spec it equals the {!run_one} fingerprint for the same arguments —
-          the bit-for-bit neutrality guarantee of a disabled fault layer *)
-  fo_explanations : Explain.explanation list;
+type outcome = {
+  o_seed : int;
+  o_workload : string;
+  o_driver : string;
+  o_plan : string;  (** human-readable fault schedule *)
+  o_crashed : string option;  (** exception that aborted the run *)
+  o_stalled : bool;  (** threads still blocked at the run limit *)
+  o_violations : History.violation list;
+      (** checker verdict; [] unless the run drained *)
+  o_wrong_result : string option;
+      (** the workload's own result check, when the final values are wrong *)
+  o_alert_kinds : string list;  (** distinct watchdog alert kinds, sorted *)
+  o_dropped : int;  (** messages the fault plan dropped *)
+  o_retransmissions : int;  (** RPC retransmissions sent *)
+  o_fingerprint : int;  (** order-sensitive hash of the recorded history *)
+  o_ops : int;  (** number of recorded operations *)
+  o_explanations : Explain.explanation list;
       (** one blame-engine explanation per violation, in order; for a run
           that stalled or crashed without a checker verdict, one per
           critical watchdog alert instead.  [] unless the run was made with
           [~explain:true] *)
 }
 
-val fault_outcome_failed : fault_outcome -> bool
+val outcome_failed : outcome -> bool
+(** Crashed, stalled, violated its model or computed a wrong result. *)
 
-val run_one_faulted :
+val run :
   ?spec:fault_spec ->
   ?explain:bool ->
   ?trace_capacity:int ->
@@ -149,44 +95,55 @@ val run_one_faulted :
   workload:workload ->
   seed:int ->
   unit ->
-  fault_outcome
-(** One workload under one seeded fault schedule (monitor and watchdog
-    always on — the alerts are part of the verdict).  Deterministic: seed
-    drives tie-breaking, jitter, loss draws and window placement.
-    [explain] (default false) runs the {!Explain} blame engine over each
-    violation and fills [fo_explanations].  [trace_capacity] bounds the
-    trace as a flight-recorder ring ({!Dsmpm2_sim.Trace.set_capacity});
-    attaching it never changes the schedule or the fingerprint. *)
+  outcome * Dsm.t
+(** Run one workload under one protocol, driver, seed and fault spec
+    (default {!no_faults}), with history recording, the post-mortem monitor
+    and the watchdog on, and check the history against the protocol's
+    declared model.  Returns the finished runtime too, so a caller can
+    analyze the run's own trace ({!Dsmpm2_core.Monitor.trace},
+    {!Analyze.analyze}).  Deterministic: the seed drives tie-breaking,
+    jitter, loss draws and window placement, so the same arguments replay
+    the same schedule.  [explain] (default false) runs the {!Explain} blame
+    engine and fills [o_explanations].  [trace_capacity] bounds the trace
+    as a flight-recorder ring ({!Dsmpm2_sim.Trace.set_capacity}); neither
+    it nor the monitor or watchdog changes the schedule or the
+    fingerprint. *)
 
-type fault_verdict = {
-  fv_protocol : string;
-  fv_model : Protocol.model;
-  fv_runs : int;
-  fv_failures : int;
-  fv_stalls : int;
-  fv_crashes : int;
-  fv_alert_kinds : string list;  (** distinct alert kinds across all runs *)
-  fv_first_failure : fault_outcome option;
+(** {1 Sweeps} *)
+
+type verdict = {
+  v_protocol : string;
+  v_model : Protocol.model;
+  v_runs : int;
+  v_failures : int;
+  v_stalls : int;
+  v_crashes : int;
+  v_alert_kinds : string list;  (** distinct alert kinds across all runs *)
+  v_first_failure : outcome option;
 }
 
-val fault_sweep :
+val sweep :
   ?protocols:string list ->
   ?drivers:Driver.t list ->
   ?workload_list:workload list ->
   ?spec:fault_spec ->
-  ?progress:(string -> unit) ->
   ?explain:bool ->
-  ?on_failure:(string -> fault_outcome -> unit) ->
-  seeds:int ->
+  ?progress:(string -> unit) ->
+  ?on_failure:(string -> outcome -> Dsm.t -> unit) ->
+  seeds:int list ->
   unit ->
-  fault_verdict list
-(** Like {!sweep} under fault schedules.  Defaults to a single driver
-    (bip_myrinet): fault tolerance is a protocol property, not a
-    driver-latency property, and faulted runs are slower.  [explain] is
-    passed through to {!run_one_faulted}; [on_failure] is called with the
-    protocol name and every failing outcome (not just the first), so
-    callers can render or archive each explanation. *)
+  verdict list
+(** [sweep ~seeds ()] makes one {!run} per protocol, driver, workload and
+    seed (defaults: all protocols, all drivers, all workloads, {!no_faults})
+    and aggregates per-protocol verdicts.  [progress] is called after each
+    protocol/driver/workload cell; [on_failure] with the protocol name,
+    every failing outcome (not just the first) and its finished runtime. *)
 
-val print_faults : Format.formatter -> fault_verdict list -> unit
-val faults_to_json : fault_verdict list -> Dsmpm2_sim.Json.t
-val faults_failed : fault_verdict list -> bool
+val failed : verdict list -> bool
+
+val print_outcome : Format.formatter -> outcome -> unit
+val print : ?spec:fault_spec -> Format.formatter -> verdict list -> unit
+(** The verdict table, each failing protocol followed by its first failing
+    outcome; [spec] (default {!no_faults}) names the faults in the title. *)
+
+val to_json : verdict list -> Dsmpm2_sim.Json.t

@@ -56,11 +56,14 @@ type extra_ids = {
   sc_abd : int;
 }
 
+(* Sequenced with [let]s: OCaml leaves the evaluation order of a record
+   literal's fields unspecified, and the registry hands out ids in call
+   order.  This order keeps the ids native code has always given them,
+   sc_abd 6 up to li_hudak_fixed 10. *)
 let register_extras dsm =
-  {
-    li_hudak_fixed = Dsm.create_protocol dsm Li_hudak_fixed.protocol;
-    hybrid_rw = Dsm.create_protocol dsm Hybrid_rw.protocol;
-    entry_ec = Dsm.create_protocol dsm Entry_ec.protocol;
-    write_update = Dsm.create_protocol dsm Write_update.protocol;
-    sc_abd = Sc_abd.register dsm;
-  }
+  let sc_abd = Sc_abd.register dsm in
+  let write_update = Dsm.create_protocol dsm Write_update.protocol in
+  let entry_ec = Dsm.create_protocol dsm Entry_ec.protocol in
+  let hybrid_rw = Dsm.create_protocol dsm Hybrid_rw.protocol in
+  let li_hudak_fixed = Dsm.create_protocol dsm Li_hudak_fixed.protocol in
+  { li_hudak_fixed; hybrid_rw; entry_ec; write_update; sc_abd }

@@ -36,4 +36,5 @@ type extra_ids = {
 val register_extras : Dsm.t -> extra_ids
 (** Registers the protocols this reproduction adds beyond the paper's Table
     2: the fixed-distributed-manager MRSW variant and the section-2.3 hybrid.
-    Call after {!register_all}. *)
+    Call after {!register_all}; the ids follow on from its six in the order
+    sc_abd, write_update, entry_ec, hybrid_rw, li_hudak_fixed. *)

@@ -204,29 +204,28 @@ let test_real_protocol_passes () =
 
 (* --- end to end: conformance harness replay determinism --- *)
 
+module C = Dsmpm2_experiments.Conformance
+
 let test_conformance_replay_deterministic () =
   let run () =
-    Dsmpm2_experiments.Conformance.run_one ~protocol:"li_hudak"
-      ~driver:Driver.bip_myrinet
-      ~workload:Dsmpm2_experiments.Conformance.Lock_ladder ~seed:11
+    fst
+      (C.run ~protocol:"li_hudak" ~driver:Driver.bip_myrinet
+         ~workload:C.Lock_ladder ~seed:11 ())
   in
   let a = run () and b = run () in
-  Alcotest.(check int) "same seed, same fingerprint"
-    a.Dsmpm2_experiments.Conformance.o_fingerprint
-    b.Dsmpm2_experiments.Conformance.o_fingerprint;
-  Alcotest.(check int) "same seed, same op count"
-    a.Dsmpm2_experiments.Conformance.o_ops b.Dsmpm2_experiments.Conformance.o_ops;
-  Alcotest.(check bool) "clean run" false
-    (Dsmpm2_experiments.Conformance.outcome_failed a)
+  Alcotest.(check int) "same seed, same fingerprint" a.C.o_fingerprint
+    b.C.o_fingerprint;
+  Alcotest.(check int) "same seed, same op count" a.C.o_ops b.C.o_ops;
+  Alcotest.(check bool) "clean run" false (C.outcome_failed a)
 
 let test_conformance_perturbation_varies_schedule () =
   (* Different seeds must explore different interleavings at least once
      over a small seed range (fingerprints differ). *)
   let fp seed =
-    (Dsmpm2_experiments.Conformance.run_one ~protocol:"li_hudak"
-       ~driver:Driver.bip_myrinet
-       ~workload:Dsmpm2_experiments.Conformance.Lock_ladder ~seed)
-      .Dsmpm2_experiments.Conformance.o_fingerprint
+    (fst
+       (C.run ~protocol:"li_hudak" ~driver:Driver.bip_myrinet
+          ~workload:C.Lock_ladder ~seed ()))
+      .C.o_fingerprint
   in
   let base = fp 0 in
   Alcotest.(check bool) "some seed diverges" true
@@ -234,26 +233,25 @@ let test_conformance_perturbation_varies_schedule () =
 
 (* --- end to end: fault tolerance --- *)
 
-module C = Dsmpm2_experiments.Conformance
+let faulted ~protocol ~workload ~seed =
+  fst
+    (C.run ~spec:C.default_fault_spec ~protocol ~driver:Driver.bip_myrinet
+       ~workload ~seed ())
 
 let test_sc_abd_survives_faults () =
   (* The quorum protocol must drain cleanly and keep sequential consistency
      under crash windows and message loss, across several fault seeds. *)
   List.iter
     (fun seed ->
-      let o =
-        C.run_one_faulted ~protocol:"sc_abd" ~driver:Driver.bip_myrinet
-          ~workload:C.Lock_ladder ~seed ()
-      in
+      let o = faulted ~protocol:"sc_abd" ~workload:C.Lock_ladder ~seed in
       let label what = Printf.sprintf "%s (seed %d)" what seed in
-      Alcotest.(check (option string)) (label "no crash") None o.C.fo_crashed;
-      Alcotest.(check bool) (label "no stall") false o.C.fo_stalled;
+      Alcotest.(check (option string)) (label "no crash") None o.C.o_crashed;
+      Alcotest.(check bool) (label "no stall") false o.C.o_stalled;
       Alcotest.(check int) (label "no violations") 0
-        (List.length o.C.fo_violations);
+        (List.length o.C.o_violations);
       Alcotest.(check (option string)) (label "right result") None
-        o.C.fo_wrong_result;
-      Alcotest.(check bool) (label "sweep verdict") false
-        (C.fault_outcome_failed o))
+        o.C.o_wrong_result;
+      Alcotest.(check bool) (label "sweep verdict") false (C.outcome_failed o))
     [ 0; 1; 2; 3 ]
 
 let test_legacy_protocol_fails_visibly_under_faults () =
@@ -262,53 +260,50 @@ let test_legacy_protocol_fails_visibly_under_faults () =
      and the watchdog must name the dead node. *)
   let outcomes =
     List.map
-      (fun seed ->
-        C.run_one_faulted ~protocol:"li_hudak" ~driver:Driver.bip_myrinet
-          ~workload:C.Lock_ladder ~seed ())
+      (fun seed -> faulted ~protocol:"li_hudak" ~workload:C.Lock_ladder ~seed)
       [ 0; 1; 2; 3 ]
   in
   Alcotest.(check bool) "some schedule defeats li_hudak" true
-    (List.exists C.fault_outcome_failed outcomes);
+    (List.exists C.outcome_failed outcomes);
   List.iter
     (fun o ->
-      if C.fault_outcome_failed o then begin
+      if C.outcome_failed o then begin
         Alcotest.(check bool)
-          (Printf.sprintf "failure is loud (seed %d)" o.C.fo_seed)
+          (Printf.sprintf "failure is loud (seed %d)" o.C.o_seed)
           true
-          (o.C.fo_stalled || o.C.fo_crashed <> None);
+          (o.C.o_stalled || o.C.o_crashed <> None);
         Alcotest.(check bool)
-          (Printf.sprintf "typed node.dead alert (seed %d)" o.C.fo_seed)
+          (Printf.sprintf "typed node.dead alert (seed %d)" o.C.o_seed)
           true
-          (List.mem "node.dead" o.C.fo_alert_kinds)
+          (List.mem "node.dead" o.C.o_alert_kinds)
       end)
     outcomes
 
 let test_zero_fault_spec_is_schedule_neutral () =
-  (* A fault layer that is installed but empty (no windows, no loss) must
-     replay the exact histories the plain checker records. *)
-  let spec =
-    { C.default_fault_spec with C.f_crashes = 0; f_loss_pct = 0. }
-  in
+  (* A fault layer that is installed but empty (no windows, no loss), with
+     the monitor and watchdog attached, must replay the exact histories a
+     bare runtime records: the reference fingerprints were taken from runs
+     with no fault layer, monitor or watchdog at all. *)
   List.iter
-    (fun (protocol, seed) ->
-      let plain =
-        C.run_one ~protocol ~driver:Driver.bip_myrinet ~workload:C.Lock_ladder
-          ~seed
-      in
-      let faultless =
-        C.run_one_faulted ~spec ~protocol ~driver:Driver.bip_myrinet
+    (fun (protocol, seed, bare_fingerprint) ->
+      let o, _ =
+        C.run ~spec:C.no_faults ~protocol ~driver:Driver.bip_myrinet
           ~workload:C.Lock_ladder ~seed ()
       in
       Alcotest.(check int)
         (Printf.sprintf "%s seed %d: identical history" protocol seed)
-        plain.C.o_fingerprint faultless.C.fo_fingerprint;
+        bare_fingerprint o.C.o_fingerprint;
       Alcotest.(check int)
         (Printf.sprintf "%s seed %d: nothing dropped" protocol seed)
-        0 faultless.C.fo_dropped;
+        0 o.C.o_dropped;
       Alcotest.(check int)
         (Printf.sprintf "%s seed %d: nothing retransmitted" protocol seed)
-        0 faultless.C.fo_retransmissions)
-    [ ("li_hudak", 4); ("erc_sw", 7); ("sc_abd", 4) ]
+        0 o.C.o_retransmissions)
+    [
+      ("li_hudak", 4, 1772490434049513381);
+      ("erc_sw", 7, 1979477435824960942);
+      ("sc_abd", 4, 1921686376194275793);
+    ]
 
 let () =
   Alcotest.run "checker"

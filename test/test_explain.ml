@@ -107,7 +107,10 @@ let test_crash_window_blamed () =
 
 (* --- the real thing: faulted conformance runs --- *)
 
-let driver = Driver.bip_myrinet
+let faulted ?explain ?trace_capacity ~protocol workload ~seed =
+  fst
+    (Conformance.run ~spec:Conformance.default_fault_spec ?explain
+       ?trace_capacity ~protocol ~driver:Driver.bip_myrinet ~workload ~seed ())
 
 (* The first li_hudak seed whose faulted racy_poll run fails; the sweep
    demonstrates there is one early. *)
@@ -115,17 +118,14 @@ let failing_li_hudak_outcome () =
   let rec find seed =
     if seed > 24 then Alcotest.fail "no failing li_hudak seed in 0..24"
     else
-      let o =
-        Conformance.run_one_faulted ~explain:true ~protocol:"li_hudak" ~driver
-          ~workload:Conformance.Racy_poll ~seed ()
-      in
-      if Conformance.fault_outcome_failed o then o else find (seed + 1)
+      let o = faulted ~explain:true ~protocol:"li_hudak" Conformance.Racy_poll ~seed in
+      if Conformance.outcome_failed o then o else find (seed + 1)
   in
   find 0
 
 let test_li_hudak_failure_explained () =
   let o = failing_li_hudak_outcome () in
-  let xs = o.Conformance.fo_explanations in
+  let xs = o.Conformance.o_explanations in
   Alcotest.(check bool) "failure carries explanations" true (xs <> []);
   List.iter
     (fun x ->
@@ -146,7 +146,7 @@ let test_explain_deterministic () =
     String.concat "\n"
       (List.map
          (fun x -> Json.to_string (Explain.to_json x))
-         o.Conformance.fo_explanations)
+         o.Conformance.o_explanations)
   in
   Alcotest.(check string) "same seed, byte-identical explanations" (run ()) (run ())
 
@@ -154,18 +154,15 @@ let test_sc_abd_nothing_to_explain () =
   for seed = 0 to 5 do
     List.iter
       (fun workload ->
-        let o =
-          Conformance.run_one_faulted ~explain:true ~protocol:"sc_abd" ~driver
-            ~workload ~seed ()
-        in
+        let o = faulted ~explain:true ~protocol:"sc_abd" workload ~seed in
         Alcotest.(check bool)
           (Printf.sprintf "sc_abd survives seed %d" seed)
           false
-          (Conformance.fault_outcome_failed o);
+          (Conformance.outcome_failed o);
         Alcotest.(check int)
           (Printf.sprintf "sc_abd has nothing to explain at seed %d" seed)
           0
-          (List.length o.Conformance.fo_explanations))
+          (List.length o.Conformance.o_explanations))
       [ Conformance.Racy_poll; Conformance.Lock_ladder ]
   done
 
@@ -175,11 +172,11 @@ let test_sc_abd_nothing_to_explain () =
 let test_recorder_schedule_neutral () =
   let fingerprint cap =
     let o =
-      Conformance.run_one_faulted ?trace_capacity:cap ~protocol:"li_hudak"
-        ~driver ~workload:Conformance.Racy_poll ~seed:1 ()
+      faulted ?trace_capacity:cap ~protocol:"li_hudak" Conformance.Racy_poll
+        ~seed:1
     in
-    (o.Conformance.fo_fingerprint, o.Conformance.fo_stalled,
-     o.Conformance.fo_dropped)
+    (o.Conformance.o_fingerprint, o.Conformance.o_stalled,
+     o.Conformance.o_dropped)
   in
   let unbounded = fingerprint None in
   Alcotest.(check bool) "capacity 256 is schedule-neutral" true

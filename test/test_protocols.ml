@@ -597,9 +597,39 @@ let test_stress_java_pf () = stress "java_pf"
 let test_stress_java_ic () = stress "java_ic"
 let test_stress_migrate_thread () = stress "migrate_thread"
 
+(* The registry hands out ids in call order; every builtin keeps the id it
+   has always had, and each name resolves to its own record. *)
+let test_builtin_ids_pinned () =
+  let dsm, ids = make () in
+  let x = Builtin.register_extras dsm in
+  let expected =
+    [
+      ("li_hudak", ids.Builtin.li_hudak, 0);
+      ("migrate_thread", ids.Builtin.migrate_thread, 1);
+      ("erc_sw", ids.Builtin.erc_sw, 2);
+      ("hbrc_mw", ids.Builtin.hbrc_mw, 3);
+      ("java_ic", ids.Builtin.java_ic, 4);
+      ("java_pf", ids.Builtin.java_pf, 5);
+      ("sc_abd", x.Builtin.sc_abd, 6);
+      ("write_update", x.Builtin.write_update, 7);
+      ("entry_ec", x.Builtin.entry_ec, 8);
+      ("hybrid_rw", x.Builtin.hybrid_rw, 9);
+      ("li_hudak_fixed", x.Builtin.li_hudak_fixed, 10);
+    ]
+  in
+  List.iter
+    (fun (name, id, pinned) ->
+      Alcotest.(check int) (name ^ " id") pinned id;
+      Alcotest.(check (option int)) (name ^ " by name") (Some pinned)
+        (Dsm.protocol_by_name dsm name);
+      Alcotest.(check string) (name ^ " name") name (Dsm.protocol_name dsm id))
+    expected
+
 let () =
   Alcotest.run "protocols"
     [
+      ( "registry",
+        [ Alcotest.test_case "builtin ids pinned" `Quick test_builtin_ids_pinned ] );
       ( "sc_abd",
         [
           Alcotest.test_case "quorum transfers count as page sends" `Quick

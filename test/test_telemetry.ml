@@ -153,8 +153,8 @@ let test_agrees_with_analyze () =
       List.iter
         (fun workload ->
           let _, dsm =
-            Conformance.run_one_traced ~protocol ~driver:Driver.bip_myrinet
-              ~workload ~seed:0
+            Conformance.run ~protocol ~driver:Driver.bip_myrinet ~workload
+              ~seed:0 ()
           in
           let tele =
             match Telemetry.find dsm with
