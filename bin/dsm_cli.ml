@@ -32,19 +32,28 @@ module Catalog = Dsmpm2_apps.Catalog
 
 let ppf = Format.std_formatter
 
-let driver_conv =
+(* A value picked by name from a known list: an unknown name is a usage
+   error that lists the known ones. *)
+let named_conv what name known =
   let parse s =
-    match Dsmpm2_net.Driver.by_name s with
-    | Some d -> Ok d
+    match List.find_opt (fun x -> name x = s) (known ()) with
+    | Some x -> Ok x
     | None ->
         Error
           (`Msg
-            (Printf.sprintf "unknown driver %S (known: %s)" s
-               (String.concat ", "
-                  (List.map (fun d -> d.Dsmpm2_net.Driver.name) Dsmpm2_net.Driver.all))))
+            (Printf.sprintf "unknown %s %S (known: %s)" what s
+               (String.concat ", " (List.map name (known ())))))
   in
-  let print fmt d = Format.pp_print_string fmt d.Dsmpm2_net.Driver.name in
-  Arg.conv (parse, print)
+  Arg.conv (parse, fun fmt x -> Format.pp_print_string fmt (name x))
+
+let driver_conv =
+  named_conv "driver" (fun d -> d.Dsmpm2_net.Driver.name) (fun () ->
+      Dsmpm2_net.Driver.all)
+
+(* Every --protocol takes a name the builtin registry declares. *)
+let protocol_conv =
+  named_conv "protocol" Fun.id (fun () ->
+      List.map (fun p -> p.Protocol.name) (Dsmpm2_protocols.Builtin.protocols ()))
 
 let driver_arg =
   Arg.(
@@ -57,14 +66,14 @@ let nodes_arg =
 
 let protocol_arg default =
   Arg.(
-    value & opt string default
+    value & opt protocol_conv default
     & info [ "protocol" ] ~docv:"PROTO" ~doc:"Consistency protocol name.")
 
 (* For commands that pick the application by name. *)
 let workload_protocol_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some protocol_conv) None
     & info [ "protocol" ] ~docv:"PROTO"
         ~doc:"Consistency protocol (default: the workload's own default).")
 
@@ -431,9 +440,7 @@ let analyze_cmd =
 let check_cmd =
   let run seeds protocols workload replay verbose faults loss crashes explain
       expect_vulnerable obs =
-    let protocols =
-      match protocols with [] -> Conformance.all_protocols | ps -> ps
-    in
+    let protocols = match protocols with [] -> None | ps -> Some ps in
     let workload_list =
       match workload with
       | None -> Conformance.workloads
@@ -498,7 +505,7 @@ let check_cmd =
             base base (List.length xs)
     in
     let verdicts =
-      Conformance.sweep ~protocols ~drivers ~workload_list ~spec ~explain
+      Conformance.sweep ?protocols ~drivers ~workload_list ~spec ~explain
         ~progress ~on_failure ~seeds ()
     in
     Conformance.print ~spec ppf verdicts;
@@ -554,7 +561,7 @@ let check_cmd =
   let protocols =
     Arg.(
       value
-      & opt_all string []
+      & opt_all protocol_conv []
       & info [ "protocol" ] ~docv:"PROTO"
           ~doc:"Check only $(docv) (repeatable; default: all builtins).")
   in

@@ -23,11 +23,6 @@ let workload_name = function
 let workload_by_name n =
   List.find_opt (fun w -> workload_name w = n) workloads
 
-let all_protocols =
-  [
-    "li_hudak"; "migrate_thread"; "erc_sw"; "hbrc_mw"; "java_ic"; "java_pf";
-    "li_hudak_fixed"; "hybrid_rw"; "entry_ec"; "write_update"; "sc_abd";
-  ]
 let nodes = 3
 
 (* The post-mortem value of a word, per the recorded history: the last write
@@ -350,19 +345,10 @@ type verdict = {
   v_first_failure : outcome option;
 }
 
-let model_of_protocol protocol =
-  (* Registration is cheap; build a throw-away runtime to read the declared
-     model off the registry. *)
-  let dsm = Dsm.create ~nodes:1 ~driver:Driver.bip_myrinet () in
-  ignore (Builtin.register_all dsm);
-  ignore (Builtin.register_extras dsm);
-  match Dsm.protocol_by_name dsm protocol with
-  | Some id -> (Runtime.proto dsm id).Protocol.model
-  | None -> invalid_arg (Printf.sprintf "Conformance: unknown protocol %s" protocol)
-
-let sweep ?(protocols = all_protocols) ?(drivers = Driver.all)
-    ?(workload_list = workloads) ?spec ?explain ?(progress = fun _ -> ())
-    ?(on_failure = fun _ _ _ -> ()) ~seeds () =
+let sweep ?protocols ?(drivers = Driver.all) ?(workload_list = workloads)
+    ?spec ?explain ?(progress = fun _ -> ()) ?(on_failure = fun _ _ _ -> ())
+    ~seeds () =
+  let declared = Builtin.protocols () in
   List.map
     (fun protocol ->
       let runs = ref 0 and failures = ref 0 in
@@ -394,7 +380,7 @@ let sweep ?(protocols = all_protocols) ?(drivers = Driver.all)
         drivers;
       {
         v_protocol = protocol;
-        v_model = model_of_protocol protocol;
+        v_model = (List.find (fun p -> p.Protocol.name = protocol) declared).model;
         v_runs = !runs;
         v_failures = !failures;
         v_stalls = !stalls;
@@ -402,7 +388,8 @@ let sweep ?(protocols = all_protocols) ?(drivers = Driver.all)
         v_alert_kinds = List.sort_uniq String.compare !kinds;
         v_first_failure = !first;
       })
-    protocols
+    (Option.value protocols
+       ~default:(List.map (fun p -> p.Protocol.name) declared))
 
 let failed verdicts = List.exists (fun v -> v.v_failures > 0) verdicts
 

@@ -33,10 +33,6 @@ val workloads : workload list
 val workload_name : workload -> string
 val workload_by_name : string -> workload option
 
-val all_protocols : string list
-(** Names of every builtin protocol: the core set, then the extras, each
-    in the order [Builtin] lists them (not their registry ids). *)
-
 (** {1 Runs} *)
 
 type fault_spec = {
@@ -134,8 +130,9 @@ val sweep :
   unit ->
   verdict list
 (** [sweep ~seeds ()] makes one {!run} per protocol, driver, workload and
-    seed (defaults: all protocols, all drivers, all workloads, {!no_faults})
-    and aggregates per-protocol verdicts.  [progress] is called after each
+    seed (defaults: every builtin protocol in registry id order, all
+    drivers, all workloads, {!no_faults}) and aggregates per-protocol
+    verdicts.  [progress] is called after each
     protocol/driver/workload cell; [on_failure] with the protocol name,
     every failing outcome (not just the first) and its finished runtime. *)
 

@@ -18,22 +18,19 @@ type cell = {
   violations : int;
 }
 
-let all_protocols =
-  [
-    "li_hudak"; "migrate_thread"; "erc_sw"; "hbrc_mw"; "java_ic"; "java_pf";
-    "li_hudak_fixed"; "hybrid_rw"; "entry_ec"; "write_update";
-  ]
+let kinds = [ Mp; Sb; Corr ]
 
-let sequentially_consistent_protocols =
-  [ "li_hudak"; "migrate_thread"; "li_hudak_fixed"; "hybrid_rw" ]
+let forbidden = function
+  | Protocol.Sequential -> kinds
+  | Protocol.Release | Protocol.Java -> [ Corr ]
 
 type cache_mode = No_cache | Cache_all | Cache_payload_only
 
 let run_one ~protocol ~kind ~cache ~offset_us =
-  let dsm = Dsm.create ~nodes:2 ~driver:Driver.bip_myrinet () in
-  ignore (Builtin.register_all dsm);
-  ignore (Builtin.register_extras dsm);
-  let proto = Option.get (Dsm.protocol_by_name dsm protocol) in
+  let dsm, proto =
+    Dsmpm2_apps.Workloads.start ~app:"Litmus" ~nodes:2
+      ~driver:Driver.bip_myrinet ~observe:None protocol
+  in
   (* Two variables on two distinct pages, both homed on the writer's node so
      the observer's copies are genuine remote caches. *)
   let x = Dsm.malloc dsm ~protocol:proto ~home:(Dsm.On_node 0) 8 in
@@ -104,11 +101,15 @@ let sweep ~protocol ~kind =
 
 let run () =
   List.concat_map
-    (fun protocol ->
-      List.map (fun kind -> sweep ~protocol ~kind) [ Mp; Sb; Corr ])
-    all_protocols
+    (fun { Protocol.name; _ } ->
+      List.map (fun kind -> sweep ~protocol:name ~kind) kinds)
+    (Builtin.protocols ())
 
 let kind_name = function Mp -> "MP" | Sb -> "SB" | Corr -> "CoRR"
+
+let note model =
+  Printf.sprintf "(%s: %s must be 0)" (Protocol.model_to_string model)
+    (String.concat ", " (List.map kind_name (forbidden model)))
 
 let print ppf cells =
   Format.fprintf ppf
@@ -116,22 +117,15 @@ let print ppf cells =
      configurations each)@.";
   Format.fprintf ppf "%-16s %8s %8s %8s@." "Protocol" "MP" "SB" "CoRR";
   List.iter
-    (fun protocol ->
-      Format.fprintf ppf "%-16s" protocol;
+    (fun { Protocol.name; model; _ } ->
+      Format.fprintf ppf "%-16s" name;
       List.iter
         (fun kind ->
-          let c =
-            List.find (fun c -> c.protocol = protocol && c.kind = kind) cells
-          in
+          let c = List.find (fun c -> c.protocol = name && c.kind = kind) cells in
           Format.fprintf ppf " %4d/%-3d" c.violations c.configurations)
-        [ Mp; Sb; Corr ];
-      Format.fprintf ppf "%s@."
-        (if List.mem protocol sequentially_consistent_protocols then
-           "   (sequential consistency: must be 0)"
-         else if protocol = "write_update" then
-           "   (processor consistency: MP forbidden, SB allowed)"
-         else "   (relaxed model: stale reads allowed without sync)"))
-    all_protocols
+        kinds;
+      Format.fprintf ppf "   %s@." (note model))
+    (Builtin.protocols ())
 
 let to_json cells =
   let open Dsmpm2_sim in

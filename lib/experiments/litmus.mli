@@ -23,11 +23,18 @@
 
 type kind = Mp | Sb | Corr
 
+val kind_name : kind -> string
+(** ["MP"], ["SB"] or ["CoRR"]. *)
+
 type observation = { r1 : int; r2 : int }
 
 val violates : kind -> observation -> bool
 (** Whether the observation is forbidden under sequential consistency (MP,
     SB) or under cache coherence (CoRR). *)
+
+val forbidden : Dsmpm2_core.Protocol.model -> kind list
+(** The kinds a protocol declaring this model must never violate: all
+    three under [Sequential], only CoRR under [Release] and [Java]. *)
 
 type cell = {
   protocol : string;
@@ -49,12 +56,9 @@ val sweep : protocol:string -> kind:kind -> cell
 (** Runs the standard sweep (3 cache modes x offsets 0..1000 us). *)
 
 val run : unit -> cell list
-(** Every kind under every registered protocol. *)
-
-val sequentially_consistent_protocols : string list
-(** The protocols for which the harness must observe zero MP/SB
-    violations. *)
+(** Every kind under every builtin protocol, in registry id order. *)
 
 val print : Format.formatter -> cell list -> unit
+(** One row per builtin protocol, noted with what its model {!forbidden}. *)
 
 val to_json : cell list -> Dsmpm2_sim.Json.t

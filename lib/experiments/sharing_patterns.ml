@@ -17,12 +17,6 @@ type cell = {
 
 let patterns = [ "migratory"; "producer_consumer"; "read_mostly"; "false_sharing" ]
 
-let protocols =
-  [
-    "li_hudak"; "li_hudak_fixed"; "migrate_thread"; "erc_sw"; "hbrc_mw";
-    "java_pf"; "entry_ec"; "write_update";
-  ]
-
 let nodes = 4
 let rounds = 20
 
@@ -131,10 +125,10 @@ let false_sharing dsm proto =
     !ok
 
 let run_one ~pattern ~protocol =
-  let dsm = Dsm.create ~nodes ~driver:Driver.bip_myrinet () in
-  ignore (Builtin.register_all dsm);
-  ignore (Builtin.register_extras dsm);
-  let proto = Option.get (Dsm.protocol_by_name dsm protocol) in
+  let dsm, proto =
+    Dsmpm2_apps.Workloads.start ~app:"Sharing_patterns" ~nodes
+      ~driver:Driver.bip_myrinet ~observe:None protocol
+  in
   let check =
     match pattern with
     | "migratory" -> migratory dsm proto
@@ -159,7 +153,8 @@ let run_one ~pattern ~protocol =
 
 let run () =
   List.concat_map
-    (fun pattern -> List.map (fun protocol -> run_one ~pattern ~protocol) protocols)
+    (fun pattern ->
+      List.map (fun p -> run_one ~pattern ~protocol:p.Protocol.name) (Builtin.protocols ()))
     patterns
 
 let print ppf cells =

@@ -34,9 +34,10 @@ type cell = {
 }
 
 val patterns : string list
-val protocols : string list
 val run_one : pattern:string -> protocol:string -> cell
-val run : unit -> cell list
+
+val run : unit -> cell list(** Every pattern under every builtin protocol, in registry id order. *)
+
 val print : Format.formatter -> cell list -> unit
 
 val to_json : cell list -> Dsmpm2_sim.Json.t

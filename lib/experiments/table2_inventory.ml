@@ -1,15 +1,16 @@
-open Dsmpm2_net
 open Dsmpm2_core
 open Dsmpm2_protocols
 
 type row = { name : string; consistency : string; features : string; registered : bool }
 
 let run () =
-  let dsm = Dsm.create ~nodes:2 ~driver:Driver.bip_myrinet () in
-  ignore (Builtin.register_all dsm);
   List.map
-    (fun (name, consistency, features) ->
-      { name; consistency; features; registered = Dsm.protocol_by_name dsm name <> None })
+    (fun (name, features) ->
+      match List.find_opt (fun p -> p.Protocol.name = name) (Builtin.protocols ()) with
+      | Some { Protocol.model; _ } ->
+          let consistency = String.capitalize_ascii (Protocol.model_to_string model) in
+          { name; consistency; features; registered = true }
+      | None -> { name; consistency = "-"; features; registered = false })
     Builtin.summary
 
 let print ppf rows =

@@ -1,5 +1,6 @@
-(** Table 2: the built-in protocol inventory, printed from the live registry
-    so the documentation cannot drift from the code. *)
+(** Table 2: the built-in protocol inventory.  The consistency column is
+    the model each registered record declares, so the table cannot drift
+    from the code. *)
 
 type row = { name : string; consistency : string; features : string; registered : bool }
 

@@ -23,27 +23,21 @@ let register_all dsm =
 let summary =
   [
     ( "li_hudak",
-      "Sequential",
       "MRSW protocol. Page replication on read access, page migration on \
        write access. Dynamic distributed manager." );
     ( "migrate_thread",
-      "Sequential",
       "Uses thread migration on both read and write faults. Fixed \
        distributed manager." );
     ( "erc_sw",
-      "Release",
       "MRSW protocol implementing eager release consistency. Dynamic \
        distributed manager." );
     ( "hbrc_mw",
-      "Release",
       "MRMW protocol implementing home-based lazy release consistency. \
        Fixed distributed manager. Uses twins and on-release diffing." );
     ( "java_ic",
-      "Java",
       "Home-based MRMW protocol, based on explicit inline checks (ic) for \
        locality. Fixed distributed manager. Uses on-the-fly diff recording." );
     ( "java_pf",
-      "Java",
       "Home-based MRMW protocol, based on page faults (pf). Fixed \
        distributed manager. Uses on-the-fly diff recording." );
   ]
@@ -67,3 +61,15 @@ let register_extras dsm =
   let hybrid_rw = Dsm.create_protocol dsm Hybrid_rw.protocol in
   let li_hudak_fixed = Dsm.create_protocol dsm Li_hudak_fixed.protocol in
   { li_hudak_fixed; hybrid_rw; entry_ec; write_update; sc_abd }
+
+(* Read back from a registry the two functions above filled, so the list
+   cannot disagree with registration.  Built on first use: a program that
+   never asks pays nothing for the throw-away runtime. *)
+let declared =
+  lazy
+    (let dsm = Dsm.create ~nodes:1 ~driver:Dsmpm2_net.Driver.bip_myrinet () in
+     ignore (register_all dsm);
+     ignore (register_extras dsm);
+     List.map snd (Protocol.all dsm.Runtime.registry))
+
+let protocols () = Lazy.force declared

@@ -1,4 +1,5 @@
-(** Registration of the six built-in protocols (paper Table 2).
+(** Registration of the built-in protocols: the six of the paper's Table 2
+    and five this reproduction adds.
 
     Registering returns the protocol identifiers in one record, after which
     they can be used exactly like user-defined protocols: as the default
@@ -21,9 +22,9 @@ val register_all : Dsm.t -> ids
     {!Dsm_comm.set_diffs_handler}) and makes [li_hudak] the default
     protocol, as in the paper's example programs. *)
 
-val summary : (string * string * string) list
-(** [(name, consistency model, basic features)] — the rows of the paper's
-    Table 2, for documentation and the bench inventory. *)
+val summary : (string * string) list
+(** [(name, basic features)] — the rows of the paper's Table 2.  The
+    consistency column is the registered record's {!Protocol.model}. *)
 
 type extra_ids = {
   li_hudak_fixed : int;  (** fixed-manager variant of li_hudak *)
@@ -38,3 +39,8 @@ val register_extras : Dsm.t -> extra_ids
     2: the fixed-distributed-manager MRSW variant and the section-2.3 hybrid.
     Call after {!register_all}; the ids follow on from its six in the order
     sc_abd, write_update, entry_ec, hybrid_rw, li_hudak_fixed. *)
+
+val protocols : unit -> Runtime.t Protocol.t list
+(** Every builtin protocol's record in registry id order, read from a
+    registry that {!register_all} and {!register_extras} filled: the one
+    list the litmus suite, the pattern study, [dsm check] and Table 2 read. *)

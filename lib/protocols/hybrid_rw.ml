@@ -15,11 +15,10 @@ let protocol =
   {
     Li_hudak.protocol with
     Protocol.name = "hybrid_rw";
-    (* Declared release rather than sequential: the conformance table
-       (PROTOCOLS.md) groups the hybrid with the sync-point protocols, and
-       the weaker declaration keeps the checker sound if a variant relaxes
-       the read path. *)
-    model = Protocol.Release;
+    (* Sequential, like both halves: reads take li_hudak's path and writes
+       migrate the thread to the owner, whose upgrade invalidates the
+       copyset first. *)
+    model = Protocol.Sequential;
     write_fault;
     (* Reads replicate (and downgrade the owner) exactly as in li_hudak;
        write requests never arrive because write faults migrate instead. *)

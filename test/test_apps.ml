@@ -76,7 +76,7 @@ let test_tsp_deterministic_per_seed () =
   let c = Tsp.distances ~cities:8 ~seed:2 in
   Alcotest.(check bool) "different seed differs" true (a <> c)
 
-let test_tsp_all_protocols_find_optimum () =
+let test_tsp_every_protocol_finds_optimum () =
   let cities = 11 in
   let optimal = Tsp.solve_sequential (Tsp.distances ~cities ~seed:42) in
   List.iter
@@ -284,7 +284,7 @@ let () =
         [
           Alcotest.test_case "distances symmetric" `Quick test_tsp_distances_symmetric;
           Alcotest.test_case "deterministic per seed" `Quick test_tsp_deterministic_per_seed;
-          Alcotest.test_case "all protocols optimal" `Slow test_tsp_all_protocols_find_optimum;
+          Alcotest.test_case "all protocols optimal" `Slow test_tsp_every_protocol_finds_optimum;
           Alcotest.test_case "deterministic replay" `Slow test_tsp_deterministic_replay;
           Alcotest.test_case "migrate_thread pile-up" `Slow test_tsp_migrate_thread_piles_up;
           Alcotest.test_case "page beats migration" `Slow test_tsp_page_protocols_beat_migration;

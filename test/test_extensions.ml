@@ -373,7 +373,7 @@ let test_lu_matches_sequential () =
       Alcotest.(check int) (protocol ^ " checksum") reference r.Lu.checksum)
     [ "li_hudak"; "erc_sw"; "hbrc_mw" ]
 
-let test_sort_all_protocols () =
+let test_sort_every_protocol () =
   List.iter
     (fun protocol ->
       let r = Sort.run { Sort.default with Sort.protocol; elements_per_node = 32 } in
@@ -437,7 +437,7 @@ let () =
           Alcotest.test_case "deterministic" `Slow test_lu_deterministic;
         ] );
       ( "sort",
-        [ Alcotest.test_case "all protocols sort correctly" `Quick test_sort_all_protocols ] );
+        [ Alcotest.test_case "all protocols sort correctly" `Quick test_sort_every_protocol ] );
       ( "write_update",
         [
           Alcotest.test_case "replicas stay fresh without faults" `Quick

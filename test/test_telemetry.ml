@@ -149,7 +149,7 @@ let online_profiles tele = Telemetry.Pages.profiles (Telemetry.pages tele)
 
 let test_agrees_with_analyze () =
   List.iter
-    (fun protocol ->
+    (fun { Protocol.name = protocol; _ } ->
       List.iter
         (fun workload ->
           let _, dsm =
@@ -170,7 +170,7 @@ let test_agrees_with_analyze () =
             (Analyze.pages (Analyze.analyze (Monitor.trace dsm)))
             (online_profiles tele))
         Conformance.workloads)
-    Conformance.all_protocols
+    (Dsmpm2_protocols.Builtin.protocols ())
 
 (* --- schedule transparency: telemetry + sampling never perturb a run --- *)
 
