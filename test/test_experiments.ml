@@ -116,20 +116,40 @@ let test_ablation_stack_crossover () =
 (* --- litmus tests --- *)
 
 (* Every builtin protocol, under every kind its declared model forbids:
-   the expectation is the declaration (Litmus.forbidden), nothing else. *)
-let test_litmus_declared_models_hold () =
+   the expectation is the declaration (Litmus.forbidden), nothing else.
+   [kinds] narrows the check to one concern; the two litmus tests below
+   split the forbidden kinds between them. *)
+let check_declared_models ~kinds =
   List.iter
     (fun { Dsmpm2_core.Protocol.name = protocol; model; _ } ->
       List.iter
         (fun kind ->
-          let c = Litmus.sweep ~protocol ~kind in
-          Alcotest.(check int)
-            (Printf.sprintf "%s (%s): no forbidden %s outcome" protocol
-               (Dsmpm2_core.Protocol.model_to_string model)
-               (Litmus.kind_name kind))
-            0 c.Litmus.violations)
+          if List.mem kind kinds then begin
+            let c = Litmus.sweep ~protocol ~kind in
+            Alcotest.(check int)
+              (Printf.sprintf "%s (%s): no forbidden %s outcome" protocol
+                 (Dsmpm2_core.Protocol.model_to_string model)
+                 (Litmus.kind_name kind))
+              0 c.Litmus.violations
+          end)
         (Litmus.forbidden model))
     (Dsmpm2_protocols.Builtin.protocols ())
+
+(* Ordering: MP and SB, which only a sequential declaration forbids. *)
+let test_litmus_sc_protocols_never_violate () =
+  check_declared_models ~kinds:[ Litmus.Mp; Litmus.Sb ]
+
+(* Coherence: every model forbids CoRR, so every protocol is checked. *)
+let test_litmus_coherence_holds_for_all () =
+  List.iter
+    (fun { Dsmpm2_core.Protocol.name; model; _ } ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s (%s) forbids CoRR" name
+           (Dsmpm2_core.Protocol.model_to_string model))
+        true
+        (List.mem Litmus.Corr (Litmus.forbidden model)))
+    (Dsmpm2_protocols.Builtin.protocols ());
+  check_declared_models ~kinds:[ Litmus.Corr ]
 
 let test_litmus_weak_protocols_relax () =
   (* These relaxed protocols exhibit the stale-read outcomes somewhere in
@@ -257,10 +277,12 @@ let () =
         ] );
       ( "litmus",
         [
-          Alcotest.test_case "declared models hold" `Quick
-            test_litmus_declared_models_hold;
+          Alcotest.test_case "SC protocols never violate" `Quick
+            test_litmus_sc_protocols_never_violate;
           Alcotest.test_case "weak protocols relax" `Quick
             test_litmus_weak_protocols_relax;
+          Alcotest.test_case "coherence holds for all" `Quick
+            test_litmus_coherence_holds_for_all;
           Alcotest.test_case "locks restore SC outcomes" `Quick
             test_litmus_locks_restore_sc;
         ] );
