@@ -140,11 +140,13 @@ let switch_protocol (rt : t) ~addr ~size ~protocol =
    DSM-PM2 detects accesses with the MMU: a hit costs nothing and only a
    fault reaches the protocol.  Here a software check replaces the MMU on
    every access, so a hit is kept to one test on the entry [Dsm] has to
-   look up anyway.  [hit] finds [addr]'s entry on the caller's node and
-   completes the access on its own when the fault-loop limit is not
-   negative, the protocol's hit class ({!Protocol.hit_class}) has the
-   mode's bit, the entry's rights allow the mode and the page is not
-   pinned; under an inline-check class it counts and charges the check.
+   look up anyway.  [hit] finds [addr]'s entry on the caller's node,
+   which it reads from the engine's node tag without looking the calling
+   thread up, and completes the access on its own when the fault-loop
+   limit is not negative, the protocol's hit class
+   ({!Protocol.hit_class}) has the mode's bit, the entry's rights allow
+   the mode and the page is not pinned; under an inline-check class it
+   counts and charges the check.
    A hit reads or writes the frame and, with history on, records the op
    at the current instant: no simulated time passes on a hit.
 
@@ -234,13 +236,24 @@ let[@inline] mode_bit = function
   | Access.Read -> Protocol.read_hits
   | Access.Write -> Protocol.write_hits
 
-(* The hit test: true iff [th], whose node's memory is [m], may complete
-   a [mode] access to [addr] without the protocol, in which case an inline
-   check has been counted and charged.  A refusal has counted nothing. *)
-let[@inline] hit (rt : t) th (m : Runtime.node_mem) ~addr ~mode =
-  rt.Runtime.fault_loop_limit >= 0
+(* The caller's node, or -1 outside a Marcel thread: Marcel keeps it in
+   the running fiber's engine tag.  A hit reads it and never looks the
+   calling thread up, which [self] does. *)
+let[@inline] node_tag (rt : t) = Engine.current_tag (Runtime.engine rt)
+let[@inline] self (rt : t) = Marcel.self (Runtime.marcel rt)
+
+(* The hit test: true iff a thread on [node], the caller's node tag
+   ({!Engine.current_tag}), may complete a [mode] access to [addr] without
+   the protocol, in which case an inline check has been counted and
+   charged.  A refusal has counted nothing, and a tag below 0 (no Marcel
+   thread) is refused.  Only the inline check needs the thread itself. *)
+let[@inline] hit (rt : t) node ~addr ~mode =
+  node >= 0
+  && rt.Runtime.fault_loop_limit >= 0
   &&
-  let e = Page_table.find m.Runtime.table (Page.page_of_addr rt.Runtime.geo addr) in
+  let e =
+    Page_table.find rt.Runtime.mem.(node).Runtime.table (Page.page_of_addr rt.Runtime.geo addr)
+  in
   let cls = Protocol.hit_class rt.Runtime.registry e.Page_table.protocol in
   if cls land mode_bit mode <> 0
      && Access.allows e.Page_table.rights mode
@@ -248,16 +261,15 @@ let[@inline] hit (rt : t) th (m : Runtime.node_mem) ~addr ~mode =
   then begin
     if cls land Protocol.inline_hits <> 0 then begin
       Stats.bump rt.Runtime.cells.Instrument.checks;
-      Marcel.charge_tick th
+      Marcel.charge_tick (self rt)
     end;
     true
   end
   else false
 
 let ensure_access (rt : t) ~addr ~mode =
-  let th = Marcel.self (Runtime.marcel rt) in
-  if not (hit rt th rt.Runtime.mem.(Marcel.node th) ~addr ~mode) then
-    ignore (access rt th ~addr ~mode : t Protocol.t)
+  if not (hit rt (node_tag rt) ~addr ~mode) then
+    ignore (access rt (self rt) ~addr ~mode : t Protocol.t)
 
 (* The start of an access's real-time window: only the history reads it. *)
 let history_start (rt : t) =
@@ -276,9 +288,11 @@ let record_access (rt : t) th ~start ~write ~addr ~value =
         (if write then History.Write { addr; value } else History.Read { addr; value })
 
 (* Logs a hit on [addr] as an access to its containing word, whose value
-   it reads back from [th]'s node.  History works at word granularity.  A
-   hit takes no simulated time, so its window is the current instant. *)
-let[@inline never] record_hit (rt : t) th ~write ~addr =
+   it reads back from the caller's node.  History works at word
+   granularity.  A hit takes no simulated time, so its window is the
+   current instant. *)
+let[@inline never] record_hit (rt : t) ~write ~addr =
+  let th = self rt in
   let addr = addr land lnot 7 in
   let value = Frame_store.read_int rt.Runtime.mem.(Marcel.node th).Runtime.store ~addr in
   record_access rt th ~start:(Engine.now (Runtime.engine rt)) ~write ~addr ~value
@@ -344,42 +358,38 @@ let[@inline never] write_byte_general rt th addr value =
   write_hook rt th proto ~addr:word_addr ~value
 
 let read_int rt addr =
-  let th = Marcel.self (Runtime.marcel rt) in
-  let m = rt.Runtime.mem.(Marcel.node th) in
-  if hit rt th m ~addr ~mode:Access.Read then begin
-    let value = Frame_store.read_int m.Runtime.store ~addr in
-    (match rt.Runtime.history with None -> () | Some _ -> record_hit rt th ~write:false ~addr);
+  let node = node_tag rt in
+  if hit rt node ~addr ~mode:Access.Read then begin
+    let value = Frame_store.read_int rt.Runtime.mem.(node).Runtime.store ~addr in
+    (match rt.Runtime.history with None -> () | Some _ -> record_hit rt ~write:false ~addr);
     value
   end
-  else read_int_general rt th addr
+  else read_int_general rt (self rt) addr
 
 let write_int rt addr value =
-  let th = Marcel.self (Runtime.marcel rt) in
-  let m = rt.Runtime.mem.(Marcel.node th) in
-  if hit rt th m ~addr ~mode:Access.Write then begin
-    Frame_store.write_int m.Runtime.store ~addr value;
-    match rt.Runtime.history with None -> () | Some _ -> record_hit rt th ~write:true ~addr
+  let node = node_tag rt in
+  if hit rt node ~addr ~mode:Access.Write then begin
+    Frame_store.write_int rt.Runtime.mem.(node).Runtime.store ~addr value;
+    match rt.Runtime.history with None -> () | Some _ -> record_hit rt ~write:true ~addr
   end
-  else write_int_general rt th addr value
+  else write_int_general rt (self rt) addr value
 
 let read_byte rt addr =
-  let th = Marcel.self (Runtime.marcel rt) in
-  let m = rt.Runtime.mem.(Marcel.node th) in
-  if hit rt th m ~addr ~mode:Access.Read then begin
-    let b = Frame_store.read_byte m.Runtime.store ~addr in
-    (match rt.Runtime.history with None -> () | Some _ -> record_hit rt th ~write:false ~addr);
+  let node = node_tag rt in
+  if hit rt node ~addr ~mode:Access.Read then begin
+    let b = Frame_store.read_byte rt.Runtime.mem.(node).Runtime.store ~addr in
+    (match rt.Runtime.history with None -> () | Some _ -> record_hit rt ~write:false ~addr);
     b
   end
-  else read_byte_general rt th addr
+  else read_byte_general rt (self rt) addr
 
 let write_byte rt addr value =
-  let th = Marcel.self (Runtime.marcel rt) in
-  let m = rt.Runtime.mem.(Marcel.node th) in
-  if hit rt th m ~addr ~mode:Access.Write then begin
-    Frame_store.write_byte m.Runtime.store ~addr value;
-    match rt.Runtime.history with None -> () | Some _ -> record_hit rt th ~write:true ~addr
+  let node = node_tag rt in
+  if hit rt node ~addr ~mode:Access.Write then begin
+    Frame_store.write_byte rt.Runtime.mem.(node).Runtime.store ~addr value;
+    match rt.Runtime.history with None -> () | Some _ -> record_hit rt ~write:true ~addr
   end
-  else write_byte_general rt th addr value
+  else write_byte_general rt (self rt) addr value
 
 let unsafe_peek (rt : t) ~node addr =
   Frame_store.read_int (Runtime.store rt node) ~addr

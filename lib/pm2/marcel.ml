@@ -4,6 +4,7 @@ let descriptor_bytes = 256
 
 type thread = {
   tid : int;
+  mutable fid : int; (* its engine fiber, whose tag mirrors [node] *)
   mutable node : int;
   mutable stack_bytes : int;
   attached_bytes : int;
@@ -32,6 +33,7 @@ type t = {
 let no_thread =
   {
     tid = -1;
+    fid = -1;
     node = 0;
     stack_bytes = 0;
     attached_bytes = 0;
@@ -135,7 +137,7 @@ let finish t th =
   pay_pending t th;
   th.alive <- false;
   (* The engine hands this fiber's id to a later spawn. *)
-  t.by_fiber.(Engine.current_fiber t.eng) <- no_thread;
+  t.by_fiber.(th.fid) <- no_thread;
   let joiners = th.joiners in
   th.joiners <- [];
   List.iter (fun resume -> resume ()) joiners
@@ -146,6 +148,7 @@ let spawn t ?(stack_bytes = 1024) ?(attached_bytes = 0) ?(migratable = false) ~n
   let th =
     {
       tid = t.next_tid;
+      fid = -1;
       node;
       stack_bytes;
       attached_bytes;
@@ -169,6 +172,8 @@ let spawn t ?(stack_bytes = 1024) ?(attached_bytes = 0) ?(migratable = false) ~n
   in
   if fid >= Array.length t.by_fiber then t.by_fiber <- Dense.ensure t.by_fiber fid no_thread;
   t.by_fiber.(fid) <- th;
+  th.fid <- fid;
+  Engine.set_tag t.eng fid node;
   th
 
 let join t th =
@@ -207,7 +212,8 @@ let set_node t th node =
   settle t th;
   if th.pending_us > 0. then
     invalid_arg "Marcel.set_node: thread has unflushed CPU charges";
-  th.node <- node
+  th.node <- node;
+  if th.alive then Engine.set_tag t.eng th.fid node
 
 module Mutex = struct
   type marcel = t

@@ -36,7 +36,15 @@ val spawn :
     private iso-allocated data that travels with the thread on migration
     (default 0).  [migratable] (default false) marks the thread as a
     candidate for preemptive migration by the load balancer — application
-    workers are migratable, protocol handler threads are not. *)
+    workers are migratable, protocol handler threads are not.
+
+    The thread's engine fiber is tagged with [node]
+    ({!Dsmpm2_sim.Engine.set_tag}), and Marcel keeps the tag a mirror of
+    the node: {!set_node} moves it, and the engine resets it to [-1]
+    when the thread's fiber ends.  So while a Marcel thread runs,
+    [Engine.current_tag (engine t) = node (self t)], and [-1] everywhere
+    else: the DSM's access hits read their node this way, without
+    looking the thread up. *)
 
 val self : t -> thread
 (** The calling thread.  Raises [Failure] outside of a Marcel thread.
@@ -124,7 +132,9 @@ val flush_charges : t -> unit
 
 val set_node : t -> thread -> int -> unit
 (** Re-homes a thread; used by the migration machinery only.  Pending charges
-    must have been flushed first. *)
+    must have been flushed first.  A live thread's fiber tag follows, so
+    the thread reads its new node from {!Dsmpm2_sim.Engine.current_tag}
+    as soon as it runs again. *)
 
 module Mutex : sig
   type marcel = t

@@ -45,6 +45,10 @@ type t = {
          reuses them before taking [next_fiber], so tables indexed by fiber
          id stay as short as the peak number of live fibers *)
   mutable current : int; (* -1 outside any fiber *)
+  mutable tags : int array;
+      (* fiber id -> the tag set on it, -1 where none is: [release] resets
+         an ended fiber's slot, so a reused id starts at -1 *)
+  mutable current_tag : int; (* [tags.(current)], -1 outside any fiber *)
   mutable pool : (unit -> unit, unit) Effect.Deep.continuation array;
   mutable npool : int;
       (* parked fibers, a stack in [pool.(0 .. npool - 1)]: each waits
@@ -70,6 +74,7 @@ let live_fibers t = t.live
 let pooled_fibers t = t.npool
 let events_executed t = t.executed
 let[@inline] current_fiber t = t.current
+let[@inline] current_tag t = t.current_tag
 let tie_seed t = t.tie_seed
 let pending_events t = t.size + t.now_size
 
@@ -275,12 +280,13 @@ let resumer t fid k =
         cell := None;
         schedule t t.clock fid nop k
 
-(* A fiber's body returned or raised: its id is free for the next [spawn].
-   This runs inside the fiber's last slice, so [current] is the ending
-   fiber. *)
+(* A fiber's body returned or raised: its id is free for the next [spawn],
+   with its tag back at -1.  This runs inside the fiber's last slice, so
+   [current] is the ending fiber. *)
 let release t =
   if t.nfree = Array.length t.free then t.free <- Dense.ensure t.free t.nfree 0;
   t.free.(t.nfree) <- t.current;
+  t.tags.!(t.current) <- -1;
   t.nfree <- t.nfree + 1;
   t.live <- t.live - 1
 
@@ -352,6 +358,8 @@ let create ?tie_seed () =
       free = [||];
       nfree = 0;
       current = -1;
+      tags = [||];
+      current_tag = -1;
       pool = [||];
       npool = 0;
       handler = { retc = ignore; exnc = raise; effc = (fun _ -> None) };
@@ -389,19 +397,23 @@ let start t body =
   Effect.Deep.continue t.pool.(t.npool) body
 
 (* Runs a slice of fiber [fid]: its [body] or the continuation [k], with
-   [current] set for the duration so that thread packages built on top can
-   implement "self". *)
+   [current] and [current_tag] set for the duration so that thread
+   packages built on top can implement "self". *)
 let enter t fid body k =
-  let prev = t.current in
+  let prev = t.current and prev_tag = t.current_tag in
   t.current <- fid;
+  t.current_tag <- t.tags.!(fid);
   match
     match k with
     | None -> start t body
     | Some k -> Effect.Deep.continue k ()
   with
-  | () -> t.current <- prev
+  | () ->
+      t.current <- prev;
+      t.current_tag <- prev_tag
   | exception e ->
       t.current <- prev;
+      t.current_tag <- prev_tag;
       raise e
 
 (* The gate is consulted at *execution* time, when the fiber's host node is
@@ -427,12 +439,19 @@ let spawn t f =
     else begin
       let fid = t.next_fiber in
       t.next_fiber <- fid + 1;
+      if fid >= Array.length t.tags then t.tags <- Dense.ensure t.tags fid (-1);
       fid
     end
   in
   t.live <- t.live + 1;
   schedule t t.clock fid f None;
   fid
+
+let set_tag t fid tag =
+  if fid < 0 || fid >= t.next_fiber then
+    invalid_arg (Printf.sprintf "Engine.set_tag: no fiber %d" fid);
+  t.tags.!(fid) <- tag;
+  if fid = t.current then t.current_tag <- tag
 
 let suspend _t register = Effect.perform (Suspend register)
 let sleep t dt = suspend t (fun resume -> after t dt resume)

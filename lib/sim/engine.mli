@@ -104,6 +104,20 @@ val current_fiber : t -> int
     Once a fiber has ended, a later {!spawn} may hand its id to a new
     fiber, so an id names a fiber only while that fiber is live. *)
 
+val current_tag : t -> int
+(** The tag of the fiber whose code is executing right now ({!set_tag}),
+    or [-1] in plain event context.  A fiber's tag is [-1] until one is
+    set, and again once the fiber has ended, so a reused id starts at
+    [-1].  The engine only stores tags: the queue never reads them, so
+    setting one moves no schedule.  Marcel keeps a Marcel thread's node
+    in its fiber's tag, which lets a DSM access hit find
+    its node with one load and no thread lookup. *)
+
+val set_tag : t -> int -> int -> unit
+(** [set_tag t fid tag] sets the tag of live fiber [fid]; when [fid] is
+    the fiber running now, {!current_tag} reads [tag] at once.  Raises
+    [Invalid_argument] if [fid] was never spawned. *)
+
 val suspend : t -> ((unit -> unit) -> unit) -> unit
 (** [suspend t register] suspends the calling fiber.  [register] receives a
     resume thunk; calling the thunk (at most once) schedules the fiber's

@@ -16,11 +16,14 @@ open Dsmpm2_net
 open Dsmpm2_core
 open Dsmpm2_protocols
 
-let protocol_names =
-  [
-    "li_hudak"; "migrate_thread"; "erc_sw"; "hbrc_mw"; "java_ic"; "java_pf";
-    "li_hudak_fixed"; "hybrid_rw"; "entry_ec"; "write_update";
-  ]
+(* Every builtin is tested unless named here.  sc_abd's whole-page quorum
+   put loses concurrent writes to other words of a page (ROADMAP item 1):
+   with it included, four cases fail, its drf-property case and the
+   barrier, jitter and placement cases. *)
+let excluded = [ "sc_abd" ]
+
+let registry_names = List.map (fun p -> p.Protocol.name) (Builtin.protocols ())
+let protocol_names = List.filter (fun name -> not (List.mem name excluded)) registry_names
 
 type op = { lock : int; var : int; delta : int }
 
@@ -144,6 +147,9 @@ let barrier_phases ~protocol ~seed ~nodes ~vars ~phases =
   !failures
 
 let test_barrier_visibility () =
+  Alcotest.(check (list string)) "tested and excluded names are the registry's"
+    (List.sort compare registry_names)
+    (List.sort compare (protocol_names @ excluded));
   List.iter
     (fun protocol ->
       let failures =

@@ -544,6 +544,48 @@ let test_history_records_hits_once () =
         (Time.to_us miss.History.finish -. Time.to_us miss.History.start > 100.)
   | ops -> Alcotest.failf "expected 5 ops, got %d" (List.length ops)
 
+let test_migrated_thread_hits_on_new_node () =
+  (* Both nodes hold the page writable, so a hit read from a stale node
+     would land, silently, in the source frame. *)
+  let dsm, ids = make ~nodes:2 () in
+  let x = Dsm.malloc dsm ~protocol:ids.Builtin.hbrc_mw ~home:(Dsm.On_node 1) 8 in
+  let faults () = count dsm Instrument.read_faults + count dsm Instrument.write_faults in
+  let before = ref 0 and took = ref nan and read = ref 0 in
+  run_one dsm ~node:0 (fun () ->
+      Dsm.write_int dsm x 1;
+      Alcotest.check access "source copy writable" Access.Read_write
+        (Dsm.unsafe_rights dsm ~node:0 ~addr:x);
+      Dsmpm2_pm2.Pm2.migrate (Dsm.pm2 dsm) ~dst:1;
+      before := faults ();
+      let t0 = Dsm.now_us dsm in
+      Dsm.write_int dsm x 2;
+      read := Dsm.read_int dsm x;
+      took := Dsm.now_us dsm -. t0);
+  Alcotest.(check (float 0.)) "hits: no time" 0. !took;
+  Alcotest.(check int) "hits: no fault" !before (faults ());
+  Alcotest.(check int) "read back on the new node" 2 !read;
+  Alcotest.(check int) "written on the new node" 2 (Dsm.unsafe_peek dsm ~node:1 x);
+  Alcotest.(check int) "source frame untouched" 1 (Dsm.unsafe_peek dsm ~node:0 x)
+
+let test_access_outside_thread_fails () =
+  let dsm, _ = make ~nodes:2 () in
+  let x = Dsm.malloc dsm ~home:(Dsm.On_node 0) 8 in
+  let fails name f =
+    Alcotest.check_raises name (Failure "Marcel.self: not running inside a Marcel thread") f
+  in
+  let ran = ref false in
+  Engine.at (Dsm.engine dsm) (Time.of_us 1.) (fun () ->
+      fails "read_int" (fun () -> ignore (Dsm.read_int dsm x));
+      fails "write_int" (fun () -> Dsm.write_int dsm x 1);
+      fails "read_byte" (fun () -> ignore (Dsm.read_byte dsm x));
+      fails "write_byte" (fun () -> Dsm.write_byte dsm x 1);
+      fails "ensure_access" (fun () -> Dsm.ensure_access dsm ~addr:x ~mode:Access.Read);
+      ran := true);
+  Dsm.run dsm;
+  Alcotest.(check bool) "checked from a plain event" true !ran;
+  Alcotest.(check int) "nothing written" 0 (Dsm.unsafe_peek dsm ~node:0 x);
+  fails "read_int outside run" (fun () -> ignore (Dsm.read_int dsm x))
+
 (* --- single access path: equivalences --- *)
 
 let test_migrating_read_records_new_node () =
@@ -915,6 +957,10 @@ let () =
           Alcotest.test_case "switch_protocol hooks" `Quick test_switch_protocol_hooks;
           Alcotest.test_case "history records hits once" `Quick
             test_history_records_hits_once;
+          Alcotest.test_case "migrated thread hits on its new node" `Quick
+            test_migrated_thread_hits_on_new_node;
+          Alcotest.test_case "access outside a thread fails" `Quick
+            test_access_outside_thread_fails;
         ] );
       ( "batches",
         [

@@ -114,6 +114,61 @@ let test_live_threads_by_tid_after_reuse () =
     (List.map Marcel.tid (Marcel.live_threads marcel ~node:0));
   Pm2.run pm2
 
+let test_fiber_tag_is_thread_node () =
+  (* Marcel keeps each fiber's engine tag at its thread's node.  Checked
+     at every step of a run with RPC handler threads on three nodes, whose
+     fiber ids the engine reuses, a caller that Pm2.migrate moves from
+     node to node, and plain events, where both sides read -1. *)
+  let pm2 = Pm2.create ~nodes:3 ~driver:Driver.bip_myrinet () in
+  let marcel = Pm2.marcel pm2 and eng = Pm2.engine pm2 and rpc = Pm2.rpc pm2 in
+  let checks = ref 0 and mismatches = ref [] and worker_nodes = ref [] in
+  let check where =
+    incr checks;
+    let tag = Engine.current_tag eng in
+    let node = match Marcel.self_opt marcel with None -> -1 | Some th -> Marcel.node th in
+    if tag <> node then
+      mismatches := Printf.sprintf "%s: tag %d, node %d" where tag node :: !mismatches
+  in
+  let handler_tids = Array.make 64 [] in
+  let service =
+    Rpc.register rpc ~name:"touch" (fun ~src:_ _ ->
+        check "handler";
+        let fid = Engine.current_fiber eng in
+        handler_tids.(fid) <- Marcel.tid (Marcel.self marcel) :: handler_tids.(fid);
+        Marcel.yield marcel;
+        check "handler, resumed";
+        (Rpc.Unit, Driver.Request))
+  in
+  let touch dst = ignore (Rpc.call rpc ~dst ~service ~cost:Driver.Request Rpc.Unit) in
+  ignore
+    (Pm2.spawn pm2 ~node:0 (fun () ->
+         for round = 1 to 6 do
+           check "worker";
+           worker_nodes := Pm2.self_node pm2 :: !worker_nodes;
+           touch 1;
+           touch 2;
+           check "worker, after its calls";
+           Pm2.migrate pm2 ~dst:(round mod 3);
+           check "worker, migrated"
+         done));
+  ignore
+    (Pm2.spawn pm2 ~node:2 (fun () ->
+         for _ = 1 to 6 do
+           touch 0;
+           check "caller on node 2"
+         done));
+  for i = 0 to 20 do
+    Engine.at eng (Time.of_us (float_of_int (i * 50))) (fun () -> check "plain event")
+  done;
+  Pm2.run pm2;
+  Alcotest.(check (list string)) "tag = node at every check" [] !mismatches;
+  Alcotest.(check bool) (Printf.sprintf "%d checks" !checks) true (!checks > 80);
+  Alcotest.(check (list int)) "the worker moved" [ 2; 1; 0; 2; 1; 0 ] !worker_nodes;
+  Alcotest.(check int) "six migrations" 6 (Pm2.migrations pm2);
+  Alcotest.(check bool) "handler fiber ids reused" true
+    (Array.exists (fun tids -> List.length tids > 1) handler_tids);
+  Alcotest.(check int) "-1 after the run" (-1) (Engine.current_tag eng)
+
 let test_sequential_spawns_stay_short () =
   (* 10 000 threads, one alive at a time: every one runs on the same few
      fiber ids, and the runtime holds no more memory after the last than
@@ -610,6 +665,8 @@ let () =
             test_reused_fiber_names_new_thread;
           Alcotest.test_case "live threads by tid after reuse" `Quick
             test_live_threads_by_tid_after_reuse;
+          Alcotest.test_case "fiber tag is the thread's node" `Quick
+            test_fiber_tag_is_thread_node;
           Alcotest.test_case "sequential spawns stay short" `Quick
             test_sequential_spawns_stay_short;
           Alcotest.test_case "charge accounting" `Quick test_charge_then_compute_accounts;

@@ -179,6 +179,57 @@ let test_engine_reuses_ended_fiber_ids () =
     (List.rev !seen);
   Alcotest.(check int) "no fiber left" 0 (Engine.live_fibers eng)
 
+let test_engine_fiber_tags () =
+  (* A fiber's tag reads -1 until set, follows [set_tag] at once when set
+     on the running fiber, survives a suspension, and is -1 in plain
+     events and on a reused id, whether the fiber before it returned or
+     raised. *)
+  let eng = Engine.create () in
+  let seen = ref [] in
+  let record what = seen := (what, Engine.current_tag eng) :: !seen in
+  Engine.at eng Time.zero (fun () -> record "event");
+  let a =
+    Engine.spawn eng (fun () ->
+        record "a, set before it ran";
+        Engine.set_tag eng (Engine.current_fiber eng) 7;
+        record "a, set on itself";
+        Engine.sleep eng (Time.of_us 1.);
+        record "a, resumed")
+  in
+  Engine.set_tag eng a 3;
+  Engine.at eng (Time.of_us 0.5) (fun () -> record "event between a's slices");
+  Engine.run eng;
+  let b = Engine.spawn eng (fun () -> record "b, a's id reused") in
+  Alcotest.(check int) "a's id reused" a b;
+  Engine.run eng;
+  let c =
+    Engine.spawn eng (fun () ->
+        Engine.set_tag eng (Engine.current_fiber eng) 5;
+        record "c, about to raise";
+        failwith "boom")
+  in
+  Engine.set_tag eng c 4;
+  Alcotest.check_raises "body raised" (Failure "boom") (fun () -> Engine.run eng);
+  Alcotest.(check int) "the raising slice restored the tag" (-1) (Engine.current_tag eng);
+  let d = Engine.spawn eng (fun () -> record "d, c's id reused") in
+  Alcotest.(check int) "c's id reused" c d;
+  Engine.run eng;
+  Alcotest.(check (list (pair string int))) "tags seen"
+    [
+      ("event", -1);
+      ("a, set before it ran", 3);
+      ("a, set on itself", 7);
+      ("event between a's slices", -1);
+      ("a, resumed", 7);
+      ("b, a's id reused", -1);
+      ("c, about to raise", 5);
+      ("d, c's id reused", -1);
+    ]
+    (List.rev !seen);
+  Alcotest.(check int) "outside run" (-1) (Engine.current_tag eng);
+  Alcotest.check_raises "never spawned" (Invalid_argument "Engine.set_tag: no fiber 9")
+    (fun () -> Engine.set_tag eng 9 0)
+
 let test_engine_resume_twice_rejected () =
   let eng = Engine.create () in
   let saved = ref ignore in
@@ -1061,6 +1112,7 @@ let () =
           Alcotest.test_case "current fiber" `Quick test_engine_current_fiber;
           Alcotest.test_case "ended fiber ids reused" `Quick
             test_engine_reuses_ended_fiber_ids;
+          Alcotest.test_case "fiber tags" `Quick test_engine_fiber_tags;
           Alcotest.test_case "double resume rejected" `Quick
             test_engine_resume_twice_rejected;
           Alcotest.test_case "run limit" `Quick test_engine_run_limit;
