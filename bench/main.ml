@@ -146,7 +146,9 @@ let bechamel_tests ?filter () =
      pages, each on a different entry. *)
   let table = Page_table.create ~node:0 in
   for page = 1 to 256 do
-    ignore (Page_table.declare table ~page ~home:0 ~owner:0 ~protocol:0 ~rights:Access.No_access)
+    ignore
+      (Page_table.declare table ~page ~home:0 ~owner:0 ~protocol:0 ~cls:0
+         ~rights:Access.No_access)
   done;
   let page_table_find () =
     let acc = ref 0 in
@@ -170,6 +172,22 @@ let bechamel_tests ?filter () =
            while true do
              for i = 0 to 63 do
                ignore (Sys.opaque_identity (Dsm.read_int dsm (base + (i * 8))))
+             done;
+             Engine.sleep eng (Dsmpm2_sim.Time.of_ns 1)
+           done));
+    fun () -> Dsm.run ~limit:Dsmpm2_sim.Time.(Engine.now eng + of_ns 1) dsm
+  in
+  (* The lazy CPU charge: 64 [Dsm.charge] calls by one held thread, in the
+     same one-event runs.  The work is never paid, so a run is the charges
+     and one wake-up. *)
+  let charges () =
+    let dsm = Dsm.create ~nodes:1 ~driver:Driver.bip_myrinet () in
+    let eng = Dsm.engine dsm in
+    ignore
+      (Dsm.spawn dsm ~node:0 (fun () ->
+           while true do
+             for _ = 1 to 64 do
+               Dsm.charge dsm 0.001
              done;
              Engine.sleep eng (Dsmpm2_sim.Time.of_ns 1)
            done));
@@ -275,6 +293,7 @@ let bechamel_tests ?filter () =
       ("core/page_table_find_x64", page_table_find);
       ("core/dsm_read_hit_x64", read_hits (fun ids -> ids.Builtin.li_hudak));
       ("core/dsm_read_hit_inline_x64", read_hits (fun ids -> ids.Builtin.java_ic));
+      ("core/dsm_charge_x64", charges ());
       ("net/send_request_x64", network_send);
     ]
   in

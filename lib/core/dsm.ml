@@ -42,6 +42,7 @@ let malloc (rt : t) ?protocol ?(home = Round_robin) size =
     match protocol with Some p -> p | None -> rt.Runtime.default_protocol
   in
   ignore (Runtime.proto rt protocol);
+  let cls = Protocol.hit_class rt.Runtime.registry protocol in
   let n = Runtime.nodes rt in
   let page_size = Page.size rt.Runtime.geo in
   let npages = (size + page_size - 1) / page_size in
@@ -61,7 +62,7 @@ let malloc (rt : t) ?protocol ?(home = Round_robin) size =
       let rights = if node = home_node then Access.Read_write else Access.No_access in
       ignore
         (Page_table.declare rt.Runtime.mem.(node).Runtime.table ~page ~home:home_node
-           ~owner:home_node ~protocol ~rights)
+           ~owner:home_node ~protocol ~cls ~rights)
     done;
     (* Materialise the reference copy eagerly so sends always find a frame. *)
     ignore (Frame_store.frame rt.Runtime.mem.(home_node).Runtime.store page);
@@ -83,6 +84,7 @@ let malloc_attr rt a size = malloc rt ?protocol:a.attr_protocol ~home:a.attr_hom
 
 let switch_protocol (rt : t) ~addr ~size ~protocol =
   ignore (Runtime.proto rt protocol);
+  let cls = Protocol.hit_class rt.Runtime.registry protocol in
   let pages = region_pages rt ~addr ~size in
   let n = Runtime.nodes rt in
   (* Pass 1: the area must be quiescent on every node. *)
@@ -90,7 +92,7 @@ let switch_protocol (rt : t) ~addr ~size ~protocol =
     (fun page ->
       for node = 0 to n - 1 do
         let e = Runtime.entry rt ~node ~page in
-        if e.Page_table.faulting || e.Page_table.pinned then
+        if e.Page_table.faulting || Page_table.pinned e then
           invalid_arg
             (Printf.sprintf
                "Dsm.switch_protocol: page %d has a fault in flight on node %d" page
@@ -111,8 +113,7 @@ let switch_protocol (rt : t) ~addr ~size ~protocol =
       let authoritative =
         let rec find node =
           if node >= n then home
-          else if
-            (Runtime.entry rt ~node ~page).Page_table.rights = Access.Read_write
+          else if Page_table.rights (Runtime.entry rt ~node ~page) = Access.Read_write
           then node
           else find (node + 1)
         in
@@ -123,10 +124,10 @@ let switch_protocol (rt : t) ~addr ~size ~protocol =
           (Frame_store.frame (Runtime.store rt authoritative) page);
       for node = 0 to n - 1 do
         let e = Runtime.entry rt ~node ~page in
-        e.Page_table.protocol <- protocol;
+        Page_table.set_protocol e ~protocol ~cls;
         e.Page_table.prob_owner <- home;
         e.Page_table.copyset <- [];
-        e.Page_table.rights <-
+        Page_table.set_rights e
           (if node = home then Access.Read_write else Access.No_access);
         if node <> home then Frame_store.drop (Runtime.store rt node) page
       done;
@@ -143,10 +144,10 @@ let switch_protocol (rt : t) ~addr ~size ~protocol =
    look up anyway.  [hit] finds [addr]'s entry on the caller's node,
    which it reads from the engine's node tag without looking the calling
    thread up, and completes the access on its own when the fault-loop
-   limit is not negative, the protocol's hit class
-   ({!Protocol.hit_class}) has the mode's bit, the entry's rights allow
-   the mode and the page is not pinned; under an inline-check class it
-   counts and charges the check.
+   limit is not negative and the entry's protection word allows the mode
+   ({!Page_table.hits}: the protocol's hit class has the mode's bit, the
+   rights allow it and the page is not pinned); under an inline-check
+   class it counts and charges the check.
    A hit reads or writes the frame and, with history on, records the op
    at the current instant: no simulated time passes on a hit.
 
@@ -206,9 +207,7 @@ let[@inline] lookup (rt : t) th ~addr ~mode faults =
       rt.Runtime.mem.(Marcel.node th).Runtime.table
       (Page.page_of_addr rt.Runtime.geo addr)
   in
-  if Protocol.hit_class rt.Runtime.registry e.Page_table.protocol land Protocol.inline_hits
-     <> 0
-  then begin
+  if Page_table.inline_checked e then begin
     Stats.bump rt.Runtime.cells.Instrument.checks;
     Marcel.charge_tick th
   end;
@@ -222,19 +221,15 @@ let[@inline never] rec miss (rt : t) th ~addr ~mode (e : Page_table.entry) fault
     (Protocol.find rt.Runtime.registry protocol);
   let faults = faults + 1 in
   let e = lookup rt th ~addr ~mode faults in
-  if Access.allows e.Page_table.rights mode then e else miss rt th ~addr ~mode e faults
+  if Page_table.allows e mode then e else miss rt th ~addr ~mode e faults
 
 (* The general path's access: returns the protocol of [addr]'s page once
    [th]'s node holds rights for [mode] on it, and unpins the page. *)
 let[@inline] access (rt : t) th ~addr ~mode =
   let e = lookup rt th ~addr ~mode 0 in
-  let e = if Access.allows e.Page_table.rights mode then e else miss rt th ~addr ~mode e 0 in
+  let e = if Page_table.allows e mode then e else miss rt th ~addr ~mode e 0 in
   Protocol_lib.unpin rt e;
   Protocol.find rt.Runtime.registry e.Page_table.protocol
-
-let[@inline] mode_bit = function
-  | Access.Read -> Protocol.read_hits
-  | Access.Write -> Protocol.write_hits
 
 (* The caller's node, or -1 outside a Marcel thread: Marcel keeps it in
    the running fiber's engine tag.  A hit reads it and never looks the
@@ -254,12 +249,8 @@ let[@inline] hit (rt : t) node ~addr ~mode =
   let e =
     Page_table.find rt.Runtime.mem.(node).Runtime.table (Page.page_of_addr rt.Runtime.geo addr)
   in
-  let cls = Protocol.hit_class rt.Runtime.registry e.Page_table.protocol in
-  if cls land mode_bit mode <> 0
-     && Access.allows e.Page_table.rights mode
-     && not e.Page_table.pinned
-  then begin
-    if cls land Protocol.inline_hits <> 0 then begin
+  if Page_table.hits e mode then begin
+    if Page_table.inline_checked e then begin
       Stats.bump rt.Runtime.cells.Instrument.checks;
       Marcel.charge_tick (self rt)
     end;
@@ -396,7 +387,7 @@ let unsafe_peek (rt : t) ~node addr =
 
 let unsafe_rights (rt : t) ~node ~addr =
   let page = Page.page_of_addr rt.Runtime.geo addr in
-  (Runtime.entry rt ~node ~page).Page_table.rights
+  Page_table.rights (Runtime.entry rt ~node ~page)
 
 (* --- conformance history --- *)
 

@@ -106,12 +106,13 @@ val read_int : t -> int -> int
 
     What a hit costs: the word accessors and {!ensure_access} first make
     one test on the page's entry on the caller's node.  The access is a
-    hit when the fault-loop limit is not negative, the protocol's
+    hit when the fault-loop limit is not negative and the entry's
+    protection word ({!Page_table.hits}) says that the protocol's
     {!Protocol.hit_class} has the mode's bit (no [on_local_read] for a
-    read, no [on_local_write] for a write), the entry's rights allow the
-    mode and the page is not pinned by a just-completed fault.  A hit
-    costs the caller's thread lookup, the entry lookup and the frame
-    access; it takes no simulated time unless the protocol is
+    read, no [on_local_write] for a write), the rights allow the mode and
+    the page is not pinned by a just-completed fault.  A hit costs the
+    entry lookup, one masked test and the frame access; it takes no
+    simulated time unless the protocol is
     [Inline_check], whose hits count one check and charge
     [inline_check_us] each.  It allocates nothing unless history is on,
     and then records the op with [start = finish = now].  Every other

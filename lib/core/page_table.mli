@@ -13,7 +13,13 @@
     Entries also carry the fault-coalescing state ([faulting] + condition)
     that makes the table safe for an arbitrary number of concurrent threads
     per node: concurrent faults on one page coalesce, faults on different
-    pages proceed in parallel. *)
+    pages proceed in parallel.
+
+    An entry's access rights, its pin and the hit class of its protocol
+    live in one protection word, the simulated [mprotect]: a protocol reads
+    and writes them through {!rights}/{!set_rights},
+    {!pinned}/{!set_pinned} and {!set_protocol}, and an access decides a
+    hit with one masked test of the word ({!hits}). *)
 
 open Dsmpm2_sim
 open Dsmpm2_pm2
@@ -25,17 +31,14 @@ type ext += No_ext
 
 type entry = {
   page : int;
-  mutable rights : Dsmpm2_mem.Access.t;
+  mutable prot : int;
+      (** the protection word: rights, pin and hit class; use the
+          accessors below, never the bits *)
   mutable prob_owner : int;
   mutable home : int;
   mutable copyset : int list;  (** sorted, without duplicates *)
-  mutable protocol : int;
+  mutable protocol : int;  (** written only by {!set_protocol} *)
   mutable faulting : bool;  (** a local fault is in progress on this page *)
-  mutable pinned : bool;
-      (** a fault was just satisfied and the faulting thread has not yet
-          retried its access; remote services must wait (see
-          {!Protocol_lib.wait_for_service}) so the local access cannot be
-          starved by back-to-back ownership requests *)
   fault_done : Marcel.Cond.t;
   entry_mutex : Marcel.Mutex.t;  (** serialises server-side transitions *)
   mutable twin : bytes option;
@@ -60,12 +63,45 @@ val declare :
   home:int ->
   owner:int ->
   protocol:int ->
+  cls:int ->
   rights:Dsmpm2_mem.Access.t ->
   entry
-(** Adds an entry for [page]; raises [Invalid_argument] if already present
-    or if [page] is negative.  The table is an array indexed by page number
-    (iso-address pages are dense from 1), grown by doubling here and
-    nowhere else. *)
+(** Adds an entry for [page] under [protocol], whose hit class
+    ({!Protocol.hit_class}) is [cls]; raises [Invalid_argument] if already
+    present or if [page] is negative.  The table is an array indexed by
+    page number (iso-address pages are dense from 1), grown by doubling
+    here and nowhere else. *)
+
+(** {2 Protection} *)
+
+val rights : entry -> Dsmpm2_mem.Access.t
+val set_rights : entry -> Dsmpm2_mem.Access.t -> unit
+
+val allows : entry -> Dsmpm2_mem.Access.mode -> bool
+(** [allows e mode] is [Access.allows (rights e) mode]. *)
+
+val pinned : entry -> bool
+(** A fault was just satisfied and the faulting thread has not yet retried
+    its access; remote services must wait (see
+    {!Protocol_lib.wait_for_service}) so the local access cannot be starved
+    by back-to-back ownership requests. *)
+
+val set_pinned : entry -> bool -> unit
+
+val set_protocol : entry -> protocol:int -> cls:int -> unit
+(** Moves the entry to [protocol], whose hit class is [cls]. *)
+
+val hit_class : entry -> int
+(** The class the entry was declared or last moved with. *)
+
+val hits : entry -> Dsmpm2_mem.Access.mode -> bool
+(** The hit test: the class has the mode's bit ({!Protocol.read_hits} or
+    {!Protocol.write_hits}), the rights allow the mode and the page is not
+    pinned.  One load and one masked compare. *)
+
+val inline_checked : entry -> bool
+(** The class has {!Protocol.inline_hits}: an access is counted and
+    charged as an inline check. *)
 
 val find : t -> int -> entry
 (** One array read; allocation-free on a hit.

@@ -41,19 +41,13 @@ type 'rt t = {
   on_page_init : ('rt -> node:int -> page:int -> unit) option;
 }
 
-(* Ids [0, count) are registered; [classes.(id)] is the hit class of
-   [protocols.(id)], computed once at registration (records are
-   immutable).  Both arrays grow by doubling ([Dense.ensure]) from room
-   for 16, so registering the built-in protocols allocates each once;
-   slots from [count] on are filler. *)
-type 'rt registry = {
-  mutable protocols : 'rt t array;
-  mutable classes : int array;
-  mutable count : int;
-}
+(* Ids [0, count) are registered.  The array grows by doubling
+   ([Dense.ensure]) from room for 16, so registering the built-in
+   protocols allocates it once; slots from [count] on are filler. *)
+type 'rt registry = { mutable protocols : 'rt t array; mutable count : int }
 
 let no_action _ ~node:_ ~lock:_ = ()
-let create_registry () = { protocols = [||]; classes = [||]; count = 0 }
+let create_registry () = { protocols = [||]; count = 0 }
 
 let read_hits = 1
 let write_hits = 2
@@ -66,12 +60,9 @@ let class_of proto =
 
 let register reg proto =
   let id = reg.count in
-  if id = Array.length reg.protocols then begin
+  if id = Array.length reg.protocols then
     reg.protocols <- Dense.ensure reg.protocols (max id 15) proto;
-    reg.classes <- Dense.ensure reg.classes (max id 15) 0
-  end;
   reg.protocols.(id) <- proto;
-  reg.classes.(id) <- class_of proto;
   reg.count <- id + 1;
   id
 
@@ -82,9 +73,7 @@ let[@inline] find reg id =
   if id < 0 || id >= reg.count then unknown_id id;
   Array.unsafe_get reg.protocols id
 
-let[@inline] hit_class reg id =
-  if id < 0 || id >= reg.count then unknown_id id;
-  Array.unsafe_get reg.classes id
+let hit_class reg id = class_of (find reg id)
 
 let find_by_name reg name =
   let rec search i =

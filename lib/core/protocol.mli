@@ -122,8 +122,9 @@ val inline_hits : int
 
 val hit_class : 'rt registry -> int -> int
 (** The hit class of a registered protocol: which accesses the core may
-    complete on its own, without the protocol record.  Computed once by
-    {!register} from the record, so reading it is one array load.  The
+    complete on its own, without the protocol record.  Every page-table
+    entry keeps its protocol's class in its protection word
+    ({!Page_table.hits}), set when the page is declared or switched.  The
     class is the [lor] of up to three bits:
 
     - [read_hits]: [on_local_read = None], so a read the rights allow
@@ -133,7 +134,7 @@ val hit_class : 'rt registry -> int -> int
       counted, charged locality check.
 
     [Dsm]'s hit test (see {!Dsm.read_int}) completes an access on its own
-    only when the class has the access mode's bit.
+    only when the entry's class has the access mode's bit.
     @raise Invalid_argument on an unknown id. *)
 
 val find_by_name : 'rt registry -> string -> (int * 'rt t) option

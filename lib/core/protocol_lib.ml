@@ -32,19 +32,19 @@ let complete_fault rt (e : Page_table.entry) =
   (* Pin the page until the faulting thread has retried its access, so a
      queued remote request cannot snatch the page first (the retry happens
      inside the fault handler in a SIGSEGV-based implementation). *)
-  if e.faulting then e.pinned <- true;
+  if e.faulting then Page_table.set_pinned e true;
   e.faulting <- false;
   Marcel.Cond.broadcast (Runtime.marcel rt) e.fault_done
 
 let wait_for_service rt (e : Page_table.entry) =
   let marcel = Runtime.marcel rt in
-  while e.faulting || e.pinned do
+  while e.faulting || Page_table.pinned e do
     Marcel.Cond.wait marcel e.fault_done e.entry_mutex
   done
 
 let[@inline] unpin rt (e : Page_table.entry) =
-  if e.pinned then begin
-    e.pinned <- false;
+  if Page_table.pinned e then begin
+    Page_table.set_pinned e false;
     Marcel.Cond.broadcast (Runtime.marcel rt) e.fault_done
   end
 
@@ -67,7 +67,7 @@ let install_page rt ~node (msg : Protocol.page_message) =
   Frame_store.install_owned (Runtime.store rt node) msg.Protocol.page
     msg.Protocol.data;
   let e = Runtime.entry rt ~node ~page:msg.Protocol.page in
-  e.rights <- msg.Protocol.grant
+  Page_table.set_rights e msg.Protocol.grant
 
 (* The runs of equal keys in [sorted], a key-sorted pair list, as
    [(key, values)] with the values in list order. *)
@@ -134,7 +134,7 @@ let push_diffs rt ~targets ~diffs ~release =
 
 let drop_copy rt ~node ~page =
   let e = Runtime.entry rt ~node ~page in
-  e.rights <- Access.No_access;
+  Page_table.set_rights e Access.No_access;
   e.twin <- None;
   Frame_store.drop (Runtime.store rt node) page
 

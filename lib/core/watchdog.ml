@@ -55,14 +55,24 @@ let default_config =
    "rpc.retry_storm" warning fires. *)
 let retry_storm = 8
 
+(* A blocked thread: what it waits for ([target] as in
+   Runtime.watch_hooks), since when and on which node.  [wt_checked] is
+   set once the stall of this wait has been checked against the dedup
+   keys, so later ticks skip it. *)
+type waiter = {
+  wt_target : int;
+  wt_since : Time.t;
+  wt_node : int;
+  mutable wt_checked : bool;
+}
+
 type t = {
   rt : Runtime.t;
   cfg : config;
   tele : Telemetry.t;
       (* the online telemetry engine: thrash detection, per-page
          classification and hot-page accounting all come from it *)
-  waiters : (int, int * Time.t * int) Hashtbl.t;
-      (* blocked tid -> (target, since, node); target as in Runtime.watch_hooks *)
+  waiters : (int, waiter) Hashtbl.t;  (* blocked tid -> its wait *)
   thread_node : (int, int) Hashtbl.t;  (* last known node of a tid *)
   reported : (string, unit) Hashtbl.t;  (* alert dedup keys *)
   mutable alerts_rev : alert list;  (* newest first *)
@@ -205,7 +215,13 @@ let samples w =
 
 let on_wait w ~node ~tid ~target =
   Hashtbl.replace w.thread_node tid node;
-  Hashtbl.replace w.waiters tid (target, Engine.now (Runtime.engine w.rt), node)
+  Hashtbl.replace w.waiters tid
+    {
+      wt_target = target;
+      wt_since = Engine.now (Runtime.engine w.rt);
+      wt_node = node;
+      wt_checked = false;
+    }
 
 let on_wake w ~node ~tid ~target:_ =
   Hashtbl.replace w.thread_node tid node;
@@ -249,7 +265,7 @@ let detect_cycles w =
   let rt = w.rt in
   let next tid =
     match Hashtbl.find_opt w.waiters tid with
-    | Some (lock, _, _) when lock >= 0 && lock < rt.Runtime.next_lock ->
+    | Some { wt_target = lock; _ } when lock >= 0 && lock < rt.Runtime.next_lock ->
         let ls = Runtime.lock_state rt lock in
         if ls.Runtime.lock_held && ls.Runtime.lock_holder >= 0 then
           Some (lock, ls.Runtime.lock_holder)
@@ -273,16 +289,24 @@ let detect_cycles w =
       follow tid0 [] 0)
     w.waiters
 
+(* A wait past the stall bound is checked against its dedup key once:
+   the key is reported at most once across all waits, so a later tick of
+   the same wait would find it reported. *)
 let check_stalls w now =
   Hashtbl.iter
-    (fun tid (target, since, node) ->
-      let waited = Time.(now - since) in
-      if waited >= w.cfg.stall then
-        let kind = if target < 0 then "stall.barrier" else "stall.lock" in
-        once w (Printf.sprintf "%s:%d:%d" kind tid target) (fun () ->
-            raise_alert w ~node ~severity:Warning ~kind
-              (Printf.sprintf "thread %d on node %d blocked on %s for %.0f us"
-                 tid node (target_name target) (Time.to_us waited))))
+    (fun tid wt ->
+      if not wt.wt_checked then begin
+        let waited = Time.(now - wt.wt_since) in
+        if waited >= w.cfg.stall then begin
+          wt.wt_checked <- true;
+          let target = wt.wt_target and node = wt.wt_node in
+          let kind = if target < 0 then "stall.barrier" else "stall.lock" in
+          once w (Printf.sprintf "%s:%d:%d" kind tid target) (fun () ->
+              raise_alert w ~node ~severity:Warning ~kind
+                (Printf.sprintf "thread %d on node %d blocked on %s for %.0f us"
+                   tid node (target_name target) (Time.to_us waited)))
+        end
+      end)
     w.waiters
 
 (* --- telemetry drain ---
@@ -344,7 +368,7 @@ let entry_of row node =
 let rec transient row node =
   node < Array.length row
   && ((match row.(node) with
-      | Some (e : Page_table.entry) -> e.Page_table.faulting || e.Page_table.pinned
+      | Some (e : Page_table.entry) -> e.Page_table.faulting || Page_table.pinned e
       | None -> false)
      || transient row (node + 1))
 
@@ -379,7 +403,7 @@ let rec audit_copyset w ~page ~owner row = function
          match row.(c) with
          | Some (e : Page_table.entry) ->
              let has_frame = Frame_store.has_frame (Runtime.store w.rt c) page in
-             if (not (Access.allows e.Page_table.rights Access.Read)) || not has_frame
+             if (not (Page_table.allows e Access.Read)) || not has_frame
              then
                once w (Printf.sprintf "inv.copyset:%d:%d" page c) (fun () ->
                    raise_alert w ~node:c ~severity:Critical
@@ -388,7 +412,7 @@ let rec audit_copyset w ~page ~owner row = function
                         "page %d: node %d is in the owner's copyset but holds \
                          %s rights%s"
                         page c
-                        (Access.to_string e.Page_table.rights)
+                        (Access.to_string (Page_table.rights e))
                         (if has_frame then "" else " and no frame")))
          | None -> ());
       audit_copyset w ~page ~owner row rest
@@ -399,7 +423,7 @@ let audit_owner w ~page ~owner row =
   for node = 0 to n - 1 do
     match row.(node) with
     | Some (e : Page_table.entry) when node <> owner ->
-        if Access.allows e.Page_table.rights Access.Write then
+        if Page_table.allows e Access.Write then
           once w (Printf.sprintf "inv.owner.w:%d:%d" page node) (fun () ->
               raise_alert w ~node ~severity:Critical ~kind:"invariant.owner"
                 (Printf.sprintf
@@ -407,8 +431,8 @@ let audit_owner w ~page ~owner row =
                     node %d"
                    page node owner))
         else if
-          oe.Page_table.rights = Access.Read_write
-          && e.Page_table.rights <> Access.No_access
+          Page_table.rights oe = Access.Read_write
+          && Page_table.rights e <> Access.No_access
         then
           once w (Printf.sprintf "inv.owner.x:%d:%d" page node) (fun () ->
               raise_alert w ~node ~severity:Critical ~kind:"invariant.owner"
@@ -416,7 +440,7 @@ let audit_owner w ~page ~owner row =
                    "page %d: owner %d is in write mode but node %d still has \
                     %s rights"
                    page owner node
-                   (Access.to_string e.Page_table.rights)))
+                   (Access.to_string (Page_table.rights e))))
     | _ -> ()
   done;
   audit_copyset w ~page ~owner row oe.Page_table.copyset
@@ -640,9 +664,9 @@ let tick w =
     then begin
       let blocked =
         Hashtbl.fold
-          (fun tid (target, _, node) acc ->
-            Printf.sprintf "thread %d (node %d) on %s" tid node
-              (target_name target)
+          (fun tid wt acc ->
+            Printf.sprintf "thread %d (node %d) on %s" tid wt.wt_node
+              (target_name wt.wt_target)
             :: acc)
           w.waiters []
       in

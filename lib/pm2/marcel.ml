@@ -9,9 +9,8 @@ type thread = {
   mutable stack_bytes : int;
   attached_bytes : int;
   mutable alive : bool;
-  mutable pending_us : float;
   mutable ticks : int;
-      (* [charge_tick]s not yet added into [pending_us]; see [settle] *)
+      (* [charge_tick]s not yet added into the pending work; see [settle] *)
   mutable joiners : (unit -> unit) list;
   migratable : bool;
   mutable requested_node : int option;
@@ -27,6 +26,10 @@ type t = {
       (* fiber id -> its thread, [no_thread] where the fiber is not a live
          Marcel thread.  The engine reuses the ids of ended fibers, so the
          array is as long as the peak number of live fibers. *)
+  mutable pending : Float.Array.t;
+      (* fiber id -> its thread's pending CPU work in us, 0 where no
+         thread is live; as long as [by_fiber].  Unboxed, so a charge
+         allocates nothing. *)
   mutable tick_us : float;
 }
 
@@ -38,7 +41,6 @@ let no_thread =
     stack_bytes = 0;
     attached_bytes = 0;
     alive = false;
-    pending_us = 0.;
     ticks = 0;
     joiners = [];
     migratable = false;
@@ -53,6 +55,7 @@ let create eng ~nodes =
     cpus = Array.init nodes (fun i -> Cpu.create ~name:(Printf.sprintf "node%d" i) ());
     next_tid = 0;
     by_fiber = [||];
+    pending = Float.Array.create 0;
     tick_us = 0.;
   }
 
@@ -106,26 +109,31 @@ let attached_bytes th = th.attached_bytes
 let footprint_bytes th = th.stack_bytes + descriptor_bytes + th.attached_bytes
 let is_alive th = th.alive
 
-(* Adds [th]'s counted ticks into [pending_us], one addition per tick.
-   Every other change to [pending_us] settles first, so the additions
-   happen in the order of the calls that made them and the sum is
-   bit-identical to charging each tick as it happened. *)
+(* The pending work of a live thread [th], whose fiber id indexes
+   [t.pending]. *)
+let[@inline] pending t th = Float.Array.unsafe_get t.pending th.fid
+let[@inline] set_pending t th us = Float.Array.unsafe_set t.pending th.fid us
+
+(* Adds [th]'s counted ticks into its pending work, one addition per
+   tick.  Every other change to the pending work settles first, so the
+   additions happen in the order of the calls that made them and the sum
+   is bit-identical to charging each tick as it happened. *)
 let settle t th =
   if th.ticks > 0 then begin
-    let us = ref th.pending_us in
+    let us = ref (pending t th) in
     for _ = 1 to th.ticks do
       us := !us +. t.tick_us
     done;
     th.ticks <- 0;
-    th.pending_us <- !us
+    set_pending t th !us
   end
 
 (* Pays all of [th]'s pending work as one [Cpu.compute]. *)
 let pay_pending t th =
   settle t th;
-  if th.pending_us > 0. then begin
-    let us = th.pending_us in
-    th.pending_us <- 0.;
+  let us = pending t th in
+  if us > 0. then begin
+    set_pending t th 0.;
     Cpu.compute t.eng t.cpus.(th.node) (Time.of_us us)
   end
 
@@ -153,7 +161,6 @@ let spawn t ?(stack_bytes = 1024) ?(attached_bytes = 0) ?(migratable = false) ~n
       stack_bytes;
       attached_bytes;
       alive = true;
-      pending_us = 0.;
       ticks = 0;
       joiners = [];
       migratable;
@@ -170,9 +177,13 @@ let spawn t ?(stack_bytes = 1024) ?(attached_bytes = 0) ?(migratable = false) ~n
             finish t th;
             raise e)
   in
-  if fid >= Array.length t.by_fiber then t.by_fiber <- Dense.ensure t.by_fiber fid no_thread;
+  if fid >= Array.length t.by_fiber then begin
+    t.by_fiber <- Dense.ensure t.by_fiber fid no_thread;
+    t.pending <- Dense.ensure_float t.pending (Array.length t.by_fiber - 1) 0.
+  end;
   t.by_fiber.(fid) <- th;
   th.fid <- fid;
+  set_pending t th 0.;
   Engine.set_tag t.eng fid node;
   th
 
@@ -186,14 +197,14 @@ let compute t us =
   if us < 0. then invalid_arg "Marcel.compute: negative duration";
   let th = self t in
   settle t th;
-  let total = us +. th.pending_us in
-  th.pending_us <- 0.;
+  let total = us +. pending t th in
+  set_pending t th 0.;
   if total > 0. then Cpu.compute t.eng t.cpus.(th.node) (Time.of_us total)
 
 let[@inline] charge_thread t th us =
   if us < 0. then invalid_arg "Marcel.charge: negative duration";
   settle t th;
-  th.pending_us <- th.pending_us +. us
+  set_pending t th (pending t th +. us)
 
 let charge t us = charge_thread t (self t) us
 let[@inline] charge_tick th = th.ticks <- th.ticks + 1
@@ -210,7 +221,7 @@ let set_node t th node =
   if node < 0 || node >= Array.length t.cpus then
     invalid_arg "Marcel.set_node: node out of range";
   settle t th;
-  if th.pending_us > 0. then
+  if th.alive && pending t th > 0. then
     invalid_arg "Marcel.set_node: thread has unflushed CPU charges";
   th.node <- node;
   if th.alive then Engine.set_tag t.eng th.fid node

@@ -111,10 +111,12 @@ val compute : t -> float -> unit
 
 val charge : t -> float -> unit
 (** Accumulates [us] microseconds of pending CPU work on the calling thread
-    without touching the event queue. *)
+    without touching the event queue or allocating: the work is kept
+    unboxed, in a float array indexed by fiber id. *)
 
 val charge_thread : t -> thread -> float -> unit
-(** [charge] for a thread the caller has already looked up with {!self}. *)
+(** [charge] for a thread the caller has already looked up with {!self};
+    the thread must be live. *)
 
 val charge_tick : thread -> unit
 (** Charges one tick ({!set_tick_us}) to the thread, allocating nothing:

@@ -39,11 +39,11 @@ let write_fault rt ~node ~page =
           Protocol_lib.wait_while_faulting rt e;
           `Retry
         end
-        else if Access.allows e.Page_table.rights Access.Write then `Done
+        else if Page_table.allows e Access.Write then `Done
         else if e.Page_table.prob_owner = node then begin
           (* Upgrade in place without invalidating readers: their copies
              stay valid (stale) until our next release. *)
-          e.Page_table.rights <- Access.Read_write;
+          Page_table.set_rights e Access.Read_write;
           mark_written rt ~node ~page;
           `Done
         end
@@ -54,7 +54,7 @@ let write_fault rt ~node ~page =
   | `Fetch ->
       Protocol_lib.fetch_page rt ~node ~page ~mode:Access.Write
         ~from:e.Page_table.prob_owner;
-      if Access.allows e.Page_table.rights Access.Write then
+      if Page_table.allows e Access.Write then
         mark_written rt ~node ~page
 
 let read_server rt ~node ~page ~requester =
@@ -67,7 +67,7 @@ let read_server rt ~node ~page ~requester =
              new reader sees the page as of now and is invalidated at the
              owner's next release. *)
           Li_hudak.serve_read rt ~node ~page ~requester ~grant_downgrades_owner:false;
-          if Access.allows e.Page_table.rights Access.Write then
+          if Page_table.allows e Access.Write then
             mark_written rt ~node ~page
         end
         else
@@ -99,7 +99,7 @@ let write_server rt ~node ~page ~requester =
           e.Page_table.prob_owner <- requester;
           e.Page_table.copyset <-
             (if List.mem page (state rt ~node).written then others else []);
-          e.Page_table.rights <- Access.Read_only
+          Page_table.set_rights e Access.Read_only
         end
         else begin
           Dsm_comm.send_request rt ~to_:e.Page_table.prob_owner ~page

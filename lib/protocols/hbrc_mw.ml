@@ -46,12 +46,12 @@ let write_fault rt ~node ~page =
           Protocol_lib.wait_while_faulting rt e;
           `Retry
         end
-        else if Access.allows e.Page_table.rights Access.Write then `Done
-        else if Access.allows e.Page_table.rights Access.Read then begin
+        else if Page_table.allows e Access.Write then `Done
+        else if Page_table.allows e Access.Read then begin
           (* A clean local copy: twin it and upgrade in place (multiple
              writers may do this concurrently on distinct nodes). *)
           Protocol_lib.make_twin rt ~node e;
-          e.Page_table.rights <- Access.Read_write;
+          Page_table.set_rights e Access.Read_write;
           mark_dirty rt ~node ~page;
           `Done
         end
@@ -96,7 +96,7 @@ let write_server rt ~node ~page ~requester =
    so it must fault (and wait on the entry mutex) instead. *)
 let flush_and_drop rt ~node (e : Page_table.entry) =
   let page = e.Page_table.page in
-  if e.Page_table.rights = Access.Read_write then e.Page_table.rights <- Access.Read_only;
+  if Page_table.rights e = Access.Read_write then Page_table.set_rights e Access.Read_only;
   (match Protocol_lib.diff_against_twin rt ~node e with
   | Some diff -> Dsm_comm.call_diffs rt ~to_:e.Page_table.home ~diffs:[ diff ] ~release:false
   | None -> ());
@@ -134,7 +134,7 @@ let lock_release rt ~node ~lock:_ =
         Protocol_lib.with_entry rt e (fun () ->
             let diff = Protocol_lib.diff_against_twin rt ~node e in
             e.Page_table.twin <- None;
-            if node <> e.Page_table.home then e.Page_table.rights <- Access.Read_only;
+            if node <> e.Page_table.home then Page_table.set_rights e Access.Read_only;
             Option.map (fun d -> (e.Page_table.home, d)) diff))
       dirty
   in
@@ -148,7 +148,7 @@ let lock_acquire rt ~node ~lock:_ =
       if
         e.Page_table.protocol = id
         && node <> e.Page_table.home
-        && e.Page_table.rights <> Access.No_access
+        && Page_table.rights e <> Access.No_access
         && not e.Page_table.faulting
       then Protocol_lib.with_entry rt e (fun () -> flush_and_drop rt ~node e))
 

@@ -75,7 +75,7 @@ let drop_selected rt ~node ~protocol ~only =
       if
         e.Page_table.protocol = protocol
         && node <> e.Page_table.home
-        && e.Page_table.rights <> Access.No_access
+        && Page_table.rights e <> Access.No_access
         && (not e.Page_table.faulting)
         && selected e.Page_table.page
       then

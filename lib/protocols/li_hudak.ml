@@ -19,7 +19,7 @@ let write_fault rt ~node ~page =
           Protocol_lib.wait_while_faulting rt e;
           `Retry
         end
-        else if Access.allows e.Page_table.rights Access.Write then `Done
+        else if Page_table.allows e Access.Write then `Done
         else if e.Page_table.prob_owner = node then begin
           (* We own the page but readers hold copies: upgrade in place after
              invalidating every copy (sequential consistency).  The mutex is
@@ -27,7 +27,7 @@ let write_fault rt ~node ~page =
           e.Page_table.faulting <- true;
           Protocol_lib.invalidate_copies rt ~page ~targets:e.Page_table.copyset;
           e.Page_table.copyset <- [];
-          e.Page_table.rights <- Access.Read_write;
+          Page_table.set_rights e Access.Read_write;
           Protocol_lib.complete_fault rt e;
           `Done
         end
@@ -42,7 +42,7 @@ let write_fault rt ~node ~page =
 let serve_read rt ~node ~page ~requester ~grant_downgrades_owner =
   let e = Runtime.entry rt ~node ~page in
   Protocol_lib.server_overhead rt;
-  if grant_downgrades_owner then e.Page_table.rights <- Access.Read_only;
+  if grant_downgrades_owner then Page_table.set_rights e Access.Read_only;
   Page_table.copyset_add e requester;
   Dsm_comm.send_page rt ~to_:requester ~page ~grant:Access.Read_only ~ownership:false
     ~copyset:[] ~req_mode:Access.Read

@@ -107,7 +107,7 @@ let on_put rt ~src:_ payload =
       Protocol_lib.server_overhead rt;
       Protocol_lib.with_entry rt e (fun () ->
           let marcel = Runtime.marcel rt in
-          while e.Page_table.pinned do
+          while Page_table.pinned e do
             Marcel.Cond.wait marcel e.Page_table.fault_done
               e.Page_table.entry_mutex
           done;
@@ -271,7 +271,7 @@ let fault rt ~node ~page ~rights =
             Protocol_lib.with_entry rt e (fun () ->
                 let t = tag_of e in
                 if (t.ts, t.origin) = (ts, origin) then begin
-                  e.Page_table.rights <- rights;
+                  Page_table.set_rights e rights;
                   Protocol_lib.complete_fault rt e;
                   true
                 end
@@ -291,7 +291,7 @@ let write_fault rt ~node ~page = fault rt ~node ~page ~rights:Access.Read_write
 let on_local_read rt ~node ~page =
   let e = Runtime.entry rt ~node ~page in
   Protocol_lib.with_entry rt e (fun () ->
-      e.Page_table.rights <- Access.No_access)
+      Page_table.set_rights e Access.No_access)
 
 (* After the write lands in the local frame, stamp it one above the tag the
    write fault collected and install it at a majority; then revoke. *)
@@ -315,7 +315,7 @@ let on_local_write rt ~node ~page ~offset ~value =
   in
   quorum_put rt ~node ~page ~ts ~origin ~data;
   Protocol_lib.with_entry rt e (fun () ->
-      e.Page_table.rights <- Access.No_access)
+      Page_table.set_rights e Access.No_access)
 
 (* Fresh custody: no node holds standing rights (every access must run a
    round).  The quorum-intersection argument requires every tag a round can
@@ -326,7 +326,7 @@ let on_local_write rt ~node ~page ~offset ~value =
    after its quiescence pass), so the copy is setup, not protocol traffic. *)
 let on_page_init rt ~node ~page =
   let e = Runtime.entry rt ~node ~page in
-  e.Page_table.rights <- Access.No_access;
+  Page_table.set_rights e Access.No_access;
   let home = e.Page_table.home in
   if node <> home then
     Frame_store.install (Runtime.store rt node) page

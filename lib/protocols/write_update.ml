@@ -19,11 +19,11 @@ let write_fault rt ~node ~page =
           Protocol_lib.wait_while_faulting rt e;
           `Retry
         end
-        else if Access.allows e.Page_table.rights Access.Write then `Done
+        else if Page_table.allows e Access.Write then `Done
         else if e.Page_table.prob_owner = node then begin
           (* owner demoted to reader never happens here (reads don't
              downgrade), but ownership received with a read grant does *)
-          e.Page_table.rights <- Access.Read_write;
+          Page_table.set_rights e Access.Read_write;
           `Done
         end
         else `Fetch)
@@ -63,7 +63,7 @@ let write_server rt ~node ~page ~requester =
             ~ownership:true ~copyset ~req_mode:Access.Write;
           e.Page_table.prob_owner <- requester;
           e.Page_table.copyset <- [];
-          e.Page_table.rights <- Access.Read_only
+          Page_table.set_rights e Access.Read_only
         end
         else begin
           Dsm_comm.send_request rt ~to_:e.Page_table.prob_owner ~page

@@ -22,7 +22,9 @@ let run_one dsm ~node f =
 
 let test_page_table_declare_find () =
   let t = Page_table.create ~node:1 in
-  let e = Page_table.declare t ~page:7 ~home:0 ~owner:0 ~protocol:3 ~rights:Access.No_access in
+  let e =
+    Page_table.declare t ~page:7 ~home:0 ~owner:0 ~protocol:3 ~cls:0 ~rights:Access.No_access
+  in
   Alcotest.(check int) "page" 7 e.Page_table.page;
   Alcotest.(check bool) "mem" true (Page_table.mem t 7);
   Alcotest.(check bool) "same entry" true (Page_table.find t 7 == e);
@@ -30,11 +32,15 @@ let test_page_table_declare_find () =
       ignore (Page_table.find t 8));
   Alcotest.check_raises "double declare"
     (Invalid_argument "Page_table.declare: page 7 already mapped") (fun () ->
-      ignore (Page_table.declare t ~page:7 ~home:0 ~owner:0 ~protocol:0 ~rights:Access.No_access))
+      ignore
+        (Page_table.declare t ~page:7 ~home:0 ~owner:0 ~protocol:0 ~cls:0
+           ~rights:Access.No_access))
 
 let test_page_table_copyset () =
   let t = Page_table.create ~node:0 in
-  let e = Page_table.declare t ~page:1 ~home:0 ~owner:0 ~protocol:0 ~rights:Access.Read_write in
+  let e =
+    Page_table.declare t ~page:1 ~home:0 ~owner:0 ~protocol:0 ~cls:0 ~rights:Access.Read_write
+  in
   Page_table.copyset_add e 3;
   Page_table.copyset_add e 1;
   Page_table.copyset_add e 3;
@@ -45,7 +51,10 @@ let test_page_table_copyset () =
 let test_page_table_entries_sorted () =
   let t = Page_table.create ~node:0 in
   List.iter
-    (fun p -> ignore (Page_table.declare t ~page:p ~home:0 ~owner:0 ~protocol:0 ~rights:Access.No_access))
+    (fun p ->
+      ignore
+        (Page_table.declare t ~page:p ~home:0 ~owner:0 ~protocol:0 ~cls:0
+           ~rights:Access.No_access))
     [ 5; 1; 3 ];
   Alcotest.(check (list int)) "sorted" [ 1; 3; 5 ]
     (List.map (fun e -> e.Page_table.page) (Page_table.entries t))
@@ -55,7 +64,9 @@ let test_page_table_int_keys () =
      apart and negative must still miss cleanly. *)
   let t = Page_table.create ~node:0 in
   for p = 0 to 999 do
-    ignore (Page_table.declare t ~page:(p * 17) ~home:0 ~owner:0 ~protocol:0 ~rights:Access.No_access)
+    ignore
+      (Page_table.declare t ~page:(p * 17) ~home:0 ~owner:0 ~protocol:0 ~cls:0
+         ~rights:Access.No_access)
   done;
   for p = 0 to 999 do
     Alcotest.(check int) "found" (p * 17) (Page_table.find t (p * 17)).Page_table.page
@@ -66,6 +77,75 @@ let test_page_table_int_keys () =
           ignore (Page_table.find t page)))
     [ 1; 1000 * 17; -17; 1 lsl 40 ];
   Alcotest.(check int) "all entries listed" 1000 (List.length (Page_table.entries t))
+
+(* The protection word against the predicate it replaced: a hit needs the
+   class's mode bit, rights that allow the mode and no pin. *)
+let all_rights = [ Access.No_access; Access.Read_only; Access.Read_write ]
+let all_modes = [ Access.Read; Access.Write ]
+let mode_bit = function Access.Read -> Protocol.read_hits | Access.Write -> Protocol.write_hits
+
+let entry_with ~cls ~rights ~pinned =
+  let e =
+    Page_table.declare (Page_table.create ~node:0) ~page:1 ~home:0 ~owner:0 ~protocol:0 ~cls
+      ~rights
+  in
+  Page_table.set_pinned e pinned;
+  e
+
+let test_prot_word_matches_predicate () =
+  for cls = 0 to 7 do
+    List.iter
+      (fun rights ->
+        List.iter
+          (fun pinned ->
+            let e = entry_with ~cls ~rights ~pinned in
+            List.iter
+              (fun mode ->
+                let case =
+                  Printf.sprintf "class %d, %s, pinned %b, %s" cls (Access.to_string rights)
+                    pinned (Access.mode_to_string mode)
+                in
+                Alcotest.(check bool) case
+                  (cls land mode_bit mode <> 0 && Access.allows rights mode && not pinned)
+                  (Page_table.hits e mode);
+                Alcotest.(check bool) (case ^ ": allows") (Access.allows rights mode)
+                  (Page_table.allows e mode))
+              all_modes;
+            Alcotest.(check bool) "inline checked"
+              (cls land Protocol.inline_hits <> 0)
+              (Page_table.inline_checked e))
+          [ false; true ])
+      all_rights
+  done
+
+let test_prot_setters_round_trip () =
+  for cls = 0 to 7 do
+    List.iter
+      (fun rights ->
+        List.iter
+          (fun pinned ->
+            let e = entry_with ~cls ~rights ~pinned in
+            let check ~cls ~rights ~pinned =
+              Alcotest.check access "rights" rights (Page_table.rights e);
+              Alcotest.(check bool) "pinned" pinned (Page_table.pinned e);
+              Alcotest.(check int) "class" cls (Page_table.hit_class e)
+            in
+            check ~cls ~rights ~pinned;
+            List.iter
+              (fun r ->
+                Page_table.set_rights e r;
+                check ~cls ~rights:r ~pinned)
+              all_rights;
+            Page_table.set_pinned e (not pinned);
+            check ~cls ~rights:Access.Read_write ~pinned:(not pinned);
+            Page_table.set_pinned e pinned;
+            check ~cls ~rights:Access.Read_write ~pinned;
+            Page_table.set_protocol e ~protocol:5 ~cls:(7 - cls);
+            Alcotest.(check int) "protocol" 5 e.Page_table.protocol;
+            check ~cls:(7 - cls) ~rights:Access.Read_write ~pinned)
+          [ false; true ])
+      all_rights
+  done
 
 (* Random operation sequences on a page table and a frame store, replayed
    against association-list models.  Probes and drops reach below zero and
@@ -112,7 +192,10 @@ let prop_tables_match_model =
       let step op =
         (match op with
         | Declare p -> (
-            match Page_table.declare t ~page:p ~home:0 ~owner:0 ~protocol:0 ~rights:Access.No_access with
+            match
+              Page_table.declare t ~page:p ~home:0 ~owner:0 ~protocol:0 ~cls:0
+                ~rights:Access.No_access
+            with
             | e -> if List.mem p !pages || e.Page_table.page <> p then failwith "declare accepted"
             | exception Invalid_argument _ -> if not (List.mem p !pages) then failwith "declare refused");
             if not (List.mem p !pages) then pages := p :: !pages
@@ -316,11 +399,23 @@ let test_hit_path_allocates_nothing () =
   let word i = x + ((i land 511) * 8) in
   let reads = words_per_call dsm ~node:0 ~n (fun i -> ignore (Dsm.read_int dsm (word i))) in
   let writes = words_per_call dsm ~node:0 ~n (fun i -> Dsm.write_int dsm (word i) i) in
-  let charges = words_per_call dsm ~node:0 ~n (fun _ -> Dsm.charge dsm 0.001) in
   Alcotest.(check bool) (Printf.sprintf "hbrc_mw read hit: %.2f words" reads) true (reads < 1.);
-  Alcotest.(check bool) (Printf.sprintf "hbrc_mw write hit: %.2f words" writes) true (writes < 1.);
-  (* Only the boxed pending-work float. *)
-  Alcotest.(check bool) (Printf.sprintf "charge: %.2f words" charges) true (charges <= 3.)
+  Alcotest.(check bool) (Printf.sprintf "hbrc_mw write hit: %.2f words" writes) true (writes < 1.)
+
+(* The pending work is unboxed: 10 000 charges allocate not one word. *)
+let test_charge_allocates_nothing () =
+  let dsm, _ = make ~nodes:2 () in
+  let words = ref nan and paid = ref nan in
+  run_one dsm ~node:0 (fun () ->
+      for _ = 1 to 16 do Dsm.charge dsm 0.001 done;
+      let before = Gc.minor_words () in
+      for _ = 1 to 10_000 do Dsm.charge dsm 0.001 done;
+      let after = Gc.minor_words () in
+      words := after -. before;
+      Dsm.compute dsm 0.;
+      paid := Dsm.now_us dsm);
+  Alcotest.(check (float 0.)) "words over 10 000 charges" 0. !words;
+  Alcotest.(check (float 1e-6)) "every charge paid" 10.016 !paid
 
 let test_inline_check_hit_allocates_nothing () =
   let n = 10_000 in
@@ -411,13 +506,13 @@ let test_access_after_fault_unpins () =
   let y = Dsm.malloc dsm ~home:(Dsm.On_node 1) 8 in
   run_one dsm ~node:0 (fun () -> ignore (Dsm.read_int dsm y));
   Alcotest.(check bool) "fetched page unpinned" false
-    (Runtime.entry dsm ~node:0 ~page:(page_of dsm y)).Page_table.pinned;
+    (Page_table.pinned (Runtime.entry dsm ~node:0 ~page:(page_of dsm y)));
   (* A fault that just completed on [x] leaves it pinned, with the rights
      granted: a server waits until the first access. *)
   run_one dsm ~node:0 (fun () -> Dsm.write_int dsm x 6);
   e.Page_table.faulting <- true;
   Protocol_lib.complete_fault dsm e;
-  Alcotest.(check bool) "pinned" true e.Page_table.pinned;
+  Alcotest.(check bool) "pinned" true (Page_table.pinned e);
   let woke = ref nan and read = ref 0 in
   ignore
     (Dsm.spawn dsm ~node:0 (fun () ->
@@ -431,7 +526,7 @@ let test_access_after_fault_unpins () =
   let t0 = Dsm.now_us dsm in
   Dsm.run dsm;
   Alcotest.(check int) "value" 6 !read;
-  Alcotest.(check bool) "unpinned" false e.Page_table.pinned;
+  Alcotest.(check bool) "unpinned" false (Page_table.pinned e);
   Alcotest.(check (float 1e-6)) "server woken by the access" 5. (!woke -. t0);
   Alcotest.(check int) "no fault on x" 1 (count dsm Instrument.read_faults);
   Alcotest.(check int) "no write fault" 0 (count dsm Instrument.write_faults)
@@ -456,7 +551,7 @@ let test_sc_abd_read_runs_hook () =
   let x = Dsm.malloc dsm ~protocol:abd ~home:(Dsm.On_node 0) 8 in
   (* Rights the protocol has granted and not yet revoked: the read needs
      no fault, but its hook must still revoke them. *)
-  (Runtime.entry dsm ~node:0 ~page:(page_of dsm x)).Page_table.rights <- Access.Read_only;
+  Page_table.set_rights (Runtime.entry dsm ~node:0 ~page:(page_of dsm x)) Access.Read_only;
   Alcotest.(check (float 0.)) "no fault" 0.
     (timed dsm ~node:0 (fun () -> Alcotest.(check int) "value" 0 (Dsm.read_int dsm x)));
   Alcotest.check access "revoked by on_local_read" Access.No_access
@@ -496,11 +591,22 @@ let test_switch_protocol_hooks () =
     run_one dsm ~node:1 (fun () -> ignore (Dsm.read_int dsm x));
     run_one dsm ~node:0 (fun () -> Dsm.write_int dsm x v)
   in
+  (* Every node's entry takes the class of the protocol it moves to. *)
+  let classes_follow protocol =
+    for node = 0 to 1 do
+      Alcotest.(check int) "entry class = registry class"
+        (Protocol.hit_class dsm.Runtime.registry protocol)
+        (Page_table.hit_class (Runtime.entry dsm ~node ~page:(page_of dsm x)))
+    done
+  in
+  classes_follow ids.Builtin.li_hudak;
   Dsm.switch_protocol dsm ~addr:x ~size:8 ~protocol:wu;
+  classes_follow wu;
   round 1;
   Alcotest.(check int) "write_update: the hook pushes" 1 (Dsm.unsafe_peek dsm ~node:1 x);
   Alcotest.check access "copy kept" Access.Read_only (Dsm.unsafe_rights dsm ~node:1 ~addr:x);
   Dsm.switch_protocol dsm ~addr:x ~size:8 ~protocol:ids.Builtin.li_hudak;
+  classes_follow ids.Builtin.li_hudak;
   round 2;
   Alcotest.check access "li_hudak: the copy is invalidated" Access.No_access
     (Dsm.unsafe_rights dsm ~node:1 ~addr:x);
@@ -918,6 +1024,10 @@ let () =
           Alcotest.test_case "copyset" `Quick test_page_table_copyset;
           Alcotest.test_case "entries sorted" `Quick test_page_table_entries_sorted;
           Alcotest.test_case "int keys" `Quick test_page_table_int_keys;
+          Alcotest.test_case "protection word = hit predicate" `Quick
+            test_prot_word_matches_predicate;
+          Alcotest.test_case "protection setters round-trip" `Quick
+            test_prot_setters_round_trip;
           QCheck_alcotest.to_alcotest prop_tables_match_model;
         ] );
       ( "malloc",
@@ -938,6 +1048,7 @@ let () =
           Alcotest.test_case "fault counters" `Quick test_fault_counters;
           Alcotest.test_case "byte accessors" `Quick test_byte_accessors;
           Alcotest.test_case "hit path allocates nothing" `Quick test_hit_path_allocates_nothing;
+          Alcotest.test_case "charge allocates nothing" `Quick test_charge_allocates_nothing;
           Alcotest.test_case "inline-check hit allocates nothing" `Quick
             test_inline_check_hit_allocates_nothing;
           Alcotest.test_case "migrating read records new node" `Quick

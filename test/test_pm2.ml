@@ -215,6 +215,97 @@ let test_pending_charges_paid_at_exit () =
   Alcotest.check us "CPU busy for the charged work" 75.
     (Time.to_us (Cpu.busy_time (Marcel.cpu (Pm2.marcel pm2) 0)))
 
+(* Mixed [charge] / [charge_tick] / [compute] sequences, in threads that
+   interleave and then end so a second wave reuses their fiber ids, pay
+   the same CPU time as the boxed per-thread float the pending work used
+   to be kept in. *)
+type charge_op = Charge of float | Tick | Compute of float | Yield
+
+let show_charge_op = function
+  | Charge us -> Printf.sprintf "charge %g" us
+  | Tick -> "tick"
+  | Compute us -> Printf.sprintf "compute %g" us
+  | Yield -> "yield"
+
+let tick_us = 0.05
+
+(* The old accounting: ticks added one by one, in call order, before any
+   other change to the pending float. *)
+let boxed_busy ops =
+  let pending = ref 0. and ticks = ref 0 and busy = ref Time.zero in
+  let settle () =
+    for _ = 1 to !ticks do
+      pending := !pending +. tick_us
+    done;
+    ticks := 0
+  in
+  let pay us = if us > 0. then busy := Time.(!busy + of_us us) in
+  List.iter
+    (function
+      | Charge us ->
+          settle ();
+          pending := !pending +. us
+      | Tick -> incr ticks
+      | Compute us ->
+          settle ();
+          let total = us +. !pending in
+          pending := 0.;
+          pay total
+      | Yield -> ())
+    ops;
+  settle ();
+  pay !pending;
+  !busy
+
+let prop_unboxed_charges_match_boxed =
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun us -> Charge us) (oneofl [ 0.001; 0.05; 0.3; 1.7; 13. ]));
+          (4, return Tick);
+          (1, map (fun us -> Compute us) (oneofl [ 0.; 0.02; 5.5 ]));
+          (1, return Yield);
+        ])
+  in
+  QCheck.Test.make ~name:"unboxed charges = boxed accumulation" ~count:100
+    QCheck.(
+      make
+        ~print:(fun threads ->
+          String.concat " | "
+            (List.map (fun ops -> String.concat "; " (List.map show_charge_op ops)) threads))
+        Gen.(list_size (int_range 1 4) (list_size (int_range 0 40) gen_op)))
+    (fun threads ->
+      let pm2 = Pm2.create ~nodes:2 ~driver:Driver.bip_myrinet () in
+      let marcel = Pm2.marcel pm2 in
+      Marcel.set_tick_us marcel tick_us;
+      let wave () =
+        List.iteri
+          (fun i ops ->
+            ignore
+              (Pm2.spawn pm2 ~node:(i mod 2) (fun () ->
+                   let th = Marcel.self marcel in
+                   List.iter
+                     (function
+                       | Charge us -> Marcel.charge marcel us
+                       | Tick -> Marcel.charge_tick th
+                       | Compute us -> Marcel.compute marcel us
+                       | Yield -> Marcel.yield marcel)
+                     ops)))
+          threads;
+        Pm2.run pm2
+      in
+      wave ();
+      wave ();
+      List.for_all
+        (fun node ->
+          let want = ref Time.zero in
+          List.iteri
+            (fun i ops -> if i mod 2 = node then want := Time.(!want + boxed_busy ops))
+            threads;
+          Cpu.busy_time (Marcel.cpu marcel node) = Time.(!want + !want))
+        [ 0; 1 ])
+
 let test_mutex_mutual_exclusion () =
   let pm2 = Pm2.create ~nodes:1 ~driver:Driver.bip_myrinet () in
   let marcel = Pm2.marcel pm2 in
@@ -672,6 +763,7 @@ let () =
           Alcotest.test_case "charge accounting" `Quick test_charge_then_compute_accounts;
           Alcotest.test_case "charges paid at exit" `Quick
             test_pending_charges_paid_at_exit;
+          QCheck_alcotest.to_alcotest prop_unboxed_charges_match_boxed;
           Alcotest.test_case "mutex exclusion" `Quick test_mutex_mutual_exclusion;
           Alcotest.test_case "trylock" `Quick test_mutex_trylock;
           Alcotest.test_case "cond broadcast" `Quick test_cond_signal_and_broadcast;

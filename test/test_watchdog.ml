@@ -122,6 +122,42 @@ let test_long_wait_warns () =
   let _, _, critical = Watchdog.alert_counts w in
   Alcotest.(check int) "a slow run is not a deadlock" 0 critical
 
+(* A wait is checked against the dedup keys once it passes the bound:
+   the same thread stalling on the same barrier in three generations, for
+   many ticks each, warns once; a second waiter warns once too. *)
+let test_stall_warns_once_across_waits () =
+  let dsm = make () in
+  let b = Dsm.barrier_create dsm ~parties:3 () in
+  let config =
+    Watchdog.
+      { default_config with interval = Time.of_us 200.; stall = Time.of_us 1000. }
+  in
+  let w = Watchdog.attach ~config dsm in
+  ignore
+    (Dsm.spawn dsm ~node:0 (fun () ->
+         for _ = 1 to 3 do
+           Dsm.compute dsm 5000.;
+           Dsm.barrier_wait dsm b
+         done));
+  for node = 0 to 1 do
+    ignore
+      (Dsm.spawn dsm ~node (fun () ->
+           for _ = 1 to 3 do
+             Dsm.barrier_wait dsm b
+           done))
+  done;
+  Dsm.run dsm;
+  let stalls = kind_alerts w "stall.barrier" in
+  Alcotest.(check int) "one warning per waiting thread" 2 (List.length stalls);
+  Alcotest.(check (list string)) "one per node" [ "node 0"; "node 1" ]
+    (List.map
+       (fun a ->
+         if contains a.Watchdog.al_detail "on node 0" then "node 0"
+         else if contains a.Watchdog.al_detail "on node 1" then "node 1"
+         else a.Watchdog.al_detail)
+       stalls
+    |> List.sort compare)
+
 (* --- thrashing: unsynchronized writer ping-pong on one page --- *)
 
 let test_thrash_detected () =
@@ -511,7 +547,11 @@ let () =
             test_missing_barrier_party_is_a_stall;
         ] );
       ( "stalls",
-        [ Alcotest.test_case "long lock wait warns" `Quick test_long_wait_warns ] );
+        [
+          Alcotest.test_case "long lock wait warns" `Quick test_long_wait_warns;
+          Alcotest.test_case "a stall warns once across waits" `Quick
+            test_stall_warns_once_across_waits;
+        ] );
       ( "thrashing",
         [ Alcotest.test_case "page ping-pong" `Quick test_thrash_detected ] );
       ( "faults",
