@@ -197,6 +197,12 @@ let fault (rt : t) ~node ~page ~mode ~protocol proto =
 let[@inline never] fault_storm ~addr ~mode ~attempts =
   raise (Fault_storm { addr; mode; attempts })
 
+(* Counts and charges one inline check to the calling thread, by its
+   fiber id: the caller is known to run in a live Marcel thread. *)
+let[@inline] check (rt : t) =
+  Stats.bump rt.Runtime.cells.Instrument.checks;
+  Marcel.charge_tick (Runtime.marcel rt) (Engine.current_fiber (Runtime.engine rt))
+
 (* The first two steps of an attempt to access [addr], [faults] faults
    in: the fault-loop limit, then [addr]'s entry on [th]'s node, with an
    inline check counted and charged.  The caller tests the rights. *)
@@ -207,10 +213,7 @@ let[@inline] lookup (rt : t) th ~addr ~mode faults =
       rt.Runtime.mem.(Marcel.node th).Runtime.table
       (Page.page_of_addr rt.Runtime.geo addr)
   in
-  if Page_table.inline_checked e then begin
-    Stats.bump rt.Runtime.cells.Instrument.checks;
-    Marcel.charge_tick th
-  end;
+  if Page_table.inline_checked e then check rt;
   e
 
 (* Faults on [e], which does not grant [mode], and retries until [th]'s
@@ -241,7 +244,9 @@ let[@inline] self (rt : t) = Marcel.self (Runtime.marcel rt)
    ({!Engine.current_tag}), may complete a [mode] access to [addr] without
    the protocol, in which case an inline check has been counted and
    charged.  A refusal has counted nothing, and a tag below 0 (no Marcel
-   thread) is refused.  Only the inline check needs the thread itself. *)
+   thread) is refused.  A tag of 0 or more proves the running fiber is a
+   live Marcel thread, so the check charges its tick by fiber id and a hit
+   never looks the thread up; only [record_hit] (history on) does. *)
 let[@inline] hit (rt : t) node ~addr ~mode =
   node >= 0
   && rt.Runtime.fault_loop_limit >= 0
@@ -250,10 +255,7 @@ let[@inline] hit (rt : t) node ~addr ~mode =
     Page_table.find rt.Runtime.mem.(node).Runtime.table (Page.page_of_addr rt.Runtime.geo addr)
   in
   if Page_table.hits e mode then begin
-    if Page_table.inline_checked e then begin
-      Stats.bump rt.Runtime.cells.Instrument.checks;
-      Marcel.charge_tick (self rt)
-    end;
+    if Page_table.inline_checked e then check rt;
     true
   end
   else false

@@ -66,6 +66,8 @@ let set_protocol e ~protocol ~cls =
   e.protocol <- protocol;
   e.prot <- (e.prot land lnot cls_mask) lor (cls land cls_mask)
 
+let grant_write_hits e = e.prot <- e.prot lor Protocol.write_hits
+
 (* A mode's hit wants its class bit and its right, and no pin. *)
 let[@inline] hits e = function
   | Access.Read ->

@@ -91,8 +91,17 @@ val set_pinned : entry -> bool -> unit
 val set_protocol : entry -> protocol:int -> cls:int -> unit
 (** Moves the entry to [protocol], whose hit class is [cls]. *)
 
+val grant_write_hits : entry -> unit
+(** Adds {!Protocol.write_hits} to this one entry's class: a write the
+    rights allow is then a hit, completed without the protocol's
+    [on_local_write] hook.  A protocol whose write hook does nothing on
+    some entries calls it from its [on_page_init] for those entries only
+    (the Java protocols, on the home node); {!set_protocol} drops the
+    grant with the rest of the old class. *)
+
 val hit_class : entry -> int
-(** The class the entry was declared or last moved with. *)
+(** The class the entry was declared or last moved with, plus a
+    {!grant_write_hits}. *)
 
 val hits : entry -> Dsmpm2_mem.Access.mode -> bool
 (** The hit test: the class has the mode's bit ({!Protocol.read_hits} or

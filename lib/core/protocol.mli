@@ -88,7 +88,11 @@ type 'rt t = {
           primitive.  This optional hook is that integration point — the
           core write path calls it after every successful shared write so
           that on-the-fly diff recording also works through the plain
-          [Dsm.write_*] API.  [None] for all non-recording protocols. *)
+          [Dsm.write_*] API.  A protocol may grant write hits on the
+          entries where the hook does nothing
+          ({!Page_table.grant_write_hits}, from [on_page_init]); a write
+          there is a hit and the hook is not called.  [None] for all
+          non-recording protocols. *)
   on_local_read : ('rt -> node:int -> page:int -> unit) option;
       (** Called by the core read path after every successful shared read.
           Lets a per-access protocol (the quorum-based [sc_abd]) revoke the
@@ -100,7 +104,8 @@ type 'rt t = {
           for every page after [Dsm.switch_protocol] consolidates into it.
           Runs in plain (non-fiber) context during setup; must not block.
           [sc_abd] uses it to seed its replica tags and clear the
-          default home-node access rights.  [None] elsewhere. *)
+          default home-node access rights; the Java protocols grant write
+          hits on the home node's entry.  [None] elsewhere. *)
 }
 
 type 'rt registry
@@ -134,7 +139,11 @@ val hit_class : 'rt registry -> int -> int
       counted, charged locality check.
 
     [Dsm]'s hit test (see {!Dsm.read_int}) completes an access on its own
-    only when the entry's class has the access mode's bit.
+    only when the entry's class has the access mode's bit.  A protocol may
+    add [write_hits] to single entries where its [on_local_write] does
+    nothing ({!Page_table.grant_write_hits}); this class stays the
+    registry's and is what [Dsm.malloc] and [Dsm.switch_protocol] set
+    before [on_page_init] runs.
     @raise Invalid_argument on an unknown id. *)
 
 val find_by_name : 'rt registry -> string -> (int * 'rt t) option

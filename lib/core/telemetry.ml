@@ -379,7 +379,7 @@ let note_install t s ~page ~node at =
         {
           th_page = page;
           th_count = s.ps_len;
-          th_nodes = List.sort_uniq compare (Array.to_list s.ps_node);
+          th_nodes = List.sort_uniq Int.compare (Array.to_list s.ps_node);
           th_span = span;
         }
         :: t.pending_thrash
@@ -509,8 +509,8 @@ let end_interval t =
           iv_installs =
             List.sort
               (fun (pa, ca) (pb, cb) ->
-                let c = compare cb ca in
-                if c <> 0 then c else compare pa pb)
+                let c = Int.compare cb ca in
+                if c <> 0 then c else Int.compare pa pb)
               !installs;
           iv_reclassified = !reclass;
           iv_thrash = List.rev t.pending_thrash;

@@ -239,7 +239,7 @@ let node_of_tid w tid =
    holder is the next thread (cyclically).  Named in full — both locks and
    both waiting nodes — because the deadlock regression asserts on them. *)
 let report_cycle w chain =
-  let locks = List.sort_uniq compare (List.map snd chain) in
+  let locks = List.sort_uniq Int.compare (List.map snd chain) in
   let key =
     "deadlock:" ^ String.concat "," (List.map string_of_int locks)
   in

@@ -9,8 +9,6 @@ type thread = {
   mutable stack_bytes : int;
   attached_bytes : int;
   mutable alive : bool;
-  mutable ticks : int;
-      (* [charge_tick]s not yet added into the pending work; see [settle] *)
   mutable joiners : (unit -> unit) list;
   migratable : bool;
   mutable requested_node : int option;
@@ -30,6 +28,10 @@ type t = {
       (* fiber id -> its thread's pending CPU work in us, 0 where no
          thread is live; as long as [by_fiber].  Unboxed, so a charge
          allocates nothing. *)
+  mutable ticks : int array;
+      (* fiber id -> its thread's [charge_tick]s not yet added into the
+         pending work (see [settle]), 0 where no thread is live; as long
+         as [by_fiber] *)
   mutable tick_us : float;
 }
 
@@ -41,7 +43,6 @@ let no_thread =
     stack_bytes = 0;
     attached_bytes = 0;
     alive = false;
-    ticks = 0;
     joiners = [];
     migratable = false;
     requested_node = None;
@@ -56,6 +57,7 @@ let create eng ~nodes =
     next_tid = 0;
     by_fiber = [||];
     pending = Float.Array.create 0;
+    ticks = [||];
     tick_us = 0.;
   }
 
@@ -103,7 +105,7 @@ let live_threads t ~node =
   Array.fold_left
     (fun acc th -> if th.alive && th.node = node then th :: acc else acc)
     [] t.by_fiber
-  |> List.sort (fun a b -> compare a.tid b.tid)
+  |> List.sort (fun a b -> Int.compare a.tid b.tid)
 let stack_bytes th = th.stack_bytes
 let attached_bytes th = th.attached_bytes
 let footprint_bytes th = th.stack_bytes + descriptor_bytes + th.attached_bytes
@@ -119,12 +121,13 @@ let[@inline] set_pending t th us = Float.Array.unsafe_set t.pending th.fid us
    additions happen in the order of the calls that made them and the sum
    is bit-identical to charging each tick as it happened. *)
 let settle t th =
-  if th.ticks > 0 then begin
+  let ticks = Array.unsafe_get t.ticks th.fid in
+  if ticks > 0 then begin
     let us = ref (pending t th) in
-    for _ = 1 to th.ticks do
+    for _ = 1 to ticks do
       us := !us +. t.tick_us
     done;
-    th.ticks <- 0;
+    Array.unsafe_set t.ticks th.fid 0;
     set_pending t th !us
   end
 
@@ -161,7 +164,6 @@ let spawn t ?(stack_bytes = 1024) ?(attached_bytes = 0) ?(migratable = false) ~n
       stack_bytes;
       attached_bytes;
       alive = true;
-      ticks = 0;
       joiners = [];
       migratable;
       requested_node = None;
@@ -179,11 +181,13 @@ let spawn t ?(stack_bytes = 1024) ?(attached_bytes = 0) ?(migratable = false) ~n
   in
   if fid >= Array.length t.by_fiber then begin
     t.by_fiber <- Dense.ensure t.by_fiber fid no_thread;
-    t.pending <- Dense.ensure_float t.pending (Array.length t.by_fiber - 1) 0.
+    t.pending <- Dense.ensure_float t.pending (Array.length t.by_fiber - 1) 0.;
+    t.ticks <- Dense.ensure t.ticks (Array.length t.by_fiber - 1) 0
   end;
   t.by_fiber.(fid) <- th;
   th.fid <- fid;
   set_pending t th 0.;
+  t.ticks.(fid) <- 0;
   Engine.set_tag t.eng fid node;
   th
 
@@ -207,7 +211,8 @@ let[@inline] charge_thread t th us =
   set_pending t th (pending t th +. us)
 
 let charge t us = charge_thread t (self t) us
-let[@inline] charge_tick th = th.ticks <- th.ticks + 1
+(* Bounds-checked: [fid] comes from the caller, not from a thread. *)
+let[@inline] charge_tick t fid = t.ticks.(fid) <- t.ticks.(fid) + 1
 
 let set_tick_us t us =
   if us < 0. then invalid_arg "Marcel.set_tick_us: negative duration";
@@ -220,9 +225,12 @@ let flush_charges t =
 let set_node t th node =
   if node < 0 || node >= Array.length t.cpus then
     invalid_arg "Marcel.set_node: node out of range";
-  settle t th;
-  if th.alive && pending t th > 0. then
-    invalid_arg "Marcel.set_node: thread has unflushed CPU charges";
+  (* A dead thread's fiber id may belong to another thread. *)
+  if th.alive then begin
+    settle t th;
+    if pending t th > 0. then
+      invalid_arg "Marcel.set_node: thread has unflushed CPU charges"
+  end;
   th.node <- node;
   if th.alive then Engine.set_tag t.eng th.fid node
 

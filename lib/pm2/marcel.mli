@@ -118,11 +118,15 @@ val charge_thread : t -> thread -> float -> unit
 (** [charge] for a thread the caller has already looked up with {!self};
     the thread must be live. *)
 
-val charge_tick : thread -> unit
-(** Charges one tick ({!set_tick_us}) to the thread, allocating nothing:
-    ticks are counted and added into the pending work, in call order, the
-    next time it is charged, computed or flushed.  The DSM prices inline
-    access checks this way. *)
+val charge_tick : t -> int -> unit
+(** [charge_tick t fid] charges one tick ({!set_tick_us}) to the live
+    thread running on fiber [fid] (inside a thread,
+    {!Dsmpm2_sim.Engine.current_fiber}), allocating nothing and without
+    looking the thread up: ticks are counted in an int array indexed by
+    fiber id and added into the pending work, in call order, the next time
+    it is charged, computed or flushed.  A fiber id starts with no ticks
+    each time a thread is spawned on it.  The DSM prices inline access
+    checks this way. *)
 
 val set_tick_us : t -> float -> unit
 (** The price of one {!charge_tick} (default 0).  Set it before threads

@@ -49,7 +49,7 @@ let flush_selected rt ~node ~protocol ~only =
       (fun page records acc ->
         if selected page then (page, List.rev records) :: acc else acc)
       s.records []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
   List.iter (fun (page, _) -> Hashtbl.remove s.records page) pages;
   let diffs_with_home =
@@ -135,6 +135,13 @@ let lock_acquire ~name rt ~node ~lock:_ =
 let on_local_write rt ~node ~page ~offset ~value =
   record_write rt ~node ~page ~offset ~value
 
+(* The home holds main memory and records nothing ([record_write]), so a
+   write there the rights allow is a hit: the hook it skips would do
+   nothing. *)
+let on_page_init rt ~node ~page =
+  let e = Runtime.entry rt ~node ~page in
+  if node = e.Page_table.home then Page_table.grant_write_hits e
+
 let keeps_records (p : Runtime.t Protocol.t) =
   match p.Protocol.on_local_write with
   | Some hook -> hook == on_local_write
@@ -155,5 +162,5 @@ let make ~name ~detection =
     lock_release = lock_release ~name;
     on_local_write = Some on_local_write;
     on_local_read = None;
-    on_page_init = None;
+    on_page_init = Some on_page_init;
   }

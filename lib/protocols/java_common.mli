@@ -16,6 +16,9 @@
 open Dsmpm2_core
 
 val make : name:string -> detection:Protocol.detection -> Runtime.t Protocol.t
+(** Its [on_page_init] grants write hits on the home node's entry
+    ({!Page_table.grant_write_hits}), where {!record_write} records
+    nothing: a home write completes without the [on_local_write] hook. *)
 
 val keeps_records : Runtime.t Protocol.t -> bool
 (** Whether the protocol records its local writes here: true for every

@@ -22,7 +22,7 @@ let queue_length t = Queue.length t.pending
    starve the protocol handler threads that serve incoming DSM requests. *)
 let rec grant eng cpu dt resume =
   cpu.busy <- true;
-  let slice = min dt cpu.quantum in
+  let slice = Time.min dt cpu.quantum in
   cpu.busy_ns <- Time.(cpu.busy_ns + slice);
   Engine.after eng slice (fun () ->
       let remaining = Time.(dt - slice) in

@@ -3,7 +3,10 @@ type t = int
 let zero = 0
 let ( + ) = Stdlib.( + )
 let ( - ) = Stdlib.( - )
-let max = Stdlib.max
+(* Int comparisons: the polymorphic [Stdlib.max]/[min] would call
+   [compare_val] on every send and CPU slice. *)
+let[@inline] max (a : t) b = if a >= b then a else b
+let[@inline] min (a : t) b = if a <= b then a else b
 let of_us x = int_of_float (Float.round (x *. 1_000.))
 let of_ns n = n
 let to_us t = float_of_int t /. 1_000.

@@ -11,6 +11,7 @@ val zero : t
 val ( + ) : t -> t -> t
 val ( - ) : t -> t -> t
 val max : t -> t -> t
+val min : t -> t -> t
 
 val of_us : float -> t
 (** [of_us x] is [x] microseconds, rounded to the nearest nanosecond. *)

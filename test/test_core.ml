@@ -429,13 +429,19 @@ let test_inline_check_hit_allocates_nothing () =
     words_per_call dsm ~node:0 ~n (fun i ->
         Dsm.ensure_access dsm ~addr:(x + ((i land 511) * 8)) ~mode:Access.Read)
   in
+  (* Node 0 is the home: its writes are hits too. *)
+  let writes =
+    words_per_call dsm ~node:0 ~n (fun i -> Dsm.write_int dsm (x + ((i land 511) * 8)) i)
+  in
   Alcotest.(check bool) (Printf.sprintf "java_ic read hit: %.2f words" reads) true (reads < 1.);
   Alcotest.(check bool) (Printf.sprintf "java_ic ensure_access hit: %.2f words" ensures) true
     (ensures < 1.);
-  Alcotest.(check int) "one inline check per access" (2 * (16 + n)) (checks ());
+  Alcotest.(check bool) (Printf.sprintf "java_ic home write hit: %.2f words" writes) true
+    (writes < 1.);
+  Alcotest.(check int) "one inline check per access" (3 * (16 + n)) (checks ());
   (* The deferred check ticks are paid in full: every check is charged. *)
   Alcotest.(check (float 1e-6)) "checks charged"
-    (float_of_int (2 * (16 + n)) *. Runtime.default_costs.Runtime.inline_check_us)
+    (float_of_int (3 * (16 + n)) *. Runtime.default_costs.Runtime.inline_check_us)
     (Dsm.now_us dsm)
 
 (* --- the hit test: every access it refuses takes the general path --- *)
@@ -591,11 +597,14 @@ let test_switch_protocol_hooks () =
     run_one dsm ~node:1 (fun () -> ignore (Dsm.read_int dsm x));
     run_one dsm ~node:0 (fun () -> Dsm.write_int dsm x v)
   in
-  (* Every node's entry takes the class of the protocol it moves to. *)
-  let classes_follow protocol =
+  (* Every node's entry takes the class of the protocol it moves to; a
+     Java protocol adds write hits on the home (node 0) only. *)
+  let classes_follow ?(home_grant = 0) protocol =
     for node = 0 to 1 do
-      Alcotest.(check int) "entry class = registry class"
-        (Protocol.hit_class dsm.Runtime.registry protocol)
+      Alcotest.(check int)
+        (Printf.sprintf "node %d: entry class" node)
+        (Protocol.hit_class dsm.Runtime.registry protocol
+        lor if node = 0 then home_grant else 0)
         (Page_table.hit_class (Runtime.entry dsm ~node ~page:(page_of dsm x)))
     done
   in
@@ -614,7 +623,77 @@ let test_switch_protocol_hooks () =
   (* No copies left: the owner's next write is a hit. *)
   Alcotest.(check (float 0.)) "then a hit" 0.
     (timed dsm ~node:0 (fun () -> Dsm.write_int dsm x 3));
-  Alcotest.(check int) "value" 3 (Dsm.unsafe_peek dsm ~node:0 x)
+  Alcotest.(check int) "value" 3 (Dsm.unsafe_peek dsm ~node:0 x);
+  (* Under java_ic the home's writes are hits; the grant goes with the
+     protocol when the area moves back. *)
+  Dsm.switch_protocol dsm ~addr:x ~size:8 ~protocol:ids.Builtin.java_ic;
+  classes_follow ~home_grant:Protocol.write_hits ids.Builtin.java_ic;
+  Alcotest.(check (float 0.)) "java_ic: the home write is a hit" 0.
+    (timed dsm ~node:0 (fun () -> Dsm.write_int dsm x 4));
+  Alcotest.(check (list (pair int int))) "java_ic: nothing recorded on the home" []
+    (Java_common.recorded_words dsm ~node:0 ~page:(page_of dsm x));
+  run_one dsm ~node:1 (fun () ->
+      Alcotest.(check int) "java_ic: node 1 reads the home's value" 4 (Dsm.read_int dsm x));
+  Dsm.switch_protocol dsm ~addr:x ~size:8 ~protocol:ids.Builtin.li_hudak;
+  classes_follow ids.Builtin.li_hudak;
+  Alcotest.(check int) "value kept" 4 (Dsm.unsafe_peek dsm ~node:0 x)
+
+(* A Java home write is a hit: its [on_local_write] would record nothing
+   there.  Elsewhere the write still takes the hook and is recorded. *)
+let test_java_ic_home_write_hits () =
+  let dsm, ids = make ~nodes:2 () in
+  let hist = Dsm.enable_history dsm in
+  let x = Dsm.malloc dsm ~protocol:ids.Builtin.java_ic ~home:(Dsm.On_node 0) 8 in
+  let page = page_of dsm x in
+  let home = Runtime.entry dsm ~node:0 ~page in
+  Alcotest.(check bool) "home entry grants write hits" true (Page_table.hits home Access.Write);
+  Alcotest.(check (float 0.)) "no simulated time" 0.
+    (timed dsm ~node:0 (fun () -> Dsm.write_int dsm x 7));
+  Alcotest.(check int) "one check" 1 (count dsm Instrument.inline_checks);
+  Alcotest.(check (float 1e-6)) "one tick charged"
+    Runtime.default_costs.Runtime.inline_check_us (Dsm.now_us dsm);
+  Alcotest.(check int) "written" 7 (Dsm.unsafe_peek dsm ~node:0 x);
+  Alcotest.(check (list (pair int int))) "nothing recorded on the home" []
+    (Java_common.recorded_words dsm ~node:0 ~page);
+  (match History.ops hist with
+  | [ op ] ->
+      Alcotest.(check bool) "recorded once, as the write" true
+        (op.History.kind = History.Write { addr = x; value = 7 });
+      Alcotest.(check bool) "at one instant" true (op.History.start = op.History.finish)
+  | ops -> Alcotest.failf "expected 1 op, got %d" (List.length ops));
+  (* Node 1 caches the page read-write; each of its writes is recorded,
+     the one after the fetch included. *)
+  Alcotest.(check int) "no grant on node 1"
+    (Protocol.hit_class dsm.Runtime.registry ids.Builtin.java_ic)
+    (Page_table.hit_class (Runtime.entry dsm ~node:1 ~page));
+  run_one dsm ~node:1 (fun () ->
+      Dsm.write_int dsm x 8;
+      Dsm.write_int dsm x 9);
+  Alcotest.check access "cached read-write" Access.Read_write
+    (Dsm.unsafe_rights dsm ~node:1 ~addr:x);
+  Alcotest.(check (list (pair int int))) "non-home writes recorded" [ (0, 8); (0, 9) ]
+    (Java_common.recorded_words dsm ~node:1 ~page)
+
+let test_java_page_fault_home_writes_hit () =
+  let dsm, ids = make ~nodes:2 () in
+  let entry_ec = (Builtin.register_extras dsm).Builtin.entry_ec in
+  List.iter
+    (fun (name, protocol) ->
+      let x = Dsm.malloc dsm ~protocol ~home:(Dsm.On_node 1) 8 in
+      let page = page_of dsm x in
+      Alcotest.(check bool) (name ^ ": home grants write hits") true
+        (Page_table.hits (Runtime.entry dsm ~node:1 ~page) Access.Write);
+      Alcotest.(check int) (name ^ ": node 0 does not")
+        (Protocol.hit_class dsm.Runtime.registry protocol)
+        (Page_table.hit_class (Runtime.entry dsm ~node:0 ~page));
+      Alcotest.(check (float 0.)) (name ^ ": home write takes no time") 0.
+        (timed dsm ~node:1 (fun () -> Dsm.write_int dsm x 5));
+      Alcotest.(check int) (name ^ ": written") 5 (Dsm.unsafe_peek dsm ~node:1 x);
+      Alcotest.(check (list (pair int int))) (name ^ ": nothing recorded") []
+        (Java_common.recorded_words dsm ~node:1 ~page))
+    [ ("java_pf", ids.Builtin.java_pf); ("entry_ec", entry_ec) ];
+  Alcotest.(check int) "no fault" 0
+    (count dsm Instrument.read_faults + count dsm Instrument.write_faults)
 
 let test_history_records_hits_once () =
   let dsm, _ = make ~nodes:2 () in
@@ -1065,6 +1144,9 @@ let () =
           Alcotest.test_case "write_update owner pushes" `Quick test_write_update_owner_pushes;
           Alcotest.test_case "sc_abd read runs its hook" `Quick test_sc_abd_read_runs_hook;
           Alcotest.test_case "java_ic checks counted" `Quick test_java_ic_checks_counted;
+          Alcotest.test_case "java_ic home write hits" `Quick test_java_ic_home_write_hits;
+          Alcotest.test_case "java_pf and entry_ec home writes hit" `Quick
+            test_java_page_fault_home_writes_hit;
           Alcotest.test_case "switch_protocol hooks" `Quick test_switch_protocol_hooks;
           Alcotest.test_case "history records hits once" `Quick
             test_history_records_hits_once;

@@ -218,7 +218,8 @@ let test_pending_charges_paid_at_exit () =
 (* Mixed [charge] / [charge_tick] / [compute] sequences, in threads that
    interleave and then end so a second wave reuses their fiber ids, pay
    the same CPU time as the boxed per-thread float the pending work used
-   to be kept in. *)
+   to be kept in.  Ticks are charged by fiber id, as the DSM's inline
+   checks charge them. *)
 type charge_op = Charge of float | Tick | Compute of float | Yield
 
 let show_charge_op = function
@@ -277,18 +278,17 @@ let prop_unboxed_charges_match_boxed =
         Gen.(list_size (int_range 1 4) (list_size (int_range 0 40) gen_op)))
     (fun threads ->
       let pm2 = Pm2.create ~nodes:2 ~driver:Driver.bip_myrinet () in
-      let marcel = Pm2.marcel pm2 in
+      let marcel = Pm2.marcel pm2 and eng = Pm2.engine pm2 in
       Marcel.set_tick_us marcel tick_us;
       let wave () =
         List.iteri
           (fun i ops ->
             ignore
               (Pm2.spawn pm2 ~node:(i mod 2) (fun () ->
-                   let th = Marcel.self marcel in
                    List.iter
                      (function
                        | Charge us -> Marcel.charge marcel us
-                       | Tick -> Marcel.charge_tick th
+                       | Tick -> Marcel.charge_tick marcel (Engine.current_fiber eng)
                        | Compute us -> Marcel.compute marcel us
                        | Yield -> Marcel.yield marcel)
                      ops)))
@@ -305,6 +305,27 @@ let prop_unboxed_charges_match_boxed =
             threads;
           Cpu.busy_time (Marcel.cpu marcel node) = Time.(!want + !want))
         [ 0; 1 ])
+
+(* A thread spawned on a reused fiber id starts with no ticks: it pays its
+   own, never those counted on the id before. *)
+let test_reused_fiber_starts_without_ticks () =
+  let pm2 = Pm2.create ~nodes:2 ~driver:Driver.bip_myrinet () in
+  let marcel = Pm2.marcel pm2 and eng = Pm2.engine pm2 in
+  Marcel.set_tick_us marcel 1.;
+  let tick n =
+    let fid = Engine.current_fiber eng in
+    for _ = 1 to n do Marcel.charge_tick marcel fid done;
+    fid
+  in
+  let first = ref (-1) and second = ref (-2) in
+  ignore (Pm2.spawn pm2 ~node:0 (fun () -> first := tick 3));
+  Pm2.run pm2;
+  ignore (Pm2.spawn pm2 ~node:1 (fun () -> second := tick 2));
+  Pm2.run pm2;
+  Alcotest.(check int) "fiber id reused" !first !second;
+  let busy node = Time.to_us (Cpu.busy_time (Marcel.cpu marcel node)) in
+  Alcotest.check us "first thread paid its ticks at exit" 3. (busy 0);
+  Alcotest.check us "second thread paid only its own at exit" 2. (busy 1)
 
 let test_mutex_mutual_exclusion () =
   let pm2 = Pm2.create ~nodes:1 ~driver:Driver.bip_myrinet () in
@@ -764,6 +785,8 @@ let () =
           Alcotest.test_case "charges paid at exit" `Quick
             test_pending_charges_paid_at_exit;
           QCheck_alcotest.to_alcotest prop_unboxed_charges_match_boxed;
+          Alcotest.test_case "reused fiber starts without ticks" `Quick
+            test_reused_fiber_starts_without_ticks;
           Alcotest.test_case "mutex exclusion" `Quick test_mutex_mutual_exclusion;
           Alcotest.test_case "trylock" `Quick test_mutex_trylock;
           Alcotest.test_case "cond broadcast" `Quick test_cond_signal_and_broadcast;
