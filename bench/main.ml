@@ -157,12 +157,12 @@ let bechamel_tests ?filter () =
     done;
     Sys.opaque_identity !acc |> ignore
   in
-  (* The DSM access hit: 64 word reads on a page homed on the reading node,
-     by one held thread that sleeps 1 ns between batches, so a run is one
-     engine event (the wake-up) and 64 hits.  Under li_hudak a hit is the
-     rights test alone; under java_ic it also counts and charges an inline
-     check. *)
-  let read_hits protocol =
+  (* The DSM access hit: 64 word accesses on a page homed on the accessing
+     node, by one held thread that sleeps 1 ns between batches, so a run is
+     one engine event (the wake-up) and 64 hits.  Under li_hudak a hit is
+     the rights test alone; under java_ic it also counts and charges an
+     inline check. *)
+  let hits ~write protocol =
     let dsm = Dsm.create ~nodes:2 ~driver:Driver.bip_myrinet () in
     let ids = Builtin.register_all dsm in
     let base = Dsm.malloc dsm ~protocol:(protocol ids) ~home:(Dsm.On_node 0) 4096 in
@@ -170,9 +170,14 @@ let bechamel_tests ?filter () =
     ignore
       (Dsm.spawn dsm ~node:0 (fun () ->
            while true do
-             for i = 0 to 63 do
-               ignore (Sys.opaque_identity (Dsm.read_int dsm (base + (i * 8))))
-             done;
+             if write then
+               for i = 0 to 63 do
+                 Dsm.write_int dsm (base + (i * 8)) (Sys.opaque_identity i)
+               done
+             else
+               for i = 0 to 63 do
+                 ignore (Sys.opaque_identity (Dsm.read_int dsm (base + (i * 8))))
+               done;
              Engine.sleep eng (Dsmpm2_sim.Time.of_ns 1)
            done));
     fun () -> Dsm.run ~limit:Dsmpm2_sim.Time.(Engine.now eng + of_ns 1) dsm
@@ -291,8 +296,9 @@ let bechamel_tests ?filter () =
       ("diff/compute_4k_sparse_bytewise", diff_sparse_bytewise);
       ("frame/read_int_hot_x64", frame_read_hot);
       ("core/page_table_find_x64", page_table_find);
-      ("core/dsm_read_hit_x64", read_hits (fun ids -> ids.Builtin.li_hudak));
-      ("core/dsm_read_hit_inline_x64", read_hits (fun ids -> ids.Builtin.java_ic));
+      ("core/dsm_read_hit_x64", hits ~write:false (fun ids -> ids.Builtin.li_hudak));
+      ("core/dsm_read_hit_inline_x64", hits ~write:false (fun ids -> ids.Builtin.java_ic));
+      ("core/dsm_write_hit_x64", hits ~write:true (fun ids -> ids.Builtin.li_hudak));
       ("core/dsm_charge_x64", charges ());
       ("net/send_request_x64", network_send);
     ]

@@ -141,15 +141,17 @@ let switch_protocol (rt : t) ~addr ~size ~protocol =
    DSM-PM2 detects accesses with the MMU: a hit costs nothing and only a
    fault reaches the protocol.  Here a software check replaces the MMU on
    every access, so a hit is kept to one test on the entry [Dsm] has to
-   look up anyway.  [hit] finds [addr]'s entry on the caller's node,
+   look up anyway.  [hit_frame] finds [addr]'s entry on the caller's node,
    which it reads from the engine's node tag without looking the calling
-   thread up, and completes the access on its own when the fault-loop
-   limit is not negative and the entry's protection word allows the mode
-   ({!Page_table.hits}: the protocol's hit class has the mode's bit, the
-   rights allow it and the page is not pinned); under an inline-check
-   class it counts and charges the check.
-   A hit reads or writes the frame and, with history on, records the op
-   at the current instant: no simulated time passes on a hit.
+   thread up, and hands back that node's frame for the page when the
+   fault-loop limit is not negative and the entry's protection word
+   allows the mode ({!Page_table.hits}: the protocol's hit class has the
+   mode's bit, the rights allow it and the page is not pinned); under an
+   inline-check class it counts and charges the check.  It resolves the
+   page once: one read of the node's record, one page/offset split, and
+   the entry and the frame from the same record.
+   A hit then reads or writes the frame and, with history on, records the
+   op at the current instant: no simulated time passes on a hit.
 
    Everything the test refuses takes the general path, the [_general]
    accessors below, whose behaviour is the whole access protocol: the
@@ -240,28 +242,42 @@ let[@inline] access (rt : t) th ~addr ~mode =
 let[@inline] node_tag (rt : t) = Engine.current_tag (Runtime.engine rt)
 let[@inline] self (rt : t) = Marcel.self (Runtime.marcel rt)
 
-(* The hit test: true iff a thread on [node], the caller's node tag
+(* The frame [hit_frame] returns for an access it refuses: no frame is empty. *)
+let refused = Bytes.empty
+
+(* The hit test, which resolves [addr]'s page once: [node]'s frame for the
+   page when a thread on [node], the caller's node tag
    ({!Engine.current_tag}), may complete a [mode] access to [addr] without
    the protocol, in which case an inline check has been counted and
-   charged.  A refusal has counted nothing, and a tag below 0 (no Marcel
-   thread) is refused.  A tag of 0 or more proves the running fiber is a
-   live Marcel thread, so the check charges its tick by fiber id and a hit
-   never looks the thread up; only [record_hit] (history on) does. *)
-let[@inline] hit (rt : t) node ~addr ~mode =
-  node >= 0
-  && rt.Runtime.fault_loop_limit >= 0
-  &&
-  let e =
-    Page_table.find rt.Runtime.mem.(node).Runtime.table (Page.page_of_addr rt.Runtime.geo addr)
-  in
-  if Page_table.hits e mode then begin
-    if Page_table.inline_checked e then check rt;
-    true
+   charged; [refused] otherwise, having counted nothing.  A tag below 0 (no
+   Marcel thread) is refused.  It reads [node]'s record once, bounds-checked
+   since any fiber's tag can be set ({!Engine.set_tag}), and takes [addr]'s
+   page from [rt.geo] once (the accessor takes the offset, [offset]); an
+   unmapped page reads as an entry whose protection word is 0, which the
+   masked test refuses, and the general path then raises [Not_mapped].
+   The check comes before the frame lookup, so the entry is dead by the
+   time a first touch may materialise the frame (a call) and is never
+   spilled.  A tag of 0 or more proves the running fiber is a live Marcel
+   thread, so the check charges its tick by fiber id and a hit never looks
+   the thread up; only [record_hit] (history on) does. *)
+let[@inline] hit_frame (rt : t) ~node ~addr ~mode =
+  if node >= 0 && rt.Runtime.fault_loop_limit >= 0 then begin
+    let m = rt.Runtime.mem.(node) in
+    let page = Page.page_of_addr rt.Runtime.geo addr in
+    let e = Page_table.get m.Runtime.table page in
+    if Page_table.hits e mode then begin
+      if Page_table.inline_checked e then check rt;
+      Frame_store.frame m.Runtime.store page
+    end
+    else refused
   end
-  else false
+  else refused
+
+(* [addr]'s offset in the frame [hit_frame] returned. *)
+let[@inline] offset (rt : t) addr = Page.offset_of_addr rt.Runtime.geo addr
 
 let ensure_access (rt : t) ~addr ~mode =
-  if not (hit rt (node_tag rt) ~addr ~mode) then
+  if hit_frame rt ~node:(node_tag rt) ~addr ~mode == refused then
     ignore (access rt (self rt) ~addr ~mode : t Protocol.t)
 
 (* The start of an access's real-time window: only the history reads it. *)
@@ -351,35 +367,35 @@ let[@inline never] write_byte_general rt th addr value =
   write_hook rt th proto ~addr:word_addr ~value
 
 let read_int rt addr =
-  let node = node_tag rt in
-  if hit rt node ~addr ~mode:Access.Read then begin
-    let value = Frame_store.read_int rt.Runtime.mem.(node).Runtime.store ~addr in
+  let frame = hit_frame rt ~node:(node_tag rt) ~addr ~mode:Access.Read in
+  if frame != refused then begin
+    let value = Frame_store.unsafe_get_word frame ~addr ~off:(offset rt addr) in
     (match rt.Runtime.history with None -> () | Some _ -> record_hit rt ~write:false ~addr);
     value
   end
   else read_int_general rt (self rt) addr
 
 let write_int rt addr value =
-  let node = node_tag rt in
-  if hit rt node ~addr ~mode:Access.Write then begin
-    Frame_store.write_int rt.Runtime.mem.(node).Runtime.store ~addr value;
+  let frame = hit_frame rt ~node:(node_tag rt) ~addr ~mode:Access.Write in
+  if frame != refused then begin
+    Frame_store.unsafe_set_word frame ~addr ~off:(offset rt addr) value;
     match rt.Runtime.history with None -> () | Some _ -> record_hit rt ~write:true ~addr
   end
   else write_int_general rt (self rt) addr value
 
 let read_byte rt addr =
-  let node = node_tag rt in
-  if hit rt node ~addr ~mode:Access.Read then begin
-    let b = Frame_store.read_byte rt.Runtime.mem.(node).Runtime.store ~addr in
+  let frame = hit_frame rt ~node:(node_tag rt) ~addr ~mode:Access.Read in
+  if frame != refused then begin
+    let b = Frame_store.get_byte frame ~off:(offset rt addr) in
     (match rt.Runtime.history with None -> () | Some _ -> record_hit rt ~write:false ~addr);
     b
   end
   else read_byte_general rt (self rt) addr
 
 let write_byte rt addr value =
-  let node = node_tag rt in
-  if hit rt node ~addr ~mode:Access.Write then begin
-    Frame_store.write_byte rt.Runtime.mem.(node).Runtime.store ~addr value;
+  let frame = hit_frame rt ~node:(node_tag rt) ~addr ~mode:Access.Write in
+  if frame != refused then begin
+    Frame_store.set_byte frame ~off:(offset rt addr) value;
     match rt.Runtime.history with None -> () | Some _ -> record_hit rt ~write:true ~addr
   end
   else write_byte_general rt (self rt) addr value

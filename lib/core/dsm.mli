@@ -105,15 +105,17 @@ val read_int : t -> int -> int
     node, faulting (and running protocol actions) as needed.
 
     What a hit costs: the word accessors and {!ensure_access} first make
-    one test on the page's entry on the caller's node.  The access is a
-    hit when the fault-loop limit is not negative and the entry's
+    one test on the page's entry on the caller's node ({!hit_frame}),
+    which finds the node's record, the page's entry and its frame once
+    each.  The access is a hit when the fault-loop limit is not negative
+    and the entry's
     protection word ({!Page_table.hits}) says that the protocol's
     {!Protocol.hit_class} has the mode's bit (no [on_local_read] for a
     read, no [on_local_write] for a write) or that the protocol granted
     write hits on this entry ({!Page_table.grant_write_hits}: a Java
     protocol's writes on the page's home), the rights allow the mode and
     the page is not pinned by a just-completed fault.  A hit costs the
-    entry lookup, one masked test and the frame access; it takes no
+    entry lookup, one masked test, the frame lookup and the word; it takes no
     simulated time unless the protocol is
     [Inline_check], whose hits count one check and charge
     [inline_check_us] each, by fiber id, without looking the thread up.
@@ -137,6 +139,15 @@ val ensure_access : t -> addr:int -> mode:Access.mode -> unit
 (** The access-detection path, exposed for compiler-target use: guarantees
     the calling thread's node holds rights for [mode] on the page of [addr]
     before returning (the paper's get/put primitives build on this). *)
+
+val hit_frame : t -> node:int -> addr:int -> mode:Access.mode -> bytes
+(** The hit decision the word and byte accessors and {!ensure_access}
+    make, for a thread whose node tag is [node] ([-1] outside a Marcel
+    thread): the node's own frame for [addr]'s page when the access is a
+    hit, after counting and charging an inline check if the protocol
+    makes one; [Bytes.empty], having counted nothing, when the access
+    must take the general path.  Exposed for tests; call it from a Marcel
+    thread on [node]. *)
 
 val unsafe_peek : t -> node:int -> int -> int
 (** Reads a word directly from one node's frame store, without rights

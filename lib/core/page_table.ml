@@ -93,7 +93,10 @@ let new_entry ~page ~home ~owner ~protocol ~cls ~rights =
     ext = No_ext;
   }
 
+(* No class, no rights, no pin: its protection word is 0, so [hits]
+   refuses an unmapped page without comparing the entry with [absent]. *)
 let absent = new_entry ~page:(-1) ~home:0 ~owner:0 ~protocol:0 ~cls:0 ~rights:Access.No_access
+let () = assert (absent.prot = 0)
 
 let create ~node =
   { table_node = node; entries = [||]; count = 0; node_exts = [||]; mapped = None }

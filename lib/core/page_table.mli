@@ -112,6 +112,13 @@ val inline_checked : entry -> bool
 (** The class has {!Protocol.inline_hits}: an access is counted and
     charged as an inline check. *)
 
+val get : t -> int -> entry
+(** The entry of the page, or a shared absent entry whose protection word
+    is 0: no hit class, no rights, no pin, so {!hits} refuses it in either
+    mode.  One bounds test and one array read; never raises and never
+    grows the table.  The absent entry must not be modified: change
+    protection only on an entry {!find} or {!declare} returned. *)
+
 val find : t -> int -> entry
 (** One array read; allocation-free on a hit.
     @raise Not_mapped if the page was never declared (negative pages and

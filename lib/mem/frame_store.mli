@@ -8,6 +8,8 @@
 type t
 
 val create : geometry:Page.geometry -> t
+(** Raises [Invalid_argument] if a page is shorter than a word. *)
+
 val geometry : t -> Page.geometry
 
 val has_frame : t -> int -> bool
@@ -24,14 +26,16 @@ val peek : t -> int -> bytes option
 
 val install : t -> int -> bytes -> unit
 (** Replaces (or creates) the frame with a copy of [bytes] (which must have
-    page length).  Use when the caller keeps or may mutate [bytes]. *)
+    page length: otherwise it raises [Invalid_argument] and leaves the
+    store as it was).  Use when the caller keeps or may mutate [bytes]. *)
 
 val install_owned : t -> int -> bytes -> unit
 (** Ownership-transferring install: the store adopts [bytes] as the frame
-    without copying.  The caller must not retain or mutate [bytes]
-    afterwards.  This is the simulated-wire fast path — a page message's
-    payload is exclusively owned by the receiver on delivery, so a transfer
-    costs one copy (at send) instead of two. *)
+    without copying, after the same length check as {!install}.  The
+    caller must not retain or mutate [bytes] afterwards.  This is the
+    simulated-wire fast path — a page message's payload is exclusively
+    owned by the receiver on delivery, so a transfer costs one copy (at
+    send) instead of two. *)
 
 val copy_out : t -> int -> bytes
 (** A copy of the page's frame (created if absent) for a page transfer.
@@ -44,8 +48,33 @@ val copy_out : t -> int -> bytes
 val drop : t -> int -> unit
 val frame_count : t -> int
 
+val unsafe_get_word : bytes -> addr:int -> off:int -> int
+(** [unsafe_get_word frame ~addr ~off] decodes the 8-byte little-endian
+    word at byte [off] of [frame], which holds [addr] at that offset.  The
+    one decoder of page words: {!read_int} and [Dsm]'s access hit both call
+    it.  Raises [Invalid_argument "Frame_store: unaligned word access at
+    0x..."] unless [addr] is 8-aligned.
+
+    It reads without a bounds check, so [frame] must be a frame of a store
+    (from {!frame}) and [off] [addr]'s offset in that store's pages.  Then
+    the word lies inside the frame: every frame in a store is exactly one
+    page long, since each way in ({!frame}, {!install}, {!install_owned})
+    checks the length, and a page is a power of two of at least one word
+    ({!create}). *)
+
+val unsafe_set_word : bytes -> addr:int -> off:int -> int -> unit
+(** Encodes a word as {!unsafe_get_word} decodes it, with the same check
+    and under the same conditions. *)
+
+val get_byte : bytes -> off:int -> int
+
+val set_byte : bytes -> off:int -> int -> unit
+(** Raises [Invalid_argument "Frame_store.write_byte: out of range"]
+    unless the value is in 0..255. *)
+
 val read_int : t -> addr:int -> int
-(** Reads the 8-byte word at [addr] ([addr] must be 8-aligned). *)
+(** Reads the 8-byte word at [addr] ([addr] must be 8-aligned) from the
+    page's frame, creating it if absent. *)
 
 val write_int : t -> addr:int -> int -> unit
 

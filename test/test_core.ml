@@ -392,15 +392,24 @@ let words_per_call dsm ~node ~n f =
       words := (Gc.minor_words () -. before) /. float_of_int n);
   !words
 
+(* Word and byte hits, reads and writes, allocate not one word, with or
+   without cross-module inlining. *)
 let test_hit_path_allocates_nothing () =
   let n = 10_000 in
   let dsm, ids = make ~nodes:2 () in
   let x = Dsm.malloc dsm ~protocol:ids.Builtin.hbrc_mw ~home:(Dsm.On_node 0) 4096 in
   let word i = x + ((i land 511) * 8) in
-  let reads = words_per_call dsm ~node:0 ~n (fun i -> ignore (Dsm.read_int dsm (word i))) in
-  let writes = words_per_call dsm ~node:0 ~n (fun i -> Dsm.write_int dsm (word i) i) in
-  Alcotest.(check bool) (Printf.sprintf "hbrc_mw read hit: %.2f words" reads) true (reads < 1.);
-  Alcotest.(check bool) (Printf.sprintf "hbrc_mw write hit: %.2f words" writes) true (writes < 1.)
+  let byte i = x + (i land 4095) in
+  List.iter
+    (fun (name, f) ->
+      let words = words_per_call dsm ~node:0 ~n f in
+      Alcotest.(check (float 0.)) ("hbrc_mw " ^ name ^ " hit: words per call") 0. words)
+    [
+      ("read_int", fun i -> ignore (Dsm.read_int dsm (word i)));
+      ("write_int", fun i -> Dsm.write_int dsm (word i) i);
+      ("read_byte", fun i -> ignore (Dsm.read_byte dsm (byte i)));
+      ("write_byte", fun i -> Dsm.write_byte dsm (byte i) (i land 255));
+    ]
 
 (* The pending work is unboxed: 10 000 charges allocate not one word. *)
 let test_charge_allocates_nothing () =
@@ -770,6 +779,113 @@ let test_access_outside_thread_fails () =
   Alcotest.(check bool) "checked from a plain event" true !ran;
   Alcotest.(check int) "nothing written" 0 (Dsm.unsafe_peek dsm ~node:0 x);
   fails "read_int outside run" (fun () -> ignore (Dsm.read_int dsm x))
+
+(* [Dsm.hit_frame] against the predicate it replaced: a node tag of 0 or
+   more, a fault-loop limit of 0 or more, and [Page_table.hits], i.e. the
+   class's mode bit, rights that allow the mode and no pin.  A refusal
+   counts no inline check; a hit counts one iff the class says so, and
+   returns the node's own frame for the page. *)
+let test_hit_frame_matches_predicate () =
+  let dsm, ids = make ~nodes:2 () in
+  let x = Dsm.malloc dsm ~protocol:ids.Builtin.hbrc_mw ~home:(Dsm.On_node 0) 4096 in
+  let page = page_of dsm x in
+  let checks () = count dsm Instrument.inline_checks in
+  let everything = Protocol.read_hits lor Protocol.write_hits lor Protocol.inline_hits in
+  run_one dsm ~node:0 (fun () ->
+      let refused name ~node ~addr ~mode =
+        let before = checks () in
+        Alcotest.(check bool) name true
+          (Dsm.hit_frame dsm ~node ~addr ~mode == Bytes.empty);
+        Alcotest.(check int) (name ^ ": no check counted") before (checks ())
+      in
+      for node = 0 to 1 do
+        let e = Runtime.entry dsm ~node ~page in
+        for cls = 0 to 7 do
+          List.iter
+            (fun rights ->
+              List.iter
+                (fun pinned ->
+                  Page_table.set_protocol e ~protocol:e.Page_table.protocol ~cls;
+                  Page_table.set_rights e rights;
+                  Page_table.set_pinned e pinned;
+                  List.iter
+                    (fun mode ->
+                      let case =
+                        Printf.sprintf "node %d, class %d, %s, pinned %b, %s" node cls
+                          (Access.to_string rights) pinned (Access.mode_to_string mode)
+                      in
+                      let addr = x + 8 in
+                      let before = checks () in
+                      let frame = Dsm.hit_frame dsm ~node ~addr ~mode in
+                      let hit =
+                        cls land mode_bit mode <> 0 && Access.allows rights mode && not pinned
+                      in
+                      Alcotest.(check bool) case hit (frame != Bytes.empty);
+                      Alcotest.(check int) (case ^ ": checks")
+                        (if hit && cls land Protocol.inline_hits <> 0 then before + 1
+                         else before)
+                        (checks ());
+                      if hit then
+                        Alcotest.(check bool) (case ^ ": the node's frame") true
+                          (match Frame_store.peek (Runtime.store dsm node) page with
+                          | Some own -> own == frame
+                          | None -> false))
+                    all_modes)
+                [ false; true ])
+            all_rights
+        done;
+        (* Every bit set, so only the tag, the limit or the page refuses. *)
+        Page_table.set_protocol e ~protocol:e.Page_table.protocol ~cls:everything;
+        Page_table.set_rights e Access.Read_write;
+        Page_table.set_pinned e false;
+        List.iter
+          (fun mode ->
+            let name what =
+              Printf.sprintf "node %d, %s: %s" node (Access.mode_to_string mode) what
+            in
+            refused (name "tag -1") ~node:(-1) ~addr:x ~mode;
+            dsm.Runtime.fault_loop_limit <- -1;
+            refused (name "limit -1") ~node ~addr:x ~mode;
+            dsm.Runtime.fault_loop_limit <- 0;
+            refused (name "unmapped page") ~node ~addr:(x + (1 lsl 30)) ~mode;
+            refused (name "negative page") ~node ~addr:(-4096) ~mode)
+          all_modes
+      done;
+      Alcotest.(check bool) "the two nodes' frames differ" true
+        (Dsm.hit_frame dsm ~node:0 ~addr:x ~mode:Access.Read
+        != Dsm.hit_frame dsm ~node:1 ~addr:x ~mode:Access.Read))
+
+(* An unaligned word access raises the same error whether the node holds
+   the page (a hit) or has to fetch it first (the general path). *)
+let test_unaligned_word_access () =
+  List.iter
+    (fun protocol_of ->
+      let dsm, ids = make ~nodes:2 () in
+      let x = Dsm.malloc dsm ~protocol:(protocol_of ids) ~home:(Dsm.On_node 0) 4096 in
+      let expect =
+        Invalid_argument (Printf.sprintf "Frame_store: unaligned word access at %#x" (x + 4))
+      in
+      let raised = ref [] in
+      let attempt name f =
+        raised := (name, try f (); None with e -> Some e) :: !raised
+      in
+      List.iter
+        (fun node ->
+          run_one dsm ~node (fun () ->
+              let name what =
+                Printf.sprintf "%s, node %d: %s"
+                  (Dsm.protocol_name dsm (protocol_of ids))
+                  node what
+              in
+              attempt (name "read_int") (fun () -> ignore (Dsm.read_int dsm (x + 4)));
+              attempt (name "write_int") (fun () -> Dsm.write_int dsm (x + 4) 1)))
+        [ 0; 1 ];
+      List.iter
+        (fun (name, e) ->
+          Alcotest.(check (option string)) name (Some (Printexc.to_string expect))
+            (Option.map Printexc.to_string e))
+        (List.rev !raised))
+    [ (fun ids -> ids.Builtin.hbrc_mw); (fun ids -> ids.Builtin.java_ic) ]
 
 (* --- single access path: equivalences --- *)
 
@@ -1154,6 +1270,9 @@ let () =
             test_migrated_thread_hits_on_new_node;
           Alcotest.test_case "access outside a thread fails" `Quick
             test_access_outside_thread_fails;
+          Alcotest.test_case "hit frame = hit predicate" `Quick
+            test_hit_frame_matches_predicate;
+          Alcotest.test_case "unaligned word access" `Quick test_unaligned_word_access;
         ] );
       ( "batches",
         [

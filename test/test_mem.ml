@@ -87,6 +87,61 @@ let test_frame_store_install_owned_adopts () =
     (Invalid_argument "Frame_store.install_owned: wrong page length") (fun () ->
       Frame_store.install_owned fs 1 (Bytes.create 100))
 
+(* The word accessors read and write without a bounds check, which is safe
+   only while every frame in a store is exactly one page of at least one
+   word: every way a frame enters a store checks its length, a wrong one
+   leaves the store as it was, and a store of pages shorter than a word
+   cannot be made. *)
+let test_frame_store_frames_are_one_page () =
+  List.iter
+    (fun size ->
+      Alcotest.check_raises (Printf.sprintf "%d-byte pages" size)
+        (Invalid_argument "Frame_store.create: a page must hold a word") (fun () ->
+          ignore (Frame_store.create ~geometry:(Page.geometry ~size))))
+    [ 1; 2; 4 ];
+  let small = Frame_store.create ~geometry:(Page.geometry ~size:8) in
+  Frame_store.write_int small ~addr:(3 * 8) (-5);
+  Alcotest.(check int) "a one-word page" (-5) (Frame_store.read_int small ~addr:(3 * 8));
+  let fs = Frame_store.create ~geometry:geo in
+  Frame_store.write_int fs ~addr:4096 7;
+  let kept = Frame_store.frame fs 1 in
+  List.iter
+    (fun len ->
+      List.iter
+        (fun (what, install) ->
+          List.iter
+            (fun page ->
+              Alcotest.check_raises
+                (Printf.sprintf "%s of %d bytes on page %d" what len page)
+                (Invalid_argument (what ^ ": wrong page length"))
+                (fun () -> install fs page (Bytes.make len 'x')))
+            [ 1; 2 ];
+          Alcotest.(check bool) (what ^ ": frame kept") true (Frame_store.frame fs 1 == kept);
+          Alcotest.(check bool) (what ^ ": no frame added") false (Frame_store.has_frame fs 2))
+        [
+          ("Frame_store.install", Frame_store.install);
+          ("Frame_store.install_owned", Frame_store.install_owned);
+        ])
+    [ 0; 8; 4095; 4097; 8192 ];
+  Alcotest.(check int) "still one frame" 1 (Frame_store.frame_count fs);
+  Alcotest.(check int) "word kept" 7 (Frame_store.read_int fs ~addr:4096);
+  (* Every way in gives a one-page frame: materialised, installed, adopted,
+     and a copy written into a retired frame. *)
+  ignore (Frame_store.frame fs 3);
+  Frame_store.install fs 4 (Bytes.make 4096 'a');
+  Frame_store.install_owned fs 5 (Bytes.make 4096 'b');
+  Frame_store.drop fs 5;
+  Frame_store.install_owned fs 6 (Frame_store.copy_out fs 4);
+  List.iter
+    (fun page ->
+      match Frame_store.peek fs page with
+      | Some b ->
+          Alcotest.(check int) (Printf.sprintf "page %d: length" page) 4096 (Bytes.length b)
+      | None -> Alcotest.failf "page %d: no frame" page)
+    [ 1; 3; 4; 6 ];
+  Alcotest.(check int) "last word of a page" 0
+    (Frame_store.read_int fs ~addr:((3 * 4096) + 4088))
+
 let test_frame_store_copy_out_reuses_retired () =
   let fs = Frame_store.create ~geometry:geo in
   Frame_store.write_int fs ~addr:4096 7;
@@ -317,6 +372,7 @@ let () =
         [
           Alcotest.test_case "read/write" `Quick test_frame_store_rw;
           Alcotest.test_case "unaligned rejected" `Quick test_frame_store_unaligned_rejected;
+          Alcotest.test_case "frames are one page" `Quick test_frame_store_frames_are_one_page;
           Alcotest.test_case "install copies" `Quick test_frame_store_install_copies;
           Alcotest.test_case "install size checked" `Quick test_frame_store_install_wrong_size;
           Alcotest.test_case "install_owned adopts" `Quick
