@@ -438,20 +438,22 @@ let analyze_cmd =
       $ seed_arg $ top $ out $ folded_file)
 
 let check_cmd =
-  let run seeds protocols workload replay verbose faults loss crashes explain
+  let run seeds protocols workloads replay verbose faults loss crashes explain
       expect_vulnerable obs =
     let protocols = match protocols with [] -> None | ps -> Some ps in
-    let workload_list =
-      match workload with
-      | None -> Conformance.workloads
-      | Some w -> (
-          match Conformance.workload_by_name w with
-          | Some w -> [ w ]
-          | None ->
-              Format.fprintf ppf "check: unknown workload %S (known: %s)@." w
-                (String.concat ", "
-                   (List.map Conformance.workload_name Conformance.workloads));
-              exit 2)
+    (* The sharing patterns are scenarios too, but stay out of the default
+       sweep: false_sharing fails under sc_abd (ROADMAP item 1). *)
+    let known = Conformance.scenarios @ Sharing_patterns.scenarios in
+    let find w =
+      match List.find_opt (fun s -> s.Conformance.name = w) known with
+      | Some s -> s
+      | None ->
+          Format.fprintf ppf "check: unknown workload %S (known: %s)@." w
+            (String.concat ", " (List.map (fun s -> s.Conformance.name) known));
+          exit 2
+    in
+    let scenarios =
+      match workloads with [] -> Conformance.scenarios | ws -> List.map find ws
     in
     (* Fault tolerance is a protocol property, not a driver-latency one, so
        the fault sweep runs one driver. *)
@@ -489,9 +491,11 @@ let check_cmd =
       match o.Conformance.o_explanations with
       | [] -> ()
       | xs ->
+          (* A sweep's runs are all seeded. *)
+          let seed = Option.get o.Conformance.o_seed in
           let base =
             Printf.sprintf "explain_%s_%s_seed%d" protocol
-              o.Conformance.o_workload o.Conformance.o_seed
+              o.Conformance.o_workload seed
           in
           Json.to_file (base ^ ".json") (Json.List (List.map Explain.to_json xs));
           to_formatter (base ^ ".dot") (fun fmt -> Explain.to_dot fmt (List.hd xs));
@@ -499,13 +503,13 @@ let check_cmd =
             (fun x ->
               if verbose then Format.fprintf ppf "%a@." Explain.to_text x;
               if Explain.causes x = [] then
-                empty_chains := (protocol, o.Conformance.o_seed) :: !empty_chains)
+                empty_chains := (protocol, seed) :: !empty_chains)
             xs;
           Format.fprintf ppf "explain: wrote %s.json and %s.dot (%d explanation(s))@."
             base base (List.length xs)
     in
     let verdicts =
-      Conformance.sweep ?protocols ~drivers ~workload_list ~spec ~explain
+      Conformance.sweep ?protocols ~drivers ~scenarios ~spec ~explain
         ~progress ~on_failure ~seeds ()
     in
     Conformance.print ~spec ppf verdicts;
@@ -565,11 +569,14 @@ let check_cmd =
       & info [ "protocol" ] ~docv:"PROTO"
           ~doc:"Check only $(docv) (repeatable; default: all builtins).")
   in
-  let workload =
+  let workloads =
     Arg.(
       value
-      & opt (some string) None
-      & info [ "workload" ] ~docv:"NAME" ~doc:"Run a single workload by name.")
+      & opt_all string []
+      & info [ "workload" ] ~docv:"NAME"
+          ~doc:
+            "Check only scenario $(docv) (repeatable; default: the four \
+             check workloads).  A sharing pattern is a scenario too.")
   in
   let replay =
     Arg.(
@@ -629,7 +636,7 @@ let check_cmd =
          "Conformance-check every protocol against its declared consistency \
           model under perturbed schedules, optionally with fault injection.")
     Term.(
-      const run $ seeds $ protocols $ workload $ replay $ verbose $ faults
+      const run $ seeds $ protocols $ workloads $ replay $ verbose $ faults
       $ loss $ crashes $ explain $ expect_vulnerable $ obs_term)
 
 (* --- dsm watch: the live dashboard over a running application ---

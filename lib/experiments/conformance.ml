@@ -1,29 +1,26 @@
 open Dsmpm2_sim
 open Dsmpm2_net
 open Dsmpm2_pm2
+open Dsmpm2_mem
 open Dsmpm2_core
 open Dsmpm2_protocols
 
-(* The `dsm check` conformance harness: run small shared-memory workloads
-   under seeded schedule perturbation (Engine tie-breaking) plus seeded
-   network jitter, record the execution history, and validate it against the
-   consistency model each protocol declares.  Every seed is a distinct legal
-   interleaving; every failure replays from its seed. *)
+(* One run path for every correctness tool: a scenario under seeded
+   schedule perturbation (engine tie-breaking plus network jitter), judged
+   by its expectation.  Every failure replays from its seed. *)
 
-type workload = Lock_ladder | Barrier_phases | Racy_poll | Mixed_sync
+type expectation =
+  | Declared_model
+  | Forbidden_in of (Protocol.model -> bool)
+  | Final_memory
 
-let workloads = [ Lock_ladder; Barrier_phases; Racy_poll; Mixed_sync ]
-
-let workload_name = function
-  | Lock_ladder -> "lock_ladder"
-  | Barrier_phases -> "barrier_phases"
-  | Racy_poll -> "racy_poll"
-  | Mixed_sync -> "mixed_sync"
-
-let workload_by_name n =
-  List.find_opt (fun w -> workload_name w = n) workloads
-
-let nodes = 3
+type scenario = {
+  name : string;
+  nodes : int;
+  limit_us : float;
+  program : Dsm.t -> protocol:int -> seed:int -> History.t -> string option;
+  expect : expectation;
+}
 
 (* The post-mortem value of a word, per the recorded history: the last write
    in record order.  For lock- or barrier-ordered writes the record order is
@@ -46,47 +43,31 @@ let final_written hist addr =
    every access, so at rest {e no} node holds rights — there the equivalent
    durability invariant is the final value at a majority of frames. *)
 let some_replica_holds dsm addr value =
-  let n = Dsm.nodes dsm in
-  let rec find node =
-    node < n
-    && ((Dsm.unsafe_rights dsm ~node ~addr <> Dsmpm2_mem.Access.No_access
-         && Dsm.unsafe_peek dsm ~node addr = value)
-       || find (node + 1))
-  in
-  let any_rights =
-    let rec some node =
-      node < n
-      && (Dsm.unsafe_rights dsm ~node ~addr <> Dsmpm2_mem.Access.No_access
-         || some (node + 1))
-    in
-    some 0
-  in
-  if any_rights then find 0
-  else begin
-    let holders = ref 0 in
-    for node = 0 to n - 1 do
-      if Dsm.unsafe_peek dsm ~node addr = value then incr holders
-    done;
-    !holders >= (n / 2) + 1
-  end
+  let nodes = List.init (Dsm.nodes dsm) Fun.id in
+  let rights node = Dsm.unsafe_rights dsm ~node ~addr <> Access.No_access in
+  let holds node = Dsm.unsafe_peek dsm ~node addr = value in
+  if List.exists rights nodes then List.exists (fun n -> rights n && holds n) nodes
+  else List.length (List.filter holds nodes) >= (Dsm.nodes dsm / 2) + 1
 
-let check_var dsm hist ~what addr ~expected =
+let check_word dsm hist ~what addr ~expected =
   let got = Option.value ~default:0 (final_written hist addr) in
+  let at = Printf.sprintf "(page %d)" (Page.page_of_addr dsm.Runtime.geo addr) in
   if got <> expected then
-    Some (Printf.sprintf "%s: expected %d, final write is %d" what expected got)
+    Some (Printf.sprintf "%s: expected %d, final write is %d %s" what expected got at)
   else if not (some_replica_holds dsm addr expected) then
-    Some (Printf.sprintf "%s: no live replica holds final value %d" what expected)
+    Some (Printf.sprintf "%s: no live replica holds final value %d %s" what expected at)
   else None
 
 let bind_if_entry_ec dsm ~protocol ~lock ~addr =
   if Dsm.protocol_name dsm protocol = "entry_ec" then
     Entry_ec.bind dsm ~lock ~addr ~size:8
 
-(* Each builder wires the workload's threads into [dsm] and returns a
+(* Each program wires the scenario's threads into [dsm] and returns a
    post-run result check (None = result correct, Some msg = wrong answer —
    a violation even when the history itself is explainable). *)
 
-let build_lock_ladder dsm ~protocol ~seed =
+let lock_ladder dsm ~protocol ~seed =
+  let nodes = Dsm.nodes dsm in
   let rng = Rng.create ~seed:(seed lxor 0x9e3779b9) in
   let nvars = 2 and ops = 4 in
   let vars =
@@ -111,18 +92,14 @@ let build_lock_ladder dsm ~protocol ~seed =
              plans.(node)))
   done;
   fun hist ->
-    let bad = ref None in
-    Array.iteri
-      (fun i v ->
-        if !bad = None then
-          bad :=
-            check_var dsm hist
-              ~what:(Printf.sprintf "var %d locked increments" i)
-              v ~expected:expected.(i))
-      vars;
-    !bad
+    Seq.find_map
+      (fun i ->
+        check_word dsm hist ~what:(Printf.sprintf "var %d locked increments" i)
+          vars.(i) ~expected:expected.(i))
+      (Seq.init nvars Fun.id)
 
-let build_barrier_phases dsm ~protocol ~seed:_ =
+let barrier_phases dsm ~protocol ~seed:_ =
+  let nodes = Dsm.nodes dsm in
   let x = Dsm.malloc dsm ~protocol ~home:(Dsm.On_node 0) 8 in
   let barrier = Dsm.barrier_create dsm ~protocol ~parties:nodes () in
   let phases = 3 in
@@ -136,9 +113,9 @@ let build_barrier_phases dsm ~protocol ~seed:_ =
              Dsm.barrier_wait dsm barrier
            done))
   done;
-  fun hist -> check_var dsm hist ~what:"final phase value" x ~expected:phases
+  fun hist -> check_word dsm hist ~what:"final phase value" x ~expected:phases
 
-let build_racy_poll dsm ~protocol ~seed:_ =
+let racy_poll dsm ~protocol ~seed:_ =
   (* Deliberately unsynchronized: one writer, two pollers.  No expected
      result — the point is what staleness the declared model tolerates. *)
   let x = Dsm.malloc dsm ~protocol ~home:(Dsm.On_node 0) 8 in
@@ -148,7 +125,7 @@ let build_racy_poll dsm ~protocol ~seed:_ =
          Dsm.write_int dsm x 1;
          Dsm.compute dsm 1_500.;
          Dsm.write_int dsm x 2));
-  for node = 1 to nodes - 1 do
+  for node = 1 to Dsm.nodes dsm - 1 do
     ignore
       (Dsm.spawn dsm ~node (fun () ->
            for _ = 1 to 8 do
@@ -158,11 +135,12 @@ let build_racy_poll dsm ~protocol ~seed:_ =
   done;
   fun _hist -> None
 
-let build_mixed_sync dsm ~protocol ~seed:_ =
+let mixed_sync dsm ~protocol ~seed:_ =
   (* Locks and barriers interleaved on one protocol: a lock-guarded counter
      incremented each phase, a barrier between phases, and unlocked reads of
      the counter right after the barrier (legal: the barrier publishes the
      increments of the previous phase). *)
+  let nodes = Dsm.nodes dsm in
   let c = Dsm.malloc dsm ~protocol ~home:(Dsm.On_node 0) 8 in
   let lock = Dsm.lock_create dsm ~protocol () in
   bind_if_entry_ec dsm ~protocol ~lock ~addr:c;
@@ -180,16 +158,23 @@ let build_mixed_sync dsm ~protocol ~seed:_ =
            done))
   done;
   fun hist ->
-    check_var dsm hist ~what:"locked increments" c ~expected:(nodes * phases)
+    check_word dsm hist ~what:"locked increments" c ~expected:(nodes * phases)
 
-let build dsm ~protocol workload ~seed =
-  match workload with
-  | Lock_ladder -> build_lock_ladder dsm ~protocol ~seed
-  | Barrier_phases -> build_barrier_phases dsm ~protocol ~seed
-  | Racy_poll -> build_racy_poll dsm ~protocol ~seed
-  | Mixed_sync -> build_mixed_sync dsm ~protocol ~seed
+(* Generous: total RPC patience under the default retry policy is ~4.5 ms
+   per call and crash windows live inside a 4 ms horizon, so a run that has
+   not drained by 100 ms of simulated time is genuinely stuck. *)
+let scenarios =
+  List.map
+    (fun (name, program) ->
+      { name; nodes = 3; limit_us = 100_000.; program; expect = Declared_model })
+    [
+      ("lock_ladder", lock_ladder);
+      ("barrier_phases", barrier_phases);
+      ("racy_poll", racy_poll);
+      ("mixed_sync", mixed_sync);
+    ]
 
-(* --- one run: a workload under one protocol, driver, seed and fault spec --- *)
+(* --- one run: a scenario under one protocol, driver, seed and fault spec --- *)
 
 type fault_spec = {
   f_crashes : int;
@@ -217,13 +202,8 @@ let no_faults =
    exactly the minority a 3-node quorum tolerates. *)
 let default_fault_spec = { no_faults with f_crashes = 2; f_loss_pct = 1.0 }
 
-let plan_of_spec spec ~seed =
-  Fault_plan.seeded ~nodes ~seed ~crashes:spec.f_crashes
-    ~loss_pct:spec.f_loss_pct ~protect:spec.f_protect ~down_us:spec.f_down_us
-    ~horizon_us:spec.f_horizon_us ()
-
 type outcome = {
-  o_seed : int;
+  o_seed : int option;
   o_workload : string;
   o_driver : string;
   o_plan : string;
@@ -231,6 +211,8 @@ type outcome = {
   o_stalled : bool;
   o_violations : History.violation list;
   o_wrong_result : string option;
+  o_failed : bool;
+  o_end_us : float;
   o_alert_kinds : string list;
   o_dropped : int;
   o_retransmissions : int;
@@ -239,23 +221,15 @@ type outcome = {
   o_explanations : Explain.explanation list;
 }
 
-let outcome_failed o =
-  o.o_crashed <> None || o.o_stalled || o.o_violations <> []
-  || o.o_wrong_result <> None
-
-(* Generous: total RPC patience under the default retry policy is ~4.5 ms
-   per call and crash windows live inside a 4 ms horizon, so a run that has
-   not drained by 100 ms of simulated time is genuinely stuck. *)
-let run_limit = Time.of_us 100_000.
-
-(* One blame-engine explanation per violation; for a run that stalled or
-   crashed without a checker verdict, one per critical watchdog alert
-   (deadlock.stall, node.dead, ...) — the same targets [dsm explain] uses on
-   a raw dump. *)
-let explanations dsm ~failed_loudly violations =
+(* One blame-engine explanation per violation, or for the wrong result;
+   for a run that stalled or crashed instead, one per critical watchdog
+   alert (deadlock.stall, node.dead, ...) — the same targets [dsm explain]
+   uses on a raw dump. *)
+let explanations dsm ~wrong ~at violations =
   let tr = Monitor.trace dsm in
-  match violations with
-  | [] -> if failed_loudly then Explain.explain_trace tr else []
+  match (violations, wrong) with
+  | [], Some detail -> [ Explain.explain_result ~trace:tr ~at ~detail ]
+  | [], None -> Explain.explain_trace tr
   | _ ->
       List.map
         (fun (v : History.violation) ->
@@ -263,7 +237,7 @@ let explanations dsm ~failed_loudly violations =
           let page =
             match op.History.kind with
             | History.Read { addr; _ } | History.Write { addr; _ } ->
-                Dsmpm2_mem.Page.page_of_addr dsm.Runtime.geo addr
+                Page.page_of_addr dsm.Runtime.geo addr
             | _ -> -1
           in
           Explain.explain_violation ~trace:tr ~node:op.History.node ~page
@@ -272,9 +246,10 @@ let explanations dsm ~failed_loudly violations =
         violations
 
 let run ?(spec = no_faults) ?(explain = false) ?trace_capacity ~protocol
-    ~driver ~workload ~seed () =
-  let jitter = Network.seeded_jitter ~seed () in
-  let dsm = Dsm.create ~tie_seed:seed ~jitter ~nodes ~driver () in
+    ~driver ~scenario ~seed () =
+  let nodes = scenario.nodes in
+  let jitter = Option.map (fun seed -> Network.seeded_jitter ~seed ()) seed in
+  let dsm = Dsm.create ?tie_seed:seed ?jitter ~nodes ~driver () in
   ignore (Builtin.register_all dsm);
   ignore (Builtin.register_extras dsm);
   (* Monitoring only records events, and the watchdog samples on observer
@@ -288,36 +263,52 @@ let run ?(spec = no_faults) ?(explain = false) ?trace_capacity ~protocol
     | Some id -> id
     | None -> invalid_arg (Printf.sprintf "Conformance: unknown protocol %s" protocol)
   in
-  let plan = plan_of_spec spec ~seed in
+  let seed0 = Option.value seed ~default:0 in
+  let plan =
+    Fault_plan.seeded ~nodes ~seed:seed0 ~crashes:spec.f_crashes
+      ~loss_pct:spec.f_loss_pct ~protect:spec.f_protect ~down_us:spec.f_down_us
+      ~horizon_us:spec.f_horizon_us ()
+  in
   Dsm.inject_faults dsm plan;
   let hist = Dsm.enable_history dsm in
-  let check_result = build dsm ~protocol:proto_id workload ~seed in
+  let check_result = scenario.program dsm ~protocol:proto_id ~seed:seed0 in
   let crashed, engine_stalled =
-    match Dsm.run ~limit:run_limit dsm with
+    match Dsm.run ~limit:(Time.of_us scenario.limit_us) dsm with
     | () -> (None, false)
     | exception Engine.Stalled _ -> (None, true)
     | exception exn -> (Some (Printexc.to_string exn), false)
   in
-  let marcel = Runtime.marcel dsm in
-  let live =
-    List.concat
-      (List.init nodes (fun node -> Marcel.live_threads marcel ~node))
-  in
-  let stalled = engine_stalled || (crashed = None && live <> []) in
+  (* Every engine fiber is a Marcel thread. *)
+  let live = Engine.live_fibers (Runtime.engine dsm) > 0 in
+  let stalled = engine_stalled || (crashed = None && live) in
   let complete = crashed = None && not stalled in
   let model = (Runtime.proto dsm proto_id).Protocol.model in
   (* History and result checks only mean something for a run that drained:
      an aborted or stalled run already failed louder. *)
-  let violations = if complete then History.check ~model hist else [] in
+  let violations =
+    match scenario.expect with
+    | Declared_model when complete -> History.check ~model hist
+    | _ -> []
+  in
+  let wrong = if complete then check_result hist else None in
+  let counted =
+    match scenario.expect with Forbidden_in forbids -> forbids model | _ -> true
+  in
+  let failed = (not complete) || violations <> [] || (wrong <> None && counted) in
+  (* The watchdog's last tick moves the clock past the program's end, so the
+     run's time is when its last thread ended. *)
+  let at = Marcel.last_exit (Runtime.marcel dsm) in
   ( {
       o_seed = seed;
-      o_workload = workload_name workload;
+      o_workload = scenario.name;
       o_driver = driver.Driver.name;
       o_plan = Fault_plan.to_string plan;
       o_crashed = crashed;
       o_stalled = stalled;
       o_violations = violations;
-      o_wrong_result = (if complete then check_result hist else None);
+      o_wrong_result = wrong;
+      o_failed = failed;
+      o_end_us = Time.to_us at;
       o_alert_kinds =
         List.sort_uniq String.compare
           (List.map (fun a -> a.Watchdog.al_kind) (Watchdog.alerts watchdog));
@@ -326,13 +317,13 @@ let run ?(spec = no_faults) ?(explain = false) ?trace_capacity ~protocol
       o_fingerprint = History.fingerprint hist;
       o_ops = History.length hist;
       o_explanations =
-        (if explain then
-           explanations dsm ~failed_loudly:(not complete) violations
+        (if explain && failed then
+           explanations dsm ~wrong:(if counted then wrong else None) ~at violations
          else []);
     },
     dsm )
 
-(* --- sweeps: every protocol over drivers x workloads x seeds --- *)
+(* --- sweeps: every protocol over drivers x scenarios x seeds --- *)
 
 type verdict = {
   v_protocol : string;
@@ -345,48 +336,38 @@ type verdict = {
   v_first_failure : outcome option;
 }
 
-let sweep ?protocols ?(drivers = Driver.all) ?(workload_list = workloads)
+let sweep ?protocols ?(drivers = Driver.all) ?(scenarios = scenarios)
     ?spec ?explain ?(progress = fun _ -> ()) ?(on_failure = fun _ _ _ -> ())
     ~seeds () =
   let declared = Builtin.protocols () in
   List.map
     (fun protocol ->
-      let runs = ref 0 and failures = ref 0 in
-      let stalls = ref 0 and crashes = ref 0 in
-      let kinds = ref [] in
-      let first = ref None in
-      List.iter
-        (fun driver ->
-          List.iter
-            (fun workload ->
-              List.iter
-                (fun seed ->
-                  incr runs;
-                  let o, dsm =
-                    run ?spec ?explain ~protocol ~driver ~workload ~seed ()
-                  in
-                  kinds := List.rev_append o.o_alert_kinds !kinds;
-                  if o.o_stalled then incr stalls;
-                  if o.o_crashed <> None then incr crashes;
-                  if outcome_failed o then begin
-                    incr failures;
-                    if !first = None then first := Some o;
-                    on_failure protocol o dsm
-                  end)
-                seeds;
-              progress (Printf.sprintf "%s/%s/%s" protocol driver.Driver.name
-                          (workload_name workload)))
-            workload_list)
-        drivers;
+      let cell driver scenario =
+        let outcomes =
+          List.map
+            (fun seed ->
+              let o, dsm =
+                run ?spec ?explain ~protocol ~driver ~scenario ~seed:(Some seed) ()
+              in
+              if o.o_failed then on_failure protocol o dsm;
+              o)
+            seeds
+        in
+        progress (Printf.sprintf "%s/%s/%s" protocol driver.Driver.name scenario.name);
+        outcomes
+      in
+      let os = List.concat_map (fun d -> List.concat_map (cell d) scenarios) drivers in
+      let count p = List.length (List.filter p os) in
       {
         v_protocol = protocol;
         v_model = (List.find (fun p -> p.Protocol.name = protocol) declared).model;
-        v_runs = !runs;
-        v_failures = !failures;
-        v_stalls = !stalls;
-        v_crashes = !crashes;
-        v_alert_kinds = List.sort_uniq String.compare !kinds;
-        v_first_failure = !first;
+        v_runs = List.length os;
+        v_failures = count (fun o -> o.o_failed);
+        v_stalls = count (fun o -> o.o_stalled);
+        v_crashes = count (fun o -> o.o_crashed <> None);
+        v_alert_kinds =
+          List.sort_uniq String.compare (List.concat_map (fun o -> o.o_alert_kinds) os);
+        v_first_failure = List.find_opt (fun o -> o.o_failed) os;
       })
     (Option.value protocols
        ~default:(List.map (fun p -> p.Protocol.name) declared))
@@ -396,7 +377,8 @@ let failed verdicts = List.exists (fun v -> v.v_failures > 0) verdicts
 (* --- rendering --- *)
 
 let print_outcome ppf o =
-  Format.fprintf ppf "    seed %d, %s, %s (%d ops recorded)@." o.o_seed
+  Format.fprintf ppf "    %s, %s, %s (%d ops recorded)@."
+    (Option.fold ~none:"unperturbed" ~some:(Printf.sprintf "seed %d") o.o_seed)
     o.o_driver o.o_workload o.o_ops;
   Format.fprintf ppf "    plan: %s@." o.o_plan;
   (match o.o_crashed with
@@ -445,7 +427,8 @@ let print ?(spec = no_faults) ppf verdicts =
         | ks -> Printf.sprintf "  [%s]" (String.concat ", " ks));
       match v.v_first_failure with
       | Some o ->
-          Format.fprintf ppf "  first failing seed (replay with --replay %d):@."
+          Option.iter
+            (Format.fprintf ppf "  first failing seed (replay with --replay %d):@.")
             o.o_seed;
           print_outcome ppf o
       | None -> ())
@@ -466,8 +449,8 @@ let to_json verdicts =
              ( "alert_kinds",
                Json.List (List.map (fun k -> Json.String k) v.v_alert_kinds) );
              ( "first_failing_seed",
-               match v.v_first_failure with
-               | Some o -> Json.Int o.o_seed
+               match Option.bind v.v_first_failure (fun o -> o.o_seed) with
+               | Some s -> Json.Int s
                | None -> Json.Null );
            ])
        verdicts)

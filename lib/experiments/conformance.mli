@@ -1,37 +1,55 @@
-(** Schedule-exploration conformance checker ([dsm check]).
+(** One scenario type and one run path for every correctness tool
+    ([dsm check], [dsm litmus], [dsm patterns]).
 
-    Sweeps every builtin protocol over a grid of seeds, drivers and small
-    shared-memory workloads.  Each seed perturbs the legal event
-    interleaving (engine tie-breaking, {!Dsmpm2_sim.Engine.create}) and the
-    network latencies ({!Dsmpm2_net.Network.seeded_jitter}) without ever
-    breaking FIFO link order, so every run is an execution the real system
-    could produce.  The recorded history ({!Dsmpm2_core.History}) is then
-    validated against the consistency model the protocol declares
-    ({!Dsmpm2_core.Protocol.model}), and lock-protected workloads also check
-    their final computed values.
-
-    Every run takes the same path ({!run}): monitor and watchdog attached,
-    a fault plan installed, a bounded run that turns a stall or an
-    exception into a failing outcome.  The plain sweep is the one under
-    {!no_faults}; the fault sweep is the one under seeded crash windows and
-    message loss.  A failing run is reported with its seed; re-running the
-    same seed under the same spec replays the identical schedule, so
-    verdicts are actionable. *)
+    A scenario is a program and an expectation.  Every run takes the same
+    path ({!run}): history recording, monitor and watchdog on, a fault plan
+    installed, and a bounded run that turns a stall or an exception into a
+    failing outcome.  [dsm check] sweeps protocols over seeds, drivers and
+    scenarios: each seed perturbs the legal event interleaving (engine
+    tie-breaking, {!Dsmpm2_sim.Engine.create}) and the network latencies
+    ({!Dsmpm2_net.Network.seeded_jitter}) without breaking FIFO link order,
+    so every run is one the real system could produce, and the same seed
+    under the same fault spec replays it.  The litmus tests and the
+    sharing patterns run their scenarios unperturbed ([~seed:None]). *)
 
 open Dsmpm2_net
 open Dsmpm2_core
 
-(** {1 Workloads} *)
+(** {1 Scenarios} *)
 
-type workload =
-  | Lock_ladder  (** seeded random lock-protected increments over two vars *)
-  | Barrier_phases  (** rotating writer, double-barrier phases *)
-  | Racy_poll  (** unsynchronized writer vs bounded pollers *)
-  | Mixed_sync  (** lock-guarded counter with barriers between phases *)
+type expectation =
+  | Declared_model
+      (** the history satisfies the declared {!Protocol.model} and the
+          result check passes *)
+  | Forbidden_in of (Protocol.model -> bool)
+      (** the result check names an outcome (a litmus observation), which
+          fails the run only under a model the predicate holds for *)
+  | Final_memory  (** the result check alone; no history check *)
 
-val workloads : workload list
-val workload_name : workload -> string
-val workload_by_name : string -> workload option
+type scenario = {
+  name : string;
+  nodes : int;
+  limit_us : float;  (** threads still blocked at this time are a stall *)
+  program : Dsm.t -> protocol:int -> seed:int -> History.t -> string option;
+      (** spawns the threads and returns the result check, called once the
+          run drained: [Some msg] names a result other than intended.
+          [seed] is the run's (0 unperturbed), for programs that draw a
+          plan. *)
+  expect : expectation;
+}
+
+val scenarios : scenario list
+(** [dsm check]'s four, on 3 nodes with 100 ms under [Declared_model]:
+    [lock_ladder] (seeded random locked increments over two vars),
+    [barrier_phases] (rotating writer, double barriers), [racy_poll]
+    (unsynchronized writer vs pollers), [mixed_sync] (locked counter with
+    barriers between phases). *)
+
+val check_word :
+  Dsm.t -> History.t -> what:string -> int -> expected:int -> string option
+(** [None] when the word at [addr] was last written [expected] and a node
+    with rights to its page (with none, a majority of frames) holds that;
+    else a message naming [what] and the page. *)
 
 (** {1 Runs} *)
 
@@ -57,8 +75,8 @@ val default_fault_spec : fault_spec
     to stall or crash — visibly, with a typed alert, never silently. *)
 
 type outcome = {
-  o_seed : int;
-  o_workload : string;
+  o_seed : int option;  (** [None] for an unperturbed run *)
+  o_workload : string;  (** the scenario's name *)
   o_driver : string;
   o_plan : string;  (** human-readable fault schedule *)
   o_crashed : string option;  (** exception that aborted the run *)
@@ -66,21 +84,22 @@ type outcome = {
   o_violations : History.violation list;
       (** checker verdict; [] unless the run drained *)
   o_wrong_result : string option;
-      (** the workload's own result check, when the final values are wrong *)
+      (** the result check's finding, counted or not *)
+  o_failed : bool;
+      (** crashed, stalled, violated its model, or a result check the
+          scenario's expectation counts *)
+  o_end_us : float;
+      (** when the last thread ended, before the watchdog's last tick *)
   o_alert_kinds : string list;  (** distinct watchdog alert kinds, sorted *)
   o_dropped : int;  (** messages the fault plan dropped *)
   o_retransmissions : int;  (** RPC retransmissions sent *)
   o_fingerprint : int;  (** order-sensitive hash of the recorded history *)
   o_ops : int;  (** number of recorded operations *)
   o_explanations : Explain.explanation list;
-      (** one blame-engine explanation per violation, in order; for a run
-          that stalled or crashed without a checker verdict, one per
-          critical watchdog alert instead.  [] unless the run was made with
-          [~explain:true] *)
+      (** one blame-engine explanation per violation, or one for a counted
+          wrong result; for a run that stalled or crashed, one per critical
+          watchdog alert.  [] unless it failed under [~explain:true] *)
 }
-
-val outcome_failed : outcome -> bool
-(** Crashed, stalled, violated its model or computed a wrong result. *)
 
 val run :
   ?spec:fault_spec ->
@@ -88,22 +107,20 @@ val run :
   ?trace_capacity:int ->
   protocol:string ->
   driver:Driver.t ->
-  workload:workload ->
-  seed:int ->
+  scenario:scenario ->
+  seed:int option ->
   unit ->
   outcome * Dsm.t
-(** Run one workload under one protocol, driver, seed and fault spec
-    (default {!no_faults}), with history recording, the post-mortem monitor
-    and the watchdog on, and check the history against the protocol's
-    declared model.  Returns the finished runtime too, so a caller can
-    analyze the run's own trace ({!Dsmpm2_core.Monitor.trace},
-    {!Analyze.analyze}).  Deterministic: the seed drives tie-breaking,
-    jitter, loss draws and window placement, so the same arguments replay
-    the same schedule.  [explain] (default false) runs the {!Explain} blame
-    engine and fills [o_explanations].  [trace_capacity] bounds the trace
-    as a flight-recorder ring ({!Dsmpm2_sim.Trace.set_capacity}); neither
-    it nor the monitor or watchdog changes the schedule or the
-    fingerprint. *)
+(** Run one scenario under one protocol, driver, seed and fault spec
+    (default {!no_faults}) and judge it by its expectation; also return the
+    finished runtime, for its trace ({!Analyze.analyze}) and counters.  The
+    seed drives tie-breaking, jitter, loss draws and window placement, so
+    the same arguments replay the same schedule; [None] is the unperturbed
+    schedule (no tie seed, no jitter; faults drawn from seed 0).  [explain]
+    (default false) fills [o_explanations] on a failing run.
+    [trace_capacity] bounds the trace as a flight-recorder ring
+    ({!Dsmpm2_sim.Trace.set_capacity}); neither it nor the monitor or
+    watchdog changes the schedule or the fingerprint. *)
 
 (** {1 Sweeps} *)
 
@@ -121,7 +138,7 @@ type verdict = {
 val sweep :
   ?protocols:string list ->
   ?drivers:Driver.t list ->
-  ?workload_list:workload list ->
+  ?scenarios:scenario list ->
   ?spec:fault_spec ->
   ?explain:bool ->
   ?progress:(string -> unit) ->
@@ -129,11 +146,11 @@ val sweep :
   seeds:int list ->
   unit ->
   verdict list
-(** [sweep ~seeds ()] makes one {!run} per protocol, driver, workload and
+(** [sweep ~seeds ()] makes one {!run} per protocol, driver, scenario and
     seed (defaults: every builtin protocol in registry id order, all
-    drivers, all workloads, {!no_faults}) and aggregates per-protocol
+    drivers, {!scenarios}, {!no_faults}) and aggregates per-protocol
     verdicts.  [progress] is called after each
-    protocol/driver/workload cell; [on_failure] with the protocol name,
+    protocol/driver/scenario cell; [on_failure] with the protocol name,
     every failing outcome (not just the first) and its finished runtime. *)
 
 val failed : verdict list -> bool

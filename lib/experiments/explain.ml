@@ -267,6 +267,16 @@ let explain_alert ~trace ~kind ~node ~at ~detail =
       t_detail = detail;
     }
 
+let explain_result ~trace ~at ~detail =
+  explain ~trace
+    {
+      t_kind = "wrong_result";
+      t_node = -1;
+      t_page = page_in_detail detail;
+      t_at = at;
+      t_detail = detail;
+    }
+
 (* One explanation per critical alert in the dump — the `dsm explain
    trace.jsonl` entry point, where no checker verdicts are available. *)
 let explain_trace trace =

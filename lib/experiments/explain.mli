@@ -76,6 +76,11 @@ val explain_alert :
 (** Blame a watchdog alert; the page is parsed from [detail] when it
     mentions one ("page 7"). *)
 
+val explain_result : trace:Trace.t -> at:Time.t -> detail:string -> explanation
+(** Blame a wrong final result found at [at]; the page is parsed from
+    [detail] as for an alert, and with none the slice starts from the
+    injected faults. *)
+
 val explain_trace : Trace.t -> explanation list
 (** One explanation per critical alert in the trace — the entry point for
     [dsm explain <dump>], where no checker verdict is available. *)

@@ -11,6 +11,8 @@ let violates kind obs =
   | Sb -> obs.r1 = 0 && obs.r2 = 0 (* both reads missed both writes *)
   | Corr -> obs.r1 = 1 && obs.r2 = 0 (* reads of one location went backwards *)
 
+let kind_name = function Mp -> "MP" | Sb -> "SB" | Corr -> "CoRR"
+
 type cell = {
   protocol : string;
   kind : kind;
@@ -24,20 +26,16 @@ let forbidden = function
   | Protocol.Sequential -> kinds
   | Protocol.Release | Protocol.Java -> [ Corr ]
 
-type cache_mode = No_cache | Cache_all | Cache_payload_only
-
-let run_one ~protocol ~kind ~cache ~offset_us =
-  let dsm, proto =
-    Dsmpm2_apps.Workloads.start ~app:"Litmus" ~nodes:2
-      ~driver:Driver.bip_myrinet ~observe:None protocol
-  in
+(* One configuration: [cache_x]/[cache_y] say which variables the observer
+   caches before the writer starts (caching [x] but not the flag is the
+   configuration that exposes MP violations in the relaxed models);
+   [offset_us] delays the observer. *)
+let program kind ~cache_x ~cache_y ~offset_us dsm ~protocol ~seed:_ =
   (* Two variables on two distinct pages, both homed on the writer's node so
      the observer's copies are genuine remote caches. *)
-  let x = Dsm.malloc dsm ~protocol:proto ~home:(Dsm.On_node 0) 8 in
-  let y = Dsm.malloc dsm ~protocol:proto ~home:(Dsm.On_node 0) 8 in
+  let x = Dsm.malloc dsm ~protocol ~home:(Dsm.On_node 0) 8 in
+  let y = Dsm.malloc dsm ~protocol ~home:(Dsm.On_node 0) 8 in
   let r1 = ref (-1) and r2 = ref (-1) in
-  let cache_x = cache <> No_cache in
-  let cache_y = cache = Cache_all in
   (match kind with
   | Mp ->
       (* T0: x := 1; flag(y) := 1.      T1: r1 := flag; r2 := x. *)
@@ -81,31 +79,43 @@ let run_one ~protocol ~kind ~cache ~offset_us =
              r1 := Dsm.read_int dsm x;
              Dsm.compute dsm 50.;
              r2 := Dsm.read_int dsm x)));
-  Dsm.run dsm;
-  { r1 = !r1; r2 = !r2 }
+  fun _hist ->
+    if violates kind { r1 = !r1; r2 = !r2 } then
+      Some (Printf.sprintf "%s outcome r1=%d r2=%d" (kind_name kind) !r1 !r2)
+    else None
 
-let offsets = [ 0.; 100.; 200.; 400.; 700.; 1_000. ]
+let scenarios kind =
+  List.concat_map
+    (fun (cache_x, cache_y, cache) ->
+      List.map
+        (fun offset_us ->
+          {
+            Conformance.name =
+              Printf.sprintf "%s_%s_%.0fus" (kind_name kind) cache offset_us;
+            nodes = 2;
+            limit_us = 100_000.;
+            program = program kind ~cache_x ~cache_y ~offset_us;
+            expect = Forbidden_in (fun model -> List.mem kind (forbidden model));
+          })
+        [ 0.; 100.; 200.; 400.; 700.; 1_000. ])
+    [ (false, false, "cold"); (true, true, "cached"); (true, false, "payload") ]
 
 let sweep ~protocol ~kind =
-  let configurations = ref 0 and violations = ref 0 in
-  List.iter
-    (fun cache ->
-      List.iter
-        (fun offset_us ->
-          incr configurations;
-          let obs = run_one ~protocol ~kind ~cache ~offset_us in
-          if violates kind obs then incr violations)
-        offsets)
-    [ No_cache; Cache_all; Cache_payload_only ];
-  { protocol; kind; configurations = !configurations; violations = !violations }
+  let observed scenario =
+    let o, _ =
+      Conformance.run ~protocol ~driver:Driver.bip_myrinet ~scenario ~seed:None ()
+    in
+    o.o_wrong_result <> None
+  in
+  let runs = List.map observed (scenarios kind) in
+  { protocol; kind; configurations = List.length runs;
+    violations = List.length (List.filter Fun.id runs) }
 
 let run () =
   List.concat_map
     (fun { Protocol.name; _ } ->
       List.map (fun kind -> sweep ~protocol:name ~kind) kinds)
     (Builtin.protocols ())
-
-let kind_name = function Mp -> "MP" | Sb -> "SB" | Corr -> "CoRR"
 
 let note model =
   Printf.sprintf "(%s: %s must be 0)" (Protocol.model_to_string model)

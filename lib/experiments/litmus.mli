@@ -43,17 +43,12 @@ type cell = {
   violations : int;  (** configurations whose observation was forbidden *)
 }
 
-type cache_mode = No_cache | Cache_all | Cache_payload_only
-
-val run_one :
-  protocol:string -> kind:kind -> cache:cache_mode -> offset_us:float -> observation
-(** One configuration: [cache] controls which variables the observer caches
-    before the writer starts ([Cache_payload_only] caches [x] but not the
-    flag — the configuration that exposes MP violations in the relaxed
-    models); [offset_us] delays the observer. *)
-
 val sweep : protocol:string -> kind:kind -> cell
-(** Runs the standard sweep (3 cache modes x offsets 0..1000 us). *)
+(** Runs the 18 configurations (3 choices of what the observer caches
+    before the writer starts x observer delays of 0..1000 us) as
+    {!Conformance} scenarios, unperturbed.  Each result check names a
+    {!violates} observation, which fails the run where {!forbidden} has
+    the kind. *)
 
 val run : unit -> cell list
 (** Every kind under every builtin protocol, in registry id order. *)

@@ -33,10 +33,12 @@ type cell = {
   messages : int;
 }
 
-val patterns : string list
-val run_one : pattern:string -> protocol:string -> cell
+val scenarios : Conformance.scenario list
+(** The four patterns on 4 nodes, expecting correct final memory. *)
 
-val run : unit -> cell list(** Every pattern under every builtin protocol, in registry id order. *)
+val run : unit -> cell list
+(** Every pattern under every builtin protocol, in registry id order, run
+    unperturbed through {!Conformance.run}; [time_ms] is its [o_end_us]. *)
 
 val print : Format.formatter -> cell list -> unit
 

@@ -33,6 +33,7 @@ type t = {
          pending work (see [settle]), 0 where no thread is live; as long
          as [by_fiber] *)
   mutable tick_us : float;
+  mutable last_exit : Time.t;  (* when the most recent thread ended *)
 }
 
 let no_thread =
@@ -59,6 +60,7 @@ let create eng ~nodes =
     pending = Float.Array.create 0;
     ticks = [||];
     tick_us = 0.;
+    last_exit = Time.zero;
   }
 
 let engine t = t.eng
@@ -147,6 +149,7 @@ let pay_pending t th =
 let finish t th =
   pay_pending t th;
   th.alive <- false;
+  t.last_exit <- Engine.now t.eng;
   (* The engine hands this fiber's id to a later spawn. *)
   t.by_fiber.(th.fid) <- no_thread;
   let joiners = th.joiners in
@@ -190,6 +193,8 @@ let spawn t ?(stack_bytes = 1024) ?(attached_bytes = 0) ?(migratable = false) ~n
   t.ticks.(fid) <- 0;
   Engine.set_tag t.eng fid node;
   th
+
+let last_exit t = t.last_exit
 
 let join t th =
   if th.alive then

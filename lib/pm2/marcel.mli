@@ -98,6 +98,12 @@ val clear_move : thread -> unit
 val live_threads : t -> node:int -> thread list
 (** The live threads currently hosted by [node], by ascending tid. *)
 
+val last_exit : t -> Time.t
+(** When the most recent thread ended (its body returned or raised and its
+    pending CPU work was paid); [Time.zero] before any has.  Observer
+    events (a watchdog tick) run no thread, so after a drained run this is
+    the moment the program's work ended, not the clock the observers left. *)
+
 val join : t -> thread -> unit
 (** Blocks the calling thread until [thread] terminates. *)
 

@@ -206,17 +206,19 @@ let test_real_protocol_passes () =
 
 module C = Dsmpm2_experiments.Conformance
 
+let lock_ladder = List.find (fun s -> s.C.name = "lock_ladder") C.scenarios
+
 let test_conformance_replay_deterministic () =
   let run () =
     fst
       (C.run ~protocol:"li_hudak" ~driver:Driver.bip_myrinet
-         ~workload:C.Lock_ladder ~seed:11 ())
+         ~scenario:lock_ladder ~seed:(Some 11) ())
   in
   let a = run () and b = run () in
   Alcotest.(check int) "same seed, same fingerprint" a.C.o_fingerprint
     b.C.o_fingerprint;
   Alcotest.(check int) "same seed, same op count" a.C.o_ops b.C.o_ops;
-  Alcotest.(check bool) "clean run" false (C.outcome_failed a)
+  Alcotest.(check bool) "clean run" false a.C.o_failed
 
 let test_conformance_perturbation_varies_schedule () =
   (* Different seeds must explore different interleavings at least once
@@ -224,7 +226,7 @@ let test_conformance_perturbation_varies_schedule () =
   let fp seed =
     (fst
        (C.run ~protocol:"li_hudak" ~driver:Driver.bip_myrinet
-          ~workload:C.Lock_ladder ~seed ()))
+          ~scenario:lock_ladder ~seed:(Some seed) ()))
       .C.o_fingerprint
   in
   let base = fp 0 in
@@ -233,17 +235,17 @@ let test_conformance_perturbation_varies_schedule () =
 
 (* --- end to end: fault tolerance --- *)
 
-let faulted ~protocol ~workload ~seed =
+let faulted ~protocol ~seed =
   fst
     (C.run ~spec:C.default_fault_spec ~protocol ~driver:Driver.bip_myrinet
-       ~workload ~seed ())
+       ~scenario:lock_ladder ~seed:(Some seed) ())
 
 let test_sc_abd_survives_faults () =
   (* The quorum protocol must drain cleanly and keep sequential consistency
      under crash windows and message loss, across several fault seeds. *)
   List.iter
     (fun seed ->
-      let o = faulted ~protocol:"sc_abd" ~workload:C.Lock_ladder ~seed in
+      let o = faulted ~protocol:"sc_abd" ~seed in
       let label what = Printf.sprintf "%s (seed %d)" what seed in
       Alcotest.(check (option string)) (label "no crash") None o.C.o_crashed;
       Alcotest.(check bool) (label "no stall") false o.C.o_stalled;
@@ -251,7 +253,7 @@ let test_sc_abd_survives_faults () =
         (List.length o.C.o_violations);
       Alcotest.(check (option string)) (label "right result") None
         o.C.o_wrong_result;
-      Alcotest.(check bool) (label "sweep verdict") false (C.outcome_failed o))
+      Alcotest.(check bool) (label "sweep verdict") false o.C.o_failed)
     [ 0; 1; 2; 3 ]
 
 let test_legacy_protocol_fails_visibly_under_faults () =
@@ -260,20 +262,20 @@ let test_legacy_protocol_fails_visibly_under_faults () =
      and the watchdog must name the dead node. *)
   let outcomes =
     List.map
-      (fun seed -> faulted ~protocol:"li_hudak" ~workload:C.Lock_ladder ~seed)
+      (fun seed -> faulted ~protocol:"li_hudak" ~seed)
       [ 0; 1; 2; 3 ]
   in
   Alcotest.(check bool) "some schedule defeats li_hudak" true
-    (List.exists C.outcome_failed outcomes);
+    (List.exists (fun o -> o.C.o_failed) outcomes);
   List.iter
     (fun o ->
-      if C.outcome_failed o then begin
+      if o.C.o_failed then begin
         Alcotest.(check bool)
-          (Printf.sprintf "failure is loud (seed %d)" o.C.o_seed)
+          (Printf.sprintf "failure is loud (seed %d)" (Option.get o.C.o_seed))
           true
           (o.C.o_stalled || o.C.o_crashed <> None);
         Alcotest.(check bool)
-          (Printf.sprintf "typed node.dead alert (seed %d)" o.C.o_seed)
+          (Printf.sprintf "typed node.dead alert (seed %d)" (Option.get o.C.o_seed))
           true
           (List.mem "node.dead" o.C.o_alert_kinds)
       end)
@@ -288,7 +290,7 @@ let test_zero_fault_spec_is_schedule_neutral () =
     (fun (protocol, seed, bare_fingerprint) ->
       let o, _ =
         C.run ~spec:C.no_faults ~protocol ~driver:Driver.bip_myrinet
-          ~workload:C.Lock_ladder ~seed ()
+          ~scenario:lock_ladder ~seed:(Some seed) ()
       in
       Alcotest.(check int)
         (Printf.sprintf "%s seed %d: identical history" protocol seed)

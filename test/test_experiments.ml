@@ -167,44 +167,62 @@ let test_litmus_weak_protocols_relax () =
     [ "erc_sw"; "hbrc_mw"; "java_ic"; "java_pf"; "entry_ec" ]
 
 (* The relaxed outcomes disappear once the accesses are synchronized: the
-   same MP shape with a lock around each side observes only SC results. *)
+   same MP shape with a lock around each side observes only SC results,
+   unperturbed and under perturbed schedules alike. *)
+let locked_mp dsm ~protocol ~seed:_ =
+  let module Dsm = Dsmpm2_core.Dsm in
+  let x = Dsm.malloc dsm ~protocol ~home:(Dsm.On_node 0) 8 in
+  let y = Dsm.malloc dsm ~protocol ~home:(Dsm.On_node 0) 8 in
+  let lock = Dsm.lock_create dsm ~protocol () in
+  if Dsm.protocol_name dsm protocol = "entry_ec" then begin
+    Dsmpm2_protocols.Entry_ec.bind dsm ~lock ~addr:x ~size:8;
+    Dsmpm2_protocols.Entry_ec.bind dsm ~lock ~addr:y ~size:8
+  end;
+  let r1 = ref (-1) and r2 = ref (-1) in
+  ignore
+    (Dsm.spawn dsm ~node:0 (fun () ->
+         Dsm.compute dsm 500.;
+         Dsm.with_lock dsm lock (fun () ->
+             Dsm.write_int dsm x 1;
+             Dsm.write_int dsm y 1)));
+  ignore
+    (Dsm.spawn dsm ~node:1 (fun () ->
+         (* adversarial pre-caching of the payload only *)
+         Dsm.with_lock dsm lock (fun () -> ignore (Dsm.read_int dsm x));
+         Dsm.compute dsm 700.;
+         Dsm.with_lock dsm lock (fun () ->
+             r1 := Dsm.read_int dsm y;
+             r2 := Dsm.read_int dsm x)));
+  fun _hist ->
+    if Litmus.violates Litmus.Mp { Litmus.r1 = !r1; r2 = !r2 } then
+      Some "flag without payload"
+    else None
+
 let test_litmus_locks_restore_sc () =
+  let scenario =
+    {
+      Conformance.name = "locked_mp";
+      nodes = 2;
+      limit_us = 100_000.;
+      program = locked_mp;
+      expect = Conformance.Forbidden_in (fun _ -> true);
+    }
+  in
   List.iter
     (fun protocol ->
-      let dsm =
-        Dsmpm2_core.Dsm.create ~nodes:2 ~driver:Dsmpm2_net.Driver.bip_myrinet ()
-      in
-      ignore (Dsmpm2_protocols.Builtin.register_all dsm);
-      ignore (Dsmpm2_protocols.Builtin.register_extras dsm);
-      let module Dsm = Dsmpm2_core.Dsm in
-      let proto = Option.get (Dsm.protocol_by_name dsm protocol) in
-      let x = Dsm.malloc dsm ~protocol:proto ~home:(Dsm.On_node 0) 8 in
-      let y = Dsm.malloc dsm ~protocol:proto ~home:(Dsm.On_node 0) 8 in
-      let lock = Dsm.lock_create dsm ~protocol:proto () in
-      (if protocol = "entry_ec" then begin
-         Dsmpm2_protocols.Entry_ec.bind dsm ~lock ~addr:x ~size:8;
-         Dsmpm2_protocols.Entry_ec.bind dsm ~lock ~addr:y ~size:8
-       end);
-      let r1 = ref (-1) and r2 = ref (-1) in
-      ignore
-        (Dsm.spawn dsm ~node:0 (fun () ->
-             Dsm.compute dsm 500.;
-             Dsm.with_lock dsm lock (fun () ->
-                 Dsm.write_int dsm x 1;
-                 Dsm.write_int dsm y 1)));
-      ignore
-        (Dsm.spawn dsm ~node:1 (fun () ->
-             (* adversarial pre-caching of the payload only *)
-             Dsm.with_lock dsm lock (fun () -> ignore (Dsm.read_int dsm x));
-             Dsm.compute dsm 700.;
-             Dsm.with_lock dsm lock (fun () ->
-                 r1 := Dsm.read_int dsm y;
-                 r2 := Dsm.read_int dsm x)));
-      Dsm.run dsm;
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: locked MP never shows flag without payload" protocol)
-        false
-        (!r1 = 1 && !r2 = 0))
+      List.iter
+        (fun seed ->
+          let o, _ =
+            Conformance.run ~protocol ~driver:Dsmpm2_net.Driver.bip_myrinet
+              ~scenario ~seed ()
+          in
+          Alcotest.(check (option string))
+            (Printf.sprintf "%s, seed %s: locked MP never shows flag without payload"
+               protocol
+               (Option.fold ~none:"none" ~some:string_of_int seed))
+            None o.Conformance.o_wrong_result;
+          Alcotest.(check bool) "run is clean" false o.Conformance.o_failed)
+        [ None; Some 0; Some 1; Some 2 ])
     [ "erc_sw"; "hbrc_mw"; "java_ic"; "java_pf"; "entry_ec" ]
 
 (* --- sharing patterns --- *)
@@ -217,7 +235,7 @@ let known_wrong = [ ("false_sharing", "sc_abd") ]
 let test_patterns_all_correct () =
   let cells = Sharing_patterns.run () in
   Alcotest.(check int) "every pattern under every builtin protocol"
-    (List.length Sharing_patterns.patterns
+    (List.length Sharing_patterns.scenarios
     * List.length (Dsmpm2_protocols.Builtin.protocols ()))
     (List.length cells);
   List.iter
@@ -228,9 +246,40 @@ let test_patterns_all_correct () =
         correct)
     cells
 
+(* The patterns under perturbed schedules: the same oracle, through the
+   same sweep as [dsm check], fails only where [known_wrong] says. *)
+let test_patterns_perturbed () =
+  let failed = ref [] in
+  let verdicts =
+    Conformance.sweep ~drivers:[ Dsmpm2_net.Driver.bip_myrinet ]
+      ~scenarios:Sharing_patterns.scenarios ~seeds:[ 0; 1 ]
+      ~on_failure:(fun protocol o _ ->
+        failed := (o.Conformance.o_workload, protocol) :: !failed)
+      ()
+  in
+  Alcotest.(check int) "every builtin protocol swept"
+    (List.length (Dsmpm2_protocols.Builtin.protocols ()))
+    (List.length verdicts);
+  List.iter
+    (fun (pattern, protocol) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s under %s fails only if known wrong" pattern protocol)
+        true
+        (List.mem (pattern, protocol) known_wrong))
+    !failed;
+  List.iter
+    (fun cell ->
+      Alcotest.(check bool)
+        (Printf.sprintf "known-wrong %s under %s still fails" (fst cell) (snd cell))
+        true (List.mem cell !failed))
+    known_wrong
+
 let test_patterns_shapes () =
+  let cells = Sharing_patterns.run () in
   let cell ~pattern ~protocol =
-    Sharing_patterns.run_one ~pattern ~protocol
+    List.find
+      (fun c -> c.Sharing_patterns.pattern = pattern && c.protocol = protocol)
+      cells
   in
   (* Multiple-writer protocols crush MRSW on false sharing. *)
   let fs_mrsw = cell ~pattern:"false_sharing" ~protocol:"li_hudak" in
@@ -290,5 +339,6 @@ let () =
         [
           Alcotest.test_case "all cells correct" `Quick test_patterns_all_correct;
           Alcotest.test_case "qualitative shapes" `Quick test_patterns_shapes;
+          Alcotest.test_case "perturbed schedules" `Quick test_patterns_perturbed;
         ] );
     ]

@@ -107,10 +107,12 @@ let test_crash_window_blamed () =
 
 (* --- the real thing: faulted conformance runs --- *)
 
-let faulted ?explain ?trace_capacity ~protocol workload ~seed =
+let faulted ?explain ?trace_capacity ~protocol name ~seed =
+  let scenario = List.find (fun s -> s.Conformance.name = name) Conformance.scenarios in
   fst
     (Conformance.run ~spec:Conformance.default_fault_spec ?explain
-       ?trace_capacity ~protocol ~driver:Driver.bip_myrinet ~workload ~seed ())
+       ?trace_capacity ~protocol ~driver:Driver.bip_myrinet ~scenario
+       ~seed:(Some seed) ())
 
 (* The first li_hudak seed whose faulted racy_poll run fails; the sweep
    demonstrates there is one early. *)
@@ -118,8 +120,8 @@ let failing_li_hudak_outcome () =
   let rec find seed =
     if seed > 24 then Alcotest.fail "no failing li_hudak seed in 0..24"
     else
-      let o = faulted ~explain:true ~protocol:"li_hudak" Conformance.Racy_poll ~seed in
-      if Conformance.outcome_failed o then o else find (seed + 1)
+      let o = faulted ~explain:true ~protocol:"li_hudak" "racy_poll" ~seed in
+      if o.Conformance.o_failed then o else find (seed + 1)
   in
   find 0
 
@@ -158,12 +160,12 @@ let test_sc_abd_nothing_to_explain () =
         Alcotest.(check bool)
           (Printf.sprintf "sc_abd survives seed %d" seed)
           false
-          (Conformance.outcome_failed o);
+          o.Conformance.o_failed;
         Alcotest.(check int)
           (Printf.sprintf "sc_abd has nothing to explain at seed %d" seed)
           0
           (List.length o.Conformance.o_explanations))
-      [ Conformance.Racy_poll; Conformance.Lock_ladder ]
+      [ "racy_poll"; "lock_ladder" ]
   done
 
 (* --- flight recorder neutrality: the recorder must never change what the
@@ -172,7 +174,7 @@ let test_sc_abd_nothing_to_explain () =
 let test_recorder_schedule_neutral () =
   let fingerprint cap =
     let o =
-      faulted ?trace_capacity:cap ~protocol:"li_hudak" Conformance.Racy_poll
+      faulted ?trace_capacity:cap ~protocol:"li_hudak" "racy_poll"
         ~seed:1
     in
     (o.Conformance.o_fingerprint, o.Conformance.o_stalled,

@@ -151,10 +151,10 @@ let test_agrees_with_analyze () =
   List.iter
     (fun { Protocol.name = protocol; _ } ->
       List.iter
-        (fun workload ->
+        (fun scenario ->
           let _, dsm =
-            Conformance.run ~protocol ~driver:Driver.bip_myrinet ~workload
-              ~seed:0 ()
+            Conformance.run ~protocol ~driver:Driver.bip_myrinet ~scenario
+              ~seed:(Some 0) ()
           in
           let tele =
             match Telemetry.find dsm with
@@ -162,14 +162,13 @@ let test_agrees_with_analyze () =
             | None -> Alcotest.fail "watchdog did not attach telemetry"
           in
           let label =
-            Printf.sprintf "%s/%s" protocol
-              (Conformance.workload_name workload)
+            Printf.sprintf "%s/%s" protocol scenario.Conformance.name
           in
           Alcotest.(check (list profile))
             (label ^ ": same profiles")
             (Analyze.pages (Analyze.analyze (Monitor.trace dsm)))
             (online_profiles tele))
-        Conformance.workloads)
+        Conformance.scenarios)
     (Dsmpm2_protocols.Builtin.protocols ())
 
 (* --- schedule transparency: telemetry + sampling never perturb a run --- *)

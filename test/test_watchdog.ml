@@ -290,7 +290,11 @@ let test_watchdog_preserves_schedule () =
           (* Conformance.run attaches the watchdog on top of the monitor. *)
           let traced, _ =
             Conformance.run ~protocol ~driver:Driver.bip_myrinet
-              ~workload:Conformance.Mixed_sync ~seed ()
+              ~scenario:
+                (List.find
+                   (fun s -> s.Conformance.name = "mixed_sync")
+                   Conformance.scenarios)
+              ~seed:(Some seed) ()
           in
           Alcotest.(check int)
             (Printf.sprintf "%s seed %d: same fingerprint" protocol seed)
