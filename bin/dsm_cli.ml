@@ -477,9 +477,10 @@ let check_cmd =
     (* A replay prints each failing run in full, with the analyzer's view
        of that run's own trace.  With --explain every failing run's
        explanations land next to it as
-       explain_<proto>_<workload>_seed<N>.json/.dot; an explanation whose
-       causal chain is empty means the forensics lost the thread back to
-       the injected fault, which is itself a failure. *)
+       explain_<proto>_<workload>_<driver>_seed<N>.json/.dot.  Under
+       --faults, an explanation whose causal chain is empty means the
+       forensics lost the thread back to the injected fault, which is
+       itself a failure; a fault-free run has no injected cause to reach. *)
     let empty_chains = ref [] in
     let on_failure protocol (o : Conformance.outcome) dsm =
       if replay <> None then begin
@@ -494,15 +495,17 @@ let check_cmd =
           (* A sweep's runs are all seeded. *)
           let seed = Option.get o.Conformance.o_seed in
           let base =
-            Printf.sprintf "explain_%s_%s_seed%d" protocol
-              o.Conformance.o_workload seed
+            Printf.sprintf "explain_%s_%s_%s_seed%d" protocol
+              o.Conformance.o_workload
+              (Dsmpm2_net.Driver.slug o.Conformance.o_driver)
+              seed
           in
           Json.to_file (base ^ ".json") (Json.List (List.map Explain.to_json xs));
           to_formatter (base ^ ".dot") (fun fmt -> Explain.to_dot fmt (List.hd xs));
           List.iter
             (fun x ->
               if verbose then Format.fprintf ppf "%a@." Explain.to_text x;
-              if Explain.causes x = [] then
+              if faults && Explain.causes x = [] then
                 empty_chains := (protocol, seed) :: !empty_chains)
             xs;
           Format.fprintf ppf "explain: wrote %s.json and %s.dot (%d explanation(s))@."
@@ -618,8 +621,9 @@ let check_cmd =
       & info [ "explain" ]
           ~doc:
             "Run the causal blame engine over every failing run, print \
-             each cause, and write explain_*.json/.dot artifacts.  Fails \
-             (exit 1) if any explanation has an empty causal chain.")
+             each cause, and write explain_*.json/.dot artifacts.  With \
+             $(b,--faults), fails (exit 1) if any explanation has an empty \
+             causal chain.")
   in
   let expect_vulnerable =
     Arg.(

@@ -54,12 +54,8 @@ type case_result = {
 
 type t = { bs_meta : Run_meta.t; bs_results : case_result list }
 
-(* Driver names contain '/' (e.g. "BIP/Myrinet"); flatten them so case ids
-   stay filesystem- and filter-friendly. *)
-let slug s =
-  String.map (fun c -> if c = '/' then '-' else Char.lowercase_ascii c) s
-
-let make_id ~app ~protocol ~driver = Printf.sprintf "%s:%s:%s" app protocol (slug driver)
+let make_id ~app ~protocol ~driver =
+  Printf.sprintf "%s:%s:%s" app protocol (Driver.slug driver)
 
 let case ?(nodes = 4) ?(params = []) ?(quick = false) ~app ~protocol driver =
   {

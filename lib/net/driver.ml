@@ -90,6 +90,8 @@ let all = [ bip_myrinet; tcp_myrinet; tcp_fast_ethernet; sisci_sci ]
 let by_name name =
   List.find_opt (fun d -> String.equal d.name name) all
 
+let slug s = String.map (fun c -> if c = '/' then '-' else Char.lowercase_ascii c) s
+
 let pp ppf d =
   Format.fprintf ppf
     "%s (null_rpc %.1fus, request %.1fus, %.4fus/B, page_base %.1fus, mig_base %.1fus)"

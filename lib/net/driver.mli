@@ -50,4 +50,10 @@ val all : t list
     Tables 3 and 4. *)
 
 val by_name : string -> t option
+
+val slug : string -> string
+(** A driver name made file- and filter-safe: lower case, ['/'] as ['-']
+    (["BIP/Myrinet"] is ["bip-myrinet"]).  Macro-benchmark case ids and
+    [dsm check --explain] artifact names use it. *)
+
 val pp : Format.formatter -> t -> unit

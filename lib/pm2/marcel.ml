@@ -24,15 +24,12 @@ type t = {
       (* fiber id -> its thread, [no_thread] where the fiber is not a live
          Marcel thread.  The engine reuses the ids of ended fibers, so the
          array is as long as the peak number of live fibers. *)
-  mutable pending : Float.Array.t;
-      (* fiber id -> its thread's pending CPU work in us, 0 where no
-         thread is live; as long as [by_fiber].  Unboxed, so a charge
-         allocates nothing. *)
-  mutable ticks : int array;
-      (* fiber id -> its thread's [charge_tick]s not yet added into the
-         pending work (see [settle]), 0 where no thread is live; as long
-         as [by_fiber] *)
-  mutable tick_us : float;
+  mutable pending : int array;
+      (* fiber id -> its thread's pending CPU work in ns, 0 where no
+         thread is live; as long as [by_fiber].  Each charge is rounded to
+         ns once and added in place, so a charge allocates nothing and the
+         order of the additions does not matter. *)
+  mutable tick_ns : Time.t;  (* the price of one [charge_tick] *)
   mutable last_exit : Time.t;  (* when the most recent thread ended *)
 }
 
@@ -57,9 +54,8 @@ let create eng ~nodes =
     cpus = Array.init nodes (fun i -> Cpu.create ~name:(Printf.sprintf "node%d" i) ());
     next_tid = 0;
     by_fiber = [||];
-    pending = Float.Array.create 0;
-    ticks = [||];
-    tick_us = 0.;
+    pending = [||];
+    tick_ns = 0;
     last_exit = Time.zero;
   }
 
@@ -113,33 +109,12 @@ let attached_bytes th = th.attached_bytes
 let footprint_bytes th = th.stack_bytes + descriptor_bytes + th.attached_bytes
 let is_alive th = th.alive
 
-(* The pending work of a live thread [th], whose fiber id indexes
-   [t.pending]. *)
-let[@inline] pending t th = Float.Array.unsafe_get t.pending th.fid
-let[@inline] set_pending t th us = Float.Array.unsafe_set t.pending th.fid us
-
-(* Adds [th]'s counted ticks into its pending work, one addition per
-   tick.  Every other change to the pending work settles first, so the
-   additions happen in the order of the calls that made them and the sum
-   is bit-identical to charging each tick as it happened. *)
-let settle t th =
-  let ticks = Array.unsafe_get t.ticks th.fid in
-  if ticks > 0 then begin
-    let us = ref (pending t th) in
-    for _ = 1 to ticks do
-      us := !us +. t.tick_us
-    done;
-    Array.unsafe_set t.ticks th.fid 0;
-    set_pending t th !us
-  end
-
 (* Pays all of [th]'s pending work as one [Cpu.compute]. *)
 let pay_pending t th =
-  settle t th;
-  let us = pending t th in
-  if us > 0. then begin
-    set_pending t th 0.;
-    Cpu.compute t.eng t.cpus.(th.node) (Time.of_us us)
+  let ns = Array.unsafe_get t.pending th.fid in
+  if ns > 0 then begin
+    Array.unsafe_set t.pending th.fid 0;
+    Cpu.compute t.eng t.cpus.(th.node) ns
   end
 
 (* The end of thread [th], run in its own fiber however its body ended: pay
@@ -184,13 +159,11 @@ let spawn t ?(stack_bytes = 1024) ?(attached_bytes = 0) ?(migratable = false) ~n
   in
   if fid >= Array.length t.by_fiber then begin
     t.by_fiber <- Dense.ensure t.by_fiber fid no_thread;
-    t.pending <- Dense.ensure_float t.pending (Array.length t.by_fiber - 1) 0.;
-    t.ticks <- Dense.ensure t.ticks (Array.length t.by_fiber - 1) 0
+    t.pending <- Dense.ensure t.pending (Array.length t.by_fiber - 1) 0
   end;
   t.by_fiber.(fid) <- th;
   th.fid <- fid;
-  set_pending t th 0.;
-  t.ticks.(fid) <- 0;
+  t.pending.(fid) <- 0;
   Engine.set_tag t.eng fid node;
   th
 
@@ -205,23 +178,21 @@ let yield t = Engine.suspend t.eng (fun resume -> resume ())
 let compute t us =
   if us < 0. then invalid_arg "Marcel.compute: negative duration";
   let th = self t in
-  settle t th;
-  let total = us +. pending t th in
-  set_pending t th 0.;
-  if total > 0. then Cpu.compute t.eng t.cpus.(th.node) (Time.of_us total)
+  let ns = Time.of_us us + Array.unsafe_get t.pending th.fid in
+  Array.unsafe_set t.pending th.fid 0;
+  Cpu.compute t.eng t.cpus.(th.node) ns
 
 let[@inline] charge_thread t th us =
   if us < 0. then invalid_arg "Marcel.charge: negative duration";
-  settle t th;
-  set_pending t th (pending t th +. us)
+  Array.unsafe_set t.pending th.fid (Array.unsafe_get t.pending th.fid + Time.of_us us)
 
 let charge t us = charge_thread t (self t) us
 (* Bounds-checked: [fid] comes from the caller, not from a thread. *)
-let[@inline] charge_tick t fid = t.ticks.(fid) <- t.ticks.(fid) + 1
+let[@inline] charge_tick t fid = t.pending.(fid) <- t.pending.(fid) + t.tick_ns
 
 let set_tick_us t us =
   if us < 0. then invalid_arg "Marcel.set_tick_us: negative duration";
-  t.tick_us <- us
+  t.tick_ns <- Time.of_us us
 
 let flush_charges t =
   let th = thread_of_fiber t (Engine.current_fiber t.eng) in
@@ -231,11 +202,8 @@ let set_node t th node =
   if node < 0 || node >= Array.length t.cpus then
     invalid_arg "Marcel.set_node: node out of range";
   (* A dead thread's fiber id may belong to another thread. *)
-  if th.alive then begin
-    settle t th;
-    if pending t th > 0. then
-      invalid_arg "Marcel.set_node: thread has unflushed CPU charges"
-  end;
+  if th.alive && Array.unsafe_get t.pending th.fid > 0 then
+    invalid_arg "Marcel.set_node: thread has unflushed CPU charges";
   th.node <- node;
   if th.alive then Engine.set_tag t.eng th.fid node
 

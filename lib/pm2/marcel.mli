@@ -113,12 +113,15 @@ val yield : t -> unit
 val compute : t -> float -> unit
 (** [compute t us] occupies the calling thread's node CPU for [us]
     microseconds of virtual time (plus queueing), after first paying any
-    pending [charge]d work. *)
+    pending [charge]d work.  [us] is rounded to the nearest nanosecond. *)
 
 val charge : t -> float -> unit
 (** Accumulates [us] microseconds of pending CPU work on the calling thread
-    without touching the event queue or allocating: the work is kept
-    unboxed, in a float array indexed by fiber id. *)
+    without touching the event queue or allocating.  Each charge is rounded
+    to the nearest nanosecond once and added to the thread's pending work,
+    an integer number of ns kept in an int array indexed by fiber id; so a
+    charge below half a nanosecond costs nothing, however often it is made,
+    and the order of the charges does not change the sum. *)
 
 val charge_thread : t -> thread -> float -> unit
 (** [charge] for a thread the caller has already looked up with {!self};
@@ -128,15 +131,15 @@ val charge_tick : t -> int -> unit
 (** [charge_tick t fid] charges one tick ({!set_tick_us}) to the live
     thread running on fiber [fid] (inside a thread,
     {!Dsmpm2_sim.Engine.current_fiber}), allocating nothing and without
-    looking the thread up: ticks are counted in an int array indexed by
-    fiber id and added into the pending work, in call order, the next time
-    it is charged, computed or flushed.  A fiber id starts with no ticks
-    each time a thread is spawned on it.  The DSM prices inline access
-    checks this way. *)
+    looking the thread up: the tick's price in ns is added to the pending
+    work of [fid] in place.  A fiber id starts with no pending work each
+    time a thread is spawned on it.  The DSM prices inline access checks
+    this way. *)
 
 val set_tick_us : t -> float -> unit
-(** The price of one {!charge_tick} (default 0).  Set it before threads
-    run: ticks not yet added are priced at the value current when they are. *)
+(** The price of one {!charge_tick} (default 0), rounded to the nearest
+    nanosecond once, here.  Each tick is priced at the value current when
+    it is charged. *)
 
 val flush_charges : t -> unit
 (** Pays all pending [charge]d work as a single [compute].  Called

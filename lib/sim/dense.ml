@@ -7,13 +7,3 @@ let ensure a i fill =
     Array.blit a 0 grown 0 n;
     grown
   end
-
-let ensure_float a i fill =
-  if i < 0 then invalid_arg (Printf.sprintf "Dense.ensure_float: negative index %d" i);
-  let n = Float.Array.length a in
-  if i < n then a
-  else begin
-    let grown = Float.Array.make (max (2 * n) (i + 1)) fill in
-    Float.Array.blit a 0 grown 0 n;
-    grown
-  end

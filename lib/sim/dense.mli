@@ -10,6 +10,3 @@ val ensure : 'a array -> int -> 'a -> 'a array
     set to [fill].  Raises [Invalid_argument] on a negative [i].  A caller
     that keeps the array in a mutable field reassigns that field only when
     [i] is past the end, so a hit writes no heap field. *)
-
-val ensure_float : Float.Array.t -> int -> float -> Float.Array.t
-(** [ensure] for an unboxed float array. *)

@@ -14,7 +14,9 @@ val max : t -> t -> t
 val min : t -> t -> t
 
 val of_us : float -> t
-(** [of_us x] is [x] microseconds, rounded to the nearest nanosecond. *)
+(** [of_us x] is [x] microseconds, rounded to the nearest nanosecond
+    (halves away from zero, as [Float.round]).  Allocation-free and no C
+    call, so a CPU charge can convert its price each time. *)
 
 val of_ns : int -> t
 val to_us : t -> float

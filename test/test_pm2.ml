@@ -215,11 +215,34 @@ let test_pending_charges_paid_at_exit () =
   Alcotest.check us "CPU busy for the charged work" 75.
     (Time.to_us (Cpu.busy_time (Marcel.cpu (Pm2.marcel pm2) 0)))
 
+(* Pending work is whole ns: each charge and each tick is rounded to ns
+   once, so three charges of 0.4 ns pay nothing (a float sum of them would
+   round to 1 ns) and three of 0.6 ns pay 3 ns (not 2). *)
+let test_charges_round_per_charge () =
+  let busy_after body =
+    let pm2 = Pm2.create ~nodes:1 ~driver:Driver.bip_myrinet () in
+    let marcel = Pm2.marcel pm2 and eng = Pm2.engine pm2 in
+    ignore (Pm2.spawn pm2 ~node:0 (fun () -> body marcel (Engine.current_fiber eng)));
+    Pm2.run pm2;
+    Cpu.busy_time (Marcel.cpu marcel 0)
+  in
+  let thrice f = for _ = 1 to 3 do f () done in
+  Alcotest.(check int) "three 0.4 ns charges pay 0 ns" 0
+    (busy_after (fun marcel _ -> thrice (fun () -> Marcel.charge marcel 0.0004)));
+  Alcotest.(check int) "three 0.6 ns charges pay 3 ns" 3
+    (busy_after (fun marcel _ -> thrice (fun () -> Marcel.charge marcel 0.0006)));
+  Alcotest.(check int) "three 0.4 ns ticks pay 0 ns" 0
+    (busy_after (fun marcel fid ->
+         Marcel.set_tick_us marcel 0.0004;
+         thrice (fun () -> Marcel.charge_tick marcel fid)))
+
 (* Mixed [charge] / [charge_tick] / [compute] sequences, in threads that
    interleave and then end so a second wave reuses their fiber ids, pay
-   the same CPU time as the boxed per-thread float the pending work used
-   to be kept in.  Ticks are charged by fiber id, as the DSM's inline
-   checks charge them. *)
+   the same CPU time as accumulating each thread's work in a boxed float
+   and rounding the sum once.  That float sum is the reference model: on
+   prices that are whole ns, as all of these are, it agrees with the
+   per-charge rounding Marcel does.  Ticks are charged by fiber id, as
+   the DSM's inline checks charge them. *)
 type charge_op = Charge of float | Tick | Compute of float | Yield
 
 let show_charge_op = function
@@ -230,7 +253,7 @@ let show_charge_op = function
 
 let tick_us = 0.05
 
-(* The old accounting: ticks added one by one, in call order, before any
+(* Float accounting: ticks added one by one, in call order, before any
    other change to the pending float. *)
 let boxed_busy ops =
   let pending = ref 0. and ticks = ref 0 and busy = ref Time.zero in
@@ -784,6 +807,8 @@ let () =
           Alcotest.test_case "charge accounting" `Quick test_charge_then_compute_accounts;
           Alcotest.test_case "charges paid at exit" `Quick
             test_pending_charges_paid_at_exit;
+          Alcotest.test_case "charges round per charge" `Quick
+            test_charges_round_per_charge;
           QCheck_alcotest.to_alcotest prop_unboxed_charges_match_boxed;
           Alcotest.test_case "reused fiber starts without ticks" `Quick
             test_reused_fiber_starts_without_ticks;

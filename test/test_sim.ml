@@ -11,6 +11,21 @@ let test_time_conversions () =
   Alcotest.(check int) "rounding" 11 (Time.of_ns 11);
   Alcotest.(check string) "pp us" "42.0us" (Format.asprintf "%a" Time.pp (Time.of_us 42.))
 
+(* [Time.of_us] rounds without [Float.round]; it must round every price
+   as [Float.round] does, halfway values and their neighbours included. *)
+let prop_of_us_rounds_like_float_round =
+  let near_half =
+    QCheck.Gen.(
+      map2
+        (fun n nudge -> nudge ((float_of_int n +. 0.5) /. 1_000.))
+        (int_range (-100_000_000) 100_000_000)
+        (oneofl [ Fun.id; Float.pred; Float.succ ]))
+  in
+  QCheck.Test.make ~name:"of_us rounds like Float.round" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%h")
+       QCheck.Gen.(oneof [ float_range (-1e9) 1e9; float_range 0. 0.01; near_half ]))
+    (fun x -> Time.of_us x = int_of_float (Float.round (x *. 1_000.)))
+
 (* --- Rng --- *)
 
 let test_rng_deterministic () =
@@ -1080,7 +1095,10 @@ let () =
   Alcotest.run "sim"
     [
       ( "time",
-        [ Alcotest.test_case "conversions" `Quick test_time_conversions ] );
+        [
+          Alcotest.test_case "conversions" `Quick test_time_conversions;
+          QCheck_alcotest.to_alcotest prop_of_us_rounds_like_float_round;
+        ] );
       ( "queue",
         [
           QCheck_alcotest.to_alcotest prop_queue_order;
