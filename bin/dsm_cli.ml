@@ -838,7 +838,7 @@ let bench_cmd =
 (* --- dsm diff: differential comparison of two runs --- *)
 
 let diff_cmd =
-  let run baseline fresh threshold force format out =
+  let run baseline fresh format out =
     let load what path =
       match Rundiff.load_source path with
       | Ok s -> s
@@ -847,7 +847,7 @@ let diff_cmd =
           exit 2
     in
     let b = load "baseline" baseline and f = load "fresh" fresh in
-    match Rundiff.diff ~threshold_pct:threshold ~force ~baseline:b ~fresh:f () with
+    match Rundiff.diff ~baseline:b ~fresh:f with
     | Error msg ->
         Format.fprintf ppf "diff: %s@." msg;
         exit 2
@@ -855,7 +855,6 @@ let diff_cmd =
         let render fmt =
           match format with
           | `Text -> Rundiff.pp_text fmt d
-          | `Markdown -> Rundiff.pp_markdown fmt d
           | `Json -> Format.fprintf fmt "%a@." Json.pp (Rundiff.to_json d)
         in
         (match out with
@@ -863,10 +862,7 @@ let diff_cmd =
         | Some file ->
             to_formatter file render;
             Format.fprintf ppf "diff: wrote %s@." file);
-        List.iter
-          (fun line -> Format.fprintf ppf "regression: %s@." line)
-          (Rundiff.regressions d);
-        if Rundiff.significant_regression d then exit 1
+        if Rundiff.differs d then exit 1
   in
   let baseline =
     Arg.(
@@ -882,26 +878,11 @@ let diff_cmd =
       & pos 1 (some string) None
       & info [] ~docv:"FRESH" ~doc:"The artifact to compare against the baseline.")
   in
-  let threshold =
-    Arg.(
-      value
-      & opt float Rundiff.default_threshold_pct
-      & info [ "threshold" ] ~docv:"PCT"
-          ~doc:"Relative significance threshold in percent.")
-  in
-  let force =
-    Arg.(
-      value & flag
-      & info [ "force" ]
-          ~doc:
-            "Compare even when the run metadata disagrees (different seeds, \
-             drivers, protocols or node counts).")
-  in
   let format =
     Arg.(
       value
-      & opt (enum [ ("text", `Text); ("json", `Json); ("markdown", `Markdown) ]) `Text
-      & info [ "format" ] ~docv:"FMT" ~doc:"Output format: text, json or markdown.")
+      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
+      & info [ "format" ] ~docv:"FMT" ~doc:"Output format: text or json.")
   in
   let out =
     Arg.(
@@ -913,11 +894,12 @@ let diff_cmd =
     (Cmd.info "diff"
        ~doc:
          "Compare two observability artifacts — macro-bench snapshots or \
-          trace dumps — and report per-case metric deltas (with seed-noise \
-          bounds), critical-path stage shifts, sharing-pattern drift and \
-          alert changes.  Exits 1 on a significant regression, 2 on \
-          incomparable inputs.")
-    Term.(const run $ baseline $ fresh $ threshold $ force $ format $ out)
+          trace dumps — exactly, and list every difference: per case, seed \
+          and sample field, cases on one side only, critical-path stage \
+          mean, p90 and span count, sharing-pattern drift and alert \
+          counts.  Exits 0 when they are equal, 1 when they differ, 2 on \
+          unusable or incomparable inputs.")
+    Term.(const run $ baseline $ fresh $ format $ out)
 
 (* --- dsm explain: causal forensics over a trace dump --- *)
 

@@ -6,16 +6,16 @@
    engine tie seeds so the numbers are bit-reproducible on any machine.
    Each (app, protocol, driver) case runs once per seed and records the
    virtual-time wall clock, message/byte counts, fault counts and the
-   fault-latency tail from the runtime's Stats registry; the repeated-seed
-   spread is the noise bound `dsm diff` uses to decide whether a delta is
-   signal.  The whole result serializes to the stable, self-describing
-   BENCH_macro.json schema (see {!schema_version}). *)
+   fault-latency tail from the runtime's Stats registry, every one an
+   integer (times in ns), so two snapshots compare exactly, seed by seed
+   (`dsm diff`).  The whole result serializes to the stable,
+   self-describing BENCH_macro.json schema (see {!schema_version}). *)
 
 open Dsmpm2_sim
 open Dsmpm2_net
 open Dsmpm2_core
 
-let schema_version = "dsm-bench-macro/1"
+let schema_version = "dsm-bench-macro/2"
 let default_seeds = [ 0; 1; 2 ]
 
 (* --- cases --- *)
@@ -30,21 +30,7 @@ type case = {
   c_quick : bool;
 }
 
-type sample = {
-  s_seed : int;
-  s_time_us : float;
-  s_messages : int;
-  s_bytes : int;
-  s_read_faults : int;
-  s_write_faults : int;
-  s_dropped : int;  (* messages lost to fault injection *)
-  s_rpc_retries : int;  (* RPC retransmissions after deadline expiry *)
-  s_events : int;  (* engine events executed: the host work, counted *)
-  s_fault_p50_us : float;
-  s_fault_p90_us : float;
-  s_fault_p99_us : float;
-  s_fault_p999_us : float;
-}
+type sample = { s_seed : int; s_values : int array }
 
 type case_result = {
   cr_case : case;
@@ -135,26 +121,33 @@ let run_app case ~seed =
     (app.run ~protocol:case.c_protocol ~nodes:case.c_nodes ~driver:(driver_of case)
        ~tie_seed:seed ~observe:ignore case.c_params)
 
+(* Every sample field with its reader over the finished runtime, in schema
+   order: the one place the field list is written. *)
+let metrics : (string * (Dsm.t -> int)) list =
+  let net dsm = Dsmpm2_pm2.Pm2.network (Dsm.pm2 dsm) in
+  let count name dsm = Stats.count (Dsm.stats dsm) name in
+  let pct p dsm = Stats.span_percentile (Dsm.stats dsm) Instrument.stage_total p in
+  [
+    ("time_ns", fun dsm -> Engine.now (Dsm.engine dsm));
+    ("messages", fun dsm -> Network.messages_sent (net dsm));
+    ("bytes", fun dsm -> Network.bytes_sent (net dsm));
+    ("read_faults", count Instrument.read_faults);
+    ("write_faults", count Instrument.write_faults);
+    ("dropped", fun dsm -> Network.messages_dropped (net dsm));
+    ( "rpc_retries",
+      fun dsm -> Dsmpm2_pm2.Rpc.retransmissions (Dsmpm2_pm2.Pm2.rpc (Dsm.pm2 dsm)) );
+    ("fault_p50_ns", pct 50.);
+    ("fault_p90_ns", pct 90.);
+    ("fault_p99_ns", pct 99.);
+    ("fault_p999_ns", pct 99.9);
+    ("events", fun dsm -> Engine.events_executed (Dsm.engine dsm));
+  ]
+
+let metric_names = List.map fst metrics
+
 let measure case ~seed =
   let dsm = run_app case ~seed in
-  let stats = Dsm.stats dsm in
-  let net = Dsmpm2_pm2.Pm2.network (Dsm.pm2 dsm) in
-  let pct p = Time.to_us (Stats.span_percentile stats Instrument.stage_total p) in
-  {
-    s_seed = seed;
-    s_time_us = Dsm.now_us dsm;
-    s_messages = Network.messages_sent net;
-    s_bytes = Network.bytes_sent net;
-    s_read_faults = Stats.count stats Instrument.read_faults;
-    s_write_faults = Stats.count stats Instrument.write_faults;
-    s_dropped = Network.messages_dropped net;
-    s_rpc_retries = Dsmpm2_pm2.Rpc.retransmissions (Dsmpm2_pm2.Pm2.rpc (Dsm.pm2 dsm));
-    s_events = Engine.events_executed (Dsm.engine dsm);
-    s_fault_p50_us = pct 50.;
-    s_fault_p90_us = pct 90.;
-    s_fault_p99_us = pct 99.;
-    s_fault_p999_us = pct 99.9;
-  }
+  { s_seed = seed; s_values = Array.of_list (List.map (fun (_, read) -> read dsm) metrics) }
 
 let case_meta case =
   Run_meta.with_git
@@ -195,64 +188,26 @@ let run ?(seeds = default_seeds) ?filter ?(quick = false)
   in
   { bs_meta = Run_meta.with_git (Run_meta.v ()); bs_results = results }
 
-(* --- aggregates (shared with the differ) --- *)
+(* --- aggregates --- *)
+
+let metric name s =
+  match List.find_index (String.equal name) metric_names with
+  | Some i -> s.s_values.(i)
+  | None -> invalid_arg (Printf.sprintf "Bench_suite.metric: unknown metric %S" name)
 
 let mean = function
   | [] -> 0.
   | xs -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
 
-let stddev xs =
-  match xs with
-  | [] | [ _ ] -> 0.
-  | xs ->
-      let m = mean xs in
-      sqrt (mean (List.map (fun x -> (x -. m) ** 2.) xs))
-
-let metric_names =
-  [
-    "time_us"; "messages"; "bytes"; "read_faults"; "write_faults";
-    "dropped"; "rpc_retries";
-    "fault_p50_us"; "fault_p90_us"; "fault_p99_us"; "fault_p999_us"; "events";
-  ]
-
-let metric name s =
-  match name with
-  | "time_us" -> s.s_time_us
-  | "messages" -> float_of_int s.s_messages
-  | "bytes" -> float_of_int s.s_bytes
-  | "read_faults" -> float_of_int s.s_read_faults
-  | "write_faults" -> float_of_int s.s_write_faults
-  | "dropped" -> float_of_int s.s_dropped
-  | "rpc_retries" -> float_of_int s.s_rpc_retries
-  | "fault_p50_us" -> s.s_fault_p50_us
-  | "fault_p90_us" -> s.s_fault_p90_us
-  | "fault_p99_us" -> s.s_fault_p99_us
-  | "fault_p999_us" -> s.s_fault_p999_us
-  | "events" -> float_of_int s.s_events
-  | _ -> invalid_arg (Printf.sprintf "Bench_suite.metric: unknown metric %S" name)
-
-let metric_mean cr name = mean (List.map (metric name) cr.cr_samples)
-let metric_stddev cr name = stddev (List.map (metric name) cr.cr_samples)
+let values cr name = List.map (fun s -> float_of_int (metric name s)) cr.cr_samples
+let metric_mean cr name = mean (values cr name)
 
 (* --- JSON --- *)
 
 let sample_to_json s =
   Json.Obj
-    [
-      ("seed", Json.Int s.s_seed);
-      ("time_us", Json.Float s.s_time_us);
-      ("messages", Json.Int s.s_messages);
-      ("bytes", Json.Int s.s_bytes);
-      ("read_faults", Json.Int s.s_read_faults);
-      ("write_faults", Json.Int s.s_write_faults);
-      ("dropped", Json.Int s.s_dropped);
-      ("rpc_retries", Json.Int s.s_rpc_retries);
-      ("fault_p50_us", Json.Float s.s_fault_p50_us);
-      ("fault_p90_us", Json.Float s.s_fault_p90_us);
-      ("fault_p99_us", Json.Float s.s_fault_p99_us);
-      ("fault_p999_us", Json.Float s.s_fault_p999_us);
-      ("events", Json.Int s.s_events);
-    ]
+    (("seed", Json.Int s.s_seed)
+    :: List.mapi (fun i name -> (name, Json.Int s.s_values.(i))) metric_names)
 
 let case_result_to_json cr =
   let c = cr.cr_case in
@@ -277,130 +232,78 @@ let to_json t =
       ("cases", Json.List (List.map case_result_to_json t.bs_results));
     ]
 
-(* --- parsing (the differ loads baselines through this) --- *)
+(* --- parsing (the differ loads snapshots through this) --- *)
 
 let ( let* ) = Option.bind
 
+(* [Some] of every element's image, or [None] if one has none. *)
+let all f xs =
+  List.fold_right
+    (fun x acc ->
+      let* acc = acc in
+      let* y = f x in
+      Some (y :: acc))
+    xs (Some [])
+
 let sample_of_json j =
   let int name = Option.bind (Json.member name j) Json.to_int in
-  let flt name = Option.bind (Json.member name j) Json.to_float in
   let* s_seed = int "seed" in
-  let* s_time_us = flt "time_us" in
-  let* s_messages = int "messages" in
-  let* s_bytes = int "bytes" in
-  let* s_read_faults = int "read_faults" in
-  let* s_write_faults = int "write_faults" in
-  (* Fault counters joined the schema after the first baselines were
-     committed; absent means a fault-free run, so default to zero. *)
-  let s_dropped = Option.value (int "dropped") ~default:0 in
-  let s_rpc_retries = Option.value (int "rpc_retries") ~default:0 in
-  let* s_fault_p50_us = flt "fault_p50_us" in
-  let* s_fault_p90_us = flt "fault_p90_us" in
-  let* s_fault_p99_us = flt "fault_p99_us" in
-  (* p99.9 and the event count joined after the first baselines; absent
-     means zero. *)
-  let s_fault_p999_us = Option.value (flt "fault_p999_us") ~default:0. in
-  let s_events = Option.value (int "events") ~default:0 in
-  Some
-    {
-      s_seed;
-      s_time_us;
-      s_messages;
-      s_bytes;
-      s_read_faults;
-      s_write_faults;
-      s_dropped;
-      s_rpc_retries;
-      s_events;
-      s_fault_p50_us;
-      s_fault_p90_us;
-      s_fault_p99_us;
-      s_fault_p999_us;
-    }
+  let* values = all int metric_names in
+  Some { s_seed; s_values = Array.of_list values }
 
 let case_result_of_json j =
-  let str name = Option.bind (Json.member name j) Json.to_str in
-  let int name = Option.bind (Json.member name j) Json.to_int in
-  let* c_id = str "id" in
-  let* c_app = str "app" in
-  let* c_protocol = str "protocol" in
-  let* c_driver = str "driver" in
-  let* c_nodes = int "nodes" in
-  let c_quick =
-    match Option.bind (Json.member "quick" j) Json.to_bool with
-    | Some b -> b
-    | None -> false
-  in
+  let field name conv = Option.bind (Json.member name j) conv in
+  let* c_id = field "id" Json.to_str in
+  let* c_app = field "app" Json.to_str in
+  let* c_protocol = field "protocol" Json.to_str in
+  let* c_driver = field "driver" Json.to_str in
+  let* c_nodes = field "nodes" Json.to_int in
+  let* c_quick = field "quick" Json.to_bool in
   let* c_params =
     match Json.member "params" j with
     | Some (Json.Obj kvs) ->
-        List.fold_left
-          (fun acc (k, v) ->
-            let* acc = acc in
-            let* v = Json.to_int v in
-            Some ((k, v) :: acc))
-          (Some []) kvs
-        |> Option.map List.rev
-    | _ -> Some []
+        all (fun (k, v) -> Option.map (fun v -> (k, v)) (Json.to_int v)) kvs
+    | _ -> None
   in
-  let* meta_json = Json.member "meta" j in
-  let* cr_meta = Result.to_option (Run_meta.of_json meta_json) in
-  let* samples_json = Option.bind (Json.member "samples" j) Json.to_list in
-  let* cr_samples =
-    List.fold_left
-      (fun acc sj ->
-        let* acc = acc in
-        let* s = sample_of_json sj in
-        Some (s :: acc))
-      (Some []) samples_json
-    |> Option.map List.rev
-  in
+  let* cr_meta = field "meta" (fun m -> Result.to_option (Run_meta.of_json m)) in
+  let* cr_samples = Option.bind (field "samples" Json.to_list) (all sample_of_json) in
   Some
     {
-      cr_case =
-        { c_id; c_app; c_protocol; c_driver; c_nodes; c_params; c_quick };
+      cr_case = { c_id; c_app; c_protocol; c_driver; c_nodes; c_params; c_quick };
       cr_meta;
       cr_samples;
     }
 
+(* Every field is required, and a document parses only if {!to_json} gives
+   it back: whatever a snapshot holds, the differ sees. *)
 let of_json j =
   match Option.bind (Json.member "schema" j) Json.to_str with
   | None -> Error "not a macro-bench snapshot (no schema field)"
   | Some s when s <> schema_version ->
       Error
-        (Printf.sprintf "unsupported schema %S (this build reads %S)" s
-           schema_version)
+        (Printf.sprintf
+           "unsupported schema %S (this build reads %S); re-bank it with `dsm \
+            bench --out`"
+           s schema_version)
   | Some _ -> (
-      let meta =
-        match Json.member "meta" j with
-        | Some mj -> Run_meta.of_json mj
-        | None -> Ok Run_meta.empty
+      let parsed =
+        let* meta = Json.member "meta" j in
+        let* bs_meta = Result.to_option (Run_meta.of_json meta) in
+        let* cases = Option.bind (Json.member "cases" j) Json.to_list in
+        let* bs_results = all case_result_of_json cases in
+        Some { bs_meta; bs_results }
       in
-      match meta with
-      | Error msg -> Error msg
-      | Ok bs_meta -> (
-          match Option.bind (Json.member "cases" j) Json.to_list with
-          | None -> Error "no cases array"
-          | Some cs -> (
-              let rec parse acc i = function
-                | [] -> Ok { bs_meta; bs_results = List.rev acc }
-                | cj :: rest -> (
-                    match case_result_of_json cj with
-                    | Some cr -> parse (cr :: acc) (i + 1) rest
-                    | None -> Error (Printf.sprintf "malformed case at index %d" i))
-              in
-              parse [] 0 cs)))
+      match parsed with
+      | Some t when to_json t = j -> Ok t
+      | _ -> Error "malformed snapshot: not what `dsm bench --out` writes")
 
 let load path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error (Printf.sprintf "%s: %s" path msg)
-  | contents -> (
-      match Json.of_string contents with
-      | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-      | Ok j -> (
-          match of_json j with
-          | Ok t -> Ok t
-          | Error msg -> Error (Printf.sprintf "%s: %s" path msg)))
+  | contents ->
+      Result.map_error
+        (Printf.sprintf "%s: %s" path)
+        (Result.bind (Json.of_string contents) of_json)
 
 (* --- report --- *)
 
@@ -409,15 +312,14 @@ let print ppf t =
     "time(us)" "±σ" "msgs" "faults" "fault p99(us)";
   List.iter
     (fun cr ->
-      let faults =
-        metric_mean cr "read_faults" +. metric_mean cr "write_faults"
-      in
+      let time = List.map (fun ns -> ns /. 1000.) (values cr "time_ns") in
+      let m = mean time in
       Format.fprintf ppf "%-38s %5d %12.1f %10.1f %10.0f %8.0f %12.1f@."
         cr.cr_case.c_id
         (List.length cr.cr_samples)
-        (metric_mean cr "time_us")
-        (metric_stddev cr "time_us")
+        m
+        (sqrt (mean (List.map (fun x -> (x -. m) ** 2.) time)))
         (metric_mean cr "messages")
-        faults
-        (metric_mean cr "fault_p99_us"))
+        (metric_mean cr "read_faults" +. metric_mean cr "write_faults")
+        (metric_mean cr "fault_p99_ns" /. 1000.))
     t.bs_results

@@ -3,21 +3,21 @@
     Runs every application kernel under a fixed matrix of consistency
     protocols and network drivers, once per engine tie seed, and records
     what the {e simulated} system did: virtual-time wall clock, message and
-    byte counts, fault counts, and the fault-latency tail (p50/p90/p99 from
-    the runtime's {!Dsmpm2_sim.Stats} histograms).  Because the simulation
-    is deterministic given a tie seed, every number is bit-reproducible on
-    any host — the committed [BENCH_macro.json] baseline is a statement
-    about the system, not about CI hardware.
+    byte counts, fault counts, and the fault-latency tail (p50/p90/p99/p999
+    from the runtime's {!Dsmpm2_sim.Stats} histograms).  Because the
+    simulation is deterministic given a tie seed, every number is
+    bit-reproducible on any host — the committed [BENCH_macro.json]
+    baseline is a statement about the system, not about CI hardware.
 
-    The repeated-seed spread per case is the noise bound {!Rundiff} uses to
-    separate real regressions from schedule sensitivity.  Case parameters
-    are part of the schema: a case id must mean the same workload forever,
-    so grow the matrix by adding cases rather than editing existing ones. *)
+    Every sample field is an integer (times in ns), so {!Rundiff} compares
+    two snapshots exactly, seed by seed.  Case parameters are part of the
+    schema: a case id must mean the same workload forever, so grow the
+    matrix by adding cases rather than editing existing ones. *)
 
 open Dsmpm2_sim
 
 val schema_version : string
-(** ["dsm-bench-macro/1"], stored in the snapshot's ["schema"] field. *)
+(** ["dsm-bench-macro/2"], stored in the snapshot's ["schema"] field. *)
 
 val default_seeds : int list
 (** The tie seeds each case runs under ([[0; 1; 2]]). *)
@@ -46,25 +46,8 @@ val filter_cases : ?filter:string -> ?quick:bool -> case list -> case list
 
 type sample = {
   s_seed : int;
-  s_time_us : float;  (** simulated wall clock of the whole run *)
-  s_messages : int;
-  s_bytes : int;
-  s_read_faults : int;
-  s_write_faults : int;
-  s_dropped : int;  (** messages lost to fault injection (0 without a plan) *)
-  s_rpc_retries : int;  (** RPC retransmissions after deadline expiry *)
-  s_events : int;
-      (** engine events executed: a deterministic count of the host work,
-          identical on every OCaml version, unlike GC words *)
-  s_fault_p50_us : float;
-  s_fault_p90_us : float;
-  s_fault_p99_us : float;
-  s_fault_p999_us : float;
-      (** The four fault percentiles all read the same series, the
-          registry's whole-fault latency
-          ({!Dsmpm2_core.Instrument.stage_total}), so p50 <= p90 <= p99 <=
-          p999.  p999 is 0 in snapshots written before it joined the
-          schema. *)
+  s_values : int array;
+      (** one value per {!metric_names} member, in that order *)
 }
 
 type case_result = {
@@ -92,20 +75,22 @@ val run :
 (** {2 Aggregates} *)
 
 val metric_names : string list
-(** Every per-sample metric, in schema order: [time_us], [messages],
-    [bytes], [read_faults], [write_faults], [dropped], [rpc_retries],
-    [fault_p50_us], [fault_p90_us], [fault_p99_us], [fault_p999_us],
-    [events].  [dropped], [rpc_retries], [fault_p999_us] and [events]
-    joined after the first baselines; snapshots without them parse as
-    zero. *)
+(** Every per-sample metric, in schema order: [time_ns] (simulated wall
+    clock of the whole run), [messages], [bytes], [read_faults],
+    [write_faults], [dropped] (messages lost to fault injection),
+    [rpc_retries] (RPC retransmissions after deadline expiry),
+    [fault_p50_ns], [fault_p90_ns], [fault_p99_ns], [fault_p999_ns] and
+    [events] (engine events executed: a deterministic count of the host
+    work, identical on every OCaml version, unlike GC words).  The four
+    fault percentiles all read one series, the registry's whole-fault
+    latency ({!Dsmpm2_core.Instrument.stage_total}), so p50 <= p90 <= p99
+    <= p999. *)
 
-val metric : string -> sample -> float
-(** A sample's value for a {!metric_names} member (counts as floats). *)
+val metric : string -> sample -> int
+(** A sample's value for a {!metric_names} member. *)
 
 val metric_mean : case_result -> string -> float
-val metric_stddev : case_result -> string -> float
-(** Population standard deviation over the case's seeds — the repeat-noise
-    estimate. 0 with fewer than two samples. *)
+(** The mean of a metric over the case's seeds. *)
 
 (** {2 Snapshot I/O} *)
 
@@ -115,10 +100,13 @@ val to_json : t -> Json.t
     per-seed samples. *)
 
 val of_json : Json.t -> (t, string) result
-(** Inverse of {!to_json}; rejects unknown schema versions by name. *)
+(** Inverse of {!to_json}.  Rejects any other schema version by name
+    (re-bank a [dsm-bench-macro/1] snapshot with [dsm bench --out]), a
+    missing field, and anything {!to_json} would not write back. *)
 
 val load : string -> (t, string) result
 (** Reads a snapshot from a file and parses it. *)
 
 val print : Format.formatter -> t -> unit
-(** A per-case summary table (mean over seeds, with the time noise bound). *)
+(** A per-case summary table: means over seeds in µs, and the spread of
+    the simulated time across seeds. *)

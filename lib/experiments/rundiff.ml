@@ -1,24 +1,21 @@
-(* Differential run comparison (`dsm diff`).
+(* Exact run comparison (`dsm diff`).
 
-   The macro-bench suite gives every case a repeated-seed spread; this
-   module turns that spread into a noise bound so a delta between two
-   snapshots only reads as signal when it clears both noise_sigma·σ and a
-   relative threshold.  Trace dumps are compared through Analyze — the same
-   stage stamps, page classification and alert extraction the post-mortem
-   report uses — so `dsm analyze` and `dsm diff` never disagree about what
-   a stage or a pattern is. *)
+   Every value compared is an integer that a deterministic run reproduces
+   bit for bit, so the comparison has no tolerance: it lists each
+   difference.  Snapshots are compared case by case and seed by seed;
+   trace dumps through Analyze — the same stage stamps, page
+   classification and alert extraction the post-mortem report uses — so
+   `dsm analyze` and `dsm diff` never disagree about what a stage or a
+   pattern is. *)
 
 open Dsmpm2_sim
 module B = Bench_suite
 module Tele = Dsmpm2_core.Telemetry
 module Watchdog = Dsmpm2_core.Watchdog
 
-let default_threshold_pct = 2.0
-let noise_sigma = 3.0
-
 (* --- sources --- *)
 
-type source = Bench of B.t | Run of Run_meta.t * Analyze.t
+type source = Bench of B.t | Run of Analyze.t
 
 let load_source path =
   match In_channel.with_open_bin path In_channel.input_all with
@@ -27,52 +24,34 @@ let load_source path =
       (* A macro-bench snapshot is one JSON document with a schema field; a
          trace dump is JSONL whose lines have no schema.  Sniff, don't
          trust extensions. *)
-      let as_bench =
-        match Json.of_string contents with
-        | Ok j when Json.member "schema" j <> None -> Some (B.of_json j)
-        | _ -> None
-      in
-      match as_bench with
-      | Some (Ok t) -> Ok (Bench t)
-      | Some (Error msg) -> Error (Printf.sprintf "%s: %s" path msg)
-      | None -> (
+      match Json.of_string contents with
+      | Ok j when Json.member "schema" j <> None -> (
+          match B.of_json j with
+          | Ok t -> Ok (Bench t)
+          | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
+      | _ -> (
           match Trace.of_jsonl contents with
-          | Ok tr -> Ok (Run (Run_meta.empty, Analyze.analyze tr))
+          | Ok tr -> Ok (Run (Analyze.analyze tr))
           | Error msg ->
               Error
                 (Printf.sprintf
                    "%s: neither a macro-bench snapshot nor a trace dump (%s)"
                    path msg)))
 
-(* --- deltas --- *)
+(* --- differences --- *)
 
-type direction = Better | Worse | Same
-
-type metric_delta = {
-  md_metric : string;
-  md_base : float;
-  md_fresh : float;
-  md_delta : float;
-  md_pct : float;
-  md_noise : float;
-  md_significant : bool;
-  md_direction : direction;
+type change = {
+  ch_where : string;
+  ch_field : string;
+  ch_base : int;
+  ch_fresh : int;
 }
 
-type case_delta = { cd_id : string; cd_metrics : metric_delta list }
-
-type stage_delta = {
+type stage = {
   sd_protocol : string;
   sd_stage : string;
-  sd_base_mean_us : float;
-  sd_fresh_mean_us : float;
-  sd_base_p90_us : float;
-  sd_fresh_p90_us : float;
-  sd_base_samples : int;
-  sd_fresh_samples : int;
-  sd_pct : float;
-  sd_significant : bool;
-  sd_direction : direction;
+  sd_base : Stats.span_summary option;
+  sd_fresh : Stats.span_summary option;
 }
 
 type pattern_drift = { pd_page : int; pd_base : string; pd_fresh : string }
@@ -86,171 +65,123 @@ type alert_delta = {
 
 type t = {
   rd_mode : [ `Bench | `Trace ];
-  rd_threshold_pct : float;
-  rd_cases : case_delta list;
+  rd_cases : (B.case_result * B.case_result) list;
   rd_only_baseline : string list;
   rd_only_fresh : string list;
-  rd_stages : stage_delta list;
+  rd_stages : stage list;
+  rd_changes : change list;
   rd_patterns : pattern_drift list;
   rd_alerts : alert_delta list;
 }
 
-let direction_of delta =
-  if delta > 0. then Worse else if delta < 0. then Better else Same
-
-let pct_of ~base delta = if base = 0. then 0. else 100. *. delta /. base
-
-(* Signal = clears the seed-noise bound AND the relative threshold.  With a
-   zero base the relative term vanishes, so any above-noise delta counts
-   (a metric appearing from nothing is always news). *)
-let clears ~threshold_pct ~noise ~base delta =
-  delta <> 0.
-  && Float.abs delta > noise
-  && Float.abs delta >= threshold_pct /. 100. *. Float.abs base
+(* One change per field whose values differ. *)
+let changes ~where fields base fresh =
+  List.concat
+    (List.map2
+       (fun field (b, f) ->
+         if b = f then []
+         else [ { ch_where = where; ch_field = field; ch_base = b; ch_fresh = f } ])
+       fields (List.combine base fresh))
 
 (* --- bench mode --- *)
 
-let case_delta ~threshold_pct base fresh =
-  let metrics =
-    List.map
-      (fun name ->
-        let b = B.metric_mean base name and f = B.metric_mean fresh name in
-        let sb = B.metric_stddev base name
-        and sf = B.metric_stddev fresh name in
-        let delta = f -. b in
-        let noise = noise_sigma *. Float.max sb sf in
-        {
-          md_metric = name;
-          md_base = b;
-          md_fresh = f;
-          md_delta = delta;
-          md_pct = pct_of ~base:b delta;
-          md_noise = noise;
-          md_significant = clears ~threshold_pct ~noise ~base:b delta;
-          md_direction = direction_of delta;
-        })
-      B.metric_names
-  in
-  { cd_id = base.B.cr_case.B.c_id; cd_metrics = metrics }
+let id cr = cr.B.cr_case.B.c_id
 
-let find_case t id =
-  List.find_opt (fun cr -> cr.B.cr_case.B.c_id = id) t.B.bs_results
+let find_case t cid = List.find_opt (fun cr -> id cr = cid) t.B.bs_results
 
-let seeds_of cr = List.map (fun s -> s.B.s_seed) cr.B.cr_samples
+(* The cases of [a] that [b] has too, paired by id, in [a]'s order. *)
+let matched a b =
+  List.filter_map
+    (fun cra -> Option.map (fun crb -> (cra, crb)) (find_case b (id cra)))
+    a.B.bs_results
 
-let seeds_str seeds =
-  "[" ^ String.concat " " (List.map string_of_int seeds) ^ "]"
+let no_git m = Format.asprintf "%a" Run_meta.pp { m with Run_meta.rm_git_rev = None }
 
-(* Apples-to-oranges detection: suite metadata, then per matched case the
-   full identity — Run_meta (driver/protocol/nodes/case; git exempt), the
-   workload parameters, and the tie-seed list (the noise bound is only
-   meaningful over the same seeds). *)
+(* Everything that makes a case id mean one workload, as (field, text). *)
+let identity cr =
+  let c = cr.B.cr_case in
+  let ints show xs = "[" ^ String.concat " " (List.map show xs) ^ "]" in
+  [
+    ("app", c.B.c_app);
+    ("protocol", c.B.c_protocol);
+    ("driver", c.B.c_driver);
+    ("nodes", string_of_int c.B.c_nodes);
+    ("quick", string_of_bool c.B.c_quick);
+    ("params", ints (fun (k, v) -> Printf.sprintf "%s=%d" k v) (List.sort compare c.B.c_params));
+    ("tie seeds", ints (fun s -> string_of_int s.B.s_seed) cr.B.cr_samples);
+    ("meta", no_git cr.B.cr_meta);
+  ]
+
 let bench_compat a b =
-  let errs = ref [] in
-  let push e = errs := e :: !errs in
-  (match Run_meta.compatible ~baseline:a.B.bs_meta ~fresh:b.B.bs_meta with
-  | Ok () -> ()
-  | Error m -> push m);
-  List.iter
-    (fun cra ->
-      let id = cra.B.cr_case.B.c_id in
-      match find_case b id with
-      | None -> ()
-      | Some crb ->
-          (match
-             Run_meta.compatible ~baseline:cra.B.cr_meta ~fresh:crb.B.cr_meta
-           with
-          | Ok () -> ()
-          | Error m -> push (Printf.sprintf "%s: %s" id m));
-          let pa = List.sort compare cra.B.cr_case.B.c_params
-          and pb = List.sort compare crb.B.cr_case.B.c_params in
-          if pa <> pb then push (id ^ ": case parameters differ");
-          let sa = seeds_of cra and sb = seeds_of crb in
-          if sa <> sb then
-            push
-              (Printf.sprintf "%s: tie seeds differ (%s vs %s)" id
-                 (seeds_str sa) (seeds_str sb)))
-    a.B.bs_results;
-  match List.rev !errs with
-  | [] -> Ok ()
-  | es -> Error (String.concat "; " es)
-
-let diff_bench ~threshold_pct a b =
-  let matched, only_baseline =
-    List.fold_left
-      (fun (m, o) cra ->
-        let id = cra.B.cr_case.B.c_id in
-        match find_case b id with
-        | Some crb -> (case_delta ~threshold_pct cra crb :: m, o)
-        | None -> (m, id :: o))
-      ([], []) a.B.bs_results
+  let suite =
+    let ma = no_git a.B.bs_meta and mb = no_git b.B.bs_meta in
+    if ma = mb then [] else [ Printf.sprintf "suite meta %s vs %s" ma mb ]
   in
-  let only_fresh =
-    List.filter_map
-      (fun crb ->
-        let id = crb.B.cr_case.B.c_id in
-        match find_case a id with None -> Some id | Some _ -> None)
-      b.B.bs_results
+  let ids x y = List.map (fun (cr, _) -> id cr) (matched x y) in
+  let order = if ids a b = ids b a then [] else [ "the cases are in another order" ] in
+  let cases =
+    List.concat_map
+      (fun (cra, crb) ->
+        List.filter_map
+          (fun ((field, x), (_, y)) ->
+            if x = y then None else Some (Printf.sprintf "%s: %s %s vs %s" (id cra) field x y))
+          (List.combine (identity cra) (identity crb)))
+      (matched a b)
+  in
+  match suite @ order @ cases with [] -> Ok () | es -> Error (String.concat "; " es)
+
+(* Called only once [bench_compat] holds, so matched cases share seeds. *)
+let diff_bench a b =
+  let only x y = List.filter (fun cid -> find_case y cid = None) (List.map id x.B.bs_results) in
+  let cases = matched a b in
+  let sample_changes (cra, crb) =
+    List.concat
+      (List.map2
+         (fun sa sb ->
+           changes
+             ~where:(Printf.sprintf "%s seed %d" (id cra) sa.B.s_seed)
+             B.metric_names (Array.to_list sa.B.s_values) (Array.to_list sb.B.s_values))
+         cra.B.cr_samples crb.B.cr_samples)
   in
   {
     rd_mode = `Bench;
-    rd_threshold_pct = threshold_pct;
-    rd_cases = List.rev matched;
-    rd_only_baseline = List.rev only_baseline;
-    rd_only_fresh = only_fresh;
+    rd_cases = cases;
+    rd_only_baseline = only a b;
+    rd_only_fresh = only b a;
     rd_stages = [];
+    rd_changes = List.concat_map sample_changes cases;
     rd_patterns = [];
     rd_alerts = [];
   }
 
 (* --- trace mode --- *)
 
-(* Per (protocol, stage) summaries, straight from the analyzer's fold of
-   the runtime's stage stamps. *)
-let stage_rows a =
-  List.concat_map
-    (fun (protocol, rows) -> List.map (fun s -> ((protocol, s.Stats.sm_name), s)) rows)
-    (Analyze.stages a)
-
 let stage_rank stage =
   Option.value ~default:max_int
     (List.find_index (String.equal stage) Dsmpm2_core.Instrument.stages)
 
-let diff_stages ~threshold_pct base fresh =
-  let tb = stage_rows base and tf = stage_rows fresh in
+let diff_stages base fresh =
+  let rows a =
+    List.concat_map
+      (fun (protocol, rows) -> List.map (fun s -> ((protocol, s.Stats.sm_name), s)) rows)
+      (Analyze.stages a)
+  in
+  let tb = rows base and tf = rows fresh in
   List.sort_uniq
     (fun (pa, sa) (pb, sb) -> compare (pa, stage_rank sa, sa) (pb, stage_rank sb, sb))
     (List.map fst tb @ List.map fst tf)
-  |> List.map (fun ((protocol, stage) as key) ->
-         let stats rows =
-           match List.assoc_opt key rows with
-           | None -> (0., 0., 0)
-           | Some s ->
-               ( Time.to_us s.Stats.sm_mean,
-                 Time.to_us s.Stats.sm_p90,
-                 s.Stats.sm_samples )
-         in
-         let bm, bp90, bn = stats tb and fm, fp90, fn = stats tf in
-         let delta = fm -. bm in
-         let pct = pct_of ~base:bm delta in
-         {
-           sd_protocol = protocol;
-           sd_stage = stage;
-           sd_base_mean_us = bm;
-           sd_fresh_mean_us = fm;
-           sd_base_p90_us = bp90;
-           sd_fresh_p90_us = fp90;
-           sd_base_samples = bn;
-           sd_fresh_samples = fn;
-           sd_pct = pct;
-           (* No repeat spread in a single trace, so the threshold alone
-              separates signal from float dust; one-sided stages are
-              reported but never gate. *)
-           sd_significant =
-             bn > 0 && fn > 0
-             && clears ~threshold_pct ~noise:0. ~base:bm delta;
-           sd_direction = direction_of delta;
-         })
+  |> List.map (fun ((sd_protocol, sd_stage) as key) ->
+         let sd_base = List.assoc_opt key tb and sd_fresh = List.assoc_opt key tf in
+         { sd_protocol; sd_stage; sd_base; sd_fresh })
+
+let stage_changes sd =
+  let values = function
+    | None -> [ 0; 0; 0 ]
+    | Some s -> Stats.[ s.sm_mean; s.sm_p90; s.sm_samples ]
+  in
+  changes
+    ~where:(sd.sd_protocol ^ "/" ^ sd.sd_stage)
+    [ "mean_ns"; "p90_ns"; "samples" ] (values sd.sd_base) (values sd.sd_fresh)
 
 let diff_patterns base fresh =
   let patterns a =
@@ -283,307 +214,120 @@ let diff_alerts base fresh =
          if al_base = al_fresh then None
          else Some { al_severity; al_kind; al_base; al_fresh })
 
-let diff_trace ~threshold_pct base fresh =
+let diff_trace base fresh =
+  let stages = diff_stages base fresh in
   {
     rd_mode = `Trace;
-    rd_threshold_pct = threshold_pct;
     rd_cases = [];
     rd_only_baseline = [];
     rd_only_fresh = [];
-    rd_stages = diff_stages ~threshold_pct base fresh;
+    rd_stages = stages;
+    rd_changes = List.concat_map stage_changes stages;
     rd_patterns = diff_patterns base fresh;
     rd_alerts = diff_alerts base fresh;
   }
 
-(* --- entry point --- *)
+(* --- entry point and verdict --- *)
 
-let diff ?(threshold_pct = default_threshold_pct) ?(force = false) ~baseline
-    ~fresh () =
-  let checked compat result =
-    if force then Ok result
-    else
-      match compat with
-      | Ok () -> Ok result
-      | Error m ->
-          Error
-            (Printf.sprintf "refusing apples-to-oranges comparison: %s" m)
-  in
+let diff ~baseline ~fresh =
   match (baseline, fresh) with
-  | Bench a, Bench b ->
-      checked (bench_compat a b) (diff_bench ~threshold_pct a b)
-  | Run (ma, aa), Run (mb, ab) ->
-      checked
-        (Run_meta.compatible ~baseline:ma ~fresh:mb)
-        (diff_trace ~threshold_pct aa ab)
+  | Bench a, Bench b -> (
+      match bench_compat a b with
+      | Ok () -> Ok (diff_bench a b)
+      | Error m -> Error ("cannot compare: " ^ m))
+  | Run a, Run b -> Ok (diff_trace a b)
   | Bench _, Run _ | Run _, Bench _ ->
       Error "cannot compare a macro-bench snapshot with a trace dump"
 
-(* --- verdict --- *)
+let change_line c =
+  let delta = c.ch_fresh - c.ch_base in
+  Printf.sprintf "%s: %s %d -> %d (%+d%s)" c.ch_where c.ch_field c.ch_base c.ch_fresh delta
+    (if c.ch_base = 0 then ""
+     else Printf.sprintf ", %+.2f%%" (100. *. float_of_int delta /. float_of_int c.ch_base))
 
-let time_delta cd = List.find_opt (fun m -> m.md_metric = "time_us") cd.cd_metrics
+let differences t =
+  List.concat
+    [
+      List.map change_line t.rd_changes;
+      List.map (fun cid -> "only in baseline: " ^ cid) t.rd_only_baseline;
+      List.map (fun cid -> "only in fresh: " ^ cid) t.rd_only_fresh;
+      List.map
+        (fun pd -> Printf.sprintf "page %d: %s -> %s" pd.pd_page pd.pd_base pd.pd_fresh)
+        t.rd_patterns;
+      List.map
+        (fun al ->
+          Printf.sprintf "alert %s %s: %d -> %d"
+            (Trace.severity_to_string al.al_severity)
+            al.al_kind al.al_base al.al_fresh)
+        t.rd_alerts;
+    ]
 
-(* The gated metrics: the simulated clock, and the engine events executed —
-   the deterministic count of what simulating the case costs the host. *)
-let gated = [ "time_us"; "events" ]
-
-let gate_cases dir t =
-  List.concat_map
-    (fun cd ->
-      List.filter_map
-        (fun m -> if List.mem m.md_metric gated && m.md_significant && m.md_direction = dir then Some (cd, m) else None)
-        cd.cd_metrics)
-    t.rd_cases
-
-let gate_stages dir t =
-  List.filter
-    (fun sd -> sd.sd_significant && sd.sd_direction = dir)
-    t.rd_stages
-
-let describe dir t =
-  List.map
-    (fun (cd, m) ->
-      let name, u = if m.md_metric = "time_us" then ("time", "us") else (m.md_metric, "") in
-      Printf.sprintf "%s: %s %.1f%s -> %.1f%s (%+.1f%%, noise ±%.1f)" cd.cd_id name
-        m.md_base u m.md_fresh u m.md_pct m.md_noise)
-    (gate_cases dir t)
-  @ List.map
-      (fun sd ->
-        Printf.sprintf "%s/%s: stage mean %.1fus -> %.1fus (%+.1f%%)"
-          sd.sd_protocol sd.sd_stage sd.sd_base_mean_us sd.sd_fresh_mean_us
-          sd.sd_pct)
-      (gate_stages dir t)
-
-let regressions t = describe Worse t
-let improvements t = describe Better t
-let significant_regression t = regressions t <> []
+let differs t = differences t <> []
 
 (* --- rendering --- *)
 
 let mode_str = function `Bench -> "macro-bench" | `Trace -> "trace"
 
-let verdict_str m =
-  if not m.md_significant then "ok"
-  else match m.md_direction with
-    | Worse -> "REGRESSED"
-    | Better -> "improved"
-    | Same -> "ok"
-
-let alert_note al =
-  if al.al_base = 0 then "new"
-  else if al.al_fresh = 0 then "vanished"
-  else Printf.sprintf "%+d" (al.al_fresh - al.al_base)
-
-let summary_line t =
-  let r = List.length (regressions t)
-  and i = List.length (improvements t) in
-  if r > 0 then
-    Printf.sprintf "%d significant regression%s, %d improvement%s" r
-      (if r = 1 then "" else "s")
-      i
-      (if i = 1 then "" else "s")
-  else if i > 0 then
-    Printf.sprintf "no regressions, %d significant improvement%s" i
-      (if i = 1 then "" else "s")
-  else "no significant change"
-
 let pp_text ppf t =
-  Format.fprintf ppf "run diff: %s mode, threshold %.1f%%%s@."
-    (mode_str t.rd_mode) t.rd_threshold_pct
-    (match t.rd_mode with
-    | `Bench -> Printf.sprintf " + %.0f sigma seed noise" noise_sigma
-    | `Trace -> "");
+  Format.fprintf ppf "run diff: %s mode, exact@." (mode_str t.rd_mode);
   if t.rd_cases <> [] then begin
-    Format.fprintf ppf "%-38s %12s %12s %9s  %s@." "case" "base(us)"
-      "fresh(us)" "time Δ" "verdict";
+    Format.fprintf ppf "%-38s %12s %12s %9s  %s@." "case" "base(us)" "fresh(us)" "time Δ"
+      "samples";
     List.iter
-      (fun cd ->
-        (match time_delta cd with
-        | Some m ->
-            Format.fprintf ppf "%-38s %12.1f %12.1f %+8.1f%%  %s@." cd.cd_id
-              m.md_base m.md_fresh m.md_pct (verdict_str m)
-        | None -> Format.fprintf ppf "%-38s (no time metric)@." cd.cd_id);
-        List.iter
-          (fun m ->
-            if m.md_significant && m.md_metric <> "time_us" then
-              Format.fprintf ppf "    ! %-14s %.1f -> %.1f (%+.1f%%, noise ±%.1f)@."
-                m.md_metric m.md_base m.md_fresh m.md_pct m.md_noise)
-          cd.cd_metrics)
+      (fun (cra, crb) ->
+        let b = B.metric_mean cra "time_ns" and f = B.metric_mean crb "time_ns" in
+        Format.fprintf ppf "%-38s %12.1f %12.1f %+8.1f%%  %s@." (id cra) (b /. 1000.)
+          (f /. 1000.)
+          (if b = 0. then 0. else 100. *. (f -. b) /. b)
+          (if cra.B.cr_samples = crb.B.cr_samples then "equal" else "DIFFER"))
       t.rd_cases
   end;
-  if t.rd_only_baseline <> [] then
-    Format.fprintf ppf "only in baseline: %s@."
-      (String.concat ", " t.rd_only_baseline);
-  if t.rd_only_fresh <> [] then
-    Format.fprintf ppf "only in fresh: %s@." (String.concat ", " t.rd_only_fresh);
-  if t.rd_stages <> [] then begin
-    Format.fprintf ppf "critical-path stages (mean us):@.";
-    List.iter
-      (fun sd ->
-        Format.fprintf ppf "  %-28s %10.1f -> %-10.1f %+7.1f%%  p90 %.1f -> %.1f (%d/%d spans)%s@."
-          (sd.sd_protocol ^ "/" ^ sd.sd_stage)
-          sd.sd_base_mean_us sd.sd_fresh_mean_us sd.sd_pct sd.sd_base_p90_us
-          sd.sd_fresh_p90_us sd.sd_base_samples sd.sd_fresh_samples
-          (if sd.sd_significant then
-             match sd.sd_direction with
-             | Worse -> "  REGRESSED"
-             | Better -> "  improved"
-             | Same -> ""
-           else ""))
-      t.rd_stages
-  end;
-  if t.rd_patterns <> [] then begin
-    Format.fprintf ppf "page sharing-pattern drift:@.";
-    List.iter
-      (fun pd ->
-        Format.fprintf ppf "  page %d: %s -> %s@." pd.pd_page pd.pd_base
-          pd.pd_fresh)
-      t.rd_patterns
-  end;
-  if t.rd_alerts <> [] then begin
-    Format.fprintf ppf "watchdog alerts:@.";
-    List.iter
-      (fun al ->
-        Format.fprintf ppf "  %-8s %-20s %d -> %d (%s)@."
-          (Trace.severity_to_string al.al_severity)
-          al.al_kind al.al_base al.al_fresh (alert_note al))
-      t.rd_alerts
-  end;
-  Format.fprintf ppf "verdict: %s@." (summary_line t)
-
-let pp_markdown ppf t =
-  Format.fprintf ppf "## Run diff (%s mode, threshold %.1f%%)@.@."
-    (mode_str t.rd_mode) t.rd_threshold_pct;
-  if t.rd_cases <> [] then begin
-    Format.fprintf ppf "| case | base time (us) | fresh time (us) | Δ | verdict |@.";
-    Format.fprintf ppf "|---|---:|---:|---:|---|@.";
-    List.iter
-      (fun cd ->
-        match time_delta cd with
-        | Some m ->
-            Format.fprintf ppf "| %s | %.1f | %.1f | %+.1f%% | %s |@." cd.cd_id
-              m.md_base m.md_fresh m.md_pct (verdict_str m)
-        | None -> ())
-      t.rd_cases;
-    Format.fprintf ppf "@.";
-    let extras =
-      List.concat_map
-        (fun cd ->
-          List.filter_map
-            (fun m ->
-              if m.md_significant && m.md_metric <> "time_us" then
-                Some (cd.cd_id, m)
-              else None)
-            cd.cd_metrics)
-        t.rd_cases
-    in
-    if extras <> [] then begin
-      Format.fprintf ppf "Other significant metric shifts:@.@.";
-      List.iter
-        (fun (id, m) ->
-          Format.fprintf ppf "- `%s` %s: %.1f -> %.1f (%+.1f%%)@." id
-            m.md_metric m.md_base m.md_fresh m.md_pct)
-        extras;
-      Format.fprintf ppf "@."
-    end
-  end;
-  if t.rd_only_baseline <> [] || t.rd_only_fresh <> [] then begin
-    List.iter
-      (fun id -> Format.fprintf ppf "- only in baseline: `%s`@." id)
-      t.rd_only_baseline;
-    List.iter
-      (fun id -> Format.fprintf ppf "- only in fresh: `%s`@." id)
-      t.rd_only_fresh;
-    Format.fprintf ppf "@."
-  end;
-  if t.rd_stages <> [] then begin
-    Format.fprintf ppf "| protocol/stage | base mean (us) | fresh mean (us) | Δ | spans |@.";
-    Format.fprintf ppf "|---|---:|---:|---:|---|@.";
-    List.iter
-      (fun sd ->
-        Format.fprintf ppf "| %s/%s | %.1f | %.1f | %+.1f%% | %d/%d |@."
-          sd.sd_protocol sd.sd_stage sd.sd_base_mean_us sd.sd_fresh_mean_us
-          sd.sd_pct sd.sd_base_samples sd.sd_fresh_samples)
-      t.rd_stages;
-    Format.fprintf ppf "@."
-  end;
-  if t.rd_patterns <> [] then begin
-    Format.fprintf ppf "Pattern drift:@.@.";
-    List.iter
-      (fun pd ->
-        Format.fprintf ppf "- page %d: %s -> %s@." pd.pd_page pd.pd_base
-          pd.pd_fresh)
-      t.rd_patterns;
-    Format.fprintf ppf "@."
-  end;
-  if t.rd_alerts <> [] then begin
-    Format.fprintf ppf "Alert changes:@.@.";
-    List.iter
-      (fun al ->
-        Format.fprintf ppf "- **%s** `%s`: %d -> %d (%s)@."
-          (Trace.severity_to_string al.al_severity)
-          al.al_kind al.al_base al.al_fresh (alert_note al))
-      t.rd_alerts;
-    Format.fprintf ppf "@."
-  end;
-  Format.fprintf ppf "**Verdict:** %s@." (summary_line t)
-
-(* --- JSON --- *)
-
-let direction_to_string = function
-  | Better -> "better"
-  | Worse -> "worse"
-  | Same -> "same"
-
-let metric_delta_to_json m =
-  Json.Obj
-    [
-      ("metric", Json.String m.md_metric);
-      ("base", Json.Float m.md_base);
-      ("fresh", Json.Float m.md_fresh);
-      ("delta", Json.Float m.md_delta);
-      ("pct", Json.Float m.md_pct);
-      ("noise", Json.Float m.md_noise);
-      ("significant", Json.Bool m.md_significant);
-      ("direction", Json.String (direction_to_string m.md_direction));
-    ]
-
-let stage_delta_to_json sd =
-  Json.Obj
-    [
-      ("protocol", Json.String sd.sd_protocol);
-      ("stage", Json.String sd.sd_stage);
-      ("base_mean_us", Json.Float sd.sd_base_mean_us);
-      ("fresh_mean_us", Json.Float sd.sd_fresh_mean_us);
-      ("base_p90_us", Json.Float sd.sd_base_p90_us);
-      ("fresh_p90_us", Json.Float sd.sd_fresh_p90_us);
-      ("base_samples", Json.Int sd.sd_base_samples);
-      ("fresh_samples", Json.Int sd.sd_fresh_samples);
-      ("pct", Json.Float sd.sd_pct);
-      ("significant", Json.Bool sd.sd_significant);
-      ("direction", Json.String (direction_to_string sd.sd_direction));
-    ]
+  if t.rd_stages <> [] then
+    Stats.pp_span_table ppf ~key:"protocol side"
+      (List.concat_map
+         (fun sd ->
+           List.filter_map
+             (fun (side, s) -> Option.map (fun s -> (sd.sd_protocol ^ " " ^ side, s)) s)
+             [ ("base", sd.sd_base); ("fresh", sd.sd_fresh) ])
+         t.rd_stages);
+  let ds = differences t in
+  List.iter (Format.fprintf ppf "%s@.") ds;
+  match List.length ds with
+  | 0 -> Format.fprintf ppf "verdict: equal@."
+  | n -> Format.fprintf ppf "verdict: differs (%d difference%s)@." n (if n = 1 then "" else "s")
 
 let to_json t =
+  let strings l = Json.List (List.map (fun s -> Json.String s) l) in
+  let summary = function None -> Json.Null | Some s -> Stats.summary_to_json s in
   Json.Obj
     [
       ("mode", Json.String (mode_str t.rd_mode));
-      ("threshold_pct", Json.Float t.rd_threshold_pct);
-      ( "cases",
+      ( "changes",
         Json.List
           (List.map
-             (fun cd ->
+             (fun c ->
                Json.Obj
                  [
-                   ("id", Json.String cd.cd_id);
-                   ( "metrics",
-                     Json.List (List.map metric_delta_to_json cd.cd_metrics) );
+                   ("where", Json.String c.ch_where);
+                   ("field", Json.String c.ch_field);
+                   ("base", Json.Int c.ch_base);
+                   ("fresh", Json.Int c.ch_fresh);
                  ])
-             t.rd_cases) );
-      ( "only_baseline",
-        Json.List (List.map (fun s -> Json.String s) t.rd_only_baseline) );
-      ( "only_fresh",
-        Json.List (List.map (fun s -> Json.String s) t.rd_only_fresh) );
-      ("stages", Json.List (List.map stage_delta_to_json t.rd_stages));
+             t.rd_changes) );
+      ("only_baseline", strings t.rd_only_baseline);
+      ("only_fresh", strings t.rd_only_fresh);
+      ( "stages",
+        Json.List
+          (List.map
+             (fun sd ->
+               Json.Obj
+                 [
+                   ("protocol", Json.String sd.sd_protocol);
+                   ("stage", Json.String sd.sd_stage);
+                   ("base", summary sd.sd_base);
+                   ("fresh", summary sd.sd_fresh);
+                 ])
+             t.rd_stages) );
       ( "patterns",
         Json.List
           (List.map
@@ -601,15 +345,12 @@ let to_json t =
              (fun al ->
                Json.Obj
                  [
-                   ( "severity",
-                     Json.String (Trace.severity_to_string al.al_severity) );
+                   ("severity", Json.String (Trace.severity_to_string al.al_severity));
                    ("kind", Json.String al.al_kind);
                    ("base", Json.Int al.al_base);
                    ("fresh", Json.Int al.al_fresh);
                  ])
              t.rd_alerts) );
-      ("regressions", Json.List (List.map (fun s -> Json.String s) (regressions t)));
-      ( "improvements",
-        Json.List (List.map (fun s -> Json.String s) (improvements t)) );
-      ("significant_regression", Json.Bool (significant_regression t));
+      ("differences", strings (differences t));
+      ("differs", Json.Bool (differs t));
     ]

@@ -1,84 +1,54 @@
-(** Differential run comparison ([dsm diff]).
+(** Exact run comparison ([dsm diff]).
 
     Takes two observability artifacts — two [BENCH_macro.json] snapshots
-    ({!Bench_suite}), or two JSONL trace dumps — and reports what actually
-    changed between them:
+    ({!Bench_suite}), or two JSONL trace dumps — and lists every
+    difference between them.  The simulation is deterministic per tie
+    seed and every compared value is an integer, so there is no tolerance:
+    two runs of the same code are equal, and anything else is a change.
 
-    - {b per-case metric deltas} (bench mode), with a noise bound derived
-      from each case's repeated-seed spread: a delta only counts when it
-      clears both [noise_sigma]·σ and the relative threshold, so schedule
-      sensitivity does not read as regression;
-    - {b critical-path stage shifts} (trace mode), per protocol and stage,
-      read from the stage stamps, as {!Analyze} reads them;
-    - {b per-page sharing-pattern drift} — pages whose
-      {!Dsmpm2_core.Telemetry.pattern} classification changed between the
-      runs;
-    - {b new and vanished watchdog alerts}, grouped by severity and kind.
+    - {b Snapshots}: every sample field of every case, seed by seed, and
+      every case present on one side only.
+    - {b Traces}: each critical-path stage's mean, p90 and sample count,
+      per protocol, read from the stage stamps as {!Analyze} reads them;
+      per-page {!Dsmpm2_core.Telemetry.pattern} drift; and watchdog alert
+      counts by severity and kind.
 
-    Comparisons are refused ({!diff} returns [Error]) when the two sides'
-    {!Dsmpm2_sim.Run_meta} identities disagree — different tie seeds,
-    drivers, protocols, node counts or case parameters are apples to
-    oranges.  The git revision is exempt: comparing two code revisions is
-    the point.  [~force:true] overrides the refusal.
-
-    The verdict {!significant_regression} is what the CLI turns into exit
-    code 1: some case's simulated wall clock or engine event count
-    regressed beyond noise, or some critical-path stage slowed beyond the
-    threshold. *)
+    Two snapshots are refused ({!diff} returns [Error]) when a case
+    matched by id has another identity: its app, protocol, driver, node
+    count, parameters, [quick] flag, tie seeds or {!Dsmpm2_sim.Run_meta}
+    (the git revision aside: comparing two code revisions is the point),
+    or when the matched cases are in another order. *)
 
 open Dsmpm2_sim
-
-val default_threshold_pct : float
-(** Relative significance threshold, percent ([2.0]). *)
-
-val noise_sigma : float
-(** The repeated-seed spread multiplier in the noise bound ([3.0]). *)
 
 (** {2 Sources} *)
 
 type source =
   | Bench of Bench_suite.t
-  | Run of Run_meta.t * Analyze.t
-      (** An analyzed trace dump; the metadata is whatever the artifact
-          carried (a raw JSONL trace carries none). *)
+  | Run of Analyze.t  (** an analyzed trace dump *)
 
 val load_source : string -> (source, string) result
-(** Reads an artifact from disk: a JSON document with
-    the {!Bench_suite.schema_version} schema loads as [Bench]; anything
-    else must parse as a JSONL trace dump and loads as [Run]. *)
+(** Reads an artifact from disk: a JSON document with a ["schema"] field
+    loads as [Bench] through {!Bench_suite.of_json}; anything else must
+    parse as a JSONL trace dump and loads as [Run]. *)
 
-(** {2 Deltas} *)
+(** {2 Differences} *)
 
-type direction = Better | Worse | Same
-
-type metric_delta = {
-  md_metric : string;  (** a {!Bench_suite.metric_names} member *)
-  md_base : float;  (** baseline mean over seeds *)
-  md_fresh : float;
-  md_delta : float;  (** fresh - base *)
-  md_pct : float;  (** relative to base; [0.] when base is 0 *)
-  md_noise : float;  (** [noise_sigma]·max(σ_base, σ_fresh) *)
-  md_significant : bool;
-  md_direction : direction;  (** [Worse] = higher (all metrics are costs) *)
+type change = {
+  ch_where : string;
+      (** ["case seed N"] (snapshots) or ["protocol/stage"] (traces) *)
+  ch_field : string;
+      (** a {!Bench_suite.metric_names} member, or [mean_ns], [p90_ns],
+          [samples] *)
+  ch_base : int;
+  ch_fresh : int;
 }
 
-type case_delta = {
-  cd_id : string;
-  cd_metrics : metric_delta list;  (** in {!Bench_suite.metric_names} order *)
-}
-
-type stage_delta = {
+type stage = {
   sd_protocol : string;
   sd_stage : string;  (** a {!Dsmpm2_core.Instrument.stages} member *)
-  sd_base_mean_us : float;
-  sd_fresh_mean_us : float;
-  sd_base_p90_us : float;
-  sd_fresh_p90_us : float;
-  sd_base_samples : int;
-  sd_fresh_samples : int;
-  sd_pct : float;  (** mean shift relative to base *)
-  sd_significant : bool;
-  sd_direction : direction;
+  sd_base : Stats.span_summary option;  (** [None]: no stamp on that side *)
+  sd_fresh : Stats.span_summary option;
 }
 
 type pattern_drift = {
@@ -97,39 +67,33 @@ type alert_delta = {
 
 type t = {
   rd_mode : [ `Bench | `Trace ];
-  rd_threshold_pct : float;
-  rd_cases : case_delta list;
+  rd_cases : (Bench_suite.case_result * Bench_suite.case_result) list;
+      (** the cases on both sides, in baseline order *)
   rd_only_baseline : string list;  (** case ids with no fresh counterpart *)
   rd_only_fresh : string list;
-  rd_stages : stage_delta list;
+  rd_stages : stage list;  (** every stage stamped on either side *)
+  rd_changes : change list;
+      (** per case, seed and field (snapshots) or per stage and field
+          (traces), in report order *)
   rd_patterns : pattern_drift list;
-  rd_alerts : alert_delta list;
+  rd_alerts : alert_delta list;  (** only the kinds whose counts differ *)
 }
 
-val diff :
-  ?threshold_pct:float ->
-  ?force:bool ->
-  baseline:source ->
-  fresh:source ->
-  unit ->
-  (t, string) result
-(** [Error] on mixed source kinds or on a {!Dsmpm2_sim.Run_meta} identity
-    mismatch (suite-level and per matched case) unless [force]. *)
+val diff : baseline:source -> fresh:source -> (t, string) result
+(** [Error] on mixed source kinds or on a case identity mismatch. *)
 
-val significant_regression : t -> bool
-(** True when some case's [time_us] or [events] regressed significantly,
-    or (trace mode) some stage's mean slowed beyond the threshold. *)
+val differences : t -> string list
+(** One line per difference, in report order; [[]] iff the two sides are
+    equal.  A change reads [case seed N: field base -> fresh (Δ, %)]. *)
 
-val regressions : t -> string list
-(** One human-readable line per significant regression, for error output. *)
-
-val improvements : t -> string list
-(** The same for significant improvements — good news is reported too. *)
+val differs : t -> bool
+(** [differences t <> []]: the CLI's exit status 1. *)
 
 (** {2 Rendering} *)
 
 val pp_text : Format.formatter -> t -> unit
-val pp_markdown : Format.formatter -> t -> unit
+(** The per-case mean table (snapshots) or stage table (traces), then
+    {!differences} and the verdict. *)
 
 val to_json : t -> Json.t
 (** Machine-readable form of the whole comparison, including the verdict. *)

@@ -112,34 +112,6 @@ let of_json json =
         }
   | _ -> Error "run metadata is not an object"
 
-(* --- compatibility ---
-
-   Two artifacts are comparable when every identity field present on BOTH
-   sides agrees.  The git revision is exempt: differing code revisions are
-   exactly what a diff is for.  A field missing on either side is tolerated
-   (older artifacts carry less metadata). *)
-
-let compatible ~baseline ~fresh =
-  let mismatch name show a b =
-    match (a, b) with
-    | Some x, Some y when x <> y -> [ Printf.sprintf "%s %s vs %s" name (show x) (show y) ]
-    | _ -> []
-  in
-  let s x = x in
-  let problems =
-    List.concat
-      [
-        mismatch "tie_seed" string_of_int baseline.rm_tie_seed fresh.rm_tie_seed;
-        mismatch "driver" s baseline.rm_driver fresh.rm_driver;
-        mismatch "protocol" s baseline.rm_protocol fresh.rm_protocol;
-        mismatch "nodes" string_of_int baseline.rm_nodes fresh.rm_nodes;
-        mismatch "case" s baseline.rm_case fresh.rm_case;
-      ]
-  in
-  match problems with
-  | [] -> Ok ()
-  | ps -> Error ("metadata mismatch: " ^ String.concat ", " ps)
-
 let pp ppf t =
   let field name = function
     | Some v -> Some (Printf.sprintf "%s=%s" name v)

@@ -4,10 +4,10 @@
     report, [dsm analyze --out], the macro-bench suite) embeds one of these
     under a ["meta"] key: the git revision the binary was built from (best
     effort), the engine tie seed, the network driver, the protocol, the
-    cluster size and a free-form case identifier.  [dsm diff] uses
-    {!compatible} to refuse comparing artifacts produced under different
-    identities — only the git revision is allowed to differ, since
-    different code revisions are the whole point of a diff. *)
+    cluster size and a free-form case identifier.  [dsm diff] refuses to
+    compare two macro-bench cases whose metadata differs in anything but
+    the git revision, since different code revisions are the whole point
+    of a diff. *)
 
 type t = {
   rm_git_rev : string option;
@@ -45,10 +45,5 @@ val to_json : t -> Json.t
 
 val of_json : Json.t -> (t, string) result
 (** Tolerant inverse: missing fields load as [None]. *)
-
-val compatible : baseline:t -> fresh:t -> (unit, string) result
-(** [Ok] when every identity field present on both sides agrees (tie seed,
-    driver, protocol, nodes, case).  The git revision never participates.
-    [Error] names each mismatching field with both values. *)
 
 val pp : Format.formatter -> t -> unit

@@ -3,7 +3,8 @@
 
 Compares the host-side ns/run estimates of two ``BENCH_bechamel.json``
 files.  They are noisy, so the gate is loose (default 25%).  (The seeded
-macro suite, ``BENCH_macro.json``, is gated by ``dsm diff``.)
+macro suite, ``BENCH_macro.json``, is deterministic and compared exactly
+by ``dsm diff``.)
 
 The gate fails when a case slowed down by more than the threshold;
 improvements past the threshold are reported too (refresh the baseline to
@@ -11,15 +12,10 @@ bank them).  Cases present on only one side are reported but never fail,
 so the suite can grow without lockstep edits.
 
 Usage: bench_gate.py BASELINE FRESH [--threshold PCT]
-
-The threshold can also be set through the ``BENCH_GATE_PCT`` environment
-variable (an explicit ``--threshold`` still wins), so CI can loosen or
-tighten the gate without editing the workflow-pinned command line.
 """
 
 import argparse
 import json
-import os
 import sys
 
 
@@ -36,14 +32,8 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("baseline")
     ap.add_argument("fresh")
-    env_pct = os.environ.get("BENCH_GATE_PCT")
-    try:
-        default_pct = float(env_pct) if env_pct else 25.0
-    except ValueError:
-        sys.exit(f"bench_gate: BENCH_GATE_PCT={env_pct!r} is not a number")
-    ap.add_argument("--threshold", type=float, default=default_pct,
-                    help="max tolerated slowdown, percent "
-                         "(default: $BENCH_GATE_PCT or 25)")
+    ap.add_argument("--threshold", type=float, default=25.0,
+                    help="max tolerated slowdown, percent (default: 25)")
     args = ap.parse_args()
 
     unit, base = load_estimates(args.baseline)

@@ -7,39 +7,18 @@ module B = Bench_suite
 
 (* --- schema round-trip ---
 
-   The Json printer renders non-integral floats with %.6g, which is lossy;
-   every float the suite records is microseconds from the integer-valued
-   simulated clock, so the generator sticks to integral floats and the
-   round-trip must then be exact. *)
+   Every sample field is an integer, so the round trip through text is
+   exact over the whole int range. *)
 
 let gen_t =
   let open QCheck.Gen in
   let app = oneofl [ "jacobi"; "tsp"; "coloring"; "lu"; "matmul"; "sort" ] in
   let proto = oneofl [ "hbrc_mw"; "li_hudak"; "erc_sw"; "write_update" ] in
   let driver = oneofl [ "BIP/Myrinet"; "SISCI/SCI"; "TCP/FastEthernet" ] in
-  let ifloat hi = map float_of_int (0 -- hi) in
   let sample =
     map
-      (fun ((seed, t, msgs), (bytes, rf, wf), (p50, p90, p99)) ->
-        {
-          B.s_seed = seed;
-          s_time_us = t;
-          s_messages = msgs;
-          s_bytes = bytes;
-          s_read_faults = rf;
-          s_write_faults = wf;
-          s_dropped = rf mod 7;
-          s_rpc_retries = wf mod 5;
-          s_events = msgs * 3;
-          s_fault_p50_us = p50;
-          s_fault_p90_us = p90;
-          s_fault_p99_us = p99;
-          s_fault_p999_us = p99 +. float_of_int (seed mod 13);
-        })
-      (triple
-         (triple (0 -- 99) (ifloat 10_000_000) (0 -- 100_000))
-         (triple (0 -- 10_000_000) (0 -- 10_000) (0 -- 10_000))
-         (triple (ifloat 10_000) (ifloat 10_000) (ifloat 10_000)))
+      (fun (seed, values) -> { B.s_seed = seed; s_values = Array.of_list values })
+      (pair (0 -- 99) (list_repeat (List.length B.metric_names) int))
   in
   let params =
     list_size (0 -- 3)
@@ -92,14 +71,41 @@ let contains ~sub s =
   n = 0 || at 0
 
 let test_schema_version_rejected () =
-  let bad =
-    Json.Obj [ ("schema", Json.String "dsm-bench-macro/99"); ("cases", Json.List []) ]
+  List.iter
+    (fun schema ->
+      let bad = Json.Obj [ ("schema", Json.String schema); ("cases", Json.List []) ] in
+      match B.of_json bad with
+      | Ok _ -> Alcotest.failf "%s accepted" schema
+      | Error msg ->
+          Alcotest.(check bool) "error names the schema" true (contains ~sub:schema msg);
+          Alcotest.(check bool) "error says to re-bank" true (contains ~sub:"re-bank" msg))
+    [ "dsm-bench-macro/1"; "dsm-bench-macro/99" ]
+
+(* A snapshot holds exactly what [to_json] writes: a missing field, an
+   extra one or a float where an integer belongs is refused, so nothing
+   in the file escapes the comparison. *)
+let test_snapshot_strict () =
+  let t = B.run ~seeds:[ 0 ] ~filter:"jacobi:hbrc_mw:bip-myrinet" () in
+  (* [f] rewrites every sample object, found by its "events" field *)
+  let rec edit f = function
+    | Json.Obj kvs ->
+        let kvs = List.map (fun (k, v) -> (k, edit f v)) kvs in
+        Json.Obj (if List.mem_assoc "events" kvs then f kvs else kvs)
+    | Json.List l -> Json.List (List.map (edit f) l)
+    | j -> j
   in
-  match B.of_json bad with
-  | Ok _ -> Alcotest.fail "unknown schema accepted"
-  | Error msg ->
-      Alcotest.(check bool) "error names the schema" true
-        (contains ~sub:"dsm-bench-macro/99" msg)
+  let parses f = Result.is_ok (B.of_json (edit f (B.to_json t))) in
+  Alcotest.(check bool) "as written: accepted" true (parses Fun.id);
+  List.iter
+    (fun (what, f) -> Alcotest.(check bool) what false (parses f))
+    [
+      ("missing field refused", List.remove_assoc "events");
+      ("extra field refused", fun s -> s @ [ ("extra", Json.Int 0) ]);
+      ( "float time refused",
+        List.map (function
+          | "time_ns", Json.Int v -> ("time_ns", Json.Float (float_of_int v))
+          | kv -> kv) );
+    ]
 
 (* --- determinism --- *)
 
@@ -125,8 +131,8 @@ let test_run_case_deterministic () =
     [ 0; 1 ] a.B.cr_samples;
   List.iter
     (fun s ->
-      Alcotest.(check bool) "simulated time advanced" true (s.B.s_time_us > 0.);
-      Alcotest.(check bool) "messages flowed" true (s.B.s_messages > 0))
+      Alcotest.(check bool) "simulated time advanced" true (B.metric "time_ns" s > 0);
+      Alcotest.(check bool) "messages flowed" true (B.metric "messages" s > 0))
     a.B.cr_samples
 
 let test_case_meta () =
@@ -200,15 +206,13 @@ let check_percentiles label (t : B.t) =
           let name =
             Printf.sprintf "%s %s seed %d" label cr.B.cr_case.B.c_id s.B.s_seed
           in
+          let p n = B.metric (Printf.sprintf "fault_p%s_ns" n) s in
           Alcotest.(check bool)
             (name ^ ": p50 <= p90 <= p99 <= p999")
             true
-            (s.B.s_fault_p50_us <= s.B.s_fault_p90_us
-            && s.B.s_fault_p90_us <= s.B.s_fault_p99_us
-            && s.B.s_fault_p99_us <= s.B.s_fault_p999_us);
+            (p "50" <= p "90" && p "90" <= p "99" && p "99" <= p "999");
           if cr.B.cr_case.B.c_protocol = "migrate_thread" then
-            Alcotest.(check bool) (name ^ ": p999 > 0") true
-              (s.B.s_fault_p999_us > 0.))
+            Alcotest.(check bool) (name ^ ": p999 > 0") true (p "999" > 0))
         cr.B.cr_samples)
     t.B.bs_results
 
@@ -229,6 +233,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_schema_roundtrip;
           Alcotest.test_case "unknown schema rejected" `Quick
             test_schema_version_rejected;
+          Alcotest.test_case "only what to_json writes" `Quick test_snapshot_strict;
         ] );
       ( "determinism",
         [

@@ -1,6 +1,6 @@
-(* Tests of the differential comparator: injected deltas are detected, the
-   noise bound suppresses within-spread wobble, identical runs diff clean,
-   and incompatible metadata is refused. *)
+(* Tests of the exact comparator: any change to any sample field on any
+   seed is a difference, so is a case on one side only, identical runs
+   diff clean, and incompatible identities are refused. *)
 
 open Dsmpm2_sim
 open Dsmpm2_core
@@ -9,262 +9,249 @@ module B = Bench_suite
 
 (* --- synthetic snapshots (no simulation needed) --- *)
 
-let sample ~seed ~time ?(messages = 100) ?(dropped = 0) ?(rpc_retries = 0)
-    ?(events = 1000) () =
+let default_value ~seed = function
+  | "time_ns" -> 1_000_000 + (10_000 * seed)
+  | "messages" -> 100
+  | "bytes" -> 4096
+  | "read_faults" -> 10
+  | "write_faults" -> 5
+  | "fault_p50_ns" -> 50_000
+  | "fault_p90_ns" -> 90_000
+  | "fault_p99_ns" -> 99_000
+  | "fault_p999_ns" -> 99_900
+  | "events" -> 1000
+  | _ -> 0
+
+let sample ~seed =
   {
     B.s_seed = seed;
-    s_time_us = time;
-    s_messages = messages;
-    s_bytes = 4096;
-    s_read_faults = 10;
-    s_write_faults = 5;
-    s_dropped = dropped;
-    s_rpc_retries = rpc_retries;
-    s_events = events;
-    s_fault_p50_us = 50.;
-    s_fault_p90_us = 90.;
-    s_fault_p99_us = 99.;
-    s_fault_p999_us = 99.9;
+    s_values = Array.of_list (List.map (default_value ~seed) B.metric_names);
   }
 
-let snapshot ?(id = "app:proto:drv") ?(driver = "BIP/Myrinet") samples =
-  let case =
-    {
-      B.c_id = id;
-      c_app = "app";
-      c_protocol = "proto";
-      c_driver = driver;
-      c_nodes = 4;
-      c_params = [ ("size", 16) ];
-      c_quick = true;
-    }
-  in
+let case_result ?(id = "app:proto:drv") ?(driver = "BIP/Myrinet") ?(seeds = [ 0; 1; 2 ]) () =
   {
-    B.bs_meta = Run_meta.v ~git_rev:"base" ();
-    bs_results =
-      [
-        {
-          B.cr_case = case;
-          cr_meta =
-            Run_meta.v ~git_rev:"base" ~driver ~protocol:"proto" ~nodes:4
-              ~case:id ();
-          cr_samples = samples;
-        };
-      ];
+    B.cr_case =
+      {
+        B.c_id = id;
+        c_app = "app";
+        c_protocol = "proto";
+        c_driver = driver;
+        c_nodes = 4;
+        c_params = [ ("size", 16) ];
+        c_quick = true;
+      };
+    cr_meta = Run_meta.v ~git_rev:"base" ~driver ~protocol:"proto" ~nodes:4 ~case:id ();
+    cr_samples = List.map (fun seed -> sample ~seed) seeds;
   }
 
-let scale_times factor t =
+let snapshot results = { B.bs_meta = Run_meta.v ~git_rev:"base" (); bs_results = results }
+let base_snapshot () = snapshot [ case_result () ]
+
+(* Applies [f name value] to every sample field of the sample with [seed]
+   (every seed when absent). *)
+let map_values ?seed f t =
+  let sample s =
+    if Option.fold ~none:false ~some:(( <> ) s.B.s_seed) seed then s
+    else
+      {
+        s with
+        B.s_values =
+          Array.of_list (List.map2 f B.metric_names (Array.to_list s.B.s_values));
+      }
+  in
   {
     t with
     B.bs_results =
       List.map
-        (fun cr ->
-          {
-            cr with
-            B.cr_samples =
-              List.map
-                (fun s -> { s with B.s_time_us = s.B.s_time_us *. factor })
-                cr.B.cr_samples;
-          })
+        (fun cr -> { cr with B.cr_samples = List.map sample cr.B.cr_samples })
         t.B.bs_results;
   }
 
-let base_snapshot () =
-  snapshot
-    [ sample ~seed:0 ~time:1000. (); sample ~seed:1 ~time:1010. ();
-      sample ~seed:2 ~time:1020. () ]
+let bump ~seed field = map_values ~seed (fun name v -> if name = field then v + 1 else v)
 
-let diff_exn ?threshold_pct ?force a b =
-  match
-    Rundiff.diff ?threshold_pct ?force ~baseline:(Rundiff.Bench a)
-      ~fresh:(Rundiff.Bench b) ()
-  with
+let diff_exn a b =
+  match Rundiff.diff ~baseline:(Rundiff.Bench a) ~fresh:(Rundiff.Bench b) with
   | Ok d -> d
   | Error msg -> Alcotest.failf "diff refused: %s" msg
+
+let refused a b =
+  Result.is_error (Rundiff.diff ~baseline:(Rundiff.Bench a) ~fresh:(Rundiff.Bench b))
+
+let changes d =
+  List.map
+    Rundiff.(fun c -> (c.ch_where, c.ch_field, c.ch_base, c.ch_fresh))
+    d.Rundiff.rd_changes
+
+let change = Alcotest.(list (pair string (pair string (pair int int))))
+let flat = List.map (fun (w, f, b, n) -> (w, (f, (b, n))))
 
 (* --- verdicts --- *)
 
 let test_identical_is_clean () =
   let t = base_snapshot () in
   let d = diff_exn t t in
-  Alcotest.(check bool) "no regression" false (Rundiff.significant_regression d);
-  Alcotest.(check (list string)) "no regression lines" [] (Rundiff.regressions d);
-  Alcotest.(check (list string)) "no improvement lines" [] (Rundiff.improvements d);
-  List.iter
-    (fun cd ->
-      List.iter
-        (fun m ->
-          Alcotest.(check bool)
-            (m.Rundiff.md_metric ^ " insignificant")
-            false m.Rundiff.md_significant)
-        cd.Rundiff.cd_metrics)
-    d.Rundiff.rd_cases
+  Alcotest.(check bool) "equal" false (Rundiff.differs d);
+  Alcotest.(check (list string)) "no difference lines" [] (Rundiff.differences d);
+  Alcotest.(check int) "the case is matched" 1 (List.length d.Rundiff.rd_cases)
 
-let test_injected_regression_detected () =
+(* +1 in one field of one seed's sample — a nanosecond of simulated time,
+   of a fault percentile, one message — is a difference naming that case,
+   seed and field, whatever the field. *)
+let test_one_unit_differs () =
   let t = base_snapshot () in
-  let d = diff_exn t (scale_times 1.5 t) in
-  Alcotest.(check bool) "regression found" true (Rundiff.significant_regression d);
-  Alcotest.(check int) "one regression line" 1
-    (List.length (Rundiff.regressions d));
-  let time =
-    List.find
-      (fun m -> m.Rundiff.md_metric = "time_us")
-      (List.hd d.Rundiff.rd_cases).Rundiff.cd_metrics
-  in
-  Alcotest.(check bool) "direction worse" true
-    (time.Rundiff.md_direction = Rundiff.Worse);
-  (* only time moved, so nothing else may fire *)
   List.iter
-    (fun m ->
-      if m.Rundiff.md_metric <> "time_us" then
-        Alcotest.(check bool) (m.Rundiff.md_metric ^ " quiet") false
-          m.Rundiff.md_significant)
-    (List.hd d.Rundiff.rd_cases).Rundiff.cd_metrics
+    (fun field ->
+      let d = diff_exn t (bump ~seed:1 field t) in
+      let base = default_value ~seed:1 field in
+      Alcotest.check change (field ^ " +1 named")
+        (flat [ ("app:proto:drv seed 1", field, base, base + 1) ])
+        (flat (changes d));
+      Alcotest.(check bool) (field ^ " +1 differs") true (Rundiff.differs d))
+    B.metric_names;
+  Alcotest.(check (list string)) "time line"
+    [ "app:proto:drv seed 1: time_ns 1010000 -> 1010001 (+1, +0.00%)" ]
+    (Rundiff.differences (diff_exn t (bump ~seed:1 "time_ns" t)));
+  Alcotest.(check (list string)) "a count from zero has no percentage"
+    [ "app:proto:drv seed 2: dropped 0 -> 1 (+1)" ]
+    (Rundiff.differences (diff_exn t (bump ~seed:2 "dropped" t)))
 
-let test_improvement_is_not_a_regression () =
+(* Faster is a difference too: there is no direction and no threshold. *)
+let test_every_seed_either_way () =
   let t = base_snapshot () in
-  let d = diff_exn t (scale_times 0.5 t) in
-  Alcotest.(check bool) "no regression" false (Rundiff.significant_regression d);
-  Alcotest.(check int) "one improvement line" 1
-    (List.length (Rundiff.improvements d))
+  let scaled k = map_values (fun name v -> if name = "time_ns" then v * k / 2 else v) t in
+  List.iter
+    (fun (what, k) ->
+      let d = diff_exn t (scaled k) in
+      Alcotest.(check (list string)) (what ^ ": one change per seed")
+        [ "app:proto:drv seed 0"; "app:proto:drv seed 1"; "app:proto:drv seed 2" ]
+        (List.map (fun (w, _, _, _) -> w) (changes d)))
+    [ ("slower", 3); ("faster", 1) ]
 
-let test_noise_bound_suppresses () =
-  (* spread 1000/1010/1020 gives sigma ~8.2, noise ~24.5; a +5us shift is
-     0.5% and inside the bound on both axes, so it must stay quiet *)
+let test_one_sided_cases_differ () =
   let a = base_snapshot () in
-  let b =
-    snapshot
-      [ sample ~seed:0 ~time:1005. (); sample ~seed:1 ~time:1015. ();
-        sample ~seed:2 ~time:1025. () ]
-  in
+  let b = snapshot [ case_result (); case_result ~id:"app:proto:new" () ] in
   let d = diff_exn a b in
-  Alcotest.(check bool) "inside noise" false (Rundiff.significant_regression d);
-  (* the same shift on a zero-spread case clears 3 sigma = 0 but not the
-     relative threshold, so it is still quiet at 2% ... *)
-  let a0 = snapshot [ sample ~seed:0 ~time:1000. () ] in
-  let b0 = snapshot [ sample ~seed:0 ~time:1005. () ] in
-  Alcotest.(check bool) "under relative threshold" false
-    (Rundiff.significant_regression (diff_exn a0 b0));
-  (* ... and loud once it crosses it *)
-  let b1 = snapshot [ sample ~seed:0 ~time:1030. () ] in
-  Alcotest.(check bool) "over relative threshold" true
-    (Rundiff.significant_regression (diff_exn a0 b1))
+  Alcotest.(check (list string)) "only in fresh" [ "only in fresh: app:proto:new" ]
+    (Rundiff.differences d);
+  Alcotest.(check bool) "differs" true (Rundiff.differs d);
+  Alcotest.(check (list string)) "only in baseline" [ "only in baseline: app:proto:new" ]
+    (Rundiff.differences (diff_exn b a))
 
-let test_messages_delta_reported_not_gating () =
-  let a = snapshot [ sample ~seed:0 ~time:1000. ~messages:100 () ] in
-  let b = snapshot [ sample ~seed:0 ~time:1000. ~messages:200 () ] in
-  let d = diff_exn a b in
-  let msgs =
-    List.find
-      (fun m -> m.Rundiff.md_metric = "messages")
-      (List.hd d.Rundiff.rd_cases).Rundiff.cd_metrics
-  in
-  Alcotest.(check bool) "messages delta significant" true
-    msgs.Rundiff.md_significant;
-  Alcotest.(check bool) "but the gate is simulated time" false
-    (Rundiff.significant_regression d)
-
-let test_events_gate () =
-  (* The engine event count is deterministic per seed, so it gates like the
-     simulated clock: more events at the same simulated time regress. *)
-  let a = snapshot [ sample ~seed:0 ~time:1000. () ] in
-  let b = snapshot [ sample ~seed:0 ~time:1000. ~events:1100 () ] in
-  let d = diff_exn a b in
-  Alcotest.(check (list string)) "events regression line"
-    [ "app:proto:drv: events 1000.0 -> 1100.0 (+10.0%, noise ±0.0)" ]
-    (Rundiff.regressions d);
-  let fewer = snapshot [ sample ~seed:0 ~time:1000. ~events:900 () ] in
-  Alcotest.(check bool) "fewer events is no regression" false
-    (Rundiff.significant_regression (diff_exn a fewer))
-
-let test_fault_metrics_advisory () =
-  (* A fault-injection delta — more drops, more retransmissions — is
-     surfaced per metric but never gates the exit code: only simulated time
-     does. *)
-  let a = snapshot [ sample ~seed:0 ~time:1000. () ] in
-  let b =
-    snapshot [ sample ~seed:0 ~time:1000. ~dropped:7 ~rpc_retries:21 () ]
-  in
-  let d = diff_exn a b in
-  let metric name =
-    List.find
-      (fun m -> m.Rundiff.md_metric = name)
-      (List.hd d.Rundiff.rd_cases).Rundiff.cd_metrics
-  in
-  List.iter
-    (fun name ->
-      let m = metric name in
-      Alcotest.(check bool) (name ^ " delta significant") true
-        m.Rundiff.md_significant;
-      Alcotest.(check bool) (name ^ " direction worse") true
-        (m.Rundiff.md_direction = Rundiff.Worse))
-    [ "dropped"; "rpc_retries" ];
-  Alcotest.(check bool) "advisory only — no exit-1 regression" false
-    (Rundiff.significant_regression d);
-  (* ...and the deltas are visible in the rendered report. *)
+let test_report_names_changes () =
+  let t = base_snapshot () in
+  let d = diff_exn t (bump ~seed:0 "fault_p99_ns" t) in
   let buf = Buffer.create 512 in
   let fmt = Format.formatter_of_buffer buf in
   Rundiff.pp_text fmt d;
   Format.pp_print_flush fmt ();
-  let text = Buffer.contents buf in
-  let contains sub =
-    let n = String.length sub and m = String.length text in
-    let rec go i = i + n <= m && (String.sub text i n = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "dropped in report" true (contains "dropped");
-  Alcotest.(check bool) "rpc_retries in report" true (contains "rpc_retries")
+  let lines = String.split_on_char '\n' (Buffer.contents buf) in
+  List.iter
+    (fun line -> Alcotest.(check bool) line true (List.mem line lines))
+    [
+      "run diff: macro-bench mode, exact";
+      "app:proto:drv seed 0: fault_p99_ns 99000 -> 99001 (+1, +0.00%)";
+      "verdict: differs (1 difference)";
+    ]
 
-(* --- metadata refusal --- *)
+(* The per-case mean table stays beside the exact list: one row per
+   matched case, marked by whether its samples are equal. *)
+let test_mean_table_marks_cases () =
+  let t = snapshot [ case_result (); case_result ~id:"app:proto:other" () ] in
+  let bumped =
+    {
+      t with
+      B.bs_results =
+        List.map
+          (fun cr ->
+            if cr.B.cr_case.B.c_id <> "app:proto:drv" then cr
+            else List.hd (bump ~seed:1 "time_ns" (snapshot [ cr ])).B.bs_results)
+          t.B.bs_results;
+    }
+  in
+  let buf = Buffer.create 512 in
+  let fmt = Format.formatter_of_buffer buf in
+  Rundiff.pp_text fmt (diff_exn t bumped);
+  Format.pp_print_flush fmt ();
+  let row cid =
+    let prefix = cid ^ " " in
+    let k = String.length prefix in
+    List.find_opt
+      (fun l -> String.length l >= k && String.sub l 0 k = prefix)
+      (String.split_on_char '\n' (Buffer.contents buf))
+  in
+  let ends_with suffix = function
+    | None -> false
+    | Some l ->
+        let n = String.length l and k = String.length suffix in
+        n >= k && String.sub l (n - k) k = suffix
+  in
+  Alcotest.(check bool) "changed case marked" true (ends_with "DIFFER" (row "app:proto:drv"));
+  Alcotest.(check bool) "untouched case marked" true (ends_with "equal" (row "app:proto:other"))
+
+(* [to_json] carries the same differences and verdict as the text. *)
+let test_json_report () =
+  let t = base_snapshot () in
+  let field name j = Option.get (Json.member name j) in
+  let strings j = List.map (fun s -> Option.get (Json.to_str s)) (Option.get (Json.to_list j)) in
+  let clean = Rundiff.to_json (diff_exn t t) in
+  Alcotest.(check (option bool)) "equal: differs false" (Some false)
+    (Json.to_bool (field "differs" clean));
+  Alcotest.(check (list string)) "equal: no differences" [] (strings (field "differences" clean));
+  let d = diff_exn t (bump ~seed:0 "messages" t) in
+  let j = Rundiff.to_json d in
+  Alcotest.(check (option bool)) "differs true" (Some true) (Json.to_bool (field "differs" j));
+  Alcotest.(check (list string)) "same lines as the text" (Rundiff.differences d)
+    (strings (field "differences" j));
+  match Json.to_list (field "changes" j) with
+  | Some [ c ] ->
+      Alcotest.(check (option string)) "where" (Some "app:proto:drv seed 0")
+        (Json.to_str (field "where" c));
+      Alcotest.(check (option string)) "field" (Some "messages") (Json.to_str (field "field" c));
+      Alcotest.(check (option int)) "base" (Some 100) (Json.to_int (field "base" c));
+      Alcotest.(check (option int)) "fresh" (Some 101) (Json.to_int (field "fresh" c))
+  | _ -> Alcotest.fail "expected exactly one change"
+
+(* --- identity refusal --- *)
 
 let test_mismatch_refused () =
   let a = base_snapshot () in
-  (* same case id recorded under a different driver *)
-  let b =
-    {
-      (snapshot ~driver:"SISCI/SCI"
-         [ sample ~seed:0 ~time:1000. (); sample ~seed:1 ~time:1010. ();
-           sample ~seed:2 ~time:1020. () ])
-      with
-      B.bs_meta = Run_meta.v ~git_rev:"fresh" ();
-    }
-  in
-  (match
-     Rundiff.diff ~baseline:(Rundiff.Bench a) ~fresh:(Rundiff.Bench b) ()
-   with
-  | Ok _ -> Alcotest.fail "driver mismatch accepted"
-  | Error _ -> ());
-  (* --force compares anyway *)
-  (match
-     Rundiff.diff ~force:true ~baseline:(Rundiff.Bench a)
-       ~fresh:(Rundiff.Bench b) ()
-   with
-  | Ok _ -> ()
-  | Error msg -> Alcotest.failf "force did not override: %s" msg);
-  (* differing seed lists are apples to oranges too *)
-  let b' = snapshot [ sample ~seed:7 ~time:1000. () ] in
-  match Rundiff.diff ~baseline:(Rundiff.Bench a) ~fresh:(Rundiff.Bench b') () with
-  | Ok _ -> Alcotest.fail "seed-list mismatch accepted"
-  | Error _ -> ()
+  let cr = case_result () in
+  let with_case f = snapshot [ { cr with B.cr_case = f cr.B.cr_case } ] in
+  let tie_seed m = { m with Run_meta.rm_tie_seed = Some 1 } in
+  List.iter
+    (fun (what, b) -> Alcotest.(check bool) (what ^ " refused") true (refused a b))
+    [
+      ("driver", snapshot [ case_result ~driver:"SISCI/SCI" () ]);
+      ("seed list", snapshot [ case_result ~seeds:[ 7 ] () ]);
+      ("app", with_case (fun c -> { c with B.c_app = "other" }));
+      ("nodes", with_case (fun c -> { c with B.c_nodes = 8 }));
+      ("quick", with_case (fun c -> { c with B.c_quick = false }));
+      ("params", with_case (fun c -> { c with B.c_params = [ ("size", 32) ] }));
+      (* a metadata field on one side only is a mismatch too *)
+      ("case meta", snapshot [ { cr with B.cr_meta = tie_seed cr.B.cr_meta } ]);
+      ("suite meta", { a with B.bs_meta = tie_seed a.B.bs_meta });
+    ];
+  let two = snapshot [ case_result (); case_result ~id:"app:proto:other" () ] in
+  Alcotest.(check bool) "case order refused" true
+    (refused two { two with B.bs_results = List.rev two.B.bs_results });
+  Alcotest.(check bool) "params order is not identity" false
+    (refused
+       (with_case (fun c -> { c with B.c_params = [ ("a", 1); ("b", 2) ] }))
+       (with_case (fun c -> { c with B.c_params = [ ("b", 2); ("a", 1) ] })))
 
 let test_git_rev_exempt () =
   let a = base_snapshot () in
+  let other m = { m with Run_meta.rm_git_rev = Some "other-revision" } in
+  let cr = case_result () in
   let b =
-    {
-      (base_snapshot ()) with
-      B.bs_meta = Run_meta.v ~git_rev:"other-revision" ();
-    }
+    { (snapshot [ { cr with B.cr_meta = other cr.B.cr_meta } ]) with B.bs_meta = other a.B.bs_meta }
   in
-  match Rundiff.diff ~baseline:(Rundiff.Bench a) ~fresh:(Rundiff.Bench b) () with
-  | Ok _ -> ()
-  | Error msg -> Alcotest.failf "git revision participated: %s" msg
+  Alcotest.(check bool) "equal" false (Rundiff.differs (diff_exn a b))
 
 let test_mixed_kinds_refused () =
   let a = base_snapshot () in
-  let tr =
-    Rundiff.Run (Run_meta.empty, Analyze.analyze (Trace.create ()))
-  in
-  match Rundiff.diff ~baseline:(Rundiff.Bench a) ~fresh:tr () with
+  let tr = Rundiff.Run (Analyze.analyze (Trace.create ())) in
+  match Rundiff.diff ~baseline:(Rundiff.Bench a) ~fresh:tr with
   | Ok _ -> Alcotest.fail "bench vs trace accepted"
   | Error _ -> ()
 
@@ -303,31 +290,34 @@ let jacobi_trace ?(watch = false) ~protocol () =
 
 let test_trace_self_diff_clean () =
   let tr = jacobi_trace ~protocol:"hbrc_mw" () in
-  let src () = Rundiff.Run (Run_meta.empty, Analyze.analyze tr) in
-  match Rundiff.diff ~baseline:(src ()) ~fresh:(src ()) () with
+  let src () = Rundiff.Run (Analyze.analyze tr) in
+  match Rundiff.diff ~baseline:(src ()) ~fresh:(src ()) with
   | Error msg -> Alcotest.failf "diff refused: %s" msg
   | Ok d ->
       Alcotest.(check bool) "stages compared" true (d.Rundiff.rd_stages <> []);
-      Alcotest.(check bool) "no regression" false
-        (Rundiff.significant_regression d);
-      Alcotest.(check (list string)) "no pattern drift" []
-        (List.map
-           (fun p -> string_of_int p.Rundiff.pd_page)
-           d.Rundiff.rd_patterns)
+      Alcotest.(check (list string)) "no difference" [] (Rundiff.differences d)
 
-(* Same app, two protocols, watchdog attached: the diff reports the pages
-   whose pattern changes and the thrash.page alerts that vanish.  Under
+(* Same app, two protocols, watchdog attached: the diff reports each stage
+   stamped on one side only, the pages whose pattern changes and the
+   thrash.page alerts that vanish.  Under
    hbrc_mw several nodes fetch pages 1 and 2 within 100 us of each other;
    li_hudak hands them over one writer at a time, further apart. *)
 let test_trace_protocol_switch_deltas () =
   let src protocol =
-    Rundiff.Run
-      ( Run_meta.empty,
-        Analyze.analyze (jacobi_trace ~watch:true ~protocol ()) )
+    Rundiff.Run (Analyze.analyze (jacobi_trace ~watch:true ~protocol ()))
   in
-  match Rundiff.diff ~baseline:(src "hbrc_mw") ~fresh:(src "li_hudak") () with
+  match Rundiff.diff ~baseline:(src "hbrc_mw") ~fresh:(src "li_hudak") with
   | Error msg -> Alcotest.failf "diff refused: %s" msg
   | Ok d ->
+      List.iter
+        (fun sd ->
+          let where = sd.Rundiff.sd_protocol ^ "/" ^ sd.Rundiff.sd_stage in
+          let n = function None -> 0 | Some s -> s.Stats.sm_samples in
+          Alcotest.(check bool) (where ^ " span count is a change") true
+            (List.mem
+               (where, "samples", n sd.Rundiff.sd_base, n sd.Rundiff.sd_fresh)
+               (changes d)))
+        d.Rundiff.rd_stages;
       Alcotest.(check (list (triple int string string)))
         "pages 1 and 2 turn migratory"
         [ (1, "false-sharing", "migratory"); (2, "false-sharing", "migratory") ]
@@ -362,6 +352,33 @@ let test_load_source_sniffs () =
   | Error msg -> Alcotest.failf "load_source bench: %s" msg);
   Sys.remove bench_path
 
+(* A snapshot of an older schema cannot be compared: [load_source] refuses
+   it with the file's name and the way to re-bank it. *)
+let test_load_source_refuses_old_schema () =
+  let v1 =
+    match B.to_json (base_snapshot ()) with
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (fun (k, v) -> if k = "schema" then (k, Json.String "dsm-bench-macro/1") else (k, v))
+             fields)
+    | _ -> Alcotest.fail "snapshot is not an object"
+  in
+  let path = Filename.temp_file "dsm_macro_v1" ".json" in
+  Json.to_file path v1;
+  let result = Rundiff.load_source path in
+  Sys.remove path;
+  let contains sub s =
+    let n = String.length sub and m = String.length s in
+    let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  match result with
+  | Ok _ -> Alcotest.fail "a dsm-bench-macro/1 snapshot loaded"
+  | Error msg ->
+      Alcotest.(check bool) "names the file" true (contains path msg);
+      Alcotest.(check bool) "says to re-bank" true (contains "re-bank" msg)
+
 let () =
   Alcotest.run "rundiff"
     [
@@ -369,21 +386,20 @@ let () =
         [
           Alcotest.test_case "identical runs diff clean" `Quick
             test_identical_is_clean;
-          Alcotest.test_case "injected regression detected" `Quick
-            test_injected_regression_detected;
-          Alcotest.test_case "improvement is not a regression" `Quick
-            test_improvement_is_not_a_regression;
-          Alcotest.test_case "noise bound suppresses wobble" `Quick
-            test_noise_bound_suppresses;
-          Alcotest.test_case "traffic deltas report, time gates" `Quick
-            test_messages_delta_reported_not_gating;
-          Alcotest.test_case "event count gates" `Quick test_events_gate;
-          Alcotest.test_case "fault metrics advisory" `Quick
-            test_fault_metrics_advisory;
+          Alcotest.test_case "+1 in any field differs" `Quick test_one_unit_differs;
+          Alcotest.test_case "slower or faster differs" `Quick
+            test_every_seed_either_way;
+          Alcotest.test_case "one-sided cases differ" `Quick
+            test_one_sided_cases_differ;
+          Alcotest.test_case "report names each change" `Quick
+            test_report_names_changes;
+          Alcotest.test_case "mean table marks each case" `Quick
+            test_mean_table_marks_cases;
+          Alcotest.test_case "json report" `Quick test_json_report;
         ] );
       ( "metadata",
         [
-          Alcotest.test_case "mismatch refused, force overrides" `Quick
+          Alcotest.test_case "identity mismatch refused" `Quick
             test_mismatch_refused;
           Alcotest.test_case "git revision exempt" `Quick test_git_rev_exempt;
           Alcotest.test_case "mixed kinds refused" `Quick
@@ -394,6 +410,8 @@ let () =
           Alcotest.test_case "self-diff clean" `Quick test_trace_self_diff_clean;
           Alcotest.test_case "load_source sniffs kinds" `Quick
             test_load_source_sniffs;
+          Alcotest.test_case "old snapshot schema refused" `Quick
+            test_load_source_refuses_old_schema;
           Alcotest.test_case "protocol switch deltas" `Quick
             test_trace_protocol_switch_deltas;
         ] );

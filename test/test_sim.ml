@@ -1070,27 +1070,6 @@ let test_run_meta_roundtrip () =
   | Ok m' -> Alcotest.(check bool) "empty round-trips" true (Run_meta.equal Run_meta.empty m')
   | Error msg -> Alcotest.fail msg
 
-let test_run_meta_compatible () =
-  let m ?seed ?drv () = Run_meta.v ?tie_seed:seed ?driver:drv ~nodes:4 () in
-  (match Run_meta.compatible ~baseline:(m ~seed:1 ()) ~fresh:(m ~seed:1 ()) with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "same identity rejected: %s" msg);
-  (* a field present on one side only is not a mismatch *)
-  (match Run_meta.compatible ~baseline:(m ()) ~fresh:(m ~seed:1 ()) with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "one-sided field rejected: %s" msg);
-  (match Run_meta.compatible ~baseline:(m ~seed:1 ()) ~fresh:(m ~seed:2 ()) with
-  | Ok () -> Alcotest.fail "tie-seed mismatch accepted"
-  | Error _ -> ());
-  (* git revisions never participate: diffing revisions is the point *)
-  match
-    Run_meta.compatible
-      ~baseline:(Run_meta.v ~git_rev:"aaa" ())
-      ~fresh:(Run_meta.v ~git_rev:"bbb" ())
-  with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "git rev participated: %s" msg
-
 let () =
   Alcotest.run "sim"
     [
@@ -1187,6 +1166,5 @@ let () =
       ( "run_meta",
         [
           Alcotest.test_case "json round-trip" `Quick test_run_meta_roundtrip;
-          Alcotest.test_case "compatibility" `Quick test_run_meta_compatible;
         ] );
     ]
