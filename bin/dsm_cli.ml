@@ -813,7 +813,8 @@ let bench_cmd =
   let quick =
     Arg.(
       value & flag
-      & info [ "quick" ] ~doc:"Run only the CI smoke subset of the matrix.")
+      & info [ "quick" ]
+          ~doc:"Run only the quick-marked cases of the matrix, for fast local runs.")
   in
   let out =
     Arg.(

@@ -38,6 +38,12 @@ let apply_diff_locally (rt : Runtime.t) ~node (diff : Diff.t) =
   Diff.apply diff (Frame_store.frame (Runtime.store rt node) diff.Diff.page);
   Marcel.Mutex.unlock marcel e.Page_table.entry_mutex
 
+let rec apply_diffs_locally rt ~node = function
+  | [] -> ()
+  | diff :: rest ->
+      apply_diff_locally rt ~node diff;
+      apply_diffs_locally rt ~node rest
+
 let proto_name rt (e : Page_table.entry) =
   (Runtime.proto rt e.Page_table.protocol).Protocol.name
 
@@ -125,46 +131,64 @@ let on_invalidate rt ~src:_ payload =
           (Ack, Driver.Request))
   | _ -> invalid_arg "Dsm_comm: bad payload for invalidate service"
 
+(* Hands one protocol's diffs, in message order, to its batch handler, or
+   applies them.  One trace event per call, with the page list, so the
+   post-mortem analyzer can attribute diff traffic per page and per
+   protocol. *)
+let deliver_diffs rt ~node ~sender ~release protocol ds =
+  if Monitor.enabled rt then
+    Monitor.emit rt
+      (Trace.Diff
+         {
+           node;
+           pages = List.length ds;
+           page_list = List.map (fun d -> d.Diff.page) ds;
+           bytes = List.fold_left (fun acc d -> acc + Diff.wire_bytes d) 0 ds;
+           sender;
+           release;
+           protocol = (Runtime.proto rt protocol).Protocol.name;
+         });
+  match diffs_handler rt ~protocol with
+  | Some handler -> handler rt ~node ~diffs:ds ~sender ~release
+  | None -> apply_diffs_locally rt ~node ds
+
+let diff_protocol rt ~node (diff : Diff.t) =
+  (Runtime.entry rt ~node ~page:diff.Diff.page).Page_table.protocol
+
+let rec all_of_protocol rt ~node protocol = function
+  | [] -> true
+  | d :: rest -> diff_protocol rt ~node d = protocol && all_of_protocol rt ~node protocol rest
+
 let on_diffs rt ~src:_ payload =
   match payload with
   | Diffs { diffs; sender; release } ->
       let node = handler_node rt in
-      (* Partition the batch by protocol (order-preserving) so a protocol's
-         batch handler sees the whole message at once — that is what lets a
-         home coalesce the resulting third-party invalidations into one RPC
-         per copyset node instead of one per page. *)
-      let groups =
-        List.fold_left
-          (fun acc diff ->
-            let e = Runtime.entry rt ~node ~page:diff.Diff.page in
-            let proto = e.Page_table.protocol in
-            match acc with
-            | (p, ds) :: rest when p = proto -> (p, diff :: ds) :: rest
-            | _ -> (proto, [ diff ]) :: acc)
-          [] diffs
-      in
-      List.iter
-        (fun (protocol, rev_ds) ->
-          let ds = List.rev rev_ds in
-          (* One trace event per protocol group, with the page list, so the
-             post-mortem analyzer can attribute diff traffic per page and
-             per protocol. *)
-          if Monitor.enabled rt then
-            Monitor.emit rt
-              (Trace.Diff
-                 {
-                   node;
-                   pages = List.length ds;
-                   page_list = List.map (fun d -> d.Diff.page) ds;
-                   bytes = List.fold_left (fun acc d -> acc + Diff.wire_bytes d) 0 ds;
-                   sender;
-                   release;
-                   protocol = (Runtime.proto rt protocol).Protocol.name;
-                 });
-          match diffs_handler rt ~protocol with
-          | Some handler -> handler rt ~node ~diffs:ds ~sender ~release
-          | None -> List.iter (apply_diff_locally rt ~node) ds)
-        (List.rev groups);
+      (match diffs with
+      | [] -> ()
+      | d :: rest ->
+          let protocol = diff_protocol rt ~node d in
+          if all_of_protocol rt ~node protocol rest then
+            deliver_diffs rt ~node ~sender ~release protocol diffs
+          else begin
+            (* Cut a mixed batch into runs of one protocol (order-preserving)
+               so a protocol's batch handler sees its pages together: that
+               is what lets a home coalesce the resulting third-party
+               invalidations into one RPC per copyset node instead of one
+               per page. *)
+            let groups =
+              List.fold_left
+                (fun acc diff ->
+                  let proto = diff_protocol rt ~node diff in
+                  match acc with
+                  | (p, ds) :: rest when p = proto -> (p, diff :: ds) :: rest
+                  | _ -> (proto, [ diff ]) :: acc)
+                [] diffs
+            in
+            List.iter
+              (fun (protocol, rev_ds) ->
+                deliver_diffs rt ~node ~sender ~release protocol (List.rev rev_ds))
+              (List.rev groups)
+          end);
       (Ack, Driver.Request)
   | _ -> invalid_arg "Dsm_comm: bad payload for diffs service"
 
@@ -335,11 +359,17 @@ let call_invalidate_batch rt ?span ~to_ ~pages () =
         (Rpc.call (Runtime.rpc rt) ~dst:to_ ~service:srv ~cost:Driver.Request
            (Invalidate_batch { pages; sender = node; span }))
 
+(* Adds the number of [diffs] and their wire bytes to [cell] in one pass,
+   and returns the bytes. *)
+let rec count_diffs cell n bytes = function
+  | [] ->
+      Stats.add cell ~events:n ~volume:bytes;
+      bytes
+  | d :: rest -> count_diffs cell (n + 1) (bytes + Diff.wire_bytes d) rest
+
 let call_diffs rt ~to_ ~diffs ~release =
   let node = Runtime.self_node rt in
-  let bytes = List.fold_left (fun acc d -> acc + Diff.wire_bytes d) 0 diffs in
-  Stats.add rt.Runtime.cells.Instrument.nodes.(node).Instrument.diff
-    ~events:(List.length diffs) ~volume:bytes;
+  let bytes = count_diffs rt.Runtime.cells.Instrument.nodes.(node).Instrument.diff 0 0 diffs in
   let srv = (Runtime.services rt).Runtime.srv_diffs in
   ignore
     (Rpc.call (Runtime.rpc rt) ~dst:to_ ~service:srv ~cost:(Driver.Bulk bytes)

@@ -123,12 +123,18 @@ let send_diffs_grouped rt ~release diffs_with_home =
     (fun (home, diffs) -> Dsm_comm.call_diffs rt ~to_:home ~diffs ~release)
     (group_by_key diffs_with_home)
 
+(* Whether [targets] is strictly increasing and leaves out [node], as the
+   copysets [Page_table.copyset_add] keeps sorted are. *)
+let rec sorted_without node = function
+  | [] -> true
+  | [ n ] -> n <> node
+  | n :: (m :: _ as rest) -> n <> node && n < m && sorted_without node rest
+
 let push_diffs rt ~targets ~diffs ~release =
   let node = Runtime.self_node rt in
   let targets =
-    match targets with
-    | [ target ] -> if target = node then [] else targets
-    | _ -> List.sort_uniq Int.compare (List.filter (fun n -> n <> node) targets)
+    if sorted_without node targets then targets
+    else List.sort_uniq Int.compare (List.filter (fun n -> n <> node) targets)
   in
   fan_out rt ~node (fun target -> Dsm_comm.call_diffs rt ~to_:target ~diffs ~release) targets
 

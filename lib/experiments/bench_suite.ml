@@ -61,7 +61,8 @@ let case ?(nodes = 4) ?(params = []) ?(quick = false) ~app ~protocol driver =
 
    jacobi and tsp run on two drivers (they are the ROADMAP's scale-out and
    adaptivity yardsticks); the rest pin one driver each to bound suite
-   time.  `quick = true` marks the CI smoke subset. *)
+   time.  `quick = true` marks the subset `dsm bench --quick` runs, for
+   fast local runs. *)
 let cases () =
   let j = [ ("size", 32); ("iterations", 4) ] in
   let t = [ ("cities", 12) ] in

@@ -32,7 +32,9 @@ type case = {
   c_nodes : int;
   c_params : (string * int) list;
       (** parameters the catalog entry declares; part of the schema *)
-  c_quick : bool;  (** member of the CI smoke subset *)
+  c_quick : bool;
+      (** member of the quick subset [dsm bench --quick] runs, for fast
+          local runs *)
 }
 
 val cases : unit -> case list
@@ -40,7 +42,7 @@ val cases : unit -> case list
 
 val filter_cases : ?filter:string -> ?quick:bool -> case list -> case list
 (** [filter] keeps cases whose id contains the substring; [quick] keeps
-    only the CI smoke subset.  Both compose. *)
+    only the quick-marked cases.  Both compose. *)
 
 (** {2 Measurements} *)
 

@@ -66,53 +66,56 @@ let compute ~page ~twin ~current =
    ones.  Run-merge over a sorted segment list: memory is proportional to
    the patch data, never to the spanned width (the previous implementation
    allocated a [bytes] + [bool array] scratch pair covering the whole
-   min..max extent, pathological for two distant one-byte patches). *)
-let normalise patches =
-  let patches = List.filter (fun (_, d) -> Bytes.length d > 0) patches in
-  (* Insert a patch into a sorted list of disjoint segments, trimming the
-     overlapped parts of existing (earlier, hence losing) segments. *)
-  let insert segs (o, d) =
-    let e = o + Bytes.length d in
-    let rec go = function
-      | [] -> [ (o, d) ]
-      | ((o', d') as seg) :: rest ->
-          let e' = o' + Bytes.length d' in
-          if e' <= o then seg :: go rest
-          else if e <= o' then (o, d) :: seg :: rest
-          else begin
-            (* Overlap: keep the old segment's non-overlapped flanks. *)
-            let rest =
-              if e < e' then (e, Bytes.sub d' (e - o') (e' - e)) :: rest else rest
-            in
-            let tail = go rest in
-            if o' < o then (o', Bytes.sub d' 0 (o - o')) :: tail else tail
-          end
-    in
-    go segs
-  in
-  let segs = List.fold_left insert [] patches in
-  (* Merge adjacent segments into maximal runs. *)
-  match segs with
-  | [] -> []
-  | [ _ ] as one -> one
-  | (o0, d0) :: rest ->
-      let buf = Buffer.create (Bytes.length d0) in
-      Buffer.add_bytes buf d0;
-      let rec go start acc = function
-        | [] -> List.rev ((start, Buffer.to_bytes buf) :: acc)
-        | (o, d) :: rest ->
-            if o = start + Buffer.length buf then begin
-              Buffer.add_bytes buf d;
-              go start acc rest
-            end
-            else begin
-              let finished = (start, Buffer.to_bytes buf) in
-              Buffer.clear buf;
-              Buffer.add_bytes buf d;
-              go o (finished :: acc) rest
-            end
+   min..max extent, pathological for two distant one-byte patches).  One
+   non-empty patch is already normal and comes back as it is. *)
+let normalise = function
+  | [ (_, d) ] as one when Bytes.length d > 0 -> one
+  | patches ->
+      let patches = List.filter (fun (_, d) -> Bytes.length d > 0) patches in
+      (* Insert a patch into a sorted list of disjoint segments, trimming the
+         overlapped parts of existing (earlier, hence losing) segments. *)
+      let insert segs (o, d) =
+        let e = o + Bytes.length d in
+        let rec go = function
+          | [] -> [ (o, d) ]
+          | ((o', d') as seg) :: rest ->
+              let e' = o' + Bytes.length d' in
+              if e' <= o then seg :: go rest
+              else if e <= o' then (o, d) :: seg :: rest
+              else begin
+                (* Overlap: keep the old segment's non-overlapped flanks. *)
+                let rest =
+                  if e < e' then (e, Bytes.sub d' (e - o') (e' - e)) :: rest else rest
+                in
+                let tail = go rest in
+                if o' < o then (o', Bytes.sub d' 0 (o - o')) :: tail else tail
+              end
+        in
+        go segs
       in
-      go o0 [] rest
+      let segs = List.fold_left insert [] patches in
+      (* Merge adjacent segments into maximal runs. *)
+      match segs with
+      | [] -> []
+      | [ _ ] as one -> one
+      | (o0, d0) :: rest ->
+          let buf = Buffer.create (Bytes.length d0) in
+          Buffer.add_bytes buf d0;
+          let rec go start acc = function
+            | [] -> List.rev ((start, Buffer.to_bytes buf) :: acc)
+            | (o, d) :: rest ->
+                if o = start + Buffer.length buf then begin
+                  Buffer.add_bytes buf d;
+                  go start acc rest
+                end
+                else begin
+                  let finished = (start, Buffer.to_bytes buf) in
+                  Buffer.clear buf;
+                  Buffer.add_bytes buf d;
+                  go o (finished :: acc) rest
+                end
+          in
+          go o0 [] rest
 
 let of_words ~geometry ~page words =
   let size = Page.size geometry in

@@ -6,28 +6,31 @@ let nop () = ()
 
 type t = {
   mutable clock : Time.t;
-  (* The event queue is two binary min-heaps over parallel int arrays, so a
-     sift moves ints only.  The future lane ([times], [ties], [seqs],
-     [slots], [size]) orders by (time, tie, seq); the now lane ([now_ties],
-     [now_seqs], [now_slots], [now_size]) holds only events due at [clock]
-     and orders by (tie, seq).  [pop] keeps the global (time, tie, seq)
-     order, and the clock never advances while the now lane holds an
-     event.  Entry [i] of either lane runs what slot [slots.(i)] (or
-     [now_slots.(i)]) of [actions]/[conts]/[fids] holds.  A slot with
-     [fids = -1] is a plain event running [actions]; otherwise it is a
-     slice of that fiber, which resumes the continuation in [conts] or, if
-     there is none, starts the body in [actions].  Queuing writes one of
-     [actions]/[conts] (both for a fiber start) and running clears
-     neither: a slot keeps its last closure until it is reused. *)
+  (* The event queue is two binary min-heaps over int arrays, so a sift
+     moves ints only.  The now lane ([now_ties], [now_seqs], [now_slots],
+     [now_size]) holds every event due at [clock] and orders by (tie, seq);
+     the future lane ([times], [slots], [size]) holds every later event and
+     orders by time alone, its events' (tie, seq) waiting in the
+     slot-indexed [ties] and [seqs].  [pop] takes the now-lane top and, when
+     the now lane is empty, advances the clock to the future top, runs the
+     least of the events due then and moves the others into the now lane,
+     so the global order is (time, tie, seq).  Entry [i] of either lane
+     runs what slot [slots.(i)] (or [now_slots.(i)]) of
+     [actions]/[conts]/[fids] holds.  A slot with [fids = -1] is a plain
+     event running [actions]; otherwise it is a slice of that fiber, which
+     resumes the continuation in [conts] or, if there is none, starts the
+     body in [actions].  Queuing writes one of [actions]/[conts] (both for
+     a fiber start) and running clears neither: a slot keeps its last
+     closure until it is reused. *)
   mutable times : int array;
-  mutable ties : int array;
-  mutable seqs : int array;
   mutable slots : int array;
   mutable size : int;
   mutable now_ties : int array;
   mutable now_seqs : int array;
   mutable now_slots : int array;
   mutable now_size : int;
+  mutable ties : int array;
+  mutable seqs : int array;
   mutable actions : (unit -> unit) array;
   mutable conts : (unit, unit) Effect.Deep.continuation option array;
   mutable fids : int array;
@@ -86,8 +89,6 @@ let grown_cap a = max 16 (2 * Array.length a)
 let grow_future t =
   let cap = grown_cap t.times in
   t.times <- extend t.times cap 0;
-  t.ties <- extend t.ties cap 0;
-  t.seqs <- extend t.seqs cap 0;
   t.slots <- extend t.slots cap 0
 
 let grow_now t =
@@ -104,6 +105,8 @@ let grow_slots t =
   t.actions <- extend t.actions cap nop;
   t.conts <- extend t.conts cap None;
   t.fids <- extend t.fids cap (-1);
+  t.ties <- extend t.ties cap 0;
+  t.seqs <- extend t.seqs cap 0;
   t.spare <- Array.init cap (fun i -> cap - 1 - i);
   t.nspare <- cap - old
 
@@ -112,41 +115,28 @@ let grow_slots t =
 external ( .!() ) : int array -> int -> int = "%array_unsafe_get"
 external ( .!()<- ) : int array -> int -> int -> unit = "%array_unsafe_set"
 
-(* Whether future entry [i] orders before the key (time, tie, seq). *)
-let[@inline] before t i time tie seq =
-  let ti = t.times.!(i) in
-  ti < time
-  || ti = time
-     && (let ki = t.ties.!(i) in
-         ki < tie || (ki = tie && t.seqs.!(i) < seq))
-
-let[@inline] set t i time tie seq slot =
+let[@inline] set t i time slot =
   t.times.!(i) <- time;
-  t.ties.!(i) <- tie;
-  t.seqs.!(i) <- seq;
   t.slots.!(i) <- slot
 
-let[@inline] move t ~from i = set t i t.times.!(from) t.ties.!(from) t.seqs.!(from) t.slots.!(from)
-
-let rec sift_up t i time tie seq slot =
+let rec sift_up t i time slot =
   let p = (i - 1) / 2 in
-  if i > 0 && not (before t p time tie seq) then begin
-    move t ~from:p i;
-    sift_up t p time tie seq slot
+  if i > 0 && t.times.!(p) > time then begin
+    set t i t.times.!(p) t.slots.!(p);
+    sift_up t p time slot
   end
-  else set t i time tie seq slot
+  else set t i time slot
 
-let rec sift_down t i time tie seq slot n =
+let rec sift_down t i time slot n =
   let l = (2 * i) + 1 in
-  let c = if l + 1 < n && before t (l + 1) t.times.!(l) t.ties.!(l) t.seqs.!(l) then l + 1 else l in
-  if c < n && before t c time tie seq then begin
-    move t ~from:c i;
-    sift_down t c time tie seq slot n
+  let c = if l + 1 < n && t.times.!(l + 1) < t.times.!(l) then l + 1 else l in
+  if c < n && t.times.!(c) < time then begin
+    set t i t.times.!(c) t.slots.!(c);
+    sift_down t c time slot n
   end
-  else set t i time tie seq slot
+  else set t i time slot
 
-(* The now lane: the same heap without the time, which is [clock] for
-   every entry. *)
+(* The now lane: ordered by (tie, seq), its time being [clock]. *)
 let[@inline] now_before t i tie seq =
   let ki = t.now_ties.!(i) in
   ki < tie || (ki = tie && t.now_seqs.!(i) < seq)
@@ -175,6 +165,12 @@ let rec now_sift_down t i tie seq slot n =
   end
   else now_set t i tie seq slot
 
+let[@inline] now_add t tie seq slot =
+  let n = t.now_size in
+  if n = Array.length t.now_ties then grow_now t;
+  t.now_size <- n + 1;
+  now_sift_up t n tie seq slot
+
 (* Queues an event in a spare slot, writing one closure field: a plain
    event ([fid < 0]) its action, a resume ([k <> None]) its continuation,
    and a fiber start both, the [None] overwriting an earlier resume's. *)
@@ -187,44 +183,48 @@ let push t time tie fid action k =
   if fid >= 0 then Array.unsafe_set t.conts slot k;
   let seq = t.seq in
   t.seq <- seq + 1;
-  if time = t.clock then begin
-    let n = t.now_size in
-    if n = Array.length t.now_ties then grow_now t;
-    t.now_size <- n + 1;
-    now_sift_up t n tie seq slot
-  end
+  if time = t.clock then now_add t tie seq slot
   else begin
+    t.ties.!(slot) <- tie;
+    t.seqs.!(slot) <- seq;
     let n = t.size in
     if n = Array.length t.times then grow_future t;
     t.size <- n + 1;
-    sift_up t n time tie seq slot
+    sift_up t n time slot
   end
 
-(* Whether the next event is in the future lane: the now lane is empty, or
-   the future top is due now as well and orders before the now top. *)
-let[@inline] future_next t =
-  t.now_size = 0
-  || t.size > 0
-     && t.times.!(0) = t.clock
-     && before t 0 t.clock t.now_ties.!(0) t.now_seqs.!(0)
+let[@inline] now_take t =
+  let slot = t.now_slots.!(0) in
+  let n = t.now_size - 1 in
+  t.now_size <- n;
+  if n > 0 then now_sift_down t 0 t.now_ties.!(n) t.now_seqs.!(n) t.now_slots.!(n) n;
+  slot
 
-(* Removes the earliest event, advances the clock to it and returns its
-   slot, still in use: the caller hands it back to [spare]. *)
+let[@inline] future_take t =
+  let slot = t.slots.!(0) in
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then sift_down t 0 t.times.!(n) t.slots.!(n) n;
+  slot
+
+(* Removes the earliest event and returns its slot, still in use: the
+   caller hands it back to [spare].  With the now lane empty, the clock
+   advances to the future top, the least (tie, seq) of the events due then
+   runs at once, and the others join the now lane. *)
 let pop t =
-  if future_next t then begin
-    let slot = t.slots.!(0) in
-    t.clock <- t.times.!(0);
-    let n = t.size - 1 in
-    t.size <- n;
-    if n > 0 then sift_down t 0 t.times.!(n) t.ties.!(n) t.seqs.!(n) t.slots.!(n) n;
-    slot
-  end
+  if t.now_size > 0 then now_take t
   else begin
-    let slot = t.now_slots.!(0) in
-    let n = t.now_size - 1 in
-    t.now_size <- n;
-    if n > 0 then now_sift_down t 0 t.now_ties.!(n) t.now_seqs.!(n) t.now_slots.!(n) n;
-    slot
+    let time = t.times.!(0) in
+    t.clock <- time;
+    let least = ref (future_take t) in
+    while t.size > 0 && t.times.!(0) = time do
+      let slot = future_take t and m = !least in
+      let k = t.ties.!(slot) and km = t.ties.!(m) in
+      if k < km || (k = km && t.seqs.!(slot) < t.seqs.!(m)) then least := slot;
+      let later = if !least = slot then m else slot in
+      now_add t t.ties.!(later) t.seqs.!(later) later
+    done;
+    !least
   end
 
 (* The tie key is drawn in scheduling order, so a given seed always maps
@@ -338,14 +338,14 @@ let create ?tie_seed () =
     {
       clock = Time.zero;
       times = [||];
-      ties = [||];
-      seqs = [||];
       slots = [||];
       size = 0;
       now_ties = [||];
       now_seqs = [||];
       now_slots = [||];
       now_size = 0;
+      ties = [||];
+      seqs = [||];
       actions = [||];
       conts = [||];
       fids = [||];

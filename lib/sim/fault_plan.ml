@@ -79,10 +79,13 @@ let has_faults t = t.windows <> [] || t.loss_pct > 0.
 let messages_lost t = t.dropped_by_loss
 let messages_blackholed t = t.dropped_by_crash
 
+(* Matched on the empty list first: the closure would cost every send of a
+   plan without windows an allocation. *)
 let is_down t ~node time =
-  List.exists
-    (fun w -> w.w_node = node && time >= w.w_down && time < w.w_up)
-    t.windows
+  match t.windows with
+  | [] -> false
+  | windows ->
+      List.exists (fun w -> w.w_node = node && time >= w.w_down && time < w.w_up) windows
 
 let up_at t ~node ~now =
   List.fold_left

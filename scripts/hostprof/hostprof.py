@@ -4,6 +4,11 @@ symbol.
 
   hostprof.py BINARY SAMPLES [--top N] [--callers SUBSTRING]
 
+Under the flat profile, a per-module rollup sums the samples by OCaml
+module (Dsmpm2_sim.Engine, Stdlib.Hashtbl, ...); each runtime function
+(caml_modify, caml_perform, ...) and each other C symbol keeps a row of
+its own.
+
 A caller is the symbol of the first stack word, above the interrupted
 frame, that points into the binary's code: a return address, usually, but
 a stale word can stand in for it, so read callers as an estimate.
@@ -32,6 +37,18 @@ def pretty(name):
     return m.group(1).replace("__", ".") if m else name
 
 
+def module(name):
+    """Dsmpm2_pm2.Marcel.Mutex.lock -> Dsmpm2_pm2.Marcel; caml_modify stays"""
+    if not name[:1].isupper():
+        return name
+    return ".".join(name.split(".")[:2])
+
+
+def print_counts(counts, total, top):
+    for name, n in counts.most_common(top):
+        print(f"{100.0 * n / total:6.2f}% {n:8d}  {name}")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("binary")
@@ -57,8 +74,13 @@ def main():
                                      for row in rows)
     total = sum(counts.values())
     print(f"{total} samples" + (f" in *{args.callers}*" if args.callers else ""))
-    for name, n in counts.most_common(args.top):
-        print(f"{100.0 * n / total:6.2f}% {n:8d}  {name}")
+    print_counts(counts, total, args.top)
+    if not args.callers:
+        modules = collections.Counter()
+        for name, n in counts.items():
+            modules[module(name)] += n
+        print("\nper module")
+        print_counts(modules, total, args.top)
 
 
 if __name__ == "__main__":

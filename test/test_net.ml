@@ -210,6 +210,30 @@ let test_fault_plan_none_schedule_neutral () =
   let _, _, dropped = neutral in
   Alcotest.(check int) "empty plan drops nothing" 0 dropped
 
+(* A send under a plan without windows or loss allocates nothing: the
+   second round of sends reuses the queue the first one grew. *)
+let test_send_allocates_nothing () =
+  let eng = Engine.create () in
+  let net = Network.create eng ~driver:Driver.bip_myrinet ~nodes:2 in
+  Network.set_fault_plan net Fault_plan.none;
+  let delivered = ref 0 in
+  let deliver () = incr delivered in
+  let n = 10_000 in
+  let round () =
+    for _ = 1 to n do
+      Network.send net ~src:0 ~dst:1 ~cost:Driver.Request deliver
+    done
+  in
+  round ();
+  Engine.run eng;
+  let before = Gc.minor_words () in
+  round ();
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  Engine.run eng;
+  Alcotest.(check int) "every message delivered" (2 * n) !delivered;
+  Alcotest.(check bool) (Printf.sprintf "Network.send: %.3f words/send" words) true
+    (words < 0.1)
+
 let test_driver_wire_bytes () =
   Alcotest.(check int) "request is header-only" Driver.header_bytes
     (Driver.wire_bytes Driver.Request);
@@ -332,5 +356,6 @@ let () =
             test_fault_plan_deterministic;
           Alcotest.test_case "empty plan schedule neutral" `Quick
             test_fault_plan_none_schedule_neutral;
+          Alcotest.test_case "send allocates nothing" `Quick test_send_allocates_nothing;
         ] );
     ]

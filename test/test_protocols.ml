@@ -261,6 +261,32 @@ let test_mixed_protocols_coexist () =
   Alcotest.(check int) "li_hudak page migrated" 1 (Dsm.unsafe_peek dsm ~node:1 a);
   Alcotest.(check int) "hbrc page flushed home" 2 (Dsm.unsafe_peek dsm ~node:0 b)
 
+(* One [Diffs] message whose pages alternate between hbrc_mw, which has a
+   batch handler, and li_hudak, which has none: the handler gets exactly
+   its own pages, in message order, and the li_hudak pages are applied. *)
+let test_mixed_protocol_diff_batch () =
+  let dsm, ids = make ~nodes:2 () in
+  let page_size = Page.size dsm.Runtime.geo in
+  let region protocol =
+    let addr = Dsm.malloc dsm ~protocol ~home:(Dsm.On_node 1) (2 * page_size) in
+    (addr, Dsm.region_pages dsm ~addr ~size:(2 * page_size))
+  in
+  let _, hbrc = region ids.Builtin.hbrc_mw and li_addr, li = region ids.Builtin.li_hudak in
+  let handled = ref [] in
+  Dsm_comm.set_diffs_handler dsm ~protocol:ids.Builtin.hbrc_mw
+    (fun rt ~node ~diffs ~sender:_ ~release:_ ->
+      handled := !handled @ List.map (fun d -> d.Diff.page) diffs;
+      List.iter (Dsm_comm.apply_diff_locally rt ~node) diffs);
+  let pages = List.concat (List.map2 (fun h l -> [ h; l ]) hbrc li) in
+  let diffs =
+    List.mapi (fun i page -> Diff.of_words ~geometry:dsm.Runtime.geo ~page [ (0, 100 + i) ]) pages
+  in
+  run_one dsm ~node:0 (fun () -> Dsm_comm.call_diffs dsm ~to_:1 ~diffs ~release:false);
+  Alcotest.(check (list int)) "hbrc_mw pages, in message order" hbrc !handled;
+  Alcotest.(check int) "first li_hudak page applied" 101 (Dsm.unsafe_peek dsm ~node:1 li_addr);
+  Alcotest.(check int) "second li_hudak page applied" 103
+    (Dsm.unsafe_peek dsm ~node:1 (li_addr + page_size))
+
 (* --- edge cases and contention stress --- *)
 
 (* Regression for the pin-until-retry fix: two nodes hammering writes on
@@ -590,6 +616,42 @@ let test_sc_abd_counts_quorum_pages () =
        (Network.stats (Dsmpm2_pm2.Pm2.network (Dsm.pm2 dsm)))
        "msg.bulk")
 
+(* A small write_update jacobi, run once to warm up and once measured:
+   nearly every engine event belongs to an update push or its RPC.  The
+   event and diff counts pin the schedule; the bound on exact minor words
+   per engine event (28.38 on OCaml 5.1, 28.70 in the dev profile) is
+   what one message costs the host.  [Gc.quick_stat] would not do: in
+   OCaml 5 it counts only completed minor collections. *)
+let test_write_update_jacobi_counts () =
+  let run () =
+    let dsm = ref None in
+    let before = Gc.minor_words () in
+    ignore
+      (Dsmpm2_apps.Jacobi.run
+         {
+           Dsmpm2_apps.Jacobi.default with
+           size = 16;
+           iterations = 2;
+           nodes = 8;
+           driver = Driver.bip_myrinet;
+           protocol = "write_update";
+           tie_seed = Some 0;
+           observe = Some (fun d -> dsm := Some d);
+         });
+    let words = Gc.minor_words () -. before in
+    let dsm = Option.get !dsm in
+    ( Dsmpm2_sim.Engine.events_executed (Dsm.engine dsm),
+      Dsmpm2_sim.Stats.count (Dsm.stats dsm) Instrument.diffs_sent,
+      words )
+  in
+  ignore (run ());
+  let events, diffs, words = run () in
+  Alcotest.(check int) "engine events" 45_913 events;
+  Alcotest.(check int) "diffs" 5_631 diffs;
+  let per_event = words /. float_of_int events in
+  Alcotest.(check bool) (Printf.sprintf "%.2f minor words per engine event" per_event) true
+    (per_event < 31.)
+
 let test_stress_li_hudak () = stress "li_hudak"
 let test_stress_erc_sw () = stress "erc_sw"
 let test_stress_hbrc_mw () = stress "hbrc_mw"
@@ -670,7 +732,11 @@ let () =
             test_java_ic_charges_checks;
         ] );
       ( "mixed",
-        [ Alcotest.test_case "protocols coexist per region" `Quick test_mixed_protocols_coexist ] );
+        [
+          Alcotest.test_case "protocols coexist per region" `Quick test_mixed_protocols_coexist;
+          Alcotest.test_case "diff batch spanning protocols" `Quick
+            test_mixed_protocol_diff_batch;
+        ] );
       ( "edge-cases",
         [
           Alcotest.test_case "write contention progress" `Quick
@@ -691,6 +757,8 @@ let () =
             test_hbrc_release_batched_invalidations;
           Alcotest.test_case "erc release batches invalidations" `Quick
             test_erc_release_batched_invalidations;
+          Alcotest.test_case "write_update jacobi counts" `Quick
+            test_write_update_jacobi_counts;
         ] );
       ( "stress",
         [
