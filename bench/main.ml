@@ -1,79 +1,14 @@
-(* The benchmark harness: one runner per table/figure of the paper, plus a
-   Bechamel suite measuring the simulator itself.
+(* The Bechamel suite: host-time micro-benchmarks of the simulator itself.
+   The paper's tables and figures are `dsm <experiment>` and `dsm paper`.
 
-     dune exec bench/main.exe            -- everything, in paper order
-     dune exec bench/main.exe -- table3  -- a single experiment
-     dune exec bench/main.exe -- bechamel
-     dune exec bench/main.exe -- bechamel --filter diff/  -- a subset
+     dune exec bench/main.exe                      -- every kernel
+     dune exec bench/main.exe -- --filter diff/    -- a subset
 
-   Experiments: micro table2 table3 table4 fig4 fig5 splash ablation.
-
-   Each experiment also writes its results as BENCH_<name>.json in the
-   current directory, so successive runs leave a machine-readable perf
-   trajectory. *)
+   Writes its estimates to BENCH_bechamel.json in the current directory. *)
 
 open Dsmpm2_sim
-open Dsmpm2_experiments
 
 let ppf = Format.std_formatter
-
-let section title f =
-  Format.fprintf ppf "@.=== %s ===@." title;
-  (match f () with
-  | None -> ()
-  | Some json ->
-      let file = "BENCH_" ^ title ^ ".json" in
-      Json.to_file file json;
-      Format.fprintf ppf "[wrote %s]@." file);
-  Format.pp_print_flush ppf ()
-
-let run_micro () =
-  let t = Micro.run () in
-  Micro.print ppf t;
-  Some (Micro.to_json t)
-
-let run_table2 () =
-  let t = Table2_inventory.run () in
-  Table2_inventory.print ppf t;
-  Some (Table2_inventory.to_json t)
-
-let run_fault_cost policy () =
-  let t = Fault_cost.run policy in
-  Fault_cost.print ppf t;
-  Some (Fault_cost.to_json t)
-
-let run_table3 = run_fault_cost Fault_cost.Page_transfer
-let run_table4 = run_fault_cost Fault_cost.Thread_migration
-
-let run_fig4 () =
-  let t = Fig4_tsp.run () in
-  Fig4_tsp.print ppf t;
-  Some (Fig4_tsp.to_json t)
-
-let run_fig5 () =
-  let t = Fig5_coloring.run () in
-  Fig5_coloring.print ppf t;
-  Some (Fig5_coloring.to_json t)
-
-let run_splash () =
-  let t = Splash.run () in
-  Splash.print ppf t;
-  Some (Splash.to_json t)
-
-let run_ablation () =
-  let t = Ablation.run () in
-  Ablation.print ppf t;
-  Some (Ablation.to_json t)
-
-let run_litmus () =
-  let t = Litmus.run () in
-  Litmus.print ppf t;
-  Some (Litmus.to_json t)
-
-let run_patterns () =
-  let t = Sharing_patterns.run () in
-  Sharing_patterns.print ppf t;
-  Some (Sharing_patterns.to_json t)
 
 (* Bechamel micro-benchmarks of the simulator itself: how fast the host can
    execute one simulated cold read fault and one simulated TSP solve.  These
@@ -354,60 +289,22 @@ let run_bechamel ?filter () =
   | Some fast, Some slow when fast > 0. ->
       Format.fprintf ppf "diff word-scan speedup over bytewise: %.1fx@." (slow /. fast)
   | _ -> ());
-  Some
-    (Json.Obj
-       [
-         ("unit", Json.String "ns/run");
-         ( "estimates",
-           Json.Obj (List.map (fun (test, est) -> (test, Json.Float est)) estimates)
-         );
-       ])
-
-let all =
-  [
-    ("micro", run_micro);
-    ("table2", run_table2);
-    ("table3", run_table3);
-    ("table4", run_table4);
-    ("fig4", run_fig4);
-    ("fig5", run_fig5);
-    ("splash", run_splash);
-    ("ablation", run_ablation);
-    ("litmus", run_litmus);
-    ("patterns", run_patterns);
-  ]
+  Json.Obj
+    [
+      ("unit", Json.String "ns/run");
+      ("estimates", Json.Obj (List.map (fun (test, est) -> (test, Json.Float est)) estimates));
+    ]
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  (* `--filter SUBSTR` restricts the bechamel suite to matching test names
-     (CI uses this to smoke the hot-path kernels without the full quota). *)
-  let rec split_filter acc = function
-    | [] -> (List.rev acc, None)
-    | "--filter" :: sub :: rest -> (List.rev_append acc rest, Some sub)
-    | "--filter" :: [] ->
-        Format.fprintf ppf "--filter needs an argument@.";
+  (* `--filter SUBSTR` restricts the suite to matching test names (CI uses
+     this to smoke the hot-path kernels without the full quota). *)
+  let filter =
+    match List.tl (Array.to_list Sys.argv) with
+    | [] -> None
+    | [ "--filter"; sub ] -> Some sub
+    | _ ->
+        Format.fprintf ppf "usage: main.exe [--filter SUBSTR]@.";
         exit 1
-    | a :: rest -> split_filter (a :: acc) rest
   in
-  let names, filter = split_filter [] args in
-  if filter <> None && not (List.mem "bechamel" names) then begin
-    Format.fprintf ppf "--filter only applies to the bechamel suite@.";
-    exit 1
-  end;
-  match names with
-  | [] ->
-      Format.fprintf ppf
-        "DSM-PM2 reproduction bench: regenerating every table and figure@.";
-      List.iter (fun (name, f) -> section name f) all
-  | names ->
-      List.iter
-        (fun name ->
-          match List.assoc_opt name all with
-          | Some f -> section name f
-          | None when name = "bechamel" ->
-              section "bechamel" (run_bechamel ?filter)
-          | None ->
-              Format.fprintf ppf "unknown experiment %S; known: %s bechamel@." name
-                (String.concat " " (List.map fst all));
-              exit 1)
-        names
+  Json.to_file "BENCH_bechamel.json" (run_bechamel ?filter ());
+  Format.fprintf ppf "[wrote BENCH_bechamel.json]@."

@@ -10,7 +10,7 @@
    Every application run goes through the one table in
    [Dsmpm2_apps.Catalog]; `watch` is the live dashboard over any of them.
 
-   Every subcommand accepts the observability flags:
+   The application subcommands accept the observability flags:
 
      --trace-out FILE     Chrome trace_event JSON (chrome://tracing, Perfetto)
      --trace-jsonl FILE   one typed event per line
@@ -19,10 +19,10 @@
      --report             post-mortem per-category / per-stage report
      --health             live watchdog + end-of-run health summary
 
-   For the application subcommands these export the live trace of the run;
-   for the table/figure experiments (which run many simulations internally)
-   the trace flags are not applicable and --metrics-out / --report operate
-   on the experiment's result table. *)
+   The table/figure experiments (one per entry of [Paper.experiments]) run
+   many simulations each, so they take --metrics-out alone: it writes the
+   experiment's rows as a dsm-paper/1 snapshot.  `paper` runs them all and
+   `paper --out BENCH_paper.json` re-banks the committed snapshot. *)
 
 open Cmdliner
 open Dsmpm2_sim
@@ -139,6 +139,9 @@ let configure_trace dsm ~trace_cap ~sample_pct ~sample_seed =
     (fun pct -> Trace.set_sampling tr ~seed:sample_seed ~keep_pct:pct)
     sample_pct
 
+let metrics_out_arg doc =
+  Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
+
 type obs = {
   trace_out : string option;
   trace_jsonl : string option;
@@ -176,13 +179,7 @@ let obs_term =
             "Auto-dump the trace ring as JSONL to $(docv) the first time a \
              critical alert is recorded.")
   in
-  let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Write a JSON metrics snapshot to $(docv).")
-  in
+  let metrics_out = metrics_out_arg "Write a JSON metrics snapshot to $(docv)." in
   let metrics_prom =
     Arg.(
       value
@@ -306,57 +303,36 @@ let app_cmds =
       (fun _ -> Term.const (None, []));
   ]
 
-(* The table/figure experiments run many simulations internally, so there is
-   no single trace to export; --metrics-out and --report operate on the
-   result table instead. *)
-let experiment_obs obs ~name json =
-  if obs.trace_out <> None || obs.trace_jsonl <> None || obs.trace_cap <> None
-     || obs.trace_dump <> None || obs.sample_pct <> None
-     || obs.metrics_prom <> None || obs.health
-  then
-    Format.fprintf ppf
-      "%s: --trace-out/--trace-jsonl/--trace-cap/--trace-dump/--metrics-prom/\
-       --health only apply to application subcommands (%s); ignoring@."
-      name
-      (String.concat ", " (List.map Cmd.name app_cmds));
-  Option.iter (fun file -> Json.to_file file json) obs.metrics_out;
-  if obs.report then Format.fprintf ppf "%a@." Json.pp json
+let write_rows out rows = Option.iter (fun file -> Json.to_file file (Paper.to_json rows)) out
 
-(* A table/figure experiment: run it, print its table, hand its JSON to the
-   observability flags. *)
-let experiment name doc run print to_json =
-  let run obs =
-    let t = run () in
-    print ppf t;
-    experiment_obs obs ~name (to_json t)
+(* A table/figure experiment: run it, print its table, and with
+   --metrics-out write its rows; Table 2 has no number, so no flag. *)
+let experiment_cmd { Paper.name; doc; body } =
+  Cmd.v (Cmd.info name ~doc)
+    (match body with
+    | Paper.Text print -> Term.(const print $ const ppf)
+    | Paper.Rows run ->
+        Term.(
+          const (fun out -> write_rows out (run ppf))
+          $ metrics_out_arg "Write the experiment's rows as a dsm-paper/1 snapshot to $(docv)."))
+
+let paper_cmd =
+  let run out =
+    write_rows out (Paper.run ppf);
+    Option.iter (Format.fprintf ppf "paper: wrote %s@.") out
   in
-  Cmd.v (Cmd.info name ~doc) Term.(const run $ obs_term)
-
-let experiments =
-  [
-    experiment "micro" "PM2 micro-benchmarks (paper section 2.1)." Micro.run
-      Micro.print Micro.to_json;
-    experiment "table2" "Protocol inventory (paper Table 2)." Table2_inventory.run
-      Table2_inventory.print Table2_inventory.to_json;
-    experiment "table3" "Read-fault breakdown, page transfer (paper Table 3)."
-      (fun () -> Fault_cost.run Fault_cost.Page_transfer)
-      Fault_cost.print Fault_cost.to_json;
-    experiment "table4" "Read-fault breakdown, thread migration (paper Table 4)."
-      (fun () -> Fault_cost.run Fault_cost.Thread_migration)
-      Fault_cost.print Fault_cost.to_json;
-    experiment "fig4" "TSP protocol comparison (paper Figure 4)."
-      (fun () -> Fig4_tsp.run ()) Fig4_tsp.print Fig4_tsp.to_json;
-    experiment "fig5" "Java consistency comparison (paper Figure 5)."
-      (fun () -> Fig5_coloring.run ()) Fig5_coloring.print Fig5_coloring.to_json;
-    experiment "splash" "SPLASH-style kernel study (paper section 5)." Splash.run
-      Splash.print Splash.to_json;
-    experiment "ablation" "Stack-size and sync-frequency ablations." Ablation.run
-      Ablation.print Ablation.to_json;
-    experiment "litmus" "Memory-model litmus tests across all protocols." Litmus.run
-      Litmus.print Litmus.to_json;
-    experiment "patterns" "Sharing-pattern study across all protocols."
-      Sharing_patterns.run Sharing_patterns.print Sharing_patterns.to_json;
-  ]
+  let out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "out" ] ~docv:"FILE" ~doc:"Write every row, as BENCH_paper.json, to $(docv).")
+  in
+  Cmd.v
+    (Cmd.info "paper"
+       ~doc:
+         "Run every table/figure experiment and print each table; $(b,--out) writes all \
+          their rows as one snapshot that $(b,dsm diff) compares exactly.")
+    Term.(const run $ out)
 
 (* --- dsm analyze: the post-mortem trace analyzer --- *)
 
@@ -439,7 +415,7 @@ let analyze_cmd =
 
 let check_cmd =
   let run seeds protocols workloads replay verbose faults loss crashes explain
-      expect_vulnerable obs =
+      expect_vulnerable metrics_out =
     let protocols = match protocols with [] -> None | ps -> Some ps in
     (* The sharing patterns are scenarios too, but stay out of the default
        sweep: false_sharing fails under sc_abd (ROADMAP item 1). *)
@@ -516,7 +492,7 @@ let check_cmd =
         ~progress ~on_failure ~seeds ()
     in
     Conformance.print ~spec ppf verdicts;
-    experiment_obs obs ~name:"check" (Conformance.to_json verdicts);
+    Option.iter (fun file -> Json.to_file file (Conformance.to_json verdicts)) metrics_out;
     if !empty_chains <> [] then begin
       List.iter
         (fun (p, s) ->
@@ -641,7 +617,8 @@ let check_cmd =
           model under perturbed schedules, optionally with fault injection.")
     Term.(
       const run $ seeds $ protocols $ workloads $ replay $ verbose $ faults
-      $ loss $ crashes $ explain $ expect_vulnerable $ obs_term)
+      $ loss $ crashes $ explain $ expect_vulnerable
+      $ metrics_out_arg "Write the verdicts as JSON to $(docv).")
 
 (* --- dsm watch: the live dashboard over a running application ---
 
@@ -870,8 +847,8 @@ let diff_cmd =
       required
       & pos 0 (some string) None
       & info [] ~docv:"BASELINE"
-          ~doc:"Baseline artifact: a BENCH_macro.json snapshot or a JSONL \
-                trace dump.")
+          ~doc:"Baseline artifact: a BENCH_macro.json or BENCH_paper.json \
+                snapshot, or a JSONL trace dump.")
   in
   let fresh =
     Arg.(
@@ -894,9 +871,10 @@ let diff_cmd =
   Cmd.v
     (Cmd.info "diff"
        ~doc:
-         "Compare two observability artifacts — macro-bench snapshots or \
-          trace dumps — exactly, and list every difference: per case, seed \
-          and sample field, cases on one side only, critical-path stage \
+         "Compare two observability artifacts — macro-bench snapshots, paper \
+          snapshots or trace dumps — exactly, and list every difference: per \
+          case, seed and sample field, per paper row and field, cases or rows \
+          on one side only, critical-path stage \
           mean, p90 and span count, sharing-pattern drift and alert \
           counts.  Exits 0 when they are equal, 1 when they differ, 2 on \
           unusable or incomparable inputs.")
@@ -970,5 +948,6 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          (experiments @ app_cmds
-          @ [ analyze_cmd; check_cmd; explain_cmd; watch_cmd; bench_cmd; diff_cmd ])))
+          (List.map experiment_cmd Paper.experiments
+          @ app_cmds
+          @ [ paper_cmd; analyze_cmd; check_cmd; explain_cmd; watch_cmd; bench_cmd; diff_cmd ])))

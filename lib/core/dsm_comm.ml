@@ -170,24 +170,22 @@ let on_diffs rt ~src:_ payload =
           if all_of_protocol rt ~node protocol rest then
             deliver_diffs rt ~node ~sender ~release protocol diffs
           else begin
-            (* Cut a mixed batch into runs of one protocol (order-preserving)
-               so a protocol's batch handler sees its pages together: that
-               is what lets a home coalesce the resulting third-party
-               invalidations into one RPC per copyset node instead of one
-               per page. *)
-            let groups =
-              List.fold_left
-                (fun acc diff ->
-                  let proto = diff_protocol rt ~node diff in
-                  match acc with
-                  | (p, ds) :: rest when p = proto -> (p, diff :: ds) :: rest
-                  | _ -> (proto, [ diff ]) :: acc)
-                [] diffs
+            (* Cut a mixed batch into one group per protocol, each in
+               message order, so a protocol's batch handler sees all its
+               pages at once: that is what lets a home coalesce the
+               resulting third-party invalidations into one RPC per
+               copyset node instead of one per page. *)
+            let rec groups = function
+              | [] -> ()
+              | d :: _ as ds ->
+                  let protocol = diff_protocol rt ~node d in
+                  let mine, others =
+                    List.partition (fun d -> diff_protocol rt ~node d = protocol) ds
+                  in
+                  deliver_diffs rt ~node ~sender ~release protocol mine;
+                  groups others
             in
-            List.iter
-              (fun (protocol, rev_ds) ->
-                deliver_diffs rt ~node ~sender ~release protocol (List.rev rev_ds))
-              (List.rev groups)
+            groups diffs
           end);
       (Ack, Driver.Request)
   | _ -> invalid_arg "Dsm_comm: bad payload for diffs service"

@@ -211,55 +211,34 @@ let print ppf data =
         r.tsp_time_ms r.thread_migrations r.balancer_moves)
     data.balance
 
-let to_json t =
-  Json.Obj
-    [
-      ( "stack",
-        Json.List
-          (List.map
-             (fun r ->
-               Json.Obj
-                 [
-                   ("driver", Json.String r.driver);
-                   ("stack_bytes", Json.Int r.stack_bytes);
-                   ("page_transfer_us", Json.Float r.page_transfer_us);
-                   ("thread_migration_us", Json.Float r.thread_migration_us);
-                 ])
-             t.stack) );
-      ( "refresh",
-        Json.List
-          (List.map
-             (fun r ->
-               Json.Obj
-                 [
-                   ("protocol", Json.String r.protocol);
-                   ("refresh_period", Json.Int r.refresh_period);
-                   ("time_ms", Json.Float r.time_ms);
-                 ])
-             t.refresh) );
-      ( "manager",
-        Json.List
-          (List.map
-             (fun (r : manager_row) ->
-               Json.Obj
-                 [
-                   ("manager", Json.String r.manager);
-                   ("writers", Json.Int r.writers);
-                   ("request_messages", Json.Int r.request_messages);
-                   ("read_latency_us", Json.Float r.read_latency_us);
-                 ])
-             t.manager) );
-      ( "balance",
-        Json.List
-          (List.map
-             (fun r ->
-               Json.Obj
-                 [
-                   ("balanced", Json.Bool r.balanced);
-                   ("nodes_used", Json.Int r.nodes_used);
-                   ("tsp_time_ms", Json.Float r.tsp_time_ms);
-                   ("thread_migrations", Json.Int r.thread_migrations);
-                   ("balancer_moves", Json.Int r.balancer_moves);
-                 ])
-             t.balance) );
-    ]
+let rows d =
+  let us = Time.of_us and ms x = Time.of_us (x *. 1000.) and id fmt = Printf.sprintf fmt in
+  List.map
+    (fun r ->
+      ( id "ablation/stack/%s/%d" (Driver.slug r.driver) r.stack_bytes,
+        [
+          ("page_transfer_ns", us r.page_transfer_us);
+          ("thread_migration_ns", us r.thread_migration_us);
+        ] ))
+    d.stack
+  @ List.map
+      (fun r ->
+        (id "ablation/refresh/%s/%d" r.protocol r.refresh_period, [ ("time_ns", ms r.time_ms) ]))
+      d.refresh
+  @ List.map
+      (fun (r : manager_row) ->
+        ( id "ablation/manager/%s/%d" r.manager r.writers,
+          [
+            ("request_messages", r.request_messages);
+            ("read_latency_ns", us r.read_latency_us);
+          ] ))
+      d.manager
+  @ List.map
+      (fun r ->
+        ( id "ablation/balance/%d/%s" r.nodes_used (if r.balanced then "on" else "off"),
+          [
+            ("time_ns", ms r.tsp_time_ms);
+            ("thread_migrations", r.thread_migrations);
+            ("balancer_moves", r.balancer_moves);
+          ] ))
+      d.balance

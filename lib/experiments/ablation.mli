@@ -60,4 +60,6 @@ type data = {
 val run : unit -> data
 val print : Format.formatter -> data -> unit
 
-val to_json : data -> Dsmpm2_sim.Json.t
+val rows : data -> (string * (string * int) list) list
+(** [ablation/stack/<driver slug>/<bytes>], [ablation/refresh/<protocol>/<period>],
+    [ablation/manager/<manager>/<writers>], [ablation/balance/<nodes>/<on|off>]. *)

@@ -11,15 +11,10 @@ type row = {
   paper_us : float array;
 }
 
-type table = {
-  policy : policy;
-  drivers : string list;
-  rows : row list;
-  summaries : (string * Stats.span_summary list) list;
-}
+type table = { policy : policy; drivers : string list; rows : row list }
 
 (* One cold read fault: the page lives on node 1, a thread on node 0 reads
-   it.  Returns the stage spans (in us) and the full stage distributions. *)
+   it.  Returns each table operation's mean span (in us). *)
 let one_fault ~driver ~policy =
   let dsm = Dsm.create ~nodes:2 ~driver () in
   let ids = Builtin.register_all dsm in
@@ -33,13 +28,15 @@ let one_fault ~driver ~policy =
   Dsm.run dsm;
   let stats = Dsm.stats dsm in
   let mean key = Time.to_us (Stats.span_mean stats key) in
-  ( ( mean Instrument.stage_fault,
-      mean Instrument.stage_request,
-      mean Instrument.stage_transfer,
-      mean Instrument.stage_migration,
-      mean Instrument.stage_overhead_server +. mean Instrument.stage_overhead_client,
-      mean Instrument.stage_total ),
-    List.map (Stats.span_summary stats) Instrument.stages )
+  function
+  | "Page fault" -> mean Instrument.stage_fault
+  | "Request page" -> mean Instrument.stage_request
+  | "Page transfer" -> mean Instrument.stage_transfer
+  | "Thread migration" -> mean Instrument.stage_migration
+  | "Protocol overhead" ->
+      mean Instrument.stage_overhead_server +. mean Instrument.stage_overhead_client
+  | "Total" -> mean Instrument.stage_total
+  | op -> invalid_arg ("Fault_cost: no operation " ^ op)
 
 (* The paper's Tables 3 and 4, in the same column order as Driver.all. *)
 let paper_page_transfer =
@@ -60,43 +57,20 @@ let paper_thread_migration =
   ]
 
 let run policy =
-  let measured = List.map (fun driver -> one_fault ~driver ~policy) Driver.all in
-  let columns = List.map fst measured in
-  let summaries =
-    List.map2 (fun d (_, s) -> (d.Driver.name, s)) Driver.all measured
-  in
-  let col f = Array.of_list (List.map f columns) in
-  let rows =
-    match policy with
-    | Page_transfer ->
-        [
-          ("Page fault", col (fun (f, _, _, _, _, _) -> f));
-          ("Request page", col (fun (_, r, _, _, _, _) -> r));
-          ("Page transfer", col (fun (_, _, t, _, _, _) -> t));
-          ("Protocol overhead", col (fun (_, _, _, _, o, _) -> o));
-          ("Total", col (fun (_, _, _, _, _, t) -> t));
-        ]
-    | Thread_migration ->
-        [
-          ("Page fault", col (fun (f, _, _, _, _, _) -> f));
-          ("Thread migration", col (fun (_, _, _, m, _, _) -> m));
-          ("Protocol overhead", col (fun (_, _, _, _, o, _) -> o));
-          ("Total", col (fun (_, _, _, _, _, t) -> t));
-        ]
-  in
+  let columns = List.map (fun driver -> one_fault ~driver ~policy) Driver.all in
   let paper =
     match policy with
     | Page_transfer -> paper_page_transfer
     | Thread_migration -> paper_thread_migration
   in
+  let measured operation = Array.of_list (List.map (fun m -> m operation) columns) in
   {
     policy;
     drivers = List.map (fun d -> d.Driver.name) Driver.all;
     rows =
-      List.map2
-        (fun (operation, measured_us) (_, paper_us) -> { operation; measured_us; paper_us })
-        rows paper;
-    summaries;
+      List.map
+        (fun (operation, paper_us) -> { operation; measured_us = measured operation; paper_us })
+        paper;
   }
 
 let print ppf t =
@@ -120,45 +94,18 @@ let print ppf t =
       Format.fprintf ppf "@.")
     t.rows
 
-let policy_name = function
-  | Page_transfer -> "page_transfer"
-  | Thread_migration -> "thread_migration"
-
-let to_json t =
-  Json.Obj
-    [
-      ("policy", Json.String (policy_name t.policy));
-      ("drivers", Json.List (List.map (fun d -> Json.String d) t.drivers));
-      ( "rows",
-        Json.List
-          (List.map
-             (fun row ->
-               Json.Obj
-                 [
-                   ("operation", Json.String row.operation);
-                   ( "measured_us",
-                     Json.List
-                       (Array.to_list
-                          (Array.map (fun x -> Json.Float x) row.measured_us)) );
-                   ( "paper_us",
-                     Json.List
-                       (Array.to_list
-                          (Array.map (fun x -> Json.Float x) row.paper_us)) );
-                 ])
-             t.rows) );
-      ( "stage_latencies",
-        Json.Obj
-          (List.map
-             (fun (driver, summaries) ->
-               ( driver,
-                 Json.List
-                   (List.filter_map
-                      (fun s ->
-                        if s.Stats.sm_samples = 0 then None
-                        else Some (Stats.summary_to_json s))
-                      summaries) ))
-             t.summaries) );
-    ]
+let rows t =
+  let table = match t.policy with Page_transfer -> "table3" | Thread_migration -> "table4" in
+  let slug = String.map (function ' ' -> '_' | c -> Char.lowercase_ascii c) in
+  List.concat_map
+    (fun row ->
+      List.mapi
+        (fun i driver ->
+          ( Printf.sprintf "%s/%s/%s" table (slug row.operation) (Driver.slug driver),
+            [ ("ns", Time.of_us row.measured_us.(i)); ("paper_ns", Time.of_us row.paper_us.(i)) ]
+          ))
+        t.drivers)
+    t.rows
 
 let last_row t =
   match List.rev t.rows with

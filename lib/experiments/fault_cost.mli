@@ -13,21 +13,14 @@ type row = {
   paper_us : float array;
 }
 
-type table = {
-  policy : policy;
-  drivers : string list;
-  rows : row list;
-  summaries : (string * Dsmpm2_sim.Stats.span_summary list) list;
-      (** per-driver stage latency distributions (p50/p90/p99/max) *)
-}
+type table = { policy : policy; drivers : string list; rows : row list }
 
 val run : policy -> table
 
 val print : Format.formatter -> table -> unit
 
-val to_json : table -> Dsmpm2_sim.Json.t
-(** Stable snapshot of the table, including per-stage percentile
-    latencies under ["stage_latencies"], keyed by driver name. *)
+val rows : table -> (string * (string * int) list) list
+(** [table3/<operation>/<driver slug>] (or [table4/...]): [ns], [paper_ns]. *)
 
 val total : table -> driver:int -> float
 (** Measured total (last row) for a driver column; for tests. *)

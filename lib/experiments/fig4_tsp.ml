@@ -70,25 +70,15 @@ let print ppf data =
         c.nodes c.migrations c.workers_on_node0 c.nodes)
     mt
 
-let to_json t =
-  let open Dsmpm2_sim in
-  Json.Obj
-    [
-      ("cities", Json.Int t.cities);
-      ("seed", Json.Int t.seed);
-      ("sequential_best", Json.Int t.sequential_best);
-      ( "cells",
-        Json.List
-          (List.map
-             (fun c ->
-               Json.Obj
-                 [
-                   ("protocol", Json.String c.protocol);
-                   ("nodes", Json.Int c.nodes);
-                   ("time_ms", Json.Float c.time_ms);
-                   ("best", Json.Int c.best);
-                   ("migrations", Json.Int c.migrations);
-                   ("workers_on_node0", Json.Int c.workers_on_node0);
-                 ])
-             t.cells) );
-    ]
+let rows d =
+  ("fig4/sequential", [ ("best", d.sequential_best) ])
+  :: List.map
+       (fun c ->
+         ( Printf.sprintf "fig4/%s/%d" c.protocol c.nodes,
+           [
+             ("time_ns", Dsmpm2_sim.Time.of_us (c.time_ms *. 1000.));
+             ("best", c.best);
+             ("migrations", c.migrations);
+             ("workers_on_node0", c.workers_on_node0);
+           ] ))
+       d.cells

@@ -26,4 +26,6 @@ val run : ?cities:int -> ?seed:int -> ?node_counts:int list -> unit -> data
 
 val print : Format.formatter -> data -> unit
 
-val to_json : data -> Dsmpm2_sim.Json.t
+val rows : data -> (string * (string * int) list) list
+(** [fig4/sequential] ([best]), then [fig4/<protocol>/<nodes>]: [time_ns],
+    [best], [migrations], [workers_on_node0]. *)

@@ -61,24 +61,16 @@ let print ppf data =
   Format.fprintf ppf "All runs found the optimal colouring cost (%d): %b@."
     data.sequential_best check
 
-let to_json t =
-  let open Dsmpm2_sim in
-  Json.Obj
-    [
-      ("sequential_best", Json.Int t.sequential_best);
-      ( "cells",
-        Json.List
-          (List.map
-             (fun c ->
-               Json.Obj
-                 [
-                   ("protocol", Json.String c.protocol);
-                   ("nodes", Json.Int c.nodes);
-                   ("time_ms", Json.Float c.time_ms);
-                   ("best_cost", Json.Int c.best_cost);
-                   ("gets", Json.Int c.gets);
-                   ("inline_checks", Json.Int c.inline_checks);
-                   ("read_faults", Json.Int c.read_faults);
-                 ])
-             t.cells) );
-    ]
+let rows d =
+  ("fig5/sequential", [ ("best_cost", d.sequential_best) ])
+  :: List.map
+       (fun c ->
+         ( Printf.sprintf "fig5/%s/%d" c.protocol c.nodes,
+           [
+             ("time_ns", Dsmpm2_sim.Time.of_us (c.time_ms *. 1000.));
+             ("best_cost", c.best_cost);
+             ("gets", c.gets);
+             ("inline_checks", c.inline_checks);
+             ("read_faults", c.read_faults);
+           ] ))
+       d.cells

@@ -24,4 +24,6 @@ val run : ?node_counts:int list -> unit -> data
 
 val print : Format.formatter -> data -> unit
 
-val to_json : data -> Dsmpm2_sim.Json.t
+val rows : data -> (string * (string * int) list) list
+(** [fig5/sequential] ([best_cost]), then [fig5/<protocol>/<nodes>]:
+    [time_ns], [best_cost], [gets], [inline_checks], [read_faults]. *)

@@ -137,16 +137,9 @@ let print ppf cells =
       Format.fprintf ppf "   %s@." (note model))
     (Builtin.protocols ())
 
-let to_json cells =
-  let open Dsmpm2_sim in
-  Json.List
-    (List.map
-       (fun c ->
-         Json.Obj
-           [
-             ("protocol", Json.String c.protocol);
-             ("kind", Json.String (kind_name c.kind));
-             ("configurations", Json.Int c.configurations);
-             ("violations", Json.Int c.violations);
-           ])
-       cells)
+let rows cells =
+  List.map
+    (fun c ->
+      ( Printf.sprintf "litmus/%s/%s" c.protocol (kind_name c.kind),
+        [ ("configurations", c.configurations); ("violations", c.violations) ] ))
+    cells

@@ -56,4 +56,5 @@ val run : unit -> cell list
 val print : Format.formatter -> cell list -> unit
 (** One row per builtin protocol, noted with what its model {!forbidden}. *)
 
-val to_json : cell list -> Dsmpm2_sim.Json.t
+val rows : cell list -> (string * (string * int) list) list
+(** [litmus/<protocol>/<kind name>]: [configurations], [violations]. *)

@@ -76,17 +76,15 @@ let print ppf rows =
         pp_opt r.paper_null_rpc_us r.migration_us pp_opt r.paper_migration_us)
     rows
 
-let to_json rows =
-  let opt = function Some x -> Json.Float x | None -> Json.Null in
-  Json.List
-    (List.map
-       (fun r ->
-         Json.Obj
-           [
-             ("driver", Json.String r.driver);
-             ("null_rpc_us", Json.Float r.null_rpc_us);
-             ("paper_null_rpc_us", opt r.paper_null_rpc_us);
-             ("migration_us", Json.Float r.migration_us);
-             ("paper_migration_us", opt r.paper_migration_us);
-           ])
-       rows)
+let rows rs =
+  let row what r us paper =
+    let paper = Option.fold ~none:[] ~some:(fun p -> [ ("paper_ns", Time.of_us p) ]) paper in
+    (Printf.sprintf "micro/%s/%s" what (Driver.slug r.driver), ("ns", Time.of_us us) :: paper)
+  in
+  List.concat_map
+    (fun r ->
+      [
+        row "null_rpc" r r.null_rpc_us r.paper_null_rpc_us;
+        row "migration" r r.migration_us r.paper_migration_us;
+      ])
+    rs

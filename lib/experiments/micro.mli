@@ -17,4 +17,6 @@ type row = {
 val run : unit -> row list
 val print : Format.formatter -> row list -> unit
 
-val to_json : row list -> Dsmpm2_sim.Json.t
+val rows : row list -> (string * (string * int) list) list
+(** [micro/null_rpc/<driver slug>] and [micro/migration/<driver slug>]:
+    [ns], and [paper_ns] where the paper quotes one. *)

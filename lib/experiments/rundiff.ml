@@ -2,11 +2,11 @@
 
    Every value compared is an integer that a deterministic run reproduces
    bit for bit, so the comparison has no tolerance: it lists each
-   difference.  Snapshots are compared case by case and seed by seed;
-   trace dumps through Analyze — the same stage stamps, page
-   classification and alert extraction the post-mortem report uses — so
-   `dsm analyze` and `dsm diff` never disagree about what a stage or a
-   pattern is. *)
+   difference.  Snapshots are rows of integers — a macro case's sample per
+   seed, a paper table's cell — compared by row id and field; trace dumps
+   through Analyze — the same stage stamps, page classification and alert
+   extraction the post-mortem report uses — so `dsm analyze` and `dsm
+   diff` never disagree about what a stage or a pattern is. *)
 
 open Dsmpm2_sim
 module B = Bench_suite
@@ -15,20 +15,21 @@ module Watchdog = Dsmpm2_core.Watchdog
 
 (* --- sources --- *)
 
-type source = Bench of B.t | Run of Analyze.t
+type source = Bench of B.t | Paper of Paper.row list | Run of Analyze.t
 
 let load_source path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error (Printf.sprintf "%s: %s" path msg)
   | contents -> (
-      (* A macro-bench snapshot is one JSON document with a schema field; a
-         trace dump is JSONL whose lines have no schema.  Sniff, don't
-         trust extensions. *)
+      (* A snapshot is one JSON document with a schema field; a trace dump
+         is JSONL whose lines have no schema.  Sniff, don't trust
+         extensions. *)
       match Json.of_string contents with
-      | Ok j when Json.member "schema" j <> None -> (
-          match B.of_json j with
-          | Ok t -> Ok (Bench t)
-          | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
+      | Ok j when Json.member "schema" j <> None ->
+          Result.map_error (Printf.sprintf "%s: %s" path)
+            (if Json.member "schema" j = Some (Json.String Paper.schema_version) then
+               Result.map (fun rows -> Paper rows) (Paper.of_json j)
+             else Result.map (fun t -> Bench t) (B.of_json j))
       | _ -> (
           match Trace.of_jsonl contents with
           | Ok tr -> Ok (Run (Analyze.analyze tr))
@@ -64,7 +65,7 @@ type alert_delta = {
 }
 
 type t = {
-  rd_mode : [ `Bench | `Trace ];
+  rd_mode : [ `Bench | `Paper | `Trace ];
   rd_cases : (B.case_result * B.case_result) list;
   rd_only_baseline : string list;
   rd_only_fresh : string list;
@@ -74,25 +75,55 @@ type t = {
   rd_alerts : alert_delta list;
 }
 
-(* One change per field whose values differ. *)
-let changes ~where fields base fresh =
-  List.concat
-    (List.map2
-       (fun field (b, f) ->
-         if b = f then []
-         else [ { ch_where = where; ch_field = field; ch_base = b; ch_fresh = f } ])
-       fields (List.combine base fresh))
+(* Rows [(id, fields)] are matched by id and fields by name: one change per
+   field whose values differ, in [a]'s order, and one line per row of [x]
+   with no counterpart in [y] (["id"]) or field of a matched row with none
+   (["id field"]).  A macro snapshot's [keys] are its cases. *)
+let row_changes a b =
+  List.concat_map
+    (fun (where, fa) ->
+      List.filter_map
+        (fun (field, x) ->
+          match Option.bind (List.assoc_opt where b) (List.assoc_opt field) with
+          | Some y when y <> x ->
+              Some { ch_where = where; ch_field = field; ch_base = x; ch_fresh = y }
+          | _ -> None)
+        fa)
+    a
+
+let only x y =
+  List.concat_map
+    (fun (id, fx) ->
+      match List.assoc_opt id y with
+      | None -> [ id ]
+      | Some fy ->
+          List.filter_map
+            (fun (f, _) -> if List.mem_assoc f fy then None else Some (id ^ " " ^ f))
+            fx)
+    x
+
+let diff_rows ~mode ~cases (keys_a, a) (keys_b, b) =
+  {
+    rd_mode = mode;
+    rd_cases = cases;
+    rd_only_baseline = only keys_a keys_b;
+    rd_only_fresh = only keys_b keys_a;
+    rd_stages = [];
+    rd_changes = row_changes a b;
+    rd_patterns = [];
+    rd_alerts = [];
+  }
 
 (* --- bench mode --- *)
 
 let id cr = cr.B.cr_case.B.c_id
 
-let find_case t cid = List.find_opt (fun cr -> id cr = cid) t.B.bs_results
-
 (* The cases of [a] that [b] has too, paired by id, in [a]'s order. *)
 let matched a b =
   List.filter_map
-    (fun cra -> Option.map (fun crb -> (cra, crb)) (find_case b (id cra)))
+    (fun cra ->
+      List.find_opt (fun crb -> id crb = id cra) b.B.bs_results
+      |> Option.map (fun crb -> (cra, crb)))
     a.B.bs_results
 
 let no_git m = Format.asprintf "%a" Run_meta.pp { m with Run_meta.rm_git_rev = None }
@@ -130,29 +161,18 @@ let bench_compat a b =
   in
   match suite @ order @ cases with [] -> Ok () | es -> Error (String.concat "; " es)
 
-(* Called only once [bench_compat] holds, so matched cases share seeds. *)
+(* A sample is the row [case seed N]; called only once [bench_compat]
+   holds, so matched cases share seeds. *)
 let diff_bench a b =
-  let only x y = List.filter (fun cid -> find_case y cid = None) (List.map id x.B.bs_results) in
-  let cases = matched a b in
-  let sample_changes (cra, crb) =
-    List.concat
-      (List.map2
-         (fun sa sb ->
-           changes
-             ~where:(Printf.sprintf "%s seed %d" (id cra) sa.B.s_seed)
-             B.metric_names (Array.to_list sa.B.s_values) (Array.to_list sb.B.s_values))
-         cra.B.cr_samples crb.B.cr_samples)
+  let sample cr s =
+    ( Printf.sprintf "%s seed %d" (id cr) s.B.s_seed,
+      List.combine B.metric_names (Array.to_list s.B.s_values) )
   in
-  {
-    rd_mode = `Bench;
-    rd_cases = cases;
-    rd_only_baseline = only a b;
-    rd_only_fresh = only b a;
-    rd_stages = [];
-    rd_changes = List.concat_map sample_changes cases;
-    rd_patterns = [];
-    rd_alerts = [];
-  }
+  let rows t =
+    ( List.map (fun cr -> (id cr, [])) t.B.bs_results,
+      List.concat_map (fun cr -> List.map (sample cr) cr.B.cr_samples) t.B.bs_results )
+  in
+  diff_rows ~mode:`Bench ~cases:(matched a b) (rows a) (rows b)
 
 (* --- trace mode --- *)
 
@@ -174,14 +194,11 @@ let diff_stages base fresh =
          let sd_base = List.assoc_opt key tb and sd_fresh = List.assoc_opt key tf in
          { sd_protocol; sd_stage; sd_base; sd_fresh })
 
-let stage_changes sd =
-  let values = function
-    | None -> [ 0; 0; 0 ]
-    | Some s -> Stats.[ s.sm_mean; s.sm_p90; s.sm_samples ]
+let stage_row sd s =
+  let mean, p90, n =
+    match s with None -> (0, 0, 0) | Some s -> Stats.(s.sm_mean, s.sm_p90, s.sm_samples)
   in
-  changes
-    ~where:(sd.sd_protocol ^ "/" ^ sd.sd_stage)
-    [ "mean_ns"; "p90_ns"; "samples" ] (values sd.sd_base) (values sd.sd_fresh)
+  (sd.sd_protocol ^ "/" ^ sd.sd_stage, [ ("mean_ns", mean); ("p90_ns", p90); ("samples", n) ])
 
 let diff_patterns base fresh =
   let patterns a =
@@ -214,20 +231,24 @@ let diff_alerts base fresh =
          if al_base = al_fresh then None
          else Some { al_severity; al_kind; al_base; al_fresh })
 
+(* A stage is the row [protocol/stage], zero on a side without stamps. *)
 let diff_trace base fresh =
   let stages = diff_stages base fresh in
+  let rows side = ([], List.map (fun sd -> stage_row sd (side sd)) stages) in
   {
-    rd_mode = `Trace;
-    rd_cases = [];
-    rd_only_baseline = [];
-    rd_only_fresh = [];
+    (diff_rows ~mode:`Trace ~cases:[] (rows (fun sd -> sd.sd_base)) (rows (fun sd -> sd.sd_fresh)))
+    with
     rd_stages = stages;
-    rd_changes = List.concat_map stage_changes stages;
     rd_patterns = diff_patterns base fresh;
     rd_alerts = diff_alerts base fresh;
   }
 
 (* --- entry point and verdict --- *)
+
+let kind = function
+  | Bench _ -> "macro-bench snapshot"
+  | Paper _ -> "paper snapshot"
+  | Run _ -> "trace dump"
 
 let diff ~baseline ~fresh =
   match (baseline, fresh) with
@@ -235,9 +256,9 @@ let diff ~baseline ~fresh =
       match bench_compat a b with
       | Ok () -> Ok (diff_bench a b)
       | Error m -> Error ("cannot compare: " ^ m))
+  | Paper a, Paper b -> Ok (diff_rows ~mode:`Paper ~cases:[] (a, a) (b, b))
   | Run a, Run b -> Ok (diff_trace a b)
-  | Bench _, Run _ | Run _, Bench _ ->
-      Error "cannot compare a macro-bench snapshot with a trace dump"
+  | _ -> Error (Printf.sprintf "cannot compare a %s with a %s" (kind baseline) (kind fresh))
 
 let change_line c =
   let delta = c.ch_fresh - c.ch_base in
@@ -266,7 +287,7 @@ let differs t = differences t <> []
 
 (* --- rendering --- *)
 
-let mode_str = function `Bench -> "macro-bench" | `Trace -> "trace"
+let mode_str = function `Bench -> "macro-bench" | `Paper -> "paper" | `Trace -> "trace"
 
 let pp_text ppf t =
   Format.fprintf ppf "run diff: %s mode, exact@." (mode_str t.rd_mode);

@@ -165,20 +165,17 @@ let print ppf cells =
         cells)
     scenarios
 
-let to_json cells =
-  Json.List
-    (List.map
-       (fun c ->
-         Json.Obj
-           [
-             ("pattern", Json.String c.pattern);
-             ("protocol", Json.String c.protocol);
-             ("time_ms", Json.Float c.time_ms);
-             ("correct", Json.Bool c.correct);
-             ("read_faults", Json.Int c.read_faults);
-             ("write_faults", Json.Int c.write_faults);
-             ("pages_sent", Json.Int c.pages_sent);
-             ("diff_bytes", Json.Int c.diff_bytes);
-             ("messages", Json.Int c.messages);
-           ])
-       cells)
+let rows cells =
+  List.map
+    (fun c ->
+      ( Printf.sprintf "patterns/%s/%s" c.pattern c.protocol,
+        [
+          ("time_ns", Time.of_us (c.time_ms *. 1000.));
+          ("correct", Bool.to_int c.correct);
+          ("read_faults", c.read_faults);
+          ("write_faults", c.write_faults);
+          ("pages_sent", c.pages_sent);
+          ("diff_bytes", c.diff_bytes);
+          ("messages", c.messages);
+        ] ))
+    cells

@@ -88,20 +88,16 @@ let print ppf cells =
         c.diff_bytes)
     cells
 
-let to_json cells =
-  let open Dsmpm2_sim in
-  Json.List
-    (List.map
-       (fun c ->
-         Json.Obj
-           [
-             ("kernel", Json.String c.kernel);
-             ("protocol", Json.String c.protocol);
-             ("time_ms", Json.Float c.time_ms);
-             ("correct", Json.Bool c.correct);
-             ("read_faults", Json.Int c.read_faults);
-             ("write_faults", Json.Int c.write_faults);
-             ("pages", Json.Int c.pages);
-             ("diff_bytes", Json.Int c.diff_bytes);
-           ])
-       cells)
+let rows cells =
+  List.map
+    (fun c ->
+      ( Printf.sprintf "splash/%s/%s" c.kernel c.protocol,
+        [
+          ("time_ns", Dsmpm2_sim.Time.of_us (c.time_ms *. 1000.));
+          ("correct", Bool.to_int c.correct);
+          ("read_faults", c.read_faults);
+          ("write_faults", c.write_faults);
+          ("pages", c.pages);
+          ("diff_bytes", c.diff_bytes);
+        ] ))
+    cells

@@ -16,4 +16,5 @@ type cell = {
 val run : unit -> cell list
 val print : Format.formatter -> cell list -> unit
 
-val to_json : cell list -> Dsmpm2_sim.Json.t
+val rows : cell list -> (string * (string * int) list) list
+(** [splash/<kernel>/<protocol>]: the cell's fields, [time_ns], [correct] 0/1. *)

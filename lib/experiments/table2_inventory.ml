@@ -21,17 +21,3 @@ let print ppf rows =
       Format.fprintf ppf "%-16s %-12s %s%s@." r.name r.consistency r.features
         (if r.registered then "" else "  [NOT REGISTERED!]"))
     rows
-
-let to_json rows =
-  let open Dsmpm2_sim in
-  Json.List
-    (List.map
-       (fun r ->
-         Json.Obj
-           [
-             ("name", Json.String r.name);
-             ("consistency", Json.String r.consistency);
-             ("features", Json.String r.features);
-             ("registered", Json.Bool r.registered);
-           ])
-       rows)

@@ -6,5 +6,3 @@ type row = { name : string; consistency : string; features : string; registered 
 
 val run : unit -> row list
 val print : Format.formatter -> row list -> unit
-
-val to_json : row list -> Dsmpm2_sim.Json.t

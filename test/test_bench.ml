@@ -107,6 +107,52 @@ let test_snapshot_strict () =
           | kv -> kv) );
     ]
 
+(* --- the paper snapshot (dsm-paper/1) ---
+
+   Rows of integer fields, ids and field names distinct within their
+   scope; the round trip through text is exact over the whole int
+   range. *)
+
+let gen_paper =
+  let open QCheck.Gen in
+  let fields =
+    map (List.mapi (fun i v -> (Printf.sprintf "f%d_ns" i, v))) (list_size (0 -- 5) int)
+  in
+  map
+    (List.mapi (fun i fs -> (Printf.sprintf "fig%d/proto/%d" (i mod 7) i, fs)))
+    (list_size (0 -- 12) fields)
+
+let prop_paper_roundtrip =
+  QCheck.Test.make ~name:"BENCH_paper schema round-trips through text" ~count:200
+    (QCheck.make gen_paper) (fun rows ->
+      match Json.of_string (Json.to_string_pretty (Paper.to_json rows)) with
+      | Error _ -> false
+      | Ok j -> Paper.of_json j = Ok rows)
+
+(* A paper snapshot holds the schema and the rows, nothing else: a
+   missing or extra top-level field, a float value, a repeated id or field
+   and another schema are refused. *)
+let test_paper_strict () =
+  let rows = [ ("fig4/li_hudak/8", [ ("time_ns", 83_000_000); ("best", 189) ]) ] in
+  let doc = Paper.to_json rows in
+  let top f = match doc with Json.Obj kvs -> Json.Obj (f kvs) | j -> j in
+  let set key v = top (List.map (fun (k, w) -> (k, if k = key then v else w))) in
+  let with_rows rs = set "rows" (Json.Obj rs) in
+  let row fs = ("fig4/li_hudak/8", Json.Obj fs) in
+  Alcotest.(check bool) "as written: accepted" true (Paper.of_json doc = Ok rows);
+  List.iter
+    (fun (what, j) -> Alcotest.(check bool) what true (Result.is_error (Paper.of_json j)))
+    [
+      ("missing rows refused", top (List.remove_assoc "rows"));
+      ("missing schema refused", top (List.remove_assoc "schema"));
+      ("extra field refused", top (fun kvs -> kvs @ [ ("git_rev", Json.String "x") ]));
+      ("float value refused", with_rows [ row [ ("time_ns", Json.Float 83e6) ] ]);
+      ( "repeated id refused",
+        with_rows [ row [ ("best", Json.Int 1) ]; row [ ("best", Json.Int 1) ] ] );
+      ("repeated field refused", with_rows [ row [ ("best", Json.Int 1); ("best", Json.Int 1) ] ]);
+      ("other schema refused", set "schema" (Json.String "dsm-paper/0"));
+    ]
+
 (* --- determinism --- *)
 
 let tiny_case =
@@ -234,6 +280,11 @@ let () =
           Alcotest.test_case "unknown schema rejected" `Quick
             test_schema_version_rejected;
           Alcotest.test_case "only what to_json writes" `Quick test_snapshot_strict;
+        ] );
+      ( "paper",
+        [
+          QCheck_alcotest.to_alcotest prop_paper_roundtrip;
+          Alcotest.test_case "only what to_json writes" `Quick test_paper_strict;
         ] );
       ( "determinism",
         [

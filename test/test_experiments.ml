@@ -307,6 +307,223 @@ let test_patterns_shapes () =
     true
     (rm_li.Sharing_patterns.time_ms < rm_hbrc.Sharing_patterns.time_ms)
 
+(* --- the snapshot gate --- *)
+
+let committed () =
+  match Rundiff.load_source "../BENCH_paper.json" with
+  | Ok (Rundiff.Paper rows) -> rows
+  | Ok _ -> Alcotest.fail "BENCH_paper.json is not a paper snapshot"
+  | Error msg -> Alcotest.fail msg
+
+(* Every experiment, run fresh, gives exactly the committed rows: the
+   failure lists each difference as `dsm diff` prints it.  After a
+   deliberate change to simulated numbers, re-bank with
+   `dsm paper --out BENCH_paper.json`. *)
+let test_paper_snapshot () =
+  let fresh = Paper.run (Format.make_formatter (fun _ _ _ -> ()) ignore) in
+  match Rundiff.diff ~baseline:(Rundiff.Paper (committed ())) ~fresh:(Rundiff.Paper fresh) with
+  | Error msg -> Alcotest.fail msg
+  | Ok d ->
+      Alcotest.(check (list string)) "fresh rows equal BENCH_paper.json" []
+        (Rundiff.differences d)
+
+(* --- EXPERIMENTS.md shows the snapshot --- *)
+
+(* The body rows of every markdown table in [lines], in order: cells
+   trimmed, without the * and \\ of their emphasis and footnote marks. *)
+let doc_tables lines =
+  let strip cell =
+    String.trim (String.of_seq (Seq.filter (fun c -> c <> '*' && c <> '\\') (String.to_seq cell)))
+  in
+  let cells line =
+    match String.split_on_char '|' line with
+    | _ :: rest -> List.map strip (List.rev (List.tl (List.rev rest)))
+    | [] -> []
+  in
+  let rec go acc current = function
+    | [] -> List.rev (match current with Some t -> List.rev t :: acc | None -> acc)
+    | line :: rest when String.length line > 0 && line.[0] = '|' -> (
+        match current with
+        | None -> go acc (Some []) rest (* the header row *)
+        | Some t when String.length line > 1 && line.[1] = '-' -> go acc (Some t) rest
+        | Some t -> go acc (Some (cells line :: t)) rest)
+    | _ :: rest -> go (match current with Some t -> List.rev t :: acc | None -> acc) None rest
+  in
+  go [] None lines
+
+let test_experiments_md () =
+  let rows = committed () in
+  let v id field =
+    match List.assoc_opt id rows with
+    | None -> Alcotest.failf "BENCH_paper.json has no row %s" id
+    | Some fields -> (
+        match List.assoc_opt field fields with
+        | Some x -> x
+        | None -> Alcotest.failf "BENCH_paper.json: %s has no %s" id field)
+  in
+  let dec d ns scale = Printf.sprintf "%.*f" d (float_of_int ns /. scale) in
+  let ms id = dec 1 (v id "time_ns") 1e6 in
+  let grouped n =
+    let s = string_of_int n in
+    let k = String.length s in
+    String.concat ""
+      (List.init k (fun i ->
+           (if i > 0 && (k - i) mod 3 = 0 then " " else "") ^ String.make 1 s.[i]))
+  in
+  let drivers = List.map (fun d -> d.Dsmpm2_net.Driver.name) Dsmpm2_net.Driver.all in
+  let slug = Dsmpm2_net.Driver.slug in
+  let protocols =
+    List.map (fun p -> p.Dsmpm2_core.Protocol.name) (Dsmpm2_protocols.Builtin.protocols ())
+  in
+  let micro d =
+    let id what = Printf.sprintf "micro/%s/%s" what (slug d) in
+    let paper what =
+      match Option.bind (List.assoc_opt (id what) rows) (List.assoc_opt "paper_ns") with
+      | Some ns -> dec 0 ns 1e3 ^ " µs"
+      | None -> "(not quoted)"
+    in
+    let measured what = dec 1 (v (id what) "ns") 1e3 ^ " µs" in
+    [ d; measured "null_rpc"; paper "null_rpc"; measured "migration"; paper "migration" ]
+  in
+  let fault_table table ops =
+    List.map
+      (fun op ->
+        let op_slug = String.map (function ' ' -> '_' | c -> Char.lowercase_ascii c) op in
+        let id d = Printf.sprintf "%s/%s/%s" table op_slug (slug d) in
+        let cell d = dec 1 (v (id d) "ns") 1e3 ^ " / " ^ dec 0 (v (id d) "paper_ns") 1e3 in
+        op :: List.map cell drivers)
+      ops
+  in
+  let fig4 =
+    List.map
+      (fun p -> p :: List.map (fun n -> ms (Printf.sprintf "fig4/%s/%d" p n)) [ 1; 2; 4; 8 ])
+      Fig4_tsp.protocols
+  in
+  let fig5 =
+    List.map
+      (fun p ->
+        let id n = Printf.sprintf "fig5/%s/%d" p n in
+        p :: List.map (fun n -> ms (id n)) [ 1; 2; 4 ]
+        @ [ grouped (v (id 4) "inline_checks"); grouped (v (id 4) "read_faults") ])
+      [ "java_ic"; "java_pf" ]
+  in
+  let splash =
+    List.map
+      (fun (kernel, label) ->
+        label
+        :: List.map
+             (fun p -> ms (Printf.sprintf "splash/%s/%s" kernel p))
+             [ "li_hudak"; "erc_sw"; "hbrc_mw"; "migrate_thread" ])
+      [
+        ("jacobi", "Jacobi 48², 8 sweeps (ms)");
+        ("matmul", "Matmul 32² (ms)");
+        ("lu", "LU 32² (ms)");
+        ("sort", "Sort 256 elems (ms)");
+      ]
+  in
+  let stack =
+    List.map
+      (fun d ->
+        let id bytes = Printf.sprintf "ablation/stack/%s/%d" (slug d) bytes in
+        let migrate b = dec 0 (v (id b) "thread_migration_ns") 1e3 in
+        let page = dec 0 (v (id 1024) "page_transfer_ns") 1e3 in
+        d :: page :: List.map migrate [ 1024; 4096; 16384; 65536 ])
+      drivers
+  in
+  let refresh =
+    List.map
+      (fun p ->
+        p
+        :: List.map
+             (fun period -> ms (Printf.sprintf "ablation/refresh/%s/%d" p period))
+             [ 500; 2000; 8000 ])
+      [ "li_hudak"; "erc_sw"; "hbrc_mw"; "migrate_thread" ]
+  in
+  let manager =
+    List.map
+      (fun w ->
+        let cell m =
+          let id = Printf.sprintf "ablation/manager/%s/%d" m w in
+          let latency = dec 0 (v id "read_latency_ns") 1e3 in
+          Printf.sprintf "%d / %s µs" (v id "request_messages") latency
+        in
+        [ string_of_int w; cell "dynamic"; cell "fixed" ])
+      [ 1; 3; 6 ]
+  in
+  let balance =
+    List.concat_map
+      (fun n ->
+        List.map
+          (fun on ->
+            let id = Printf.sprintf "ablation/balance/%d/%s" n on in
+            [
+              string_of_int n; on; ms id;
+              string_of_int (v id "thread_migrations");
+              string_of_int (v id "balancer_moves");
+            ])
+          [ "off"; "on" ])
+      [ 4; 8 ]
+  in
+  let litmus =
+    List.map
+      (fun p ->
+        p
+        :: List.map
+             (fun k ->
+               let id = Printf.sprintf "litmus/%s/%s" p k in
+               Printf.sprintf "%d/%d" (v id "violations") (v id "configurations"))
+             [ "MP"; "SB"; "CoRR" ])
+      protocols
+  in
+  let patterns =
+    List.map
+      (fun p ->
+        p
+        :: List.map
+             (fun pattern ->
+               let id = Printf.sprintf "patterns/%s/%s" pattern p in
+               ms id ^ if v id "correct" = 1 then "" else " ✗")
+             [ "migratory"; "producer_consumer"; "read_mostly"; "false_sharing" ])
+      protocols
+  in
+  let expected =
+    [
+      ("Section 2.1", List.map micro drivers);
+      ( "Table 3",
+        fault_table "table3"
+          [ "Page fault"; "Request page"; "Page transfer"; "Protocol overhead"; "Total" ] );
+      ( "Table 4",
+        fault_table "table4" [ "Page fault"; "Thread migration"; "Protocol overhead"; "Total" ] );
+      ("Figure 4", fig4);
+      ("Figure 5", fig5);
+      ("SPLASH", splash);
+      ("Ablation (a)", stack);
+      ("Ablation (b)", refresh);
+      ("Ablation (c)", manager);
+      ("Ablation (d)", balance);
+      ("Litmus", litmus);
+      ("Sharing patterns", patterns);
+    ]
+  in
+  let tables =
+    doc_tables (In_channel.with_open_bin "../EXPERIMENTS.md" In_channel.input_lines)
+  in
+  Alcotest.(check int) "every table of EXPERIMENTS.md is checked" (List.length expected)
+    (List.length tables);
+  List.iter2
+    (fun (name, want) got ->
+      (* a row may carry prose after its numbers (the litmus model column) *)
+      let got =
+        List.mapi
+          (fun i g ->
+            match List.nth_opt want i with
+            | Some w -> List.filteri (fun j _ -> j < List.length w) g
+            | None -> g)
+          got
+      in
+      Alcotest.(check (list (list string))) (name ^ " equals BENCH_paper.json") want got)
+    expected tables
+
 let () =
   Alcotest.run "experiments"
     [
@@ -340,5 +557,11 @@ let () =
           Alcotest.test_case "all cells correct" `Quick test_patterns_all_correct;
           Alcotest.test_case "qualitative shapes" `Quick test_patterns_shapes;
           Alcotest.test_case "perturbed schedules" `Quick test_patterns_perturbed;
+        ] );
+      ( "snapshot",
+        [
+          Alcotest.test_case "fresh rows equal BENCH_paper.json" `Quick test_paper_snapshot;
+          Alcotest.test_case "EXPERIMENTS.md equals BENCH_paper.json" `Quick
+            test_experiments_md;
         ] );
     ]

@@ -262,8 +262,9 @@ let test_mixed_protocols_coexist () =
   Alcotest.(check int) "hbrc page flushed home" 2 (Dsm.unsafe_peek dsm ~node:0 b)
 
 (* One [Diffs] message whose pages alternate between hbrc_mw, which has a
-   batch handler, and li_hudak, which has none: the handler gets exactly
-   its own pages, in message order, and the li_hudak pages are applied. *)
+   batch handler, and li_hudak, which has none: the handler is called once
+   with exactly its own pages, in message order, and the li_hudak pages
+   are applied. *)
 let test_mixed_protocol_diff_batch () =
   let dsm, ids = make ~nodes:2 () in
   let page_size = Page.size dsm.Runtime.geo in
@@ -272,9 +273,10 @@ let test_mixed_protocol_diff_batch () =
     (addr, Dsm.region_pages dsm ~addr ~size:(2 * page_size))
   in
   let _, hbrc = region ids.Builtin.hbrc_mw and li_addr, li = region ids.Builtin.li_hudak in
-  let handled = ref [] in
+  let handled = ref [] and calls = ref 0 in
   Dsm_comm.set_diffs_handler dsm ~protocol:ids.Builtin.hbrc_mw
     (fun rt ~node ~diffs ~sender:_ ~release:_ ->
+      incr calls;
       handled := !handled @ List.map (fun d -> d.Diff.page) diffs;
       List.iter (Dsm_comm.apply_diff_locally rt ~node) diffs);
   let pages = List.concat (List.map2 (fun h l -> [ h; l ]) hbrc li) in
@@ -282,6 +284,7 @@ let test_mixed_protocol_diff_batch () =
     List.mapi (fun i page -> Diff.of_words ~geometry:dsm.Runtime.geo ~page [ (0, 100 + i) ]) pages
   in
   run_one dsm ~node:0 (fun () -> Dsm_comm.call_diffs dsm ~to_:1 ~diffs ~release:false);
+  Alcotest.(check int) "one hbrc_mw handler call" 1 !calls;
   Alcotest.(check (list int)) "hbrc_mw pages, in message order" hbrc !handled;
   Alcotest.(check int) "first li_hudak page applied" 101 (Dsm.unsafe_peek dsm ~node:1 li_addr);
   Alcotest.(check int) "second li_hudak page applied" 103

@@ -1,6 +1,7 @@
 (* Tests of the exact comparator: any change to any sample field on any
-   seed is a difference, so is a case on one side only, identical runs
-   diff clean, and incompatible identities are refused. *)
+   seed, or to any field of a paper row, is a difference, so is a case or
+   a row on one side only, identical runs diff clean, and incompatible
+   identities or kinds are refused. *)
 
 open Dsmpm2_sim
 open Dsmpm2_core
@@ -85,6 +86,23 @@ let changes d =
 let change = Alcotest.(list (pair string (pair string (pair int int))))
 let flat = List.map (fun (w, f, b, n) -> (w, (f, (b, n))))
 
+(* A small paper snapshot: rows of integer fields, matched by id. *)
+let paper_rows =
+  [
+    ("micro/null_rpc/tcp-myrinet", [ ("ns", 30_000) ]);
+    ("fig4/li_hudak/8", [ ("time_ns", 83_000_000); ("best", 189); ("migrations", 0) ]);
+    ("splash/jacobi/hbrc_mw", [ ("time_ns", 6_700_000); ("correct", 1) ]);
+  ]
+
+let paper_diff a b =
+  match Rundiff.diff ~baseline:(Rundiff.Paper a) ~fresh:(Rundiff.Paper b) with
+  | Ok d -> d
+  | Error msg -> Alcotest.failf "paper diff refused: %s" msg
+
+let bump_row id field =
+  List.map (fun (i, fs) ->
+      (i, if i <> id then fs else List.map (fun (f, v) -> (f, if f = field then v + 1 else v)) fs))
+
 (* --- verdicts --- *)
 
 let test_identical_is_clean () =
@@ -113,7 +131,26 @@ let test_one_unit_differs () =
     (Rundiff.differences (diff_exn t (bump ~seed:1 "time_ns" t)));
   Alcotest.(check (list string)) "a count from zero has no percentage"
     [ "app:proto:drv seed 2: dropped 0 -> 1 (+1)" ]
-    (Rundiff.differences (diff_exn t (bump ~seed:2 "dropped" t)))
+    (Rundiff.differences (diff_exn t (bump ~seed:2 "dropped" t)));
+  (* the same over every field of every paper row *)
+  List.iter
+    (fun (id, fields) ->
+      List.iter
+        (fun (field, v) ->
+          let d = paper_diff paper_rows (bump_row id field paper_rows) in
+          Alcotest.check change
+            (id ^ " " ^ field ^ " +1 named")
+            (flat [ (id, field, v, v + 1) ])
+            (flat (changes d));
+          Alcotest.(check bool) (id ^ " " ^ field ^ " +1 differs") true (Rundiff.differs d))
+        fields)
+    paper_rows;
+  Alcotest.(check (list string)) "paper line"
+    [ "fig4/li_hudak/8: time_ns 83000000 -> 83000001 (+1, +0.00%)" ]
+    (Rundiff.differences
+       (paper_diff paper_rows (bump_row "fig4/li_hudak/8" "time_ns" paper_rows)));
+  Alcotest.(check (list string)) "identical paper snapshots diff clean" []
+    (Rundiff.differences (paper_diff paper_rows paper_rows))
 
 (* Faster is a difference too: there is no direction and no threshold. *)
 let test_every_seed_either_way () =
@@ -135,7 +172,25 @@ let test_one_sided_cases_differ () =
     (Rundiff.differences d);
   Alcotest.(check bool) "differs" true (Rundiff.differs d);
   Alcotest.(check (list string)) "only in baseline" [ "only in baseline: app:proto:new" ]
-    (Rundiff.differences (diff_exn b a))
+    (Rundiff.differences (diff_exn b a));
+  (* a paper row, or a field of a matched row, on one side only *)
+  let extra = paper_rows @ [ ("fig5/java_pf/4", [ ("time_ns", 1) ]) ] in
+  Alcotest.(check (list string)) "paper row only in fresh" [ "only in fresh: fig5/java_pf/4" ]
+    (Rundiff.differences (paper_diff paper_rows extra));
+  Alcotest.(check (list string)) "paper row only in baseline"
+    [ "only in baseline: fig5/java_pf/4" ]
+    (Rundiff.differences (paper_diff extra paper_rows));
+  let no_best =
+    List.map
+      (fun (id, fs) -> (id, List.filter (fun (f, _) -> id <> "fig4/li_hudak/8" || f <> "best") fs))
+      paper_rows
+  in
+  Alcotest.(check (list string)) "paper field only in baseline"
+    [ "only in baseline: fig4/li_hudak/8 best" ]
+    (Rundiff.differences (paper_diff paper_rows no_best));
+  Alcotest.(check (list string)) "paper field only in fresh"
+    [ "only in fresh: fig4/li_hudak/8 best" ]
+    (Rundiff.differences (paper_diff no_best paper_rows))
 
 let test_report_names_changes () =
   let t = base_snapshot () in
@@ -249,11 +304,19 @@ let test_git_rev_exempt () =
   Alcotest.(check bool) "equal" false (Rundiff.differs (diff_exn a b))
 
 let test_mixed_kinds_refused () =
-  let a = base_snapshot () in
+  let macro = Rundiff.Bench (base_snapshot ()) in
+  let paper = Rundiff.Paper paper_rows in
   let tr = Rundiff.Run (Analyze.analyze (Trace.create ())) in
-  match Rundiff.diff ~baseline:(Rundiff.Bench a) ~fresh:tr with
-  | Ok _ -> Alcotest.fail "bench vs trace accepted"
-  | Error _ -> ()
+  List.iter
+    (fun (what, baseline, fresh) ->
+      Alcotest.(check bool) (what ^ " refused") true
+        (Result.is_error (Rundiff.diff ~baseline ~fresh)))
+    [
+      ("macro vs trace", macro, tr);
+      ("macro vs paper", macro, paper);
+      ("paper vs macro", paper, macro);
+      ("paper vs trace", paper, tr);
+    ]
 
 (* --- trace mode, over a real (tiny) run --- *)
 
@@ -341,16 +404,24 @@ let test_load_source_sniffs () =
   Trace.save_jsonl path tr;
   (match Rundiff.load_source path with
   | Ok (Rundiff.Run _) -> ()
-  | Ok (Rundiff.Bench _) -> Alcotest.fail "trace loaded as bench"
+  | Ok _ -> Alcotest.fail "trace loaded as a snapshot"
   | Error msg -> Alcotest.failf "load_source trace: %s" msg);
   Sys.remove path;
   let bench_path = Filename.temp_file "dsm_macro" ".json" in
   Json.to_file bench_path (B.to_json (base_snapshot ()));
   (match Rundiff.load_source bench_path with
   | Ok (Rundiff.Bench _) -> ()
-  | Ok (Rundiff.Run _) -> Alcotest.fail "bench loaded as trace"
+  | Ok _ -> Alcotest.fail "macro snapshot loaded as another kind"
   | Error msg -> Alcotest.failf "load_source bench: %s" msg);
-  Sys.remove bench_path
+  Sys.remove bench_path;
+  let paper_path = Filename.temp_file "dsm_paper" ".json" in
+  Json.to_file paper_path (Paper.to_json paper_rows);
+  (match Rundiff.load_source paper_path with
+  | Ok (Rundiff.Paper rows) ->
+      Alcotest.(check bool) "paper rows read back" true (rows = paper_rows)
+  | Ok _ -> Alcotest.fail "paper snapshot loaded as another kind"
+  | Error msg -> Alcotest.failf "load_source paper: %s" msg);
+  Sys.remove paper_path
 
 (* A snapshot of an older schema cannot be compared: [load_source] refuses
    it with the file's name and the way to re-bank it. *)
