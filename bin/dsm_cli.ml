@@ -824,7 +824,8 @@ let diff_cmd =
           Format.fprintf ppf "diff: %s: %s@." what msg;
           exit 2
     in
-    let b = load "baseline" baseline and f = load "fresh" fresh in
+    let b = load "baseline" baseline in
+    let f = load "fresh" fresh in
     match Rundiff.diff ~baseline:b ~fresh:f with
     | Error msg ->
         Format.fprintf ppf "diff: %s@." msg;

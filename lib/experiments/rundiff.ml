@@ -19,7 +19,7 @@ type source = Bench of B.t | Paper of Paper.row list | Run of Analyze.t
 
 let load_source path =
   match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error msg -> Error (Printf.sprintf "%s: %s" path msg)
+  | exception Sys_error msg -> Error msg (* already names the path *)
   | contents -> (
       (* A snapshot is one JSON document with a schema field; a trace dump
          is JSONL whose lines have no schema.  Sniff, don't trust

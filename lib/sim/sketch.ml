@@ -1,48 +1,45 @@
-(* DDSketch-style log-bucketed quantile summary.  A positive value v maps
-   to bucket ceil(ln v / ln gamma); every value in bucket i lies in
-   (gamma^(i-1), gamma^i], and the bucket midpoint estimate
-   2*gamma^i/(gamma+1) is within relative error (gamma-1)/(gamma+1) = alpha
-   of any of them.  Counts live in a dense array over the occupied index
-   range, so memory tracks the data's dynamic range, not the sample count,
-   a sample is an array increment, and merging is bucket-wise addition —
-   exactly the stream-concatenation semantics the property tests pin. *)
+(* Integer log-linear histogram.  A value v < 128 is its own bucket
+   index; a larger one with top set bit e and shift s = e - 6 is bucket
+   (s lsl 6) + (v lsr s), whose 2^s values start at (v lsr s) lsl s >=
+   64 * 2^s.  The indices are dense and ascend with the value, so counts
+   live in one array over the occupied index range: memory tracks the
+   data's dynamic range, not the sample count, a sample is an array
+   increment, and merging is bucket-wise addition — exactly the
+   stream-concatenation semantics the property tests pin. *)
 
-(* Values at or below this threshold are counted exactly in a dedicated
-   zero bucket: the log mapping cannot represent 0, and latencies this far
-   below one nanosecond are noise. *)
-let zero_threshold = 1e-9
+let sub_bits = 6
 
 type t = {
-  a_alpha : float;
-  gamma : float;
-  inv_log_gamma : float;
   mutable n : int;
-  mutable zeros : int; (* samples in [0, zero_threshold] *)
-  range : float array;
-      (* [| sum; min; max; last |]: unboxed, so updates allocate nothing.
-         [last] is the most recent value that took a log bucket, and
-         [last_bucket] its bucket index: a latency stream repeats values
-         often, and a repeat skips the [log]. *)
-  mutable last_bucket : int;
-  mutable base : int; (* log-bucket index of counts.(0) *)
-  mutable counts : int array; (* log-bucket index base + k -> samples *)
+  mutable lo : int; (* smallest sample; max_int when empty *)
+  mutable hi : int; (* largest sample; 0 when empty *)
+  mutable base : int; (* bucket index of counts.(0) *)
+  mutable counts : int array; (* bucket index base + k -> samples *)
 }
 
-let create ?(alpha = 0.01) () =
-  if not (alpha > 0. && alpha < 1.) then
-    invalid_arg "Sketch.create: alpha must be in (0, 1)";
-  let gamma = (1. +. alpha) /. (1. -. alpha) in
-  {
-    a_alpha = alpha;
-    gamma;
-    inv_log_gamma = 1. /. log gamma;
-    n = 0;
-    zeros = 0;
-    range = [| 0.; infinity; neg_infinity; nan |];
-    last_bucket = 0;
-    base = 0;
-    counts = [||];
-  }
+let create () = { n = 0; lo = max_int; hi = 0; base = 0; counts = [||] }
+
+(* The position of the top set bit of [v > 0], by halving. *)
+let top_bit v =
+  let e = ref 0 and v = ref v in
+  if !v lsr 32 <> 0 then begin e := 32; v := !v lsr 32 end;
+  if !v lsr 16 <> 0 then begin e := !e + 16; v := !v lsr 16 end;
+  if !v lsr 8 <> 0 then begin e := !e + 8; v := !v lsr 8 end;
+  if !v lsr 4 <> 0 then begin e := !e + 4; v := !v lsr 4 end;
+  if !v lsr 2 <> 0 then begin e := !e + 2; v := !v lsr 2 end;
+  if !v lsr 1 <> 0 then !e + 1 else !e
+
+let[@inline] index v =
+  if v < 2 lsl sub_bits then v
+  else
+    let s = top_bit v - sub_bits in
+    (s lsl sub_bits) + (v lsr s)
+
+(* Bucket [i] holds [lower i .. lower i + (1 lsl shift i) - 1]. *)
+let shift i = Stdlib.max 0 ((i lsr sub_bits) - 1)
+let lower i = (i - (shift i lsl sub_bits)) lsl shift i
+let upper i = lower i + (1 lsl shift i) - 1
+let midpoint i = lower i + (((1 lsl shift i) - 1) / 2)
 
 (* Widens [counts] to hold bucket [i].  Lengths are powers of two: growth
    is amortised O(1), and the arrays fall into a handful of heap size
@@ -64,87 +61,49 @@ let cover t i =
     t.counts <- counts
   end
 
-let[@inline] insert t v =
-  let v = if v > 0. then v else 0. in
+let add t v =
+  let v = if v > 0 then v else 0 in
   t.n <- t.n + 1;
-  t.range.(0) <- t.range.(0) +. v;
-  if v < t.range.(1) then t.range.(1) <- v;
-  if v > t.range.(2) then t.range.(2) <- v;
-  if v <= zero_threshold then t.zeros <- t.zeros + 1
-  else begin
-    let i =
-      if v = t.range.(3) then t.last_bucket
-      else begin
-        let i = int_of_float (Float.ceil (log v *. t.inv_log_gamma)) in
-        t.range.(3) <- v;
-        t.last_bucket <- i;
-        i
-      end
-    in
-    if i < t.base || i >= t.base + Array.length t.counts then cover t i;
-    let k = i - t.base in
-    t.counts.(k) <- t.counts.(k) + 1
-  end
+  if v < t.lo then t.lo <- v;
+  if v > t.hi then t.hi <- v;
+  let i = index v in
+  if i < t.base || i >= t.base + Array.length t.counts then cover t i;
+  let k = i - t.base in
+  t.counts.(k) <- t.counts.(k) + 1
 
-let add t v = insert t v
-let add_int t v = insert t (float_of_int v)
 let count t = t.n
-let sum t = t.range.(0)
-let min_value t = if t.n = 0 then 0. else t.range.(1)
-let max_value t = if t.n = 0 then 0. else t.range.(2)
-
-let buckets t =
-  Array.fold_left (fun acc c -> if c > 0 then acc + 1 else acc) 0 t.counts
-  + if t.zeros > 0 then 1 else 0
-
-(* The value estimate for bucket i: the point whose relative distance to
-   both bucket edges is alpha. *)
-let estimate t i =
-  2. *. exp (float_of_int i *. log t.gamma) /. (t.gamma +. 1.)
+let min_value t = if t.n = 0 then 0 else t.lo
+let max_value t = t.hi
 
 let quantile t q =
-  if t.n = 0 then 0.
+  if t.n = 0 then 0
   else begin
     let q = Float.max 0. (Float.min 1. q) in
     (* Lower nearest-rank: the exact answer is the rank-th smallest sample
-       (0-based); the zero bucket sorts below every log bucket. *)
+       (0-based). *)
     let rank = int_of_float (Float.floor (q *. float_of_int (t.n - 1))) in
-    let lo = t.range.(1) and hi = t.range.(2) in
-    if rank < t.zeros then lo
-    else begin
-      let rec walk k seen =
-        if k >= Array.length t.counts then hi
-        else
-          let seen = seen + t.counts.(k) in
-          if seen > rank - t.zeros then estimate t (t.base + k) else walk (k + 1) seen
-      in
-      (* Clamping to the observed range only ever moves the estimate toward
-         the exact sample, so the alpha bound survives. *)
-      Float.max lo (Float.min hi (walk 0 0))
-    end
+    let rec walk k seen =
+      let seen = seen + t.counts.(k) in
+      if seen > rank then midpoint (t.base + k) else walk (k + 1) seen
+    in
+    (* Clamping to the observed range only ever moves the estimate toward
+       the exact sample, so the error bound survives. *)
+    Stdlib.max t.lo (Stdlib.min t.hi (walk 0 0))
   end
 
 let percentile t p = quantile t (p /. 100.)
 
 let fold_buckets t f acc =
-  let acc = if t.zeros > 0 then f 0. t.zeros acc else acc in
   let acc = ref acc in
-  Array.iteri
-    (fun k c ->
-      if c > 0 then acc := f (exp (float_of_int (t.base + k) *. log t.gamma)) c !acc)
-    t.counts;
+  Array.iteri (fun k c -> if c > 0 then acc := f (upper (t.base + k)) c !acc) t.counts;
   !acc
 
 let merge_into dst src =
-  if dst.a_alpha <> src.a_alpha then
-    invalid_arg "Sketch.merge: accuracy targets differ";
-  dst.n <- dst.n + src.n;
-  dst.zeros <- dst.zeros + src.zeros;
-  dst.range.(0) <- dst.range.(0) +. src.range.(0);
-  if src.range.(1) < dst.range.(1) then dst.range.(1) <- src.range.(1);
-  if src.range.(2) > dst.range.(2) then dst.range.(2) <- src.range.(2);
   let len = Array.length src.counts in
-  if len > 0 then begin
+  if src.n > 0 then begin
+    dst.n <- dst.n + src.n;
+    if src.lo < dst.lo then dst.lo <- src.lo;
+    if src.hi > dst.hi then dst.hi <- src.hi;
     cover dst src.base;
     cover dst (src.base + len - 1);
     Array.iteri
@@ -153,9 +112,3 @@ let merge_into dst src =
         dst.counts.(j) <- dst.counts.(j) + c)
       src.counts
   end
-
-let merge a b =
-  let t = create ~alpha:a.a_alpha () in
-  merge_into t a;
-  merge_into t b;
-  t

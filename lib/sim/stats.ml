@@ -19,7 +19,6 @@ type cell = {
   mutable events : int;
   mutable volume : int;
   mutable total : Time.t;
-  mutable max : Time.t;
   sketch : Sketch.t;
 }
 
@@ -37,7 +36,6 @@ let cell t ?node ?protocol ?(count = "") ?(volume = "") ?(span = "") () =
       events = 0;
       volume = 0;
       total = Time.zero;
-      max = Time.zero;
       sketch = Sketch.create ();
     }
   in
@@ -52,8 +50,7 @@ let add c ~events ~volume =
 
 let record c dt =
   c.total <- c.total + dt;
-  if dt > c.max then c.max <- dt;
-  Sketch.add_int c.sketch dt
+  Sketch.add c.sketch dt
 
 let events c = c.events
 let volume c = c.volume
@@ -79,7 +76,6 @@ let span_cells ?labels t name =
   List.filter (fun c -> String.equal c.span_name name && selected labels c) t.cells
 
 let total_of cells = List.fold_left (fun acc c -> Time.(acc + c.total)) Time.zero cells
-let max_of cells = List.fold_left (fun acc c -> Time.max acc c.max) Time.zero cells
 let samples_of cells = List.fold_left (fun acc c -> acc + samples c) 0 cells
 
 let sketch_of cells =
@@ -92,10 +88,8 @@ let span_mean ?labels t name =
   let n = samples_of cells in
   if n = 0 then Time.zero else total_of cells / n
 
-let percentile_of sk p = int_of_float (Float.round (Sketch.percentile sk p))
-
 let span_percentile ?labels t name p =
-  percentile_of (sketch_of (span_cells ?labels t name)) p
+  Sketch.percentile (sketch_of (span_cells ?labels t name)) p
 
 type span_summary = {
   sm_name : string;
@@ -117,10 +111,10 @@ let span_summary ?labels t name =
     sm_samples = n;
     sm_total = total;
     sm_mean = (if n = 0 then Time.zero else total / n);
-    sm_p50 = percentile_of sk 50.;
-    sm_p90 = percentile_of sk 90.;
-    sm_p99 = percentile_of sk 99.;
-    sm_max = max_of cells;
+    sm_p50 = Sketch.percentile sk 50.;
+    sm_p90 = Sketch.percentile sk 90.;
+    sm_p99 = Sketch.percentile sk 99.;
+    sm_max = Sketch.max_value sk;
   }
 
 let names ?labels t fields =
@@ -147,12 +141,12 @@ let summary_to_json s =
     [
       ("name", Json.String s.sm_name);
       ("samples", Json.Int s.sm_samples);
-      ("total_us", Json.Float (Time.to_us s.sm_total));
-      ("mean_us", Json.Float (Time.to_us s.sm_mean));
-      ("p50_us", Json.Float (Time.to_us s.sm_p50));
-      ("p90_us", Json.Float (Time.to_us s.sm_p90));
-      ("p99_us", Json.Float (Time.to_us s.sm_p99));
-      ("max_us", Json.Float (Time.to_us s.sm_max));
+      ("total_ns", Json.Int s.sm_total);
+      ("mean_ns", Json.Int s.sm_mean);
+      ("p50_ns", Json.Int s.sm_p50);
+      ("p90_ns", Json.Int s.sm_p90);
+      ("p99_ns", Json.Int s.sm_p99);
+      ("max_ns", Json.Int s.sm_max);
     ]
 
 let pp_span_table ppf ~key rows =
@@ -199,8 +193,8 @@ let to_json t =
 
    Counters become [dsm_<name>_total] (counter type); duration series
    become histograms in microseconds whose cumulative [_bucket{le=...}]
-   lines sit at the upper edges of the occupied sketch buckets, closed by
-   [le="+Inf"], [_sum] and [_count].  Every series shares the sketch's
+   lines sit at the upper edges of the occupied histogram buckets, closed by
+   [le="+Inf"], [_sum] and [_count].  Every series shares the histogram's
    fixed edges, so scrapes aggregate across nodes with histogram_quantile.
    The node and protocol labels map straight onto Prometheus labels. *)
 
@@ -268,7 +262,7 @@ let to_prometheus ppf t =
             ignore
               (Sketch.fold_buckets sk
                  (fun upper c cum ->
-                   bucket (Printf.sprintf "%g" (upper /. 1e3)) (cum + c);
+                   bucket (Printf.sprintf "%g" (Time.to_us upper)) (cum + c);
                    cum + c)
                  0);
             bucket "+Inf" (Sketch.count sk);

@@ -8,12 +8,12 @@
     bumps one cell whose count is ["msg.request"], whose volume is
     ["net.bytes"] and whose duration series is ["net.delay"].
 
-    A duration series keeps an exact integer sample count, sum and
-    maximum plus {!Sketch} log buckets at the fixed [alpha = 0.01], so
-    every percentile the stack reports (the Table 3/4 stage latencies,
-    [dsm bench]'s fault tails, Prometheus [le] buckets) is within 1% of the
-    exact sample at that rank.  Recording into a cell allocates nothing
-    once its sketch covers the value's bucket.
+    A duration series keeps its exact integer total beside a {!Sketch}
+    integer histogram, which owns the sample count, minimum and maximum.
+    Every percentile the stack reports (the Table 3/4 stage latencies,
+    [dsm bench]'s fault tails, Prometheus [le] buckets) is within 1/128
+    of the exact sample at that rank.  Recording into a cell allocates
+    nothing once its histogram covers the value's bucket.
 
     The views ({!count}, {!span_mean}, ...) roll the cells up by series
     name: over every label set by default, or over one label set with
@@ -74,9 +74,9 @@ val span_mean : ?labels:labels -> t -> string -> Time.t
 (** Integer mean of the series; 0 when it has no samples. *)
 
 val span_percentile : ?labels:labels -> t -> string -> float -> Time.t
-(** [span_percentile t name p], [p] in [0..100]: the sketch estimate of
-    the sample at rank [floor (p/100 * (n - 1))], rounded to the
-    nanosecond.  0 when the series has no samples. *)
+(** [span_percentile t name p], [p] in [0..100]: the histogram estimate
+    of the sample at rank [floor (p/100 * (n - 1))].  0 when the series
+    has no samples. *)
 
 type span_summary = {
   sm_name : string;
@@ -104,6 +104,8 @@ val label_sets : t -> labels list
 (** {1 Exports} *)
 
 val summary_to_json : span_summary -> Json.t
+(** Integer nanoseconds: [{name, samples, total_ns, mean_ns, p50_ns,
+    p90_ns, p99_ns, max_ns}]. *)
 
 val pp_span_table : Format.formatter -> key:string -> (string * span_summary) list -> unit
 (** The one span-summary table printer: a header whose first column is
@@ -113,8 +115,8 @@ val pp_span_table : Format.formatter -> key:string -> (string * span_summary) li
     it. *)
 
 val to_json : t -> Json.t
-(** [{"counters": {...}, "spans": [{name, samples, total_us, mean_us,
-    p50_us, p90_us, p99_us, max_us}, ...], "labelled": [{"labels": {...},
+(** [{"counters": {...}, "spans": [{name, samples, total_ns, mean_ns,
+    p50_ns, p90_ns, p99_ns, max_ns}, ...], "labelled": [{"labels": {...},
     "counters": {...}, "spans": [...]}, ...]}]: the rollup over every label
     set, then one view per label set. *)
 
@@ -124,7 +126,7 @@ val to_prometheus : Format.formatter -> t -> unit
     and one sample per label set; each duration series becomes a
     histogram [dsm_<sanitized name>_us] in microseconds whose cumulative
     [_bucket{le="..."}] samples sit at the upper edges of the occupied
-    sketch buckets (the zero bucket as [le="0"]), closed by [le="+Inf"],
+    histogram buckets (the zero bucket as [le="0"]), closed by [le="+Inf"],
     [_sum] and [_count].  Families are sorted by name, samples by label
     set. *)
 

@@ -373,11 +373,11 @@ let test_prometheus_export () =
   (* Durations: histograms in microseconds whose cumulative buckets sit at
      the sketch's bucket edges, plus _sum/_count — histogram_quantile
      aggregates them across nodes.  The one cold fault takes 198 us (Table
-     3), so its bucket is the first log-bucket edge at or above 198 us. *)
+     3): 198 000 ns shares its top bit (2^17) and the next 6 bits with
+     196 608 .. 198 655 ns, so its bucket's edge is 198.655 us. *)
   Alcotest.(check bool) "histogram TYPE line" true
     (has "# TYPE dsm_stage_total_us histogram");
-  let gamma = 1.01 /. 0.99 in
-  let edge = gamma ** Float.ceil (log 198_000. /. log gamma) /. 1e3 in
+  let edge = 198.655 in
   Alcotest.(check bool) "sketch-edge bucket sample" true
     (has
        (Printf.sprintf {|dsm_stage_total_us_bucket{node="0",protocol="li_hudak",le="%g"} 1|}

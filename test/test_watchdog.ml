@@ -452,7 +452,7 @@ let test_health_report_pinned () =
         (Printf.sprintf "%s on %d nodes: health digest" protocol nodes)
         digest
         (Digest.to_hex (Digest.string text)))
-    [ ("write_update", 8, "0882f7dcd60090493a26ccd8bd923c1c"); ("hbrc_mw", 4, "df242cdf760d1862aa587e0c7569a0d8") ]
+    [ ("write_update", 8, "40358deb4ee9c8d770f25ae211033415"); ("hbrc_mw", 4, "df242cdf760d1862aa587e0c7569a0d8") ]
 
 let test_double_attach_rejected () =
   let dsm = make () in
