@@ -1,20 +1,24 @@
-(* The Bechamel suite: host-time micro-benchmarks of the simulator itself.
-   The paper's tables and figures are `dsm <experiment>` and `dsm paper`.
+(* The Bechamel suite: micro-benchmarks of the simulator itself.  The
+   paper's tables and figures are `dsm <experiment>` and `dsm paper`.
 
      dune exec bench/main.exe                      -- every kernel
      dune exec bench/main.exe -- --filter diff/    -- a subset
 
-   Writes its estimates to BENCH_bechamel.json in the current directory. *)
+   A count pass first prices each kernel in the words one run allocates:
+   after 5 warm-up runs, 10 runs must agree, or the bench names the kernel
+   and exits 1.  Then Bechamel times each kernel; its ns/run is printed
+   beside the counts as advice only.  A full run writes the counts to
+   BENCH_bechamel.json in the current directory, as `dsm-paper/1` rows
+   [bechamel/<kernel>] that `dsm diff` compares exactly with the committed
+   copy; a filtered run prints the same table and writes nothing. *)
 
 open Dsmpm2_sim
 
-let ppf = Format.std_formatter
-
-(* Bechamel micro-benchmarks of the simulator itself: how fast the host can
-   execute one simulated cold read fault and one simulated TSP solve.  These
-   measure the reproduction platform, not the paper's system. *)
-let bechamel_tests ?filter () =
-  let open Bechamel in
+(* Micro-benchmarks of the simulator itself: how much the host pays to
+   execute one simulated cold read fault, one simulated TSP solve, or one
+   hot-path step.  These measure the reproduction platform, not the
+   paper's system. *)
+let kernels ?filter () =
   let open Dsmpm2_net in
   let open Dsmpm2_core in
   let open Dsmpm2_protocols in
@@ -249,62 +253,91 @@ let bechamel_tests ?filter () =
     | Some sub -> List.filter (fun (name, _) -> contains ~sub name) named
   in
   if selected = [] then begin
-    Format.fprintf ppf "bechamel: no test matches the filter; known:@.";
-    List.iter (fun (name, _) -> Format.fprintf ppf "  %s@." name) named;
+    Format.printf "bench: no kernel matches the filter; known:@.";
+    List.iter (fun (name, _) -> Format.printf "  %s@." name) named;
     exit 1
   end;
-  Test.make_grouped ~name:"dsmpm2"
-    (List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) selected)
+  selected
 
-let run_bechamel ?filter () =
+(* The words one run allocates: on the minor heap, and directly on the
+   major heap (major words less those promoted from the minor heap).  A
+   dropped engine's finaliser discontinues its pooled fibers, which
+   allocates, whenever a collection finds it; the full major GC before the
+   run calls those finalisers first, so the count does not depend on what
+   ran before. *)
+let words_of_run f =
+  Gc.full_major ();
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  f ();
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  [
+    ("minor_words", Float.to_int (minor1 -. minor0));
+    ("major_words", Float.to_int (major1 -. promoted1 -. (major0 -. promoted0)));
+  ]
+
+let count_words name f =
+  for _ = 1 to 5 do f () done;
+  let words = words_of_run f in
+  for _ = 2 to 10 do
+    if words_of_run f <> words then begin
+      Format.eprintf "bench: %s allocates a different number of words from run to run@." name;
+      exit 1
+    end
+  done;
+  words
+
+(* Bechamel's ns/run by row id (the group name makes Bechamel's test
+   names the row ids).  Host time on a shared machine is advice: it is
+   printed, never stored. *)
+let time_pass kernels =
   let open Bechamel in
-  let open Toolkit in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 100) () in
-  let raw = Benchmark.all cfg instances (bechamel_tests ?filter ()) in
-  let results =
-    List.map (fun instance -> Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]) instance raw) instances
+  let test =
+    Test.make_grouped ~name:"bechamel"
+      (List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) kernels)
   in
-  let results = Analyze.merge (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]) instances results in
-  let estimates = ref [] in
-  Hashtbl.iter
-    (fun measure by_test ->
-      Hashtbl.iter
-        (fun test result ->
-          match Bechamel.Analyze.OLS.estimates result with
-          | Some [ est ] ->
-              Format.fprintf ppf "%-40s %12.1f ns/run (%s)@." test est measure;
-              estimates := (test, est) :: !estimates
-          | _ -> Format.fprintf ppf "%-40s (no estimate)@." test)
-        by_test)
-    results;
-  let estimates = List.sort (fun (a, _) (b, _) -> compare a b) !estimates in
-  (* The word-scan diff kernel exists to beat the byte-scan reference on the
-     sparse-write page; surface the ratio so regressions are visible in the
-     committed artifact. *)
-  (match
-     ( List.assoc_opt "dsmpm2/diff/compute_4k_sparse" estimates,
-       List.assoc_opt "dsmpm2/diff/compute_4k_sparse_bytewise" estimates )
-   with
-  | Some fast, Some slow when fast > 0. ->
-      Format.fprintf ppf "diff word-scan speedup over bytewise: %.1fx@." (slow /. fast)
-  | _ -> ());
-  Json.Obj
-    [
-      ("unit", Json.String "ns/run");
-      ("estimates", Json.Obj (List.map (fun (test, est) -> (test, Json.Float est)) estimates));
-    ]
+  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 100) () in
+  let clock = Toolkit.Instance.monotonic_clock in
+  let raw = Benchmark.all cfg [ clock ] test in
+  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
+  Hashtbl.fold
+    (fun id result acc ->
+      match Analyze.OLS.estimates result with Some [ ns ] -> (id, ns) :: acc | _ -> acc)
+    (Analyze.all ols clock raw) []
 
 let () =
-  (* `--filter SUBSTR` restricts the suite to matching test names (CI uses
-     this to smoke the hot-path kernels without the full quota). *)
+  (* `--filter SUBSTR` restricts the suite to matching kernel names. *)
   let filter =
     match List.tl (Array.to_list Sys.argv) with
     | [] -> None
     | [ "--filter"; sub ] -> Some sub
     | _ ->
-        Format.fprintf ppf "usage: main.exe [--filter SUBSTR]@.";
+        Format.printf "usage: main.exe [--filter SUBSTR]@.";
         exit 1
   in
-  Json.to_file "BENCH_bechamel.json" (run_bechamel ?filter ());
-  Format.fprintf ppf "[wrote BENCH_bechamel.json]@."
+  let kernels = kernels ?filter () in
+  (* Counted before any timing, so that Bechamel's quota-driven run counts
+     cannot shift the process state the counts see. *)
+  let rows = List.map (fun (name, f) -> ("bechamel/" ^ name, count_words name f)) kernels in
+  let ns = time_pass kernels in
+  Format.printf "%-44s %8s %8s %12s@." "kernel" "minor" "major" "ns/run";
+  List.iter
+    (fun (id, words) ->
+      Format.printf "%-44s %8d %8d %12s@." id (List.assoc "minor_words" words)
+        (List.assoc "major_words" words)
+        (match List.assoc_opt id ns with Some t -> Printf.sprintf "%.1f" t | None -> "-"))
+    rows;
+  (* The word-scan diff kernel exists to beat the byte-scan reference on
+     the sparse-write page. *)
+  (match
+     (List.assoc_opt "bechamel/diff/compute_4k_sparse" ns,
+      List.assoc_opt "bechamel/diff/compute_4k_sparse_bytewise" ns)
+   with
+  | Some fast, Some slow when fast > 0. ->
+      Format.printf "diff word-scan speedup over bytewise: %.1fx@." (slow /. fast)
+  | _ -> ());
+  if filter = None then begin
+    Json.to_file "BENCH_bechamel.json" (Dsmpm2_experiments.Paper.to_json rows);
+    Format.printf "[wrote BENCH_bechamel.json]@."
+  end

@@ -848,8 +848,8 @@ let diff_cmd =
       required
       & pos 0 (some string) None
       & info [] ~docv:"BASELINE"
-          ~doc:"Baseline artifact: a BENCH_macro.json or BENCH_paper.json \
-                snapshot, or a JSONL trace dump.")
+          ~doc:"Baseline artifact: a BENCH_macro.json, BENCH_paper.json or \
+                BENCH_bechamel.json snapshot, or a JSONL trace dump.")
   in
   let fresh =
     Arg.(

@@ -468,12 +468,9 @@ let node_faults t =
 let fault_percentiles = [ ("p50", 50.); ("p90", 90.); ("p99", 99.); ("p999", 99.9) ]
 
 let fault_latency t =
-  let stats = t.rt.Runtime.stats in
-  ( (Stats.span_summary stats Instrument.stage_total).Stats.sm_samples,
-    List.map
-      (fun (name, p) ->
-        (name, Time.to_us (Stats.span_percentile stats Instrument.stage_total p)))
-      fault_percentiles )
+  let sk = Stats.span_sketch t.rt.Runtime.stats Instrument.stage_total in
+  ( Sketch.count sk,
+    List.map (fun (name, p) -> (name, Time.to_us (Sketch.percentile sk p))) fault_percentiles )
 
 (* --- interval drain --- *)
 

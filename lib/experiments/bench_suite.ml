@@ -127,7 +127,7 @@ let run_app case ~seed =
 let metrics : (string * (Dsm.t -> int)) list =
   let net dsm = Dsmpm2_pm2.Pm2.network (Dsm.pm2 dsm) in
   let count name dsm = Stats.count (Dsm.stats dsm) name in
-  let pct p dsm = Stats.span_percentile (Dsm.stats dsm) Instrument.stage_total p in
+  let pct p dsm = Sketch.percentile (Stats.span_sketch (Dsm.stats dsm) Instrument.stage_total) p in
   [
     ("time_ns", fun dsm -> Engine.now (Dsm.engine dsm));
     ("messages", fun dsm -> Network.messages_sent (net dsm));

@@ -5,7 +5,8 @@
     fields (ns, counts, [correct] as 0 or 1, and [paper_ns] where the paper
     gives a number), so two runs compare exactly.  [dsm paper --out]
     writes every row to [BENCH_paper.json]; [dsm diff] compares two such
-    snapshots ({!Rundiff}). *)
+    snapshots ({!Rundiff}).  [bench/main.exe] writes its kernels' words
+    per run, rows [bechamel/<kernel>], in the same schema. *)
 
 type row = string * (string * int) list
 

@@ -1,8 +1,10 @@
 (** Exact run comparison ([dsm diff]).
 
     Takes two observability artifacts — two [BENCH_macro.json] snapshots
-    ({!Bench_suite}), two [BENCH_paper.json] snapshots ({!Paper}), or two
-    JSONL trace dumps — and lists every difference between them.  The
+    ({!Bench_suite}), two [dsm-paper/1] row snapshots ({!Paper}: the
+    paper's [BENCH_paper.json], or the words per run of the Bechamel
+    kernels, [BENCH_bechamel.json]), or two JSONL trace dumps — and lists
+    every difference between them.  The
     simulation is deterministic per tie seed and every compared value is
     an integer, so there is no tolerance: two runs of the same code are
     equal, and anything else is a change.

@@ -88,8 +88,7 @@ let span_mean ?labels t name =
   let n = samples_of cells in
   if n = 0 then Time.zero else total_of cells / n
 
-let span_percentile ?labels t name p =
-  Sketch.percentile (sketch_of (span_cells ?labels t name)) p
+let span_sketch ?labels t name = sketch_of (span_cells ?labels t name)
 
 type span_summary = {
   sm_name : string;

@@ -73,10 +73,10 @@ val count : ?labels:labels -> t -> string -> int
 val span_mean : ?labels:labels -> t -> string -> Time.t
 (** Integer mean of the series; 0 when it has no samples. *)
 
-val span_percentile : ?labels:labels -> t -> string -> float -> Time.t
-(** [span_percentile t name p], [p] in [0..100]: the histogram estimate
-    of the sample at rank [floor (p/100 * (n - 1))].  0 when the series
-    has no samples. *)
+val span_sketch : ?labels:labels -> t -> string -> Sketch.t
+(** The series' histogram, merged once into a fresh sketch: read its
+    count and any number of percentiles ({!Sketch.percentile}, 0 when the
+    series has no samples) from the one merge. *)
 
 type span_summary = {
   sm_name : string;

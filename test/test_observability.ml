@@ -313,7 +313,7 @@ let test_metrics_snapshot () =
   Alcotest.(check int) "page send counted" 1
     (Stats.count ~labels:(at 1) st Instrument.pages_sent);
   Alcotest.(check bool) "fault latency observed" true
-    (Stats.span_percentile ~labels:(at 0) st Instrument.stage_total 99. > 0);
+    (Sketch.percentile (Stats.span_sketch ~labels:(at 0) st Instrument.stage_total) 99. > 0);
   (* And the snapshot round-trips through the JSON printer/parser. *)
   match Json.of_string (Json.to_string json) with
   | Error msg -> Alcotest.failf "snapshot is not valid JSON: %s" msg

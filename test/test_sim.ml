@@ -856,7 +856,8 @@ let test_stats_zero_sample_edges () =
   (* A span key that was never observed must read as zero everywhere, not
      divide by zero. *)
   Alcotest.(check int) "absent mean is 0" Time.zero (Stats.span_mean s "absent");
-  Alcotest.(check int) "absent p99 is 0" Time.zero (Stats.span_percentile s "absent" 99.);
+  Alcotest.(check int) "absent p99 is 0" Time.zero
+    (Sketch.percentile (Stats.span_sketch s "absent") 99.);
   let summary = Stats.span_summary s "absent" in
   Alcotest.(check int) "absent samples" 0 summary.Stats.sm_samples;
   Alcotest.(check int) "absent summary mean" Time.zero summary.Stats.sm_mean;
@@ -889,14 +890,14 @@ let test_stats_percentiles () =
   for i = 1 to 100 do
     Stats.record c (Time.of_us (float_of_int i))
   done;
-  let p50 = Stats.span_percentile s "t" 50. in
-  let p99 = Stats.span_percentile s "t" 99. in
+  let p50 = Sketch.percentile (Stats.span_sketch s "t") 50. in
+  let p99 = Sketch.percentile (Stats.span_sketch s "t") 99. in
   Alcotest.(check bool) "p50 within 1% of 50 us" true
     (abs (p50 - Time.of_us 50.) <= Time.of_us 0.5);
   let max = (Stats.span_summary s "t").Stats.sm_max in
   Alcotest.(check bool) "p99 <= max" true (p99 <= max);
   Alcotest.(check bool) "p100 within 1% of max" true
-    (abs (Stats.span_percentile s "t" 100. - max) <= Time.of_us 1.)
+    (abs (Sketch.percentile (Stats.span_sketch s "t") 100. - max) <= Time.of_us 1.)
 
 (* The registry's percentiles against the exact nearest-rank sample (rank
    floor (q * (n - 1)) of the sorted samples), spread over several label
@@ -915,7 +916,7 @@ let prop_stats_percentiles_within_alpha =
       List.for_all
         (fun p ->
           let exact = sorted.(int_of_float (Float.floor (p /. 100. *. float_of_int (n - 1)))) in
-          let est = Stats.span_percentile s "t" p in
+          let est = Sketch.percentile (Stats.span_sketch s "t") p in
           (* 1% of the sample, plus half a nanosecond of rounding. *)
           float_of_int (abs (est - exact)) <= (0.01 *. float_of_int exact) +. 0.5)
         [ 50.; 90.; 99. ])

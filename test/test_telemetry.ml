@@ -119,7 +119,7 @@ let test_stats_rollup_is_concatenation () =
       Alcotest.(check int)
         (Printf.sprintf "p%g of the concatenation" p)
         (Sketch.percentile direct p)
-        (Stats.span_percentile s "x" p))
+        (Sketch.percentile (Stats.span_sketch s "x") p))
     [ 0.; 50.; 90.; 99.; 100. ]
 
 (* --- online classifier = post-mortem classifier, everywhere --- *)
@@ -571,7 +571,7 @@ let test_watch_agrees_with_registry () =
     (fun (name, p) ->
       Alcotest.(check (float 0.))
         name
-        (Time.to_us (Stats.span_percentile stats Instrument.stage_total p))
+        (Time.to_us (Sketch.percentile (Stats.span_sketch stats Instrument.stage_total) p))
         (field name))
     [ ("p50", 50.); ("p99", 99.); ("p999", 99.9) ];
   (* The run has one protocol, so its count is the cluster total. *)
