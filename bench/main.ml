@@ -10,7 +10,10 @@
    beside the counts as advice only.  A full run writes the counts to
    BENCH_bechamel.json in the current directory, as `dsm-paper/1` rows
    [bechamel/<kernel>] that `dsm diff` compares exactly with the committed
-   copy; a filtered run prints the same table and writes nothing. *)
+   copy; a filtered run prints the same table and writes nothing.  The
+   committed counts are the release profile's (the dev profile's -opaque
+   allocates more words on some kernels), so a full run in another
+   profile exits 2 before counting; a filtered run works in any. *)
 
 open Dsmpm2_sim
 
@@ -316,6 +319,13 @@ let () =
         Format.printf "usage: main.exe [--filter SUBSTR]@.";
         exit 1
   in
+  if filter = None && Build_profile.name <> "release" then begin
+    Format.eprintf
+      "bench: built in the %s profile; a full run banks the release profile's words \
+       (build with --profile release, or pass --filter)@."
+      Build_profile.name;
+    exit 2
+  end;
   let kernels = kernels ?filter () in
   (* Counted before any timing, so that Bechamel's quota-driven run counts
      cannot shift the process state the counts see. *)

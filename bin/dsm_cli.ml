@@ -750,6 +750,12 @@ let watch_cmd =
 let bench_cmd =
   let run seeds filter quick out quiet =
     let seeds = match seeds with [] -> Bench_suite.default_seeds | s -> s in
+    (* A seed given twice would repeat a row id in the snapshot. *)
+    (match List.find_opt (fun s -> List.length (List.filter (( = ) s) seeds) > 1) seeds with
+    | Some s ->
+        Format.fprintf ppf "bench: --seeds %d given twice@." s;
+        exit 2
+    | None -> ());
     let selected =
       Bench_suite.filter_cases ?filter ~quick (Bench_suite.cases ())
     in
@@ -767,7 +773,7 @@ let bench_cmd =
     Bench_suite.print ppf t;
     Option.iter
       (fun file ->
-        Json.to_file file (Bench_suite.to_json t);
+        Json.to_file file (Paper.to_json (Bench_suite.rows t));
         if not quiet then Format.fprintf ppf "bench: wrote %s@." file)
       out
   in
@@ -777,8 +783,9 @@ let bench_cmd =
       & opt_all int []
       & info [ "seeds" ] ~docv:"SEED"
           ~doc:
-            "Engine tie seed (repeatable; default: the suite's committed \
-             seed list).  Baselines are only comparable over the same seeds.")
+            "Engine tie seed (repeatable, each value once; default: the \
+             suite's committed seed list).  Baselines are only comparable \
+             over the same seeds.")
   in
   let filter =
     Arg.(
@@ -799,7 +806,9 @@ let bench_cmd =
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE"
           ~doc:
-            "Write the BENCH_macro.json snapshot to $(docv).")
+            "Write the BENCH_macro.json snapshot to $(docv): dsm-paper/1 rows, \
+             one per case and seed, id macro/CASE/seedN, holding the node \
+             count, the case's parameters and every sample field.")
   in
   let quiet =
     Arg.(value & flag & info [ "quiet" ] ~doc:"Skip per-case progress lines.")
@@ -848,8 +857,8 @@ let diff_cmd =
       required
       & pos 0 (some string) None
       & info [] ~docv:"BASELINE"
-          ~doc:"Baseline artifact: a BENCH_macro.json, BENCH_paper.json or \
-                BENCH_bechamel.json snapshot, or a JSONL trace dump.")
+          ~doc:"Baseline artifact: a dsm-paper/1 row snapshot (BENCH_macro.json, \
+                BENCH_paper.json or BENCH_bechamel.json), or a JSONL trace dump.")
   in
   let fresh =
     Arg.(
@@ -872,13 +881,12 @@ let diff_cmd =
   Cmd.v
     (Cmd.info "diff"
        ~doc:
-         "Compare two observability artifacts — macro-bench snapshots, paper \
-          snapshots or trace dumps — exactly, and list every difference: per \
-          case, seed and sample field, per paper row and field, cases or rows \
-          on one side only, critical-path stage \
-          mean, p90 and span count, sharing-pattern drift and alert \
-          counts.  Exits 0 when they are equal, 1 when they differ, 2 on \
-          unusable or incomparable inputs.")
+         "Compare two observability artifacts — row snapshots (macro, paper \
+          or Bechamel) or trace dumps — exactly, and list every difference: \
+          per row and field, rows or fields on one side only, critical-path \
+          stage mean, p90 and span count, sharing-pattern drift and alert \
+          counts.  Exits 0 when they are equal, 1 when they differ, 2 on an \
+          unreadable input or a snapshot against a trace dump.")
     Term.(const run $ baseline $ fresh $ format $ out)
 
 (* --- dsm explain: causal forensics over a trace dump --- *)

@@ -7,15 +7,14 @@
    Each (app, protocol, driver) case runs once per seed and records the
    virtual-time wall clock, message/byte counts, fault counts and the
    fault-latency tail from the runtime's Stats registry, every one an
-   integer (times in ns), so two snapshots compare exactly, seed by seed
-   (`dsm diff`).  The whole result serializes to the stable,
-   self-describing BENCH_macro.json schema (see {!schema_version}). *)
+   integer (times in ns).  The results leave as `dsm-paper/1` rows, one per
+   case and seed (see {!rows}), so BENCH_macro.json compares exactly under
+   `dsm diff`, like BENCH_paper.json. *)
 
 open Dsmpm2_sim
 open Dsmpm2_net
 open Dsmpm2_core
 
-let schema_version = "dsm-bench-macro/2"
 let default_seeds = [ 0; 1; 2 ]
 
 (* --- cases --- *)
@@ -32,13 +31,8 @@ type case = {
 
 type sample = { s_seed : int; s_values : int array }
 
-type case_result = {
-  cr_case : case;
-  cr_meta : Run_meta.t;
-  cr_samples : sample list;
-}
-
-type t = { bs_meta : Run_meta.t; bs_results : case_result list }
+type case_result = { cr_case : case; cr_samples : sample list }
+type t = case_result list
 
 let make_id ~app ~protocol ~driver =
   Printf.sprintf "%s:%s:%s" app protocol (Driver.slug driver)
@@ -122,45 +116,40 @@ let run_app case ~seed =
     (app.run ~protocol:case.c_protocol ~nodes:case.c_nodes ~driver:(driver_of case)
        ~tie_seed:seed ~observe:ignore case.c_params)
 
-(* Every sample field with its reader over the finished runtime, in schema
-   order: the one place the field list is written. *)
-let metrics : (string * (Dsm.t -> int)) list =
+(* Every sample field with its reader over the finished runtime and its
+   whole-fault latency histogram, in row order: the one place the field
+   list is written. *)
+let metrics : (string * (Dsm.t -> Sketch.t -> int)) list =
   let net dsm = Dsmpm2_pm2.Pm2.network (Dsm.pm2 dsm) in
-  let count name dsm = Stats.count (Dsm.stats dsm) name in
-  let pct p dsm = Sketch.percentile (Stats.span_sketch (Dsm.stats dsm) Instrument.stage_total) p in
+  let count name dsm _ = Stats.count (Dsm.stats dsm) name in
+  let pct p _ faults = Sketch.percentile faults p in
   [
-    ("time_ns", fun dsm -> Engine.now (Dsm.engine dsm));
-    ("messages", fun dsm -> Network.messages_sent (net dsm));
-    ("bytes", fun dsm -> Network.bytes_sent (net dsm));
+    ("time_ns", fun dsm _ -> Engine.now (Dsm.engine dsm));
+    ("messages", fun dsm _ -> Network.messages_sent (net dsm));
+    ("bytes", fun dsm _ -> Network.bytes_sent (net dsm));
     ("read_faults", count Instrument.read_faults);
     ("write_faults", count Instrument.write_faults);
-    ("dropped", fun dsm -> Network.messages_dropped (net dsm));
+    ("dropped", fun dsm _ -> Network.messages_dropped (net dsm));
     ( "rpc_retries",
-      fun dsm -> Dsmpm2_pm2.Rpc.retransmissions (Dsmpm2_pm2.Pm2.rpc (Dsm.pm2 dsm)) );
+      fun dsm _ -> Dsmpm2_pm2.Rpc.retransmissions (Dsmpm2_pm2.Pm2.rpc (Dsm.pm2 dsm)) );
     ("fault_p50_ns", pct 50.);
     ("fault_p90_ns", pct 90.);
     ("fault_p99_ns", pct 99.);
     ("fault_p999_ns", pct 99.9);
-    ("events", fun dsm -> Engine.events_executed (Dsm.engine dsm));
+    ("events", fun dsm _ -> Engine.events_executed (Dsm.engine dsm));
   ]
 
 let metric_names = List.map fst metrics
 
+(* The registry's fault histogram is merged across its cells once per
+   sample, not once per percentile. *)
 let measure case ~seed =
   let dsm = run_app case ~seed in
-  { s_seed = seed; s_values = Array.of_list (List.map (fun (_, read) -> read dsm) metrics) }
-
-let case_meta case =
-  Run_meta.with_git
-    (Run_meta.v ~driver:case.c_driver ~protocol:case.c_protocol
-       ~nodes:case.c_nodes ~case:case.c_id ())
+  let faults = Stats.span_sketch (Dsm.stats dsm) Instrument.stage_total in
+  { s_seed = seed; s_values = Array.of_list (List.map (fun (_, read) -> read dsm faults) metrics) }
 
 let run_case ?(seeds = default_seeds) case =
-  {
-    cr_case = case;
-    cr_meta = case_meta case;
-    cr_samples = List.map (fun seed -> measure case ~seed) seeds;
-  }
+  { cr_case = case; cr_samples = List.map (fun seed -> measure case ~seed) seeds }
 
 (* --- the sweep --- *)
 
@@ -178,16 +167,12 @@ let filter_cases ?filter ?(quick = false) all =
 
 let run ?(seeds = default_seeds) ?filter ?(quick = false)
     ?(progress = fun _ -> ()) () =
-  let selected = filter_cases ?filter ~quick (cases ()) in
-  let results =
-    List.map
-      (fun c ->
-        let r = run_case ~seeds c in
-        progress r;
-        r)
-      selected
-  in
-  { bs_meta = Run_meta.with_git (Run_meta.v ()); bs_results = results }
+  List.map
+    (fun c ->
+      let r = run_case ~seeds c in
+      progress r;
+      r)
+    (filter_cases ?filter ~quick (cases ()))
 
 (* --- aggregates --- *)
 
@@ -203,108 +188,19 @@ let mean = function
 let values cr name = List.map (fun s -> float_of_int (metric name s)) cr.cr_samples
 let metric_mean cr name = mean (values cr name)
 
-(* --- JSON --- *)
+(* --- rows --- *)
 
-let sample_to_json s =
-  Json.Obj
-    (("seed", Json.Int s.s_seed)
-    :: List.mapi (fun i name -> (name, Json.Int s.s_values.(i))) metric_names)
-
-let case_result_to_json cr =
-  let c = cr.cr_case in
-  Json.Obj
-    [
-      ("id", Json.String c.c_id);
-      ("app", Json.String c.c_app);
-      ("protocol", Json.String c.c_protocol);
-      ("driver", Json.String c.c_driver);
-      ("nodes", Json.Int c.c_nodes);
-      ("quick", Json.Bool c.c_quick);
-      ("params", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) c.c_params));
-      ("meta", Run_meta.to_json cr.cr_meta);
-      ("samples", Json.List (List.map sample_to_json cr.cr_samples));
-    ]
-
-let to_json t =
-  Json.Obj
-    [
-      ("schema", Json.String schema_version);
-      ("meta", Run_meta.to_json t.bs_meta);
-      ("cases", Json.List (List.map case_result_to_json t.bs_results));
-    ]
-
-(* --- parsing (the differ loads snapshots through this) --- *)
-
-let ( let* ) = Option.bind
-
-(* [Some] of every element's image, or [None] if one has none. *)
-let all f xs =
-  List.fold_right
-    (fun x acc ->
-      let* acc = acc in
-      let* y = f x in
-      Some (y :: acc))
-    xs (Some [])
-
-let sample_of_json j =
-  let int name = Option.bind (Json.member name j) Json.to_int in
-  let* s_seed = int "seed" in
-  let* values = all int metric_names in
-  Some { s_seed; s_values = Array.of_list values }
-
-let case_result_of_json j =
-  let field name conv = Option.bind (Json.member name j) conv in
-  let* c_id = field "id" Json.to_str in
-  let* c_app = field "app" Json.to_str in
-  let* c_protocol = field "protocol" Json.to_str in
-  let* c_driver = field "driver" Json.to_str in
-  let* c_nodes = field "nodes" Json.to_int in
-  let* c_quick = field "quick" Json.to_bool in
-  let* c_params =
-    match Json.member "params" j with
-    | Some (Json.Obj kvs) ->
-        all (fun (k, v) -> Option.map (fun v -> (k, v)) (Json.to_int v)) kvs
-    | _ -> None
-  in
-  let* cr_meta = field "meta" (fun m -> Result.to_option (Run_meta.of_json m)) in
-  let* cr_samples = Option.bind (field "samples" Json.to_list) (all sample_of_json) in
-  Some
-    {
-      cr_case = { c_id; c_app; c_protocol; c_driver; c_nodes; c_params; c_quick };
-      cr_meta;
-      cr_samples;
-    }
-
-(* Every field is required, and a document parses only if {!to_json} gives
-   it back: whatever a snapshot holds, the differ sees. *)
-let of_json j =
-  match Option.bind (Json.member "schema" j) Json.to_str with
-  | None -> Error "not a macro-bench snapshot (no schema field)"
-  | Some s when s <> schema_version ->
-      Error
-        (Printf.sprintf
-           "unsupported schema %S (this build reads %S); re-bank it with `dsm \
-            bench --out`"
-           s schema_version)
-  | Some _ -> (
-      let parsed =
-        let* meta = Json.member "meta" j in
-        let* bs_meta = Result.to_option (Run_meta.of_json meta) in
-        let* cases = Option.bind (Json.member "cases" j) Json.to_list in
-        let* bs_results = all case_result_of_json cases in
-        Some { bs_meta; bs_results }
-      in
-      match parsed with
-      | Some t when to_json t = j -> Ok t
-      | _ -> Error "malformed snapshot: not what `dsm bench --out` writes")
-
-let load path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error msg -> Error (Printf.sprintf "%s: %s" path msg)
-  | contents ->
-      Result.map_error
-        (Printf.sprintf "%s: %s" path)
-        (Result.bind (Json.of_string contents) of_json)
+let rows t =
+  List.concat_map
+    (fun cr ->
+      let c = cr.cr_case in
+      List.map
+        (fun s ->
+          ( Printf.sprintf "macro/%s/seed%d" c.c_id s.s_seed,
+            (("nodes", c.c_nodes) :: c.c_params)
+            @ List.combine metric_names (Array.to_list s.s_values) ))
+        cr.cr_samples)
+    t
 
 (* --- report --- *)
 
@@ -323,4 +219,4 @@ let print ppf t =
         (metric_mean cr "messages")
         (metric_mean cr "read_faults" +. metric_mean cr "write_faults")
         (metric_mean cr "fault_p99_ns" /. 1000.))
-    t.bs_results
+    t

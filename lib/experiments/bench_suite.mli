@@ -9,15 +9,12 @@
     bit-reproducible on any host — the committed [BENCH_macro.json]
     baseline is a statement about the system, not about CI hardware.
 
-    Every sample field is an integer (times in ns), so {!Rundiff} compares
-    two snapshots exactly, seed by seed.  Case parameters are part of the
-    schema: a case id must mean the same workload forever, so grow the
-    matrix by adding cases rather than editing existing ones. *)
-
-open Dsmpm2_sim
-
-val schema_version : string
-(** ["dsm-bench-macro/2"], stored in the snapshot's ["schema"] field. *)
+    Every sample field is an integer (times in ns).  [dsm bench --out]
+    writes the results as {!Paper} rows ({!rows}), so {!Rundiff} compares
+    two snapshots exactly, row by row and field by field.  A row carries
+    its case's node count and parameters: a case id should mean the same
+    workload forever, so grow the matrix by adding cases rather than
+    editing existing ones, and an edit shows as a field difference. *)
 
 val default_seeds : int list
 (** The tie seeds each case runs under ([[0; 1; 2]]). *)
@@ -54,11 +51,10 @@ type sample = {
 
 type case_result = {
   cr_case : case;
-  cr_meta : Run_meta.t;  (** driver/protocol/nodes/case identity *)
   cr_samples : sample list;  (** one per seed, in seed order *)
 }
 
-type t = { bs_meta : Run_meta.t; bs_results : case_result list }
+type t = case_result list
 
 val run_case : ?seeds:int list -> case -> case_result
 (** Runs one case under each seed.  Deterministic: the same case and seeds
@@ -77,7 +73,7 @@ val run :
 (** {2 Aggregates} *)
 
 val metric_names : string list
-(** Every per-sample metric, in schema order: [time_ns] (simulated wall
+(** Every per-sample metric, in row order: [time_ns] (simulated wall
     clock of the whole run), [messages], [bytes], [read_faults],
     [write_faults], [dropped] (messages lost to fault injection),
     [rpc_retries] (RPC retransmissions after deadline expiry),
@@ -91,23 +87,14 @@ val metric_names : string list
 val metric : string -> sample -> int
 (** A sample's value for a {!metric_names} member. *)
 
-val metric_mean : case_result -> string -> float
-(** The mean of a metric over the case's seeds. *)
+(** {2 Output} *)
 
-(** {2 Snapshot I/O} *)
-
-val to_json : t -> Json.t
-(** The stable [BENCH_macro.json] document: schema version, suite metadata,
-    one object per case with its parameters, identity metadata and
-    per-seed samples. *)
-
-val of_json : Json.t -> (t, string) result
-(** Inverse of {!to_json}.  Rejects any other schema version by name
-    (re-bank a [dsm-bench-macro/1] snapshot with [dsm bench --out]), a
-    missing field, and anything {!to_json} would not write back. *)
-
-val load : string -> (t, string) result
-(** Reads a snapshot from a file and parses it. *)
+val rows : t -> Paper.row list
+(** The [BENCH_macro.json] rows: one per case and tie seed, in run order,
+    with id [macro/<case id>/seed<N>] (e.g.
+    [macro/jacobi:hbrc_mw:bip-myrinet/seed0]) and fields [nodes], each
+    case parameter, then every {!metric_names} value.  Repeated seeds
+    would repeat a row id, which {!Paper.of_json} refuses. *)
 
 val print : Format.formatter -> t -> unit
 (** A per-case summary table: means over seeds in µs, and the spread of

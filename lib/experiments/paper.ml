@@ -2,7 +2,8 @@
 
    Each experiment keeps its typed result and its printer; what it
    measures leaves it as integer rows, so the committed BENCH_paper.json
-   compares exactly under `dsm diff`, like BENCH_macro.json. *)
+   compares exactly under `dsm diff`.  BENCH_macro.json and
+   BENCH_bechamel.json are rows of the same schema. *)
 
 open Dsmpm2_sim
 
@@ -69,7 +70,7 @@ let of_json j =
         List.map (function f, Json.Int v -> (f, v) | _ -> raise_notrace Exit) fs
     | _ -> raise_notrace Exit
   in
-  let malformed = "not a " ^ schema_version ^ " snapshot as `dsm paper --out` writes it" in
+  let malformed = "not a " ^ schema_version ^ " row snapshot" in
   match j with
   | Json.Obj [ ("schema", Json.String s); ("rows", Json.Obj rows) ]
     when s = schema_version && distinct rows -> (

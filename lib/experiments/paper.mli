@@ -5,8 +5,10 @@
     fields (ns, counts, [correct] as 0 or 1, and [paper_ns] where the paper
     gives a number), so two runs compare exactly.  [dsm paper --out]
     writes every row to [BENCH_paper.json]; [dsm diff] compares two such
-    snapshots ({!Rundiff}).  [bench/main.exe] writes its kernels' words
-    per run, rows [bechamel/<kernel>], in the same schema. *)
+    snapshots ({!Rundiff}).  Two other snapshots share the schema:
+    [dsm bench --out] writes the macro suite's samples, rows
+    [macro/<case>/seed<N>] ({!Bench_suite.rows}), and [bench/main.exe] its
+    kernels' words per run, rows [bechamel/<kernel>]. *)
 
 type row = string * (string * int) list
 

@@ -3,19 +3,19 @@
    Every value compared is an integer that a deterministic run reproduces
    bit for bit, so the comparison has no tolerance: it lists each
    difference.  Snapshots are rows of integers — a macro case's sample per
-   seed, a paper table's cell — compared by row id and field; trace dumps
-   through Analyze — the same stage stamps, page classification and alert
-   extraction the post-mortem report uses — so `dsm analyze` and `dsm
-   diff` never disagree about what a stage or a pattern is. *)
+   seed, a paper table's cell, a Bechamel kernel's words per run — compared
+   by row id and field; trace dumps through Analyze — the same stage
+   stamps, page classification and alert extraction the post-mortem report
+   uses — so `dsm analyze` and `dsm diff` never disagree about what a stage
+   or a pattern is. *)
 
 open Dsmpm2_sim
-module B = Bench_suite
 module Tele = Dsmpm2_core.Telemetry
 module Watchdog = Dsmpm2_core.Watchdog
 
 (* --- sources --- *)
 
-type source = Bench of B.t | Paper of Paper.row list | Run of Analyze.t
+type source = Rows of Paper.row list | Run of Analyze.t
 
 let load_source path =
   match In_channel.with_open_bin path In_channel.input_all with
@@ -27,16 +27,14 @@ let load_source path =
       match Json.of_string contents with
       | Ok j when Json.member "schema" j <> None ->
           Result.map_error (Printf.sprintf "%s: %s" path)
-            (if Json.member "schema" j = Some (Json.String Paper.schema_version) then
-               Result.map (fun rows -> Paper rows) (Paper.of_json j)
-             else Result.map (fun t -> Bench t) (B.of_json j))
+            (Result.map (fun rows -> Rows rows) (Paper.of_json j))
       | _ -> (
           match Trace.of_jsonl contents with
           | Ok tr -> Ok (Run (Analyze.analyze tr))
           | Error msg ->
               Error
                 (Printf.sprintf
-                   "%s: neither a macro-bench snapshot nor a trace dump (%s)"
+                   "%s: neither a row snapshot nor a trace dump (%s)"
                    path msg)))
 
 (* --- differences --- *)
@@ -65,8 +63,7 @@ type alert_delta = {
 }
 
 type t = {
-  rd_mode : [ `Bench | `Paper | `Trace ];
-  rd_cases : (B.case_result * B.case_result) list;
+  rd_mode : [ `Rows | `Trace ];
   rd_only_baseline : string list;
   rd_only_fresh : string list;
   rd_stages : stage list;
@@ -78,7 +75,7 @@ type t = {
 (* Rows [(id, fields)] are matched by id and fields by name: one change per
    field whose values differ, in [a]'s order, and one line per row of [x]
    with no counterpart in [y] (["id"]) or field of a matched row with none
-   (["id field"]).  A macro snapshot's [keys] are its cases. *)
+   (["id field"]). *)
 let row_changes a b =
   List.concat_map
     (fun (where, fa) ->
@@ -102,77 +99,16 @@ let only x y =
             fx)
     x
 
-let diff_rows ~mode ~cases (keys_a, a) (keys_b, b) =
+let diff_rows ~mode a b =
   {
     rd_mode = mode;
-    rd_cases = cases;
-    rd_only_baseline = only keys_a keys_b;
-    rd_only_fresh = only keys_b keys_a;
+    rd_only_baseline = only a b;
+    rd_only_fresh = only b a;
     rd_stages = [];
     rd_changes = row_changes a b;
     rd_patterns = [];
     rd_alerts = [];
   }
-
-(* --- bench mode --- *)
-
-let id cr = cr.B.cr_case.B.c_id
-
-(* The cases of [a] that [b] has too, paired by id, in [a]'s order. *)
-let matched a b =
-  List.filter_map
-    (fun cra ->
-      List.find_opt (fun crb -> id crb = id cra) b.B.bs_results
-      |> Option.map (fun crb -> (cra, crb)))
-    a.B.bs_results
-
-let no_git m = Format.asprintf "%a" Run_meta.pp { m with Run_meta.rm_git_rev = None }
-
-(* Everything that makes a case id mean one workload, as (field, text). *)
-let identity cr =
-  let c = cr.B.cr_case in
-  let ints show xs = "[" ^ String.concat " " (List.map show xs) ^ "]" in
-  [
-    ("app", c.B.c_app);
-    ("protocol", c.B.c_protocol);
-    ("driver", c.B.c_driver);
-    ("nodes", string_of_int c.B.c_nodes);
-    ("quick", string_of_bool c.B.c_quick);
-    ("params", ints (fun (k, v) -> Printf.sprintf "%s=%d" k v) (List.sort compare c.B.c_params));
-    ("tie seeds", ints (fun s -> string_of_int s.B.s_seed) cr.B.cr_samples);
-    ("meta", no_git cr.B.cr_meta);
-  ]
-
-let bench_compat a b =
-  let suite =
-    let ma = no_git a.B.bs_meta and mb = no_git b.B.bs_meta in
-    if ma = mb then [] else [ Printf.sprintf "suite meta %s vs %s" ma mb ]
-  in
-  let ids x y = List.map (fun (cr, _) -> id cr) (matched x y) in
-  let order = if ids a b = ids b a then [] else [ "the cases are in another order" ] in
-  let cases =
-    List.concat_map
-      (fun (cra, crb) ->
-        List.filter_map
-          (fun ((field, x), (_, y)) ->
-            if x = y then None else Some (Printf.sprintf "%s: %s %s vs %s" (id cra) field x y))
-          (List.combine (identity cra) (identity crb)))
-      (matched a b)
-  in
-  match suite @ order @ cases with [] -> Ok () | es -> Error (String.concat "; " es)
-
-(* A sample is the row [case seed N]; called only once [bench_compat]
-   holds, so matched cases share seeds. *)
-let diff_bench a b =
-  let sample cr s =
-    ( Printf.sprintf "%s seed %d" (id cr) s.B.s_seed,
-      List.combine B.metric_names (Array.to_list s.B.s_values) )
-  in
-  let rows t =
-    ( List.map (fun cr -> (id cr, [])) t.B.bs_results,
-      List.concat_map (fun cr -> List.map (sample cr) cr.B.cr_samples) t.B.bs_results )
-  in
-  diff_rows ~mode:`Bench ~cases:(matched a b) (rows a) (rows b)
 
 (* --- trace mode --- *)
 
@@ -234,9 +170,9 @@ let diff_alerts base fresh =
 (* A stage is the row [protocol/stage], zero on a side without stamps. *)
 let diff_trace base fresh =
   let stages = diff_stages base fresh in
-  let rows side = ([], List.map (fun sd -> stage_row sd (side sd)) stages) in
+  let rows side = List.map (fun sd -> stage_row sd (side sd)) stages in
   {
-    (diff_rows ~mode:`Trace ~cases:[] (rows (fun sd -> sd.sd_base)) (rows (fun sd -> sd.sd_fresh)))
+    (diff_rows ~mode:`Trace (rows (fun sd -> sd.sd_base)) (rows (fun sd -> sd.sd_fresh)))
     with
     rd_stages = stages;
     rd_patterns = diff_patterns base fresh;
@@ -245,18 +181,11 @@ let diff_trace base fresh =
 
 (* --- entry point and verdict --- *)
 
-let kind = function
-  | Bench _ -> "macro-bench snapshot"
-  | Paper _ -> "paper snapshot"
-  | Run _ -> "trace dump"
+let kind = function Rows _ -> "row snapshot" | Run _ -> "trace dump"
 
 let diff ~baseline ~fresh =
   match (baseline, fresh) with
-  | Bench a, Bench b -> (
-      match bench_compat a b with
-      | Ok () -> Ok (diff_bench a b)
-      | Error m -> Error ("cannot compare: " ^ m))
-  | Paper a, Paper b -> Ok (diff_rows ~mode:`Paper ~cases:[] (a, a) (b, b))
+  | Rows a, Rows b -> Ok (diff_rows ~mode:`Rows a b)
   | Run a, Run b -> Ok (diff_trace a b)
   | _ -> Error (Printf.sprintf "cannot compare a %s with a %s" (kind baseline) (kind fresh))
 
@@ -287,22 +216,10 @@ let differs t = differences t <> []
 
 (* --- rendering --- *)
 
-let mode_str = function `Bench -> "macro-bench" | `Paper -> "paper" | `Trace -> "trace"
+let mode_str = function `Rows -> "rows" | `Trace -> "trace"
 
 let pp_text ppf t =
   Format.fprintf ppf "run diff: %s mode, exact@." (mode_str t.rd_mode);
-  if t.rd_cases <> [] then begin
-    Format.fprintf ppf "%-38s %12s %12s %9s  %s@." "case" "base(us)" "fresh(us)" "time Δ"
-      "samples";
-    List.iter
-      (fun (cra, crb) ->
-        let b = B.metric_mean cra "time_ns" and f = B.metric_mean crb "time_ns" in
-        Format.fprintf ppf "%-38s %12.1f %12.1f %+8.1f%%  %s@." (id cra) (b /. 1000.)
-          (f /. 1000.)
-          (if b = 0. then 0. else 100. *. (f -. b) /. b)
-          (if cra.B.cr_samples = crb.B.cr_samples then "equal" else "DIFFER"))
-      t.rd_cases
-  end;
   if t.rd_stages <> [] then
     Stats.pp_span_table ppf ~key:"protocol side"
       (List.concat_map

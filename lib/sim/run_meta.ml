@@ -1,8 +1,6 @@
 (* Self-describing run metadata, embedded in every JSON artifact the
-   observability stack exports.  A baseline that knows which git revision,
-   tie seed, driver, protocol and cluster size produced it can be compared
-   months later — and `dsm diff` can refuse apples-to-oranges comparisons
-   instead of printing nonsense deltas. *)
+   observability stack exports, so a file says which git revision, tie
+   seed, driver, protocol and cluster size produced it. *)
 
 type t = {
   rm_git_rev : string option;
@@ -32,8 +30,6 @@ let v ?git_rev ?tie_seed ?driver ?protocol ?nodes ?case () =
     rm_nodes = nodes;
     rm_case = case;
   }
-
-let equal = ( = )
 
 (* --- git revision discovery ---
 
@@ -95,38 +91,3 @@ let to_json t =
          opt "nodes" (fun i -> Json.Int i) t.rm_nodes;
          opt "case" (fun s -> Json.String s) t.rm_case;
        ])
-
-let of_json json =
-  match json with
-  | Json.Obj _ ->
-      let str name = Option.bind (Json.member name json) Json.to_str in
-      let int name = Option.bind (Json.member name json) Json.to_int in
-      Ok
-        {
-          rm_git_rev = str "git_rev";
-          rm_tie_seed = int "tie_seed";
-          rm_driver = str "driver";
-          rm_protocol = str "protocol";
-          rm_nodes = int "nodes";
-          rm_case = str "case";
-        }
-  | _ -> Error "run metadata is not an object"
-
-let pp ppf t =
-  let field name = function
-    | Some v -> Some (Printf.sprintf "%s=%s" name v)
-    | None -> None
-  in
-  let fields =
-    List.filter_map Fun.id
-      [
-        field "git" t.rm_git_rev;
-        field "seed" (Option.map string_of_int t.rm_tie_seed);
-        field "driver" t.rm_driver;
-        field "protocol" t.rm_protocol;
-        field "nodes" (Option.map string_of_int t.rm_nodes);
-        field "case" t.rm_case;
-      ]
-  in
-  Format.pp_print_string ppf
-    (match fields with [] -> "(no metadata)" | fs -> String.concat " " fs)

@@ -1,13 +1,12 @@
 (** Self-describing run metadata for exported JSON artifacts.
 
-    Every exporter ({!Dsmpm2_core.Monitor.to_json}, the watchdog health
-    report, [dsm analyze --out], the macro-bench suite) embeds one of these
-    under a ["meta"] key: the git revision the binary was built from (best
-    effort), the engine tie seed, the network driver, the protocol, the
-    cluster size and a free-form case identifier.  [dsm diff] refuses to
-    compare two macro-bench cases whose metadata differs in anything but
-    the git revision, since different code revisions are the whole point
-    of a diff. *)
+    Every exporter ({!Dsmpm2_core.Monitor.to_json}, the telemetry
+    snapshot, the watchdog health report, [dsm analyze --out]) embeds one
+    of these under a ["meta"] key: the git revision the binary was built
+    from (best effort), the engine tie seed, the network driver, the
+    protocol, the cluster size and a free-form case identifier.  It is
+    written for readers of those files; nothing reads it back, and the
+    row snapshots [dsm diff] compares carry none. *)
 
 type t = {
   rm_git_rev : string option;
@@ -19,7 +18,6 @@ type t = {
 }
 
 val empty : t
-val equal : t -> t -> bool
 
 val v :
   ?git_rev:string ->
@@ -42,8 +40,3 @@ val with_git : t -> t
 
 val to_json : t -> Json.t
 (** An object holding only the fields that are set. *)
-
-val of_json : Json.t -> (t, string) result
-(** Tolerant inverse: missing fields load as [None]. *)
-
-val pp : Format.formatter -> t -> unit

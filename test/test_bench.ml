@@ -1,111 +1,22 @@
-(* Tests of the macro-benchmark suite: schema round-trip, determinism,
-   matrix filtering and the order of the fault percentiles. *)
+(* Tests of the macro-benchmark suite: determinism, the committed matrix
+   and its rows, matrix filtering and the order of the fault percentiles.
+   The snapshot schema itself, [dsm-paper/1], is tested on {!Paper}. *)
 
 open Dsmpm2_sim
 open Dsmpm2_experiments
 module B = Bench_suite
-
-(* --- schema round-trip ---
-
-   Every sample field is an integer, so the round trip through text is
-   exact over the whole int range. *)
-
-let gen_t =
-  let open QCheck.Gen in
-  let app = oneofl [ "jacobi"; "tsp"; "coloring"; "lu"; "matmul"; "sort" ] in
-  let proto = oneofl [ "hbrc_mw"; "li_hudak"; "erc_sw"; "write_update" ] in
-  let driver = oneofl [ "BIP/Myrinet"; "SISCI/SCI"; "TCP/FastEthernet" ] in
-  let sample =
-    map
-      (fun (seed, values) -> { B.s_seed = seed; s_values = Array.of_list values })
-      (pair (0 -- 99) (list_repeat (List.length B.metric_names) int))
-  in
-  let params =
-    list_size (0 -- 3)
-      (pair (oneofl [ "size"; "iterations"; "cities"; "elements" ]) (1 -- 64))
-  in
-  let case_result =
-    map
-      (fun ((app, proto, driver), (nodes, quick, params), samples) ->
-        let id = Printf.sprintf "%s:%s:%d" app proto nodes in
-        {
-          B.cr_case =
-            {
-              B.c_id = id;
-              c_app = app;
-              c_protocol = proto;
-              c_driver = driver;
-              c_nodes = nodes;
-              c_params = params;
-              c_quick = quick;
-            };
-          cr_meta =
-            Run_meta.v ~git_rev:"deadbeef" ~driver ~protocol:proto ~nodes
-              ~case:id ();
-          cr_samples = samples;
-        })
-      (triple
-         (triple app proto driver)
-         (triple (1 -- 16) bool params)
-         (list_size (1 -- 4) sample))
-  in
-  map
-    (fun results ->
-      { B.bs_meta = Run_meta.v ~git_rev:"deadbeef" (); bs_results = results })
-    (list_size (0 -- 6) case_result)
-
-let prop_schema_roundtrip =
-  QCheck.Test.make ~name:"BENCH_macro schema round-trips through text"
-    ~count:200
-    (QCheck.make gen_t)
-    (fun t ->
-      let text = Json.to_string_pretty (B.to_json t) in
-      match Json.of_string text with
-      | Error _ -> false
-      | Ok j -> (
-          match B.of_json j with Ok t' -> t = t' | Error _ -> false))
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
   let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
   n = 0 || at 0
 
-let test_schema_version_rejected () =
-  List.iter
-    (fun schema ->
-      let bad = Json.Obj [ ("schema", Json.String schema); ("cases", Json.List []) ] in
-      match B.of_json bad with
-      | Ok _ -> Alcotest.failf "%s accepted" schema
-      | Error msg ->
-          Alcotest.(check bool) "error names the schema" true (contains ~sub:schema msg);
-          Alcotest.(check bool) "error says to re-bank" true (contains ~sub:"re-bank" msg))
-    [ "dsm-bench-macro/1"; "dsm-bench-macro/99" ]
-
-(* A snapshot holds exactly what [to_json] writes: a missing field, an
-   extra one or a float where an integer belongs is refused, so nothing
-   in the file escapes the comparison. *)
-let test_snapshot_strict () =
-  let t = B.run ~seeds:[ 0 ] ~filter:"jacobi:hbrc_mw:bip-myrinet" () in
-  (* [f] rewrites every sample object, found by its "events" field *)
-  let rec edit f = function
-    | Json.Obj kvs ->
-        let kvs = List.map (fun (k, v) -> (k, edit f v)) kvs in
-        Json.Obj (if List.mem_assoc "events" kvs then f kvs else kvs)
-    | Json.List l -> Json.List (List.map (edit f) l)
-    | j -> j
-  in
-  let parses f = Result.is_ok (B.of_json (edit f (B.to_json t))) in
-  Alcotest.(check bool) "as written: accepted" true (parses Fun.id);
-  List.iter
-    (fun (what, f) -> Alcotest.(check bool) what false (parses f))
-    [
-      ("missing field refused", List.remove_assoc "events");
-      ("extra field refused", fun s -> s @ [ ("extra", Json.Int 0) ]);
-      ( "float time refused",
-        List.map (function
-          | "time_ns", Json.Int v -> ("time_ns", Json.Float (float_of_int v))
-          | kv -> kv) );
-    ]
+(* The committed BENCH_macro.json (a [deps] of the test stanza). *)
+let committed () =
+  match Rundiff.load_source "../BENCH_macro.json" with
+  | Ok (Rundiff.Rows rows) -> rows
+  | Ok _ -> Alcotest.fail "BENCH_macro.json is not a row snapshot"
+  | Error msg -> Alcotest.fail msg
 
 (* --- the paper snapshot (dsm-paper/1) ---
 
@@ -181,13 +92,19 @@ let test_run_case_deterministic () =
       Alcotest.(check bool) "messages flowed" true (B.metric "messages" s > 0))
     a.B.cr_samples
 
-let test_case_meta () =
-  let r = B.run_case ~seeds:[ 3 ] tiny_case in
-  let m = r.B.cr_meta in
-  Alcotest.(check (option string)) "driver" (Some "BIP/Myrinet") m.Run_meta.rm_driver;
-  Alcotest.(check (option string)) "protocol" (Some "hbrc_mw") m.Run_meta.rm_protocol;
-  Alcotest.(check (option int)) "nodes" (Some 4) m.Run_meta.rm_nodes;
-  Alcotest.(check (option string)) "case" (Some tiny_case.B.c_id) m.Run_meta.rm_case
+(* A row names its case and seed and carries the workload: the node count
+   and every case parameter, before the sample fields. *)
+let test_case_identity () =
+  match B.rows [ B.run_case ~seeds:[ 3 ] tiny_case ] with
+  | [ (id, fields) ] ->
+      Alcotest.(check string) "id" "macro/jacobi:hbrc_mw:test/seed3" id;
+      Alcotest.(check (list string)) "field names"
+        ([ "nodes"; "size"; "iterations" ] @ B.metric_names)
+        (List.map fst fields);
+      Alcotest.(check (list (pair string int))) "workload"
+        [ ("nodes", 4); ("size", 16); ("iterations", 2) ]
+        (List.filteri (fun i _ -> i < 3) fields)
+  | rows -> Alcotest.failf "%d rows for one case and one seed" (List.length rows)
 
 (* --- the committed matrix and its filters --- *)
 
@@ -223,20 +140,48 @@ let test_filter_cases () =
   Alcotest.(check (list string)) "no match" []
     (List.map (fun c -> c.B.c_id) (B.filter_cases ~filter:"nonesuch" all))
 
+(* Every case of the matrix has one committed row per default seed, in
+   matrix order, holding exactly its workload and every sample field: an
+   edit of the matrix that is not re-banked fails here, with no
+   simulation run. *)
+let test_committed_rows_match_matrix () =
+  let rows = committed () in
+  let expected =
+    List.concat_map
+      (fun c ->
+        List.map
+          (fun seed ->
+            ( Printf.sprintf "macro/%s/seed%d" c.B.c_id seed,
+              ("nodes", c.B.c_nodes) :: c.B.c_params ))
+          B.default_seeds)
+      (B.cases ())
+  in
+  Alcotest.(check (list string)) "ids are cases () x default_seeds" (List.map fst expected)
+    (List.map fst rows);
+  List.iter
+    (fun (id, workload) ->
+      let fields = List.assoc id rows in
+      Alcotest.(check (list string)) (id ^ " fields")
+        (List.map fst workload @ B.metric_names)
+        (List.map fst fields);
+      Alcotest.(check (list (pair string int))) (id ^ " workload") workload
+        (List.filteri (fun i _ -> i < List.length workload) fields))
+    expected
+
 (* --- snapshot file I/O --- *)
 
+(* What `dsm bench --out` writes loads back as the same rows. *)
 let test_load_round_trip () =
   let t = B.run ~seeds:[ 0 ] ~filter:"jacobi:hbrc_mw:bip-myrinet" () in
+  Alcotest.(check int) "filter selected one case" 1 (List.length t);
   let path = Filename.temp_file "dsm_macro" ".json" in
-  Json.to_file path (B.to_json t);
-  let back =
-    match B.load path with
-    | Ok t -> t
-    | Error msg -> Alcotest.failf "load %s: %s" path msg
-  in
+  Json.to_file path (Paper.to_json (B.rows t));
+  let back = Rundiff.load_source path in
   Sys.remove path;
-  Alcotest.(check int) "filter selected one case" 1 (List.length t.B.bs_results);
-  Alcotest.(check bool) (path ^ " loads back") true (back = t)
+  match back with
+  | Ok (Rundiff.Rows rows) -> Alcotest.(check bool) (path ^ " loads back") true (rows = B.rows t)
+  | Ok _ -> Alcotest.failf "%s loaded as a trace" path
+  | Error msg -> Alcotest.failf "load %s: %s" path msg
 
 (* --- fault percentiles: one series, so always ordered ---
 
@@ -244,43 +189,28 @@ let test_load_round_trip () =
    every sample is ordered, and a protocol that migrates threads instead of
    shipping pages still has a tail. *)
 
-let check_percentiles label (t : B.t) =
+let check_percentiles label rows =
   List.iter
-    (fun cr ->
-      List.iter
-        (fun s ->
-          let name =
-            Printf.sprintf "%s %s seed %d" label cr.B.cr_case.B.c_id s.B.s_seed
-          in
-          let p n = B.metric (Printf.sprintf "fault_p%s_ns" n) s in
-          Alcotest.(check bool)
-            (name ^ ": p50 <= p90 <= p99 <= p999")
-            true
-            (p "50" <= p "90" && p "90" <= p "99" && p "99" <= p "999");
-          if cr.B.cr_case.B.c_protocol = "migrate_thread" then
-            Alcotest.(check bool) (name ^ ": p999 > 0") true (p "999" > 0))
-        cr.B.cr_samples)
-    t.B.bs_results
+    (fun (id, fields) ->
+      let name = label ^ " " ^ id in
+      let p n = List.assoc (Printf.sprintf "fault_p%s_ns" n) fields in
+      Alcotest.(check bool)
+        (name ^ ": p50 <= p90 <= p99 <= p999")
+        true
+        (p "50" <= p "90" && p "90" <= p "99" && p "99" <= p "999");
+      if contains ~sub:":migrate_thread:" id then
+        Alcotest.(check bool) (name ^ ": p999 > 0") true (p "999" > 0))
+    rows
 
 let test_percentiles_ordered () =
-  (match B.load "../BENCH_macro.json" with
-  | Ok t -> check_percentiles "committed" t
-  | Error msg -> Alcotest.failf "committed snapshot: %s" msg);
+  check_percentiles "committed" (committed ());
   let fresh = B.run ~filter:"tsp:migrate_thread" () in
-  Alcotest.(check int) "both migrate_thread cases" 2
-    (List.length fresh.B.bs_results);
-  check_percentiles "fresh" fresh
+  Alcotest.(check int) "both migrate_thread cases" 2 (List.length fresh);
+  check_percentiles "fresh" (B.rows fresh)
 
 let () =
   Alcotest.run "bench_suite"
     [
-      ( "schema",
-        [
-          QCheck_alcotest.to_alcotest prop_schema_roundtrip;
-          Alcotest.test_case "unknown schema rejected" `Quick
-            test_schema_version_rejected;
-          Alcotest.test_case "only what to_json writes" `Quick test_snapshot_strict;
-        ] );
       ( "paper",
         [
           QCheck_alcotest.to_alcotest prop_paper_roundtrip;
@@ -290,12 +220,14 @@ let () =
         [
           Alcotest.test_case "same seeds, same samples" `Quick
             test_run_case_deterministic;
-          Alcotest.test_case "case identity metadata" `Quick test_case_meta;
+          Alcotest.test_case "case identity metadata" `Quick test_case_identity;
         ] );
       ( "matrix",
         [
           Alcotest.test_case "well-formed" `Quick test_matrix_well_formed;
           Alcotest.test_case "filtering" `Quick test_filter_cases;
+          Alcotest.test_case "committed rows match the matrix" `Quick
+            test_committed_rows_match_matrix;
         ] );
       ( "io",
         [

@@ -311,7 +311,7 @@ let test_patterns_shapes () =
 
 let committed () =
   match Rundiff.load_source "../BENCH_paper.json" with
-  | Ok (Rundiff.Paper rows) -> rows
+  | Ok (Rundiff.Rows rows) -> rows
   | Ok _ -> Alcotest.fail "BENCH_paper.json is not a paper snapshot"
   | Error msg -> Alcotest.fail msg
 
@@ -321,7 +321,7 @@ let committed () =
    `dsm paper --out BENCH_paper.json`. *)
 let test_paper_snapshot () =
   let fresh = Paper.run (Format.make_formatter (fun _ _ _ -> ()) ignore) in
-  match Rundiff.diff ~baseline:(Rundiff.Paper (committed ())) ~fresh:(Rundiff.Paper fresh) with
+  match Rundiff.diff ~baseline:(Rundiff.Rows (committed ())) ~fresh:(Rundiff.Rows fresh) with
   | Error msg -> Alcotest.fail msg
   | Ok d ->
       Alcotest.(check (list string)) "fresh rows equal BENCH_paper.json" []

@@ -1047,20 +1047,6 @@ let prop_sketch_reference =
       feed a ra ys;
       ok && same_as_ref a ra)
 
-(* --- Run_meta --- *)
-
-let test_run_meta_roundtrip () =
-  let m =
-    Run_meta.v ~git_rev:"abc123" ~tie_seed:7 ~driver:"BIP/Myrinet"
-      ~protocol:"hbrc_mw" ~nodes:4 ~case:"jacobi:hbrc_mw:bip-myrinet" ()
-  in
-  (match Run_meta.of_json (Run_meta.to_json m) with
-  | Ok m' -> Alcotest.(check bool) "round-trips" true (Run_meta.equal m m')
-  | Error msg -> Alcotest.fail msg);
-  match Run_meta.of_json (Run_meta.to_json Run_meta.empty) with
-  | Ok m' -> Alcotest.(check bool) "empty round-trips" true (Run_meta.equal Run_meta.empty m')
-  | Error msg -> Alcotest.fail msg
-
 let () =
   Alcotest.run "sim"
     [
@@ -1153,9 +1139,5 @@ let () =
             test_stats_record_allocates_nothing;
           Alcotest.test_case "stats percentiles" `Quick test_stats_percentiles;
           QCheck_alcotest.to_alcotest prop_stats_percentiles_within_alpha;
-        ] );
-      ( "run_meta",
-        [
-          Alcotest.test_case "json round-trip" `Quick test_run_meta_roundtrip;
         ] );
     ]
