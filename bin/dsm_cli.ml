@@ -19,10 +19,11 @@
      --report             post-mortem per-category / per-stage report
      --health             live watchdog + end-of-run health summary
 
-   The table/figure experiments (one per entry of [Paper.experiments]) run
-   many simulations each, so they take --metrics-out alone: it writes the
-   experiment's rows as a dsm-paper/1 snapshot.  `paper` runs them all and
-   `paper --out BENCH_paper.json` re-banks the committed snapshot. *)
+   The table/figure experiments and the macro suite `bench` (one per entry
+   of [Paper.experiments]) run many simulations each, so they take
+   --metrics-out alone: it writes the experiment's rows as a dsm-paper/1
+   snapshot.  `paper` runs them all and `paper --out BENCH_paper.json`
+   re-banks the committed snapshot. *)
 
 open Cmdliner
 open Dsmpm2_sim
@@ -745,83 +746,6 @@ let watch_cmd =
       $ iterations $ interval $ stall_us $ trace_cap_arg $ sample_pct_arg
       $ sample_seed_arg $ out $ quiet)
 
-(* --- dsm bench: the seeded macro-benchmark observatory --- *)
-
-let bench_cmd =
-  let run seeds filter quick out quiet =
-    let seeds = match seeds with [] -> Bench_suite.default_seeds | s -> s in
-    (* A seed given twice would repeat a row id in the snapshot. *)
-    (match List.find_opt (fun s -> List.length (List.filter (( = ) s) seeds) > 1) seeds with
-    | Some s ->
-        Format.fprintf ppf "bench: --seeds %d given twice@." s;
-        exit 2
-    | None -> ());
-    let selected =
-      Bench_suite.filter_cases ?filter ~quick (Bench_suite.cases ())
-    in
-    if selected = [] then begin
-      Format.fprintf ppf "bench: no case matches the filter@.";
-      exit 2
-    end;
-    let progress cr =
-      if not quiet then
-        Format.fprintf ppf "bench: done %s (%d seeds)@."
-          cr.Bench_suite.cr_case.Bench_suite.c_id
-          (List.length cr.Bench_suite.cr_samples)
-    in
-    let t = Bench_suite.run ~seeds ?filter ~quick ~progress () in
-    Bench_suite.print ppf t;
-    Option.iter
-      (fun file ->
-        Json.to_file file (Paper.to_json (Bench_suite.rows t));
-        if not quiet then Format.fprintf ppf "bench: wrote %s@." file)
-      out
-  in
-  let seeds =
-    Arg.(
-      value
-      & opt_all int []
-      & info [ "seeds" ] ~docv:"SEED"
-          ~doc:
-            "Engine tie seed (repeatable, each value once; default: the \
-             suite's committed seed list).  Baselines are only comparable \
-             over the same seeds.")
-  in
-  let filter =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "filter" ] ~docv:"SUBSTR"
-          ~doc:"Run only cases whose id contains $(docv), e.g. jacobi or hbrc_mw.")
-  in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:"Run only the quick-marked cases of the matrix, for fast local runs.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:
-            "Write the BENCH_macro.json snapshot to $(docv): dsm-paper/1 rows, \
-             one per case and seed, id macro/CASE/seedN, holding the node \
-             count, the case's parameters and every sample field.")
-  in
-  let quiet =
-    Arg.(value & flag & info [ "quiet" ] ~doc:"Skip per-case progress lines.")
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Run the seeded macro-benchmark suite: every application kernel \
-          under a fixed protocol/driver matrix, recording simulated time, \
-          traffic, faults and fault-latency tails.  Deterministic per tie \
-          seed, so snapshots diff exactly across code revisions.")
-    Term.(const run $ seeds $ filter $ quick $ out $ quiet)
-
 (* --- dsm diff: differential comparison of two runs --- *)
 
 let diff_cmd =
@@ -857,8 +781,9 @@ let diff_cmd =
       required
       & pos 0 (some string) None
       & info [] ~docv:"BASELINE"
-          ~doc:"Baseline artifact: a dsm-paper/1 row snapshot (BENCH_macro.json, \
-                BENCH_paper.json or BENCH_bechamel.json), or a JSONL trace dump.")
+          ~doc:"Baseline artifact: a dsm-paper/1 row snapshot (BENCH_paper.json, \
+                which holds the macro suite's bench rows too, or BENCH_bechamel.json), \
+                or a JSONL trace dump.")
   in
   let fresh =
     Arg.(
@@ -881,8 +806,8 @@ let diff_cmd =
   Cmd.v
     (Cmd.info "diff"
        ~doc:
-         "Compare two observability artifacts — row snapshots (macro, paper \
-          or Bechamel) or trace dumps — exactly, and list every difference: \
+         "Compare two observability artifacts — row snapshots (paper or \
+          Bechamel) or trace dumps — exactly, and list every difference: \
           per row and field, rows or fields on one side only, critical-path \
           stage mean, p90 and span count, sharing-pattern drift and alert \
           counts.  Exits 0 when they are equal, 1 when they differ, 2 on an \
@@ -959,4 +884,4 @@ let () =
        (Cmd.group info
           (List.map experiment_cmd Paper.experiments
           @ app_cmds
-          @ [ paper_cmd; analyze_cmd; check_cmd; explain_cmd; watch_cmd; bench_cmd; diff_cmd ])))
+          @ [ paper_cmd; analyze_cmd; check_cmd; explain_cmd; watch_cmd; diff_cmd ])))

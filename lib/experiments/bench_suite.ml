@@ -1,4 +1,4 @@
-(* The macro-benchmark observatory (`dsm bench`).
+(* The macro-benchmark observatory: the `bench` entry of Paper.experiments.
 
    Where the bechamel suite measures the *host* cost of simulator kernels,
    this suite measures the *simulated* systems themselves: every
@@ -7,9 +7,9 @@
    Each (app, protocol, driver) case runs once per seed and records the
    virtual-time wall clock, message/byte counts, fault counts and the
    fault-latency tail from the runtime's Stats registry, every one an
-   integer (times in ns).  The results leave as `dsm-paper/1` rows, one per
-   case and seed (see {!rows}), so BENCH_macro.json compares exactly under
-   `dsm diff`, like BENCH_paper.json. *)
+   integer (times in ns).  The results leave as rows, one per case and
+   seed (see {!rows}), in BENCH_paper.json beside every other
+   experiment's. *)
 
 open Dsmpm2_sim
 open Dsmpm2_net
@@ -23,10 +23,9 @@ type case = {
   c_id : string;
   c_app : string;
   c_protocol : string;
-  c_driver : string;
+  c_driver : Driver.t;
   c_nodes : int;
   c_params : (string * int) list;
-  c_quick : bool;
 }
 
 type sample = { s_seed : int; s_values : int array }
@@ -34,46 +33,39 @@ type sample = { s_seed : int; s_values : int array }
 type case_result = { cr_case : case; cr_samples : sample list }
 type t = case_result list
 
-let make_id ~app ~protocol ~driver =
-  Printf.sprintf "%s:%s:%s" app protocol (Driver.slug driver)
-
-let case ?(nodes = 4) ?(params = []) ?(quick = false) ~app ~protocol driver =
+let case ?(nodes = 4) ?(params = []) ~app ~protocol driver =
   {
-    c_id = make_id ~app ~protocol ~driver:driver.Driver.name;
+    c_id = Printf.sprintf "%s:%s:%s" app protocol (Driver.slug driver.Driver.name);
     c_app = app;
     c_protocol = protocol;
-    c_driver = driver.Driver.name;
+    c_driver = driver;
     c_nodes = nodes;
     c_params = params;
-    c_quick = quick;
   }
 
-(* The committed matrix.  Sizes are deliberately small — a full sweep is a
-   couple of minutes of host time — and FIXED: the same case id must mean
-   the same workload forever, or baselines silently stop being comparable.
-   Grow the matrix by adding cases, not by editing existing ones.
+(* The committed matrix.  Sizes are deliberately small — the whole sweep,
+   every case under every default seed, takes about 1.5 s of host time —
+   and FIXED: the same case id must mean the same workload forever, or
+   baselines silently stop being comparable.  Grow the matrix by adding
+   cases, not by editing existing ones.
 
    jacobi and tsp run on two drivers (they are the ROADMAP's scale-out and
    adaptivity yardsticks); the rest pin one driver each to bound suite
-   time.  `quick = true` marks the subset `dsm bench --quick` runs, for
-   fast local runs. *)
+   time. *)
 let cases () =
   let j = [ ("size", 32); ("iterations", 4) ] in
   let t = [ ("cities", 12) ] in
   List.concat
     [
       List.map
-        (fun (protocol, quick) ->
-          case ~app:"jacobi" ~params:j ~quick ~protocol Driver.bip_myrinet)
-        [ ("hbrc_mw", true); ("li_hudak_fixed", true); ("write_update", false);
-          ("erc_sw", false) ];
+        (fun protocol -> case ~app:"jacobi" ~params:j ~protocol Driver.bip_myrinet)
+        [ "hbrc_mw"; "li_hudak_fixed"; "write_update"; "erc_sw" ];
       List.map
         (fun protocol -> case ~app:"jacobi" ~params:j ~protocol Driver.sisci_sci)
         [ "hbrc_mw"; "li_hudak_fixed"; "write_update"; "erc_sw" ];
       List.map
-        (fun (protocol, quick) ->
-          case ~app:"tsp" ~params:t ~quick ~protocol Driver.bip_myrinet)
-        [ ("li_hudak", true); ("migrate_thread", true); ("hbrc_mw", false) ];
+        (fun protocol -> case ~app:"tsp" ~params:t ~protocol Driver.bip_myrinet)
+        [ "li_hudak"; "migrate_thread"; "hbrc_mw" ];
       List.map
         (fun protocol -> case ~app:"tsp" ~params:t ~protocol Driver.sisci_sci)
         [ "li_hudak"; "migrate_thread"; "hbrc_mw" ];
@@ -99,11 +91,6 @@ let cases () =
 
 (* --- running one case --- *)
 
-let driver_of case =
-  match Driver.by_name case.c_driver with
-  | Some d -> d
-  | None -> invalid_arg (Printf.sprintf "Bench_suite: unknown driver %S" case.c_driver)
-
 (* Runs the case's app once under one tie seed, returning the finished
    runtime. *)
 let run_app case ~seed =
@@ -113,7 +100,7 @@ let run_app case ~seed =
     | None -> invalid_arg (Printf.sprintf "Bench_suite: unknown app %S" case.c_app)
   in
   fst
-    (app.run ~protocol:case.c_protocol ~nodes:case.c_nodes ~driver:(driver_of case)
+    (app.run ~protocol:case.c_protocol ~nodes:case.c_nodes ~driver:case.c_driver
        ~tie_seed:seed ~observe:ignore case.c_params)
 
 (* Every sample field with its reader over the finished runtime and its
@@ -151,28 +138,7 @@ let measure case ~seed =
 let run_case ?(seeds = default_seeds) case =
   { cr_case = case; cr_samples = List.map (fun seed -> measure case ~seed) seeds }
 
-(* --- the sweep --- *)
-
-let filter_cases ?filter ?(quick = false) all =
-  let contains ~sub s =
-    let n = String.length sub and m = String.length s in
-    let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
-    n = 0 || at 0
-  in
-  List.filter
-    (fun c ->
-      ((not quick) || c.c_quick)
-      && match filter with None -> true | Some sub -> contains ~sub c.c_id)
-    all
-
-let run ?(seeds = default_seeds) ?filter ?(quick = false)
-    ?(progress = fun _ -> ()) () =
-  List.map
-    (fun c ->
-      let r = run_case ~seeds c in
-      progress r;
-      r)
-    (filter_cases ?filter ~quick (cases ()))
+let run () = List.map (fun c -> run_case c) (cases ())
 
 (* --- aggregates --- *)
 
@@ -196,7 +162,7 @@ let rows t =
       let c = cr.cr_case in
       List.map
         (fun s ->
-          ( Printf.sprintf "macro/%s/seed%d" c.c_id s.s_seed,
+          ( Printf.sprintf "bench/%s/seed%d" c.c_id s.s_seed,
             (("nodes", c.c_nodes) :: c.c_params)
             @ List.combine metric_names (Array.to_list s.s_values) ))
         cr.cr_samples)

@@ -2,8 +2,8 @@
 
    Each experiment keeps its typed result and its printer; what it
    measures leaves it as integer rows, so the committed BENCH_paper.json
-   compares exactly under `dsm diff`.  BENCH_macro.json and
-   BENCH_bechamel.json are rows of the same schema. *)
+   compares exactly under `dsm diff`.  The macro suite is one more
+   experiment; BENCH_bechamel.json is rows of the same schema. *)
 
 open Dsmpm2_sim
 
@@ -40,6 +40,8 @@ let experiments =
       Litmus.rows;
     numbered "patterns" "Sharing-pattern study across all protocols." Sharing_patterns.run
       Sharing_patterns.print Sharing_patterns.rows;
+    numbered "bench" "Macro-benchmark suite: every app under a protocol/driver matrix."
+      Bench_suite.run Bench_suite.print Bench_suite.rows;
   ]
 
 let run ppf =

@@ -3,12 +3,14 @@
     Every experiment runs, prints its table and returns its results as
     rows [(id, fields)]: a stable id, e.g. [fig4/li_hudak/8], and integer
     fields (ns, counts, [correct] as 0 or 1, and [paper_ns] where the paper
-    gives a number), so two runs compare exactly.  [dsm paper --out]
-    writes every row to [BENCH_paper.json]; [dsm diff] compares two such
-    snapshots ({!Rundiff}).  Two other snapshots share the schema:
-    [dsm bench --out] writes the macro suite's samples, rows
-    [macro/<case>/seed<N>] ({!Bench_suite.rows}), and [bench/main.exe] its
-    kernels' words per run, rows [bechamel/<kernel>]. *)
+    gives a number), so two runs compare exactly.  Every row id starts
+    with its experiment's name, so the experiments share one namespace;
+    the last one, [bench], is the macro suite ({!Bench_suite}), rows
+    [bench/<case>/seed<N>].  [dsm paper --out BENCH_paper.json] writes
+    every row and re-banks the one committed snapshot of simulated
+    numbers; [dsm diff] compares two such snapshots ({!Rundiff}).
+    [bench/main.exe] writes its kernels' words per run in the same
+    schema, rows [bechamel/<kernel>]. *)
 
 type row = string * (string * int) list
 

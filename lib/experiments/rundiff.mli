@@ -1,18 +1,18 @@
 (** Exact run comparison ([dsm diff]).
 
     Takes two observability artifacts — two [dsm-paper/1] row snapshots
-    ({!Paper}: the macro suite's [BENCH_macro.json] ({!Bench_suite.rows}),
-    the paper's [BENCH_paper.json], or the words per run of the Bechamel
-    kernels, [BENCH_bechamel.json]), or two JSONL trace dumps — and lists
-    every difference between them.  The simulation is deterministic per
-    tie seed and every compared value is an integer, so there is no
-    tolerance: two runs of the same code are equal, and anything else is a
-    change.
+    ({!Paper}: [BENCH_paper.json], every simulated number, the macro
+    suite's [bench/] rows ({!Bench_suite.rows}) included, or the words
+    per run of the Bechamel kernels, [BENCH_bechamel.json]), or two JSONL
+    trace dumps — and lists every difference between them.  The
+    simulation is deterministic per tie seed and every compared value is
+    an integer, so there is no tolerance: two runs of the same code are
+    equal, and anything else is a change.
 
     - {b Row snapshots}: every field of every row, matched by row id, and
-      every row or field present on one side only.  A macro row holds its
-      case's node count and parameters, so a changed workload is a field
-      difference like any other.
+      every row or field present on one side only.  A [bench/] row holds
+      its case's node count and parameters, so a changed workload is a
+      field difference like any other.
     - {b Traces}: each critical-path stage's mean, p90 and sample count,
       per protocol, read from the stage stamps as {!Analyze} reads them;
       per-page {!Dsmpm2_core.Telemetry.pattern} drift; and watchdog alert

@@ -1,6 +1,6 @@
 (* Tests of the macro-benchmark suite: determinism, the committed matrix
-   and its rows, matrix filtering and the order of the fault percentiles.
-   The snapshot schema itself, [dsm-paper/1], is tested on {!Paper}. *)
+   and its rows, and the order of the fault percentiles.  The snapshot
+   schema itself, [dsm-paper/1], is tested on {!Paper}. *)
 
 open Dsmpm2_sim
 open Dsmpm2_experiments
@@ -11,12 +11,17 @@ let contains ~sub s =
   let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
   n = 0 || at 0
 
-(* The committed BENCH_macro.json (a [deps] of the test stanza). *)
+(* The suite's rows of the committed BENCH_paper.json (a [deps] of the
+   test stanza): those of the [bench] experiment. *)
 let committed () =
-  match Rundiff.load_source "../BENCH_macro.json" with
-  | Ok (Rundiff.Rows rows) -> rows
-  | Ok _ -> Alcotest.fail "BENCH_macro.json is not a row snapshot"
+  match Rundiff.load_source "../BENCH_paper.json" with
+  | Ok (Rundiff.Rows rows) ->
+      List.filter (fun (id, _) -> String.starts_with ~prefix:"bench/" id) rows
+  | Ok _ -> Alcotest.fail "BENCH_paper.json is not a row snapshot"
   | Error msg -> Alcotest.fail msg
+
+(* The matrix's cases whose id contains [sub]. *)
+let cases_matching sub = List.filter (fun c -> contains ~sub c.B.c_id) (B.cases ())
 
 (* --- the paper snapshot (dsm-paper/1) ---
 
@@ -71,10 +76,9 @@ let tiny_case =
     B.c_id = "jacobi:hbrc_mw:test";
     c_app = "jacobi";
     c_protocol = "hbrc_mw";
-    c_driver = "BIP/Myrinet";
+    c_driver = Dsmpm2_net.Driver.bip_myrinet;
     c_nodes = 4;
     c_params = [ ("size", 16); ("iterations", 2) ];
-    c_quick = true;
   }
 
 let test_run_case_deterministic () =
@@ -97,7 +101,7 @@ let test_run_case_deterministic () =
 let test_case_identity () =
   match B.rows [ B.run_case ~seeds:[ 3 ] tiny_case ] with
   | [ (id, fields) ] ->
-      Alcotest.(check string) "id" "macro/jacobi:hbrc_mw:test/seed3" id;
+      Alcotest.(check string) "id" "bench/jacobi:hbrc_mw:test/seed3" id;
       Alcotest.(check (list string)) "field names"
         ([ "nodes"; "size"; "iterations" ] @ B.metric_names)
         (List.map fst fields);
@@ -106,39 +110,14 @@ let test_case_identity () =
         (List.filteri (fun i _ -> i < 3) fields)
   | rows -> Alcotest.failf "%d rows for one case and one seed" (List.length rows)
 
-(* --- the committed matrix and its filters --- *)
+(* --- the committed matrix --- *)
 
 let test_matrix_well_formed () =
   let all = B.cases () in
   Alcotest.(check bool) "non-empty" true (all <> []);
   let ids = List.map (fun c -> c.B.c_id) all in
   Alcotest.(check int) "ids unique" (List.length ids)
-    (List.length (List.sort_uniq compare ids));
-  Alcotest.(check bool) "has a quick subset" true
-    (List.exists (fun c -> c.B.c_quick) all);
-  (* every case runs: the registered protocol and driver names must resolve *)
-  List.iter
-    (fun c ->
-      Alcotest.(check bool)
-        (c.B.c_id ^ " driver resolves")
-        true
-        (Dsmpm2_net.Driver.by_name c.B.c_driver <> None))
-    all
-
-let test_filter_cases () =
-  let all = B.cases () in
-  let quick = B.filter_cases ~quick:true all in
-  Alcotest.(check bool) "quick keeps only quick" true
-    (quick <> [] && List.for_all (fun c -> c.B.c_quick) quick);
-  let jacobi = B.filter_cases ~filter:"jacobi" all in
-  Alcotest.(check bool) "filter keeps only matches" true
-    (jacobi <> [] && List.for_all (fun c -> c.B.c_app = "jacobi") jacobi);
-  let both = B.filter_cases ~filter:"jacobi" ~quick:true all in
-  Alcotest.(check bool) "filters compose" true
-    (both <> []
-    && List.for_all (fun c -> c.B.c_quick && c.B.c_app = "jacobi") both);
-  Alcotest.(check (list string)) "no match" []
-    (List.map (fun c -> c.B.c_id) (B.filter_cases ~filter:"nonesuch" all))
+    (List.length (List.sort_uniq compare ids))
 
 (* Every case of the matrix has one committed row per default seed, in
    matrix order, holding exactly its workload and every sample field: an
@@ -151,7 +130,7 @@ let test_committed_rows_match_matrix () =
       (fun c ->
         List.map
           (fun seed ->
-            ( Printf.sprintf "macro/%s/seed%d" c.B.c_id seed,
+            ( Printf.sprintf "bench/%s/seed%d" c.B.c_id seed,
               ("nodes", c.B.c_nodes) :: c.B.c_params ))
           B.default_seeds)
       (B.cases ())
@@ -170,10 +149,10 @@ let test_committed_rows_match_matrix () =
 
 (* --- snapshot file I/O --- *)
 
-(* What `dsm bench --out` writes loads back as the same rows. *)
+(* What `dsm bench --metrics-out` writes loads back as the same rows. *)
 let test_load_round_trip () =
-  let t = B.run ~seeds:[ 0 ] ~filter:"jacobi:hbrc_mw:bip-myrinet" () in
-  Alcotest.(check int) "filter selected one case" 1 (List.length t);
+  let t = List.map (B.run_case ~seeds:[ 0 ]) (cases_matching "jacobi:hbrc_mw:bip-myrinet") in
+  Alcotest.(check int) "one case selected" 1 (List.length t);
   let path = Filename.temp_file "dsm_macro" ".json" in
   Json.to_file path (Paper.to_json (B.rows t));
   let back = Rundiff.load_source path in
@@ -204,7 +183,7 @@ let check_percentiles label rows =
 
 let test_percentiles_ordered () =
   check_percentiles "committed" (committed ());
-  let fresh = B.run ~filter:"tsp:migrate_thread" () in
+  let fresh = List.map (fun c -> B.run_case c) (cases_matching "tsp:migrate_thread") in
   Alcotest.(check int) "both migrate_thread cases" 2 (List.length fresh);
   check_percentiles "fresh" (B.rows fresh)
 
@@ -225,7 +204,6 @@ let () =
       ( "matrix",
         [
           Alcotest.test_case "well-formed" `Quick test_matrix_well_formed;
-          Alcotest.test_case "filtering" `Quick test_filter_cases;
           Alcotest.test_case "committed rows match the matrix" `Quick
             test_committed_rows_match_matrix;
         ] );

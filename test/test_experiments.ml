@@ -315,17 +315,49 @@ let committed () =
   | Ok _ -> Alcotest.fail "BENCH_paper.json is not a paper snapshot"
   | Error msg -> Alcotest.fail msg
 
+(* Every experiment's rows, the macro suite's included, by experiment
+   name: run once for both tests below. *)
+let fresh =
+  lazy
+    (let quiet = Format.make_formatter (fun _ _ _ -> ()) ignore in
+     List.map
+       (fun e ->
+         (e.Paper.name, match e.Paper.body with Paper.Rows run -> run quiet | Paper.Text _ -> []))
+       Paper.experiments)
+
 (* Every experiment, run fresh, gives exactly the committed rows: the
    failure lists each difference as `dsm diff` prints it.  After a
    deliberate change to simulated numbers, re-bank with
    `dsm paper --out BENCH_paper.json`. *)
 let test_paper_snapshot () =
-  let fresh = Paper.run (Format.make_formatter (fun _ _ _ -> ()) ignore) in
-  match Rundiff.diff ~baseline:(Rundiff.Rows (committed ())) ~fresh:(Rundiff.Rows fresh) with
+  match
+    Rundiff.diff ~baseline:(Rundiff.Rows (committed ()))
+      ~fresh:(Rundiff.Rows (List.concat_map snd (Lazy.force fresh)))
+  with
   | Error msg -> Alcotest.fail msg
   | Ok d ->
       Alcotest.(check (list string)) "fresh rows equal BENCH_paper.json" []
         (Rundiff.differences d)
+
+(* The experiments share one row namespace: names are distinct, row ids
+   are distinct, and every row id starts with the name of the experiment
+   that returned it, so no experiment can write a row another one owns. *)
+let test_row_namespace () =
+  let distinct what xs =
+    Alcotest.(check int) (what ^ " distinct") (List.length xs)
+      (List.length (List.sort_uniq compare xs))
+  in
+  let by_experiment = Lazy.force fresh in
+  distinct "experiment names" (List.map fst by_experiment);
+  distinct "row ids" (List.concat_map (fun (_, rows) -> List.map fst rows) by_experiment);
+  List.iter
+    (fun (name, rows) ->
+      List.iter
+        (fun (id, _) ->
+          Alcotest.(check string) (id ^ ": prefix") name
+            (List.hd (String.split_on_char '/' id)))
+        rows)
+    by_experiment
 
 (* --- EXPERIMENTS.md shows the snapshot --- *)
 
@@ -561,6 +593,7 @@ let () =
       ( "snapshot",
         [
           Alcotest.test_case "fresh rows equal BENCH_paper.json" `Quick test_paper_snapshot;
+          Alcotest.test_case "row ids are experiment names" `Quick test_row_namespace;
           Alcotest.test_case "EXPERIMENTS.md equals BENCH_paper.json" `Quick
             test_experiments_md;
         ] );

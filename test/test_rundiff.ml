@@ -31,10 +31,9 @@ let case_result ?(id = "app:proto:drv") ?(nodes = 4) ?(params = [ ("size", 16) ]
         B.c_id = id;
         c_app = "app";
         c_protocol = "proto";
-        c_driver = "BIP/Myrinet";
+        c_driver = Dsmpm2_net.Driver.bip_myrinet;
         c_nodes = nodes;
         c_params = params;
-        c_quick = true;
       };
     cr_samples =
       List.map
@@ -46,10 +45,10 @@ let case_result ?(id = "app:proto:drv") ?(nodes = 4) ?(params = [ ("size", 16) ]
         seeds;
   }
 
-(* A macro snapshot as `dsm bench --out` writes it: one row per case and
-   seed, [macro/app:proto:drv/seed0] and so on. *)
+(* The macro suite's rows as `dsm bench --metrics-out` writes them: one
+   per case and seed, [bench/app:proto:drv/seed0] and so on. *)
 let base_snapshot () = B.rows [ case_result () ]
-let seed_row seed = Printf.sprintf "macro/app:proto:drv/seed%d" seed
+let seed_row seed = Printf.sprintf "bench/app:proto:drv/seed%d" seed
 
 let bump_row id field =
   List.map (fun (i, fs) ->
@@ -107,10 +106,10 @@ let test_one_unit_differs () =
     [ base_snapshot (); paper_rows ];
   let t = base_snapshot () in
   Alcotest.(check (list string)) "time line"
-    [ "macro/app:proto:drv/seed1: time_ns 1010000 -> 1010001 (+1, +0.00%)" ]
+    [ "bench/app:proto:drv/seed1: time_ns 1010000 -> 1010001 (+1, +0.00%)" ]
     (Rundiff.differences (diff_exn t (bump_row (seed_row 1) "time_ns" t)));
   Alcotest.(check (list string)) "a count from zero has no percentage"
-    [ "macro/app:proto:drv/seed2: dropped 0 -> 1 (+1)" ]
+    [ "bench/app:proto:drv/seed2: dropped 0 -> 1 (+1)" ]
     (Rundiff.differences (diff_exn t (bump_row (seed_row 2) "dropped" t)));
   Alcotest.(check (list string)) "paper line"
     [ "fig4/li_hudak/8: time_ns 83000000 -> 83000001 (+1, +0.00%)" ]
@@ -136,11 +135,11 @@ let test_one_sided_cases_differ () =
   let a = base_snapshot () in
   let b = B.rows [ case_result (); case_result ~id:"app:proto:new" ~seeds:[ 0 ] () ] in
   let d = diff_exn a b in
-  Alcotest.(check (list string)) "only in fresh" [ "only in fresh: macro/app:proto:new/seed0" ]
+  Alcotest.(check (list string)) "only in fresh" [ "only in fresh: bench/app:proto:new/seed0" ]
     (Rundiff.differences d);
   Alcotest.(check bool) "differs" true (Rundiff.differs d);
   Alcotest.(check (list string)) "only in baseline"
-    [ "only in baseline: macro/app:proto:new/seed0" ]
+    [ "only in baseline: bench/app:proto:new/seed0" ]
     (Rundiff.differences (diff_exn b a));
   (* a row, or a field of a matched row, on one side only *)
   let extra = paper_rows @ [ ("fig5/java_pf/4", [ ("time_ns", 1) ]) ] in
@@ -171,7 +170,7 @@ let test_report_names_changes () =
   Alcotest.(check (list string)) "report"
     [
       "run diff: rows mode, exact";
-      "macro/app:proto:drv/seed0: fault_p99_ns 99000 -> 99001 (+1, +0.00%)";
+      "bench/app:proto:drv/seed0: fault_p99_ns 99000 -> 99001 (+1, +0.00%)";
       "verdict: differs (1 difference)";
       "";
     ]
